@@ -27,6 +27,7 @@ from .circle import (
 from .errors import (
     AssemblyError,
     BranchCutError,
+    CertificateError,
     DegenerateWindowError,
     DetourFailureError,
     DimensionError,
@@ -80,6 +81,7 @@ from .transport import (
     commutant_transport,
     excise,
     excision_error,
+    geodesic_angle,
     geodesic_lower_bound,
     geodesic_pair,
     multi_transport,

@@ -23,9 +23,13 @@ from .intertwine import (
     build_tower,
     make_schedule,
 )
-from .linalg import inner
 from .suites import SUITE_NAMES, intertwine_instance, run_suite
-from .transport import commutant_transport, projection_transport, geodesic_pair
+from .transport import (
+    commutant_transport,
+    geodesic_angle,
+    geodesic_pair,
+    projection_transport,
+)
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -154,7 +158,7 @@ def _run_geodesic(config):
     xi = serialize.decode_vector(config["xi"])
     eta = serialize.decode_vector(config["eta"])
     path = geodesic_pair(xi, eta)
-    theta = float(np.arccos(np.clip(inner(eta, xi).real, -1.0, 1.0)))
+    theta = geodesic_angle(xi, eta)
     measured = {
         "length": path.length,
         "length_error": abs(path.length - theta),

@@ -40,6 +40,10 @@ class HypothesisError(StateTransportError):
         self.measured_gap = measured_gap
 
 
+class CertificateError(StateTransportError):
+    """A computed certificate contradicts the bound it is meant to certify."""
+
+
 class InfeasiblePartitionError(StateTransportError):
     """No valid cut point in some circle window."""
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import CertificateError, DimensionError
 from .linalg import dagger, expm_skew, op_norm
 
 JOINT_TOL = 1e-10
@@ -189,7 +189,8 @@ def merge_orthogonal_paths(paths: list[UnitaryPath]) -> UnitaryPath:
             base = base @ expm_skew(seg.generator, a - seg.t0) @ seg.base
         segs.append(PathSegment(a, b, h, base))
     merged = UnitaryPath(segs)
-    assert abs(merged.t_start - lo) < 1e-12 and abs(merged.t_end - hi) < 1e-12
+    if abs(merged.t_start - lo) >= 1e-12 or abs(merged.t_end - hi) >= 1e-12:
+        raise CertificateError("merged path does not cover the common interval")
     return merged
 
 
@@ -199,7 +200,3 @@ def _segment_covering(path: UnitaryPath, a: float, b: float) -> PathSegment:
             return seg
     raise ValueError("paths must share the parameter interval to merge")
 
-
-def path_length(path: UnitaryPath) -> float:
-    """Certified length: sum of segment speeds times durations."""
-    return path.length

@@ -30,10 +30,11 @@ from .intertwine import (
     build_tower,
     make_schedule,
 )
-from .linalg import dagger, expm_skew, inner, op_norm, psd_sqrt, unitary_eig
+from .linalg import dagger, expm_skew, op_norm, psd_sqrt, unitary_eig
 from .path import concat_paths
 from .transport import (
     commutant_transport,
+    geodesic_angle,
     geodesic_lower_bound,
     geodesic_pair,
     spectrum_match,
@@ -169,7 +170,7 @@ def suite_geodesic(seed: int, instances: int, competitors: int = 200) -> dict:
         dim = int(rng.integers(3, 9))
         xi = random_state(rng, dim)
         eta = random_state(rng, dim)
-        theta = float(np.arccos(np.clip(inner(eta, xi).real, -1.0, 1.0)))
+        theta = geodesic_angle(xi, eta)
         path = geodesic_pair(xi, eta)
         length_err = abs(path.length - theta)
         terminal = float(np.linalg.norm(path.end() @ xi - eta))
@@ -177,10 +178,7 @@ def suite_geodesic(seed: int, instances: int, competitors: int = 200) -> dict:
         beaten_by = 0.0
         for _ in range(competitors):
             mid = random_state(rng, dim)
-            comp = concat_paths(
-                geodesic_pair(xi, mid, segments=8),
-                geodesic_pair(mid, eta, segments=8),
-            )
+            comp = concat_paths(geodesic_pair(xi, mid), geodesic_pair(mid, eta))
             beaten_by = max(beaten_by, theta - comp.length)
         return length_err, terminal, beaten_by, theta - phi
 

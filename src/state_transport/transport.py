@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import BlockAlgebra, MatrixUnits
-from .errors import DisjointnessError, HypothesisError
+from .errors import CertificateError, DisjointnessError, HypothesisError
 from .gram import VectorFamily, align_unitary, alignment_bound
 from .linalg import (
     check_state,
@@ -25,56 +25,53 @@ from .linalg import (
 )
 from .path import PathSegment, UnitaryPath, concat_paths, merge_orthogonal_paths
 
-GEODESIC_SEGMENTS = 64
 COLINEAR_TOL = 1e-9
 
 
-def geodesic_pair(xi: np.ndarray, eta: np.ndarray,
-                  segments: int = GEODESIC_SEGMENTS) -> UnitaryPath:
+def geodesic_angle(xi: np.ndarray, eta: np.ndarray) -> float:
+    """The angle arccos Re<xi, eta> between two unit vectors, evaluated as
+    atan2(||eta - Re<eta, xi> xi||, Re<eta, xi>), which stays accurate near
+    0 and pi, where arccos of the cosine loses about 1e-8."""
+    c = inner(eta, xi).real
+    return float(np.arctan2(np.linalg.norm(eta - c * xi), c))
+
+
+def geodesic_pair(xi: np.ndarray, eta: np.ndarray) -> UnitaryPath:
     """Minimal geodesic path with u(0) = 1, u(1) xi = eta, length
     arccos Re<xi, eta>.
 
-    The path acts as the identity on the orthogonal complement of
-    span{xi, eta}.  Each segment freezes the frame generator at its left
-    endpoint; the frozen flow agrees with the exact geodesic flow on the
-    transported vector, so the endpoint and length are exact up to rounding.
+    Write eta = a xi + b w with a = <eta, xi>, b >= 0 and w a unit vector
+    orthogonal to xi, and let Q = [xi, w].  With s = ||eta - Re(a) xi|| =
+    hypot(Im a, b) and theta = atan2(s, Re a), the path is the single
+    segment u(t) = exp(i t h), h = Q R Q^*, where
+
+        R = (theta / s) [[Im a, i b], [-i b, -Im a]].
+
+    R is traceless Hermitian with R^2 = theta^2, so exp(i R) =
+    cos(theta) + i sin(theta) R / theta = [[a, -b], [b, conj(a)]], whose
+    first column is (a, b): hence u(1) xi = eta exactly up to rounding,
+    ||h|| = theta is the length, and h vanishes on span{xi, eta}^perp.
+    When eta is a phase multiple of xi (b below ``COLINEAR_TOL``) the path
+    is the scalar rotation h = arg(a) xi xi^*.
     """
     xi = check_state(xi)
     eta = check_state(eta)
     dim = xi.size
-    ip = inner(eta, xi)  # <eta, xi>
-    theta = float(np.arccos(np.clip(ip.real, -1.0, 1.0)))
-
-    rest = eta - ip * xi  # component of eta orthogonal to xi
-    if np.linalg.norm(rest) < COLINEAR_TOL:
-        # eta = lambda xi with lambda = <eta, xi>; scalar rotation on C xi.
-        phase = float(np.angle(ip))
-        h = phase * np.outer(xi, xi.conj())
-        return UnitaryPath([PathSegment(0.0, 1.0, h, np.eye(dim, dtype=complex))])
-
-    sin_t = float(np.sin(theta))
-    v = (eta - np.cos(theta) * xi) / sin_t
-    alpha = theta / sin_t * float(ip.imag)
-    beta = float(np.sqrt(max(theta**2 - alpha**2, 0.0)))
-
-    segs = []
-    base = np.eye(dim, dtype=complex)
-    dt = 1.0 / segments
-    for k in range(segments):
-        t = k * dt
-        xt = np.cos(theta * t) * xi + np.sin(theta * t) * v
-        xdot = theta * (-np.sin(theta * t) * xi + np.cos(theta * t) * v)
-        zt = (xdot - 1j * alpha * xt) / beta
-        h = (
-            alpha * np.outer(xt, xt.conj())
-            - 1j * beta * np.outer(zt, xt.conj())
-            + 1j * beta * np.outer(xt, zt.conj())
-            - alpha * np.outer(zt, zt.conj())
-        )
-        seg = PathSegment(t, t + dt, h, base)
-        segs.append(seg)
-        base = seg.end()
-    return UnitaryPath(segs)
+    a = inner(eta, xi)
+    rest = eta - a * xi
+    # Orthogonalise twice: when eta is nearly colinear with xi, rest is
+    # small and one pass leaves a relative overlap with xi of order eps / b.
+    rest = rest - inner(rest, xi) * xi
+    b = float(np.linalg.norm(rest))
+    if b < COLINEAR_TOL:
+        h = float(np.angle(a)) * np.outer(xi, xi.conj())
+    else:
+        s = float(np.hypot(a.imag, b))
+        theta = geodesic_angle(xi, eta)
+        r = (theta / s) * np.array([[a.imag, 1j * b], [-1j * b, -a.imag]])
+        q = np.column_stack([xi, rest / b])
+        h = q @ r @ dagger(q)
+    return UnitaryPath([PathSegment(0.0, 1.0, h, np.eye(dim, dtype=complex))])
 
 
 def geodesic_lower_bound(path: UnitaryPath, xi: np.ndarray, eta: np.ndarray,
@@ -93,7 +90,7 @@ def geodesic_lower_bound(path: UnitaryPath, xi: np.ndarray, eta: np.ndarray,
             "path endpoint does not transport xi to eta",
             measured_gap=float(np.linalg.norm(u1 @ xi - eta)),
         )
-    theta = float(np.arccos(np.clip(inner(eta, xi).real, -1.0, 1.0)))
+    theta = geodesic_angle(xi, eta)
     lam, _ = unitary_eig(u1)
     angles = np.abs(np.angle(lam))
     candidates = angles[np.cos(angles) <= np.cos(theta) + 1e-9]
@@ -105,7 +102,6 @@ def geodesic_lower_bound(path: UnitaryPath, xi: np.ndarray, eta: np.ndarray,
     # backwards to t=0 by nearest-eigenvalue matching.
     ts = path.sample_times(samples + 1)
     tracked = np.exp(1j * phi)
-    chain = 0.0
     prev_u = u1
     for t in ts[::-1][1:]:
         u = path.at(t)
@@ -113,12 +109,11 @@ def geodesic_lower_bound(path: UnitaryPath, xi: np.ndarray, eta: np.ndarray,
         mu = spec[np.argmin(np.abs(spec - tracked))]
         step = abs(mu - tracked)
         if step > op_norm(prev_u - u) + 1e-8:
-            raise AssertionError("spectrum chain step exceeded the chord bound")
-        chain += step
+            raise CertificateError("spectrum chain step exceeded the chord bound")
         tracked = mu
         prev_u = u
     if phi > path.length + 1e-6:
-        raise AssertionError(
+        raise CertificateError(
             f"lower bound {phi:.6f} exceeds certified length {path.length:.6f}"
         )
     return phi
@@ -139,12 +134,11 @@ def spectrum_match(u: np.ndarray, v: np.ndarray, lam: complex) -> complex:
     mu = complex(spec_v[np.argmin(np.abs(spec_v - lam))])
     gap = abs(lam - mu)
     if gap > op_norm(u - v) + 1e-8:
-        raise AssertionError("spectrum perturbation bound violated")
+        raise CertificateError("spectrum perturbation bound violated")
     return mu
 
 
-def projection_transport(e: np.ndarray, xi: np.ndarray, eta: np.ndarray,
-                         segments: int = GEODESIC_SEGMENTS) -> UnitaryPath:
+def projection_transport(e: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> UnitaryPath:
     """Path commuting with the projection e, moving xi to a phase multiple of
     eta, of length at most pi/2.
 
@@ -176,8 +170,7 @@ def projection_transport(e: np.ndarray, xi: np.ndarray, eta: np.ndarray,
         ns = np.linalg.norm(src)
         if ns < 1e-9:
             continue
-        paths.append(geodesic_pair(src / ns, mu * dst / np.linalg.norm(dst),
-                                   segments=segments))
+        paths.append(geodesic_pair(src / ns, mu * dst / np.linalg.norm(dst)))
     if not paths:
         return UnitaryPath.constant(dim)
     return merge_orthogonal_paths(paths)

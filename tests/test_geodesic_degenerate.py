@@ -1,0 +1,81 @@
+"""Geodesics between nearly colinear and nearly antipodal states.
+
+eta = e^{i phase} sqrt(1 - s^2) xi + s w with w a unit vector orthogonal to
+xi, for tiny s and phases near 0, at 0.7 and near +-pi: the regimes where
+the length and endpoint bounds are hardest to meet.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from state_transport.suites import random_state
+from state_transport.transport import (
+    geodesic_angle,
+    geodesic_lower_bound,
+    geodesic_pair,
+)
+
+BOUND = 1e-8
+
+phases = st.one_of(
+    st.floats(-1e-3, 1e-3),
+    st.just(0.7),
+    st.floats(np.pi - 1e-3, np.pi),
+    st.floats(-np.pi, -np.pi + 1e-3),
+)
+
+
+def degenerate_pair(seed, dim, phase, s, support=None):
+    """(xi, eta, outside): xi and eta vanish exactly off ``support`` random
+    coordinates, so the unit vectors at the ``outside`` coordinates are
+    orthogonal to span{xi, eta} without rounding."""
+    rng = np.random.default_rng(seed)
+    coords = rng.permutation(dim)
+    support = support or dim
+    inside, outside = coords[:support], np.sort(coords[support:])
+    xi = np.zeros(dim, dtype=complex)
+    w = np.zeros(dim, dtype=complex)
+    xi[inside] = random_state(rng, inside.size)
+    w[inside] = random_state(rng, inside.size)
+    w = w - np.vdot(xi, w) * xi
+    w = w / np.linalg.norm(w)
+    eta = np.exp(1j * phase) * np.sqrt(1.0 - s * s) * xi + s * w
+    return xi, eta, outside
+
+
+def check_geodesic(xi, eta):
+    path = geodesic_pair(xi, eta)
+    assert len(path.segments) == 1
+    assert abs(path.length - geodesic_angle(xi, eta)) <= BOUND
+    assert np.linalg.norm(path.end() @ xi - eta) <= BOUND
+    return path
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 16),
+    support=st.integers(2, 16),
+    phase=phases,
+    log_s=st.floats(-8.0, -4.0),
+)
+def test_degenerate_pair_bounds(seed, dim, support, phase, log_s):
+    xi, eta, outside = degenerate_pair(seed, dim, phase, 10.0**log_s,
+                                       min(support, dim))
+    path = check_geodesic(xi, eta)
+    perp = np.eye(dim)[:, outside]
+    for t in (0.5, 1.0):
+        assert np.linalg.norm(path.at(t) @ perp - perp) <= BOUND
+    geodesic_lower_bound(path, xi, eta, samples=16)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_nearly_colinear_phase_regression(seed):
+    # At s = 1e-8 next to a phase 0.7 the frame construction used to divide
+    # by a vanishing rate and fail on non-finite generators.
+    dim = 2 + seed % 15
+    xi, eta, _ = degenerate_pair(seed, dim, 0.7, 1e-8)
+    path = check_geodesic(xi, eta)
+    geodesic_lower_bound(path, xi, eta, samples=16)

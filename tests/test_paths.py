@@ -44,8 +44,8 @@ def test_concat_runs_first_then_second(rng):
     xi = random_state(rng, 4)
     mid = random_state(rng, 4)
     eta = random_state(rng, 4)
-    a = geodesic_pair(xi, mid, segments=8)
-    b = geodesic_pair(mid, eta, segments=8)
+    a = geodesic_pair(xi, mid)
+    b = geodesic_pair(mid, eta)
     c = concat_paths(a, b)
     assert c.is_based()
     assert np.linalg.norm(c.at(0.5) @ xi - mid) < 1e-10

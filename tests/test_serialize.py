@@ -5,6 +5,7 @@ import numpy as np
 from state_transport.gram import GramTarget, VectorFamily
 from state_transport.group import finite_cyclic_action, integer_action
 from state_transport.linalg import op_norm
+from state_transport.path import concat_paths
 from state_transport.serialize import (
     decode_complex,
     decode_family,
@@ -56,8 +57,9 @@ def test_family_and_target_roundtrip(rng):
 
 def test_path_roundtrip(rng):
     xi = random_state(rng, 3)
+    mid = random_state(rng, 3)
     eta = random_state(rng, 3)
-    p = geodesic_pair(xi, eta, segments=4)
+    p = concat_paths(geodesic_pair(xi, mid), geodesic_pair(mid, eta))
     q = decode_path(encode_path(p))
     assert q.length == p.length
     for t in (0.0, 0.4, 1.0):

@@ -3,8 +3,14 @@ import pytest
 import scipy.linalg
 
 from state_transport.algebra import direct_sum_algebra, full_matrix_units
-from state_transport.errors import DisjointnessError, HypothesisError
+from state_transport.errors import (
+    CertificateError,
+    DisjointnessError,
+    HypothesisError,
+    StateTransportError,
+)
 from state_transport.linalg import dagger, inner, op_norm
+from state_transport.path import UnitaryPath
 from state_transport.suites import (
     commutant_instance,
     random_state,
@@ -76,6 +82,17 @@ def test_geodesic_lower_bound_rejects_wrong_endpoint(rng):
     p = geodesic_pair(xi, eta)
     with pytest.raises(HypothesisError):
         geodesic_lower_bound(p, xi, random_state(rng, 4))
+
+
+def test_geodesic_lower_bound_rejects_forged_length(rng):
+    # A constant path parked at the geodesic endpoint reaches eta but claims
+    # length 0, below the spectral lower bound.
+    xi = random_state(rng, 4)
+    eta = random_state(rng, 4)
+    forged = UnitaryPath.constant(4, base=geodesic_pair(xi, eta).end())
+    with pytest.raises(CertificateError) as info:
+        geodesic_lower_bound(forged, xi, eta, samples=16)
+    assert isinstance(info.value, StateTransportError)
 
 
 def test_spectrum_match_bound(rng):
