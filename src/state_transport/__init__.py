@@ -36,8 +36,11 @@ from .errors import (
     HypothesisError,
     InfeasiblePartitionError,
     InvalidTargetError,
+    NotFiniteError,
     NotHermitianError,
+    NotNormalizedError,
     NotPSDError,
+    NotUnitaryError,
     RoundFailureError,
     SingularMatrixError,
     StateTransportError,

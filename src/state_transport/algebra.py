@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import op_norm
+from .linalg import dagger, op_norm
 
 UNIT_RELATION_TOL = 1e-10
 
@@ -64,6 +65,33 @@ class MatrixUnits:
             for j in range(n):
                 s[i, j] = np.vdot(xi, self.units[i, j] @ xi)
         return s
+
+    @cached_property
+    def _corner(self) -> np.ndarray:
+        e11 = self.unit(0, 0)
+        w, v = np.linalg.eigh((e11 + dagger(e11)) / 2)
+        return v[:, w > 0.5]
+
+    def corner_basis(self) -> np.ndarray:
+        """Orthonormal basis V (ambient x r, as columns) of the range of e_11."""
+        return self._corner
+
+    def corner_families(self, xi: np.ndarray) -> np.ndarray:
+        """The n x r rows V^* e_1j xi: the coordinates of e_1j xi in the corner."""
+        corner = self._corner
+        return np.array(
+            [dagger(corner) @ (self.unit(0, j) @ xi) for j in range(self.n)]
+        )
+
+    def lift_corner(self, h: np.ndarray) -> np.ndarray:
+        """sum_i e_i1 (V h V^*) e_1i for an r x r corner matrix h; the lift
+        commutes with every e_ij."""
+        corner = self._corner
+        h_corner = corner @ h @ dagger(corner)
+        gen = np.zeros_like(h_corner)
+        for i in range(self.n):
+            gen = gen + self.unit(i, 0) @ h_corner @ self.unit(0, i)
+        return gen
 
 
 def full_matrix_units(n: int, multiplicity: int = 1, ambient_dim: int | None = None,
@@ -122,18 +150,37 @@ class KronUnits:
 
     def embed(self, a: np.ndarray) -> np.ndarray:
         out = np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
-        span = self.n * self.multiplicity
-        window = slice(self.offset, self.offset + span)
+        window = self._window()
         out[window, window] = np.kron(
             np.asarray(a, dtype=complex), np.eye(self.multiplicity)
         )
         return out
 
     def coefficients_of_state(self, xi: np.ndarray) -> np.ndarray:
-        span = self.n * self.multiplicity
-        part = np.asarray(xi, dtype=complex)[self.offset:self.offset + span]
-        mat = part.reshape(self.n, self.multiplicity)
+        mat = self.corner_families(xi)
         return (mat @ mat.conj().T).T
+
+    def _window(self) -> slice:
+        return slice(self.offset, self.offset + self.n * self.multiplicity)
+
+    def corner_basis(self) -> np.ndarray:
+        """The range of e_11 is spanned by the coordinate vectors offset,
+        ..., offset + r - 1, the eigenvectors ``MatrixUnits`` finds, in order."""
+        return np.eye(self.ambient_dim, self.multiplicity, -self.offset, dtype=complex)
+
+    def corner_families(self, xi: np.ndarray) -> np.ndarray:
+        """Row j is the j-th r-block of the window: V^* e_1j xi."""
+        part = np.array(xi, dtype=complex).reshape(-1)[self._window()]
+        return part.reshape(self.n, self.multiplicity)
+
+    def lift_corner(self, h: np.ndarray) -> np.ndarray:
+        """sum_i e_i1 (V h V^*) e_1i = 1_n (x) h on the window, written as n
+        copies of h on the diagonal blocks (``kron`` would add -0.0 entries)."""
+        r = self.multiplicity
+        out = np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
+        idx = self.offset + r * np.arange(self.n)[:, None] + np.arange(r)
+        out[idx[:, :, None], idx[:, None, :]] = h
+        return out
 
 
 def conjugated_units(mu: MatrixUnits, u: np.ndarray) -> MatrixUnits:

@@ -18,7 +18,7 @@ from .errors import (
     HypothesisError,
     InfeasiblePartitionError,
 )
-from .linalg import check_state, check_unitary, dagger, op_norm, unitary_eig
+from .linalg import _unitary_eig, check_state, check_unitary, dagger, op_norm
 from .path import PathSegment, UnitaryPath, merge_orthogonal_paths
 from .transport import commutant_transport
 
@@ -44,7 +44,7 @@ class SpectralModel:
     @classmethod
     def from_unitary(cls, z: np.ndarray) -> "SpectralModel":
         z = check_unitary(z)
-        lam, q = unitary_eig(z)
+        lam, q = _unitary_eig(z)
         angles = np.mod(np.angle(lam) / (2 * np.pi), 1.0)
         order = np.argsort(angles, kind="stable")
         angles = angles[order]

@@ -9,6 +9,18 @@ class NotHermitianError(StateTransportError):
     """Input matrix violates the adjoint-symmetry tolerance."""
 
 
+class NotUnitaryError(StateTransportError):
+    """Input matrix violates the unitarity tolerance."""
+
+
+class NotFiniteError(StateTransportError):
+    """Input has NaN or infinite entries."""
+
+
+class NotNormalizedError(StateTransportError):
+    """State vector does not have unit norm within tolerance."""
+
+
 class NotPSDError(StateTransportError):
     """Matrix has a significantly negative eigenvalue."""
 

@@ -10,7 +10,16 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import BranchCutError, NotHermitianError, NotPSDError, SingularMatrixError
+from .errors import (
+    BranchCutError,
+    DimensionError,
+    NotFiniteError,
+    NotHermitianError,
+    NotNormalizedError,
+    NotPSDError,
+    NotUnitaryError,
+    SingularMatrixError,
+)
 
 HERMITIAN_RTOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -37,9 +46,9 @@ def op_norm(x: np.ndarray) -> float:
 def check_square(x: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
+        raise DimensionError(f"expected a square matrix, got shape {x.shape}")
     if not np.all(np.isfinite(x.view(float))):
-        raise ValueError("matrix has non-finite entries")
+        raise NotFiniteError("matrix has non-finite entries")
     return x
 
 
@@ -56,14 +65,14 @@ def check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     u = check_square(u)
     eye = np.eye(u.shape[0])
     if op_norm(dagger(u) @ u - eye) > tol or op_norm(u @ dagger(u) - eye) > tol:
-        raise ValueError("matrix is not unitary within tolerance")
+        raise NotUnitaryError("matrix is not unitary within tolerance")
     return u
 
 
 def check_state(xi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     xi = np.ascontiguousarray(xi, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(xi) - 1.0) > tol:
-        raise ValueError("state vector is not normalized")
+        raise NotNormalizedError("state vector is not normalized")
     return xi
 
 
@@ -103,7 +112,13 @@ def polar_unitary(z: np.ndarray) -> np.ndarray:
 
 def expm_skew(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(i t h) for Hermitian h, via eigendecomposition."""
-    w, v = eig_hermitian(h)
+    return _expm_skew(check_hermitian(h), t)
+
+
+def _expm_skew(h: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """exp(i t h) for a library-built Hermitian h, without validation: the
+    exponential of the symmetrised (h + h^*) / 2."""
+    w, v = np.linalg.eigh((h + dagger(h)) / 2)
     return (v * np.exp(1j * t * w)) @ dagger(v)
 
 
@@ -113,7 +128,11 @@ def unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues on the unit circle, unitary of eigenvectors).
     A unitary is normal, so its Schur form is diagonal.
     """
-    u = check_unitary(u)
+    return _unitary_eig(check_unitary(u))
+
+
+def _unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``unitary_eig`` for a library-built or already checked unitary."""
     t, q = scipy.linalg.schur(u, output="complex")
     return np.diag(t), q
 
@@ -135,9 +154,10 @@ def project_unitary_angles(u: np.ndarray) -> np.ndarray:
     """Hermitian generator with angles in (-pi, pi], no branch margin check.
 
     Used where the construction tolerates an eigenvalue at -1 (norm <= pi
-    generators of commutant corner paths).
+    generators of commutant corner paths).  ``u`` is library-built and is
+    not re-checked for unitarity.
     """
-    lam, q = unitary_eig(u)
+    lam, q = _unitary_eig(u)
     h = (q * np.angle(lam)) @ dagger(q)
     return (h + dagger(h)) / 2
 

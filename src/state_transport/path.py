@@ -3,18 +3,25 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CertificateError, DimensionError
-from .linalg import dagger, expm_skew, op_norm
+from .linalg import _expm_skew, dagger, op_norm
 
 JOINT_TOL = 1e-10
 
 
 @dataclass
 class PathSegment:
-    """u(t) = exp(i (t - t0) h) @ base for t in [t0, t1]."""
+    """u(t) = exp(i (t - t0) h) @ base for t in [t0, t1].
+
+    The generator h is trusted to be Hermitian and the base unitary: the
+    library builds them, and ``serialize.decode_path`` checks both when a
+    path is read back.  Segments are not mutated after construction, so the
+    speed is computed once.
+    """
 
     t0: float
     t1: float
@@ -25,12 +32,17 @@ class PathSegment:
     def duration(self) -> float:
         return self.t1 - self.t0
 
-    @property
+    @cached_property
     def speed(self) -> float:
-        return op_norm(self.generator)
+        """||h||, as the largest |eigenvalue| of the symmetrised generator
+        that ``at`` exponentiates."""
+        h = self.generator
+        return float(np.max(np.abs(np.linalg.eigvalsh((h + dagger(h)) / 2))))
 
     def at(self, t: float) -> np.ndarray:
-        return expm_skew(self.generator, t - self.t0) @ self.base
+        if t == self.t0:
+            return np.array(self.base, dtype=complex)
+        return _expm_skew(self.generator, t - self.t0) @ self.base
 
     def end(self) -> np.ndarray:
         return self.at(self.t1)
@@ -186,7 +198,7 @@ def merge_orthogonal_paths(paths: list[UnitaryPath]) -> UnitaryPath:
         for p in paths:
             seg = _segment_covering(p, a, b)
             h = h + seg.generator
-            base = base @ expm_skew(seg.generator, a - seg.t0) @ seg.base
+            base = base @ seg.at(a)
         segs.append(PathSegment(a, b, h, base))
     merged = UnitaryPath(segs)
     if abs(merged.t_start - lo) >= 1e-12 or abs(merged.t_end - hi) >= 1e-12:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .gram import GramTarget, VectorFamily
 from .group import GroupAction
+from .linalg import check_hermitian, check_unitary
 from .path import PathSegment, UnitaryPath
 
 
@@ -83,12 +84,14 @@ def encode_path(p: UnitaryPath) -> dict:
 
 
 def decode_path(data) -> UnitaryPath:
+    """Rebuild a path, checking that every generator is Hermitian and every
+    base unitary: path segments trust both."""
     segs = [
         PathSegment(
             t0=s["t0"],
             t1=s["t1"],
-            generator=decode_matrix(s["h"]),
-            base=decode_matrix(s["base"]),
+            generator=check_hermitian(decode_matrix(s["h"])),
+            base=check_unitary(decode_matrix(s["base"])),
         )
         for s in data["segments"]
     ]

@@ -15,13 +15,13 @@ from .algebra import BlockAlgebra, MatrixUnits
 from .errors import CertificateError, DisjointnessError, HypothesisError
 from .gram import VectorFamily, align_unitary, alignment_bound
 from .linalg import (
+    _unitary_eig,
     check_state,
     check_unitary,
     dagger,
     inner,
     op_norm,
     project_unitary_angles,
-    unitary_eig,
 )
 from .path import PathSegment, UnitaryPath, concat_paths, merge_orthogonal_paths
 
@@ -91,7 +91,7 @@ def geodesic_lower_bound(path: UnitaryPath, xi: np.ndarray, eta: np.ndarray,
             measured_gap=float(np.linalg.norm(u1 @ xi - eta)),
         )
     theta = geodesic_angle(xi, eta)
-    lam, _ = unitary_eig(u1)
+    lam, _ = _unitary_eig(u1)
     angles = np.abs(np.angle(lam))
     candidates = angles[np.cos(angles) <= np.cos(theta) + 1e-9]
     if candidates.size == 0:  # numerical safety; the mean-value bound forbids this
@@ -105,7 +105,7 @@ def geodesic_lower_bound(path: UnitaryPath, xi: np.ndarray, eta: np.ndarray,
     prev_u = u1
     for t in ts[::-1][1:]:
         u = path.at(t)
-        spec, _ = unitary_eig(u)
+        spec, _ = _unitary_eig(u)
         mu = spec[np.argmin(np.abs(spec - tracked))]
         step = abs(mu - tracked)
         if step > op_norm(prev_u - u) + 1e-8:
@@ -124,13 +124,13 @@ def spectrum_match(u: np.ndarray, v: np.ndarray, lam: complex) -> complex:
     |lam - mu| <= ||u - v||."""
     u = check_unitary(u)
     v = check_unitary(v)
-    spec_u, _ = unitary_eig(u)
+    spec_u, _ = _unitary_eig(u)
     if np.min(np.abs(spec_u - lam)) > 1e-8:
         raise HypothesisError(
             "lambda is not in the spectrum of u",
             measured_gap=float(np.min(np.abs(spec_u - lam))),
         )
-    spec_v, _ = unitary_eig(v)
+    spec_v, _ = _unitary_eig(v)
     mu = complex(spec_v[np.argmin(np.abs(spec_v - lam))])
     gap = abs(lam - mu)
     if gap > op_norm(u - v) + 1e-8:
@@ -189,17 +189,26 @@ def _bisector_phase(a: complex, b: complex, tol: float = 1e-12) -> complex:
 
 
 def invert_alignment_bound(n: int, dim: int, target: float) -> float:
-    """Largest delta whose certified alignment bound stays below target."""
-    lo, hi = 0.0, 1.0
-    if alignment_bound(n, dim, hi) <= target:
-        return hi
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if alignment_bound(n, dim, mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """Largest delta <= 1 whose certified alignment bound stays below target.
+
+    Full rank (dim >= n) the bound is sqrt(n delta), so delta = T^2 / n.
+    Rank deficient (m = dim < n) it is m^{3/2} x + (m+1)^2 x^2 in
+    x = sqrt(delta), whose positive root is taken in the cancellation-free
+    form 2T / (m^{3/2} + sqrt(m^3 + 4 (m+1)^2 T)).  The closed form is then
+    stepped down ulp by ulp until the bound holds at it.
+    """
+    if target <= 0.0:
+        return 0.0
+    if dim >= n:
+        delta = target * target / n
+    else:
+        m = float(dim)
+        x = 2.0 * target / (m**1.5 + np.sqrt(m**3 + 4.0 * (m + 1.0) ** 2 * target))
+        delta = x * x
+    delta = min(float(delta), 1.0)
+    while delta > 0.0 and alignment_bound(n, dim, delta) > target:
+        delta = float(np.nextafter(delta, 0.0))
+    return delta
 
 
 @dataclass
@@ -218,8 +227,8 @@ def commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
                         eps: float, exact: bool = False) -> TransportResult:
     """Path in the commutant of the matrix units moving xi close to eta.
 
-    The generator lives in the (1,1) corner conjugates sum
-    sum_i e_i1 h e_1i, has norm <= pi, and commutes with every e_ij
+    The generator is the lift sum_i e_i1 h e_1i of a corner generator h
+    (``lift_corner``), has norm <= pi, and commutes with every e_ij
     exactly.  The admissibility threshold delta is derived from the
     alignment bound at tolerance eps / sqrt(n).  With ``exact`` a short
     geodesic repair segment is appended so that u(1) xi = eta exactly, at
@@ -228,10 +237,7 @@ def commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
     xi = check_state(xi)
     eta = check_state(eta)
     n = mu.n
-    e11 = mu.unit(0, 0)
-    w, v = np.linalg.eigh((e11 + dagger(e11)) / 2)
-    corner = v[:, w > 0.5]  # orthonormal basis of range(e_11)
-    r = corner.shape[1]
+    r = mu.corner_basis().shape[1]
 
     delta = invert_alignment_bound(n, r, eps / np.sqrt(n))
     stats_gap = float(
@@ -243,14 +249,10 @@ def commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
             measured_gap=stats_gap,
         )
 
-    fam_xi = np.array([dagger(corner) @ (mu.unit(0, j) @ xi) for j in range(n)])
-    fam_eta = np.array([dagger(corner) @ (mu.unit(0, j) @ eta) for j in range(n)])
-    # Gram gaps of these families are exactly the e_ij statistics gaps.
-    align = align_unitary(VectorFamily(r, fam_xi), VectorFamily(r, fam_eta), delta)
-    h_corner = corner @ project_unitary_angles(align.unitary) @ dagger(corner)
-    gen = np.zeros_like(h_corner)
-    for i in range(n):
-        gen = gen + mu.unit(i, 0) @ h_corner @ mu.unit(0, i)
+    # Gram gaps of the corner families are exactly the e_ij statistics gaps.
+    align = align_unitary(VectorFamily(r, mu.corner_families(xi)),
+                          VectorFamily(r, mu.corner_families(eta)), delta)
+    gen = mu.lift_corner(project_unitary_angles(align.unitary))
     path = UnitaryPath(
         [PathSegment(0.0, 1.0, gen, np.eye(mu.ambient_dim, dtype=complex))]
     )

@@ -10,7 +10,7 @@ from state_transport.algebra import (
     full_matrix_units,
 )
 from state_transport.errors import DimensionError
-from state_transport.linalg import op_norm
+from state_transport.linalg import dagger, op_norm
 from state_transport.suites import random_state, random_unitary
 
 
@@ -73,3 +73,44 @@ def test_direct_sum_algebra_orthogonal():
 def test_block_algebra_dimension_mismatch():
     with pytest.raises(DimensionError):
         BlockAlgebra(ambient_dim=5, blocks=[full_matrix_units(2, 2)])
+
+
+def _dense_corner_generator(mu, corner, h):
+    """sum_i e_i1 (V h V^*) e_1i with the dense units of ``mu``."""
+    h_corner = corner @ h @ dagger(corner)
+    return sum(mu.unit(i, 0) @ h_corner @ mu.unit(0, i) for i in range(mu.n))
+
+
+@pytest.mark.parametrize("n, r", [(2, 4), (4, 2), (3, 3), (8, 2), (2, 16)])
+def test_kron_corner_methods_match_dense(rng, n, r):
+    # On a full window (offset 0, n r = ambient, the shape of every tower
+    # level) the closed forms reproduce the dense eigh construction bit for bit.
+    dense = full_matrix_units(n, r)
+    kron = KronUnits(n=n, multiplicity=r, ambient_dim=n * r)
+    assert np.array_equal(kron.corner_basis(), dense.corner_basis())
+    xi = random_state(rng, n * r)
+    assert np.array_equal(kron.corner_families(xi), dense.corner_families(xi))
+    h = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    assert np.array_equal(kron.lift_corner(h), dense.lift_corner(h))
+
+
+@pytest.mark.parametrize("n, r, offset, ambient",
+                         [(2, 3, 1, 9), (3, 2, 2, 10), (2, 16, 3, 40), (4, 2, 5, 13)])
+def test_kron_corner_methods_with_offset(rng, n, r, offset, ambient):
+    # With a nonzero offset eigh may order the corner basis differently, so
+    # compare the basis-independent objects exactly: the corner projection
+    # e_11, the vectors e_1j xi, and the lift built from the dense units.
+    dense = full_matrix_units(n, r, ambient_dim=ambient, offset=offset)
+    kron = KronUnits(n=n, multiplicity=r, ambient_dim=ambient, offset=offset)
+    corner = kron.corner_basis()
+    assert corner.shape == (ambient, r)
+    assert np.array_equal(corner @ dagger(corner), dense.unit(0, 0))
+    xi = random_state(rng, ambient)
+    fams = kron.corner_families(xi)
+    dense_corner = dense.corner_basis()
+    for j in range(n):
+        assert np.array_equal(corner @ fams[j], dense.unit(0, j) @ xi)
+        assert np.array_equal(dense_corner @ dense.corner_families(xi)[j],
+                              dense.unit(0, j) @ xi)
+    h = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    assert np.array_equal(kron.lift_corner(h), _dense_corner_generator(dense, corner, h))

@@ -1,10 +1,23 @@
 import numpy as np
 import pytest
 
-from state_transport.errors import BranchCutError, NotHermitianError, NotPSDError
+from state_transport.errors import (
+    BranchCutError,
+    DimensionError,
+    NotFiniteError,
+    NotHermitianError,
+    NotNormalizedError,
+    NotPSDError,
+    NotUnitaryError,
+    StateTransportError,
+)
 from state_transport.linalg import (
+    _expm_skew,
+    _unitary_eig,
     check_hermitian,
+    check_square,
     check_state,
+    check_unitary,
     dagger,
     expm_skew,
     inner,
@@ -108,3 +121,33 @@ def test_map_families_unitary_near_identity_for_equal_families(rng):
     src = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
     m = map_families_unitary(src, src.copy())
     assert op_norm(m - np.eye(8)) < 1e-8
+
+
+def test_public_primitives_reject_invalid_input_with_typed_errors(rng):
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    with pytest.raises(NotHermitianError):
+        expm_skew(h - dagger(h) + np.eye(4), 0.5)
+    with pytest.raises(NotUnitaryError):
+        unitary_eig(h)
+    with pytest.raises(NotUnitaryError):
+        check_unitary(2.0 * np.eye(3))
+    with pytest.raises(DimensionError):
+        check_square(np.zeros((2, 3)))
+    bad = np.eye(3, dtype=complex)
+    bad[1, 2] = np.nan
+    with pytest.raises(NotFiniteError):
+        check_square(bad)
+    with pytest.raises(NotNormalizedError):
+        check_state(np.array([1.0, 1.0]))
+    # The typed errors stay ValueErrors for callers that catch those.
+    assert issubclass(NotUnitaryError, StateTransportError)
+    assert issubclass(NotNormalizedError, ValueError)
+
+
+def test_private_primitives_match_public(rng, make_unitary):
+    h = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    h = (h + dagger(h)) / 2
+    assert np.array_equal(_expm_skew(h, 0.3), expm_skew(h, 0.3))
+    u = make_unitary(rng, 5)
+    for a, b in zip(_unitary_eig(u), unitary_eig(u)):
+        assert np.array_equal(a, b)

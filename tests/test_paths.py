@@ -78,3 +78,33 @@ def test_constant_path():
     p = UnitaryPath.constant(3)
     assert p.length == 0.0
     assert op_norm(p.at(0.5) - np.eye(3)) == 0.0
+
+
+def test_segment_at_start_is_a_copy_of_base(rng):
+    base = random_unitary(rng, 4)
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    seg = PathSegment(0.25, 1.0, (h + dagger(h)) / 2, base)
+    start = seg.at(0.25)
+    assert np.array_equal(start, base)
+    assert start is not base
+    start[0, 0] = 7.0
+    assert base[0, 0] != 7.0
+
+
+def test_length_is_cached_generator_norm(rng, monkeypatch):
+    xi, mid, eta = (random_state(rng, 5) for _ in range(3))
+    path = concat_paths(geodesic_pair(xi, mid), geodesic_pair(mid, eta))
+    expect = sum(s.duration * op_norm(s.generator) for s in path.segments)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(x):
+        calls.append(x.shape)
+        return eigvalsh(x)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert abs(path.length - expect) <= 1e-14 * max(1.0, expect)
+    assert len(calls) == len(path.segments)
+    for _ in range(3):
+        assert path.length == path.length
+    assert len(calls) == len(path.segments)

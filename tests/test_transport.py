@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from state_transport.algebra import direct_sum_algebra, full_matrix_units
+from state_transport.algebra import KronUnits, direct_sum_algebra, full_matrix_units
 from state_transport.errors import (
     CertificateError,
     DisjointnessError,
     HypothesisError,
     StateTransportError,
 )
+from state_transport.gram import alignment_bound
 from state_transport.linalg import dagger, inner, op_norm
 from state_transport.path import UnitaryPath
 from state_transport.suites import (
@@ -22,6 +23,7 @@ from state_transport.transport import (
     excision_error,
     geodesic_lower_bound,
     geodesic_pair,
+    invert_alignment_bound,
     multi_transport,
     projection_transport,
     spectrum_match,
@@ -155,6 +157,43 @@ def test_commutant_transport_exact_repair(rng):
     mu, xi, eta = commutant_instance(rng, 3, 3, 0.1)
     res = commutant_transport(mu, xi, eta, 0.1, exact=True)
     assert res.terminal_error < 1e-12
+
+
+@pytest.mark.parametrize("n, r", [(2, 4), (4, 2), (3, 3)])
+def test_commutant_generator_identical_for_kron_units(rng, n, r):
+    mu, xi, eta = commutant_instance(rng, n, r, 0.1, stats_noise=1e-9)
+    kron = KronUnits(n=n, multiplicity=r, ambient_dim=n * r)
+    dense_res = commutant_transport(mu, xi, eta, 0.1)
+    kron_res = commutant_transport(kron, xi, eta, 0.1)
+    # Bit for bit, signed zeros included.
+    assert (kron_res.path.segments[0].generator.tobytes()
+            == dense_res.path.segments[0].generator.tobytes())
+    assert kron_res.terminal_error == dense_res.terminal_error
+
+
+def _bisect_alignment_bound(n, dim, target):
+    """The 200-step bisection the closed form replaced, kept as an oracle."""
+    lo, hi = 0.0, 1.0
+    if alignment_bound(n, dim, hi) <= target:
+        return hi
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if alignment_bound(n, dim, mid) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("dim", [1, 2, 4, 32, 128])
+def test_invert_alignment_bound_closed_form(n, dim):
+    for target in (0.0, 1e-14, 1e-9, 3e-6, 1e-3, 0.0125, 0.1, 0.7, 1.0, 5.0, 1e3):
+        delta = invert_alignment_bound(n, dim, target)
+        assert 0.0 <= delta <= 1.0
+        assert alignment_bound(n, dim, delta) <= target
+        oracle = _bisect_alignment_bound(n, dim, target)
+        assert abs(delta - oracle) <= 1e-12 * oracle
 
 
 def test_commutant_transport_rejects_large_gap(rng):
