@@ -9,7 +9,6 @@ transport, and an alternating back-and-forth intertwiner over towers.
 
 from .algebra import (
     BlockAlgebra,
-    KronUnits,
     MatrixUnits,
     conjugated_units,
     direct_sum_algebra,

@@ -109,8 +109,6 @@ class CirclePartition:
     gap_lo: float  # strict lower bound on consecutive distances
     gap_hi: float  # strict upper bound
     gamma: float  # margin half-window is gamma / 2
-    delta: float = 0.0  # moment-tolerance bookkeeping for the requested bounds
-    moments: int = 0  # number of moments the bookkeeping refers to
 
     @property
     def size(self) -> int:
@@ -197,18 +195,7 @@ def circle_partition(model: SpectralModel, xi: np.ndarray, eta: np.ndarray,
         cuts.append(best_cut(lo, hi))
     points = np.mod(np.array(cuts), 1.0)
     points.sort(kind="stable")
-    # Fourier-moment bookkeeping for the requested bounds: a smooth margin
-    # window needs moments up to n with tolerance delta to resolve masses
-    # at scale gamma.
-    moments = int(np.ceil(8.0 / gamma))
-    part = CirclePartition(
-        points=points,
-        gap_lo=eps / 2,
-        gap_hi=1.5 * eps,
-        gamma=gamma,
-        delta=eps_prime / (2 * moments + 1),
-        moments=moments,
-    )
+    part = CirclePartition(points=points, gap_lo=eps / 2, gap_hi=1.5 * eps, gamma=gamma)
     if part.gap_defect() > 0:
         raise InfeasiblePartitionError("gap invariant violated by the cut search")
     return part
@@ -313,10 +300,7 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
                                terminal_contribution=float(np.sqrt(m_xi + m_eta))))
             continue
         basis = _projection_basis(q)
-        sub_units = np.einsum(
-            "ak,ijab,bl->ijkl", basis.conj(), block.units, basis
-        )
-        sub_block = MatrixUnits(n=k, units=sub_units)
+        sub_block = _compress_units(block, basis)
         src = dagger(basis) @ (qxi / np.sqrt(m_xi))
         dst = dagger(basis) @ (qeta / np.sqrt(m_eta))
         res = commutant_transport(sub_block, src, dst, eps, exact=True)
@@ -360,6 +344,17 @@ def _projection_basis(q: np.ndarray) -> np.ndarray:
     """Orthonormal column basis of the range of a projection."""
     w, v = np.linalg.eigh((q + dagger(q)) / 2)
     return v[:, w > 0.5]
+
+
+def _compress_units(block: MatrixUnits, basis: np.ndarray) -> MatrixUnits:
+    """The units basis^* e_ij basis on a reducing subspace (columns of
+    ``basis``).  W = basis^* V has W^* W = 1_n (x) p for the r x r corner
+    Gram p, a projection of rank r' <= r; with P the r' eigenvectors of p
+    of eigenvalue 1, W (1_n (x) P) is an isometry for the same units."""
+    w = (dagger(basis) @ block.isometry).reshape(basis.shape[1], block.n, -1)
+    corner = w[:, 0, :]
+    vals, vecs = np.linalg.eigh(dagger(corner) @ corner)
+    return MatrixUnits(block.n, (w @ vecs[:, vals > 0.5]).reshape(basis.shape[1], -1))
 
 
 def _lift_path(path: UnitaryPath, basis: np.ndarray, ambient: int) -> UnitaryPath:

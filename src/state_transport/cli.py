@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 import numpy as np
 
@@ -81,7 +80,6 @@ def _cmd_run(args) -> int:
     if handler is None:
         print(f"error: unknown command {command!r}", file=sys.stderr)
         return EXIT_USAGE
-    started = time.perf_counter()
     try:
         measured, bounds, csv_data = handler(config)
         ok = all(
@@ -106,7 +104,6 @@ def _cmd_run(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: bad config for {command!r}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report["wall_time"] = time.perf_counter() - started
     text = serialize.dumps_report(report)
     if args.out:
         with open(args.out, "w") as fh:

@@ -8,11 +8,11 @@ while nearly fixing the prescribed finite set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import BlockAlgebra, KronUnits
+from .algebra import BlockAlgebra, MatrixUnits
 from .errors import AssemblyError, HypothesisError, RoundFailureError
 from .linalg import check_state, dagger, op_norm
 from .path import UnitaryPath
@@ -31,7 +31,7 @@ class AlgebraTower:
     def depth(self) -> int:
         return len(self.levels)
 
-    def level_block(self, n: int) -> KronUnits:
+    def level_block(self, n: int) -> MatrixUnits:
         """The single block of level n (1-based)."""
         return self.levels[n - 1].blocks[0]
 
@@ -49,6 +49,8 @@ def build_tower(branchings: list[int], ambient_dim: int) -> AlgebraTower:
     """Tower of tensor-power embeddings with the given branching sequence."""
     levels = []
     size = 1
+    # Every level acts on the whole ambient space, so all share one isometry.
+    identity = np.eye(ambient_dim, dtype=complex)
     for b in branchings:
         if b < 2:
             raise ValueError("branchings must be >= 2")
@@ -57,8 +59,7 @@ def build_tower(branchings: list[int], ambient_dim: int) -> AlgebraTower:
             raise ValueError(
                 f"level size {size} does not divide ambient dimension {ambient_dim}"
             )
-        blk = KronUnits(n=size, multiplicity=ambient_dim // size,
-                        ambient_dim=ambient_dim)
+        blk = MatrixUnits(size, identity)
         levels.append(BlockAlgebra(ambient_dim=ambient_dim, blocks=[blk]))
     return AlgebraTower(ambient_dim=ambient_dim, levels=levels)
 
@@ -132,6 +133,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
                 f"starting statistics gap {start_gap:.3e} >= {schedule.deltas[0]:.3e}",
                 measured_gap=start_gap,
             )
+    generators = [tower.level_generators(lev) for lev in range(1, schedule.rounds + 1)]
     p_odd = np.eye(dim, dtype=complex)
     p_even = np.eye(dim, dtype=complex)
     unitaries: list[np.ndarray] = []
@@ -163,18 +165,15 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         else:
             p_even = p_even @ u_n
 
-        check_set = list(fixed_set)
-        for lev in range(1, n + 1):
-            check_set.extend(tower.level_generators(lev))
+        level_gens = [x for gens in generators[:n] for x in gens]
+        check_set = list(fixed_set) + level_gens
         # Conjugated companions along the opposite-parity string
         # u_{n-1}^* u_{n-3}^* ... (down to index 1 or 2 by parity).
         w = np.eye(dim, dtype=complex)
         for k in range(n - 1, 0, -2):
             w = w @ dagger(unitaries[k - 1])
         if n > 1:
-            for lev in range(1, n + 1):
-                for x in tower.level_generators(lev):
-                    check_set.append(w @ x @ dagger(w))
+            check_set.extend(w @ x @ dagger(w) for x in level_gens)
         comm = max((op_norm(u_n @ x - x @ u_n) for x in check_set), default=0.0)
         budget = schedule.budget(n)
         logs.append({
@@ -189,7 +188,8 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
             "within_budget": bool(comm < budget),
         })
 
-    final = _final_measurements(tower, xi, eta, p_odd, p_even, fixed_set, schedule)
+    final = _final_measurements(generators, xi, eta, p_odd, p_even, fixed_set,
+                                schedule)
     return IntertwineResult(
         odd_product=p_odd,
         even_product=p_even,
@@ -206,7 +206,7 @@ def _stats_gap(blk, xi: np.ndarray, eta: np.ndarray) -> float:
     )))
 
 
-def _final_measurements(tower, xi, eta, p_odd, p_even, fixed_set,
+def _final_measurements(generators, xi, eta, p_odd, p_even, fixed_set,
                         schedule) -> dict:
     def ad_sup(w: np.ndarray) -> float:
         return max(
@@ -216,7 +216,7 @@ def _final_measurements(tower, xi, eta, p_odd, p_even, fixed_set,
     combined = p_odd @ dagger(p_even)
     m = schedule.rounds
     if m:
-        gens = tower.level_generators(m)
+        gens = generators[m - 1]
         even_xi = dagger(p_even) @ xi
         odd_eta = dagger(p_odd) @ eta
         intertwine_gap = max(

@@ -7,9 +7,6 @@ no wall-clock data, so identical seeds give identical reports.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .algebra import full_matrix_units
@@ -50,22 +47,6 @@ SUITE_NAMES = (
     "group",
     "intertwine",
 )
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("STATE_TRANSPORT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    cap = thread_cap()
-    if cap <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
 
 
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -111,7 +92,7 @@ def suite_gram(seed: int, instances: int) -> dict:
         disp_err = float(np.max(np.abs(measured - predicted)))
         return gram_err, disp_err
 
-    results = _map(one, range(instances))
+    results = [one(i) for i in range(instances)]
     gram_errs = [r[0] for r in results]
     disp_errs = [r[1] for r in results]
     return {
@@ -151,7 +132,7 @@ def suite_align(seed: int, instances: int) -> dict:
         bound = alignment_bound(n, dim, delta)
         return res.max_residual, bound, res.full_rank
 
-    results = _map(one, range(instances))
+    results = [one(i) for i in range(instances)]
     violations = sum(1 for r, b, _ in results if r > b + 1e-8)
     return {
         "suite": "align",
@@ -182,7 +163,7 @@ def suite_geodesic(seed: int, instances: int, competitors: int = 200) -> dict:
             beaten_by = max(beaten_by, theta - comp.length)
         return length_err, terminal, beaten_by, theta - phi
 
-    results = _map(one, range(instances))
+    results = [one(i) for i in range(instances)]
     return {
         "suite": "geodesic",
         "seed": seed,
@@ -216,7 +197,7 @@ def suite_spectrum(seed: int, instances: int) -> dict:
             worst = max(worst, abs(lam - mu) - gap)
         return worst
 
-    results = _map(one, range(instances))
+    results = [one(i) for i in range(instances)]
     return {
         "suite": "spectrum",
         "seed": seed,
@@ -262,7 +243,7 @@ def suite_commutant(seed: int, instances: int) -> dict:
                     comm = max(comm, op_norm(ut @ e - e @ ut))
         return res.terminal_error, eps, comm
 
-    results = _map(one, range(instances))
+    results = [one(i) for i in range(instances)]
     return {
         "suite": "commutant",
         "seed": seed,
@@ -329,7 +310,7 @@ def suite_circle(seed: int, instances: int) -> dict:
             res.extras["eps_prime"],
         )
 
-    results = _map(one, range(instances))
+    results = [one(i) for i in range(instances)]
     return {
         "suite": "circle",
         "seed": seed,
@@ -392,7 +373,7 @@ def suite_group(seed: int, instances: int) -> dict:
             avg_bound,
         )
 
-    results = _map(one, range(instances))
+    results = [one(i) for i in range(instances)]
     return {
         "suite": "group",
         "seed": seed,
@@ -442,7 +423,7 @@ def suite_intertwine(seed: int, instances: int) -> dict:
         path_ok = sup <= 4 * eps / 3 + 1e-6
         return budgets_ok, combined_ok, path_ok, result.final["ad_combined_sup"], sup
 
-    results = _map(one, range(instances))
+    results = [one(i) for i in range(instances)]
     return {
         "suite": "intertwine",
         "seed": seed,

@@ -3,7 +3,6 @@ import pytest
 
 from state_transport.algebra import (
     BlockAlgebra,
-    KronUnits,
     MatrixUnits,
     conjugated_units,
     direct_sum_algebra,
@@ -12,6 +11,57 @@ from state_transport.algebra import (
 from state_transport.errors import DimensionError
 from state_transport.linalg import dagger, op_norm
 from state_transport.suites import random_state, random_unitary
+
+
+def _dense_units(n, r, ambient, offset=0):
+    """Oracle: the dense (n, n, ambient, ambient) array of E_ij (x) 1_r on the
+    coordinate window starting at ``offset``."""
+    units = np.zeros((n, n, ambient, ambient), dtype=complex)
+    window = slice(offset, offset + n * r)
+    for i in range(n):
+        for j in range(n):
+            e = np.zeros((n, n))
+            e[i, j] = 1.0
+            units[i, j, window, window] = np.kron(e, np.eye(r))
+    return units
+
+
+def _dense_lift(units, corner, h):
+    """Oracle: sum_i e_i1 (V_0 h V_0^*) e_1i from the dense units."""
+    h_corner = corner @ h @ dagger(corner)
+    return sum(units[i, 0] @ h_corner @ units[0, i] for i in range(units.shape[0]))
+
+
+def _check_against_oracle(mu, units, rng, tol):
+    """Every operation of ``mu`` against the dense units, within ``tol``
+    (0.0 asks for exact equality)."""
+    n, ambient = units.shape[0], units.shape[2]
+    r = mu.multiplicity
+
+    def close(a, b):
+        return np.max(np.abs(a - b), initial=0.0) <= tol
+
+    assert mu.ambient_dim == ambient
+    for i in range(n):
+        for j in range(n):
+            assert close(mu.unit(i, j), units[i, j])
+    assert close(mu.block_identity(), units.trace(axis1=0, axis2=1))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    assert close(mu.embed(a), np.einsum("ij,ijkl->kl", a, units))
+    xi = random_state(rng, ambient)
+    stats = np.array([[np.vdot(xi, units[i, j] @ xi) for j in range(n)]
+                      for i in range(n)])
+    # The oracle sums over the whole ambient space, in another order.
+    assert np.max(np.abs(mu.coefficients_of_state(xi) - stats)) <= max(tol, 1e-15)
+    corner = mu.corner_basis()
+    assert corner.shape == (ambient, r)
+    assert close(corner @ dagger(corner), units[0, 0])
+    fams = mu.corner_families(xi)
+    for j in range(n):
+        assert close(corner @ fams[j], units[0, j] @ xi)
+    h = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    assert close(mu.lift_corner(h), _dense_lift(units, corner, h))
+    assert mu.relation_defect() < 1e-12
 
 
 def test_full_matrix_units_relations():
@@ -37,22 +87,47 @@ def test_coefficients_of_state(rng):
 
 
 def test_kron_units_match_dense(rng):
-    dense = full_matrix_units(4, 2, ambient_dim=8)
-    kron = KronUnits(n=4, multiplicity=2, ambient_dim=8)
-    for i in range(4):
-        for j in range(4):
-            assert op_norm(dense.unit(i, j) - kron.unit(i, j)) == 0.0
-    xi = random_state(rng, 8)
-    assert np.max(np.abs(
-        dense.coefficients_of_state(xi) - kron.coefficients_of_state(xi)
-    )) < 1e-12
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert op_norm(dense.embed(a) - kron.embed(a)) < 1e-12
+    # A window padded at the end: the block identity is a proper projection.
+    _check_against_oracle(full_matrix_units(4, 2, ambient_dim=11),
+                          _dense_units(4, 2, 11), rng, 0.0)
 
 
 def test_kron_units_reject_overflow():
     with pytest.raises(DimensionError):
-        KronUnits(n=4, multiplicity=3, ambient_dim=8)
+        full_matrix_units(4, 3, ambient_dim=8)
+    with pytest.raises(DimensionError):
+        full_matrix_units(2, 2, ambient_dim=5, offset=2)
+    # The isometry's columns must split into n blocks of r.
+    with pytest.raises(DimensionError):
+        MatrixUnits(3, np.eye(8))
+    with pytest.raises(DimensionError):
+        MatrixUnits(2, np.ones(4))
+
+
+@pytest.mark.parametrize("n, r", [(2, 4), (4, 2), (3, 3), (8, 2), (2, 16)])
+def test_kron_corner_methods_match_dense(rng, n, r):
+    # A coordinate window, the shape of every tower level: the products of
+    # 0/1 columns reproduce the dense units bit for bit.
+    _check_against_oracle(full_matrix_units(n, r), _dense_units(n, r, n * r), rng, 0.0)
+
+
+@pytest.mark.parametrize("n, r, offset, ambient",
+                         [(2, 3, 1, 9), (3, 2, 2, 10), (2, 16, 3, 40), (4, 2, 5, 13)])
+def test_kron_corner_methods_with_offset(rng, n, r, offset, ambient):
+    mu = full_matrix_units(n, r, ambient_dim=ambient, offset=offset)
+    _check_against_oracle(mu, _dense_units(n, r, ambient, offset), rng, 0.0)
+
+
+@pytest.mark.parametrize("n, r, offset, ambient",
+                         [(2, 2, 0, 4), (3, 2, 1, 8), (2, 5, 3, 14)])
+def test_conjugated_units_match_dense(rng, n, r, offset, ambient):
+    # u V is not a coordinate window, so the corner basis and the families
+    # are rotated off the coordinate axes.
+    u = random_unitary(rng, ambient)
+    mu = conjugated_units(full_matrix_units(n, r, ambient, offset), u)
+    units = np.einsum("ab,ijbc,cd->ijad", u, _dense_units(n, r, ambient, offset),
+                      dagger(u))
+    _check_against_oracle(mu, units, rng, 1e-12)
 
 
 def test_conjugated_units_keep_relations(rng):
@@ -75,42 +150,3 @@ def test_block_algebra_dimension_mismatch():
         BlockAlgebra(ambient_dim=5, blocks=[full_matrix_units(2, 2)])
 
 
-def _dense_corner_generator(mu, corner, h):
-    """sum_i e_i1 (V h V^*) e_1i with the dense units of ``mu``."""
-    h_corner = corner @ h @ dagger(corner)
-    return sum(mu.unit(i, 0) @ h_corner @ mu.unit(0, i) for i in range(mu.n))
-
-
-@pytest.mark.parametrize("n, r", [(2, 4), (4, 2), (3, 3), (8, 2), (2, 16)])
-def test_kron_corner_methods_match_dense(rng, n, r):
-    # On a full window (offset 0, n r = ambient, the shape of every tower
-    # level) the closed forms reproduce the dense eigh construction bit for bit.
-    dense = full_matrix_units(n, r)
-    kron = KronUnits(n=n, multiplicity=r, ambient_dim=n * r)
-    assert np.array_equal(kron.corner_basis(), dense.corner_basis())
-    xi = random_state(rng, n * r)
-    assert np.array_equal(kron.corner_families(xi), dense.corner_families(xi))
-    h = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-    assert np.array_equal(kron.lift_corner(h), dense.lift_corner(h))
-
-
-@pytest.mark.parametrize("n, r, offset, ambient",
-                         [(2, 3, 1, 9), (3, 2, 2, 10), (2, 16, 3, 40), (4, 2, 5, 13)])
-def test_kron_corner_methods_with_offset(rng, n, r, offset, ambient):
-    # With a nonzero offset eigh may order the corner basis differently, so
-    # compare the basis-independent objects exactly: the corner projection
-    # e_11, the vectors e_1j xi, and the lift built from the dense units.
-    dense = full_matrix_units(n, r, ambient_dim=ambient, offset=offset)
-    kron = KronUnits(n=n, multiplicity=r, ambient_dim=ambient, offset=offset)
-    corner = kron.corner_basis()
-    assert corner.shape == (ambient, r)
-    assert np.array_equal(corner @ dagger(corner), dense.unit(0, 0))
-    xi = random_state(rng, ambient)
-    fams = kron.corner_families(xi)
-    dense_corner = dense.corner_basis()
-    for j in range(n):
-        assert np.array_equal(corner @ fams[j], dense.unit(0, j) @ xi)
-        assert np.array_equal(dense_corner @ dense.corner_families(xi)[j],
-                              dense.unit(0, j) @ xi)
-    h = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-    assert np.array_equal(kron.lift_corner(h), _dense_corner_generator(dense, corner, h))

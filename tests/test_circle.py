@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
+from state_transport.algebra import conjugated_units, full_matrix_units
 from state_transport.circle import (
     SpectralModel,
+    _compress_units,
     arc_transport,
     circle_partition,
     evaluate_window,
     window_function,
 )
 from state_transport.errors import DegenerateWindowError
-from state_transport.linalg import op_norm
-from state_transport.suites import circle_instance, random_state
+from state_transport.linalg import dagger, op_norm
+from state_transport.suites import circle_instance, random_state, random_unitary
 
 
 def test_spectral_model_reconstruction(rng):
@@ -106,3 +108,26 @@ def test_arc_transport_identity_for_equal_states(rng):
     block, model, xi, _ = circle_instance(rng, 1, 60)
     res = arc_transport(block, model, xi, xi, [], 0.1, t_samples=4)
     assert res.terminal_error < 1e-10
+
+
+@pytest.mark.parametrize("n, r, keep", [(2, 3, 3), (2, 3, 1), (3, 2, 1), (2, 4, 2)])
+def test_compress_units_on_reducing_subspace(rng, n, r, keep):
+    # Units u (E_ij (x) 1_r) u^* on the window 1..n r of an ambient space two
+    # wider; the subspace V (1_n (x) B) + span{u e_0} reduces every e_ij,
+    # and its corner has rank keep <= r.
+    ambient = n * r + 2
+    u = random_unitary(rng, ambient)
+    block = conjugated_units(full_matrix_units(n, r, ambient, offset=1), u)
+    b = random_unitary(rng, r)[:, :keep]
+    inside = (block.isometry.reshape(ambient, n, r) @ b).reshape(ambient, -1)
+    basis = np.hstack([inside, u[:, :1]])
+    basis = basis @ random_unitary(rng, basis.shape[1])  # off the natural axes
+    sub = _compress_units(block, basis)
+    assert sub.n == n
+    assert sub.multiplicity == keep
+    assert sub.ambient_dim == n * keep + 1
+    assert sub.relation_defect() < 1e-12
+    for i in range(n):
+        for j in range(n):
+            dense = dagger(basis) @ block.unit(i, j) @ basis
+            assert op_norm(sub.unit(i, j) - dense) < 1e-12

@@ -96,6 +96,16 @@ def test_verify_deterministic_output(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_run_deterministic_output(tmp_path, rng):
+    cfg = tmp_path / "cfg.json"
+    _write_geodesic_config(cfg, rng)
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    for out in (a, b):
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == EXIT_USAGE
     capsys.readouterr()

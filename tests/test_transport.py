@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from state_transport.algebra import KronUnits, direct_sum_algebra, full_matrix_units
+from state_transport.algebra import conjugated_units, direct_sum_algebra, full_matrix_units
 from state_transport.errors import (
     CertificateError,
     DisjointnessError,
@@ -162,13 +162,17 @@ def test_commutant_transport_exact_repair(rng):
 @pytest.mark.parametrize("n, r", [(2, 4), (4, 2), (3, 3)])
 def test_commutant_generator_identical_for_kron_units(rng, n, r):
     mu, xi, eta = commutant_instance(rng, n, r, 0.1, stats_noise=1e-9)
-    kron = KronUnits(n=n, multiplicity=r, ambient_dim=n * r)
-    dense_res = commutant_transport(mu, xi, eta, 0.1)
-    kron_res = commutant_transport(kron, xi, eta, 0.1)
-    # Bit for bit, signed zeros included.
-    assert (kron_res.path.segments[0].generator.tobytes()
-            == dense_res.path.segments[0].generator.tobytes())
-    assert kron_res.terminal_error == dense_res.terminal_error
+    res = commutant_transport(mu, xi, eta, 0.1)
+    gen = res.path.segments[0].generator
+    # On a coordinate window the lift is 1_n (x) h entry for entry, so it
+    # commutes with every unit without rounding.
+    assert np.array_equal(gen, np.kron(np.eye(n), gen[:r, :r]))
+    # Rotating the units, the source and the target by one unitary rotates
+    # the generator with them.
+    u = random_unitary(rng, n * r)
+    moved = commutant_transport(conjugated_units(mu, u), u @ xi, u @ eta, 0.1)
+    assert op_norm(moved.path.segments[0].generator - u @ gen @ dagger(u)) < 1e-10
+    assert abs(moved.terminal_error - res.terminal_error) < 1e-12
 
 
 def _bisect_alignment_bound(n, dim, target):
