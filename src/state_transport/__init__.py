@@ -24,6 +24,7 @@ from .circle import (
     window_function,
 )
 from .errors import (
+    ArcOutsideBlockError,
     AssemblyError,
     BranchCutError,
     CertificateError,
@@ -35,6 +36,7 @@ from .errors import (
     HypothesisError,
     InfeasiblePartitionError,
     InvalidTargetError,
+    NonCommutingGeneratorsError,
     NotFiniteError,
     NotHermitianError,
     NotNormalizedError,

@@ -13,6 +13,7 @@ import numpy as np
 
 from .algebra import MatrixUnits
 from .errors import (
+    ArcOutsideBlockError,
     DegenerateWindowError,
     DimensionError,
     HypothesisError,
@@ -92,13 +93,24 @@ class SpectralModel:
         return float(np.sum(masses[_in_arc(self.eigenangles, a, b)]))
 
 
-def _in_arc(angles: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Membership in the cyclic half-open arc (a, b]."""
+def _in_arc(angles: np.ndarray, a, b) -> np.ndarray:
+    """Membership in the cyclic half-open arc (a, b]; arrays of end points
+    broadcast against ``angles``."""
     span = (b - a) % 1.0
-    if span == 0.0:
-        span = 1.0
+    span = np.where(span == 0.0, 1.0, span)
     d = (angles - a) % 1.0
     return (d > 0.0) & (d <= span)
+
+
+def _window_masses(angles: np.ndarray, masses: np.ndarray, centres: np.ndarray,
+                   half: float) -> np.ndarray:
+    """Mass in the arc (t - half, t + half] for every centre t, one row per
+    row of ``masses``.  The last column of ``add.accumulate`` adds a window's
+    atoms in index order, as ``np.sum`` of the masked masses does below
+    eight terms, so the sums equal a per-centre ``np.sum`` bit for bit."""
+    window = _in_arc(angles, ((centres - half) % 1.0)[:, None],
+                     ((centres + half) % 1.0)[:, None])
+    return np.add.accumulate(np.where(window, masses[..., None, :], 0.0), axis=-1)[..., -1]
 
 
 @dataclass
@@ -147,17 +159,8 @@ def circle_partition(model: SpectralModel, xi: np.ndarray, eta: np.ndarray,
     if not (0 < eps < 2.0) or not (0 < eps_prime < 1.0):
         raise ValueError("need 0 < eps < 2 and 0 < eps_prime < 1")
     gamma = eps * eps_prime / 4.0
-    mx = model.point_masses(xi)
-    me = model.point_masses(eta)
+    masses = np.stack([model.point_masses(xi), model.point_masses(eta)])
     angles = model.eigenangles
-
-    def margin_mass(t: float) -> float:
-        mask = _in_arc(angles, (t - gamma / 2) % 1.0, (t + gamma / 2) % 1.0)
-        return float(np.sum(mx[mask]) + np.sum(me[mask]))
-
-    def margin_ok(t: float) -> bool:
-        mask = _in_arc(angles, (t - gamma / 2) % 1.0, (t + gamma / 2) % 1.0)
-        return float(np.sum(mx[mask])) < eps_prime and float(np.sum(me[mask])) < eps_prime
 
     def best_cut(lo: float, hi: float) -> float:
         # Grid of pitch gamma/4, capped, plus midpoints of adjacent atom
@@ -171,18 +174,23 @@ def circle_partition(model: SpectralModel, xi: np.ndarray, eta: np.ndarray,
         mids = (lifted[:-1] + lifted[1:]) / 2
         mids = mids[(mids > lo) & (mids <= hi)]
         grid = np.sort(np.concatenate([grid, mids]), kind="stable")
-        best_t, best_m = None, np.inf
-        for t in grid:
-            if not margin_ok(t):
-                continue
-            m = margin_mass(t)
-            if m < best_m - 1e-15:
-                best_t, best_m = t, m
-        if best_t is None:
+        sx, se = _window_masses(angles, masses, grid, gamma / 2)
+        feasible = (sx < eps_prime) & (se < eps_prime)
+        if not feasible.any():
             raise InfeasiblePartitionError(
                 f"no cut with margin mass < {eps_prime} in window "
                 f"({lo:.6f}, {hi:.6f}]"
             )
+        ts, ms = grid[feasible], (sx + se)[feasible]
+        # The least mass wins, ties (within 1e-15) to the smallest angle:
+        # scanning in grid order, a point replaces the best only if it is
+        # lower by more than 1e-15, so only strict running minima can, and
+        # the scan visits those alone.
+        record = ms < np.minimum.accumulate(np.append(np.inf, ms[:-1]))
+        best_t, best_m = None, np.inf
+        for t, m in zip(ts[record], ms[record]):
+            if m < best_m - 1e-15:
+                best_t, best_m = t, m
         return float(best_t)
 
     first = best_cut(0.0, eps / 2)
@@ -301,6 +309,12 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
             continue
         basis = _projection_basis(q)
         sub_block = _compress_units(block, basis)
+        if sub_block.multiplicity == 0:
+            raise ArcOutsideBlockError(
+                f"arc {idx} ({a:.6f}, {b:.6f}] carries mass but its spectral "
+                "subspace misses the matrix-unit block",
+                arc_index=idx,
+            )
         src = dagger(basis) @ (qxi / np.sqrt(m_xi))
         dst = dagger(basis) @ (qeta / np.sqrt(m_eta))
         res = commutant_transport(sub_block, src, dst, eps, exact=True)

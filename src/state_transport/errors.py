@@ -64,12 +64,25 @@ class DegenerateWindowError(StateTransportError):
     """Requested spectral window arc is shorter than its margin."""
 
 
+class ArcOutsideBlockError(StateTransportError):
+    """A circle arc carries mass but its spectral subspace misses the block:
+    the compressed matrix units have rank 0 there."""
+
+    def __init__(self, message, arc_index=None):
+        super().__init__(message)
+        self.arc_index = arc_index
+
+
 class FlipInconsistencyError(StateTransportError):
     """Flip projection relations cannot be satisfied on the given spans."""
 
 
 class UnsupportedGroupError(StateTransportError):
     """Group specification is neither a finite group nor Z^d."""
+
+
+class NonCommutingGeneratorsError(UnsupportedGroupError):
+    """Z^d generator unitaries do not commute, so they share no eigenbasis."""
 
 
 class DetourFailureError(StateTransportError):

@@ -12,16 +12,19 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from .errors import (
     DetourFailureError,
+    DimensionError,
     FlipInconsistencyError,
     HypothesisError,
+    NonCommutingGeneratorsError,
     UnsupportedGroupError,
 )
 from .gram import GramTarget, VectorFamily, gram_complete, gram_matrix
-from .linalg import check_state, check_unitary, dagger, op_norm
+from .linalg import UNITARY_TOL, check_state, check_unitary, dagger, op_norm
 from .path import PathSegment, UnitaryPath, concat_paths
 
 FLIP_TOL = 1e-10
@@ -35,7 +38,9 @@ class GroupAction:
 
     Finite: ``table[a][b]`` is the index of the product, ``reps[a]`` its
     unitary, element 0 the identity.  Z^d: ``generators`` is a list of d
-    pairwise commuting unitaries and elements are integer tuples.
+    pairwise commuting unitaries and elements are integer tuples; they
+    share one unitary eigenbasis Q, u_k = Q diag(exp(i angles[k])) Q^*,
+    so rep(g) = Q diag(phases(g)) Q^* with phases exp(i sum_k g_k angles[k]).
     """
 
     kind: str  # "finite" or "Zd"
@@ -43,9 +48,8 @@ class GroupAction:
     table: np.ndarray | None = None
     reps: np.ndarray | None = None
     generators: list[np.ndarray] | None = None
-    _spectral: list[tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=list, repr=False
-    )
+    eigenbasis: np.ndarray | None = field(default=None, init=False, repr=False)
+    angles: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "finite":
@@ -56,10 +60,10 @@ class GroupAction:
         elif self.kind == "Zd":
             if not self.generators:
                 raise UnsupportedGroupError("Zd action needs generator unitaries")
-            for u in self.generators:
-                check_unitary(u)
-                w, v = np.linalg.eig(u)
-                self._spectral.append((w, v))
+            self.generators = [check_unitary(u) for u in self.generators]
+            if any(u.shape[0] != self.dim for u in self.generators):
+                raise DimensionError(f"Zd generators must all be {self.dim} x {self.dim}")
+            self.eigenbasis, self.angles = _joint_eigenbasis(self.generators)
         else:
             raise UnsupportedGroupError(f"unknown group kind {self.kind!r}")
 
@@ -81,14 +85,17 @@ class GroupAction:
             return tuple(a + b for a, b in zip(g, h))
         return int(self.table[g][h])
 
+    def phases(self, elements) -> np.ndarray:
+        """Z^d only: row j holds the eigenvalues of rep(elements[j]) in the
+        eigenbasis, exp(i sum_k g_k angles[k])."""
+        g = np.asarray(elements, dtype=float).reshape(-1, self.rank)
+        return np.exp(1j * (g @ self.angles))
+
     def rep(self, g) -> np.ndarray:
         if self.kind == "finite":
             return self.reps[g]
-        out = np.eye(self.dim, dtype=complex)
-        for power, (w, v) in zip(g, self._spectral):
-            if power:
-                out = out @ (v * w**power) @ np.linalg.inv(v)
-        return out
+        q = self.eigenbasis
+        return (q * self.phases([g])[0]) @ dagger(q)
 
     def multiplicativity_defect(self, samples) -> float:
         worst = 0.0
@@ -113,6 +120,33 @@ def finite_cyclic_action(n: int, u: np.ndarray) -> GroupAction:
 def integer_action(generators: list[np.ndarray]) -> GroupAction:
     """Z^d acting through commuting generator unitaries."""
     return GroupAction(kind="Zd", dim=generators[0].shape[0], generators=list(generators))
+
+
+def _joint_eigenbasis(generators: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary Q and angles (d, dim) with Q^* u_k Q = diag(exp(i angles[k])).
+
+    Q is the complex Schur basis of sum_k c_k u_k.  For commuting u_k that
+    sum is normal, and its eigenspaces are joint eigenspaces unless two
+    joint eigenvalue tuples satisfy a linear relation with the weights c_k
+    (transcendental, so no algebraic eigenvalues do); then every u_k is
+    diagonal in Q.  Raises ``NonCommutingGeneratorsError`` when one is not.
+    """
+    d = len(generators)
+    weights = np.exp(1j * np.sqrt(2.0) * np.arange(d)) / np.sqrt(1.0 + np.arange(d))
+    _, q = scipy.linalg.schur(sum(c * u for c, u in zip(weights, generators)),
+                              output="complex")
+    angles = np.empty((d, q.shape[0]))
+    for k, u in enumerate(generators):
+        t = dagger(q) @ u @ q
+        diag = np.diag(t)
+        off = op_norm(t - np.diag(diag))
+        if off > UNITARY_TOL:
+            raise NonCommutingGeneratorsError(
+                f"generator {k} is {off:.3e} off-diagonal in the joint eigenbasis; "
+                "the generators do not commute"
+            )
+        angles[k] = np.angle(diag)
+    return q, angles
 
 
 @dataclass
@@ -148,15 +182,27 @@ def folner_set(action: GroupAction, gens: list, eps: float) -> FolnerSet:
 def average_conjugates(h: np.ndarray, folner: FolnerSet,
                        action: GroupAction) -> np.ndarray:
     """Mean of rep(g)^* h rep(g) over the Folner set; contracts norms and
-    nearly commutes with every generator, within 2 * defect * ||h||."""
+    nearly commutes with every generator, within 2 * defect * ||h||.
+
+    For Z^d this is one Hadamard product in the joint eigenbasis, at cost
+    O(|F| dim^2 + dim^3); a finite group sums its |F| conjugates."""
     norm_h = op_norm(h)
     if norm_h > 1.0 + 1e-10:
         raise HypothesisError("need ||h|| <= 1", measured_gap=norm_h - 1.0)
-    acc = np.zeros((action.dim, action.dim), dtype=complex)
-    for g in folner.elements:
-        u = action.rep(g)
-        acc = acc + dagger(u) @ h @ u
-    acc = acc / len(folner.elements)
+    if action.kind == "Zd":
+        # In the eigenbasis rep(g)^* h rep(g) is conj(phi_g)_a H_ab (phi_g)_b,
+        # so the mean is the Hadamard product of H with the kernel
+        # K = mean_g conj(phi_g) phi_g^T.
+        q = action.eigenbasis
+        phi = action.phases(folner.elements)
+        kernel = (dagger(phi) @ phi) / len(folner.elements)
+        acc = q @ (kernel * (dagger(q) @ h @ q)) @ dagger(q)
+    else:
+        acc = np.zeros((action.dim, action.dim), dtype=complex)
+        for g in folner.elements:
+            u = action.rep(g)
+            acc = acc + dagger(u) @ h @ u
+        acc = acc / len(folner.elements)
     return (acc + dagger(acc)) / 2
 
 
@@ -214,27 +260,22 @@ def group_state_transport(action: GroupAction, xi: np.ndarray, eta: np.ndarray,
     xi = check_state(xi)
     eta = check_state(eta)
     folner = folner_set(action, gens, eps / 2)
-    orbit_xi = _orbit(action, folner, xi)
-    orbit_eta = _orbit(action, folner, eta)
+    orbit_xi = _orbit(action, folner.elements, xi)
+    orbit_eta = _orbit(action, folner.elements, eta)
     cross = float(np.max(np.abs(orbit_xi @ orbit_eta.conj().T)))
     if cross <= 1e-8:
         return _orthogonal_leg(action, folner, xi, eta, orbit_xi, orbit_eta,
                                gens, eps, t_samples)
 
     mid = _find_detour(action, folner, xi, eta, eps, detour_hint)
-    orbit_mid = _orbit(action, folner, mid)
+    orbit_mid = _orbit(action, folner.elements, mid)
     leg1 = _orthogonal_leg(action, folner, xi, mid, orbit_xi, orbit_mid,
                            gens, eps, t_samples)
     leg2 = _orthogonal_leg(action, folner, mid, eta, orbit_mid, orbit_eta,
                            gens, eps, t_samples)
     path = concat_paths(leg1.path, leg2.path)
     terminal = float(np.linalg.norm(path.end() @ xi - eta))
-    sup = 0.0
-    for t in path.sample_times(t_samples):
-        ut = path.at(t)
-        for g in gens:
-            r = action.rep(g)
-            sup = max(sup, op_norm(ut @ r - r @ ut))
+    sup = _commutator_sup(action, path, gens, t_samples)
     return GroupTransportResult(
         path=path,
         terminal_error=terminal,
@@ -248,8 +289,24 @@ def group_state_transport(action: GroupAction, xi: np.ndarray, eta: np.ndarray,
     )
 
 
-def _orbit(action: GroupAction, folner: FolnerSet, v: np.ndarray) -> np.ndarray:
-    return np.array([action.rep(g) @ v for g in folner.elements])
+def _orbit(action: GroupAction, elements: list, v: np.ndarray) -> np.ndarray:
+    """Rows rep(g) v for g in elements; for Z^d, Q (phi_g o Q^* v)."""
+    if action.kind == "finite":
+        return np.array([action.rep(g) @ v for g in elements])
+    q = action.eigenbasis
+    return (action.phases(elements) * (dagger(q) @ v)) @ q.T
+
+
+def _commutator_sup(action: GroupAction, path: UnitaryPath, gens: list,
+                    t_samples: int) -> float:
+    """Largest ||[u(t), rep(g)]|| over the sampled times and the generators."""
+    reps = [action.rep(g) for g in gens]
+    sup = 0.0
+    for t in path.sample_times(t_samples):
+        ut = path.at(t)
+        for r in reps:
+            sup = max(sup, op_norm(ut @ r - r @ ut))
+    return sup
 
 
 def _orthogonal_leg(action, folner, xi, eta, orbit_xi, orbit_eta, gens, eps,
@@ -291,12 +348,7 @@ def _orthogonal_leg(action, folner, xi, eta, orbit_xi, orbit_eta, gens, eps,
     zeta_id = zetas[ident]
     flip_error = float(np.linalg.norm(path.end() @ xi - zeta_id))
     terminal = float(np.linalg.norm(path.end() @ xi - eta))
-    sup = 0.0
-    for t in path.sample_times(t_samples):
-        ut = path.at(t)
-        for g in gens:
-            r = action.rep(g)
-            sup = max(sup, op_norm(ut @ r - r @ ut))
+    sup = _commutator_sup(action, path, gens, t_samples)
     return GroupTransportResult(
         path=path,
         terminal_error=terminal,
@@ -336,17 +388,12 @@ def _find_detour(action: GroupAction, folner: FolnerSet, xi: np.ndarray,
         {action.multiply(action.inverse(g), h)
          for g in folner.elements for h in folner.elements}
     )
-    extended = np.array(
-        [action.rep(k) @ v for k in diff_elems for v in (xi, eta)]
-    )
-    comp = _complement_basis(extended, action.dim)
+    orbit_xi = _orbit(action, diff_elems, xi)
+    extended = np.stack([orbit_xi, _orbit(action, diff_elems, eta)], axis=1)
+    comp = _complement_basis(extended.reshape(-1, action.dim), action.dim)
     if comp.shape[1] == 0:
         raise DetourFailureError("no room for a detour vector", best_residual=np.inf)
-    targets = np.array([complex(np.vdot(xi, action.rep(k) @ xi)) for k in diff_elems])
-    mats = [dagger(comp) @ action.rep(k) @ comp for k in diff_elems]
-
-    def residual(c: np.ndarray) -> float:
-        return float(max(abs(np.vdot(c, m @ c) - t) for m, t in zip(mats, targets)))
+    targets = orbit_xi @ xi.conj()
 
     candidates = []
     if hint is not None:
@@ -354,7 +401,17 @@ def _find_detour(action: GroupAction, folner: FolnerSet, xi: np.ndarray,
         c = dagger(comp) @ h
         n = np.linalg.norm(c)
         if n > 1e-8:
+            # A hint whose correlations already match is the detour.
+            mid = comp @ (c / n)
+            if np.max(np.abs(_orbit(action, diff_elems, mid) @ mid.conj()
+                             - targets)) < delta:
+                return mid
             candidates.append(c / n)
+    mats = [dagger(comp) @ action.rep(k) @ comp for k in diff_elems]
+
+    def residual(c: np.ndarray) -> float:
+        return float(max(abs(np.vdot(c, m @ c) - t) for m, t in zip(mats, targets)))
+
     rng = np.random.default_rng(0)
     w = comp.shape[1]
 

@@ -104,6 +104,8 @@ def psd_sqrt(x: np.ndarray) -> np.ndarray:
 def polar_unitary(z: np.ndarray) -> np.ndarray:
     """Unitary factor z |z|^-1 of an invertible matrix."""
     z = check_square(z)
+    if z.size == 0:
+        raise DimensionError("polar factor of an empty matrix")
     u, s, vh = np.linalg.svd(z)
     if s[-1] <= 1e-10:
         raise SingularMatrixError(f"smallest singular value {s[-1]:.3e} too small")

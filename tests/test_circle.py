@@ -5,12 +5,18 @@ from state_transport.algebra import conjugated_units, full_matrix_units
 from state_transport.circle import (
     SpectralModel,
     _compress_units,
+    _window_masses,
     arc_transport,
     circle_partition,
     evaluate_window,
     window_function,
 )
-from state_transport.errors import DegenerateWindowError
+from state_transport.errors import (
+    ArcOutsideBlockError,
+    DegenerateWindowError,
+    InfeasiblePartitionError,
+    StateTransportError,
+)
 from state_transport.linalg import dagger, op_norm
 from state_transport.suites import circle_instance, random_state, random_unitary
 
@@ -131,3 +137,156 @@ def test_compress_units_on_reducing_subspace(rng, n, r, keep):
         for j in range(n):
             dense = dagger(basis) @ block.unit(i, j) @ basis
             assert op_norm(sub.unit(i, j) - dense) < 1e-12
+
+
+def _in_arc_oracle(angles, a, b):
+    span = (b - a) % 1.0
+    if span == 0.0:
+        span = 1.0
+    d = (angles - a) % 1.0
+    return (d > 0.0) & (d <= span)
+
+
+def _partition_oracle(model, xi, eta, eps, eps_prime):
+    """The cut search point by point: per grid point, the margin masses are
+    np.sum over the atoms in its window; the first feasible point is taken,
+    and a later one replaces it only when lower by more than 1e-15."""
+    gamma = eps * eps_prime / 4.0
+    mx = model.point_masses(xi)
+    me = model.point_masses(eta)
+    angles = model.eigenangles
+
+    def in_window(t):
+        return _in_arc_oracle(angles, (t - gamma / 2) % 1.0, (t + gamma / 2) % 1.0)
+
+    def best_cut(lo, hi):
+        pitch = max(gamma / 4, (hi - lo) / 256)
+        grid = np.arange(lo + pitch, hi + 1e-15, pitch)
+        if grid.size == 0 or grid[-1] < hi - 1e-15:
+            grid = np.append(grid, hi)
+        lifted = np.sort(np.concatenate([angles - 1.0, angles, angles + 1.0]))
+        mids = (lifted[:-1] + lifted[1:]) / 2
+        mids = mids[(mids > lo) & (mids <= hi)]
+        grid = np.sort(np.concatenate([grid, mids]), kind="stable")
+        best_t, best_m = None, np.inf
+        for t in grid:
+            mask = in_window(t)
+            if not (float(np.sum(mx[mask])) < eps_prime
+                    and float(np.sum(me[mask])) < eps_prime):
+                continue
+            m = float(np.sum(mx[mask]) + np.sum(me[mask]))
+            if m < best_m - 1e-15:
+                best_t, best_m = t, m
+        if best_t is None:
+            raise InfeasiblePartitionError("no feasible cut")
+        return float(best_t)
+
+    first = best_cut(0.0, eps / 2)
+    cuts = [first]
+    while (first + 1.0) - cuts[-1] >= 1.5 * eps:
+        lo = cuts[-1] + eps / 2
+        hi = min(cuts[-1] + eps, first + 1.0 - eps / 2 - gamma / 8)
+        cuts.append(best_cut(lo, hi))
+    points = np.mod(np.array(cuts), 1.0)
+    points.sort(kind="stable")
+    return points
+
+
+def _atom_model(angles):
+    """Finite-spectrum model with one atom per coordinate, at exactly the
+    given angles."""
+    dim = len(angles)
+    z = np.diag(np.exp(2j * np.pi * angles))
+    projs = np.zeros((dim, dim, dim), dtype=complex)
+    projs[np.arange(dim), np.arange(dim), np.arange(dim)] = 1.0
+    return SpectralModel(z=z, eigenangles=np.asarray(angles), eigenprojections=projs)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_cut_search_matches_pointwise_oracle(seed):
+    # Clusters of atoms closer together than gamma, atoms sitting exactly on
+    # the window ends (t -+ gamma/2) of first-window grid points, and (every
+    # third seed) atoms covering the circle at gamma/2 with equal masses, so
+    # no margin is empty and the 1e-15 tie rule picks among equal masses.
+    rng = np.random.default_rng(seed)
+    if seed % 3 == 2:
+        eps, eps_prime = rng.uniform(0.4, 0.6), rng.uniform(0.15, 0.25)
+        gamma = eps * eps_prime / 4
+        n = int(2 / gamma)
+        angles = np.sort(np.mod((np.arange(n) + rng.uniform(-0.2, 0.2, n)) / n, 1.0))
+    else:
+        eps, eps_prime = rng.uniform(0.15, 0.4), rng.uniform(0.02, 0.08)
+        gamma = eps * eps_prime / 4
+        centres = rng.uniform(0, 1, int(rng.integers(8, 30)))
+        spread = gamma * rng.uniform(0.1, 0.45, (centres.size, 1)) * np.arange(3)
+        clusters = (centres[:, None] + spread)[:, : int(rng.integers(1, 4))].ravel()
+        pitch = max(gamma / 4, (eps / 2) / 256)
+        grid = np.arange(pitch, eps / 2 + 1e-15, pitch)
+        picks = grid[rng.choice(grid.size, 4, replace=False)]
+        edges = np.concatenate([(picks - gamma / 2) % 1.0, (picks + gamma / 2) % 1.0])
+        angles = np.sort(np.mod(np.concatenate([clusters, edges]), 1.0))
+    model = _atom_model(angles)
+    xi = random_state(rng, angles.size)
+    eta = random_state(rng, angles.size)
+    if seed % 3 == 2:
+        xi = np.exp(1j * np.angle(xi)) / np.sqrt(xi.size)
+        eta = np.exp(1j * np.angle(eta)) / np.sqrt(eta.size)
+    try:
+        expected = _partition_oracle(model, xi, eta, eps, eps_prime)
+    except InfeasiblePartitionError:
+        with pytest.raises(InfeasiblePartitionError):
+            circle_partition(model, xi, eta, eps, eps_prime)
+        return
+    got = circle_partition(model, xi, eta, eps, eps_prime).points
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_window_masses_equal_pointwise_sums(seed):
+    # Windows holding up to seven atoms (np.sum adds those in index order),
+    # one cluster wrapping through angle 0, and centres whose window ends
+    # fall exactly on atoms.
+    rng = np.random.default_rng(seed)
+    half = 0.01
+    angles = np.sort(np.mod(np.concatenate(
+        [rng.uniform(0, 1, 40), rng.uniform(0.3, 0.3 + half, 6),
+         rng.uniform(-half / 2, half / 2, 5)]), 1.0))
+    masses = rng.uniform(0, 0.05, (2, angles.size))
+    centres = np.concatenate([rng.uniform(0, 1, 200), angles[:20] + half,
+                              angles[20:40] - half, rng.uniform(0.3, 0.31, 50)])
+    windows = [_in_arc_oracle(angles, (t - half) % 1.0, (t + half) % 1.0)
+               for t in centres]
+    counts = np.array([w.sum() for w in windows])
+    keep = counts < 8
+    assert np.any(counts[keep] >= 5)
+    got = _window_masses(angles, masses, centres, half)
+    for row, m in zip(got, masses):
+        assert np.array_equal(row[keep], [np.sum(m[w]) for w, k in zip(windows, keep) if k])
+
+
+def test_cut_search_matches_oracle_on_workload_shapes(rng):
+    for k, atoms, eps in [(1, 60, 0.1), (2, 32, 0.09)]:
+        block, model, xi, eta = circle_instance(rng, k, atoms)
+        eps_prime = eps**5 / (4 * k**2)
+        got = circle_partition(model, xi, eta, eps, eps_prime).points
+        assert np.array_equal(got, _partition_oracle(model, xi, eta, eps, eps_prime))
+
+
+def test_arc_outside_block_is_a_typed_error(rng):
+    # Angle 0.7 lives only on the coordinate outside the 2 x 2 block, so an
+    # arc around it compresses the units to rank 0.
+    block = full_matrix_units(2, 2, 5)
+    z = np.diag(np.exp(2j * np.pi * np.array([0.1, 0.4, 0.1, 0.4, 0.7])))
+    model = SpectralModel.from_unitary(z)
+    outside = 0
+    for _ in range(80):
+        xi = random_state(rng, 5)
+        try:
+            arc_transport(block, model, xi, xi, [], 0.3, t_samples=4)
+        except ArcOutsideBlockError as exc:
+            outside += 1
+            assert exc.arc_index is not None
+            assert f"arc {exc.arc_index} " in str(exc)
+        except StateTransportError:
+            pass
+    assert outside > 0

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from state_transport.errors import (
+    DimensionError,
     FlipInconsistencyError,
     HypothesisError,
+    NonCommutingGeneratorsError,
     UnsupportedGroupError,
 )
 from state_transport.gram import VectorFamily
@@ -46,7 +50,8 @@ def test_folner_interval_defect_exact(rng):
 
 
 def test_folner_z2_box(rng):
-    action = integer_action([random_unitary(rng, 3), random_unitary(rng, 3)])
+    u = random_unitary(rng, 3)
+    action = integer_action([u, u @ u])
     fol = folner_set(action, [(1, 0), (0, 1)], 0.2)
     assert fol.defect < 0.2
 
@@ -140,3 +145,69 @@ def test_group_state_transport_detour_with_hint(rng):
                                 detour_hint=hint, t_samples=3)
     assert res.legs == 2
     assert res.terminal_error <= res.terminal_bound + 1e-8
+
+
+def _unitary_with_angles(rng, angles):
+    q = random_unitary(rng, len(angles))
+    return (q * np.exp(1j * np.asarray(angles))) @ dagger(q)
+
+
+def _generators(kind, rng, dim):
+    """Commuting generators: generic, every eigenvalue doubled (two copies),
+    eigenvalues in pairs 1e-9 apart, or Z^2 with a degenerate first one."""
+    if kind == "generic":
+        return [random_unitary(rng, dim)]
+    if kind == "doubled":
+        u0 = random_unitary(rng, dim)
+        z = np.zeros((dim, dim))
+        return [np.block([[u0, z], [z, u0]])]
+    angles = rng.uniform(-np.pi, np.pi, dim)
+    if kind == "clustered":
+        angles[1::2] = angles[::2][: dim // 2] + 1e-9
+        return [_unitary_with_angles(rng, angles)]
+    q = random_unitary(rng, dim)
+    first = np.where(np.arange(dim) % 2 == 0, 0.3, -2.1)
+    return [(q * np.exp(1j * a)) @ dagger(q) for a in (first, angles)]
+
+
+def _rep_oracle(gens, g):
+    out = np.eye(gens[0].shape[0], dtype=complex)
+    for u, k in zip(gens, g):
+        out = out @ np.linalg.matrix_power(u, k)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["generic", "doubled", "clustered", "z2_degenerate"]),
+       seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6),
+       eps=st.floats(0.3, 0.9))
+def test_average_conjugates_matches_box_mean(kind, seed, dim, eps):
+    rng = np.random.default_rng(seed)
+    gens = _generators(kind, rng, dim)
+    action = integer_action(gens)
+    shifts = [tuple(int(i == k) for i in range(len(gens))) for k in range(len(gens))]
+    fol = folner_set(action, shifts, eps)
+    n = action.dim
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (h + dagger(h)) / 2
+    h = h / op_norm(h)
+    oracle = sum(dagger(_rep_oracle(gens, g)) @ h @ _rep_oracle(gens, g)
+                 for g in fol.elements) / len(fol.elements)
+    oracle = (oracle + dagger(oracle)) / 2
+    assert op_norm(average_conjugates(h, fol, action) - oracle) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["generic", "doubled", "clustered", "z2_degenerate"])
+def test_rep_matches_matrix_power(rng, kind):
+    gens = _generators(kind, rng, 6)
+    action = integer_action(gens)
+    for k in range(-20, 21):
+        g = (k,) if len(gens) == 1 else (k, 20 - abs(k))
+        assert op_norm(action.rep(g) - _rep_oracle(gens, g)) < 1e-11
+
+
+def test_noncommuting_generators_rejected(rng):
+    with pytest.raises(NonCommutingGeneratorsError):
+        integer_action([random_unitary(rng, 3), random_unitary(rng, 3)])
+    with pytest.raises(DimensionError):
+        integer_action([random_unitary(rng, 3), random_unitary(rng, 4)])

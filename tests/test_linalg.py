@@ -67,6 +67,11 @@ def test_polar_unitary_of_unitary_is_itself(rng, make_unitary):
     assert op_norm(polar_unitary(u) - u) < 1e-12
 
 
+def test_polar_unitary_rejects_empty():
+    with pytest.raises(DimensionError):
+        polar_unitary(np.zeros((0, 0), dtype=complex))
+
+
 def test_expm_skew_matches_series(rng):
     h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h = (h + dagger(h)) / 2
