@@ -67,8 +67,7 @@ def gram_matrix(fam: VectorFamily) -> np.ndarray:
     return (g + dagger(g)) / 2
 
 
-def gram_complete(fam: VectorFamily, target: GramTarget,
-                  enforce_weight: bool = True) -> VectorFamily:
+def gram_complete(fam: VectorFamily, target: GramTarget) -> VectorFamily:
     """Vectors eta with <eta_i, eta_j> = c[i, j] and the minimal displacement
     ||eta_i - xi_i||^2 = ((c^1/2 - d^1/2)^2)_ii.
 
@@ -81,8 +80,7 @@ def gram_complete(fam: VectorFamily, target: GramTarget,
         raise ValueError("family size does not match target size")
     if fam.dim < n:
         raise DimensionError(f"need ambient dimension >= {n}, got {fam.dim}")
-    if enforce_weight:
-        fam.require_normalized()
+    fam.require_normalized()
 
     d = gram_matrix(fam)
     # Orthonormal basis of an n-dimensional subspace containing the family.

@@ -3,7 +3,13 @@
 Supports finite groups given by a multiplication table and Z^d given by
 commuting generator unitaries.  The transport path is e^{i pi t hbar}
 where hbar is the Folner average of a flip projection exchanging the
-orbit of the source vector with an orthogonal matched family.
+orbit of the source vector with an orthogonal matched family.  Both are
+closed forms: the matched family is the image of the orbit under the
+polar-factor isometry W into the target orbit's directions, and the flip
+is the projection onto the graph of -W.  When the two orbits overlap
+(Z^d only), the path detours through a vector built cluster by cluster
+in the joint eigenbasis with the source's spectral mass, hence its
+correlations, and an orbit orthogonal to both.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import (
     DetourFailureError,
@@ -23,7 +28,7 @@ from .errors import (
     NonCommutingGeneratorsError,
     UnsupportedGroupError,
 )
-from .gram import GramTarget, VectorFamily, gram_complete, gram_matrix
+from .gram import VectorFamily, gram_matrix
 from .linalg import UNITARY_TOL, check_state, check_unitary, dagger, op_norm
 from .path import PathSegment, UnitaryPath, concat_paths
 
@@ -209,28 +214,58 @@ def average_conjugates(h: np.ndarray, folner: FolnerSet,
 def flip_projection(xis: VectorFamily, zetas: VectorFamily) -> np.ndarray:
     """Projection killing the sums x_g + z_g and fixing the differences.
 
-    Requires equal Gram matrices and mutually orthogonal spans; then the
-    difference span is orthogonal to the sum span and the orthogonal
-    projection onto the differences does both jobs.
+    Requires equal Gram matrices and mutually orthogonal spans; then
+    z_g = W x_g for the isometry W = V B^* of ``_graph_factors``, and the
+    projection is the one onto the graph of -W.
     """
     if xis.size != zetas.size or xis.dim != zetas.dim:
         raise FlipInconsistencyError("families must match in size and dimension")
-    gram_gap = float(np.max(np.abs(gram_matrix(xis) - gram_matrix(zetas))))
+    b, v = _graph_factors(xis.vectors, zetas.vectors)
+    return _graph_projection(xis.vectors, zetas.vectors, b, v)
+
+
+def _graph_factors(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis B of the span of the rows x_g, and the polar factor
+    V of sum_g y_g x_g^* B with span(B) first removed from every y_g.
+
+    W = V B^* is an isometry from span(B) onto a subspace orthogonal to it,
+    so the family W x_g has exactly the Gram matrix of the x_g; when the
+    y_g already equal U x_g for such an isometry U, V B^* = U on span(B).
+    """
+    u, rank = _left_basis(xs.T)
+    b = u[:, :rank]
+    y = ys.T - b @ (dagger(b) @ ys.T)
+    a, _, vh = np.linalg.svd(y @ xs.conj() @ b, full_matrices=False)
+    return b, a @ vh
+
+
+def _graph_projection(xs: np.ndarray, zs: np.ndarray, b: np.ndarray,
+                      v: np.ndarray) -> np.ndarray:
+    """e = (B B^* + V V^* - W - W^*) / 2 with W = V B^*: the projection onto
+    the graph {x - W x : x in span(B)} of -W (Halmos, "Two subspaces").
+    It kills every x + W x and fixes every x - W x; the last check certifies
+    that it kills the given sums x_g + z_g."""
+    gram_gap = float(np.max(np.abs(gram_matrix(VectorFamily(xs.shape[1], xs))
+                                   - gram_matrix(VectorFamily(zs.shape[1], zs)))))
     if gram_gap > FLIP_TOL:
         raise FlipInconsistencyError(f"Gram matrices differ by {gram_gap:.3e}")
-    cross = float(np.max(np.abs(xis.vectors @ dagger(zetas.vectors))))
+    cross = float(np.max(np.abs(xs @ dagger(zs))))
     if cross > 1e-8:
         raise FlipInconsistencyError(f"spans overlap, cross product {cross:.3e}")
-    diffs = xis.vectors - zetas.vectors
-    u, s, _ = np.linalg.svd(diffs.T, full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * max(s[0], 1e-30)))
-    basis = u[:, :rank]
-    e = basis @ dagger(basis)
-    sums = xis.vectors + zetas.vectors
+    w = v @ dagger(b)
+    e = (b @ dagger(b) + v @ dagger(v) - w - dagger(w)) / 2
+    sums = xs + zs
     worst = float(np.max(np.linalg.norm(sums @ e.T, axis=1))) if sums.size else 0.0
     if worst > 1e-8:
         raise FlipInconsistencyError(f"projection fails to kill sums: {worst:.3e}")
     return (e + dagger(e)) / 2
+
+
+def _left_basis(columns: np.ndarray) -> tuple[np.ndarray, int]:
+    """Full left singular basis of ``columns`` and their numerical rank:
+    singular values above 1e-10 of the largest count."""
+    u, s, _ = np.linalg.svd(columns, full_matrices=True)
+    return u, int(np.sum(s > 1e-10 * max(s[0] if s.size else 0.0, 1e-30)))
 
 
 @dataclass
@@ -248,44 +283,44 @@ class GroupTransportResult:
 
 def group_state_transport(action: GroupAction, xi: np.ndarray, eta: np.ndarray,
                           gens: list, eps: float,
-                          detour_hint: np.ndarray | None = None,
                           t_samples: int = 16) -> GroupTransportResult:
     """Path nearly commuting with the group action and moving xi to eta.
 
     Orthogonal-orbit case: one leg e^{i pi t hbar}.  Overlapping orbits
-    take a detour through an intermediate vector with matching correlation
-    data found in the joint orbit complement (or supplied as a hint),
-    doubling the bounds.
+    (Z^d only) take a detour through an intermediate vector with the same
+    correlation data and an orbit orthogonal to both, doubling the bounds.
     """
     xi = check_state(xi)
     eta = check_state(eta)
     folner = folner_set(action, gens, eps / 2)
+    eps_prime = eps / (2 * EXP_SERIES_CONSTANT)
+    delta = eps_prime**2 / len(folner.elements)
     orbit_xi = _orbit(action, folner.elements, xi)
     orbit_eta = _orbit(action, folner.elements, eta)
     cross = float(np.max(np.abs(orbit_xi @ orbit_eta.conj().T)))
     if cross <= 1e-8:
-        return _orthogonal_leg(action, folner, xi, eta, orbit_xi, orbit_eta,
-                               gens, eps, t_samples)
-
-    mid = _find_detour(action, folner, xi, eta, eps, detour_hint)
-    orbit_mid = _orbit(action, folner.elements, mid)
-    leg1 = _orthogonal_leg(action, folner, xi, mid, orbit_xi, orbit_mid,
-                           gens, eps, t_samples)
-    leg2 = _orthogonal_leg(action, folner, mid, eta, orbit_mid, orbit_eta,
-                           gens, eps, t_samples)
-    path = concat_paths(leg1.path, leg2.path)
-    terminal = float(np.linalg.norm(path.end() @ xi - eta))
-    sup = _commutator_sup(action, path, gens, t_samples)
+        path, extras = _orthogonal_leg(action, folner, xi, orbit_xi, orbit_eta, delta)
+        extras["flip_bound"] = eps_prime * EXP_SERIES_CONSTANT
+        legs = 1
+    else:
+        mid = _find_detour(action, folner, xi, eta, delta)
+        orbit_mid = _orbit(action, folner.elements, mid)
+        leg1, _ = _orthogonal_leg(action, folner, xi, orbit_xi, orbit_mid, delta)
+        leg2, _ = _orthogonal_leg(action, folner, mid, orbit_mid, orbit_eta, delta)
+        path = concat_paths(leg1, leg2)
+        extras = {"leg_errors": [float(np.linalg.norm(leg1.end() @ xi - mid)),
+                                 float(np.linalg.norm(leg2.end() @ mid - eta))]}
+        legs = 2
     return GroupTransportResult(
         path=path,
-        terminal_error=terminal,
-        terminal_bound=leg1.terminal_bound + leg2.terminal_bound,
-        commutator_sup=sup,
-        commutator_bound=2 * np.pi * eps,
-        eps_prime=leg1.eps_prime,
+        terminal_error=float(np.linalg.norm(path.end() @ xi - eta)),
+        terminal_bound=legs * (eps_prime * EXP_SERIES_CONSTANT + 2 * eps_prime),
+        commutator_sup=_commutator_sup(action, path, gens, t_samples),
+        commutator_bound=legs * np.pi * eps,
+        eps_prime=eps_prime,
         folner=folner,
-        legs=2,
-        extras={"leg_errors": [leg1.terminal_error, leg2.terminal_error]},
+        legs=legs,
+        extras=extras,
     )
 
 
@@ -309,11 +344,10 @@ def _commutator_sup(action: GroupAction, path: UnitaryPath, gens: list,
     return sup
 
 
-def _orthogonal_leg(action, folner, xi, eta, orbit_xi, orbit_eta, gens, eps,
-                    t_samples) -> GroupTransportResult:
-    size = len(folner.elements)
-    eps_prime = eps / (2 * EXP_SERIES_CONSTANT)
-    delta = eps_prime**2 / size
+def _orthogonal_leg(action, folner, xi, orbit_xi, orbit_eta,
+                    delta) -> tuple[UnitaryPath, dict]:
+    """e^{i pi t hbar} with hbar the Folner average of the flip between the
+    xi-orbit and its matched family zeta_g = W x_g (``_graph_factors``)."""
     corr_gap = float(np.max(np.abs(
         gram_matrix(VectorFamily(action.dim, orbit_xi))
         - gram_matrix(VectorFamily(action.dim, orbit_eta))
@@ -323,124 +357,73 @@ def _orthogonal_leg(action, folner, xi, eta, orbit_xi, orbit_eta, gens, eps,
             f"orbit correlation gap {corr_gap:.3e} >= delta {delta:.3e}",
             measured_gap=corr_gap,
         )
-    # Matched family: complete the eta-orbit, inside the orthogonal
-    # complement of the xi-orbit span, to the exact Gram of the xi-orbit.
-    comp = _complement_basis(orbit_xi, action.dim)
-    if comp.shape[1] < size:
-        raise FlipInconsistencyError(
-            "orbit complement too small to host the matched family"
-        )
-    coords = orbit_eta @ comp.conj()
-    completed = gram_complete(
-        VectorFamily(comp.shape[1], coords),
-        GramTarget(size, gram_matrix(VectorFamily(action.dim, orbit_xi))),
-        enforce_weight=False,
-    )
-    zetas = completed.vectors @ comp.T
-    e = flip_projection(
-        VectorFamily(action.dim, orbit_xi), VectorFamily(action.dim, zetas)
-    )
-    hbar = average_conjugates(e, folner, action)
+    b, v = _graph_factors(orbit_xi, orbit_eta)
+    zetas = orbit_xi @ (v @ dagger(b)).T
+    hbar = average_conjugates(_graph_projection(orbit_xi, zetas, b, v), folner, action)
     path = UnitaryPath(
         [PathSegment(0.0, 1.0, np.pi * hbar, np.eye(action.dim, dtype=complex))]
     )
-    ident = folner.elements.index(action.identity())
-    zeta_id = zetas[ident]
-    flip_error = float(np.linalg.norm(path.end() @ xi - zeta_id))
-    terminal = float(np.linalg.norm(path.end() @ xi - eta))
-    sup = _commutator_sup(action, path, gens, t_samples)
-    return GroupTransportResult(
-        path=path,
-        terminal_error=terminal,
-        terminal_bound=eps_prime * EXP_SERIES_CONSTANT + 2 * eps_prime,
-        commutator_sup=sup,
-        commutator_bound=np.pi * eps,
-        eps_prime=eps_prime,
-        folner=folner,
-        legs=1,
-        extras={
-            "delta": delta,
-            "correlation_gap": corr_gap,
-            "flip_error": flip_error,
-            "flip_bound": eps_prime * EXP_SERIES_CONSTANT,
-        },
-    )
-
-
-def _complement_basis(rows: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal column basis of the orthogonal complement of the row span."""
-    u, s, _ = np.linalg.svd(rows.T, full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * max(s[0] if s.size else 0.0, 1e-30)))
-    return u[:, rank:]
+    zeta_id = zetas[folner.elements.index(action.identity())]
+    return path, {
+        "delta": delta,
+        "correlation_gap": corr_gap,
+        "flip_error": float(np.linalg.norm(path.end() @ xi - zeta_id)),
+    }
 
 
 def _find_detour(action: GroupAction, folner: FolnerSet, xi: np.ndarray,
-                 eta: np.ndarray, eps: float,
-                 hint: np.ndarray | None) -> np.ndarray:
-    """Vector in the joint extended-orbit complement whose correlation data
-    matches the source's; searched by seeded local minimization."""
-    size = len(folner.elements)
-    eps_prime = eps / (2 * EXP_SERIES_CONSTANT)
-    delta = eps_prime**2 / size
-    # Orthogonality of the detour orbit against both endpoints' orbits needs
-    # the complement of the difference-set translates of both vectors.
+                 eta: np.ndarray, delta: float) -> np.ndarray:
+    """Vector with the correlation data of xi whose orbit is orthogonal to
+    the orbits of xi and eta, built in the joint eigenbasis Q.
+
+    The correlations <u^g v, v> = sum_j phi_gj |(Q^* v)_j|^2 are the Fourier
+    coefficients of the spectral measure of v, so a vector with the mass of
+    xi in every cluster of joint eigenangle tuples matches them.  In each
+    cluster where xi has mass take a unit vector orthogonal to the
+    components of xi and eta there, scaled to the norm of xi's; this needs
+    the cluster's multiplicity to exceed the rank of those components.
+    """
+    if action.kind != "Zd":
+        raise UnsupportedGroupError("overlapping orbits need a Z^d action for the detour")
     diff_elems = sorted(
         {action.multiply(action.inverse(g), h)
          for g in folner.elements for h in folner.elements}
     )
-    orbit_xi = _orbit(action, diff_elems, xi)
-    extended = np.stack([orbit_xi, _orbit(action, diff_elems, eta)], axis=1)
-    comp = _complement_basis(extended.reshape(-1, action.dim), action.dim)
-    if comp.shape[1] == 0:
-        raise DetourFailureError("no room for a detour vector", best_residual=np.inf)
-    targets = orbit_xi @ xi.conj()
-
-    candidates = []
-    if hint is not None:
-        h = np.asarray(hint, dtype=complex).reshape(-1)
-        c = dagger(comp) @ h
-        n = np.linalg.norm(c)
-        if n > 1e-8:
-            # A hint whose correlations already match is the detour.
-            mid = comp @ (c / n)
-            if np.max(np.abs(_orbit(action, diff_elems, mid) @ mid.conj()
-                             - targets)) < delta:
-                return mid
-            candidates.append(c / n)
-    mats = [dagger(comp) @ action.rep(k) @ comp for k in diff_elems]
-
-    def residual(c: np.ndarray) -> float:
-        return float(max(abs(np.vdot(c, m @ c) - t) for m, t in zip(mats, targets)))
-
-    rng = np.random.default_rng(0)
-    w = comp.shape[1]
-
-    def objective(x: np.ndarray) -> float:
-        c = x[:w] + 1j * x[w:]
-        n = np.linalg.norm(c)
-        if n < 1e-12:
-            return 1e6
-        c = c / n
-        return float(sum(abs(np.vdot(c, m @ c) - t) ** 2
-                         for m, t in zip(mats, targets)))
-
-    for _ in range(4):
-        x0 = rng.standard_normal(2 * w)
-        out = scipy.optimize.minimize(objective, x0, method="L-BFGS-B",
-                                      options={"maxiter": 300})
-        c = out.x[:w] + 1j * out.x[w:]
-        n = np.linalg.norm(c)
-        if n > 1e-12:
-            candidates.append(c / n)
-
-    best, best_res = None, np.inf
-    for c in candidates:
-        r = residual(c)
-        if r < best_res:
-            best, best_res = c, r
-    if best is None or best_res >= delta:
+    # A cluster has radius tol / 2 about its first tuple, so phi_gj moves by
+    # at most reach * tol / 2 inside it and clustering moves no correlation
+    # by more than reach * tol = delta / 4; dropping the clusters below the
+    # mass floor moves them by less than dim * floor = delta / 4.
+    reach = max(max(sum(abs(k) for k in g) for g in diff_elems), 1)
+    tol = delta / (4 * reach)
+    floor = delta / (4 * action.dim)
+    q, angles = action.eigenbasis, action.angles
+    a_all, b_all = dagger(q) @ xi, dagger(q) @ eta
+    coords = np.zeros(action.dim, dtype=complex)
+    free = np.ones(action.dim, dtype=bool)
+    for j in range(action.dim):
+        if not free[j]:
+            continue
+        dist = np.max(np.abs(np.angle(np.exp(1j * (angles - angles[:, [j]])))), axis=0)
+        cluster = np.flatnonzero(free & (dist <= tol / 2))
+        free[cluster] = False
+        norm = float(np.linalg.norm(a_all[cluster]))
+        if norm**2 < floor:
+            continue
+        u, rank = _left_basis(np.stack([a_all[cluster], b_all[cluster]], axis=1))
+        if cluster.size <= rank:
+            raise DetourFailureError(
+                f"eigenvalue cluster at angles {np.round(angles[:, j], 12).tolist()} "
+                f"has multiplicity {cluster.size}, not above the rank {rank} of "
+                "the source and target components",
+                best_residual=np.inf,
+            )
+        coords[cluster] = norm * u[:, rank]
+    mid = q @ coords
+    residual = float(np.max(np.abs(_orbit(action, diff_elems, mid) @ mid.conj()
+                                   - _orbit(action, diff_elems, xi) @ xi.conj())))
+    if residual >= delta:
         raise DetourFailureError(
-            f"best detour residual {best_res:.3e} >= delta {delta:.3e}",
-            best_residual=best_res,
+            f"detour residual {residual:.3e} >= delta {delta:.3e}",
+            best_residual=residual,
         )
-    return comp @ best
+    return mid

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import full_matrix_units
-from .circle import SpectralModel, arc_transport
+from .circle import SpectralModel, _window_masses, arc_transport
 from .gram import (
     GramTarget,
     VectorFamily,
@@ -294,12 +294,9 @@ def suite_circle(seed: int, instances: int) -> dict:
         res = arc_transport(block, model, xi, eta, [], eps, t_samples=8)
         part = res.partition
         gap_ok = part.gap_defect() == 0.0
-        margin_worst = 0.0
-        for t in part.points:
-            a = (t - part.gamma / 2) % 1.0
-            b = (t + part.gamma / 2) % 1.0
-            margin_worst = max(margin_worst, model.arc_mass(xi, a, b),
-                               model.arc_mass(eta, a, b))
+        masses = np.stack([model.point_masses(xi), model.point_masses(eta)])
+        margin_worst = float(np.max(_window_masses(model.eigenangles, masses,
+                                                   part.points, part.gamma / 2)))
         return (
             res.terminal_error,
             res.terminal_bound,

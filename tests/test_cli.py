@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import state_transport
 from state_transport.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, main
-from state_transport.serialize import encode_vector
-from state_transport.suites import random_state
+from state_transport.group import integer_action
+from state_transport.serialize import encode_group_action, encode_vector
+from state_transport.suites import random_state, random_unitary
 
 
 def _write_geodesic_config(path, rng):
@@ -104,6 +109,41 @@ def test_run_deterministic_output(tmp_path, rng):
     for out in (a, b):
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_run_group_detour(tmp_path, rng):
+    # Z acting on three copies of C^16; source and target share one orbit,
+    # so the transport detours through the third copy
+    d = 16
+    u0 = random_unitary(rng, d)
+    z = np.zeros((d, d))
+    action = integer_action([np.block([[u0, z, z], [z, u0, z], [z, z, u0]])])
+    x = random_state(rng, d)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "command": "group",
+        "action": encode_group_action(action),
+        "xi": encode_vector(np.concatenate([x, np.zeros(2 * d)])),
+        "eta": encode_vector(np.concatenate([np.exp(0.4j) * x, np.zeros(2 * d)])),
+        "gens": [[1], [-1]],
+        "eps": 0.1,
+    }))
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    for out in (a, b):
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
+    assert json.loads(a.read_text())["pass"] is True
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(state_transport.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, state_transport; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from state_transport.errors import (
+    DetourFailureError,
     DimensionError,
     FlipInconsistencyError,
     HypothesisError,
@@ -12,7 +13,11 @@ from state_transport.errors import (
 )
 from state_transport.gram import VectorFamily
 from state_transport.group import (
+    EXP_SERIES_CONSTANT,
     GroupAction,
+    _find_detour,
+    _graph_factors,
+    _orbit,
     average_conjugates,
     finite_cyclic_action,
     flip_projection,
@@ -129,22 +134,141 @@ def test_group_state_transport_orthogonal(rng):
     assert res.extras["flip_error"] <= res.extras["flip_bound"]
 
 
-def test_group_state_transport_detour_with_hint(rng):
-    # three orthogonal copies; source and target share the first copy's
-    # orbit, the hint lives in the third
-    d = 48
+def _three_copy_detour(rng, d):
+    """Z acting identically on three orthogonal copies of C^d; source and
+    target share the first copy's orbit, so their orbits overlap."""
     u0 = random_unitary(rng, d)
     z = np.zeros((d, d))
     gen = np.block([[u0, z, z], [z, u0, z], [z, z, u0]])
-    action = integer_action([gen])
     x = random_state(rng, d)
     xi = np.concatenate([x, np.zeros(2 * d)])
     eta = np.concatenate([np.exp(0.4j) * x, np.zeros(2 * d)])
-    hint = np.concatenate([np.zeros(2 * d), x])
-    res = group_state_transport(action, xi, eta, [(1,), (-1,)], 0.1,
-                                detour_hint=hint, t_samples=3)
+    return integer_action([gen]), xi, eta
+
+
+def test_group_state_transport_detour_with_hint(rng):
+    action, xi, eta = _three_copy_detour(rng, 48)
+    res = group_state_transport(action, xi, eta, [(1,), (-1,)], 0.1, t_samples=3)
     assert res.legs == 2
     assert res.terminal_error <= res.terminal_bound + 1e-8
+
+
+@pytest.mark.parametrize("d", [16, 24, 32, 40, 48])
+def test_detour_without_hint_at_every_copy_dimension(rng, d):
+    # |F| = 41, so the orbit families are rank deficient for d <= 40
+    action, xi, eta = _three_copy_detour(rng, d)
+    res = group_state_transport(action, xi, eta, [(1,), (-1,)], 0.1, t_samples=5)
+    assert res.legs == 2
+    assert res.terminal_error <= res.terminal_bound
+    assert max(res.extras["leg_errors"]) < 1e-12
+    assert res.commutator_sup < res.commutator_bound
+    assert res.path.length <= 2 * np.pi + 1e-10
+
+
+def test_finite_group_overlap_is_unsupported():
+    u = np.diag(np.exp(2j * np.pi * np.arange(4) / 4))
+    action = finite_cyclic_action(4, u)
+    xi = np.full(4, 0.5, dtype=complex)
+    with pytest.raises(UnsupportedGroupError):
+        group_state_transport(action, xi, np.exp(0.3j) * xi, [1], 0.5, t_samples=2)
+
+
+def _clustered_action(rng, mults, rank, spread):
+    """Z^rank action whose joint eigenangle tuples form one cluster of the
+    given multiplicity per entry of ``mults``, members at most ``spread``
+    apart, cluster centres well separated.  Returns the action, its
+    generators, their eigenbasis and the cluster label of every column."""
+    k = len(mults)
+    centres = 2 * np.pi * (np.arange(k) / k + rng.uniform(0, 0.5 / k, (rank, k)))
+    labels = np.repeat(np.arange(k), mults)
+    angles = centres[:, labels] + rng.uniform(0, spread, (rank, labels.size))
+    q = random_unitary(rng, labels.size)
+    gens = [(q * np.exp(1j * a)) @ dagger(q) for a in angles]
+    return integer_action(gens), gens, q, labels
+
+
+def _correlations(gens, elements, v):
+    """<u^g v, v> for every g, with u^g from matrix powers."""
+    return np.array([np.vdot(v, _rep_oracle(gens, g) @ v) for g in elements])
+
+
+@settings(max_examples=30, deadline=None)
+@given(mults=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       rank=st.sampled_from([1, 2]), spread=st.sampled_from([0.0, 1e-13, 1e-12]),
+       phase_target=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_detour_multiplicity_condition(mults, rank, spread, phase_target,
+                                                   seed):
+    rng = np.random.default_rng(seed)
+    action, gens, q, labels = _clustered_action(rng, mults, rank, spread)
+    a = random_state(rng, labels.size)
+    if phase_target:
+        b = np.exp(1j * rng.uniform(0, 2 * np.pi)) * a
+    else:
+        # independent directions with the source's mass in every cluster
+        b = random_state(rng, labels.size)
+        for lam in range(len(mults)):
+            on = labels == lam
+            b[on] *= np.linalg.norm(a[on]) / np.linalg.norm(b[on])
+    xi, eta = q @ a, q @ b
+    shifts = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
+    eps = 0.1 if rank == 1 else 0.9
+    folner = folner_set(action, shifts, eps / 2)
+    delta = (eps / (2 * EXP_SERIES_CONSTANT)) ** 2 / len(folner.elements)
+    needed = 2 if phase_target else 3
+    if min(mults) < needed:
+        with pytest.raises(DetourFailureError, match="multiplicity"):
+            _find_detour(action, folner, xi, eta, delta)
+        with pytest.raises(DetourFailureError):
+            group_state_transport(action, xi, eta, shifts, eps, t_samples=3)
+        return
+    mid = _find_detour(action, folner, xi, eta, delta)
+    diffs = sorted({tuple(h - g for g, h in zip(g1, g2))
+                    for g1 in folner.elements for g2 in folner.elements})
+    # The closed form is exact for clusters of one angle each; inside a
+    # cluster of spread s, u^g is within reach * s of one scalar.
+    reach = max(sum(abs(k) for k in g) for g in diffs)
+    tol = 1e-12 + 2 * reach * spread
+    assert np.max(np.abs(_correlations(gens, diffs, mid)
+                         - _correlations(gens, diffs, xi))) < tol
+    for v in (xi, eta):
+        cross = [np.vdot(v, _rep_oracle(gens, g) @ mid) for g in diffs]
+        assert np.max(np.abs(cross)) < tol
+    res = group_state_transport(action, xi, eta, shifts, eps, t_samples=3)
+    assert res.terminal_error <= res.terminal_bound
+
+
+def _flip_oracle(xs, zs):
+    """Projection onto the span of the differences x_g - z_g, rank by
+    singular values above 1e-10 of the largest."""
+    u, s, _ = np.linalg.svd((xs - zs).T, full_matrices=False)
+    basis = u[:, :int(np.sum(s > 1e-10 * s[0]))]
+    return basis @ dagger(basis)
+
+
+@pytest.mark.parametrize("d", [16, 24, 32, 40])
+def test_flip_on_rank_deficient_orbits(rng, d):
+    # two copies of C^d, |F| = 41 >= d: the orbit families are rank deficient
+    u0 = random_unitary(rng, d)
+    z = np.zeros((d, d))
+    action = integer_action([np.block([[u0, z], [z, u0]])])
+    folner = folner_set(action, [(1,), (-1,)], 0.05)
+    x = random_state(rng, d)
+    xi = np.concatenate([x, np.zeros(d)])
+    # a unitary of the second copy commuting with u0 keeps every correlation
+    _, vecs = np.linalg.eigh((u0 + dagger(u0)) / 2)
+    m = (vecs * np.exp(1j * rng.uniform(0, 2 * np.pi, d))) @ dagger(vecs)
+    eta = np.concatenate([np.zeros(d), m @ x])
+    orbit_xi = _orbit(action, folner.elements, xi)
+    orbit_eta = _orbit(action, folner.elements, eta)
+    assert np.linalg.matrix_rank(orbit_xi) == d < len(folner.elements)
+    b, v = _graph_factors(orbit_xi, orbit_eta)
+    zetas = orbit_xi @ (v @ dagger(b)).T
+    assert np.max(np.abs(zetas @ dagger(zetas) - orbit_xi @ dagger(orbit_xi))) < 1e-12
+    for eta_rows in (zetas, orbit_eta):
+        e = flip_projection(VectorFamily(2 * d, orbit_xi), VectorFamily(2 * d, eta_rows))
+        assert op_norm(e @ e - e) < 1e-12
+        assert np.max(np.linalg.norm((orbit_xi + eta_rows) @ e.T, axis=1)) < 1e-12
+        assert op_norm(e - _flip_oracle(orbit_xi, eta_rows)) < 1e-10
 
 
 def _unitary_with_angles(rng, angles):
