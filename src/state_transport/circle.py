@@ -30,13 +30,18 @@ ANGLE_CLUSTER_TOL = 1e-9
 class SpectralModel:
     """A unitary with finite spectrum, resolved into eigenangle clusters.
 
-    ``eigenangles`` are in [0, 1); ``eigenprojections[k]`` is the spectral
-    projection of angle k; z = sum exp(2 pi i angle) P within 1e-10.
+    ``eigenbasis`` holds the Schur eigenvectors of z as columns, sorted by
+    angle, and ``labels[j]`` is the cluster of column j; cluster k has the
+    angle ``eigenangles[k]`` in [0, 1).  Its spectral projection is
+    Q_k Q_k^* for the columns Q_k with label k, so
+    z = Q diag(exp(2 pi i eigenangles[labels])) Q^* within 1e-10 and the
+    spectral compression of an arc is spanned by a slice of the columns.
     """
 
     z: np.ndarray
-    eigenangles: np.ndarray
-    eigenprojections: np.ndarray  # shape (m, dim, dim)
+    eigenangles: np.ndarray  # shape (m,)
+    eigenbasis: np.ndarray  # shape (dim, dim), unitary
+    labels: np.ndarray  # shape (dim,), values in range(m)
 
     @property
     def dim(self) -> int:
@@ -49,48 +54,37 @@ class SpectralModel:
         angles = np.mod(np.angle(lam) / (2 * np.pi), 1.0)
         order = np.argsort(angles, kind="stable")
         angles = angles[order]
-        q = q[:, order]
-        # Cluster nearly equal angles (cyclically) into joint projections.
-        groups: list[list[int]] = []
-        for idx in range(angles.size):
-            if groups and angles[idx] - angles[groups[-1][-1]] < ANGLE_CLUSTER_TOL:
-                groups[-1].append(idx)
-            else:
-                groups.append([idx])
-        if len(groups) > 1 and (1.0 - angles[groups[-1][0]]) + angles[0] < ANGLE_CLUSTER_TOL:
-            groups[0] = groups.pop() + groups[0]
-        reps = []
-        projs = []
-        for g in groups:
-            cols = q[:, g]
-            projs.append(cols @ dagger(cols))
-            reps.append(angles[g[-1]] if g[0] > g[-1] else angles[g[0]])
-        return cls(
-            z=z,
-            eigenangles=np.array(reps),
-            eigenprojections=np.array(projs),
-        )
+        # Neighbours closer than the tolerance chain into one cluster, whose
+        # angle is that of its first member; a last cluster that wraps
+        # through 0 joins the first, which then takes its own last angle.
+        starts = np.diff(angles, prepend=-np.inf) >= ANGLE_CLUSTER_TOL
+        labels = np.cumsum(starts) - 1
+        first = np.flatnonzero(starts)
+        reps = angles[first]
+        if first.size > 1 and (1.0 - angles[first[-1]]) + angles[0] < ANGLE_CLUSTER_TOL:
+            reps = np.append(angles[first[1] - 1], reps[1:-1])
+            labels[labels == first.size - 1] = 0
+        return cls(z=z, eigenangles=reps, eigenbasis=q[:, order], labels=labels)
+
+    def _spectral_sum(self, values: np.ndarray) -> np.ndarray:
+        """sum_k values[k] times the projection of cluster k."""
+        q = self.eigenbasis
+        return (q * values[self.labels]) @ dagger(q)
 
     def reconstruction_defect(self) -> float:
-        rebuilt = np.einsum(
-            "k,kab->ab", np.exp(2j * np.pi * self.eigenangles), self.eigenprojections
-        )
-        return op_norm(self.z - rebuilt)
+        return op_norm(self.z - self._spectral_sum(np.exp(2j * np.pi * self.eigenangles)))
 
     def point_masses(self, xi: np.ndarray) -> np.ndarray:
         """Spectral mass of xi at each eigenangle."""
-        return np.array(
-            [np.vdot(xi, p @ xi).real for p in self.eigenprojections]
-        )
+        return np.bincount(self.labels, np.abs(dagger(self.eigenbasis) @ xi) ** 2,
+                           minlength=self.eigenangles.size)
 
-    def arc_projection(self, a: float, b: float) -> np.ndarray:
-        mask = _in_arc(self.eigenangles, a, b)
-        return np.einsum("kab->ab", self.eigenprojections[mask]) if mask.any() \
-            else np.zeros((self.dim, self.dim), dtype=complex)
+    def arc_basis(self, a: float, b: float) -> np.ndarray:
+        """Orthonormal columns spanning the spectral compression of (a, b]."""
+        return self.eigenbasis[:, _in_arc(self.eigenangles, a, b)[self.labels]]
 
     def arc_mass(self, xi: np.ndarray, a: float, b: float) -> float:
-        masses = self.point_masses(xi)
-        return float(np.sum(masses[_in_arc(self.eigenangles, a, b)]))
+        return float(np.sum(self.point_masses(xi)[_in_arc(self.eigenangles, a, b)]))
 
 
 def _in_arc(angles: np.ndarray, a, b) -> np.ndarray:
@@ -238,8 +232,7 @@ def window_function(arc: tuple[float, float], gamma: float):
 
 def evaluate_window(model: SpectralModel, window) -> np.ndarray:
     """Spectral calculus: sum of window(angle) times the angle projection."""
-    vals = np.array([window(t) for t in model.eigenangles])
-    return np.einsum("k,kab->ab", vals, model.eigenprojections)
+    return model._spectral_sum(np.array([window(t) for t in model.eigenangles]))
 
 
 @dataclass
@@ -297,17 +290,16 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
     lifted = []
     worst_stats_gap = 0.0
     for idx, (a, b) in enumerate(partition.arcs()):
-        q = model.arc_projection(a, b)
-        qxi = q @ xi
-        qeta = q @ eta
-        m_xi = float(np.vdot(qxi, qxi).real)
-        m_eta = float(np.vdot(qeta, qeta).real)
+        basis = model.arc_basis(a, b)
+        src = dagger(basis) @ xi
+        dst = dagger(basis) @ eta
+        m_xi = float(np.vdot(src, src).real)
+        m_eta = float(np.vdot(dst, dst).real)
         if min(m_xi, m_eta) <= skip_level:
             rows.append(ArcRow(idx, m_xi, m_eta,
                                skipped=True,
                                terminal_contribution=float(np.sqrt(m_xi + m_eta))))
             continue
-        basis = _projection_basis(q)
         sub_block = _compress_units(block, basis)
         if sub_block.multiplicity == 0:
             raise ArcOutsideBlockError(
@@ -315,11 +307,10 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
                 "subspace misses the matrix-unit block",
                 arc_index=idx,
             )
-        src = dagger(basis) @ (qxi / np.sqrt(m_xi))
-        dst = dagger(basis) @ (qeta / np.sqrt(m_eta))
-        res = commutant_transport(sub_block, src, dst, eps, exact=True)
+        res = commutant_transport(sub_block, src / np.sqrt(m_xi), dst / np.sqrt(m_eta),
+                                  eps, exact=True)
         worst_stats_gap = max(worst_stats_gap, res.measured_gap)
-        lifted.append(_lift_path(res.path, basis, model.dim))
+        lifted.append(_lift_path(res.path, basis))
         rows.append(ArcRow(idx, m_xi, m_eta, skipped=False,
                            terminal_contribution=abs(np.sqrt(m_xi) - np.sqrt(m_eta))))
 
@@ -354,12 +345,6 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
     )
 
 
-def _projection_basis(q: np.ndarray) -> np.ndarray:
-    """Orthonormal column basis of the range of a projection."""
-    w, v = np.linalg.eigh((q + dagger(q)) / 2)
-    return v[:, w > 0.5]
-
-
 def _compress_units(block: MatrixUnits, basis: np.ndarray) -> MatrixUnits:
     """The units basis^* e_ij basis on a reducing subspace (columns of
     ``basis``).  W = basis^* V has W^* W = 1_n (x) p for the r x r corner
@@ -371,15 +356,16 @@ def _compress_units(block: MatrixUnits, basis: np.ndarray) -> MatrixUnits:
     return MatrixUnits(block.n, (w @ vecs[:, vals > 0.5]).reshape(basis.shape[1], -1))
 
 
-def _lift_path(path: UnitaryPath, basis: np.ndarray, ambient: int) -> UnitaryPath:
-    """Extend a path on a subspace (columns of ``basis``) by the identity."""
-    comp = np.eye(ambient, dtype=complex) - basis @ dagger(basis)
+def _lift_path(path: UnitaryPath, basis: np.ndarray) -> UnitaryPath:
+    """Extend a path on a subspace (columns V of ``basis``) by the identity:
+    generator V h V^*, base 1 + V (B - 1) V^*."""
+    ambient, r = basis.shape
     segs = [
         PathSegment(
             s.t0,
             s.t1,
             basis @ s.generator @ dagger(basis),
-            basis @ s.base @ dagger(basis) + comp,
+            np.eye(ambient, dtype=complex) + basis @ (s.base - np.eye(r)) @ dagger(basis),
         )
         for s in path.segments
     ]

@@ -371,6 +371,14 @@ def _orthogonal_leg(action, folner, xi, orbit_xi, orbit_eta,
     }
 
 
+def _difference_set(folner: FolnerSet) -> list:
+    """F^{-1} F in sorted order for the centred box F of ``folner_set``
+    (Z^d): the centred box of twice the half-width."""
+    half = int(np.max(np.abs(folner.elements)))
+    rank = len(folner.elements[0])
+    return list(itertools.product(range(-2 * half, 2 * half + 1), repeat=rank))
+
+
 def _find_detour(action: GroupAction, folner: FolnerSet, xi: np.ndarray,
                  eta: np.ndarray, delta: float) -> np.ndarray:
     """Vector with the correlation data of xi whose orbit is orthogonal to
@@ -385,15 +393,13 @@ def _find_detour(action: GroupAction, folner: FolnerSet, xi: np.ndarray,
     """
     if action.kind != "Zd":
         raise UnsupportedGroupError("overlapping orbits need a Z^d action for the detour")
-    diff_elems = sorted(
-        {action.multiply(action.inverse(g), h)
-         for g in folner.elements for h in folner.elements}
-    )
+    diff_elems = _difference_set(folner)
     # A cluster has radius tol / 2 about its first tuple, so phi_gj moves by
     # at most reach * tol / 2 inside it and clustering moves no correlation
     # by more than reach * tol = delta / 4; dropping the clusters below the
-    # mass floor moves them by less than dim * floor = delta / 4.
-    reach = max(max(sum(abs(k) for k in g) for g in diff_elems), 1)
+    # mass floor moves them by less than dim * floor = delta / 4.  reach is
+    # the largest |g|_1 over the difference set, at its last corner.
+    reach = max(sum(diff_elems[-1]), 1)
     tol = delta / (4 * reach)
     floor = delta / (4 * action.dim)
     q, angles = action.eigenbasis, action.angles

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from state_transport.algebra import conjugated_units, full_matrix_units
 from state_transport.circle import (
+    ANGLE_CLUSTER_TOL,
     SpectralModel,
     _compress_units,
     _window_masses,
@@ -17,7 +20,7 @@ from state_transport.errors import (
     InfeasiblePartitionError,
     StateTransportError,
 )
-from state_transport.linalg import dagger, op_norm
+from state_transport.linalg import _unitary_eig, check_unitary, dagger, op_norm
 from state_transport.suites import circle_instance, random_state, random_unitary
 
 
@@ -39,6 +42,65 @@ def test_arc_mass_half_open():
     assert model.arc_mass(xi, 0.25, 0.5) == pytest.approx(0.0)
     # wraparound arc
     assert model.arc_mass(xi, 0.8, 0.3) == pytest.approx(1.0)
+
+
+def _dense_oracle(z):
+    """Cluster angles and dense (m, D, D) cluster projections of z, clustered
+    angle by angle: a neighbour closer than the tolerance joins the current
+    cluster, and a last cluster wrapping through 0 joins the first."""
+    lam, q = _unitary_eig(check_unitary(z))
+    angles = np.mod(np.angle(lam) / (2 * np.pi), 1.0)
+    order = np.argsort(angles, kind="stable")
+    angles = angles[order]
+    q = q[:, order]
+    groups = []
+    for idx in range(angles.size):
+        if groups and angles[idx] - angles[groups[-1][-1]] < ANGLE_CLUSTER_TOL:
+            groups[-1].append(idx)
+        else:
+            groups.append([idx])
+    if len(groups) > 1 and (1.0 - angles[groups[-1][0]]) + angles[0] < ANGLE_CLUSTER_TOL:
+        groups[0] = groups.pop() + groups[0]
+    reps = np.array([angles[g[-1]] if g[0] > g[-1] else angles[g[0]] for g in groups])
+    return reps, np.array([q[:, g] @ dagger(q[:, g]) for g in groups])
+
+
+@settings(max_examples=60, deadline=None)
+@given(mults=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+       wrap=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_column_model_matches_dense_projections(mults, wrap, seed):
+    # Clusters whose neighbouring angles lie up to 1.1 tolerances apart (so
+    # some split), the first centred on angle 0 when ``wrap``, all
+    # conjugated by a random unitary.
+    rng = np.random.default_rng(seed)
+    k = len(mults)
+    centres = (np.arange(k) + rng.uniform(0.2, 0.8, k)) / k
+    if wrap:
+        centres[0] = 0.0
+    angles = []
+    for c, m in zip(centres, mults):
+        steps = np.cumsum(np.append(0.0, rng.uniform(0.0, 1.1, m - 1))) * ANGLE_CLUSTER_TOL
+        angles.extend(c + steps - steps.mean())
+    u = random_unitary(rng, len(angles))
+    z = (u * np.exp(2j * np.pi * np.array(angles))) @ dagger(u)
+    model = SpectralModel.from_unitary(z)
+    reps, projs = _dense_oracle(z)
+    assert np.array_equal(model.eigenangles, reps)
+    xi = random_state(rng, len(angles))
+    masses = np.array([np.vdot(xi, p @ xi).real for p in projs])
+    assert np.max(np.abs(model.point_masses(xi) - masses)) < 1e-12
+    for a, b in [rng.uniform(0, 1, 2), (rng.uniform(0, 1), reps[rng.integers(reps.size)])]:
+        mask = _in_arc_oracle(reps, a, b)
+        assert abs(model.arc_mass(xi, a, b) - np.sum(masses[mask])) < 1e-12
+        v = model.arc_basis(a, b)
+        assert op_norm(dagger(v) @ v - np.eye(v.shape[1])) < 1e-12
+        assert op_norm(v @ dagger(v) - np.sum(projs[mask], axis=0)) < 1e-12
+    a = rng.uniform(0, 1)
+    w = window_function((a, a + rng.uniform(0.05, 0.95)), 0.01)
+    dense = np.einsum("k,kab->ab", [w(t) for t in reps], projs)
+    assert op_norm(evaluate_window(model, w) - dense) < 1e-12
+    rebuilt = np.einsum("k,kab->ab", np.exp(2j * np.pi * reps), projs)
+    assert abs(model.reconstruction_defect() - op_norm(z - rebuilt)) < 1e-12
 
 
 def test_circle_partition_invariants(rng):
@@ -197,9 +259,8 @@ def _atom_model(angles):
     given angles."""
     dim = len(angles)
     z = np.diag(np.exp(2j * np.pi * angles))
-    projs = np.zeros((dim, dim, dim), dtype=complex)
-    projs[np.arange(dim), np.arange(dim), np.arange(dim)] = 1.0
-    return SpectralModel(z=z, eigenangles=np.asarray(angles), eigenprojections=projs)
+    return SpectralModel(z=z, eigenangles=np.asarray(angles),
+                         eigenbasis=np.eye(dim, dtype=complex), labels=np.arange(dim))
 
 
 @pytest.mark.parametrize("seed", range(24))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from state_transport.gram import VectorFamily
 from state_transport.group import (
     EXP_SERIES_CONSTANT,
     GroupAction,
+    _difference_set,
     _find_detour,
     _graph_factors,
     _orbit,
@@ -235,6 +238,39 @@ def test_closed_form_detour_multiplicity_condition(mults, rank, spread, phase_ta
         assert np.max(np.abs(cross)) < tol
     res = group_state_transport(action, xi, eta, shifts, eps, t_samples=3)
     assert res.terminal_error <= res.terminal_bound
+
+
+@pytest.mark.parametrize("rank, eps", [(1, 0.5), (1, 0.1), (2, 0.9), (2, 0.4)])
+def test_difference_set_matches_pairwise_oracle(rng, rank, eps):
+    action, _, _, _ = _clustered_action(rng, [1, 2], rank, 0.0)
+    shifts = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
+    folner = folner_set(action, shifts, eps)
+    pairwise = sorted({action.multiply(action.inverse(g), h)
+                       for g in folner.elements for h in folner.elements})
+    assert _difference_set(folner) == pairwise
+
+
+def test_detour_on_a_large_z2_box():
+    # Z^2 acting identically on three copies of C^8; the Folner box has side
+    # 81 (|F| = 6561) and its difference set 161^2 elements.
+    rng = np.random.default_rng(5)
+    q = random_unitary(rng, 8)
+    gens = [np.kron(np.eye(3), (q * np.exp(1j * rng.uniform(-np.pi, np.pi, 8))) @ dagger(q))
+            for _ in range(2)]
+    action = integer_action(gens)
+    xi = np.concatenate([random_state(rng, 8), np.zeros(16)])
+    eta = np.exp(0.4j) * xi
+    folner = folner_set(action, [(1, 0), (0, 1)], 0.05)
+    assert len(folner.elements) == 6561
+    delta = (0.1 / (2 * EXP_SERIES_CONSTANT)) ** 2 / len(folner.elements)
+    start = time.perf_counter()
+    mid = _find_detour(action, folner, xi, eta, delta)
+    assert time.perf_counter() - start < 5.0
+    diffs = _difference_set(folner)
+    assert len(diffs) == 161**2
+    residual = np.max(np.abs(_orbit(action, diffs, mid) @ mid.conj()
+                             - _orbit(action, diffs, xi) @ xi.conj()))
+    assert residual < delta
 
 
 def _flip_oracle(xs, zs):
