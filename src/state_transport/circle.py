@@ -319,21 +319,13 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
     else:
         path = UnitaryPath.constant(model.dim)
 
-    terminal = float(np.linalg.norm(path.end() @ xi - eta))
-    z_sup = 0.0
-    fam_sup = 0.0
-    for t in path.sample_times(t_samples):
-        ut = path.at(t)
-        z_sup = max(z_sup, op_norm(ut @ model.z - model.z @ ut))
-        for x in family:
-            fam_sup = max(fam_sup, op_norm(ut @ x - x @ ut))
     return ArcTransportResult(
         path=path,
         partition=partition,
         rows=rows,
-        terminal_error=terminal,
-        z_commutator_sup=z_sup,
-        family_commutator_sup=fam_sup,
+        terminal_error=float(np.linalg.norm(path.end() @ xi - eta)),
+        z_commutator_sup=path.commutator_sup([model.z], t_samples),
+        family_commutator_sup=path.commutator_sup(family, t_samples),
         terminal_bound=2 * np.sqrt(3.0) * eps,
         z_commutator_bound=3 * np.pi * eps,
         extras={

@@ -130,8 +130,8 @@ def _path_csv(path, xi, eta):
     header = ["t", "distance_to_target", "length_so_far"]
     rows = []
     total = path.length
-    for t in path.sample_times(33):
-        u = path.at(t)
+    ts = path.sample_times(33)
+    for t, u in zip(ts, path.at_times(ts)):
         frac = 0.0
         if path.t_end > path.t_start:
             frac = (t - path.t_start) / (path.t_end - path.t_start)
@@ -170,10 +170,7 @@ def _run_projection(config):
     xi = serialize.decode_vector(config["xi"])
     eta = serialize.decode_vector(config["eta"])
     path = projection_transport(e, xi, eta)
-    comm = max(
-        float(np.linalg.norm(path.at(t) @ e - e @ path.at(t), 2))
-        for t in path.sample_times(64)
-    )
+    comm = path.commutator_sup([e], 64)
     measured = {"length": path.length, "projection_commutator": comm}
     bounds = {"length": np.pi / 2 + 1e-8, "projection_commutator": 1e-9}
     return measured, bounds, _path_csv(path, xi, eta)
@@ -187,13 +184,8 @@ def _run_commutant(config):
     eta = serialize.decode_vector(config["eta"])
     eps = float(config["eps"])
     res = commutant_transport(mu, xi, eta, eps)
-    comm = 0.0
-    for t in res.path.sample_times(8):
-        ut = res.path.at(t)
-        for i in range(n):
-            for j in range(n):
-                e = mu.unit(i, j)
-                comm = max(comm, float(np.linalg.norm(ut @ e - e @ ut, 2)))
+    units = [mu.unit(i, j) for i in range(n) for j in range(n)]
+    comm = res.path.commutator_sup(units, 8)
     measured = {
         "terminal_error": res.terminal_error,
         "unit_commutator": comm,

@@ -232,7 +232,7 @@ def _graph_factors(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarr
     so the family W x_g has exactly the Gram matrix of the x_g; when the
     y_g already equal U x_g for such an isometry U, V B^* = U on span(B).
     """
-    u, rank = _left_basis(xs.T)
+    u, rank = _left_basis(xs.T, full=False)
     b = u[:, :rank]
     y = ys.T - b @ (dagger(b) @ ys.T)
     a, _, vh = np.linalg.svd(y @ xs.conj() @ b, full_matrices=False)
@@ -261,10 +261,11 @@ def _graph_projection(xs: np.ndarray, zs: np.ndarray, b: np.ndarray,
     return (e + dagger(e)) / 2
 
 
-def _left_basis(columns: np.ndarray) -> tuple[np.ndarray, int]:
-    """Full left singular basis of ``columns`` and their numerical rank:
-    singular values above 1e-10 of the largest count."""
-    u, s, _ = np.linalg.svd(columns, full_matrices=True)
+def _left_basis(columns: np.ndarray, full: bool = True) -> tuple[np.ndarray, int]:
+    """Left singular basis of ``columns``, the full one or, unless ``full``,
+    the thin one, and their numerical rank: singular values above 1e-10 of
+    the largest count."""
+    u, s, _ = np.linalg.svd(columns, full_matrices=full)
     return u, int(np.sum(s > 1e-10 * max(s[0] if s.size else 0.0, 1e-30)))
 
 
@@ -315,7 +316,7 @@ def group_state_transport(action: GroupAction, xi: np.ndarray, eta: np.ndarray,
         path=path,
         terminal_error=float(np.linalg.norm(path.end() @ xi - eta)),
         terminal_bound=legs * (eps_prime * EXP_SERIES_CONSTANT + 2 * eps_prime),
-        commutator_sup=_commutator_sup(action, path, gens, t_samples),
+        commutator_sup=path.commutator_sup([action.rep(g) for g in gens], t_samples),
         commutator_bound=legs * np.pi * eps,
         eps_prime=eps_prime,
         folner=folner,
@@ -330,18 +331,6 @@ def _orbit(action: GroupAction, elements: list, v: np.ndarray) -> np.ndarray:
         return np.array([action.rep(g) @ v for g in elements])
     q = action.eigenbasis
     return (action.phases(elements) * (dagger(q) @ v)) @ q.T
-
-
-def _commutator_sup(action: GroupAction, path: UnitaryPath, gens: list,
-                    t_samples: int) -> float:
-    """Largest ||[u(t), rep(g)]|| over the sampled times and the generators."""
-    reps = [action.rep(g) for g in gens]
-    sup = 0.0
-    for t in path.sample_times(t_samples):
-        ut = path.at(t)
-        for r in reps:
-            sup = max(sup, op_norm(ut @ r - r @ ut))
-    return sup
 
 
 def _orthogonal_leg(action, folner, xi, orbit_xi, orbit_eta,

@@ -136,7 +136,6 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     generators = [tower.level_generators(lev) for lev in range(1, schedule.rounds + 1)]
     p_odd = np.eye(dim, dtype=complex)
     p_even = np.eye(dim, dtype=complex)
-    unitaries: list[np.ndarray] = []
     round_paths: list[UnitaryPath] = []
     logs: list[dict] = []
 
@@ -159,7 +158,6 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
             ) from exc
         u_n = dagger(res.path.end())
         round_paths.append(res.path.adjoint())
-        unitaries.append(u_n)
         if odd_side:
             p_odd = p_odd @ u_n
         else:
@@ -168,11 +166,9 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         level_gens = [x for gens in generators[:n] for x in gens]
         check_set = list(fixed_set) + level_gens
         # Conjugated companions along the opposite-parity string
-        # u_{n-1}^* u_{n-3}^* ... (down to index 1 or 2 by parity).
-        w = np.eye(dim, dtype=complex)
-        for k in range(n - 1, 0, -2):
-            w = w @ dagger(unitaries[k - 1])
+        # w = u_{n-1}^* u_{n-3}^* ..., the adjoint of that parity's product.
         if n > 1:
+            w = dagger(p_even if odd_side else p_odd)
             check_set.extend(w @ x @ dagger(w) for x in level_gens)
         comm = max((op_norm(u_n @ x - x @ u_n) for x in check_set), default=0.0)
         budget = schedule.budget(n)
@@ -269,10 +265,6 @@ def assemble_path(result: IntertwineResult,
 
 def assembled_commutation_sup(path: UnitaryPath, fixed_set: list[np.ndarray],
                               samples: int = 33) -> float:
-    """Sampled sup over t of || Ad v(t)(x) - x || for x in the fixed set."""
-    sup = 0.0
-    for t in path.sample_times(samples):
-        v = path.at(t)
-        for x in fixed_set:
-            sup = max(sup, op_norm(v @ x @ dagger(v) - x))
-    return sup
+    """Sampled sup over t of || Ad v(t)(x) - x || for x in the fixed set,
+    which is ||[v(t), x]|| for unitary v(t)."""
+    return path.commutator_sup(fixed_set, samples)

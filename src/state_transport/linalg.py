@@ -120,7 +120,12 @@ def expm_skew(h: np.ndarray, t: float = 1.0) -> np.ndarray:
 def _expm_skew(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(i t h) for a library-built Hermitian h, without validation: the
     exponential of the symmetrised (h + h^*) / 2."""
-    w, v = np.linalg.eigh((h + dagger(h)) / 2)
+    return _expm_eigh(np.linalg.eigh((h + dagger(h)) / 2), t)
+
+
+def _expm_eigh(eig: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
+    """exp(i t h) = v diag(e^{i t w}) v^* from the eigenpairs (w, v) of h."""
+    w, v = eig
     return (v * np.exp(1j * t * w)) @ dagger(v)
 
 

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import CertificateError, DimensionError
-from .linalg import _expm_skew, dagger, op_norm
+from .linalg import _expm_eigh, dagger, op_norm
 
 JOINT_TOL = 1e-10
 
@@ -40,9 +42,19 @@ class PathSegment:
         return float(np.max(np.abs(np.linalg.eigvalsh((h + dagger(h)) / 2))))
 
     def at(self, t: float) -> np.ndarray:
+        return self._at(t, self._eigh)
+
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs of the symmetrised generator (h + h^*) / 2."""
+        h = self.generator
+        return np.linalg.eigh((h + dagger(h)) / 2)
+
+    def _at(self, t: float, eigh: Callable) -> np.ndarray:
+        """u(t), exponentiating the generator's eigenpairs ``eigh()``; at t0
+        a copy of the base, without calling ``eigh``."""
         if t == self.t0:
             return np.array(self.base, dtype=complex)
-        return _expm_skew(self.generator, t - self.t0) @ self.base
+        return _expm_eigh(eigh(), t - self.t0) @ self.base
 
     def end(self) -> np.ndarray:
         return self.at(self.t1)
@@ -81,13 +93,40 @@ class UnitaryPath:
     def length(self) -> float:
         return float(sum(s.duration * s.speed for s in self.segments))
 
-    def at(self, t: float) -> np.ndarray:
+    def _locate(self, t: float) -> tuple[int, float]:
+        """The index of the segment that evaluates t, and the time it is
+        evaluated at: t clamped to [t_start, t_end], on the first segment
+        whose end is not before it."""
         if t <= self.t_start:
-            return self.segments[0].at(self.t_start)
-        for seg in self.segments:
+            return 0, self.t_start
+        for k, seg in enumerate(self.segments):
             if t <= seg.t1:
-                return seg.at(t)
-        return self.segments[-1].end()
+                return k, t
+        return len(self.segments) - 1, self.t_end
+
+    def at(self, t: float) -> np.ndarray:
+        k, t = self._locate(t)
+        return self.segments[k].at(t)
+
+    def at_times(self, ts: Iterable[float]) -> Iterator[np.ndarray]:
+        """Yield ``at(t)`` for each t in ts, in order and equal bit for bit,
+        with one eigendecomposition per segment reached and one sample
+        alive at a time."""
+        eighs = [cache(seg._eigh) for seg in self.segments]
+        for t in ts:
+            k, t = self._locate(t)
+            yield self.segments[k]._at(t, eighs[k])
+
+    def commutator_sup(self, elements: list[np.ndarray], samples: int) -> float:
+        """Largest ||[u(t), x]|| over ``sample_times(samples)`` and the
+        elements x; 0.0, without evaluating the path, when there are none.
+
+        A sampled max, not a certified sup."""
+        if len(elements) == 0:
+            return 0.0
+        return max(op_norm(u @ x - x @ u)
+                   for u in self.at_times(self.sample_times(samples))
+                   for x in elements)
 
     def start(self) -> np.ndarray:
         return self.segments[0].at(self.t_start)
@@ -106,9 +145,8 @@ class UnitaryPath:
         return worst
 
     def chord_sum(self, samples: int = 64) -> float:
-        ts = np.linspace(self.t_start, self.t_end, samples + 1)
-        us = [self.at(t) for t in ts]
-        return float(sum(op_norm(b - a) for a, b in zip(us, us[1:])))
+        us = self.at_times(np.linspace(self.t_start, self.t_end, samples + 1))
+        return float(sum(op_norm(b - a) for a, b in itertools.pairwise(us)))
 
     def sample_times(self, samples: int = 64) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, samples)

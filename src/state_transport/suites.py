@@ -234,14 +234,8 @@ def suite_commutant(seed: int, instances: int) -> dict:
         eps = epss[(i // len(shapes)) % len(epss)]
         mu, xi, eta = commutant_instance(rng, n, r, eps)
         res = commutant_transport(mu, xi, eta, eps)
-        comm = 0.0
-        for t in res.path.sample_times(8):
-            ut = res.path.at(t)
-            for a in range(n):
-                for b in range(n):
-                    e = mu.unit(a, b)
-                    comm = max(comm, op_norm(ut @ e - e @ ut))
-        return res.terminal_error, eps, comm
+        units = [mu.unit(a, b) for a in range(n) for b in range(n)]
+        return res.terminal_error, eps, res.path.commutator_sup(units, 8)
 
     results = [one(i) for i in range(instances)]
     return {

@@ -100,11 +100,9 @@ def geodesic_lower_bound(path: UnitaryPath, xi: np.ndarray, eta: np.ndarray,
 
     # Spectrum-tracked chain certificate: walk the eigenvalue e^{i phi}
     # backwards to t=0 by nearest-eigenvalue matching.
-    ts = path.sample_times(samples + 1)
     tracked = np.exp(1j * phi)
     prev_u = u1
-    for t in ts[::-1][1:]:
-        u = path.at(t)
+    for u in path.at_times(path.sample_times(samples + 1)[::-1][1:]):
         spec, _ = _unitary_eig(u)
         mu = spec[np.argmin(np.abs(spec - tracked))]
         step = abs(mu - tracked)
@@ -349,15 +347,10 @@ def multi_transport(alg: BlockAlgebra, pairs: list[tuple[np.ndarray, np.ndarray]
         float(np.linalg.norm(u1 @ xi - eta)) for xi, eta in
         [(check_state(x), check_state(y)) for x, y in pairs]
     ]
-    sup = 0.0
-    for t in path.sample_times(t_samples):
-        ut = path.at(t)
-        for x in family:
-            sup = max(sup, op_norm(ut @ x - x @ ut))
     return MultiTransportResult(
         path=path,
         terminal_errors=terminal_errors,
-        commutator_sup=sup,
+        commutator_sup=path.commutator_sup(family, t_samples),
         per_block=per_block,
     )
 

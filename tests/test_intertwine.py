@@ -14,7 +14,7 @@ from state_transport.intertwine import (
     make_schedule,
 )
 from state_transport.linalg import dagger, op_norm
-from state_transport.suites import random_state, random_unitary
+from state_transport.suites import intertwine_instance, random_state, random_unitary
 
 
 def _small_instance(rng, ambient=16, levels=4, comm_level=3):
@@ -144,3 +144,40 @@ def test_assemble_path_rejects_unbased_round(rng):
     bad = [result.round_paths[0].left_multiplied(random_unitary(rng, 16))]
     with pytest.raises(AssemblyError):
         assemble_path(result, per_round_paths=bad)
+
+
+def test_assembled_commutation_sup_matches_ad_form(rng):
+    # ||v x v^* - x|| = ||[v, x]|| for unitary v
+    tower, xi, eta = _small_instance(rng)
+    fixed = tower.level_generators(1) + tower.level_generators(2)
+    result = back_and_forth(tower, xi, eta, fixed, make_schedule(tower, 0.1, 3))
+    path = assemble_path(result)
+    oracle = max(
+        op_norm(v @ x @ dagger(v) - x)
+        for v in (path.at(t) for t in path.sample_times(9)) for x in fixed
+    )
+    assert abs(assembled_commutation_sup(path, fixed, samples=9) - oracle) <= 1e-13
+
+
+def test_round_commutations_match_rebuilt_companions(rng):
+    # round n checks u_n against the fixed set, the level generators up to n
+    # and their conjugates by the string w = u_{n-1}^* u_{n-3}^* ...; the
+    # twist keeps rounds after the first from being the identity, so the
+    # companions, not the generators, give the even round's commutation
+    tower, xi, eta = intertwine_instance(rng, ambient=16, levels=4,
+                                         commutant_level=3, twist=1e-5)
+    rounds = 3
+    fixed = tower.level_generators(1)
+    result = back_and_forth(tower, xi, eta, fixed, make_schedule(tower, 0.1, rounds))
+    us = [p.end() for p in result.round_paths]
+    gens = []
+    for n in range(1, rounds + 1):
+        gens += tower.level_generators(n)
+        w = np.eye(16, dtype=complex)
+        for k in range(n - 1, 0, -2):
+            w = w @ dagger(us[k - 1])
+        check = fixed + gens + ([w @ x @ dagger(w) for x in gens] if n > 1 else [])
+        u_n = us[n - 1]
+        oracle = max(op_norm(u_n @ x - x @ u_n) for x in check)
+        assert abs(result.logs[n - 1]["commutation"] - oracle) <= 1e-12
+    assert result.logs[1]["commutation"] > 1e-9

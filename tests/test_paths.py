@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from state_transport.linalg import dagger, op_norm
 from state_transport.path import (
@@ -108,3 +110,101 @@ def test_length_is_cached_generator_norm(rng, monkeypatch):
     for _ in range(3):
         assert path.length == path.length
     assert len(calls) == len(path.segments)
+
+
+def _multi_segment_path(kind, rng):
+    """Paths with several segments, from each way the library builds them."""
+    xi, mid, eta = (random_state(rng, 4) for _ in range(3))
+    concat = concat_paths(geodesic_pair(xi, mid), geodesic_pair(mid, eta))
+    if kind == "concatenated":
+        return concat_paths(concat, geodesic_pair(eta, xi))
+    if kind == "rescaled":
+        return concat.rescaled(-0.5, 2.0)
+    if kind == "adjoint":
+        return concat.adjoint()
+    if kind == "constant":
+        return UnitaryPath.constant(4, random_unitary(rng, 4))
+    # merged: blocks cut at different times, so the merge has three segments
+    pieces = []
+    for block, cut in ((slice(0, 2), 0.3), (slice(2, 4), 0.6)):
+        segs = []
+        base = np.eye(4, dtype=complex)
+        for t0, t1 in ((0.0, cut), (cut, 1.0)):
+            h = np.zeros((4, 4), dtype=complex)
+            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            h[block, block] = a + dagger(a)
+            segs.append(PathSegment(t0, t1, h, base))
+            base = segs[-1].end()
+        pieces.append(UnitaryPath(segs))
+    return merge_orthogonal_paths(pieces)
+
+
+PATH_KINDS = ("concatenated", "merged", "rescaled", "adjoint", "constant")
+
+
+def _segment_reached(path, t):
+    """The segment ``at`` evaluates t on: the first, for t up to the start;
+    else the first that ends at or after t; else the last."""
+    if t <= path.t_start:
+        return 0
+    ends = [s.t1 for s in path.segments]
+    return next((k for k, t1 in enumerate(ends) if t <= t1), len(ends) - 1)
+
+
+def _count_eigh(mp):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(x):
+        calls.append(x.shape)
+        return eigh(x)
+
+    mp.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(PATH_KINDS), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_at_times_equals_at_with_one_eigh_per_segment(kind, seed, data):
+    path = _multi_segment_path(kind, np.random.default_rng(seed))
+    lo, hi = path.t_start, path.t_end
+    special = [lo, hi, lo - 0.25, hi + 0.25] + [s.t1 for s in path.segments[:-1]]
+    ts = data.draw(st.lists(
+        st.one_of(st.sampled_from(special), st.floats(lo - 1.0, hi + 1.0)),
+        min_size=1, max_size=12,
+    ))
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_eigh(mp)
+        values = list(path.at_times(ts))
+    assert len(calls) <= len({_segment_reached(path, t) for t in ts})
+    assert len(values) == len(ts)
+    for t, u in zip(ts, values):
+        assert np.array_equal(u, path.at(t))
+        assert all(u is not s.base for s in path.segments)
+
+
+def _commutator_oracle(path, elements, samples):
+    sup = 0.0
+    for t in path.sample_times(samples):
+        u = path.at(t)
+        for x in elements:
+            sup = max(sup, op_norm(u @ x - x @ u))
+    return sup
+
+
+@pytest.mark.parametrize("kind", PATH_KINDS)
+def test_commutator_sup_equals_sampled_oracle(rng, kind):
+    path = _multi_segment_path(kind, rng)
+    elements = [random_unitary(rng, 4), np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)]
+    for samples in (1, 5, 16):
+        assert path.commutator_sup(elements, samples) == \
+            _commutator_oracle(path, elements, samples)
+
+
+def test_commutator_sup_without_elements_evaluates_nothing(rng):
+    path = _multi_segment_path("concatenated", rng)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_eigh(mp)
+        assert path.commutator_sup([], 64) == 0.0
+    assert calls == []
