@@ -7,15 +7,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, HypothesisError, InvalidTargetError, NotPSDError
-from .linalg import (
-    dagger,
-    map_families_unitary,
-    op_norm,
-    orthonormal_extension,
-    psd_sqrt,
-)
+from .linalg import dagger, psd_sqrt
 
 NORMALIZED_FAMILY_TOL = 1e-12
+# Singular values of the aligned src rows below this fraction of the largest
+# count as zero: those directions get the minimal-rotation completion.
+SRC_RANK_RTOL = 1e-13
 
 
 @dataclass
@@ -71,9 +68,9 @@ def gram_complete(fam: VectorFamily, target: GramTarget) -> VectorFamily:
     """Vectors eta with <eta_i, eta_j> = c[i, j] and the minimal displacement
     ||eta_i - xi_i||^2 = ((c^1/2 - d^1/2)^2)_ii.
 
-    Realized as W = c^1/2 U with Y = d^1/2 U the polar form of the input
-    coordinates; this is the limit object of the perturbation argument that
-    handles singular d, and satisfies both identities exactly.
+    With x = A S B^* the thin SVD of the family's rows, Omega = A B^* is a
+    co-isometry with x = d^1/2 Omega, and eta = c^1/2 Omega.  For singular d
+    Omega is one of several polar factors; each satisfies both identities.
     """
     n = target.n
     if fam.size != n:
@@ -81,21 +78,12 @@ def gram_complete(fam: VectorFamily, target: GramTarget) -> VectorFamily:
     if fam.dim < n:
         raise DimensionError(f"need ambient dimension >= {n}, got {fam.dim}")
     fam.require_normalized()
-
-    d = gram_matrix(fam)
-    # Orthonormal basis of an n-dimensional subspace containing the family.
-    q = orthonormal_extension(fam.vectors.T, n)  # dim x n
-    y = fam.vectors @ q.conj()  # n x n coordinates, row i = xi_i in basis q
-    # Polar factor: y = d^1/2 u with u unitary.
-    a, s, bh = np.linalg.svd(y)
-    u = a @ bh
     try:
         c_half = psd_sqrt(target.c)
     except NotPSDError as exc:
         raise InvalidTargetError(str(exc)) from exc
-    w = c_half @ u
-    eta = w @ q.T  # back to ambient coordinates
-    return VectorFamily(dim=fam.dim, vectors=eta)
+    a, _, bh = np.linalg.svd(fam.vectors, full_matrices=False)
+    return VectorFamily(dim=fam.dim, vectors=c_half @ (a @ bh))
 
 
 def greedy_pivot_select(fam: VectorFamily, m: int) -> list[int]:
@@ -161,46 +149,43 @@ def alignment_bound(n: int, dim: int, delta: float) -> float:
 def align_unitary(src: VectorFamily, dst: VectorFamily, delta: float) -> AlignmentResult:
     """Unitary U with U xi_i close to eta_i, given Gram matrices within delta.
 
-    Full-rank case (dim >= n): completes dst to the exact Gram of src and maps
-    src onto the completion exactly.  Rank-deficient case (dim < n): aligns the
-    greedy pivot subfamilies; the remaining residuals obey
-    m * eps + (m+1)^2 * delta.
+    One construction for both regimes; only the aligned rows differ: all of
+    them when dim >= n, the ``greedy_pivot_select`` pivots when dim < n.  With
+    x = A S B^* the thin SVD of the chosen src rows and Omega_x, Omega_y the
+    row-polar factors of the src and dst rows, the frames F = (A_k^* Omega)^T
+    span the src rows' range (k its numerical rank) and its image in the
+    Gram completion of dst.  Then U = polar(F_y F_x^* + (1 - P_y)(1 - P_x))
+    with P = F F^*: it maps F_x onto F_y, so every chosen src row onto the
+    completion, and is the minimal rotation between the complements.  The
+    remaining residuals obey ``alignment_bound``.
     """
     if src.dim != dst.dim or src.size != dst.size:
         raise ValueError("families must share dimension and size")
     src.require_normalized()
     dst.require_normalized()
-    n = src.size
+    n, dim = src.size, src.dim
     gap = float(np.max(np.abs(gram_matrix(src) - gram_matrix(dst)))) if n else 0.0
     if gap >= delta:
         raise HypothesisError(
             f"Gram gap {gap:.3e} is not below delta={delta:.3e}", measured_gap=gap
         )
 
-    if src.dim >= n:
-        target = GramTarget(n=n, c=gram_matrix(src))
-        zeta = gram_complete(dst, target)
-        u = map_families_unitary(src.vectors, zeta.vectors)
-        residuals = np.linalg.norm(src.vectors @ u.T - dst.vectors, axis=1)
-        return AlignmentResult(
-            unitary=u,
-            residuals=residuals,
-            bound=alignment_bound(n, src.dim, delta),
-            full_rank=True,
-        )
-
-    m = src.dim
-    pivots = greedy_pivot_select(src, m)
-    sub_src = VectorFamily(src.dim, src.vectors[pivots])
-    sub_dst = VectorFamily(dst.dim, dst.vectors[pivots])
-    target = GramTarget(n=m, c=gram_matrix(sub_src))
-    zeta = gram_complete(sub_dst, target)
-    u = map_families_unitary(sub_src.vectors, zeta.vectors)
-    residuals = np.linalg.norm(src.vectors @ u.T - dst.vectors, axis=1)
+    full_rank = dim >= n
+    pivots = [] if full_rank else greedy_pivot_select(src, dim)
+    rows = slice(None) if full_rank else pivots
+    a, s, bh = np.linalg.svd(src.vectors[rows], full_matrices=False)
+    ay, _, byh = np.linalg.svd(dst.vectors[rows], full_matrices=False)
+    k = int(np.sum(s > SRC_RANK_RTOL * s[0])) if s.size else 0
+    fx = bh[:k].T  # = (A_k^* Omega_x)^T
+    fy = (dagger(a[:, :k]) @ ay @ byh).T
+    eye = np.eye(dim)
+    m = fy @ dagger(fx) + (eye - fy @ dagger(fy)) @ (eye - fx @ dagger(fx))
+    um, _, vmh = np.linalg.svd(m)
+    u = um @ vmh
     return AlignmentResult(
         unitary=u,
-        residuals=residuals,
-        bound=alignment_bound(n, src.dim, delta),
-        full_rank=False,
+        residuals=np.linalg.norm(src.vectors @ u.T - dst.vectors, axis=1),
+        bound=alignment_bound(n, dim, delta),
+        full_rank=full_rank,
         pivots=pivots,
     )

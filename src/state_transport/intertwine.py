@@ -148,14 +148,15 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         else:
             y = dagger(p_even) @ xi
             s = dagger(p_odd) @ eta
+        # The round is admissible below the schedule's delta, which the
+        # clamp in make_schedule can set under commutant_transport's own.
+        delta = schedule.deltas[n - 1]
         try:
             res = commutant_transport(blk, y, s, schedule.inner_tols[n - 1])
         except HypothesisError as exc:
-            raise RoundFailureError(
-                f"round {n} admissibility failed with gap {exc.measured_gap:.3e}",
-                round_index=n,
-                measured_gap=exc.measured_gap,
-            ) from exc
+            raise _round_failure(n, exc.measured_gap, delta) from exc
+        if res.measured_gap >= delta:
+            raise _round_failure(n, res.measured_gap, delta)
         u_n = dagger(res.path.end())
         round_paths.append(res.path.adjoint())
         if odd_side:
@@ -176,7 +177,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
             "round": n,
             "side": "odd" if odd_side else "even",
             "gap": res.measured_gap,
-            "delta": res.delta,
+            "delta": delta,
             "inner_tol": schedule.inner_tols[n - 1],
             "terminal": res.terminal_error,
             "commutation": comm,
@@ -193,6 +194,14 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         round_paths=round_paths,
         final=final,
         schedule=schedule,
+    )
+
+
+def _round_failure(n: int, gap: float, delta: float) -> RoundFailureError:
+    return RoundFailureError(
+        f"round {n} admissibility failed with gap {gap:.3e} >= delta {delta:.3e}",
+        round_index=n,
+        measured_gap=gap,
     )
 
 

@@ -18,7 +18,6 @@ from .errors import (
     NotNormalizedError,
     NotPSDError,
     NotUnitaryError,
-    SingularMatrixError,
 )
 
 HERMITIAN_RTOL = 1e-12
@@ -62,9 +61,14 @@ def check_hermitian(h: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
 
 
 def check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+    """Validate ||u^* u - 1|| <= tol and return u.
+
+    For square u both ||u^* u - 1|| and ||u u^* - 1|| equal max |s_i^2 - 1|
+    over the singular values, so one SVD decides both.
+    """
     u = check_square(u)
-    eye = np.eye(u.shape[0])
-    if op_norm(dagger(u) @ u - eye) > tol or op_norm(u @ dagger(u) - eye) > tol:
+    s = np.linalg.svd(u, compute_uv=False)
+    if s.size and np.max(np.abs((s - 1.0) * (s + 1.0))) > tol:
         raise NotUnitaryError("matrix is not unitary within tolerance")
     return u
 
@@ -99,17 +103,6 @@ def psd_sqrt(x: np.ndarray) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     r = (v * np.sqrt(w)) @ dagger(v)
     return (r + dagger(r)) / 2
-
-
-def polar_unitary(z: np.ndarray) -> np.ndarray:
-    """Unitary factor z |z|^-1 of an invertible matrix."""
-    z = check_square(z)
-    if z.size == 0:
-        raise DimensionError("polar factor of an empty matrix")
-    u, s, vh = np.linalg.svd(z)
-    if s[-1] <= 1e-10:
-        raise SingularMatrixError(f"smallest singular value {s[-1]:.3e} too small")
-    return u @ vh
 
 
 def expm_skew(h: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -167,61 +160,3 @@ def project_unitary_angles(u: np.ndarray) -> np.ndarray:
     lam, q = _unitary_eig(u)
     h = (q * np.angle(lam)) @ dagger(q)
     return (h + dagger(h)) / 2
-
-
-def orthonormal_extension(columns: np.ndarray, total: int) -> np.ndarray:
-    """Orthonormal basis (as columns) of a ``total``-dimensional subspace
-    containing the column span of ``columns``.
-
-    The first columns span range(columns); the remainder is filled from the
-    orthogonal complement.  Deterministic via SVD.
-    """
-    dim = columns.shape[0]
-    if total > dim:
-        raise ValueError("cannot extend beyond the ambient dimension")
-    if columns.size == 0:
-        return np.eye(dim, dtype=complex)[:, :total]
-    u, s, _ = np.linalg.svd(columns, full_matrices=True)
-    rank = int(np.sum(s > 1e-12 * max(1.0, s[0] if s.size else 0.0)))
-    if rank > total:
-        raise ValueError("column rank exceeds requested dimension")
-    return u[:, :total]
-
-
-def map_families_unitary(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Unitary U with U src[i] = dst[i] for families with equal Gram matrices.
-
-    ``src`` and ``dst`` are (n, dim) arrays of row vectors.  Equality of the
-    Gram matrices guarantees existence; the kernel directions are matched by
-    a canonical SVD completion.
-    """
-    src = np.atleast_2d(np.asarray(src, dtype=complex))
-    dst = np.atleast_2d(np.asarray(dst, dtype=complex))
-    dim = src.shape[1]
-    xc = src.T  # columns
-    zc = dst.T
-    u, s, vh = np.linalg.svd(xc, full_matrices=True)
-    scale = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s > 1e-13 * scale))
-    # Orthonormal basis of range(xc) expressed as xc @ coeff.
-    coeff = vh.conj().T[:, :rank] / s[:rank]
-    bx = u[:, :rank]
-    bz = zc @ coeff  # isometric image basis (Gram equality)
-    # Re-orthonormalize bz to absorb rounding.
-    qz, rz = np.linalg.qr(bz)
-    bz = qz * np.sign(np.diag(rz).real + (np.diag(rz).real == 0))
-    umap = bz @ dagger(bx)
-    # Complete on the orthogonal complements with the minimal rotation:
-    # the polar factor of the cross-Gram keeps the map near the identity
-    # when the two families nearly coincide.
-    nx = u[:, rank:]
-    uz, sz, _ = np.linalg.svd(np.eye(dim) - bz @ dagger(bz))
-    nz = uz[:, : dim - rank]
-    if rank < dim:
-        cross = dagger(nz) @ nx
-        cu, cs, cvh = np.linalg.svd(cross)
-        if cs.size and cs[-1] > 1e-10:
-            umap = umap + nz @ (cu @ cvh) @ dagger(nx)
-        else:
-            umap = umap + nz @ dagger(nx)
-    return polar_unitary(umap)

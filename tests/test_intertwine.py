@@ -125,6 +125,29 @@ def test_back_and_forth_round_failure_reports_round(rng):
     assert info.value.round_index == 2
 
 
+def test_rounds_log_the_schedule_delta(rng):
+    # at ambient 64 the clamp in make_schedule binds in rounds 5 and 6, so
+    # the schedule's delta is below the one commutant_transport derives
+    tower, xi, eta = intertwine_instance(rng, ambient=64, levels=6,
+                                         commutant_level=6, twist=1e-9)
+    sched = make_schedule(tower, 0.1, 6)
+    result = back_and_forth(tower, xi, eta, tower.level_generators(1), sched)
+    assert [log["delta"] for log in result.logs] == sched.deltas
+
+
+def test_round_checked_against_schedule_delta(rng):
+    tower, xi, eta = intertwine_instance(rng, ambient=64, levels=6,
+                                         commutant_level=6, twist=1e-9)
+    sched = make_schedule(tower, 0.1, 3)
+    gap = back_and_forth(tower, xi, eta, [], sched).logs[1]["gap"]
+    assert gap > 0.0
+    sched.deltas[1] = gap / 2
+    with pytest.raises(RoundFailureError) as info:
+        back_and_forth(tower, xi, eta, [], sched)
+    assert info.value.round_index == 2
+    assert info.value.measured_gap == gap
+
+
 def test_assemble_path_endpoint(rng):
     tower, xi, eta = _small_instance(rng)
     sched = make_schedule(tower, 0.1, 3)

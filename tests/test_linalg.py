@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from state_transport.errors import (
     BranchCutError,
@@ -22,13 +24,11 @@ from state_transport.linalg import (
     expm_skew,
     inner,
     logm_unitary,
-    map_families_unitary,
     op_norm,
-    orthonormal_extension,
-    polar_unitary,
     psd_sqrt,
     unitary_eig,
 )
+from state_transport.suites import random_unitary
 
 
 def test_inner_is_linear_in_first_argument(rng, make_state):
@@ -62,16 +62,6 @@ def test_psd_sqrt_rejects_negative():
         psd_sqrt(np.diag([1.0, -0.5]))
 
 
-def test_polar_unitary_of_unitary_is_itself(rng, make_unitary):
-    u = make_unitary(rng, 4)
-    assert op_norm(polar_unitary(u) - u) < 1e-12
-
-
-def test_polar_unitary_rejects_empty():
-    with pytest.raises(DimensionError):
-        polar_unitary(np.zeros((0, 0), dtype=complex))
-
-
 def test_expm_skew_matches_series(rng):
     h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h = (h + dagger(h)) / 2
@@ -99,33 +89,6 @@ def test_logm_unitary_roundtrip(rng):
 def test_logm_unitary_branch_cut():
     with pytest.raises(BranchCutError):
         logm_unitary(np.diag([-1.0 + 0j, 1.0]))
-
-
-def test_orthonormal_extension_contains_columns(rng):
-    cols = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
-    q = orthonormal_extension(cols, 4)
-    assert q.shape == (6, 4)
-    assert op_norm(dagger(q) @ q - np.eye(4)) < 1e-12
-    # columns lie in the span of q
-    proj = q @ dagger(q)
-    assert op_norm(proj @ cols - cols) < 1e-10
-
-
-def test_map_families_unitary_exact(rng, make_unitary):
-    dim, n = 6, 3
-    src = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
-    u = make_unitary(rng, dim)
-    dst = src @ u.T
-    m = map_families_unitary(src, dst)
-    assert op_norm(dagger(m) @ m - np.eye(dim)) < 1e-10
-    assert np.max(np.linalg.norm(src @ m.T - dst, axis=1)) < 1e-9
-
-
-def test_map_families_unitary_near_identity_for_equal_families(rng):
-    # the kernel completion must not introduce spurious rotation
-    src = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
-    m = map_families_unitary(src, src.copy())
-    assert op_norm(m - np.eye(8)) < 1e-8
 
 
 def test_public_primitives_reject_invalid_input_with_typed_errors(rng):
@@ -156,3 +119,23 @@ def test_private_primitives_match_public(rng, make_unitary):
     u = make_unitary(rng, 5)
     for a, b in zip(_unitary_eig(u), unitary_eig(u)):
         assert np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 12), log_tol=st.floats(-12.0, -4.0),
+       log_size=st.floats(-2.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_check_unitary_matches_two_product_oracle(dim, log_tol, log_size, seed):
+    # q (1 + e) with ||e|| = 10^log_size * tol puts the defect on both sides
+    # of the tolerance; defects within 1% of it are left out
+    rng = np.random.default_rng(seed)
+    tol = 10.0**log_tol
+    e = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    u = random_unitary(rng, dim) @ (np.eye(dim) + 10.0**log_size * tol * e / op_norm(e))
+    eye = np.eye(dim)
+    defect = max(op_norm(dagger(u) @ u - eye), op_norm(u @ dagger(u) - eye))
+    assume(abs(defect - tol) >= 0.01 * tol)
+    if defect > tol:
+        with pytest.raises(NotUnitaryError):
+            check_unitary(u, tol)
+    else:
+        assert np.array_equal(check_unitary(u, tol), u)
