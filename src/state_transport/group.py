@@ -15,6 +15,7 @@ correlations, and an orbit orthogonal to both.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,11 +173,9 @@ def folner_set(action: GroupAction, gens: list, eps: float) -> FolnerSet:
     half = int(np.ceil(d * radius / eps))
     side = 2 * half + 1
     box = [tuple(p) for p in itertools.product(range(-half, half + 1), repeat=d)]
-    box_set = set(box)
-    defect = 0.0
-    for g in gens:
-        shifted = {tuple(a + b for a, b in zip(p, g)) for p in box}
-        defect = max(defect, len(box_set ^ shifted) / len(box))
+    # |F ^ (F + g)| = 2 (|F| - |F n (F + g)|); the overlap is a box too.
+    defect = max((2 * (len(box) - math.prod(max(side - abs(k), 0) for k in g)) / len(box)
+                  for g in gens), default=0.0)
     if defect >= eps:
         raise UnsupportedGroupError(
             f"box of side {side} has defect {defect} >= {eps}"

@@ -9,10 +9,11 @@ while nearly fixing the prescribed finite set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import BlockAlgebra, MatrixUnits
+from .algebra import MatrixUnits
 from .errors import AssemblyError, HypothesisError, RoundFailureError
 from .linalg import check_state, dagger, op_norm
 from .path import UnitaryPath
@@ -22,18 +23,34 @@ from .transport import commutant_transport, invert_alignment_bound
 @dataclass
 class AlgebraTower:
     """Increasing full matrix blocks M_{s_1} c M_{s_2} c ... inside one
-    ambient algebra, each acting as M_s (x) 1_{ambient/s}."""
+    ambient algebra, each acting as M_s (x) 1_{ambient/s}: the tower is its
+    level sizes s_1 | s_2 | ... | ambient, so the levels nest by construction."""
 
     ambient_dim: int
-    levels: list[BlockAlgebra]
+    sizes: list[int]
+
+    def __post_init__(self):
+        for below, size in zip([1] + self.sizes, self.sizes):
+            if size % below:
+                raise ValueError(f"level size {size} is not a multiple of {below}")
+            if size // below < 2:
+                raise ValueError("branchings must be >= 2")
+            if self.ambient_dim % size:
+                raise ValueError(f"level size {size} does not divide ambient dimension "
+                                 f"{self.ambient_dim}")
 
     @property
     def depth(self) -> int:
-        return len(self.levels)
+        return len(self.sizes)
+
+    @cached_property
+    def _identity(self) -> np.ndarray:
+        # Every level acts on the whole ambient space, so all share one isometry.
+        return np.eye(self.ambient_dim, dtype=complex)
 
     def level_block(self, n: int) -> MatrixUnits:
-        """The single block of level n (1-based)."""
-        return self.levels[n - 1].blocks[0]
+        """The single block M_{s_n} (x) 1 of level n (1-based)."""
+        return MatrixUnits(self.sizes[n - 1], self._identity)
 
     def level_generators(self, n: int) -> list[np.ndarray]:
         """Clock and shift generators of level n, embedded in the ambient."""
@@ -47,21 +64,7 @@ class AlgebraTower:
 
 def build_tower(branchings: list[int], ambient_dim: int) -> AlgebraTower:
     """Tower of tensor-power embeddings with the given branching sequence."""
-    levels = []
-    size = 1
-    # Every level acts on the whole ambient space, so all share one isometry.
-    identity = np.eye(ambient_dim, dtype=complex)
-    for b in branchings:
-        if b < 2:
-            raise ValueError("branchings must be >= 2")
-        size *= b
-        if ambient_dim % size != 0:
-            raise ValueError(
-                f"level size {size} does not divide ambient dimension {ambient_dim}"
-            )
-        blk = MatrixUnits(size, identity)
-        levels.append(BlockAlgebra(ambient_dim=ambient_dim, blocks=[blk]))
-    return AlgebraTower(ambient_dim=ambient_dim, levels=levels)
+    return AlgebraTower(ambient_dim, np.cumprod(branchings).tolist())
 
 
 @dataclass
@@ -121,7 +124,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     inside the commutant of level n, alternating sides.  Tracked vectors:
     conjugating a vector state omega by Ad(w) is evaluating on w^* vector.
     Logs record the measured admissibility gap, terminal error, and the
-    commutation error of u_n over the round's growing fixed set.
+    commutation error of u_n over the fixed set and the open companions.
     """
     xi = check_state(omega1)
     eta = check_state(omega2)
@@ -164,14 +167,16 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         else:
             p_even = p_even @ u_n
 
-        level_gens = [x for gens in generators[:n] for x in gens]
-        check_set = list(fixed_set) + level_gens
-        # Conjugated companions along the opposite-parity string
-        # w = u_{n-1}^* u_{n-3}^* ..., the adjoint of that parity's product.
-        if n > 1:
-            w = dagger(p_even if odd_side else p_odd)
-            check_set.extend(w @ x @ dagger(w) for x in level_gens)
-        comm = max((op_norm(u_n @ x - x @ u_n) for x in check_set), default=0.0)
+        # u_n commutes with levels <= n, and w = u_{n-1}^* u_{n-3}^* ... fixes
+        # levels <= 1 + n % 2, so only the fixed set and the companions w x w^*
+        # of levels above can fail: ||[u_n, w x w^*]|| = ||[w^* u_n w, x]||.
+        comms = [op_norm(u_n @ x - x @ u_n) for x in fixed_set]
+        companions = [x for gens in generators[1 + n % 2:n] for x in gens]
+        if companions:
+            p = p_even if odd_side else p_odd  # w^*
+            v = p @ u_n @ dagger(p)
+            comms.extend(op_norm(v @ x - x @ v) for x in companions)
+        comm = max(comms, default=0.0)
         budget = schedule.budget(n)
         logs.append({
             "round": n,

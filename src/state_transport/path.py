@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +22,7 @@ class PathSegment:
     The generator h is trusted to be Hermitian and the base unitary: the
     library builds them, and ``serialize.decode_path`` checks both when a
     path is read back.  Segments are not mutated after construction, so the
-    speed is computed once.
+    speed and the eigenpairs are computed once.
     """
 
     t0: float
@@ -41,20 +41,18 @@ class PathSegment:
         h = self.generator
         return float(np.max(np.abs(np.linalg.eigvalsh((h + dagger(h)) / 2))))
 
-    def at(self, t: float) -> np.ndarray:
-        return self._at(t, self._eigh)
-
+    @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs of the symmetrised generator (h + h^*) / 2."""
         h = self.generator
         return np.linalg.eigh((h + dagger(h)) / 2)
 
-    def _at(self, t: float, eigh: Callable) -> np.ndarray:
-        """u(t), exponentiating the generator's eigenpairs ``eigh()``; at t0
-        a copy of the base, without calling ``eigh``."""
+    def at(self, t: float) -> np.ndarray:
+        """u(t), exponentiating the generator's eigenpairs, taken on the
+        first call; at t0 a copy of the base, without taking them."""
         if t == self.t0:
             return np.array(self.base, dtype=complex)
-        return _expm_eigh(eigh(), t - self.t0) @ self.base
+        return _expm_eigh(self._eigh, t - self.t0) @ self.base
 
     def end(self) -> np.ndarray:
         return self.at(self.t1)
@@ -109,13 +107,10 @@ class UnitaryPath:
         return self.segments[k].at(t)
 
     def at_times(self, ts: Iterable[float]) -> Iterator[np.ndarray]:
-        """Yield ``at(t)`` for each t in ts, in order and equal bit for bit,
-        with one eigendecomposition per segment reached and one sample
-        alive at a time."""
-        eighs = [cache(seg._eigh) for seg in self.segments]
-        for t in ts:
-            k, t = self._locate(t)
-            yield self.segments[k]._at(t, eighs[k])
+        """``at(t)`` for each t in ts, in order, one sample alive at a time;
+        each segment keeps its eigendecomposition, so a segment takes one
+        whatever the number of times."""
+        return map(self.at, ts)
 
     def commutator_sup(self, elements: list[np.ndarray], samples: int) -> float:
         """Largest ||[u(t), x]|| over ``sample_times(samples)`` and the

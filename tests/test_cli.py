@@ -154,3 +154,40 @@ def test_no_subcommand_is_usage_error(capsys):
 def test_bad_suite_name_is_usage_error(capsys):
     assert main(["verify", "--suite", "bogus"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def _run_intertwine_config(tmp_path, name, **config):
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps({"command": "intertwine", **config}))
+    out = tmp_path / f"{name}-report.json"
+    csv = tmp_path / f"{name}-rounds.csv"
+    code = main(["run", "--config", str(cfg), "--out", str(out), "--csv", str(csv)])
+    return code, out, csv
+
+
+def test_run_intertwine(tmp_path):
+    config = {"branchings": [2] * 4, "ambient": 16, "rounds": 3, "seed": 5}
+    code, out, csv = _run_intertwine_config(tmp_path, "a", **config)
+    assert code == EXIT_PASS
+    assert json.loads(out.read_text())["pass"] is True
+    lines = csv.read_text().strip().split("\n")
+    assert lines[0] == "round,side,gap,terminal,commutation,budget"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
+    code, out_b, csv_b = _run_intertwine_config(tmp_path, "b", **config)
+    assert code == EXIT_PASS
+    assert out.read_bytes() == out_b.read_bytes()
+    assert csv.read_bytes() == csv_b.read_bytes()
+
+
+def test_run_intertwine_zero_rounds(tmp_path):
+    code, out, _ = _run_intertwine_config(
+        tmp_path, "zero", branchings=[2] * 4, ambient=16, rounds=0)
+    assert code == EXIT_PASS
+    assert json.loads(out.read_text())["measured"] == {"rounds": 0}
+
+
+def test_run_intertwine_bad_tower_is_usage_error(tmp_path):
+    for rounds in (0, 3):
+        code, _, _ = _run_intertwine_config(
+            tmp_path, f"bad{rounds}", branchings=[2, 2, 2], ambient=12, rounds=rounds)
+        assert code == EXIT_USAGE

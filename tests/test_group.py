@@ -64,6 +64,27 @@ def test_folner_z2_box(rng):
     assert fol.defect < 0.2
 
 
+def _set_based_defect(box, g):
+    """The translation defect |F ^ (F + g)| / |F|, counted on the sets."""
+    shifted = {tuple(a + b for a, b in zip(p, g)) for p in box}
+    return len(set(box) ^ shifted) / len(box)
+
+
+@pytest.mark.parametrize("eps, gens", [
+    (0.1, [(1,), (-1,), (3,)]),
+    (100.0, [(5,)]),  # the box of side 3 misses its own translate
+    (0.3, [(1, 0), (0, 1), (2, -1), (-3, 3)]),
+    (50.0, [(7, 0), (1, 1)]),
+    (0.9, [(1, 0, 0), (0, -1, 1), (2, 1, -2)]),
+])
+def test_folner_defect_matches_set_count(rng, eps, gens):
+    u = random_unitary(rng, 3)
+    action = integer_action([np.linalg.matrix_power(u, k + 1)
+                             for k in range(len(gens[0]))])
+    fol = folner_set(action, gens, eps)
+    assert fol.defect == max(_set_based_defect(fol.elements, g) for g in gens)
+
+
 def test_unsupported_group():
     with pytest.raises(UnsupportedGroupError):
         GroupAction(kind="free", dim=2)

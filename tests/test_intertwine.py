@@ -7,6 +7,7 @@ from state_transport.errors import (
     RoundFailureError,
 )
 from state_transport.intertwine import (
+    AlgebraTower,
     assemble_path,
     assembled_commutation_sup,
     back_and_forth,
@@ -41,6 +42,19 @@ def test_build_tower_rejects_bad_dimensions():
         build_tower([2, 2], 6)  # 4 does not divide 6
     with pytest.raises(ValueError):
         build_tower([1], 4)
+
+
+def test_tower_is_its_level_sizes():
+    tower = build_tower([2, 3, 2], 24)
+    assert tower == AlgebraTower(24, [2, 6, 12])
+    assert [tower.level_block(n).n for n in (1, 2, 3)] == [2, 6, 12]
+    assert tower.level_block(1).isometry is tower.level_block(3).isometry
+    with pytest.raises(ValueError, match="level size 6 is not a multiple of 4"):
+        AlgebraTower(24, [4, 6])  # the levels would not nest
+    with pytest.raises(ValueError, match="branchings must be >= 2"):
+        AlgebraTower(24, [2, 2])
+    with pytest.raises(ValueError, match="level size 8 does not divide ambient"):
+        AlgebraTower(12, [2, 8])
 
 
 def test_level_generators_relations(rng):
@@ -204,3 +218,58 @@ def test_round_commutations_match_rebuilt_companions(rng):
         oracle = max(op_norm(u_n @ x - x @ u_n) for x in check)
         assert abs(result.logs[n - 1]["commutation"] - oracle) <= 1e-12
     assert result.logs[1]["commutation"] > 1e-9
+
+
+def _twisted_instance(rng):
+    return intertwine_instance(rng, ambient=16, levels=4, commutant_level=3,
+                               twist=1e-5)
+
+
+def test_fixed_set_outside_level_one_is_measured_every_round(rng):
+    # u_n need not commute with level-3 generators, so no round may skip them
+    tower, xi, eta = _twisted_instance(rng)
+    fixed = tower.level_generators(3)
+    result = back_and_forth(tower, xi, eta, fixed, make_schedule(tower, 0.1, 3))
+    for log, path in zip(result.logs, result.round_paths):
+        u_n = path.end()
+        assert log["commutation"] >= max(op_norm(u_n @ x - x @ u_n) for x in fixed)
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3, 6])
+def test_rounds_measure_fixed_set_and_open_companions_only(rng, monkeypatch, rounds):
+    # round n: |F| fixed-set norms and two per generator of levels
+    # 2 + n % 2 .. n; then 3 |F| in the final measurements
+    tower, xi, eta = intertwine_instance(rng, ambient=64, levels=6,
+                                         commutant_level=6, twist=1e-9)
+    fixed = tower.level_generators(1) + tower.level_generators(2)
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return op_norm(x)
+
+    monkeypatch.setattr("state_transport.intertwine.op_norm", counted)
+    back_and_forth(tower, xi, eta, fixed, make_schedule(tower, 0.1, rounds))
+    companions = sum(2 * (n - 1 - n % 2) for n in range(2, rounds + 1))
+    assert len(calls) == rounds * len(fixed) + companions + 3 * len(fixed)
+
+
+def test_unmeasured_commutators_vanish(rng):
+    # the instance of test_round_commutations_match_rebuilt_companions: the
+    # generators of levels <= n, and the companions of levels up to the
+    # string's last index 1 + n % 2, commute with u_n
+    tower, xi, eta = _twisted_instance(rng)
+    rounds = 3
+    result = back_and_forth(tower, xi, eta, tower.level_generators(1),
+                            make_schedule(tower, 0.1, rounds))
+    us = [p.end() for p in result.round_paths]
+    for n in range(1, rounds + 1):
+        w = np.eye(16, dtype=complex)
+        for k in range(n - 1, 0, -2):
+            w = w @ dagger(us[k - 1])
+        gens = [x for lev in range(1, n + 1) for x in tower.level_generators(lev)]
+        exact = [x for lev in range(1, min(n, 1 + n % 2) + 1)
+                 for x in tower.level_generators(lev)]
+        unmeasured = gens + [w @ x @ dagger(w) for x in exact]
+        u_n = us[n - 1]
+        assert max(op_norm(u_n @ x - x @ u_n) for x in unmeasured) < 1e-12

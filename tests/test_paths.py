@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from state_transport.linalg import dagger, op_norm
+from state_transport.linalg import _expm_eigh, dagger, op_norm
 from state_transport.path import (
     PathSegment,
     UnitaryPath,
@@ -182,6 +182,19 @@ def test_at_times_equals_at_with_one_eigh_per_segment(kind, seed, data):
     for t, u in zip(ts, values):
         assert np.array_equal(u, path.at(t))
         assert all(u is not s.base for s in path.segments)
+
+
+def test_segment_takes_its_eigendecomposition_once(rng):
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = (h + dagger(h)) / 2
+    base = random_unitary(rng, 4)
+    seg = PathSegment(0.0, 1.0, h, base)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_eigh(mp)
+        values = [seg.at(t) for t in (0.25, 0.5, 0.25)] + [seg.end(), seg.end()]
+    assert len(calls) == 1
+    for t, u in zip((0.25, 0.5, 0.25, 1.0, 1.0), values):
+        assert np.array_equal(u, _expm_eigh(np.linalg.eigh(h), t) @ base)
 
 
 def _commutator_oracle(path, elements, samples):
