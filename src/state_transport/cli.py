@@ -255,7 +255,7 @@ def _run_intertwine(config):
     fixed = tower.level_generators(1)
     result = back_and_forth(tower, xi, eta, fixed, schedule)
     path = assemble_path(result)
-    sup = assembled_commutation_sup(path, fixed, samples=9)
+    sup = assembled_commutation_sup(path, fixed)
     measured = {
         "worst_round_margin": max(
             log["commutation"] - log["budget"] for log in result.logs

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import MatrixUnits
 from .errors import AssemblyError, HypothesisError, RoundFailureError
-from .linalg import check_state, dagger, op_norm
+from .linalg import check_state, dagger, norm_at_most, op_norm
 from .path import UnitaryPath
 from .transport import commutant_transport, invert_alignment_bound
 
@@ -53,18 +53,67 @@ class AlgebraTower:
         return MatrixUnits(self.sizes[n - 1], self._identity)
 
     def level_generators(self, n: int) -> list[np.ndarray]:
-        """Clock and shift generators of level n, embedded in the ambient."""
-        blk = self.level_block(n)
-        m = blk.n
+        """Clock and shift generators of level n, embedded in the ambient as
+        g (x) 1_q."""
+        m = self.sizes[n - 1]
         shift = np.zeros((m, m), dtype=complex)
         shift[np.arange(m), (np.arange(m) + 1) % m] = 1.0
         clock = np.diag(np.exp(2j * np.pi * np.arange(m) / m))
-        return [blk.embed(shift), blk.embed(clock)]
+        one = np.eye(self.ambient_dim // m)
+        return [np.kron(shift, one), np.kron(clock, one)]
 
 
 def build_tower(branchings: list[int], ambient_dim: int) -> AlgebraTower:
     """Tower of tensor-power embeddings with the given branching sequence."""
     return AlgebraTower(ambient_dim, np.cumprod(branchings).tolist())
+
+
+@dataclass(frozen=True)
+class TensorSplit:
+    """An element of M_s (x) M_q split as F (x) 1_q + r (its level part) or
+    as 1_s (x) F + r (its commutant part), kept as the two norms that bound
+    its commutators: ``factor`` >= ||F|| and ``rest`` = ||r||_F."""
+
+    factor: float
+    rest: float
+
+
+def _level_part(x: np.ndarray, s: int) -> tuple[np.ndarray, float]:
+    """A = Tr_q x / q and ||x - A (x) 1_q||_F: A (x) 1_q is the
+    trace-preserving conditional expectation E(x) onto M_s (x) 1_q."""
+    q = len(x) // s
+    a = np.einsum("iaja->ij", x.reshape(s, q, s, q)) / q
+    return a, float(np.linalg.norm(x - np.kron(a, np.eye(q))))
+
+
+def level_split(x: np.ndarray, s: int) -> TensorSplit:
+    """x = A (x) 1_q + b with A = Tr_q x / q, so ``rest`` is ||x - E(x)||_F,
+    the distance of x from the level M_s (x) 1_q; ||A|| is an SVD of the
+    s x s factor."""
+    a, rest = _level_part(x, s)
+    return TensorSplit(op_norm(a), rest)
+
+
+def commutant_split(u: np.ndarray, s: int) -> TensorSplit:
+    """u = 1_s (x) C + e with C = Tr_s u / s, the part of u in the commutant
+    1_s (x) M_q of the level M_s (x) 1_q; ||C|| is an SVD of the q x q
+    factor."""
+    q = len(u) // s
+    c = np.einsum("iaib->ab", u.reshape(s, q, s, q)) / s
+    return TensorSplit(op_norm(c), float(np.linalg.norm(u - np.kron(np.eye(s), c))))
+
+
+def commutator_bound(u: TensorSplit, x: TensorSplit, dim: int) -> float:
+    """Certified upper bound on ||[u, x]|| for u = 1_s (x) C + e and
+    x = A (x) 1_q + b split at the same level of M_dim.
+
+    [1 (x) C, A (x) 1] = 0 leaves [1 (x) C, b] + [e, A (x) 1] + [e, b], each
+    at most twice the product of its factors' norms, and ||.|| <= ||.||_F:
+    2 (||C|| + ||e||_F) ||b||_F + 2 ||e||_F ||A||.  The allowance, dim 2^-52
+    (||A|| + ||b||_F) for each of the two dense products that form [u, x],
+    covers their rounding and that of the norms that form the bound."""
+    return (2.0 * (u.factor + u.rest) * x.rest + 2.0 * u.rest * x.factor
+            + 2.0 * dim * np.finfo(float).eps * (x.factor + x.rest))
 
 
 @dataclass
@@ -125,10 +174,15 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     conjugating a vector state omega by Ad(w) is evaluating on w^* vector.
     Logs record the measured admissibility gap, terminal error, and the
     commutation error of u_n over the fixed set and the open companions.
+    A fixed element's commutation is ``commutator_bound`` at level n when
+    that is below the round budget, and the dense norm otherwise; the logs
+    also record the largest distance ||x - E_n x||_F of the fixed set from
+    level n and how many fixed elements took the dense norm.
     """
     xi = check_state(omega1)
     eta = check_state(omega2)
     dim = tower.ambient_dim
+    level1: list[TensorSplit] = []
     if schedule.rounds:
         start_gap = _stats_gap(tower.level_block(1), xi, eta)
         if start_gap >= schedule.deltas[0]:
@@ -136,6 +190,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
                 f"starting statistics gap {start_gap:.3e} >= {schedule.deltas[0]:.3e}",
                 measured_gap=start_gap,
             )
+        level1 = [level_split(x, tower.sizes[0]) for x in fixed_set]
     generators = [tower.level_generators(lev) for lev in range(1, schedule.rounds + 1)]
     p_odd = np.eye(dim, dtype=complex)
     p_even = np.eye(dim, dtype=complex)
@@ -170,14 +225,27 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         # u_n commutes with levels <= n, and w = u_{n-1}^* u_{n-3}^* ... fixes
         # levels <= 1 + n % 2, so only the fixed set and the companions w x w^*
         # of levels above can fail: ||[u_n, w x w^*]|| = ||[w^* u_n w, x]||.
-        comms = [op_norm(u_n @ x - x @ u_n) for x in fixed_set]
+        budget = schedule.budget(n)
+        comms, distances = [], []
+        measured = 0
+        if fixed_set:
+            u_split = commutant_split(u_n, blk.n)
+        for x, x1 in zip(fixed_set, level1):
+            # ||E_n x|| <= ||x|| <= ||A_1|| + ||x - E_1 x||_F at every level.
+            distance = _level_part(x, blk.n)[1]
+            comm = commutator_bound(u_split, TensorSplit(x1.factor + x1.rest, distance),
+                                    dim)
+            if comm >= budget:
+                comm = op_norm(u_n @ x - x @ u_n)
+                measured += 1
+            comms.append(comm)
+            distances.append(distance)
         companions = [x for gens in generators[1 + n % 2:n] for x in gens]
         if companions:
             p = p_even if odd_side else p_odd  # w^*
             v = p @ u_n @ dagger(p)
             comms.extend(op_norm(v @ x - x @ v) for x in companions)
         comm = max(comms, default=0.0)
-        budget = schedule.budget(n)
         logs.append({
             "round": n,
             "side": "odd" if odd_side else "even",
@@ -186,12 +254,14 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
             "inner_tol": schedule.inner_tols[n - 1],
             "terminal": res.terminal_error,
             "commutation": comm,
+            "fixed_distance": max(distances, default=0.0),
+            "fixed_measured": measured,
             "budget": budget,
             "within_budget": bool(comm < budget),
         })
 
-    final = _final_measurements(generators, xi, eta, p_odd, p_even, fixed_set,
-                                schedule)
+    final = _final_measurements(tower, generators, xi, eta, p_odd, p_even,
+                                fixed_set, level1, schedule)
     return IntertwineResult(
         odd_product=p_odd,
         even_product=p_even,
@@ -216,16 +286,15 @@ def _stats_gap(blk, xi: np.ndarray, eta: np.ndarray) -> float:
     )))
 
 
-def _final_measurements(generators, xi, eta, p_odd, p_even, fixed_set,
-                        schedule) -> dict:
-    def ad_sup(w: np.ndarray) -> float:
-        return max(
-            (op_norm(w @ x @ dagger(w) - x) for x in fixed_set), default=0.0
-        )
-
-    combined = p_odd @ dagger(p_even)
+def _final_measurements(tower, generators, xi, eta, p_odd, p_even, fixed_set,
+                        level1, schedule) -> dict:
+    eps = schedule.eps
+    limits = {"odd": 4 * eps / 3, "even": 2 * eps / 3, "combined": 2 * eps}
     m = schedule.rounds
     if m:
+        products = {"odd": p_odd, "even": p_even, "combined": p_odd @ dagger(p_even)}
+        sups = {key: _ad_sup(tower, w, fixed_set, level1, limits[key])
+                for key, w in products.items()}
         gens = generators[m - 1]
         even_xi = dagger(p_even) @ xi
         odd_eta = dagger(p_odd) @ eta
@@ -235,18 +304,36 @@ def _final_measurements(generators, xi, eta, p_odd, p_even, fixed_set,
         )
         final_delta = schedule.deltas[-1]
     else:
+        # No rounds: both products are the identity, which Ad leaves exact.
+        sups = dict.fromkeys(limits, 0.0)
         intertwine_gap = 0.0
         final_delta = 0.0
-    return {
-        "ad_odd_sup": ad_sup(p_odd),
-        "ad_odd_bound": 4 * schedule.eps / 3,
-        "ad_even_sup": ad_sup(p_even),
-        "ad_even_bound": 2 * schedule.eps / 3,
-        "ad_combined_sup": ad_sup(combined),
-        "ad_combined_bound": 2 * schedule.eps,
-        "intertwine_gap": float(intertwine_gap),
-        "intertwine_bound": final_delta,
-    }
+    final = {}
+    for key, limit in limits.items():
+        final[f"ad_{key}_sup"] = sups[key]
+        final[f"ad_{key}_bound"] = limit
+    final["intertwine_gap"] = float(intertwine_gap)
+    final["intertwine_bound"] = final_delta
+    return final
+
+
+def _ad_sup(tower, w, fixed_set, level1, limit) -> float:
+    """max ||w x w^* - x|| over the fixed set, for a product w of round
+    unitaries: each lies in the commutant of level 1, and
+    ||w x w^* - x|| = ||[w, x] w^*|| <= ||w|| ||[w, x]||, with
+    ||w|| <= ||C|| + ||e||_F.  The dense norm where that bound reaches the
+    limit."""
+    if not fixed_set:
+        return 0.0
+    w_split = commutant_split(w, tower.sizes[0])
+    w_norm = w_split.factor + w_split.rest
+    worst = 0.0
+    for x, x1 in zip(fixed_set, level1):
+        ad = w_norm * commutator_bound(w_split, x1, tower.ambient_dim)
+        if ad >= limit:
+            ad = op_norm(w @ x @ dagger(w) - x)
+        worst = max(worst, ad)
+    return worst
 
 
 def assemble_path(result: IntertwineResult,
@@ -272,13 +359,14 @@ def assemble_path(result: IntertwineResult,
         segments.extend(piece.segments)
         prefix = prefix @ p.end()
     path = UnitaryPath(segments).rescaled(0.0, 1.0)
-    if op_norm(path.end() - result.odd_product) > 1e-8:
+    if not norm_at_most(path.end() - result.odd_product, 1e-8):
         raise AssemblyError("assembled path does not end at the odd product")
     return path
 
 
 def assembled_commutation_sup(path: UnitaryPath, fixed_set: list[np.ndarray],
-                              samples: int = 33) -> float:
-    """Sampled sup over t of || Ad v(t)(x) - x || for x in the fixed set,
-    which is ||[v(t), x]|| for unitary v(t)."""
-    return path.commutator_sup(fixed_set, samples)
+                              samples: int | None = None) -> float:
+    """Certified sup over every t of || Ad v(t)(x) - x || for x in the fixed
+    set, which is ||[v(t), x]|| for unitary v(t): ``path.commutator_bound``.
+    ``samples`` is accepted for older callers and ignored."""
+    return path.commutator_bound(fixed_set)

@@ -42,6 +42,12 @@ def op_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x, 2))
 
 
+def norm_at_most(x: np.ndarray, tol: float) -> bool:
+    """``op_norm(x) <= tol``, without the SVD when the Frobenius norm, which
+    bounds the operator norm from above, already decides it."""
+    return bool(np.linalg.norm(x) <= tol) or op_norm(x) <= tol
+
+
 def check_square(x: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:

@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CertificateError, DimensionError
-from .linalg import _expm_eigh, dagger, op_norm
+from .linalg import _expm_eigh, dagger, norm_at_most, op_norm
 
 JOINT_TOL = 1e-10
 
@@ -116,12 +116,37 @@ class UnitaryPath:
         """Largest ||[u(t), x]|| over ``sample_times(samples)`` and the
         elements x; 0.0, without evaluating the path, when there are none.
 
-        A sampled max, not a certified sup."""
+        A sampled max, not a certified sup: ``commutator_bound`` is one."""
         if len(elements) == 0:
             return 0.0
         return max(op_norm(u @ x - x @ u)
                    for u in self.at_times(self.sample_times(samples))
                    for x in elements)
+
+    def commutator_bound(self, elements: list[np.ndarray]) -> float:
+        """Certified sup over every t of ||[u(t), x]|| for the elements x;
+        0.0 when there are none.  No eigendecomposition, no evaluation.
+
+        On a segment u(t) = exp(i tau h) B with tau = t - t0 <= dt,
+        [u(t), x] = [exp(i tau h), x] B + exp(i tau h) [B, x], and by Duhamel
+        ||[exp(i tau h), x]|| <= tau ||[h, x]||.  So the bound is the max over
+        segments and elements of ||[B, x]|| + dt ||[h, x]||, with h the
+        symmetrised generator that ``at`` exponentiates, plus an allowance
+        dim 2^-52 ||x||_F (1 + dt ||h||_F) for the rounding of u(t) and of
+        the products that form either side."""
+        if len(elements) == 0:
+            return 0.0
+        rounding = self.dim * np.finfo(float).eps
+        sizes = [np.linalg.norm(x) for x in elements]
+        worst = 0.0
+        for seg in self.segments:
+            h = (seg.generator + dagger(seg.generator)) / 2
+            b, dt = seg.base, seg.duration
+            allowance = rounding * (1.0 + dt * np.linalg.norm(h))
+            for x, size in zip(elements, sizes):
+                worst = max(worst, op_norm(b @ x - x @ b)
+                            + dt * op_norm(h @ x - x @ h) + allowance * size)
+        return float(worst)
 
     def start(self) -> np.ndarray:
         return self.segments[0].at(self.t_start)
@@ -130,7 +155,7 @@ class UnitaryPath:
         return self.segments[-1].end()
 
     def is_based(self, tol: float = JOINT_TOL) -> bool:
-        return op_norm(self.start() - np.eye(self.dim)) <= tol
+        return norm_at_most(self.start() - np.eye(self.dim), tol)
 
     def joint_defect(self) -> float:
         """Largest discontinuity across segment joints."""

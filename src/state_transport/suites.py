@@ -410,7 +410,7 @@ def suite_intertwine(seed: int, instances: int) -> dict:
         budgets_ok = all(log["within_budget"] for log in result.logs)
         combined_ok = result.final["ad_combined_sup"] < result.final["ad_combined_bound"]
         path = assemble_path(result)
-        sup = assembled_commutation_sup(path, fixed, samples=13)
+        sup = assembled_commutation_sup(path, fixed)
         path_ok = sup <= 4 * eps / 3 + 1e-6
         return budgets_ok, combined_ok, path_ok, result.final["ad_combined_sup"], sup
 

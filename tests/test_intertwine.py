@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from state_transport.errors import (
     AssemblyError,
@@ -12,9 +14,12 @@ from state_transport.intertwine import (
     assembled_commutation_sup,
     back_and_forth,
     build_tower,
+    commutant_split,
+    commutator_bound,
+    level_split,
     make_schedule,
 )
-from state_transport.linalg import dagger, op_norm
+from state_transport.linalg import dagger, expm_skew, op_norm
 from state_transport.suites import intertwine_instance, random_state, random_unitary
 
 
@@ -183,8 +188,9 @@ def test_assemble_path_rejects_unbased_round(rng):
         assemble_path(result, per_round_paths=bad)
 
 
-def test_assembled_commutation_sup_matches_ad_form(rng):
-    # ||v x v^* - x|| = ||[v, x]|| for unitary v
+def test_assembled_commutation_sup_dominates_sampled_ad_form(rng):
+    # ||v x v^* - x|| = ||[v, x]|| for unitary v, and the certified sup is at
+    # least every sampled value
     tower, xi, eta = _small_instance(rng)
     fixed = tower.level_generators(1) + tower.level_generators(2)
     result = back_and_forth(tower, xi, eta, fixed, make_schedule(tower, 0.1, 3))
@@ -193,7 +199,8 @@ def test_assembled_commutation_sup_matches_ad_form(rng):
         op_norm(v @ x @ dagger(v) - x)
         for v in (path.at(t) for t in path.sample_times(9)) for x in fixed
     )
-    assert abs(assembled_commutation_sup(path, fixed, samples=9) - oracle) <= 1e-13
+    assert assembled_commutation_sup(path, fixed, samples=9) >= oracle
+    assert assembled_commutation_sup(path, fixed) == path.commutator_bound(fixed)
 
 
 def test_round_commutations_match_rebuilt_companions(rng):
@@ -231,27 +238,46 @@ def test_fixed_set_outside_level_one_is_measured_every_round(rng):
     fixed = tower.level_generators(3)
     result = back_and_forth(tower, xi, eta, fixed, make_schedule(tower, 0.1, 3))
     for log, path in zip(result.logs, result.round_paths):
-        u_n = path.end()
+        u_n = dagger(path.adjoint().end())  # bit for bit the round's u_n
         assert log["commutation"] >= max(op_norm(u_n @ x - x @ u_n) for x in fixed)
+
+
+def _count_dense_norms(monkeypatch, dim):
+    calls = []
+
+    def counted(x):
+        if x.shape == (dim, dim):
+            calls.append(1)
+        return op_norm(x)
+
+    monkeypatch.setattr("state_transport.intertwine.op_norm", counted)
+    return calls
 
 
 @pytest.mark.parametrize("rounds", [1, 2, 3, 6])
 def test_rounds_measure_fixed_set_and_open_companions_only(rng, monkeypatch, rounds):
-    # round n: |F| fixed-set norms and two per generator of levels
-    # 2 + n % 2 .. n; then 3 |F| in the final measurements
+    # a fixed set in level 1 is certified from the tensor splits, so the
+    # dense norms are the two per generator of levels 2 + n % 2 .. n in
+    # round n; a level-3 fixed set takes the dense norm in rounds 1 and 2,
+    # where it is far from the level, and in the three final Ad sups
     tower, xi, eta = intertwine_instance(rng, ambient=64, levels=6,
                                          commutant_level=6, twist=1e-9)
-    fixed = tower.level_generators(1) + tower.level_generators(2)
-    calls = []
-
-    def counted(x):
-        calls.append(1)
-        return op_norm(x)
-
-    monkeypatch.setattr("state_transport.intertwine.op_norm", counted)
-    back_and_forth(tower, xi, eta, fixed, make_schedule(tower, 0.1, rounds))
     companions = sum(2 * (n - 1 - n % 2) for n in range(2, rounds + 1))
-    assert len(calls) == rounds * len(fixed) + companions + 3 * len(fixed)
+    calls = _count_dense_norms(monkeypatch, 64)
+    schedule = make_schedule(tower, 0.1, rounds)
+    result = back_and_forth(tower, xi, eta, tower.level_generators(1), schedule)
+    assert len(calls) == companions
+    assert [log["fixed_measured"] for log in result.logs] == [0] * rounds
+
+    fixed = tower.level_generators(3)
+    calls.clear()
+    result = back_and_forth(tower, xi, eta, fixed, schedule)
+    fallbacks = [2 if n < 3 else 0 for n in range(1, rounds + 1)]
+    assert [log["fixed_measured"] for log in result.logs] == fallbacks
+    assert len(calls) == companions + sum(fallbacks) + 3 * len(fixed)
+    for log, path in zip(result.logs, result.round_paths):
+        u_n = dagger(path.adjoint().end())  # bit for bit the round's u_n
+        assert log["commutation"] >= max(op_norm(u_n @ x - x @ u_n) for x in fixed)
 
 
 def test_unmeasured_commutators_vanish(rng):
@@ -273,3 +299,84 @@ def test_unmeasured_commutators_vanish(rng):
         unmeasured = gens + [w @ x @ dagger(w) for x in exact]
         u_n = us[n - 1]
         assert max(op_norm(u_n @ x - x @ u_n) for x in unmeasured) < 1e-12
+
+
+def test_level_generators_are_embedded_level_elements():
+    tower = build_tower([2] * 8, 256)
+    for n in range(1, tower.depth + 1):
+        blk = tower.level_block(n)
+        m = blk.n
+        shift = np.zeros((m, m), dtype=complex)
+        shift[np.arange(m), (np.arange(m) + 1) % m] = 1.0
+        clock = np.diag(np.exp(2j * np.pi * np.arange(m) / m))
+        got = tower.level_generators(n)
+        assert np.array_equal(got[0], blk.embed(shift))
+        assert np.array_equal(got[1], blk.embed(clock))
+
+
+def _unitary_near_minus_one(rng, q):
+    # eigenphases within 1e-6 of pi, on both sides
+    v = random_unitary(rng, q)
+    phases = np.pi + rng.uniform(-1e-6, 1e-6, q)
+    return (v * np.exp(1j * phases)) @ dagger(v)
+
+
+def _hermitian(rng, dim):
+    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = (h + dagger(h)) / 2
+    return h / op_norm(h)
+
+
+small_or_zero = st.one_of(st.just(0.0), st.floats(1e-12, 1e-2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.sampled_from([8, 16, 32]), level=st.integers(1, 4),
+       delta=small_or_zero, delta_x=small_or_zero, near_pi=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_commutator_bound_dominates_dense_norm(dim, level, delta, delta_x, near_pi,
+                                               seed):
+    # u = (1_s (x) W) exp(i delta K) and x = X (x) 1_q + delta' Y: the bound
+    # is at least the dense commutator and, times ||u||'s bound, the dense
+    # Ad form, with no tolerance
+    s = 2 ** min(level, dim.bit_length() - 2)
+    q = dim // s
+    rng = np.random.default_rng(seed)
+    w = _unitary_near_minus_one(rng, q) if near_pi else random_unitary(rng, q)
+    u = np.kron(np.eye(s), w) @ expm_skew(_hermitian(rng, dim), delta)
+    a = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+    y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    x = np.kron(a, np.eye(q)) + delta_x * y
+    u_split = commutant_split(u, s)
+    bound = commutator_bound(u_split, level_split(x, s), dim)
+    assert bound >= op_norm(u @ x - x @ u)
+    assert (u_split.factor + u_split.rest) * bound >= op_norm(u @ x @ dagger(u) - x)
+
+
+def test_round_logs_fixed_distance_and_fallbacks(rng):
+    tower, xi, eta = _twisted_instance(rng)
+    schedule = make_schedule(tower, 0.1, 3)
+    logs = back_and_forth(tower, xi, eta, [], schedule).logs
+    assert [(log["fixed_distance"], log["fixed_measured"]) for log in logs] == \
+        [(0.0, 0)] * 3
+    fixed = tower.level_generators(3)
+    logs = back_and_forth(tower, xi, eta, fixed, schedule).logs
+    # the level-3 shift has no part in levels 1 and 2, so its distance from
+    # them is its whole Frobenius norm, sqrt(16)
+    assert logs[0]["fixed_distance"] == logs[1]["fixed_distance"] == pytest.approx(4.0)
+    assert logs[2]["fixed_distance"] < 1e-14
+    assert [log["fixed_measured"] for log in logs] == [2, 2, 0]
+
+
+@pytest.mark.parametrize("level", [1, 3])
+def test_final_ad_sups_dominate_dense_values(rng, level):
+    tower, xi, eta = _twisted_instance(rng)
+    fixed = tower.level_generators(level)
+    result = back_and_forth(tower, xi, eta, fixed, make_schedule(tower, 0.1, 3))
+    p_odd, p_even = result.odd_product, result.even_product
+    for key, w in (("odd", p_odd), ("even", p_even),
+                   ("combined", p_odd @ dagger(p_even))):
+        dense = max(op_norm(w @ x @ dagger(w) - x) for x in fixed)
+        assert result.final[f"ad_{key}_sup"] >= dense
+        if level == 1:
+            assert result.final[f"ad_{key}_sup"] < 1e-12

@@ -10,8 +10,9 @@ from state_transport.path import (
     concat_paths,
     merge_orthogonal_paths,
 )
+from state_transport.intertwine import assemble_path, back_and_forth, make_schedule
 from state_transport.transport import geodesic_pair
-from state_transport.suites import random_state, random_unitary
+from state_transport.suites import intertwine_instance, random_state, random_unitary
 
 
 def _rotation_path(h, t1=1.0):
@@ -221,3 +222,35 @@ def test_commutator_sup_without_elements_evaluates_nothing(rng):
         calls = _count_eigh(mp)
         assert path.commutator_sup([], 64) == 0.0
     assert calls == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(PATH_KINDS), seed=st.integers(0, 2**32 - 1))
+def test_commutator_bound_dominates_sampled_sup(kind, seed):
+    # random elements, and elements that commute with the whole path or
+    # with its first segment's base, where only rounding is left
+    rng = np.random.default_rng(seed)
+    path = _multi_segment_path(kind, rng)
+    elements = [random_unitary(rng, 4), np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex),
+                np.eye(4, dtype=complex), path.segments[0].base]
+    sampled = [path.commutator_sup([x], 257) for x in elements]
+    for x, sup in zip(elements, sampled):
+        assert path.commutator_bound([x]) >= sup
+    assert path.commutator_bound(elements) >= max(sampled)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_commutator_bound_dominates_sampled_sup_on_tower_path(seed):
+    rng = np.random.default_rng(seed)
+    tower, xi, eta = intertwine_instance(rng, ambient=16, levels=4,
+                                         commutant_level=3, twist=1e-7)
+    result = back_and_forth(tower, xi, eta, [], make_schedule(tower, 0.1, 3))
+    path = assemble_path(result)
+    fixed = tower.level_generators(2)
+    assert path.commutator_bound(fixed) >= path.commutator_sup(fixed, 257)
+
+
+def test_commutator_bound_without_elements_is_zero(rng):
+    path = _multi_segment_path("concatenated", rng)
+    assert path.commutator_bound([]) == 0.0
