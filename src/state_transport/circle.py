@@ -83,9 +83,6 @@ class SpectralModel:
         """Orthonormal columns spanning the spectral compression of (a, b]."""
         return self.eigenbasis[:, _in_arc(self.eigenangles, a, b)[self.labels]]
 
-    def arc_mass(self, xi: np.ndarray, a: float, b: float) -> float:
-        return float(np.sum(self.point_masses(xi)[_in_arc(self.eigenangles, a, b)]))
-
 
 def _in_arc(angles: np.ndarray, a, b) -> np.ndarray:
     """Membership in the cyclic half-open arc (a, b]; arrays of end points
@@ -265,7 +262,8 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
 
     Low-mass arcs (min mass <= eps^{3/2}) are skipped.  The summed path
     obeys ||[u(t), z]|| < 3 pi eps, commutes with the block units, and has
-    terminal error < 2 sqrt(3) eps on admissible instances.
+    terminal error < 2 sqrt(3) eps on admissible instances.  Both sups are
+    certified bounds over every t; ``t_samples`` is accepted and ignored.
     """
     xi = check_state(xi)
     eta = check_state(eta)
@@ -288,6 +286,7 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
 
     rows = []
     lifted = []
+    transported = []
     worst_stats_gap = 0.0
     for idx, (a, b) in enumerate(partition.arcs()):
         basis = model.arc_basis(a, b)
@@ -311,6 +310,7 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
                                   eps, exact=True)
         worst_stats_gap = max(worst_stats_gap, res.measured_gap)
         lifted.append(_lift_path(res.path, basis))
+        transported.append((a, b))
         rows.append(ArcRow(idx, m_xi, m_eta, skipped=False,
                            terminal_contribution=abs(np.sqrt(m_xi) - np.sqrt(m_eta))))
 
@@ -324,8 +324,8 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
         partition=partition,
         rows=rows,
         terminal_error=float(np.linalg.norm(path.end() @ xi - eta)),
-        z_commutator_sup=path.commutator_sup([model.z], t_samples),
-        family_commutator_sup=path.commutator_sup(family, t_samples),
+        z_commutator_sup=_z_commutator_bound(model, path, transported),
+        family_commutator_sup=path.commutator_bound(family),
         terminal_bound=2 * np.sqrt(3.0) * eps,
         z_commutator_bound=3 * np.pi * eps,
         extras={
@@ -335,6 +335,26 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
             "stats_gap": worst_stats_gap,
         },
     )
+
+
+def _z_commutator_bound(model: SpectralModel, path: UnitaryPath,
+                        arcs: list[tuple[float, float]]) -> float:
+    """Certified sup over t of ||[u(t), z]|| for the path merged over the
+    transported ``arcs``, with no path evaluation.  u(t) preserves each
+    arc's columns Q_k of Q and fixes the rest; with z = Q Λ Q^* + R, each
+    block [u_k, Λ_k - λ] has norm <= 2 ||Λ_k - λ|| <= 2 sin(π s) for λ the
+    midpoint of the chord between the arc's extreme eigenvalues, s turns
+    apart (s <= 1/2; λ = 0 gives 2 beyond).  Hence the largest 2 sin(π s),
+    plus 2 ||R|| and the rounding allowance of
+    ``UnitaryPath.commutator_bound``; 0.0 with no arc."""
+    if not arcs:
+        return 0.0
+    angles = model.eigenangles
+    spread = max(np.ptp((angles[_in_arc(angles, a, b)] - a) % 1.0) for a, b in arcs)
+    structural = 2 * np.sin(np.pi * min(spread, 0.5))
+    turn = max(s.duration * np.linalg.norm(s.generator) for s in path.segments)
+    allowance = model.dim * np.finfo(float).eps * np.linalg.norm(model.z) * (1.0 + turn)
+    return float(structural + 2 * model.reconstruction_defect() + allowance)
 
 
 def _compress_units(block: MatrixUnits, basis: np.ndarray) -> MatrixUnits:

@@ -170,7 +170,7 @@ def _run_projection(config):
     xi = serialize.decode_vector(config["xi"])
     eta = serialize.decode_vector(config["eta"])
     path = projection_transport(e, xi, eta)
-    comm = path.commutator_sup([e], 64)
+    comm = path.commutator_bound([e])
     measured = {"length": path.length, "projection_commutator": comm}
     bounds = {"length": np.pi / 2 + 1e-8, "projection_commutator": 1e-9}
     return measured, bounds, _path_csv(path, xi, eta)
@@ -185,7 +185,7 @@ def _run_commutant(config):
     eps = float(config["eps"])
     res = commutant_transport(mu, xi, eta, eps)
     units = [mu.unit(i, j) for i in range(n) for j in range(n)]
-    comm = res.path.commutator_sup(units, 8)
+    comm = res.path.commutator_bound(units)
     measured = {
         "terminal_error": res.terminal_error,
         "unit_commutator": comm,
@@ -203,7 +203,7 @@ def _run_circle(config):
     xi = serialize.decode_vector(config["xi"])
     eta = serialize.decode_vector(config["eta"])
     eps = float(config["eps"])
-    res = arc_transport(block, model, xi, eta, [], eps, t_samples=8)
+    res = arc_transport(block, model, xi, eta, [], eps)
     measured = {
         "terminal_error": res.terminal_error,
         "z_commutator": res.z_commutator_sup,

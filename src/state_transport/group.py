@@ -103,15 +103,6 @@ class GroupAction:
         q = self.eigenbasis
         return (q * self.phases([g])[0]) @ dagger(q)
 
-    def multiplicativity_defect(self, samples) -> float:
-        worst = 0.0
-        for g, h in samples:
-            worst = max(
-                worst,
-                op_norm(self.rep(self.multiply(g, h)) - self.rep(g) @ self.rep(h)),
-            )
-        return worst
-
 
 def finite_cyclic_action(n: int, u: np.ndarray) -> GroupAction:
     """Z/n acting through the powers of a unitary of order n."""
@@ -289,6 +280,7 @@ def group_state_transport(action: GroupAction, xi: np.ndarray, eta: np.ndarray,
     Orthogonal-orbit case: one leg e^{i pi t hbar}.  Overlapping orbits
     (Z^d only) take a detour through an intermediate vector with the same
     correlation data and an orbit orthogonal to both, doubling the bounds.
+    ``commutator_sup`` is certified; ``t_samples`` is accepted and ignored.
     """
     xi = check_state(xi)
     eta = check_state(eta)
@@ -315,7 +307,7 @@ def group_state_transport(action: GroupAction, xi: np.ndarray, eta: np.ndarray,
         path=path,
         terminal_error=float(np.linalg.norm(path.end() @ xi - eta)),
         terminal_bound=legs * (eps_prime * EXP_SERIES_CONSTANT + 2 * eps_prime),
-        commutator_sup=path.commutator_sup([action.rep(g) for g in gens], t_samples),
+        commutator_sup=path.commutator_bound([action.rep(g) for g in gens]),
         commutator_bound=legs * np.pi * eps,
         eps_prime=eps_prime,
         folner=folner,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -112,17 +111,6 @@ class UnitaryPath:
         whatever the number of times."""
         return map(self.at, ts)
 
-    def commutator_sup(self, elements: list[np.ndarray], samples: int) -> float:
-        """Largest ||[u(t), x]|| over ``sample_times(samples)`` and the
-        elements x; 0.0, without evaluating the path, when there are none.
-
-        A sampled max, not a certified sup: ``commutator_bound`` is one."""
-        if len(elements) == 0:
-            return 0.0
-        return max(op_norm(u @ x - x @ u)
-                   for u in self.at_times(self.sample_times(samples))
-                   for x in elements)
-
     def commutator_bound(self, elements: list[np.ndarray]) -> float:
         """Certified sup over every t of ||[u(t), x]|| for the elements x;
         0.0 when there are none.  No eigendecomposition, no evaluation.
@@ -156,17 +144,6 @@ class UnitaryPath:
 
     def is_based(self, tol: float = JOINT_TOL) -> bool:
         return norm_at_most(self.start() - np.eye(self.dim), tol)
-
-    def joint_defect(self) -> float:
-        """Largest discontinuity across segment joints."""
-        worst = 0.0
-        for prev, nxt in zip(self.segments, self.segments[1:]):
-            worst = max(worst, op_norm(prev.end() - nxt.at(nxt.t0)))
-        return worst
-
-    def chord_sum(self, samples: int = 64) -> float:
-        us = self.at_times(np.linspace(self.t_start, self.t_end, samples + 1))
-        return float(sum(op_norm(b - a) for a, b in itertools.pairwise(us)))
 
     def sample_times(self, samples: int = 64) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, samples)

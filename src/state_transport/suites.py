@@ -235,7 +235,7 @@ def suite_commutant(seed: int, instances: int) -> dict:
         mu, xi, eta = commutant_instance(rng, n, r, eps)
         res = commutant_transport(mu, xi, eta, eps)
         units = [mu.unit(a, b) for a in range(n) for b in range(n)]
-        return res.terminal_error, eps, res.path.commutator_sup(units, 8)
+        return res.terminal_error, eps, res.path.commutator_bound(units)
 
     results = [one(i) for i in range(instances)]
     return {
@@ -285,7 +285,7 @@ def suite_circle(seed: int, instances: int) -> dict:
             atoms = 32
             eps = 0.09
         block, model, xi, eta = circle_instance(rng, k, atoms)
-        res = arc_transport(block, model, xi, eta, [], eps, t_samples=8)
+        res = arc_transport(block, model, xi, eta, [], eps)
         part = res.partition
         gap_ok = part.gap_defect() == 0.0
         masses = np.stack([model.point_masses(xi), model.point_masses(eta)])
@@ -343,7 +343,7 @@ def suite_group(seed: int, instances: int) -> dict:
         eps = 0.1
         action, xi, eta = group_instance(rng, copy_dim)
         gens = [(1,), (-1,)]
-        res = group_state_transport(action, xi, eta, gens, eps, t_samples=5)
+        res = group_state_transport(action, xi, eta, gens, eps)
         fol = res.folner
         length = len(fol.elements)
         defect_exact = fol.defect == 2.0 / length

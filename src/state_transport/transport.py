@@ -316,8 +316,7 @@ class MultiTransportResult:
 
 
 def multi_transport(alg: BlockAlgebra, pairs: list[tuple[np.ndarray, np.ndarray]],
-                    family: list[np.ndarray], eps: float,
-                    t_samples: int = 16) -> MultiTransportResult:
+                    family: list[np.ndarray], eps: float) -> MultiTransportResult:
     """One path transporting each pair inside its own block simultaneously.
 
     Each pair must be supported in a distinct block; the path is the
@@ -350,7 +349,7 @@ def multi_transport(alg: BlockAlgebra, pairs: list[tuple[np.ndarray, np.ndarray]
     return MultiTransportResult(
         path=path,
         terminal_errors=terminal_errors,
-        commutator_sup=path.commutator_sup(family, t_samples),
+        commutator_sup=path.commutator_bound(family),
         per_block=per_block,
     )
 

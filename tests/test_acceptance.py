@@ -176,7 +176,7 @@ def test_group_averaged_transport():
     summary = suite_group(SEED, 10)
     rng = np.random.default_rng(SEED)
     action, xi, eta = group_instance(rng, 48)
-    res = group_state_transport(action, xi, eta, [(1,), (-1,)], 0.1, t_samples=3)
+    res = group_state_transport(action, xi, eta, [(1,), (-1,)], 0.1)
     flip_err = res.extras["flip_error"]
     elapsed = time.perf_counter() - started
     ok = (

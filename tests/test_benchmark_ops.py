@@ -34,3 +34,24 @@ def test_tiny_pool_ops_do_not_fail(name):
     for i, x in enumerate(workload.inputs(1, True)):
         rec = workloads.run_op(state_transport, workload, x)
         assert not rec.failed, f"{name} op {i}: {rec.failure_types()}"
+
+
+def test_ignored_t_samples_leaves_every_sup_unchanged():
+    # The spectral-mid op passes t_samples to arc_transport and
+    # group_state_transport; their sups are certified bounds, which sample
+    # nothing, so the keyword must be accepted and change no value.
+    x = workloads.spectral_mid_inputs(1, True)[0]
+    z = x["circle_z"]
+    model = state_transport.SpectralModel.from_unitary(z)
+    block = state_transport.full_matrix_units(x["circle_k"], len(z) // x["circle_k"], len(z))
+    action = state_transport.integer_action([x["group_gen"]])
+    circle, group = [], []
+    for samples in (2, 64):
+        res = state_transport.arc_transport(block, model, x["circle_xi"], x["circle_eta"],
+                                            [z], x["circle_eps"], t_samples=samples)
+        circle.append((res.z_commutator_sup, res.family_commutator_sup))
+        res = state_transport.group_state_transport(action, x["group_xi"], x["group_eta"],
+                                                    [(1,), (-1,)], 0.1, t_samples=samples)
+        group.append(res.commutator_sup)
+    assert circle[0] == circle[1] and circle[0][0] > 0.0
+    assert group[0] == group[1]

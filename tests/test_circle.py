@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from state_transport.algebra import conjugated_units, full_matrix_units
@@ -8,6 +8,7 @@ from state_transport.circle import (
     ANGLE_CLUSTER_TOL,
     SpectralModel,
     _compress_units,
+    _in_arc,
     _window_masses,
     arc_transport,
     circle_partition,
@@ -34,14 +35,18 @@ def test_spectral_model_reconstruction(rng):
     assert sum(model.point_masses(xi)) == pytest.approx(1.0)
 
 
+def _arc_mass(model, xi, a, b):
+    return float(np.sum(model.point_masses(xi)[_in_arc(model.eigenangles, a, b)]))
+
+
 def test_arc_mass_half_open():
     z = np.diag(np.exp(2j * np.pi * np.array([0.25, 0.75])))
     model = SpectralModel.from_unitary(z)
     xi = np.array([1.0, 0.0], dtype=complex)
-    assert model.arc_mass(xi, 0.0, 0.25) == pytest.approx(1.0)
-    assert model.arc_mass(xi, 0.25, 0.5) == pytest.approx(0.0)
+    assert _arc_mass(model, xi, 0.0, 0.25) == pytest.approx(1.0)
+    assert _arc_mass(model, xi, 0.25, 0.5) == pytest.approx(0.0)
     # wraparound arc
-    assert model.arc_mass(xi, 0.8, 0.3) == pytest.approx(1.0)
+    assert _arc_mass(model, xi, 0.8, 0.3) == pytest.approx(1.0)
 
 
 def _dense_oracle(z):
@@ -91,7 +96,7 @@ def test_column_model_matches_dense_projections(mults, wrap, seed):
     assert np.max(np.abs(model.point_masses(xi) - masses)) < 1e-12
     for a, b in [rng.uniform(0, 1, 2), (rng.uniform(0, 1), reps[rng.integers(reps.size)])]:
         mask = _in_arc_oracle(reps, a, b)
-        assert abs(model.arc_mass(xi, a, b) - np.sum(masses[mask])) < 1e-12
+        assert abs(_arc_mass(model, xi, a, b) - np.sum(masses[mask])) < 1e-12
         v = model.arc_basis(a, b)
         assert op_norm(dagger(v) @ v - np.eye(v.shape[1])) < 1e-12
         assert op_norm(v @ dagger(v) - np.sum(projs[mask], axis=0)) < 1e-12
@@ -116,9 +121,9 @@ def test_circle_partition_invariants(rng):
     for t in part.points:
         a = (t - part.gamma / 2) % 1.0
         b = (t + part.gamma / 2) % 1.0
-        assert model.arc_mass(xi, a, b) < eps_prime
+        assert _arc_mass(model, xi, a, b) < eps_prime
     # arcs tile the circle
-    total = sum(model.arc_mass(xi, a, b) for a, b in part.arcs())
+    total = sum(_arc_mass(model, xi, a, b) for a, b in part.arcs())
     assert total == pytest.approx(1.0)
 
 
@@ -158,7 +163,7 @@ def test_window_spectral_calculus(rng):
 def test_arc_transport_bounds(rng):
     block, model, xi, eta = circle_instance(rng, 2, 32)
     eps = 0.09
-    res = arc_transport(block, model, xi, eta, [], eps, t_samples=8)
+    res = arc_transport(block, model, xi, eta, [], eps)
     assert res.terminal_error < res.terminal_bound
     assert res.z_commutator_sup < res.z_commutator_bound
     # path commutes with the block throughout
@@ -174,8 +179,78 @@ def test_arc_transport_bounds(rng):
 
 def test_arc_transport_identity_for_equal_states(rng):
     block, model, xi, _ = circle_instance(rng, 1, 60)
-    res = arc_transport(block, model, xi, xi, [], 0.1, t_samples=4)
+    res = arc_transport(block, model, xi, xi, [], 0.1)
     assert res.terminal_error < 1e-10
+
+
+def _partition_arcs(angles, eps, eps_prime):
+    """The arcs ``arc_transport`` cuts for states with mass at every angle:
+    each cut is the first grid point of its window with an empty margin,
+    whatever the masses."""
+    model = SpectralModel.from_unitary(np.diag(np.exp(2j * np.pi * angles)))
+    flat = np.full(angles.size, angles.size**-0.5, dtype=complex)
+    return circle_partition(model, flat, flat, eps, eps_prime).arcs()
+
+
+def _adversarial_circle(rng, k, eps, atoms, ends, swap, phase):
+    """A circle instance built to meet the z-commutator bound.
+
+    ``atoms`` random eigenangles; with ``ends``, the last arc (eps to
+    3 eps / 2 long) and every arc holding an angle get two more just inside
+    their end points, so the arc's spread nears its length.  The target is
+    (1_k (x) U) xi with U preserving every arc: phases within ``phase`` of
+    pi and, with ``swap``, the arc's first and last angles exchanged and the
+    source's arc mass all on the first, so that the arc path turns one end
+    eigenvector into the other and meets the bound up to rounding.  All of
+    it is conjugated by a random 1_k (x) W, which commutes with the block.
+    """
+    eps_prime = eps**5 / (4 * k**2)  # arc_transport's
+    angles = rng.uniform(0.0, 1.0, atoms)
+    if ends:
+        gap = max(eps * eps_prime / 4, 2 * ANGLE_CLUSTER_TOL)
+        arcs = _partition_arcs(angles, eps, eps_prime)
+        inside = [arc for i, arc in enumerate(arcs)
+                  if i == len(arcs) - 1 or _in_arc(angles, *arc).any()]
+        angles = np.concatenate([angles] + [
+            [a + rng.uniform(1, 3) * gap, b - rng.uniform(1, 3) * gap] for a, b in inside
+        ]) % 1.0
+    n = angles.size
+    u = np.diag(np.exp(1j * (np.pi - phase * rng.uniform(0.0, 1.0, n))))
+    weights = np.ones(n)
+    for a, b in _partition_arcs(angles, eps, eps_prime):
+        inside = np.flatnonzero(_in_arc(angles, a, b))
+        if swap and inside.size > 1:
+            first, last = inside[np.argsort((angles[inside] - a) % 1.0)[[0, -1]]]
+            weights[inside] = 0.0
+            weights[first] = 1.0
+            u[:, [first, last]] = u[:, [last, first]]
+    fibers = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    fibers *= np.sqrt(weights / weights.sum())[:, None] / np.linalg.norm(
+        fibers, axis=1, keepdims=True)
+    xi = fibers.T.reshape(-1)  # coordinate i n + a: unit index i, angle a
+    lift = np.kron(np.eye(k), random_unitary(rng, n))
+    z = lift @ np.kron(np.eye(k), np.diag(np.exp(2j * np.pi * angles))) @ dagger(lift)
+    eta = lift @ np.kron(np.eye(k), u) @ xi
+    return full_matrix_units(k, n, k * n), SpectralModel.from_unitary(z), lift @ xi, eta
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([1, 2]), eps=st.floats(0.08, 0.3), atoms=st.integers(3, 10),
+       ends=st.booleans(), swap=st.booleans(), phase=st.floats(0.0, 1e-3),
+       seed=st.integers(0, 2**32 - 1))
+# last arcs of 1.498 and 1.475 eps, ended and swapped: the bound is met
+@example(k=1, eps=0.18136699432836656, atoms=4, ends=True, swap=True,
+         phase=0.0002627303891541327, seed=189)
+@example(k=2, eps=0.22289038541224138, atoms=3, ends=True, swap=True,
+         phase=0.00015579072194944066, seed=90)
+def test_z_commutator_sup_is_a_certified_bound(k, eps, atoms, ends, swap, phase, seed):
+    block, model, xi, eta = _adversarial_circle(np.random.default_rng(seed), k, eps,
+                                                atoms, ends, swap, phase)
+    res = arc_transport(block, model, xi, eta, [], eps)
+    z = model.z
+    dense = max(op_norm(u @ z - z @ u)
+                for u in res.path.at_times(res.path.sample_times(257)))
+    assert dense <= res.z_commutator_sup < res.z_commutator_bound
 
 
 @pytest.mark.parametrize("n, r, keep", [(2, 3, 3), (2, 3, 1), (3, 2, 1), (2, 4, 2)])
@@ -343,7 +418,7 @@ def test_arc_outside_block_is_a_typed_error(rng):
     for _ in range(80):
         xi = random_state(rng, 5)
         try:
-            arc_transport(block, model, xi, xi, [], 0.3, t_samples=4)
+            arc_transport(block, model, xi, xi, [], 0.3)
         except ArcOutsideBlockError as exc:
             outside += 1
             assert exc.arc_index is not None

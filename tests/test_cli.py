@@ -9,8 +9,15 @@ import pytest
 import state_transport
 from state_transport.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, main
 from state_transport.group import integer_action
-from state_transport.serialize import encode_group_action, encode_vector
-from state_transport.suites import random_state, random_unitary
+from state_transport.circle import arc_transport
+from state_transport.serialize import encode_group_action, encode_matrix, encode_vector
+from state_transport.suites import (
+    circle_instance,
+    commutant_instance,
+    random_state,
+    random_unitary,
+)
+from state_transport.transport import commutant_transport, projection_transport
 
 
 def _write_geodesic_config(path, rng):
@@ -80,6 +87,46 @@ def test_run_hypothesis_violation_reports(tmp_path):
     report = json.loads(out.read_text())
     assert report["pass"] is False
     assert "violated_hypothesis" in report
+
+
+def _projection_case(rng):
+    e = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    xi = random_state(rng, 4)
+    u = np.zeros((4, 4), dtype=complex)
+    u[:2, :2], u[2:, 2:] = random_unitary(rng, 2), random_unitary(rng, 2)
+    eta = u @ xi
+    config = {"e": encode_matrix(e), "xi": encode_vector(xi), "eta": encode_vector(eta)}
+    return config, "projection_commutator", \
+        projection_transport(e, xi, eta).commutator_bound([e])
+
+
+def _commutant_case(rng):
+    mu, xi, eta = commutant_instance(rng, 2, 2, 0.1)
+    config = {"n": 2, "multiplicity": 2, "eps": 0.1,
+              "xi": encode_vector(xi), "eta": encode_vector(eta)}
+    units = [mu.unit(i, j) for i in range(2) for j in range(2)]
+    return config, "unit_commutator", \
+        commutant_transport(mu, xi, eta, 0.1).path.commutator_bound(units)
+
+
+def _circle_case(rng):
+    block, model, xi, eta = circle_instance(rng, 2, 32)
+    config = {"z": encode_matrix(model.z), "block_n": 2, "eps": 0.09,
+              "xi": encode_vector(xi), "eta": encode_vector(eta)}
+    return config, "z_commutator", \
+        arc_transport(block, model, xi, eta, [], 0.09).z_commutator_sup
+
+
+@pytest.mark.parametrize("command, case", [("projection", _projection_case),
+                                           ("commutant", _commutant_case),
+                                           ("circle", _circle_case)])
+def test_run_reports_the_certified_commutator_bound(tmp_path, rng, command, case):
+    config, key, bound = case(rng)
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "report.json"
+    cfg.write_text(json.dumps({"command": command, **config}))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
+    assert json.loads(out.read_text())["measured"][key] == bound
 
 
 def test_verify_suite_pass(tmp_path):

@@ -36,7 +36,8 @@ def test_finite_cyclic_action_multiplicative(rng):
     u = np.diag(np.exp(2j * np.pi * np.arange(4) / 4))
     action = finite_cyclic_action(4, u)
     samples = [(a, b) for a in range(4) for b in range(4)]
-    assert action.multiplicativity_defect(samples) < 1e-10
+    assert max(op_norm(action.rep(action.multiply(g, h)) - action.rep(g) @ action.rep(h))
+               for g, h in samples) < 1e-10
 
 
 def test_folner_finite_group_is_whole_group(rng):
@@ -150,7 +151,7 @@ def test_flip_projection_rejects_overlap(rng):
 
 def test_group_state_transport_orthogonal(rng):
     action, xi, eta = group_instance(rng, 48)
-    res = group_state_transport(action, xi, eta, [(1,), (-1,)], 0.1, t_samples=5)
+    res = group_state_transport(action, xi, eta, [(1,), (-1,)], 0.1)
     assert res.legs == 1
     assert res.terminal_error <= res.terminal_bound
     assert res.commutator_sup < res.commutator_bound
@@ -172,7 +173,7 @@ def _three_copy_detour(rng, d):
 
 def test_group_state_transport_detour_with_hint(rng):
     action, xi, eta = _three_copy_detour(rng, 48)
-    res = group_state_transport(action, xi, eta, [(1,), (-1,)], 0.1, t_samples=3)
+    res = group_state_transport(action, xi, eta, [(1,), (-1,)], 0.1)
     assert res.legs == 2
     assert res.terminal_error <= res.terminal_bound + 1e-8
 
@@ -181,7 +182,7 @@ def test_group_state_transport_detour_with_hint(rng):
 def test_detour_without_hint_at_every_copy_dimension(rng, d):
     # |F| = 41, so the orbit families are rank deficient for d <= 40
     action, xi, eta = _three_copy_detour(rng, d)
-    res = group_state_transport(action, xi, eta, [(1,), (-1,)], 0.1, t_samples=5)
+    res = group_state_transport(action, xi, eta, [(1,), (-1,)], 0.1)
     assert res.legs == 2
     assert res.terminal_error <= res.terminal_bound
     assert max(res.extras["leg_errors"]) < 1e-12
@@ -189,12 +190,28 @@ def test_detour_without_hint_at_every_copy_dimension(rng, d):
     assert res.path.length <= 2 * np.pi + 1e-10
 
 
+@settings(max_examples=15, deadline=None)
+@given(detour=st.booleans(), d=st.integers(4, 24), eps=st.sampled_from([0.1, 0.2, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_commutator_sup_is_a_certified_bound(detour, d, eps, seed):
+    # one leg, or the two-leg detour (which needs copies of dimension >= 16)
+    rng = np.random.default_rng(seed)
+    action, xi, eta = _three_copy_detour(rng, max(d, 16)) if detour else \
+        group_instance(rng, d)
+    res = group_state_transport(action, xi, eta, [(1,), (-1,)], eps)
+    assert res.legs == (2 if detour else 1)
+    reps = [action.rep(g) for g in [(1,), (-1,)]]
+    dense = max(op_norm(u @ x - x @ u)
+                for u in res.path.at_times(res.path.sample_times(257)) for x in reps)
+    assert dense <= res.commutator_sup < res.commutator_bound
+
+
 def test_finite_group_overlap_is_unsupported():
     u = np.diag(np.exp(2j * np.pi * np.arange(4) / 4))
     action = finite_cyclic_action(4, u)
     xi = np.full(4, 0.5, dtype=complex)
     with pytest.raises(UnsupportedGroupError):
-        group_state_transport(action, xi, np.exp(0.3j) * xi, [1], 0.5, t_samples=2)
+        group_state_transport(action, xi, np.exp(0.3j) * xi, [1], 0.5)
 
 
 def _clustered_action(rng, mults, rank, spread):
@@ -243,7 +260,7 @@ def test_closed_form_detour_multiplicity_condition(mults, rank, spread, phase_ta
         with pytest.raises(DetourFailureError, match="multiplicity"):
             _find_detour(action, folner, xi, eta, delta)
         with pytest.raises(DetourFailureError):
-            group_state_transport(action, xi, eta, shifts, eps, t_samples=3)
+            group_state_transport(action, xi, eta, shifts, eps)
         return
     mid = _find_detour(action, folner, xi, eta, delta)
     diffs = sorted({tuple(h - g for g, h in zip(g1, g2))
@@ -257,7 +274,7 @@ def test_closed_form_detour_multiplicity_condition(mults, rank, spread, phase_ta
     for v in (xi, eta):
         cross = [np.vdot(v, _rep_oracle(gens, g) @ mid) for g in diffs]
         assert np.max(np.abs(cross)) < tol
-    res = group_state_transport(action, xi, eta, shifts, eps, t_samples=3)
+    res = group_state_transport(action, xi, eta, shifts, eps)
     assert res.terminal_error <= res.terminal_bound
 
 

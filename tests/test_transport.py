@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from state_transport.algebra import conjugated_units, direct_sum_algebra, full_matrix_units
 from state_transport.errors import (
@@ -233,6 +235,36 @@ def test_multi_transport_blocks(rng):
                           alg.spanning_elements(), 0.1)
     assert max(res.terminal_errors) < 1e-10
     assert res.commutator_sup < 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1,
+                       max_size=3),
+       noise=st.sampled_from([0.0, 1e-7, 1e-5]), seed=st.integers(0, 2**32 - 1))
+def test_multi_transport_commutator_sup_is_a_certified_bound(shapes, noise, seed):
+    # Each block's target is a commutant unitary of its source, perturbed by
+    # ``noise`` so that the exact-repair legs have length.
+    rng = np.random.default_rng(seed)
+    ns, rs = zip(*shapes)
+    alg = direct_sum_algebra(list(ns), list(rs))
+    pairs, offset = [], 0
+    for n, r in shapes:
+        xi = np.zeros(alg.ambient_dim, dtype=complex)
+        eta = np.zeros(alg.ambient_dim, dtype=complex)
+        xi[offset:offset + n * r] = random_state(rng, n * r)
+        moved = np.kron(np.eye(n), random_unitary(rng, r)) @ xi[offset:offset + n * r]
+        moved = moved + noise * random_state(rng, n * r)
+        eta[offset:offset + n * r] = moved / np.linalg.norm(moved)
+        pairs.append((xi, eta))
+        offset += n * r
+    family = alg.spanning_elements()
+    res = multi_transport(alg, pairs, family, 0.1)
+    dense = max(op_norm(u @ x - x @ u)
+                for u in res.path.at_times(res.path.sample_times(257)) for x in family)
+    # The lifts commute with every unit and a repair leg of length L moves a
+    # unit by at most 2 L; 1e-9 is the unit-commutator tolerance of the CLI.
+    limit = 2 * max(b.extras["repair_length"] for b in res.per_block) + 1e-9
+    assert dense <= res.commutator_sup < limit
 
 
 def test_multi_transport_rejects_shared_block(rng):
