@@ -114,22 +114,6 @@ class BlockAlgebra:
             if b.ambient_dim != self.ambient_dim:
                 raise DimensionError("block ambient dimension mismatch")
 
-    def identity_projection(self) -> np.ndarray:
-        p = np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
-        for b in self.blocks:
-            p = p + b.block_identity()
-        return p
-
-    def orthogonality_defect(self) -> float:
-        worst = 0.0
-        ids = [b.block_identity() for b in self.blocks]
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                worst = max(worst, op_norm(ids[a] @ ids[b]))
-        p = sum(ids)
-        worst = max(worst, op_norm(p @ p - p))
-        return worst
-
     def spanning_elements(self) -> list[np.ndarray]:
         """All matrix units of all blocks, a linear basis of the algebra."""
         out = []

@@ -110,13 +110,6 @@ def greedy_pivot_select(fam: VectorFamily, m: int) -> list[int]:
     return chosen
 
 
-def expansion_coefficients(fam: VectorFamily, pivots: list[int]) -> np.ndarray:
-    """Least-squares coefficients of every vector over the pivot vectors."""
-    basis = fam.vectors[pivots]  # m x dim
-    sol, *_ = np.linalg.lstsq(basis.T, fam.vectors.T, rcond=None)
-    return sol.T  # n x m
-
-
 @dataclass
 class AlignmentResult:
     """Unitary aligning two families, with its certified residual bound."""

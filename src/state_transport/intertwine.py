@@ -9,7 +9,7 @@ while nearly fixing the prescribed finite set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -116,6 +116,22 @@ def commutator_bound(u: TensorSplit, x: TensorSplit, dim: int) -> float:
             + 2.0 * dim * np.finfo(float).eps * (x.factor + x.rest))
 
 
+def drift_bound(drift: float, defect: float, dim: int) -> float:
+    """Certified upper bound on ||[p u p^*, x]|| for every D x D x with
+    ||x|| <= 1, a u at distance ``drift`` = ||u - 1||_F from the identity
+    and a p with ``defect`` d >= ||p^* p - 1||.
+
+    [p u p^*, x] = [p (u - 1) p^*, x] + [p p^* - 1, x], with
+    ||p||^2 = ||p^* p|| <= 1 + d and ||p p^* - 1|| = ||p^* p - 1|| for
+    square p: 2 ((1 + d) ||u - 1||_F + d).  The allowance covers the
+    rounding of the dense products a caller would take instead, and of the
+    norms: D 2^-52 (1 + d)(1 + drift) for each of the two products that
+    form [v, x], and twice that for each of the two that form v = p u p^*
+    and for the product p^* p that measures d."""
+    rounding = 8.0 * dim * np.finfo(float).eps * (1.0 + defect) * (1.0 + drift)
+    return 2.0 * ((1.0 + defect) * drift + defect) + rounding
+
+
 @dataclass
 class Schedule:
     """Per-round inner tolerances and admissibility thresholds.
@@ -177,7 +193,12 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     A fixed element's commutation is ``commutator_bound`` at level n when
     that is below the round budget, and the dense norm otherwise; the logs
     also record the largest distance ||x - E_n x||_F of the fixed set from
-    level n and how many fixed elements took the dense norm.
+    level n and how many fixed elements took the dense norm.  The open
+    companions' commutation is ``drift_bound`` of the drift ||u_n - 1||_F
+    and of d = ||p^* p - 1||_F, measured once per round for the string
+    p = w^*, when that is below the round budget, and their dense norms
+    otherwise; the logs record the drift and how many companions took the
+    dense norm.  A level's generators are built on first use.
     """
     xi = check_state(omega1)
     eta = check_state(omega2)
@@ -191,7 +212,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
                 measured_gap=start_gap,
             )
         level1 = [level_split(x, tower.sizes[0]) for x in fixed_set]
-    generators = [tower.level_generators(lev) for lev in range(1, schedule.rounds + 1)]
+    generators = cache(tower.level_generators)
     p_odd = np.eye(dim, dtype=complex)
     p_even = np.eye(dim, dtype=complex)
     round_paths: list[UnitaryPath] = []
@@ -226,6 +247,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         # levels <= 1 + n % 2, so only the fixed set and the companions w x w^*
         # of levels above can fail: ||[u_n, w x w^*]|| = ||[w^* u_n w, x]||.
         budget = schedule.budget(n)
+        drift = float(np.linalg.norm(u_n - np.eye(dim)))
         comms, distances = [], []
         measured = 0
         if fixed_set:
@@ -240,11 +262,20 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
                 measured += 1
             comms.append(comm)
             distances.append(distance)
-        companions = [x for gens in generators[1 + n % 2:n] for x in gens]
-        if companions:
+        open_levels = range(2 + n % 2, n + 1)
+        companion_measured = 0
+        if open_levels:
             p = p_even if odd_side else p_odd  # w^*
-            v = p @ u_n @ dagger(p)
-            comms.extend(op_norm(v @ x - x @ v) for x in companions)
+            defect = float(np.linalg.norm(dagger(p) @ p - np.eye(dim)))
+            # The companions are shifts and clocks, so ||x|| = 1.
+            bound = drift_bound(drift, defect, dim)
+            if bound < budget:
+                comms.append(bound)
+            else:
+                companions = [x for lev in open_levels for x in generators(lev)]
+                v = p @ u_n @ dagger(p)
+                comms.extend(op_norm(v @ x - x @ v) for x in companions)
+                companion_measured = len(companions)
         comm = max(comms, default=0.0)
         logs.append({
             "round": n,
@@ -256,6 +287,8 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
             "commutation": comm,
             "fixed_distance": max(distances, default=0.0),
             "fixed_measured": measured,
+            "drift": drift,
+            "companion_measured": companion_measured,
             "budget": budget,
             "within_budget": bool(comm < budget),
         })
@@ -295,7 +328,7 @@ def _final_measurements(tower, generators, xi, eta, p_odd, p_even, fixed_set,
         products = {"odd": p_odd, "even": p_even, "combined": p_odd @ dagger(p_even)}
         sups = {key: _ad_sup(tower, w, fixed_set, level1, limits[key])
                 for key, w in products.items()}
-        gens = generators[m - 1]
+        gens = generators(m)
         even_xi = dagger(p_even) @ xi
         odd_eta = dagger(p_odd) @ eta
         intertwine_gap = max(

@@ -140,8 +140,11 @@ def test_conjugated_units_keep_relations(rng):
 def test_direct_sum_algebra_orthogonal():
     alg = direct_sum_algebra([2, 3], [2, 1])
     assert alg.ambient_dim == 7
-    assert alg.orthogonality_defect() < 1e-14
-    assert op_norm(alg.identity_projection() - np.eye(7)) < 1e-14
+    ids = [b.block_identity() for b in alg.blocks]
+    total = sum(ids)
+    assert op_norm(ids[0] @ ids[1]) < 1e-14
+    assert op_norm(total @ total - total) < 1e-14
+    assert op_norm(total - np.eye(7)) < 1e-14
     assert len(alg.spanning_elements()) == 4 + 9
 
 

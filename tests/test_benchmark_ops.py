@@ -55,3 +55,25 @@ def test_ignored_t_samples_leaves_every_sup_unchanged():
         group.append(res.commutator_sup)
     assert circle[0] == circle[1] and circle[0][0] > 0.0
     assert group[0] == group[1]
+
+
+def test_tower_rounds_take_no_dense_ambient_norm(monkeypatch):
+    # The tower op's fixed set lies in level 1 and its rounds after the
+    # first stay near the identity, so back_and_forth certifies the fixed
+    # set, the open companions and the final Ad sups without a single
+    # ambient x ambient operator norm.
+    workload = workloads.WORKLOADS["tower-256"]
+    op_norm = state_transport.intertwine.op_norm
+    for x in workload.inputs(1, True):
+        ambient = x["ambient"]
+        dense = []
+
+        def counted(a):
+            if a.shape == (ambient, ambient):
+                dense.append(a)
+            return op_norm(a)
+
+        monkeypatch.setattr(state_transport.intertwine, "op_norm", counted)
+        rec = workloads.run_op(state_transport, workload, x)
+        assert not rec.failed, rec.failure_types()
+        assert len(dense) == 0
