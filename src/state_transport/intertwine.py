@@ -213,6 +213,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
             )
         level1 = [level_split(x, tower.sizes[0]) for x in fixed_set]
     generators = cache(tower.level_generators)
+    one = np.eye(dim)
     p_odd = np.eye(dim, dtype=complex)
     p_even = np.eye(dim, dtype=complex)
     round_paths: list[UnitaryPath] = []
@@ -247,7 +248,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         # levels <= 1 + n % 2, so only the fixed set and the companions w x w^*
         # of levels above can fail: ||[u_n, w x w^*]|| = ||[w^* u_n w, x]||.
         budget = schedule.budget(n)
-        drift = float(np.linalg.norm(u_n - np.eye(dim)))
+        drift = float(np.linalg.norm(u_n - one))
         comms, distances = [], []
         measured = 0
         if fixed_set:
@@ -266,7 +267,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         companion_measured = 0
         if open_levels:
             p = p_even if odd_side else p_odd  # w^*
-            defect = float(np.linalg.norm(dagger(p) @ p - np.eye(dim)))
+            defect = float(np.linalg.norm(dagger(p) @ p - one))
             # The companions are shifts and clocks, so ||x|| = 1.
             bound = drift_bound(drift, defect, dim)
             if bound < budget:
