@@ -42,6 +42,7 @@ from .errors import (
     NotNormalizedError,
     NotPSDError,
     NotUnitaryError,
+    PathError,
     RoundFailureError,
     SingularMatrixError,
     StateTransportError,

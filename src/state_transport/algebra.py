@@ -43,10 +43,6 @@ class MatrixUnits:
         """V as a stack of ambient rows, each n x r: [d, i, s] = V_i[d, s]."""
         return self.isometry.reshape(len(self.isometry), self.n, -1)
 
-    def _conjugate(self, cols: np.ndarray) -> np.ndarray:
-        """C V^* for C = cols flattened to ambient x (n r), as ``_blocks`` lays V out."""
-        return cols.reshape(len(cols), -1) @ dagger(self.isometry)
-
     def unit(self, i: int, j: int) -> np.ndarray:
         v = self._blocks()
         return v[:, i] @ dagger(v[:, j])
@@ -63,7 +59,8 @@ class MatrixUnits:
     def embed(self, a: np.ndarray) -> np.ndarray:
         """Ambient element sum_ij a[i, j] e_ij = V (a (x) 1_r) V^* for an n x n
         coefficient matrix."""
-        return self._conjugate(np.asarray(a, dtype=complex).T @ self._blocks())
+        cols = np.asarray(a, dtype=complex).T @ self._blocks()
+        return cols.reshape(self.ambient_dim, -1) @ dagger(self.isometry)
 
     def coefficients_of_state(self, xi: np.ndarray) -> np.ndarray:
         """Matrix of statistics s[i, j] = <e_ij xi, xi> = conj(X) X^T."""
@@ -79,10 +76,11 @@ class MatrixUnits:
         coordinates of e_1j xi in the corner."""
         return (dagger(self.isometry) @ xi).reshape(self.n, -1)
 
-    def lift_corner(self, h: np.ndarray) -> np.ndarray:
-        """sum_i e_i1 (V_0 h V_0^*) e_1i = V (1_n (x) h) V^* for an r x r corner
-        matrix h; the lift commutes with every e_ij."""
-        return self._conjugate(self._blocks() @ h)
+    def lift_columns(self, q: np.ndarray) -> np.ndarray:
+        """V (1_n (x) q), block i of columns V_i q, for an r x k corner matrix
+        q: the lift sum_i e_i1 (V_0 h V_0^*) e_1i of h = q d q^* is
+        V (1_n (x) q d q^*) V^*, which commutes with every e_ij."""
+        return (self._blocks() @ q).reshape(self.ambient_dim, -1)
 
 
 def full_matrix_units(n: int, multiplicity: int = 1, ambient_dim: int | None = None,

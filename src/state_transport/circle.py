@@ -352,7 +352,7 @@ def _z_commutator_bound(model: SpectralModel, path: UnitaryPath,
     angles = model.eigenangles
     spread = max(np.ptp((angles[_in_arc(angles, a, b)] - a) % 1.0) for a, b in arcs)
     structural = 2 * np.sin(np.pi * min(spread, 0.5))
-    turn = max(s.duration * np.linalg.norm(s.generator) for s in path.segments)
+    turn = max(s.duration * np.linalg.norm(s.w) for s in path.segments)
     allowance = model.dim * np.finfo(float).eps * np.linalg.norm(model.z) * (1.0 + turn)
     return float(structural + 2 * model.reconstruction_defect() + allowance)
 
@@ -370,15 +370,9 @@ def _compress_units(block: MatrixUnits, basis: np.ndarray) -> MatrixUnits:
 
 def _lift_path(path: UnitaryPath, basis: np.ndarray) -> UnitaryPath:
     """Extend a path on a subspace (columns V of ``basis``) by the identity:
-    generator V h V^*, base 1 + V (B - 1) V^*."""
+    eigenpairs (w, V v), base 1 + V (B - 1) V^*."""
     ambient, r = basis.shape
-    segs = [
-        PathSegment(
-            s.t0,
-            s.t1,
-            basis @ s.generator @ dagger(basis),
-            np.eye(ambient, dtype=complex) + basis @ (s.base - np.eye(r)) @ dagger(basis),
-        )
-        for s in path.segments
-    ]
-    return UnitaryPath(segs)
+    return UnitaryPath([PathSegment(
+        s.t0, s.t1, s.w, basis @ s.v,
+        np.eye(ambient, dtype=complex) + basis @ (s.base - np.eye(r)) @ dagger(basis),
+    ) for s in path.segments])

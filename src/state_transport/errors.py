@@ -106,5 +106,10 @@ class RoundFailureError(StateTransportError):
         self.measured_gap = measured_gap
 
 
+class PathError(StateTransportError):
+    """A path cannot be built: no segments, a degenerate parameter interval,
+    an unbased path to concatenate, or paths that do not share an interval."""
+
+
 class AssemblyError(StateTransportError):
     """Path assembly is missing a required round path."""

@@ -340,9 +340,8 @@ def _orthogonal_leg(action, folner, xi, orbit_xi, orbit_eta,
     b, v = _graph_factors(orbit_xi, orbit_eta)
     zetas = orbit_xi @ (v @ dagger(b)).T
     hbar = average_conjugates(_graph_projection(orbit_xi, zetas, b, v), folner, action)
-    path = UnitaryPath(
-        [PathSegment(0.0, 1.0, np.pi * hbar, np.eye(action.dim, dtype=complex))]
-    )
+    w, q = np.linalg.eigh(np.pi * hbar)
+    path = UnitaryPath([PathSegment(0.0, 1.0, w, q, np.eye(action.dim, dtype=complex))])
     zeta_id = zetas[folner.elements.index(action.identity())]
     return path, {
         "delta": delta,

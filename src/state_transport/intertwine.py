@@ -56,11 +56,15 @@ class AlgebraTower:
         """Clock and shift generators of level n, embedded in the ambient as
         g (x) 1_q."""
         m = self.sizes[n - 1]
-        shift = np.zeros((m, m), dtype=complex)
-        shift[np.arange(m), (np.arange(m) + 1) % m] = 1.0
-        clock = np.diag(np.exp(2j * np.pi * np.arange(m) / m))
         one = np.eye(self.ambient_dim // m)
-        return [np.kron(shift, one), np.kron(clock, one)]
+        return [np.kron(g, one) for g in _shift_and_clock(m)]
+
+
+def _shift_and_clock(m: int) -> list[np.ndarray]:
+    """The m x m cyclic shift and clock."""
+    shift = np.zeros((m, m), dtype=complex)
+    shift[np.arange(m), (np.arange(m) + 1) % m] = 1.0
+    return [shift, np.diag(np.exp(2j * np.pi * np.arange(m) / m))]
 
 
 def build_tower(branchings: list[int], ambient_dim: int) -> AlgebraTower:
@@ -198,7 +202,8 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     and of d = ||p^* p - 1||_F, measured once per round for the string
     p = w^*, when that is below the round budget, and their dense norms
     otherwise; the logs record the drift and how many companions took the
-    dense norm.  A level's generators are built on first use.
+    dense norm.  A level's generators are built on first use, and the final
+    intertwining gap applies the last level's as s x s factors.
     """
     xi = check_state(omega1)
     eta = check_state(omega2)
@@ -294,8 +299,8 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
             "within_budget": bool(comm < budget),
         })
 
-    final = _final_measurements(tower, generators, xi, eta, p_odd, p_even,
-                                fixed_set, level1, schedule)
+    final = _final_measurements(tower, xi, eta, p_odd, p_even, fixed_set, level1,
+                                schedule)
     return IntertwineResult(
         odd_product=p_odd,
         even_product=p_even,
@@ -320,8 +325,8 @@ def _stats_gap(blk, xi: np.ndarray, eta: np.ndarray) -> float:
     )))
 
 
-def _final_measurements(tower, generators, xi, eta, p_odd, p_even, fixed_set,
-                        level1, schedule) -> dict:
+def _final_measurements(tower, xi, eta, p_odd, p_even, fixed_set, level1,
+                        schedule) -> dict:
     eps = schedule.eps
     limits = {"odd": 4 * eps / 3, "even": 2 * eps / 3, "combined": 2 * eps}
     m = schedule.rounds
@@ -329,12 +334,14 @@ def _final_measurements(tower, generators, xi, eta, p_odd, p_even, fixed_set,
         products = {"odd": p_odd, "even": p_even, "combined": p_odd @ dagger(p_even)}
         sups = {key: _ad_sup(tower, w, fixed_set, level1, limits[key])
                 for key, w in products.items()}
-        gens = generators(m)
-        even_xi = dagger(p_even) @ xi
-        odd_eta = dagger(p_odd) @ eta
+        # The last level's generators g (x) 1_q act on a vector as g on its
+        # reshape to (s, q), so the gap needs no D x D matrix.
+        s = tower.sizes[m - 1]
+        even_xi = (dagger(p_even) @ xi).reshape(s, -1)
+        odd_eta = (dagger(p_odd) @ eta).reshape(s, -1)
         intertwine_gap = max(
-            abs(np.vdot(even_xi, x @ even_xi) - np.vdot(odd_eta, x @ odd_eta))
-            for x in gens
+            abs(np.vdot(even_xi, g @ even_xi) - np.vdot(odd_eta, g @ odd_eta))
+            for g in _shift_and_clock(s)
         )
         final_delta = schedule.deltas[-1]
     else:

@@ -67,16 +67,24 @@ def check_hermitian(h: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
 
 
 def check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
-    """Validate ||u^* u - 1|| <= tol and return u.
+    """Validate ||u^* u - 1|| <= tol and return u.  For square u this is
+    also ||u u^* - 1|| (``check_isometry``)."""
+    return check_isometry(check_square(u), tol)
 
-    For square u both ||u^* u - 1|| and ||u u^* - 1|| equal max |s_i^2 - 1|
-    over the singular values, so one SVD decides both.
-    """
-    u = check_square(u)
-    s = np.linalg.svd(u, compute_uv=False)
+
+def check_isometry(v: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+    """Validate that v has orthonormal columns, at most as many as rows,
+    and return v: ||v^* v - 1|| = max |s_i^2 - 1| over the singular
+    values, so one SVD decides it."""
+    v = np.ascontiguousarray(v, dtype=complex)
+    if v.ndim != 2 or v.shape[1] > v.shape[0]:
+        raise DimensionError(f"expected at most as many columns as rows, got {v.shape}")
+    if not np.all(np.isfinite(v.view(float))):
+        raise NotFiniteError("matrix has non-finite entries")
+    s = np.linalg.svd(v, compute_uv=False)
     if s.size and np.max(np.abs((s - 1.0) * (s + 1.0))) > tol:
         raise NotUnitaryError("matrix is not unitary within tolerance")
-    return u
+    return v
 
 
 def check_state(xi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -118,13 +126,9 @@ def expm_skew(h: np.ndarray, t: float = 1.0) -> np.ndarray:
 
 def _expm_skew(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(i t h) for a library-built Hermitian h, without validation: the
-    exponential of the symmetrised (h + h^*) / 2."""
-    return _expm_eigh(np.linalg.eigh((h + dagger(h)) / 2), t)
-
-
-def _expm_eigh(eig: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
-    """exp(i t h) = v diag(e^{i t w}) v^* from the eigenpairs (w, v) of h."""
-    w, v = eig
+    exponential v diag(e^{i t w}) v^* of the eigenpairs (w, v) of the
+    symmetrised (h + h^*) / 2."""
+    w, v = np.linalg.eigh((h + dagger(h)) / 2)
     return (v * np.exp(1j * t * w)) @ dagger(v)
 
 
@@ -155,14 +159,3 @@ def logm_unitary(u: np.ndarray) -> np.ndarray:
     h = (q * angles) @ dagger(q)
     return (h + dagger(h)) / 2
 
-
-def project_unitary_angles(u: np.ndarray) -> np.ndarray:
-    """Hermitian generator with angles in (-pi, pi], no branch margin check.
-
-    Used where the construction tolerates an eigenvalue at -1 (norm <= pi
-    generators of commutant corner paths).  ``u`` is library-built and is
-    not re-checked for unitarity.
-    """
-    lam, q = _unitary_eig(u)
-    h = (q * np.angle(lam)) @ dagger(q)
-    return (h + dagger(h)) / 2

@@ -4,54 +4,55 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import CertificateError, DimensionError
-from .linalg import _expm_eigh, dagger, norm_at_most, op_norm
+from .errors import CertificateError, DimensionError, PathError
+from .linalg import dagger, norm_at_most, op_norm
 
 JOINT_TOL = 1e-10
 
 
 @dataclass
 class PathSegment:
-    """u(t) = exp(i (t - t0) h) @ base for t in [t0, t1].
+    """u(t) = exp(i (t - t0) h) @ base for t in [t0, t1], held as the
+    eigenpairs of its generator h = v diag(w) v^*.
 
-    The generator h is trusted to be Hermitian and the base unitary: the
-    library builds them, and ``serialize.decode_path`` checks both when a
-    path is read back.  Segments are not mutated after construction, so the
-    speed and the eigenpairs are computed once.
+    v has orthonormal columns, possibly fewer than the dimension, and the
+    segment is evaluated as base + v (e^{i (t - t0) w} - 1) v^* base, one
+    formula for every rank.  Every constructor and transform in the library
+    supplies (w, v) in closed form, so no generator is ever decomposed;
+    ``serialize.decode_path`` checks w, v and the unitary base when a path
+    is read back.
     """
 
     t0: float
     t1: float
-    generator: np.ndarray
+    w: np.ndarray  # shape (r,), real
+    v: np.ndarray  # shape (dim, r), orthonormal columns
     base: np.ndarray
 
     @property
     def duration(self) -> float:
         return self.t1 - self.t0
 
-    @cached_property
+    @property
     def speed(self) -> float:
-        """||h||, as the largest |eigenvalue| of the symmetrised generator
-        that ``at`` exponentiates."""
-        h = self.generator
-        return float(np.max(np.abs(np.linalg.eigvalsh((h + dagger(h)) / 2))))
+        """||h|| = max |w|, or 0.0 when there are no columns."""
+        return float(np.max(np.abs(self.w), initial=0.0))
 
-    @cached_property
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenpairs of the symmetrised generator (h + h^*) / 2."""
-        h = self.generator
-        return np.linalg.eigh((h + dagger(h)) / 2)
+    @property
+    def generator(self) -> np.ndarray:
+        """The dense generator h = v diag(w) v^*."""
+        return (self.v * self.w) @ dagger(self.v)
 
     def at(self, t: float) -> np.ndarray:
-        """u(t), exponentiating the generator's eigenpairs, taken on the
-        first call; at t0 a copy of the base, without taking them."""
+        """u(t); at t0 a copy of the base."""
         if t == self.t0:
             return np.array(self.base, dtype=complex)
-        return _expm_eigh(self._eigh, t - self.t0) @ self.base
+        v = self.v
+        turn = np.exp(1j * (t - self.t0) * self.w) - 1.0
+        return self.base + (v * turn) @ (dagger(v) @ self.base)
 
     def end(self) -> np.ndarray:
         return self.at(self.t1)
@@ -67,7 +68,7 @@ class UnitaryPath:
 
     def __init__(self, segments: list[PathSegment]):
         if not segments:
-            raise ValueError("a path needs at least one segment")
+            raise PathError("a path needs at least one segment")
         self.segments = segments
         self.dim = segments[0].base.shape[0]
 
@@ -75,8 +76,8 @@ class UnitaryPath:
     def constant(cls, dim: int, base: np.ndarray | None = None) -> "UnitaryPath":
         if base is None:
             base = np.eye(dim, dtype=complex)
-        zero = np.zeros((dim, dim), dtype=complex)
-        return cls([PathSegment(0.0, 1.0, zero, np.array(base, dtype=complex))])
+        return cls([PathSegment(0.0, 1.0, np.zeros(0), np.zeros((dim, 0), dtype=complex),
+                                np.array(base, dtype=complex))])
 
     @property
     def t_start(self) -> float:
@@ -106,31 +107,32 @@ class UnitaryPath:
         return self.segments[k].at(t)
 
     def at_times(self, ts: Iterable[float]) -> Iterator[np.ndarray]:
-        """``at(t)`` for each t in ts, in order, one sample alive at a time;
-        each segment keeps its eigendecomposition, so a segment takes one
-        whatever the number of times."""
+        """``at(t)`` for each t in ts, in order, one sample alive at a time."""
         return map(self.at, ts)
 
     def commutator_bound(self, elements: list[np.ndarray]) -> float:
         """Certified sup over every t of ||[u(t), x]|| for the elements x;
-        0.0 when there are none.  No eigendecomposition, no evaluation.
+        0.0 when there are none.  No evaluation of the path.
 
         On a segment u(t) = exp(i tau h) B with tau = t - t0 <= dt,
         [u(t), x] = [exp(i tau h), x] B + exp(i tau h) [B, x], and by Duhamel
         ||[exp(i tau h), x]|| <= tau ||[h, x]||.  So the bound is the max over
         segments and elements of ||[B, x]|| + dt ||[h, x]||, with h the
-        symmetrised generator that ``at`` exponentiates, plus an allowance
-        dim 2^-52 ||x||_F (1 + dt ||h||_F) for the rounding of u(t) and of
-        the products that form either side."""
+        segment's ``generator``, plus an allowance dim 2^-52 ||x||_F
+        (1 + dt ||w||) for rounding: ``at`` adds to B the term
+        v (e^{i tau w} - 1) v^* B of norm at most tau ||w||, by two products
+        of sums over at most dim terms, and each of those and of the products
+        that form either side errs by about dim 2^-52 times the norms of its
+        factors, where ||w|| = ||h||_F bounds ||h|| and the added term."""
         if len(elements) == 0:
             return 0.0
         rounding = self.dim * np.finfo(float).eps
         sizes = [np.linalg.norm(x) for x in elements]
         worst = 0.0
         for seg in self.segments:
-            h = (seg.generator + dagger(seg.generator)) / 2
+            h = seg.generator
             b, dt = seg.base, seg.duration
-            allowance = rounding * (1.0 + dt * np.linalg.norm(h))
+            allowance = rounding * (1.0 + dt * np.linalg.norm(seg.w))
             for x, size in zip(elements, sizes):
                 worst = max(worst, op_norm(b @ x - x @ b)
                             + dt * op_norm(h @ x - x @ h) + allowance * size)
@@ -149,52 +151,34 @@ class UnitaryPath:
         return np.linspace(self.t_start, self.t_end, samples)
 
     def adjoint(self) -> "UnitaryPath":
-        """The path t -> u(t)^*, again in segment form."""
-        segs = []
-        for s in self.segments:
-            b = dagger(s.base)
-            segs.append(PathSegment(s.t0, s.t1, -b @ s.generator @ dagger(b), b))
-        return UnitaryPath(segs)
+        """The path t -> u(t)^* = exp(-i tau B^* h B) B^*: eigenpairs
+        (-w, B^* v)."""
+        return UnitaryPath([PathSegment(s.t0, s.t1, -s.w, dagger(s.base) @ s.v,
+                                        dagger(s.base)) for s in self.segments])
 
     def left_multiplied(self, c: np.ndarray) -> "UnitaryPath":
-        """The path t -> c @ u(t) for a fixed unitary c."""
-        segs = [
-            PathSegment(s.t0, s.t1, c @ s.generator @ dagger(c), c @ s.base)
-            for s in self.segments
-        ]
-        return UnitaryPath(segs)
+        """The path t -> c @ u(t) for a fixed unitary c: eigenpairs (w, c v)."""
+        return UnitaryPath([PathSegment(s.t0, s.t1, s.w, c @ s.v, c @ s.base)
+                            for s in self.segments])
 
     def right_multiplied(self, c: np.ndarray) -> "UnitaryPath":
         """The path t -> u(t) @ c for a fixed unitary c."""
-        segs = [
-            PathSegment(s.t0, s.t1, s.generator, s.base @ c) for s in self.segments
-        ]
-        return UnitaryPath(segs)
+        return UnitaryPath([PathSegment(s.t0, s.t1, s.w, s.v, s.base @ c)
+                            for s in self.segments])
 
     def shifted(self, offset: float) -> "UnitaryPath":
-        segs = [
-            PathSegment(s.t0 + offset, s.t1 + offset, s.generator, s.base)
-            for s in self.segments
-        ]
-        return UnitaryPath(segs)
+        return UnitaryPath([PathSegment(s.t0 + offset, s.t1 + offset, s.w, s.v, s.base)
+                            for s in self.segments])
 
     def rescaled(self, t0: float = 0.0, t1: float = 1.0) -> "UnitaryPath":
         """Reparameterize onto [t0, t1]; the certified length is unchanged."""
         lo, hi = self.t_start, self.t_end
         span = hi - lo
         if span <= 0:
-            raise ValueError("degenerate parameter interval")
+            raise PathError("degenerate parameter interval")
         scale = (t1 - t0) / span
-        segs = [
-            PathSegment(
-                t0 + (s.t0 - lo) * scale,
-                t0 + (s.t1 - lo) * scale,
-                s.generator / scale,
-                s.base,
-            )
-            for s in self.segments
-        ]
-        return UnitaryPath(segs)
+        return UnitaryPath([PathSegment(t0 + (s.t0 - lo) * scale, t0 + (s.t1 - lo) * scale,
+                                        s.w / scale, s.v, s.base) for s in self.segments])
 
 
 def concat_paths(first: UnitaryPath, second: UnitaryPath) -> UnitaryPath:
@@ -203,7 +187,7 @@ def concat_paths(first: UnitaryPath, second: UnitaryPath) -> UnitaryPath:
     a = first.rescaled(0.0, 0.5)
     b = second.rescaled(0.0, 0.5)
     if not b.is_based(1e-8):
-        raise ValueError("second path must be based at the identity")
+        raise PathError("second path must be based at the identity")
     b = b.right_multiplied(a.end()).shifted(0.5)
     return UnitaryPath(a.segments + b.segments)
 
@@ -213,11 +197,15 @@ def merge_orthogonal_paths(paths: list[UnitaryPath]) -> UnitaryPath:
 
     Each path must deviate from the identity only inside its own invariant
     subspace, so generators and bases of distinct paths commute; the merged
-    segment generator is the sum and the base the product.  All paths must be
+    generator is the sum, held as the covering segments' w concatenated and
+    their v side by side, and the base is the product.  Trusted, not
+    checked: columns with nonzero w from different paths are orthogonal.
+    Columns with w = 0 add nothing to u(t), so full-rank factors of
+    generators on disjoint subspaces merge correctly.  All paths must be
     parameterized on the same interval.
     """
     if not paths:
-        raise ValueError("nothing to merge")
+        raise PathError("nothing to merge")
     if len(paths) == 1:
         return paths[0]
     dim = paths[0].dim
@@ -228,13 +216,12 @@ def merge_orthogonal_paths(paths: list[UnitaryPath]) -> UnitaryPath:
     cuts = sorted({round(t, 15) for p in paths for s in p.segments for t in (s.t0, s.t1)})
     segs = []
     for a, b in zip(cuts, cuts[1:]):
-        h = np.zeros((dim, dim), dtype=complex)
+        covering = [_segment_covering(p, a, b) for p in paths]
         base = np.eye(dim, dtype=complex)
-        for p in paths:
-            seg = _segment_covering(p, a, b)
-            h = h + seg.generator
+        for seg in covering:
             base = base @ seg.at(a)
-        segs.append(PathSegment(a, b, h, base))
+        segs.append(PathSegment(a, b, np.concatenate([s.w for s in covering]),
+                                np.hstack([s.v for s in covering]), base))
     merged = UnitaryPath(segs)
     if abs(merged.t_start - lo) >= 1e-12 or abs(merged.t_end - hi) >= 1e-12:
         raise CertificateError("merged path does not cover the common interval")
@@ -245,5 +232,5 @@ def _segment_covering(path: UnitaryPath, a: float, b: float) -> PathSegment:
     for seg in path.segments:
         if seg.t0 <= a + 1e-14 and b <= seg.t1 + 1e-14:
             return seg
-    raise ValueError("paths must share the parameter interval to merge")
+    raise PathError("paths must share the parameter interval to merge")
 

@@ -13,7 +13,8 @@ import numpy as np
 
 from .gram import GramTarget, VectorFamily
 from .group import GroupAction
-from .linalg import check_hermitian, check_unitary
+from .errors import DimensionError, NotFiniteError
+from .linalg import check_isometry, check_unitary
 from .path import PathSegment, UnitaryPath
 
 
@@ -74,7 +75,8 @@ def encode_path(p: UnitaryPath) -> dict:
             {
                 "t0": s.t0,
                 "t1": s.t1,
-                "h": encode_matrix(s.generator),
+                "w": [float(x) for x in s.w],
+                "v": encode_matrix(s.v),
                 "base": encode_matrix(s.base),
             }
             for s in p.segments
@@ -84,17 +86,19 @@ def encode_path(p: UnitaryPath) -> dict:
 
 
 def decode_path(data) -> UnitaryPath:
-    """Rebuild a path, checking that every generator is Hermitian and every
-    base unitary: path segments trust both."""
-    segs = [
-        PathSegment(
-            t0=s["t0"],
-            t1=s["t1"],
-            generator=check_hermitian(decode_matrix(s["h"])),
-            base=check_unitary(decode_matrix(s["base"])),
-        )
-        for s in data["segments"]
-    ]
+    """Rebuild a path, checking what path segments trust: every w finite,
+    every v with orthonormal columns, one per entry of w, and every base
+    unitary."""
+    segs = []
+    for s in data["segments"]:
+        w = np.array(s["w"], dtype=float)
+        if not np.all(np.isfinite(w)):
+            raise NotFiniteError("segment eigenvalues are not finite")
+        v = check_isometry(decode_matrix(s["v"]))
+        base = check_unitary(decode_matrix(s["base"]))
+        if v.shape != (len(base), w.size):
+            raise DimensionError(f"segment eigenvectors of shape {v.shape} do not fit")
+        segs.append(PathSegment(s["t0"], s["t1"], w, v, base))
     return UnitaryPath(segs)
 
 

@@ -21,7 +21,6 @@ from .linalg import (
     dagger,
     inner,
     op_norm,
-    project_unitary_angles,
 )
 from .path import PathSegment, UnitaryPath, concat_paths, merge_orthogonal_paths
 
@@ -51,8 +50,12 @@ def geodesic_pair(xi: np.ndarray, eta: np.ndarray) -> UnitaryPath:
     cos(theta) + i sin(theta) R / theta = [[a, -b], [b, conj(a)]], whose
     first column is (a, b): hence u(1) xi = eta exactly up to rounding,
     ||h|| = theta is the length, and h vanishes on span{xi, eta}^perp.
-    When eta is a phase multiple of xi (b below ``COLINEAR_TOL``) the path
-    is the scalar rotation h = arg(a) xi xi^*.
+    The segment holds h as w = (-theta, theta), exactly, and v = Q E, where
+    E holds the eigenvectors of R for -theta and theta: with alpha = Im a
+    and c = s + |alpha|, they are (-i b, c) and (c, -i b) when alpha >= 0,
+    (c, i b) and (i b, c) when alpha < 0, each over hypot(c, b).  When eta
+    is a phase multiple of xi (b below ``COLINEAR_TOL``) the path is the
+    scalar rotation w = (arg a,), v = xi.
     """
     xi = check_state(xi)
     eta = check_state(eta)
@@ -64,14 +67,18 @@ def geodesic_pair(xi: np.ndarray, eta: np.ndarray) -> UnitaryPath:
     rest = rest - inner(rest, xi) * xi
     b = float(np.linalg.norm(rest))
     if b < COLINEAR_TOL:
-        h = float(np.angle(a)) * np.outer(xi, xi.conj())
+        w, v = np.array([np.angle(a)]), xi[:, None]
     else:
         s = float(np.hypot(a.imag, b))
         theta = geodesic_angle(xi, eta)
-        r = (theta / s) * np.array([[a.imag, 1j * b], [-1j * b, -a.imag]])
-        q = np.column_stack([xi, rest / b])
-        h = q @ r @ dagger(q)
-    return UnitaryPath([PathSegment(0.0, 1.0, h, np.eye(dim, dtype=complex))])
+        c = s + abs(a.imag)
+        if a.imag >= 0:
+            e = np.array([[-1j * b, c], [c, -1j * b]])
+        else:
+            e = np.array([[c, 1j * b], [1j * b, c]])
+        w = np.array([-theta, theta])
+        v = np.column_stack([xi, rest / b]) @ (e / np.hypot(c, b))
+    return UnitaryPath([PathSegment(0.0, 1.0, w, v, np.eye(dim, dtype=complex))])
 
 
 def geodesic_lower_bound(path: UnitaryPath, xi: np.ndarray, eta: np.ndarray,
@@ -225,10 +232,12 @@ def commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
                         eps: float, exact: bool = False) -> TransportResult:
     """Path in the commutant of the matrix units moving xi close to eta.
 
-    The generator is the lift sum_i e_i1 h e_1i of a corner generator h
-    (``lift_corner``), has norm <= pi, and commutes with every e_ij
-    exactly.  The admissibility threshold delta is derived from the
-    alignment bound at tolerance eps / sqrt(n).  With ``exact`` a short
+    The generator is the lift sum_i e_i1 h e_1i of the corner generator
+    h = q diag(angle lam) q^* of the alignment unitary's Schur pair
+    (lam, q): the segment holds w = tile(angle lam, n) and
+    v = V (1_n (x) q) (``lift_columns``), so it has norm <= pi and
+    commutes with every e_ij exactly.  The admissibility threshold delta
+    is derived from the alignment bound at tolerance eps / sqrt(n).  With ``exact`` a short
     geodesic repair segment is appended so that u(1) xi = eta exactly, at
     the cost of a commutator contribution of the order of the residual.
     """
@@ -250,10 +259,9 @@ def commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
     # Gram gaps of the corner families are exactly the e_ij statistics gaps.
     align = align_unitary(VectorFamily(r, mu.corner_families(xi)),
                           VectorFamily(r, mu.corner_families(eta)), delta)
-    gen = mu.lift_corner(project_unitary_angles(align.unitary))
-    path = UnitaryPath(
-        [PathSegment(0.0, 1.0, gen, np.eye(mu.ambient_dim, dtype=complex))]
-    )
+    lam, q = _unitary_eig(align.unitary)
+    path = UnitaryPath([PathSegment(0.0, 1.0, np.tile(np.angle(lam), n), mu.lift_columns(q),
+                                    np.eye(mu.ambient_dim, dtype=complex))])
     moved = path.end() @ xi
     terminal = float(np.linalg.norm(moved - eta))
     repair_length = 0.0

@@ -59,8 +59,14 @@ def _check_against_oracle(mu, units, rng, tol):
     fams = mu.corner_families(xi)
     for j in range(n):
         assert close(corner @ fams[j], units[0, j] @ xi)
-    h = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-    assert close(mu.lift_corner(h), _dense_lift(units, corner, h))
+    # A corner factor q with k <= r orthonormal columns lifts to the columns
+    # e_i1 V_0 q of every block, and with them the generator q d q^*.
+    q = random_unitary(rng, r)[:, :max(r - 1, 1)]
+    cols = mu.lift_columns(q)
+    assert close(cols, np.hstack([units[i, 0] @ corner @ q for i in range(n)]))
+    d = rng.standard_normal(q.shape[1])
+    lift = (cols * np.tile(d, n)) @ dagger(cols)
+    assert np.max(np.abs(lift - _dense_lift(units, corner, (q * d) @ dagger(q)))) <= 1e-13
     assert mu.relation_defect() < 1e-12
 
 

@@ -9,6 +9,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import state_transport
@@ -77,3 +78,22 @@ def test_tower_rounds_take_no_dense_ambient_norm(monkeypatch):
         rec = workloads.run_op(state_transport, workload, x)
         assert not rec.failed, rec.failure_types()
         assert len(dense) == 0
+
+
+def test_tower_op_decomposes_no_ambient_matrix(monkeypatch):
+    # Every path segment of the tower op is built from eigenpairs known in
+    # closed form, so no ambient x ambient eigh or eigvalsh is taken.
+    workload = workloads.WORKLOADS["tower-256"]
+    inputs = workload.inputs(1, True)
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _f=getattr(np.linalg, name), **kwargs):
+            shapes.append(a.shape)
+            return _f(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for x in inputs:
+        shapes.clear()
+        rec = workloads.run_op(state_transport, workload, x)
+        assert not rec.failed, rec.failure_types()
+        assert (x["ambient"], x["ambient"]) not in shapes

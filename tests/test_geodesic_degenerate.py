@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from state_transport.suites import random_state
 from state_transport.transport import (
+    COLINEAR_TOL,
     geodesic_angle,
     geodesic_lower_bound,
     geodesic_pair,
@@ -79,3 +80,19 @@ def test_nearly_colinear_phase_regression(seed):
     xi, eta, _ = degenerate_pair(seed, dim, 0.7, 1e-8)
     path = check_geodesic(xi, eta)
     geodesic_lower_bound(path, xi, eta, samples=16)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 16),
+    phase=phases,
+    s=st.one_of(st.floats(1.01 * COLINEAR_TOL, 10 * COLINEAR_TOL), st.floats(1e-8, 1.0)),
+)
+def test_geodesic_length_is_the_angle_bit_for_bit(seed, dim, phase, s):
+    # b just above the colinear cut, nearly antipodal pairs (phase near pi)
+    # and generic ones: the segment holds w = (-theta, theta) exactly.
+    xi, eta, _ = degenerate_pair(seed, dim, phase, s)
+    path = geodesic_pair(xi, eta)
+    assert path.segments[0].w.size == 2
+    assert path.length == geodesic_angle(xi, eta)

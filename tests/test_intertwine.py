@@ -438,3 +438,16 @@ def test_final_ad_sups_dominate_dense_values(rng, level):
         assert result.final[f"ad_{key}_sup"] >= dense
         if level == 1:
             assert result.final[f"ad_{key}_sup"] < 1e-12
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+def test_intertwine_gap_matches_dense_level_generators(rng, rounds):
+    # The gap applies the last level's shift and clock to the reshaped
+    # vectors; the oracle applies their dense D x D kron forms.
+    tower, xi, eta = _small_instance(rng)
+    result = back_and_forth(tower, xi, eta, [], make_schedule(tower, 0.1, rounds))
+    even_xi = dagger(result.even_product) @ xi
+    odd_eta = dagger(result.odd_product) @ eta
+    dense = max(abs(np.vdot(even_xi, x @ even_xi) - np.vdot(odd_eta, x @ odd_eta))
+                for x in tower.level_generators(rounds))
+    assert abs(result.final["intertwine_gap"] - dense) <= 1e-15

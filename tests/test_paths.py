@@ -1,25 +1,44 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from state_transport.linalg import _expm_eigh, dagger, op_norm
+from state_transport.circle import arc_transport
+from state_transport.errors import StateTransportError
+from state_transport.group import group_state_transport
+from state_transport.intertwine import assemble_path, back_and_forth, make_schedule
+from state_transport.linalg import dagger, op_norm
 from state_transport.path import (
     PathSegment,
     UnitaryPath,
     concat_paths,
     merge_orthogonal_paths,
 )
-from state_transport.intertwine import assemble_path, back_and_forth, make_schedule
-from state_transport.transport import geodesic_pair
-from state_transport.suites import intertwine_instance, random_state, random_unitary
+from state_transport.serialize import decode_path, encode_path
+from state_transport.suites import (
+    circle_instance,
+    commutant_instance,
+    group_instance,
+    intertwine_instance,
+    random_state,
+    random_unitary,
+)
+from state_transport.transport import commutant_transport, geodesic_pair
+
+
+def _segment(t0, t1, h, base):
+    """The segment exp(i (t - t0) h) base, from one eigh of h."""
+    w, v = np.linalg.eigh(h)
+    return PathSegment(t0, t1, w, v, base)
 
 
 def _rotation_path(h, t1=1.0):
     dim = h.shape[0]
-    return UnitaryPath([PathSegment(0.0, t1, h, np.eye(dim, dtype=complex))])
+    return UnitaryPath([_segment(0.0, t1, h, np.eye(dim, dtype=complex))])
 
 
 def test_length_is_speed_times_duration(rng):
@@ -91,7 +110,7 @@ def test_constant_path():
 def test_segment_at_start_is_a_copy_of_base(rng):
     base = random_unitary(rng, 4)
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    seg = PathSegment(0.25, 1.0, (h + dagger(h)) / 2, base)
+    seg = _segment(0.25, 1.0, (h + dagger(h)) / 2, base)
     start = seg.at(0.25)
     assert np.array_equal(start, base)
     assert start is not base
@@ -99,23 +118,15 @@ def test_segment_at_start_is_a_copy_of_base(rng):
     assert base[0, 0] != 7.0
 
 
-def test_length_is_cached_generator_norm(rng, monkeypatch):
+def test_length_is_generator_norm_without_eigh(rng):
     xi, mid, eta = (random_state(rng, 5) for _ in range(3))
     path = concat_paths(geodesic_pair(xi, mid), geodesic_pair(mid, eta))
     expect = sum(s.duration * op_norm(s.generator) for s in path.segments)
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted(x):
-        calls.append(x.shape)
-        return eigvalsh(x)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    assert abs(path.length - expect) <= 1e-14 * max(1.0, expect)
-    assert len(calls) == len(path.segments)
-    for _ in range(3):
-        assert path.length == path.length
-    assert len(calls) == len(path.segments)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_eigh(mp)
+        length = path.length
+    assert abs(length - expect) <= 1e-14 * expect
+    assert calls == []
 
 
 def _multi_segment_path(kind, rng):
@@ -139,7 +150,7 @@ def _multi_segment_path(kind, rng):
             h = np.zeros((4, 4), dtype=complex)
             a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             h[block, block] = a + dagger(a)
-            segs.append(PathSegment(t0, t1, h, base))
+            segs.append(_segment(t0, t1, h, base))
             base = segs[-1].end()
         pieces.append(UnitaryPath(segs))
     return merge_orthogonal_paths(pieces)
@@ -148,31 +159,22 @@ def _multi_segment_path(kind, rng):
 PATH_KINDS = ("concatenated", "merged", "rescaled", "adjoint", "constant")
 
 
-def _segment_reached(path, t):
-    """The segment ``at`` evaluates t on: the first, for t up to the start;
-    else the first that ends at or after t; else the last."""
-    if t <= path.t_start:
-        return 0
-    ends = [s.t1 for s in path.segments]
-    return next((k for k, t1 in enumerate(ends) if t <= t1), len(ends) - 1)
-
-
 def _count_eigh(mp):
+    """Record the shape of every ``eigh`` and ``eigvalsh`` call."""
     calls = []
-    eigh = np.linalg.eigh
+    for name in ("eigh", "eigvalsh"):
+        def counted(x, *args, _f=getattr(np.linalg, name), **kwargs):
+            calls.append(x.shape)
+            return _f(x, *args, **kwargs)
 
-    def counted(x):
-        calls.append(x.shape)
-        return eigh(x)
-
-    mp.setattr(np.linalg, "eigh", counted)
+        mp.setattr(np.linalg, name, counted)
     return calls
 
 
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(PATH_KINDS), seed=st.integers(0, 2**32 - 1),
        data=st.data())
-def test_at_times_equals_at_with_one_eigh_per_segment(kind, seed, data):
+def test_at_times_equals_at_without_eigh(kind, seed, data):
     path = _multi_segment_path(kind, np.random.default_rng(seed))
     lo, hi = path.t_start, path.t_end
     special = [lo, hi, lo - 0.25, hi + 0.25] + [s.t1 for s in path.segments[:-1]]
@@ -183,24 +185,24 @@ def test_at_times_equals_at_with_one_eigh_per_segment(kind, seed, data):
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_eigh(mp)
         values = list(path.at_times(ts))
-    assert len(calls) <= len({_segment_reached(path, t) for t in ts})
+    assert calls == []
     assert len(values) == len(ts)
     for t, u in zip(ts, values):
         assert np.array_equal(u, path.at(t))
         assert all(u is not s.base for s in path.segments)
 
 
-def test_segment_takes_its_eigendecomposition_once(rng):
+def test_segment_at_takes_no_eigh(rng):
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     h = (h + dagger(h)) / 2
     base = random_unitary(rng, 4)
-    seg = PathSegment(0.0, 1.0, h, base)
+    seg = _segment(0.0, 1.0, h, base)
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_eigh(mp)
         values = [seg.at(t) for t in (0.25, 0.5, 0.25)] + [seg.end(), seg.end()]
-    assert len(calls) == 1
+    assert calls == []
     for t, u in zip((0.25, 0.5, 0.25, 1.0, 1.0), values):
-        assert np.array_equal(u, _expm_eigh(np.linalg.eigh(h), t) @ base)
+        assert op_norm(u - scipy.linalg.expm(1j * t * h) @ base) <= 1e-12
 
 
 def _commutator_oracle(path, elements, samples):
@@ -242,3 +244,82 @@ def test_commutator_bound_dominates_sampled_sup_on_tower_path(seed):
 def test_commutator_bound_without_elements_is_zero(rng):
     path = _multi_segment_path("concatenated", rng)
     assert path.commutator_bound([]) == 0.0
+
+
+def _path_failure(case):
+    def still(t0, t1):
+        return UnitaryPath([PathSegment(t0, t1, np.zeros(0), np.zeros((3, 0)),
+                                        np.eye(3, dtype=complex))])
+
+    if case == "empty path":
+        return UnitaryPath([])
+    if case == "degenerate interval":
+        return still(0.5, 0.5).rescaled()
+    if case == "unbased second path":
+        twisted = UnitaryPath.constant(3, np.diag([1.0, 1.0, -1.0]).astype(complex))
+        return concat_paths(UnitaryPath.constant(3), twisted)
+    if case == "nothing to merge":
+        return merge_orthogonal_paths([])
+    return merge_orthogonal_paths([still(0.0, 1.0), still(0.0, 2.0)])
+
+
+@pytest.mark.parametrize("case", ["empty path", "degenerate interval",
+                                  "unbased second path", "nothing to merge",
+                                  "uncovered interval"])
+def test_path_failures_are_typed(case):
+    with pytest.raises(StateTransportError) as info:
+        _path_failure(case)
+    # still a ValueError for callers that catch those
+    assert isinstance(info.value, ValueError)
+
+
+def _library_path(kind, rng):
+    """A path of the given kind, built by the library's own constructors
+    and transforms."""
+    xi, mid, eta = (random_state(rng, 4) for _ in range(3))
+    if kind == "geodesic":
+        return geodesic_pair(xi, eta)
+    if kind == "colinear":
+        return geodesic_pair(xi, np.exp(1j * rng.uniform(-np.pi, np.pi)) * xi)
+    if kind in ("commutant", "repaired", "decoded"):
+        mu, a, b = commutant_instance(rng, 2, 3, 0.1, stats_noise=1e-6)
+        path = commutant_transport(mu, a, b, 0.1, exact=kind != "commutant").path
+        if kind == "decoded":
+            return decode_path(json.loads(json.dumps(encode_path(path))))
+        return path
+    if kind == "arcs":
+        # merged arc lifts of commutant transports on compressed units
+        block, model, a, b = circle_instance(rng, 2, 8)
+        return arc_transport(block, model, a, b, [], 0.3).path
+    if kind == "group":
+        action, a, b = group_instance(rng, 3)
+        return group_state_transport(action, a, b, [(1,), (-1,)], 0.3).path
+    path = concat_paths(geodesic_pair(xi, mid), geodesic_pair(mid, eta))
+    if kind == "adjoint":
+        return path.adjoint()
+    if kind == "left":
+        return path.left_multiplied(random_unitary(rng, 4))
+    if kind == "right":
+        return path.right_multiplied(random_unitary(rng, 4))
+    return path.rescaled(-0.5, 2.0)
+
+
+LIBRARY_KINDS = ("geodesic", "colinear", "commutant", "repaired", "arcs", "adjoint",
+                 "left", "right", "rescaled", "group", "decoded")
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(LIBRARY_KINDS), seed=st.integers(0, 2**32 - 1),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+def test_segments_are_their_generators_exponentials(kind, seed, fractions):
+    path = _library_path(kind, np.random.default_rng(seed))
+    expect = sum(s.duration * op_norm(s.generator) for s in path.segments)
+    assert abs(path.length - expect) <= 1e-14 * expect
+    one = np.eye(path.dim)
+    for seg in path.segments:
+        h = seg.generator
+        for f in fractions + [1.0]:
+            t = seg.t0 + f * seg.duration
+            u = seg.at(t)
+            assert op_norm(dagger(u) @ u - one) <= 1e-12
+            assert op_norm(u - scipy.linalg.expm(1j * (t - seg.t0) * h) @ seg.base) <= 1e-12

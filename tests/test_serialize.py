@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from state_transport.errors import NotHermitianError, NotUnitaryError
+from state_transport.errors import NotFiniteError, NotUnitaryError
 from state_transport.gram import GramTarget, VectorFamily
 from state_transport.group import finite_cyclic_action, integer_action
 from state_transport.linalg import op_norm
@@ -101,9 +101,13 @@ def test_write_csv_formats(tmp_path):
 def test_decode_path_rejects_forged_segments(rng):
     data = encode_path(geodesic_pair(random_state(rng, 3), random_state(rng, 3)))
     forged = json.loads(json.dumps(data))
-    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    forged["segments"][0]["h"] = encode_matrix(h)
-    with pytest.raises(NotHermitianError):
+    v = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    forged["segments"][0]["v"] = encode_matrix(v)
+    with pytest.raises(NotUnitaryError):
+        decode_path(forged)
+    forged = json.loads(json.dumps(data))
+    forged["segments"][0]["w"][1] = float("nan")
+    with pytest.raises(NotFiniteError):
         decode_path(forged)
     forged = json.loads(json.dumps(data))
     forged["segments"][0]["base"] = encode_matrix(2.0 * np.eye(3))

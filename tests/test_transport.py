@@ -165,10 +165,13 @@ def test_commutant_transport_exact_repair(rng):
 def test_commutant_generator_identical_for_kron_units(rng, n, r):
     mu, xi, eta = commutant_instance(rng, n, r, 0.1, stats_noise=1e-9)
     res = commutant_transport(mu, xi, eta, 0.1)
-    gen = res.path.segments[0].generator
-    # On a coordinate window the lift is 1_n (x) h entry for entry, so it
-    # commutes with every unit without rounding.
-    assert np.array_equal(gen, np.kron(np.eye(n), gen[:r, :r]))
+    seg = res.path.segments[0]
+    gen = seg.generator
+    # On a coordinate window the lift's factor is 1_n (x) q entry for entry,
+    # with the corner angles repeated per block, so it commutes with every
+    # unit without rounding.
+    assert np.array_equal(seg.v, np.kron(np.eye(n), seg.v[:r, :r]))
+    assert np.array_equal(seg.w, np.tile(seg.w[:r], n))
     # Rotating the units, the source and the target by one unitary rotates
     # the generator with them.
     u = random_unitary(rng, n * r)
