@@ -42,6 +42,7 @@ from .errors import (
     NotNormalizedError,
     NotPSDError,
     NotUnitaryError,
+    ParameterError,
     PathError,
     RoundFailureError,
     SingularMatrixError,

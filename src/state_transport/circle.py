@@ -18,6 +18,7 @@ from .errors import (
     DimensionError,
     HypothesisError,
     InfeasiblePartitionError,
+    ParameterError,
 )
 from .linalg import _unitary_eig, check_state, check_unitary, dagger, op_norm
 from .path import PathSegment, UnitaryPath, merge_orthogonal_paths
@@ -148,7 +149,7 @@ def circle_partition(model: SpectralModel, xi: np.ndarray, eta: np.ndarray,
     xi = check_state(xi)
     eta = check_state(eta)
     if not (0 < eps < 2.0) or not (0 < eps_prime < 1.0):
-        raise ValueError("need 0 < eps < 2 and 0 < eps_prime < 1")
+        raise ParameterError("need 0 < eps < 2 and 0 < eps_prime < 1")
     gamma = eps * eps_prime / 4.0
     masses = np.stack([model.point_masses(xi), model.point_masses(eta)])
     angles = model.eigenangles

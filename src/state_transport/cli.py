@@ -12,7 +12,7 @@ import numpy as np
 from . import serialize
 from .algebra import full_matrix_units
 from .circle import SpectralModel, arc_transport
-from .errors import StateTransportError
+from .errors import ParameterError, StateTransportError
 from .gram import gram_complete, gram_matrix
 from .group import group_state_transport
 from .intertwine import (
@@ -91,6 +91,8 @@ def _cmd_run(args) -> int:
             "bounds": bounds,
             "pass": bool(ok),
         }
+    except (KeyError, TypeError, ParameterError) as exc:
+        return _bad_config(command, exc)
     except StateTransportError as exc:
         report = {
             "command": command,
@@ -101,9 +103,8 @@ def _cmd_run(args) -> int:
         }
         ok = False
         csv_data = None
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: bad config for {command!r}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:
+        return _bad_config(command, exc)
     text = serialize.dumps_report(report)
     if args.out:
         with open(args.out, "w") as fh:
@@ -113,6 +114,11 @@ def _cmd_run(args) -> int:
     if args.csv and csv_data is not None:
         serialize.write_csv(args.csv, csv_data[0], csv_data[1])
     return EXIT_PASS if ok else EXIT_VIOLATION
+
+
+def _bad_config(command, exc) -> int:
+    print(f"error: bad config for {command!r}: {exc}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _cmd_verify(args) -> int:

@@ -5,6 +5,12 @@ class StateTransportError(ValueError):
     """Base class for all library errors."""
 
 
+class ParameterError(StateTransportError):
+    """An argument is malformed: a shape, size, count, range or name that
+    the called construction never accepts, as opposed to a hypothesis it
+    measures and finds violated."""
+
+
 class NotHermitianError(StateTransportError):
     """Input matrix violates the adjoint-symmetry tolerance."""
 

@@ -6,7 +6,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, HypothesisError, InvalidTargetError, NotPSDError
+from .errors import (
+    DimensionError,
+    HypothesisError,
+    InvalidTargetError,
+    NotPSDError,
+    ParameterError,
+)
 from .linalg import dagger, psd_sqrt
 
 NORMALIZED_FAMILY_TOL = 1e-12
@@ -25,7 +31,7 @@ class VectorFamily:
     def __post_init__(self):
         self.vectors = np.atleast_2d(np.asarray(self.vectors, dtype=complex))
         if self.vectors.shape[1] != self.dim:
-            raise ValueError("vector length does not match dim")
+            raise ParameterError("vector length does not match dim")
 
     @property
     def size(self) -> int:
@@ -51,7 +57,7 @@ class GramTarget:
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=complex)
         if self.c.shape != (self.n, self.n):
-            raise ValueError("target shape does not match n")
+            raise ParameterError("target shape does not match n")
         w = np.linalg.eigvalsh((self.c + dagger(self.c)) / 2)
         if w.size and w[0] < -1e-10:
             raise InvalidTargetError(f"target has negative eigenvalue {w[0]:.3e}")
@@ -74,7 +80,7 @@ def gram_complete(fam: VectorFamily, target: GramTarget) -> VectorFamily:
     """
     n = target.n
     if fam.size != n:
-        raise ValueError("family size does not match target size")
+        raise ParameterError("family size does not match target size")
     if fam.dim < n:
         raise DimensionError(f"need ambient dimension >= {n}, got {fam.dim}")
     fam.require_normalized()
@@ -93,7 +99,7 @@ def greedy_pivot_select(fam: VectorFamily, m: int) -> list[int]:
     span of the already-chosen vectors; ties break to the lowest index.
     """
     if m > fam.size:
-        raise ValueError("cannot select more pivots than family members")
+        raise ParameterError("cannot select more pivots than family members")
     x = fam.vectors.copy()
     residual = x.copy()
     chosen: list[int] = []
@@ -153,7 +159,7 @@ def align_unitary(src: VectorFamily, dst: VectorFamily, delta: float) -> Alignme
     remaining residuals obey ``alignment_bound``.
     """
     if src.dim != dst.dim or src.size != dst.size:
-        raise ValueError("families must share dimension and size")
+        raise ParameterError("families must share dimension and size")
     src.require_normalized()
     dst.require_normalized()
     n, dim = src.size, src.dim

@@ -10,6 +10,12 @@ is the projection onto the graph of -W.  When the two orbits overlap
 (Z^d only), the path detours through a vector built cluster by cluster
 in the joint eigenbasis with the source's spectral mass, hence its
 correlations, and an orbit orthogonal to both.
+
+Every gate reads the orbit correlations as one function on the difference
+set D = F^{-1} F: for a unitary representation <u_g x, u_h y> depends only
+on h^{-1} g, so the max over an |F| x |F| Gram or cross matrix is a max
+over the |D| values c_k = <u_k x, y>.  The flip is certified from r x r
+quantities of its factors, plus a row residual for a given family.
 """
 
 from __future__ import annotations
@@ -29,11 +35,14 @@ from .errors import (
     NonCommutingGeneratorsError,
     UnsupportedGroupError,
 )
-from .gram import VectorFamily, gram_matrix
+from .gram import VectorFamily
 from .linalg import UNITARY_TOL, check_state, check_unitary, dagger, op_norm
 from .path import PathSegment, UnitaryPath, concat_paths
 
 FLIP_TOL = 1e-10
+# Largest accepted cross product between two orbits or families, and
+# largest accepted residue of a sum x_g + z_g under the flip.
+OVERLAP_TOL = 1e-8
 # Growth constant of the exponential-series estimate for the terminal error.
 EXP_SERIES_CONSTANT = float(np.e**np.pi - 1 + np.pi * np.e**np.pi)
 
@@ -43,7 +52,9 @@ class GroupAction:
     """A unitary representation of a finite group or of Z^d.
 
     Finite: ``table[a][b]`` is the index of the product, ``reps[a]`` its
-    unitary, element 0 the identity.  Z^d: ``generators`` is a list of d
+    unitary, element 0 the identity; the constructor checks all three and
+    stores ``rep_defect`` = max ||rep(a) rep(b) - rep(ab)||, at most
+    ``UNITARY_TOL`` (0.0 for Z^d).  Z^d: ``generators`` is a list of d
     pairwise commuting unitaries and elements are integer tuples; they
     share one unitary eigenbasis Q, u_k = Q diag(exp(i angles[k])) Q^*,
     so rep(g) = Q diag(phases(g)) Q^* with phases exp(i sum_k g_k angles[k]).
@@ -56,13 +67,14 @@ class GroupAction:
     generators: list[np.ndarray] | None = None
     eigenbasis: np.ndarray | None = field(default=None, init=False, repr=False)
     angles: np.ndarray | None = field(default=None, init=False, repr=False)
+    rep_defect: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         if self.kind == "finite":
             if self.table is None or self.reps is None:
                 raise UnsupportedGroupError("finite action needs table and reps")
-            self.table = np.asarray(self.table, dtype=int)
-            self.reps = np.asarray(self.reps, dtype=complex)
+            self.table, self.reps, self.rep_defect = _check_finite(
+                self.table, self.reps, self.dim)
         elif self.kind == "Zd":
             if not self.generators:
                 raise UnsupportedGroupError("Zd action needs generator unitaries")
@@ -76,9 +88,6 @@ class GroupAction:
     @property
     def rank(self) -> int:
         return len(self.generators) if self.kind == "Zd" else 0
-
-    def identity(self):
-        return 0 if self.kind == "finite" else (0,) * self.rank
 
     def inverse(self, g):
         if self.kind == "Zd":
@@ -102,6 +111,41 @@ class GroupAction:
             return self.reps[g]
         q = self.eigenbasis
         return (q * self.phases([g])[0]) @ dagger(q)
+
+
+def _check_finite(table, reps, dim: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Validated table and reps of a finite action, and its multiplicativity
+    defect d = max ||rep(a) rep(b) - rep(ab)||.
+
+    The table must be square with entries in range(n), every row and column
+    a permutation (so every element has an inverse) and element 0 the
+    identity; the reps n unitaries of size dim with d <= ``UNITARY_TOL``.
+    """
+    table = np.asarray(table, dtype=int)
+    if table.ndim != 2 or table.shape[0] != table.shape[1] or table.size == 0:
+        raise DimensionError(f"multiplication table of shape {table.shape} is not square")
+    n = table.shape[0]
+    order = np.arange(n)
+    if table.min() < 0 or table.max() >= n:
+        raise UnsupportedGroupError(f"multiplication table entries must lie in [0, {n})")
+    if np.any(table[0] != order) or np.any(table[:, 0] != order):
+        raise UnsupportedGroupError("element 0 is not the identity of the table")
+    if (np.any(np.sort(table, axis=1) != order)
+            or np.any(np.sort(table, axis=0) != order[:, None])):
+        raise UnsupportedGroupError("multiplication table is not a Latin square")
+    reps = np.asarray(reps, dtype=complex)
+    if reps.shape != (n, dim, dim):
+        raise DimensionError(f"reps of shape {reps.shape}, expected {(n, dim, dim)}")
+    for r in reps:
+        check_unitary(r)
+    defect = max(float(np.max(np.linalg.norm(reps[a] @ reps - reps[table[a]], ord=2,
+                                             axis=(1, 2))))
+                 for a in range(n))
+    if defect > UNITARY_TOL:
+        raise UnsupportedGroupError(
+            f"reps are not multiplicative: max ||rep(a) rep(b) - rep(ab)|| = {defect:.3e}"
+        )
+    return table, reps, defect
 
 
 def finite_cyclic_action(n: int, u: np.ndarray) -> GroupAction:
@@ -206,57 +250,89 @@ def flip_projection(xis: VectorFamily, zetas: VectorFamily) -> np.ndarray:
 
     Requires equal Gram matrices and mutually orthogonal spans; then
     z_g = W x_g for the isometry W = V B^* of ``_graph_factors``, and the
-    projection is the one onto the graph of -W.
+    projection is the one onto the graph of -W.  The families are checked
+    through the row residuals r_g = z_g - W x_g alone: ``_graph_projection``
+    accepts only when the Gram gap, cross products and killed sums they
+    bound stay within ``FLIP_TOL``, ``OVERLAP_TOL`` and ``OVERLAP_TOL``.
     """
     if xis.size != zetas.size or xis.dim != zetas.dim:
         raise FlipInconsistencyError("families must match in size and dimension")
-    b, v = _graph_factors(xis.vectors, zetas.vectors)
-    return _graph_projection(xis.vectors, zetas.vectors, b, v)
+    xs, zs = xis.vectors, zetas.vectors
+    b, v, cut = _graph_factors(xs, zs)
+    residual = float(np.max(np.linalg.norm(zs - (xs @ b.conj()) @ v.T, axis=1)))
+    return _graph_projection(b, v, cut, _max_row_norm(xs), residual)
 
 
-def _graph_factors(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis B of the span of the rows x_g, and the polar factor
-    V of sum_g y_g x_g^* B with span(B) first removed from every y_g.
+def _max_row_norm(xs: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(xs, axis=1)))
+
+
+def _graph_factors(xs: np.ndarray,
+                   ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Orthonormal basis B of the span of the rows x_g, the polar factor V
+    of sum_g y_g x_g^* B with span(B) first removed from every y_g, and the
+    rank cut of B (``_left_basis``), which bounds every ||x_g - B B^* x_g||.
 
     W = V B^* is an isometry from span(B) onto a subspace orthogonal to it,
     so the family W x_g has exactly the Gram matrix of the x_g; when the
     y_g already equal U x_g for such an isometry U, V B^* = U on span(B).
     """
-    u, rank = _left_basis(xs.T, full=False)
+    u, rank, cut = _left_basis(xs.T, full=False)
     b = u[:, :rank]
     y = ys.T - b @ (dagger(b) @ ys.T)
     a, _, vh = np.linalg.svd(y @ xs.conj() @ b, full_matrices=False)
-    return b, a @ vh
+    return b, a @ vh, cut
 
 
-def _graph_projection(xs: np.ndarray, zs: np.ndarray, b: np.ndarray,
-                      v: np.ndarray) -> np.ndarray:
+def _graph_projection(b: np.ndarray, v: np.ndarray, cut: float, scale: float,
+                      residual: float = 0.0) -> np.ndarray:
     """e = (B B^* + V V^* - W - W^*) / 2 with W = V B^*: the projection onto
     the graph {x - W x : x in span(B)} of -W (Halmos, "Two subspaces").
-    It kills every x + W x and fixes every x - W x; the last check certifies
-    that it kills the given sums x_g + z_g."""
-    gram_gap = float(np.max(np.abs(gram_matrix(VectorFamily(xs.shape[1], xs))
-                                   - gram_matrix(VectorFamily(zs.shape[1], zs)))))
+    It kills every x + W x and fixes every x - W x.
+
+    Certified for rows z_g = W x_g + r_g with ||x_g|| <= s = ``scale``,
+    x_g within ``cut`` of span(B) and ||r_g|| <= r = ``residual`` from the
+    numbers nu >= ||V^* V - 1|| and mu >= ||B^* V|| of the factors' small
+    Gram blocks (B orthonormal).  Write
+    x_g = B b_g + c_g, c_g orthogonal to span(B), so W x_g = V b_g and
+    ||V|| <= sqrt(1 + nu).  Then
+      |<x_g, x_h> - <z_g, z_h>| <= nu s^2 + cut^2 + 2 sqrt(1 + nu) s r + r^2,
+      |<x_g, z_h>|              <= mu s^2 + sqrt(1 + nu) cut s + s r,
+    and, as e = (B - V)(B - V)^* / 2 with ||B - V||^2 <= k = 2 + nu + 2 mu,
+    (B - V)^* (B + V) = 1 - V^* V + B^* V - V^* B and (B - V)^* c_g = -V^* c_g,
+      ||e (x_g + z_g)||         <= sqrt(k) ((nu + 2 mu) s + sqrt(1 + nu) cut) / 2
+                                   + k r / 2.
+    Each bound must meet the threshold of the relation it bounds: ``FLIP_TOL``
+    for the Gram gap, ``OVERLAP_TOL`` for the other two.
+    """
+    # Frobenius norms: upper bounds on nu and mu without an SVD.
+    nu = float(np.linalg.norm(dagger(v) @ v - np.eye(v.shape[1])))
+    mu = float(np.linalg.norm(dagger(b) @ v))
+    lift = math.sqrt(1.0 + nu)
+    k = 2.0 + nu + 2.0 * mu
+    gram_gap = nu * scale**2 + cut**2 + 2 * lift * scale * residual + residual**2
     if gram_gap > FLIP_TOL:
-        raise FlipInconsistencyError(f"Gram matrices differ by {gram_gap:.3e}")
-    cross = float(np.max(np.abs(xs @ dagger(zs))))
-    if cross > 1e-8:
-        raise FlipInconsistencyError(f"spans overlap, cross product {cross:.3e}")
+        raise FlipInconsistencyError(f"Gram matrices may differ by {gram_gap:.3e}")
+    cross = mu * scale**2 + lift * cut * scale + scale * residual
+    if cross > OVERLAP_TOL:
+        raise FlipInconsistencyError(f"spans may overlap, cross product {cross:.3e}")
+    worst = math.sqrt(k) * ((nu + 2 * mu) * scale + lift * cut) / 2 + k * residual / 2
+    if worst > OVERLAP_TOL:
+        raise FlipInconsistencyError(f"projection may fail to kill sums: {worst:.3e}")
     w = v @ dagger(b)
     e = (b @ dagger(b) + v @ dagger(v) - w - dagger(w)) / 2
-    sums = xs + zs
-    worst = float(np.max(np.linalg.norm(sums @ e.T, axis=1))) if sums.size else 0.0
-    if worst > 1e-8:
-        raise FlipInconsistencyError(f"projection fails to kill sums: {worst:.3e}")
     return (e + dagger(e)) / 2
 
 
-def _left_basis(columns: np.ndarray, full: bool = True) -> tuple[np.ndarray, int]:
+def _left_basis(columns: np.ndarray, full: bool = True) -> tuple[np.ndarray, int, float]:
     """Left singular basis of ``columns``, the full one or, unless ``full``,
-    the thin one, and their numerical rank: singular values above 1e-10 of
-    the largest count."""
+    the thin one, their numerical rank (singular values above 1e-10 of the
+    largest count) and the rank cut, the largest singular value left out
+    (0.0 at full rank): no column is farther from the span of the first
+    ``rank`` basis vectors."""
     u, s, _ = np.linalg.svd(columns, full_matrices=full)
-    return u, int(np.sum(s > 1e-10 * max(s[0] if s.size else 0.0, 1e-30)))
+    rank = int(np.sum(s > 1e-10 * max(s[0] if s.size else 0.0, 1e-30)))
+    return u, rank, float(s[rank]) if rank < s.size else 0.0
 
 
 @dataclass
@@ -285,20 +361,19 @@ def group_state_transport(action: GroupAction, xi: np.ndarray, eta: np.ndarray,
     xi = check_state(xi)
     eta = check_state(eta)
     folner = folner_set(action, gens, eps / 2)
+    diffs = _difference_set(action, folner)
     eps_prime = eps / (2 * EXP_SERIES_CONSTANT)
     delta = eps_prime**2 / len(folner.elements)
-    orbit_xi = _orbit(action, folner.elements, xi)
-    orbit_eta = _orbit(action, folner.elements, eta)
-    cross = float(np.max(np.abs(orbit_xi @ orbit_eta.conj().T)))
-    if cross <= 1e-8:
-        path, extras = _orthogonal_leg(action, folner, xi, orbit_xi, orbit_eta, delta)
+    cross = (float(np.max(np.abs(_correlations(action, diffs, xi, eta))))
+             + 3 * action.rep_defect)
+    if cross <= OVERLAP_TOL:
+        path, extras = _orthogonal_leg(action, folner, diffs, xi, eta, delta)
         extras["flip_bound"] = eps_prime * EXP_SERIES_CONSTANT
         legs = 1
     else:
-        mid = _find_detour(action, folner, xi, eta, delta)
-        orbit_mid = _orbit(action, folner.elements, mid)
-        leg1, _ = _orthogonal_leg(action, folner, xi, orbit_xi, orbit_mid, delta)
-        leg2, _ = _orthogonal_leg(action, folner, mid, orbit_mid, orbit_eta, delta)
+        mid = _find_detour(action, diffs, xi, eta, delta)
+        leg1, _ = _orthogonal_leg(action, folner, diffs, xi, mid, delta)
+        leg2, _ = _orthogonal_leg(action, folner, diffs, mid, eta, delta)
         path = concat_paths(leg1, leg2)
         extras = {"leg_errors": [float(np.linalg.norm(leg1.end() @ xi - mid)),
                                  float(np.linalg.norm(leg2.end() @ mid - eta))]}
@@ -324,41 +399,56 @@ def _orbit(action: GroupAction, elements: list, v: np.ndarray) -> np.ndarray:
     return (action.phases(elements) * (dagger(q) @ v)) @ q.T
 
 
-def _orthogonal_leg(action, folner, xi, orbit_xi, orbit_eta,
+def _correlations(action: GroupAction, diffs: list, x: np.ndarray,
+                  y: np.ndarray) -> np.ndarray:
+    """c_k = <u_k x, y> for k in the difference set ``diffs`` = F^{-1} F.
+
+    <u_g x, u_h y> = <u_h^* u_g x, y> is c_{h^{-1} g}, so the entries of the
+    |F| x |F| matrix of orbit inner products are exactly the c_k.  For Z^d
+    this holds to rounding: phi_g conj(phi_h) = phi_{g - h}.  For a finite
+    action with rep_defect d, u_h^* is within 2d of u_{h^{-1}} and
+    u_{h^{-1}} u_g within d of u_{h^{-1} g}, so each entry is within 3d of
+    its c_k; the gates add that slack.
+    """
+    return _orbit(action, diffs, x) @ y.conj()
+
+
+def _orthogonal_leg(action, folner, diffs, xi, eta,
                     delta) -> tuple[UnitaryPath, dict]:
     """e^{i pi t hbar} with hbar the Folner average of the flip between the
     xi-orbit and its matched family zeta_g = W x_g (``_graph_factors``)."""
-    corr_gap = float(np.max(np.abs(
-        gram_matrix(VectorFamily(action.dim, orbit_xi))
-        - gram_matrix(VectorFamily(action.dim, orbit_eta))
-    )))
+    corr_gap = float(np.max(np.abs(_correlations(action, diffs, xi, xi)
+                                   - _correlations(action, diffs, eta, eta))))
+    corr_gap += 6 * action.rep_defect
     if corr_gap >= delta:
         raise HypothesisError(
             f"orbit correlation gap {corr_gap:.3e} >= delta {delta:.3e}",
             measured_gap=corr_gap,
         )
-    b, v = _graph_factors(orbit_xi, orbit_eta)
-    zetas = orbit_xi @ (v @ dagger(b)).T
-    hbar = average_conjugates(_graph_projection(orbit_xi, zetas, b, v), folner, action)
+    orbit_xi = _orbit(action, folner.elements, xi)
+    b, v, cut = _graph_factors(orbit_xi, _orbit(action, folner.elements, eta))
+    hbar = average_conjugates(_graph_projection(b, v, cut, _max_row_norm(orbit_xi)),
+                              folner, action)
     w, q = np.linalg.eigh(np.pi * hbar)
     path = UnitaryPath([PathSegment(0.0, 1.0, w, q, np.eye(action.dim, dtype=complex))])
-    zeta_id = zetas[folner.elements.index(action.identity())]
     return path, {
         "delta": delta,
         "correlation_gap": corr_gap,
-        "flip_error": float(np.linalg.norm(path.end() @ xi - zeta_id)),
+        "flip_error": float(np.linalg.norm(path.end() @ xi - v @ (dagger(b) @ xi))),
     }
 
 
-def _difference_set(folner: FolnerSet) -> list:
-    """F^{-1} F in sorted order for the centred box F of ``folner_set``
-    (Z^d): the centred box of twice the half-width."""
+def _difference_set(action: GroupAction, folner: FolnerSet) -> list:
+    """F^{-1} F: the whole group for a finite action, where F is the group;
+    for the centred box F of ``folner_set`` (Z^d) the centred box of twice
+    the half-width, in sorted order."""
+    if action.kind == "finite":
+        return list(folner.elements)
     half = int(np.max(np.abs(folner.elements)))
-    rank = len(folner.elements[0])
-    return list(itertools.product(range(-2 * half, 2 * half + 1), repeat=rank))
+    return list(itertools.product(range(-2 * half, 2 * half + 1), repeat=action.rank))
 
 
-def _find_detour(action: GroupAction, folner: FolnerSet, xi: np.ndarray,
+def _find_detour(action: GroupAction, diffs: list, xi: np.ndarray,
                  eta: np.ndarray, delta: float) -> np.ndarray:
     """Vector with the correlation data of xi whose orbit is orthogonal to
     the orbits of xi and eta, built in the joint eigenbasis Q.
@@ -372,13 +462,12 @@ def _find_detour(action: GroupAction, folner: FolnerSet, xi: np.ndarray,
     """
     if action.kind != "Zd":
         raise UnsupportedGroupError("overlapping orbits need a Z^d action for the detour")
-    diff_elems = _difference_set(folner)
     # A cluster has radius tol / 2 about its first tuple, so phi_gj moves by
     # at most reach * tol / 2 inside it and clustering moves no correlation
     # by more than reach * tol = delta / 4; dropping the clusters below the
     # mass floor moves them by less than dim * floor = delta / 4.  reach is
     # the largest |g|_1 over the difference set, at its last corner.
-    reach = max(sum(diff_elems[-1]), 1)
+    reach = max(sum(diffs[-1]), 1)
     tol = delta / (4 * reach)
     floor = delta / (4 * action.dim)
     q, angles = action.eigenbasis, action.angles
@@ -394,7 +483,7 @@ def _find_detour(action: GroupAction, folner: FolnerSet, xi: np.ndarray,
         norm = float(np.linalg.norm(a_all[cluster]))
         if norm**2 < floor:
             continue
-        u, rank = _left_basis(np.stack([a_all[cluster], b_all[cluster]], axis=1))
+        u, rank, _ = _left_basis(np.stack([a_all[cluster], b_all[cluster]], axis=1))
         if cluster.size <= rank:
             raise DetourFailureError(
                 f"eigenvalue cluster at angles {np.round(angles[:, j], 12).tolist()} "
@@ -404,8 +493,8 @@ def _find_detour(action: GroupAction, folner: FolnerSet, xi: np.ndarray,
             )
         coords[cluster] = norm * u[:, rank]
     mid = q @ coords
-    residual = float(np.max(np.abs(_orbit(action, diff_elems, mid) @ mid.conj()
-                                   - _orbit(action, diff_elems, xi) @ xi.conj())))
+    residual = float(np.max(np.abs(_correlations(action, diffs, mid, mid)
+                                   - _correlations(action, diffs, xi, xi))))
     if residual >= delta:
         raise DetourFailureError(
             f"detour residual {residual:.3e} >= delta {delta:.3e}",

@@ -14,7 +14,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .algebra import MatrixUnits
-from .errors import AssemblyError, HypothesisError, RoundFailureError
+from .errors import AssemblyError, HypothesisError, ParameterError, RoundFailureError
 from .linalg import check_state, dagger, norm_at_most, op_norm
 from .path import UnitaryPath
 from .transport import commutant_transport, invert_alignment_bound
@@ -32,11 +32,11 @@ class AlgebraTower:
     def __post_init__(self):
         for below, size in zip([1] + self.sizes, self.sizes):
             if size % below:
-                raise ValueError(f"level size {size} is not a multiple of {below}")
+                raise ParameterError(f"level size {size} is not a multiple of {below}")
             if size // below < 2:
-                raise ValueError("branchings must be >= 2")
+                raise ParameterError("branchings must be >= 2")
             if self.ambient_dim % size:
-                raise ValueError(f"level size {size} does not divide ambient dimension "
+                raise ParameterError(f"level size {size} does not divide ambient dimension "
                                  f"{self.ambient_dim}")
 
     @property
@@ -156,7 +156,7 @@ class Schedule:
 
 def make_schedule(tower: AlgebraTower, eps: float, rounds: int) -> Schedule:
     if rounds > tower.depth:
-        raise ValueError("more rounds than tower levels")
+        raise ParameterError("more rounds than tower levels")
     inner_tols = []
     deltas = []
     for n in range(1, rounds + 1):

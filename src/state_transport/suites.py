@@ -11,6 +11,7 @@ import numpy as np
 
 from .algebra import full_matrix_units
 from .circle import SpectralModel, _window_masses, arc_transport
+from .errors import ParameterError
 from .gram import (
     GramTarget,
     VectorFamily,
@@ -70,7 +71,7 @@ def _subnormalized_family(rng, n: int, dim: int) -> VectorFamily:
 
 def run_suite(name: str, seed: int, instances: int) -> dict:
     if name not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {name!r}")
+        raise ParameterError(f"unknown suite {name!r}")
     fn = globals()[f"suite_{name}"]
     return fn(seed, instances)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import BlockAlgebra, MatrixUnits
-from .errors import CertificateError, DisjointnessError, HypothesisError
+from .errors import CertificateError, DisjointnessError, HypothesisError, ParameterError
 from .gram import VectorFamily, align_unitary, alignment_bound
 from .linalg import (
     _unitary_eig,
@@ -154,7 +154,7 @@ def projection_transport(e: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> Unit
     xi = check_state(xi)
     eta = check_state(eta)
     if op_norm(e @ e - e) > 1e-10 or op_norm(e - dagger(e)) > 1e-10:
-        raise ValueError("e is not a projection within tolerance")
+        raise ParameterError("e is not a projection within tolerance")
     mass_xi = inner(e @ xi, xi).real
     mass_eta = inner(e @ eta, eta).real
     if abs(mass_xi - mass_eta) > 1e-10:
@@ -347,7 +347,7 @@ def multi_transport(alg: BlockAlgebra, pairs: list[tuple[np.ndarray, np.ndarray]
         per_block.append(res)
         block_paths.append(res.path.rescaled(0.0, 1.0))
     if not block_paths:
-        raise ValueError("no pairs given")
+        raise ParameterError("no pairs given")
     path = merge_orthogonal_paths(block_paths)
     u1 = path.end()
     terminal_errors = [

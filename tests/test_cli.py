@@ -8,7 +8,7 @@ import pytest
 
 import state_transport
 from state_transport.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, main
-from state_transport.group import integer_action
+from state_transport.group import finite_cyclic_action, integer_action
 from state_transport.circle import arc_transport
 from state_transport.serialize import encode_group_action, encode_matrix, encode_vector
 from state_transport.suites import (
@@ -181,6 +181,41 @@ def test_run_group_detour(tmp_path, rng):
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
     assert json.loads(a.read_text())["pass"] is True
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("forged, code, error", [
+    (None, EXIT_PASS, None),
+    ("table", EXIT_VIOLATION, "UnsupportedGroupError"),
+    ("rep", EXIT_VIOLATION, "NotUnitaryError"),
+])
+def test_run_group_finite_action(tmp_path, rng, forged, code, error):
+    # Z/4 through diag(1, i, -1, -i) on two copies of C^4 with orthogonal
+    # orbits; a forged table (Klein four) or a rep scaled by 3 is rejected
+    u = np.diag(np.exp(2j * np.pi * np.arange(4) / 4))
+    z = np.zeros((4, 4))
+    action = encode_group_action(finite_cyclic_action(4, np.block([[u, z], [z, u]])))
+    if forged == "table":
+        action["table"] = [[a ^ b for b in range(4)] for a in range(4)]
+    elif forged == "rep":
+        action["rep"][1] = encode_matrix(3 * np.block([[u, z], [z, u]]))
+    x = random_state(rng, 4)
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "report.json"
+    cfg.write_text(json.dumps({
+        "command": "group",
+        "action": action,
+        "xi": encode_vector(np.concatenate([x, np.zeros(4)])),
+        "eta": encode_vector(np.concatenate([np.zeros(4), 1j * x])),
+        "gens": [1],
+        "eps": 0.5,
+    }))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
+    report = json.loads(out.read_text())
+    if error is None:
+        assert report["pass"] is True
+        assert report["measured"]["terminal_error"] < 1e-12
+    else:
+        assert report["violated_hypothesis"].startswith(error)
 
 
 def test_import_does_not_load_scipy_optimize():

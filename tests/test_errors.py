@@ -1,0 +1,61 @@
+import numpy as np
+import pytest
+
+from state_transport.algebra import direct_sum_algebra
+from state_transport.circle import SpectralModel, circle_partition
+from state_transport.errors import ParameterError, StateTransportError
+from state_transport.gram import (
+    GramTarget,
+    VectorFamily,
+    align_unitary,
+    gram_complete,
+    greedy_pivot_select,
+)
+from state_transport.intertwine import AlgebraTower, build_tower, make_schedule
+from state_transport.suites import run_suite
+from state_transport.transport import multi_transport, projection_transport
+
+_XI = np.array([1.0, 0.0], dtype=complex)
+
+
+def _circle_eps_out_of_range():
+    model = SpectralModel.from_unitary(np.diag(np.exp(2j * np.pi * np.array([0.1, 0.6]))))
+    circle_partition(model, _XI, _XI, 3.0, 0.1)
+
+
+# One call per malformed-argument check in the library: each raises the
+# typed ParameterError, still a ValueError for callers that catch those.
+SITES = {
+    "circle_partition eps range": (_circle_eps_out_of_range, "0 < eps < 2"),
+    "VectorFamily length": (lambda: VectorFamily(3, np.ones((2, 2))), "vector length"),
+    "GramTarget shape": (lambda: GramTarget(2, np.eye(3)), "target shape"),
+    "gram_complete size": (
+        lambda: gram_complete(VectorFamily(4, 0.1 * np.eye(4)[:2]),
+                              GramTarget(3, np.eye(3) / 10)),
+        "family size"),
+    "greedy_pivot_select count": (
+        lambda: greedy_pivot_select(VectorFamily(2, np.eye(2)), 3), "more pivots"),
+    "align_unitary shapes": (
+        lambda: align_unitary(VectorFamily(2, 0.5 * np.eye(2)),
+                              VectorFamily(3, 0.5 * np.eye(3)[:2]), 0.1),
+        "share dimension"),
+    "AlgebraTower multiple": (lambda: AlgebraTower(24, [4, 6]), "not a multiple"),
+    "AlgebraTower branching": (lambda: AlgebraTower(8, [2, 2]), "branchings"),
+    "AlgebraTower ambient": (lambda: AlgebraTower(12, [2, 8]), "does not divide"),
+    "make_schedule rounds": (lambda: make_schedule(build_tower([2], 4), 0.1, 2),
+                             "more rounds"),
+    "run_suite name": (lambda: run_suite("bogus", 0, 1), "unknown suite"),
+    "projection_transport projection": (
+        lambda: projection_transport(2 * np.eye(2), _XI, _XI), "not a projection"),
+    "multi_transport pairs": (lambda: multi_transport(direct_sum_algebra([2]), [], [], 0.1),
+                              "no pairs"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_malformed_arguments_raise_parameter_error(site):
+    call, message = SITES[site]
+    with pytest.raises(ParameterError, match=message) as info:
+        call()
+    assert isinstance(info.value, StateTransportError)
+    assert isinstance(info.value, ValueError)

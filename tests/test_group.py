@@ -1,4 +1,6 @@
+import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +13,16 @@ from state_transport.errors import (
     FlipInconsistencyError,
     HypothesisError,
     NonCommutingGeneratorsError,
+    NotUnitaryError,
     UnsupportedGroupError,
 )
 from state_transport.gram import VectorFamily
 from state_transport.group import (
     EXP_SERIES_CONSTANT,
+    FLIP_TOL,
+    OVERLAP_TOL,
     GroupAction,
+    _correlations,
     _difference_set,
     _find_detour,
     _graph_factors,
@@ -228,7 +234,7 @@ def _clustered_action(rng, mults, rank, spread):
     return integer_action(gens), gens, q, labels
 
 
-def _correlations(gens, elements, v):
+def _correlations_oracle(gens, elements, v):
     """<u^g v, v> for every g, with u^g from matrix powers."""
     return np.array([np.vdot(v, _rep_oracle(gens, g) @ v) for g in elements])
 
@@ -258,19 +264,19 @@ def test_closed_form_detour_multiplicity_condition(mults, rank, spread, phase_ta
     needed = 2 if phase_target else 3
     if min(mults) < needed:
         with pytest.raises(DetourFailureError, match="multiplicity"):
-            _find_detour(action, folner, xi, eta, delta)
+            _find_detour(action, _difference_set(action, folner), xi, eta, delta)
         with pytest.raises(DetourFailureError):
             group_state_transport(action, xi, eta, shifts, eps)
         return
-    mid = _find_detour(action, folner, xi, eta, delta)
+    mid = _find_detour(action, _difference_set(action, folner), xi, eta, delta)
     diffs = sorted({tuple(h - g for g, h in zip(g1, g2))
                     for g1 in folner.elements for g2 in folner.elements})
     # The closed form is exact for clusters of one angle each; inside a
     # cluster of spread s, u^g is within reach * s of one scalar.
     reach = max(sum(abs(k) for k in g) for g in diffs)
     tol = 1e-12 + 2 * reach * spread
-    assert np.max(np.abs(_correlations(gens, diffs, mid)
-                         - _correlations(gens, diffs, xi))) < tol
+    assert np.max(np.abs(_correlations_oracle(gens, diffs, mid)
+                         - _correlations_oracle(gens, diffs, xi))) < tol
     for v in (xi, eta):
         cross = [np.vdot(v, _rep_oracle(gens, g) @ mid) for g in diffs]
         assert np.max(np.abs(cross)) < tol
@@ -285,7 +291,7 @@ def test_difference_set_matches_pairwise_oracle(rng, rank, eps):
     folner = folner_set(action, shifts, eps)
     pairwise = sorted({action.multiply(action.inverse(g), h)
                        for g in folner.elements for h in folner.elements})
-    assert _difference_set(folner) == pairwise
+    assert _difference_set(action, folner) == pairwise
 
 
 def test_detour_on_a_large_z2_box():
@@ -302,9 +308,9 @@ def test_detour_on_a_large_z2_box():
     assert len(folner.elements) == 6561
     delta = (0.1 / (2 * EXP_SERIES_CONSTANT)) ** 2 / len(folner.elements)
     start = time.perf_counter()
-    mid = _find_detour(action, folner, xi, eta, delta)
+    mid = _find_detour(action, _difference_set(action, folner), xi, eta, delta)
     assert time.perf_counter() - start < 5.0
-    diffs = _difference_set(folner)
+    diffs = _difference_set(action, folner)
     assert len(diffs) == 161**2
     residual = np.max(np.abs(_orbit(action, diffs, mid) @ mid.conj()
                              - _orbit(action, diffs, xi) @ xi.conj()))
@@ -335,7 +341,7 @@ def test_flip_on_rank_deficient_orbits(rng, d):
     orbit_xi = _orbit(action, folner.elements, xi)
     orbit_eta = _orbit(action, folner.elements, eta)
     assert np.linalg.matrix_rank(orbit_xi) == d < len(folner.elements)
-    b, v = _graph_factors(orbit_xi, orbit_eta)
+    b, v, _ = _graph_factors(orbit_xi, orbit_eta)
     zetas = orbit_xi @ (v @ dagger(b)).T
     assert np.max(np.abs(zetas @ dagger(zetas) - orbit_xi @ dagger(orbit_xi))) < 1e-12
     for eta_rows in (zetas, orbit_eta):
@@ -409,3 +415,162 @@ def test_noncommuting_generators_rejected(rng):
         integer_action([random_unitary(rng, 3), random_unitary(rng, 3)])
     with pytest.raises(DimensionError):
         integer_action([random_unitary(rng, 3), random_unitary(rng, 4)])
+
+
+def _cyclic_two_copies(rng, d=4):
+    """Z/4 acting through diag(1, i, -1, -i, ...) on two orthogonal copies of
+    C^d; the target is a commuting phase image of the source in the second
+    copy, so the orbits are orthogonal with equal correlations."""
+    u = np.diag(np.exp(2j * np.pi * np.arange(d) / 4))
+    z = np.zeros((d, d))
+    action = finite_cyclic_action(4, np.block([[u, z], [z, u]]))
+    x = random_state(rng, d)
+    xi = np.concatenate([x, np.zeros(d)])
+    eta = np.concatenate([np.zeros(d), np.exp(1j * rng.uniform(0, 2 * np.pi, d)) * x])
+    return action, xi, eta
+
+
+def test_finite_group_transport_orthogonal_orbits(rng):
+    action, xi, eta = _cyclic_two_copies(rng)
+    assert action.rep_defect < 1e-15
+    res = group_state_transport(action, xi, eta, [1], 0.5)
+    assert res.legs == 1
+    assert res.terminal_error < 1e-12
+    assert res.terminal_error <= res.terminal_bound
+    assert res.commutator_sup < res.commutator_bound
+    assert res.extras["flip_error"] <= res.extras["flip_bound"]
+    reps = [action.rep(g) for g in range(4)]
+    dense = max(op_norm(u @ x - x @ u)
+                for u in res.path.at_times(res.path.sample_times(33)) for x in reps)
+    assert dense <= 1e-12
+
+
+_Z2_TABLE = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("table, reps, dim, error, match", [
+    ([[0, 1]], [[[1.0]], [[-1.0]]], 1, DimensionError, "not square"),
+    ([[0, 1], [1, 2]], [[[1.0]], [[-1.0]]], 1, UnsupportedGroupError, "lie in"),
+    ([[1, 0], [0, 1]], [[[1.0]], [[-1.0]]], 1, UnsupportedGroupError, "identity"),
+    ([[0, 1, 2], [1, 1, 0], [2, 0, 2]], [[[1.0]]] * 3, 1, UnsupportedGroupError,
+     "Latin square"),
+    (_Z2_TABLE, [np.eye(2), -np.eye(2)], 1, DimensionError, "reps of shape"),
+    (_Z2_TABLE, [[[1.0]], [[3.0]]], 1, NotUnitaryError, "unitar"),
+    (_Z2_TABLE, [[[1.0]], [[1j]]], 1, UnsupportedGroupError, "not multiplicative"),
+])
+def test_finite_action_rejects_forged_input(table, reps, dim, error, match):
+    with pytest.raises(error, match=match):
+        GroupAction(kind="finite", dim=dim, table=table, reps=reps)
+
+
+def test_finite_cyclic_action_rejects_wrong_order():
+    # diag(e^{2 pi i k / 5}) has order 5, not 3: u^3 is 1.90 away from 1
+    with pytest.raises(UnsupportedGroupError, match="1.90"):
+        finite_cyclic_action(3, np.diag(np.exp(2j * np.pi * np.arange(3) / 5)))
+
+
+def _finite_action(kind, rng, dim):
+    """Z/n through a random unitary of order n on C^dim, or S_3 through its
+    permutation matrices on C^3 in a random basis."""
+    if kind == "cyclic":
+        n = int(rng.integers(2, 7))
+        return finite_cyclic_action(n, _unitary_with_angles(
+            rng, 2 * np.pi * rng.integers(0, n, dim) / n))
+    perms = list(itertools.permutations(range(3)))
+    table = [[perms.index(tuple(a[i] for i in b)) for b in perms] for a in perms]
+    q = random_unitary(rng, 3)
+    reps = [q @ np.eye(3)[:, list(p)] @ dagger(q) for p in perms]
+    return GroupAction(kind="finite", dim=3, table=table, reps=reps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["cyclic", "s3", "generic", "doubled", "clustered",
+                             "z2_degenerate"]),
+       seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), eps=st.floats(0.3, 0.9))
+def test_difference_set_correlations_match_dense_gram(kind, seed, dim, eps):
+    # The gates' gap and cross read c_k = <u_k x, y> on F^{-1} F; the oracle
+    # takes the max over the dense |F| x |F| Gram and cross matrices.
+    rng = np.random.default_rng(seed)
+    if kind in ("cyclic", "s3"):
+        action = _finite_action(kind, rng, dim)
+        folner = folner_set(action, [1], eps)
+        reps = [action.reps[g] for g in folner.elements]
+    else:
+        gens = _generators(kind, rng, dim)
+        action = integer_action(gens)
+        shifts = [tuple(int(i == k) for i in range(len(gens))) for k in range(len(gens))]
+        folner = folner_set(action, shifts, eps)
+        reps = [_rep_oracle(gens, g) for g in folner.elements]
+    x, y = random_state(rng, action.dim), random_state(rng, action.dim)
+    ox = np.array([u @ x for u in reps])
+    oy = np.array([u @ y for u in reps])
+    dense_gap = np.max(np.abs(ox @ dagger(ox) - oy @ dagger(oy)))
+    dense_cross = np.max(np.abs(ox @ dagger(oy)))
+    diffs = _difference_set(action, folner)
+    gap = np.max(np.abs(_correlations(action, diffs, x, x)
+                        - _correlations(action, diffs, y, y)))
+    cross = np.max(np.abs(_correlations(action, diffs, x, y)))
+    assert abs(gap - dense_gap) < 1e-13
+    assert abs(cross - dense_cross) < 1e-13
+
+
+def test_single_leg_z2_transport_at_the_paper_scale():
+    # Z^2 acting identically on two copies of C^8 at eps 0.1: the Folner box
+    # has side 81 (|F| = 6561), its difference set 161^2 elements.
+    rng = np.random.default_rng(3)
+    q = random_unitary(rng, 8)
+    gens = [np.kron(np.eye(2), (q * np.exp(1j * rng.uniform(-np.pi, np.pi, 8))) @ dagger(q))
+            for _ in range(2)]
+    action = integer_action(gens)
+    x = random_state(rng, 8)
+    m = (q * np.exp(1j * rng.uniform(0, 2 * np.pi, 8))) @ dagger(q)
+    xi = np.concatenate([x, np.zeros(8)])
+    eta = np.concatenate([np.zeros(8), m @ x])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        res = group_state_transport(action, xi, eta, [(1, 0), (0, 1)], 0.1)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.folner.elements) == 6561
+    assert elapsed < 2.0
+    assert peak < 200e6
+    assert res.legs == 1
+    assert res.extras["correlation_gap"] < res.extras["delta"]
+    assert res.extras["flip_error"] <= res.extras["flip_bound"]
+    assert res.terminal_error <= res.terminal_bound
+    assert res.commutator_sup < res.commutator_bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), half=st.integers(2, 8), rank=st.integers(1, 8),
+       log_residual=st.floats(-13, -7),
+       overlap=st.sampled_from([0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_flip_projection_is_never_looser_than_the_dense_checks(n, half, rank, log_residual,
+                                                              overlap, seed):
+    # z_g = W x_g + r_g, W an isometry onto directions orthogonal to the
+    # x_g, plus a multiple of x_g for overlapping spans.  Whenever the row
+    # residual check accepts, the dense Gram, cross and killed-sum checks
+    # it replaces pass.
+    rng = np.random.default_rng(seed)
+    rank = min(rank, n, half)
+    dim = 2 * half
+    basis = random_unitary(rng, dim)
+    coeffs = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    xs = coeffs @ basis[:, :rank].T
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    w = basis[:, half:half + rank] @ random_unitary(rng, rank) @ dagger(basis[:, :rank])
+    r = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    r *= 10**log_residual / np.linalg.norm(r, axis=1, keepdims=True)
+    zs = xs @ w.T + r + overlap * xs
+    try:
+        e = flip_projection(VectorFamily(dim, xs), VectorFamily(dim, zs))
+    except FlipInconsistencyError:
+        assert log_residual > -12 or overlap > 0
+        return
+    assert np.max(np.abs(xs @ dagger(xs) - zs @ dagger(zs))) <= FLIP_TOL
+    assert np.max(np.abs(xs @ dagger(zs))) <= OVERLAP_TOL
+    assert np.max(np.linalg.norm((xs + zs) @ e.T, axis=1)) <= OVERLAP_TOL

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from state_transport.errors import NotFiniteError, NotUnitaryError
+from state_transport.errors import NotFiniteError, NotUnitaryError, UnsupportedGroupError
 from state_transport.gram import GramTarget, VectorFamily
 from state_transport.group import finite_cyclic_action, integer_action
 from state_transport.linalg import op_norm
@@ -78,6 +78,23 @@ def test_group_action_roundtrip(rng):
     back2 = decode_group_action(encode_group_action(act))
     assert back2.kind == "Zd"
     assert op_norm(back2.rep((2,)) - act.rep((2,))) < 1e-12
+
+
+def _forged_finite_actions():
+    """Z/4 through diag(1, i) on C^2, encoded, then with the Klein four
+    table (a xor b) in place of its own, or with a rep scaled by 3."""
+    data = encode_group_action(finite_cyclic_action(4, np.diag([1.0, 1j])))
+    table = dict(data, table=[[a ^ b for b in range(4)] for a in range(4)])
+    reps = list(data["rep"])
+    reps[1] = encode_matrix(3 * np.diag([1.0, 1j]))
+    return {"table": table, "rep": dict(data, rep=reps)}
+
+
+@pytest.mark.parametrize("forged, error", [("table", UnsupportedGroupError),
+                                           ("rep", NotUnitaryError)])
+def test_decode_group_action_validates_finite_actions(forged, error):
+    with pytest.raises(error):
+        decode_group_action(_forged_finite_actions()[forged])
 
 
 def test_dumps_report_canonical():
