@@ -53,11 +53,12 @@ class GroupAction:
 
     Finite: ``table[a][b]`` is the index of the product, ``reps[a]`` its
     unitary, element 0 the identity; the constructor checks all three and
-    stores ``rep_defect`` = max ||rep(a) rep(b) - rep(ab)||, at most
-    ``UNITARY_TOL`` (0.0 for Z^d).  Z^d: ``generators`` is a list of d
-    pairwise commuting unitaries and elements are integer tuples; they
-    share one unitary eigenbasis Q, u_k = Q diag(exp(i angles[k])) Q^*,
-    so rep(g) = Q diag(phases(g)) Q^* with phases exp(i sum_k g_k angles[k]).
+    stores ``rep_defect``, the largest Frobenius norm of rep(a) rep(b) -
+    rep(ab) (a bound on its operator norm), at most ``UNITARY_TOL`` (0.0
+    for Z^d).  Z^d: ``generators`` is a list of d pairwise commuting
+    unitaries and elements are integer tuples; they share one unitary
+    eigenbasis Q, u_k = Q diag(exp(i angles[k])) Q^*, so
+    rep(g) = Q diag(phases(g)) Q^* with phases exp(i sum_k g_k angles[k]).
     """
 
     kind: str  # "finite" or "Zd"
@@ -115,7 +116,7 @@ class GroupAction:
 
 def _check_finite(table, reps, dim: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Validated table and reps of a finite action, and its multiplicativity
-    defect d = max ||rep(a) rep(b) - rep(ab)||.
+    defect d >= max ||rep(a) rep(b) - rep(ab)||, the largest Frobenius norm.
 
     The table must be square with entries in range(n), every row and column
     a permutation (so every element has an inverse) and element 0 the
@@ -138,7 +139,8 @@ def _check_finite(table, reps, dim: int) -> tuple[np.ndarray, np.ndarray, float]
         raise DimensionError(f"reps of shape {reps.shape}, expected {(n, dim, dim)}")
     for r in reps:
         check_unitary(r)
-    defect = max(float(np.max(np.linalg.norm(reps[a] @ reps - reps[table[a]], ord=2,
+    # Frobenius norms: upper bounds on the operator norms without an SVD.
+    defect = max(float(np.max(np.linalg.norm(reps[a] @ reps - reps[table[a]],
                                              axis=(1, 2))))
                  for a in range(n))
     if defect > UNITARY_TOL:
@@ -399,18 +401,22 @@ def _orbit(action: GroupAction, elements: list, v: np.ndarray) -> np.ndarray:
     return (action.phases(elements) * (dagger(q) @ v)) @ q.T
 
 
-def _correlations(action: GroupAction, diffs: list, x: np.ndarray,
+def _correlations(action: GroupAction, diffs: DifferenceSet, x: np.ndarray,
                   y: np.ndarray) -> np.ndarray:
     """c_k = <u_k x, y> for k in the difference set ``diffs`` = F^{-1} F.
 
     <u_g x, u_h y> = <u_h^* u_g x, y> is c_{h^{-1} g}, so the entries of the
     |F| x |F| matrix of orbit inner products are exactly the c_k.  For Z^d
-    this holds to rounding: phi_g conj(phi_h) = phi_{g - h}.  For a finite
-    action with rep_defect d, u_h^* is within 2d of u_{h^{-1}} and
-    u_{h^{-1}} u_g within d of u_{h^{-1} g}, so each entry is within 3d of
-    its c_k; the gates add that slack.
+    this holds to rounding: phi_g conj(phi_h) = phi_{g - h}, and c_k is the
+    Fourier sum sum_j phi_kj (Q^* x)_j conj((Q^* y)_j), |D| dim work on the
+    phase table of ``diffs``.  For a finite action with rep_defect d, u_h^*
+    is within 2d of u_{h^{-1}} and u_{h^{-1}} u_g within d of u_{h^{-1} g},
+    so each entry is within 3d of its c_k; the gates add that slack.
     """
-    return _orbit(action, diffs, x) @ y.conj()
+    if diffs.phases is None:
+        return _orbit(action, diffs.elements, x) @ y.conj()
+    q = action.eigenbasis
+    return diffs.phases @ ((dagger(q) @ x) * (dagger(q) @ y).conj())
 
 
 def _orthogonal_leg(action, folner, diffs, xi, eta,
@@ -438,17 +444,26 @@ def _orthogonal_leg(action, folner, diffs, xi, eta,
     }
 
 
-def _difference_set(action: GroupAction, folner: FolnerSet) -> list:
+@dataclass
+class DifferenceSet:
+    """F^{-1} F, and for Z^d the rows phi_k of its elements' eigenvalues."""
+
+    elements: list
+    phases: np.ndarray | None = None
+
+
+def _difference_set(action: GroupAction, folner: FolnerSet) -> DifferenceSet:
     """F^{-1} F: the whole group for a finite action, where F is the group;
     for the centred box F of ``folner_set`` (Z^d) the centred box of twice
-    the half-width, in sorted order."""
+    the half-width, in sorted order, with its phase table."""
     if action.kind == "finite":
-        return list(folner.elements)
+        return DifferenceSet(list(folner.elements))
     half = int(np.max(np.abs(folner.elements)))
-    return list(itertools.product(range(-2 * half, 2 * half + 1), repeat=action.rank))
+    elements = list(itertools.product(range(-2 * half, 2 * half + 1), repeat=action.rank))
+    return DifferenceSet(elements, action.phases(elements))
 
 
-def _find_detour(action: GroupAction, diffs: list, xi: np.ndarray,
+def _find_detour(action: GroupAction, diffs: DifferenceSet, xi: np.ndarray,
                  eta: np.ndarray, delta: float) -> np.ndarray:
     """Vector with the correlation data of xi whose orbit is orthogonal to
     the orbits of xi and eta, built in the joint eigenbasis Q.
@@ -467,7 +482,7 @@ def _find_detour(action: GroupAction, diffs: list, xi: np.ndarray,
     # by more than reach * tol = delta / 4; dropping the clusters below the
     # mass floor moves them by less than dim * floor = delta / 4.  reach is
     # the largest |g|_1 over the difference set, at its last corner.
-    reach = max(sum(diffs[-1]), 1)
+    reach = max(sum(diffs.elements[-1]), 1)
     tol = delta / (4 * reach)
     floor = delta / (4 * action.dim)
     q, angles = action.eigenbasis, action.angles

@@ -291,7 +291,9 @@ def test_difference_set_matches_pairwise_oracle(rng, rank, eps):
     folner = folner_set(action, shifts, eps)
     pairwise = sorted({action.multiply(action.inverse(g), h)
                        for g in folner.elements for h in folner.elements})
-    assert _difference_set(action, folner) == pairwise
+    diffs = _difference_set(action, folner)
+    assert diffs.elements == pairwise
+    assert np.array_equal(diffs.phases, action.phases(pairwise))
 
 
 def test_detour_on_a_large_z2_box():
@@ -310,7 +312,7 @@ def test_detour_on_a_large_z2_box():
     start = time.perf_counter()
     mid = _find_detour(action, _difference_set(action, folner), xi, eta, delta)
     assert time.perf_counter() - start < 5.0
-    diffs = _difference_set(action, folner)
+    diffs = _difference_set(action, folner).elements
     assert len(diffs) == 161**2
     residual = np.max(np.abs(_orbit(action, diffs, mid) @ mid.conj()
                              - _orbit(action, diffs, xi) @ xi.conj()))
@@ -432,7 +434,7 @@ def _cyclic_two_copies(rng, d=4):
 
 def test_finite_group_transport_orthogonal_orbits(rng):
     action, xi, eta = _cyclic_two_copies(rng)
-    assert action.rep_defect < 1e-15
+    assert action.rep_defect < 1e-14
     res = group_state_transport(action, xi, eta, [1], 0.5)
     assert res.legs == 1
     assert res.terminal_error < 1e-12
@@ -464,8 +466,9 @@ def test_finite_action_rejects_forged_input(table, reps, dim, error, match):
 
 
 def test_finite_cyclic_action_rejects_wrong_order():
-    # diag(e^{2 pi i k / 5}) has order 5, not 3: u^3 is 1.90 away from 1
-    with pytest.raises(UnsupportedGroupError, match="1.90"):
+    # diag(e^{2 pi i k / 5}) has order 5, not 3: u^3 - 1 has operator norm
+    # 1.90 and Frobenius norm sqrt(1.90^2 + 1.18^2) = 2.24, the defect bound
+    with pytest.raises(UnsupportedGroupError, match="2.236"):
         finite_cyclic_action(3, np.diag(np.exp(2j * np.pi * np.arange(3) / 5)))
 
 
