@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import dagger, op_norm
+from .linalg import dagger
 
 
 @dataclass
@@ -49,12 +49,6 @@ class MatrixUnits:
 
     def block_identity(self) -> np.ndarray:
         return self.isometry @ dagger(self.isometry)
-
-    def relation_defect(self) -> float:
-        """d = ||V^* V - 1||; each relation e_ij e_kl = delta_jk e_il holds to
-        within d (1 + d)."""
-        v = self.isometry
-        return op_norm(dagger(v) @ v - np.eye(v.shape[1]))
 
     def embed(self, a: np.ndarray) -> np.ndarray:
         """Ambient element sum_ij a[i, j] e_ij = V (a (x) 1_r) V^* for an n x n
@@ -111,15 +105,6 @@ class BlockAlgebra:
         for b in self.blocks:
             if b.ambient_dim != self.ambient_dim:
                 raise DimensionError("block ambient dimension mismatch")
-
-    def spanning_elements(self) -> list[np.ndarray]:
-        """All matrix units of all blocks, a linear basis of the algebra."""
-        out = []
-        for blk in self.blocks:
-            for i in range(blk.n):
-                for j in range(blk.n):
-                    out.append(blk.unit(i, j))
-        return out
 
 
 def direct_sum_algebra(sizes: list[int], multiplicities: list[int] | None = None) -> BlockAlgebra:

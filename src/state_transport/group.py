@@ -90,17 +90,6 @@ class GroupAction:
     def rank(self) -> int:
         return len(self.generators) if self.kind == "Zd" else 0
 
-    def inverse(self, g):
-        if self.kind == "Zd":
-            return tuple(-k for k in g)
-        row = self.table[g]
-        return int(np.where(row == 0)[0][0])
-
-    def multiply(self, g, h):
-        if self.kind == "Zd":
-            return tuple(a + b for a, b in zip(g, h))
-        return int(self.table[g][h])
-
     def phases(self, elements) -> np.ndarray:
         """Z^d only: row j holds the eigenvalues of rep(elements[j]) in the
         eigenbasis, exp(i sum_k g_k angles[k])."""

@@ -16,7 +16,7 @@ import numpy as np
 from .algebra import MatrixUnits
 from .errors import AssemblyError, HypothesisError, ParameterError, RoundFailureError
 from .linalg import check_state, dagger, norm_at_most, op_norm
-from .path import UnitaryPath
+from .path import PathSegment, UnitaryPath
 from .transport import commutant_transport, invert_alignment_bound
 
 
@@ -176,12 +176,17 @@ def make_schedule(tower: AlgebraTower, eps: float, rounds: int) -> Schedule:
 
 @dataclass
 class IntertwineResult:
+    """The products of the odd and even rounds, the round logs and final
+    measurements, each round's commutant transport path as built (it ends
+    at u_n^*), and ``path``, a based path on [0, 1] to the odd product."""
+
     odd_product: np.ndarray
     even_product: np.ndarray
     logs: list[dict]
     round_paths: list[UnitaryPath]
     final: dict
     schedule: Schedule
+    path: UnitaryPath
 
 
 def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
@@ -204,6 +209,11 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     otherwise; the logs record the drift and how many companions took the
     dense norm.  A level's generators are built on first use, and the final
     intertwining gap applies the last level's as s x s factors.
+
+    u_n is the adjoint of the round path's endpoint, so odd round n = 2k + 1
+    adds to ``path`` the segment P e^{-i (t - k) h} = e^{-i (t - k) P h P^*} P
+    on [k, k + 1], eigenpairs (-w, P v) and base P, where (w, v) are the
+    round segment's eigenpairs and P is the odd product before the round.
     """
     xi = check_state(omega1)
     eta = check_state(omega2)
@@ -222,6 +232,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     p_odd = np.eye(dim, dtype=complex)
     p_even = np.eye(dim, dtype=complex)
     round_paths: list[UnitaryPath] = []
+    segments: list[PathSegment] = []
     logs: list[dict] = []
 
     for n in range(1, schedule.rounds + 1):
@@ -242,9 +253,13 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
             raise _round_failure(n, exc.measured_gap, delta) from exc
         if res.measured_gap >= delta:
             raise _round_failure(n, res.measured_gap, delta)
-        u_n = dagger(res.path.end())
-        round_paths.append(res.path.adjoint())
+        u_n = dagger(res.end)
+        round_paths.append(res.path)
         if odd_side:
+            # Without repair the round path is one segment based at 1.
+            seg = res.path.segments[0]
+            k = float(len(segments))
+            segments.append(PathSegment(k, k + 1.0, -seg.w, p_odd @ seg.v, p_odd))
             p_odd = p_odd @ u_n
         else:
             p_even = p_even @ u_n
@@ -301,6 +316,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
 
     final = _final_measurements(tower, xi, eta, p_odd, p_even, fixed_set, level1,
                                 schedule)
+    path = UnitaryPath(segments).rescaled(0.0, 1.0) if segments else UnitaryPath.constant(dim)
     return IntertwineResult(
         odd_product=p_odd,
         even_product=p_even,
@@ -308,6 +324,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         round_paths=round_paths,
         final=final,
         schedule=schedule,
+        path=path,
     )
 
 
@@ -377,29 +394,10 @@ def _ad_sup(tower, w, fixed_set, level1, limit) -> float:
     return worst
 
 
-def assemble_path(result: IntertwineResult,
-                  per_round_paths: list[UnitaryPath] | None = None) -> UnitaryPath:
-    """One continuous based path through the odd-round unitaries, ending at
-    the odd product; parameterized on [0, 1]."""
-    if per_round_paths is None:
-        per_round_paths = result.round_paths
-    odd_paths = per_round_paths[0::2]
-    dim = result.odd_product.shape[0]
-    if not odd_paths:
-        return UnitaryPath.constant(dim)
-    for p in odd_paths:
-        if p is None:
-            raise AssemblyError("missing a round path")
-        if not p.is_based(1e-8):
-            raise AssemblyError("round paths must start at the identity")
-    prefix = np.eye(dim, dtype=complex)
-    segments = []
-    for k, p in enumerate(odd_paths):
-        # v(t) = u_1 u_3 ... u_{2k-1} @ (round path at t - k) on [k, k+1].
-        piece = p.rescaled(0.0, 1.0).left_multiplied(prefix).shifted(float(k))
-        segments.extend(piece.segments)
-        prefix = prefix @ p.end()
-    path = UnitaryPath(segments).rescaled(0.0, 1.0)
+def assemble_path(result: IntertwineResult) -> UnitaryPath:
+    """The based path through the odd-round unitaries that ``back_and_forth``
+    built, checked to end at the odd product."""
+    path = result.path
     if not norm_at_most(path.end() - result.odd_product, 1e-8):
         raise AssemblyError("assembled path does not end at the odd product")
     return path

@@ -150,17 +150,6 @@ class UnitaryPath:
     def sample_times(self, samples: int = 64) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, samples)
 
-    def adjoint(self) -> "UnitaryPath":
-        """The path t -> u(t)^* = exp(-i tau B^* h B) B^*: eigenpairs
-        (-w, B^* v)."""
-        return UnitaryPath([PathSegment(s.t0, s.t1, -s.w, dagger(s.base) @ s.v,
-                                        dagger(s.base)) for s in self.segments])
-
-    def left_multiplied(self, c: np.ndarray) -> "UnitaryPath":
-        """The path t -> c @ u(t) for a fixed unitary c: eigenpairs (w, c v)."""
-        return UnitaryPath([PathSegment(s.t0, s.t1, s.w, c @ s.v, c @ s.base)
-                            for s in self.segments])
-
     def right_multiplied(self, c: np.ndarray) -> "UnitaryPath":
         """The path t -> u(t) @ c for a fixed unitary c."""
         return UnitaryPath([PathSegment(s.t0, s.t1, s.w, s.v, s.base @ c)
@@ -198,11 +187,12 @@ def merge_orthogonal_paths(paths: list[UnitaryPath]) -> UnitaryPath:
     Each path must deviate from the identity only inside its own invariant
     subspace, so generators and bases of distinct paths commute; the merged
     generator is the sum, held as the covering segments' w concatenated and
-    their v side by side, and the base is the product.  Trusted, not
-    checked: columns with nonzero w from different paths are orthogonal.
-    Columns with w = 0 add nothing to u(t), so full-rank factors of
-    generators on disjoint subspaces merge correctly.  All paths must be
-    parameterized on the same interval.
+    their v side by side, and the base is the product.  Columns with w = 0
+    add nothing to u(t) and are dropped, so full-rank factors of generators
+    on disjoint subspaces merge too.  The kept columns of each merged
+    segment must be orthonormal: ||V^* V - 1||_F <= ``JOINT_TOL``, or
+    ``CertificateError``.  All paths must be parameterized on the same
+    interval.
     """
     if not paths:
         raise PathError("nothing to merge")
@@ -220,8 +210,12 @@ def merge_orthogonal_paths(paths: list[UnitaryPath]) -> UnitaryPath:
         base = np.eye(dim, dtype=complex)
         for seg in covering:
             base = base @ seg.at(a)
-        segs.append(PathSegment(a, b, np.concatenate([s.w for s in covering]),
-                                np.hstack([s.v for s in covering]), base))
+        w = np.concatenate([s.w for s in covering])
+        keep = w != 0.0
+        v = np.hstack([s.v for s in covering])[:, keep]
+        if np.linalg.norm(dagger(v) @ v - np.eye(v.shape[1])) > JOINT_TOL:
+            raise CertificateError("merged paths have overlapping generator columns")
+        segs.append(PathSegment(a, b, w[keep], v, base))
     merged = UnitaryPath(segs)
     if abs(merged.t_start - lo) >= 1e-12 or abs(merged.t_end - hi) >= 1e-12:
         raise CertificateError("merged path does not cover the common interval")

@@ -156,7 +156,7 @@ def suite_geodesic(seed: int, instances: int, competitors: int = 200) -> dict:
         path = geodesic_pair(xi, eta)
         length_err = abs(path.length - theta)
         terminal = float(np.linalg.norm(path.end() @ xi - eta))
-        phi = geodesic_lower_bound(path, xi, eta, samples=16)
+        phi = geodesic_lower_bound(path, xi, eta)
         beaten_by = 0.0
         for _ in range(competitors):
             mid = random_state(rng, dim)

@@ -97,3 +97,25 @@ def test_tower_op_decomposes_no_ambient_matrix(monkeypatch):
         rec = workloads.run_op(state_transport, workload, x)
         assert not rec.failed, rec.failure_types()
         assert (x["ambient"], x["ambient"]) not in shapes
+
+
+def test_tower_op_evaluates_each_round_once(monkeypatch):
+    # Each round's commutant transport evaluates its path's endpoint once
+    # for its terminal error, and u_n reuses it; the assembled path is
+    # built in the round loop, so the only other evaluation away from t0 is
+    # its endpoint check: rounds + 1 calls per op.
+    workload = workloads.WORKLOADS["tower-256"]
+    segment_at = state_transport.PathSegment.at
+    moved = []
+
+    def counted(seg, t):
+        if t != seg.t0:
+            moved.append(t)
+        return segment_at(seg, t)
+
+    monkeypatch.setattr(state_transport.PathSegment, "at", counted)
+    x = workload.inputs(1, True)[0]
+    rec = workloads.run_op(state_transport, workload, x)
+    assert not rec.failed, rec.failure_types()
+    assert x["rounds"] == 3
+    assert len(moved) == x["rounds"] + 1

@@ -7,7 +7,7 @@ the length and endpoint bounds are hardest to meet.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from state_transport.suites import random_state
@@ -69,7 +69,7 @@ def test_degenerate_pair_bounds(seed, dim, support, phase, log_s):
     perp = np.eye(dim)[:, outside]
     for t in (0.5, 1.0):
         assert np.linalg.norm(path.at(t) @ perp - perp) <= BOUND
-    geodesic_lower_bound(path, xi, eta, samples=16)
+    geodesic_lower_bound(path, xi, eta)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -79,7 +79,7 @@ def test_nearly_colinear_phase_regression(seed):
     dim = 2 + seed % 15
     xi, eta, _ = degenerate_pair(seed, dim, 0.7, 1e-8)
     path = check_geodesic(xi, eta)
-    geodesic_lower_bound(path, xi, eta, samples=16)
+    geodesic_lower_bound(path, xi, eta)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -96,3 +96,29 @@ def test_geodesic_length_is_the_angle_bit_for_bit(seed, dim, phase, s):
     path = geodesic_pair(xi, eta)
     assert path.segments[0].w.size == 2
     assert path.length == geodesic_angle(xi, eta)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 16),
+    alpha=st.floats(-np.pi + 1e-3, np.pi - 1e-3),
+    s=st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(1e-3, 1.0)),
+)
+@example(seed=3, dim=5, alpha=-0.7, s=0.0)
+@example(seed=3, dim=5, alpha=-2.5, s=0.0)
+@example(seed=3, dim=5, alpha=3e-5, s=0.0)
+@example(seed=3, dim=5, alpha=-1e-5, s=0.0)
+def test_lower_bound_is_the_angle_for_either_phase_sign(seed, dim, alpha, s):
+    # colinear pairs (xi, e^{i alpha} xi), whose u(1) has the eigenvalue
+    # e^{i alpha} of either sign, and near-colinear and generic pairs: the
+    # bound is the angle and at most the length.  A negative phase failed
+    # a spectrum walk that started from e^{+i |alpha|}, and below about
+    # 4.5e-5 a tolerance of 1e-9 on the cosine let the eigenvalue 1 be the
+    # bound.
+    xi, eta, _ = degenerate_pair(seed, dim, alpha, s)
+    path = geodesic_pair(xi, eta)
+    phi = geodesic_lower_bound(path, xi, eta)
+    assert phi <= path.length + 1e-6
+    assert abs(phi - geodesic_angle(xi, eta)) <= 1e-6
+

@@ -182,13 +182,13 @@ def test_assemble_path_endpoint(rng):
     assert sup <= 4 * 0.1 / 3 + 1e-6
 
 
-def test_assemble_path_rejects_unbased_round(rng):
+def test_assemble_path_rejects_forged_odd_product(rng):
     tower, xi, eta = _small_instance(rng)
     sched = make_schedule(tower, 0.1, 1)
     result = back_and_forth(tower, xi, eta, [], sched)
-    bad = [result.round_paths[0].left_multiplied(random_unitary(rng, 16))]
+    forged = replace(result, odd_product=random_unitary(rng, 16) @ result.odd_product)
     with pytest.raises(AssemblyError):
-        assemble_path(result, per_round_paths=bad)
+        assemble_path(forged)
 
 
 def test_assembled_commutation_sup_dominates_sampled_ad_form(rng):
@@ -214,7 +214,7 @@ def _companion_oracle(tower, result):
     products = {1: np.eye(dim, dtype=complex), 0: np.eye(dim, dtype=complex)}
     oracle = []
     for n, path in enumerate(result.round_paths, start=1):
-        u_n = dagger(path.adjoint().end())  # bit for bit the round's u_n
+        u_n = dagger(path.end())  # bit for bit the round's u_n
         products[n % 2] = products[n % 2] @ u_n
         p = products[1 - n % 2]
         v = p @ u_n @ dagger(p)
@@ -269,7 +269,7 @@ def test_fixed_set_outside_level_one_is_measured_every_round(rng):
     fixed = tower.level_generators(3)
     result = back_and_forth(tower, xi, eta, fixed, make_schedule(tower, 0.1, 3))
     for log, path in zip(result.logs, result.round_paths):
-        u_n = dagger(path.adjoint().end())  # bit for bit the round's u_n
+        u_n = dagger(path.end())  # bit for bit the round's u_n
         assert log["commutation"] >= max(op_norm(u_n @ x - x @ u_n) for x in fixed)
 
 
@@ -311,7 +311,7 @@ def test_rounds_measure_fixed_set_and_open_companions_only(rng, monkeypatch, rou
     assert len(calls) == companions + sum(fallbacks) + 3 * len(fixed)
     for log, path, dense in zip(result.logs, result.round_paths,
                                 _companion_oracle(tower, result)):
-        u_n = dagger(path.adjoint().end())  # bit for bit the round's u_n
+        u_n = dagger(path.end())  # bit for bit the round's u_n
         assert log["commutation"] >= max(op_norm(u_n @ x - x @ u_n) for x in fixed)
         assert log["commutation"] >= dense
 
@@ -324,7 +324,7 @@ def test_unmeasured_commutators_vanish(rng):
     rounds = 3
     result = back_and_forth(tower, xi, eta, tower.level_generators(1),
                             make_schedule(tower, 0.1, rounds))
-    us = [p.end() for p in result.round_paths]
+    us = [dagger(p.end()) for p in result.round_paths]
     for n in range(1, rounds + 1):
         w = np.eye(16, dtype=complex)
         for k in range(n - 1, 0, -2):

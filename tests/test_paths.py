@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from state_transport.circle import arc_transport
-from state_transport.errors import StateTransportError
+from state_transport.errors import CertificateError, StateTransportError
 from state_transport.group import group_state_transport
 from state_transport.intertwine import assemble_path, back_and_forth, make_schedule
 from state_transport.linalg import dagger, op_norm
@@ -57,15 +57,6 @@ def test_chord_sum_below_length(rng):
     assert chords <= p.length + 1e-9
 
 
-def test_adjoint_pointwise(rng):
-    xi = random_state(rng, 3)
-    eta = random_state(rng, 3)
-    p = geodesic_pair(xi, eta)
-    q = p.adjoint()
-    for t in (0.0, 0.3, 0.77, 1.0):
-        assert op_norm(q.at(t) - dagger(p.at(t))) < 1e-12
-
-
 def test_concat_runs_first_then_second(rng):
     xi = random_state(rng, 4)
     mid = random_state(rng, 4)
@@ -81,11 +72,16 @@ def test_concat_runs_first_then_second(rng):
                for prev, nxt in itertools.pairwise(c.segments)) < 1e-10
 
 
-def test_merge_orthogonal_blocks(rng):
+def _complementary_generators():
     h1 = np.zeros((4, 4), dtype=complex)
     h1[:2, :2] = np.array([[0.4, 0.1], [0.1, -0.2]])
     h2 = np.zeros((4, 4), dtype=complex)
     h2[2:, 2:] = np.array([[0.0, 0.3j], [-0.3j, 0.5]])
+    return h1, h2
+
+
+def test_merge_orthogonal_blocks(rng):
+    h1, h2 = _complementary_generators()
     merged = merge_orthogonal_paths([_rotation_path(h1), _rotation_path(h2)])
     for t in (0.0, 0.4, 1.0):
         expect = _rotation_path(h1 + h2).at(t)
@@ -93,11 +89,29 @@ def test_merge_orthogonal_blocks(rng):
     assert merged.length == pytest.approx(max(op_norm(h1), op_norm(h2)))
 
 
-def test_left_right_multiplied(rng):
+def test_merged_full_rank_rotations_round_trip():
+    # each eigh-built factor has four columns, two with w = 0; the merge
+    # drops those, so its v is 4 x 4 and the encoding decodes
+    h1, h2 = _complementary_generators()
+    merged = merge_orthogonal_paths([_rotation_path(h1), _rotation_path(h2)])
+    (seg,) = merged.segments
+    assert seg.v.shape == (4, 4) and np.all(seg.w != 0.0)
+    (back,) = decode_path(json.loads(json.dumps(encode_path(merged)))).segments
+    assert (back.t0, back.t1) == (seg.t0, seg.t1)
+    for name in ("w", "v", "base"):
+        assert np.array_equal(getattr(back, name), getattr(seg, name))
+
+
+def test_merge_rejects_overlapping_paths(rng):
+    xi, eta = random_state(rng, 4), random_state(rng, 4)
+    with pytest.raises(CertificateError):
+        merge_orthogonal_paths([geodesic_pair(xi, eta), geodesic_pair(eta, xi)])
+
+
+def test_right_multiplied(rng):
     u = random_unitary(rng, 3)
     h = np.diag([0.2, -0.1, 0.0]).astype(complex)
     p = _rotation_path(h)
-    assert op_norm(p.left_multiplied(u).at(0.6) - u @ p.at(0.6)) < 1e-12
     assert op_norm(p.right_multiplied(u).at(0.6) - p.at(0.6) @ u) < 1e-12
 
 
@@ -129,16 +143,24 @@ def test_length_is_generator_norm_without_eigh(rng):
     assert calls == []
 
 
+def _tower_path(rng):
+    """The assembled path of a 16-dimensional tower: two odd rounds, the
+    second based at the first's unitary."""
+    tower, xi, eta = intertwine_instance(rng, ambient=16, levels=4,
+                                         commutant_level=3, twist=1e-7)
+    return assemble_path(back_and_forth(tower, xi, eta, [], make_schedule(tower, 0.1, 3)))
+
+
 def _multi_segment_path(kind, rng):
     """Paths with several segments, from each way the library builds them."""
+    if kind == "tower":
+        return _tower_path(rng)
     xi, mid, eta = (random_state(rng, 4) for _ in range(3))
     concat = concat_paths(geodesic_pair(xi, mid), geodesic_pair(mid, eta))
     if kind == "concatenated":
         return concat_paths(concat, geodesic_pair(eta, xi))
     if kind == "rescaled":
         return concat.rescaled(-0.5, 2.0)
-    if kind == "adjoint":
-        return concat.adjoint()
     if kind == "constant":
         return UnitaryPath.constant(4, random_unitary(rng, 4))
     # merged: blocks cut at different times, so the merge has three segments
@@ -156,7 +178,7 @@ def _multi_segment_path(kind, rng):
     return merge_orthogonal_paths(pieces)
 
 
-PATH_KINDS = ("concatenated", "merged", "rescaled", "adjoint", "constant")
+PATH_KINDS = ("concatenated", "merged", "rescaled", "tower", "constant")
 
 
 def _count_eigh(mp):
@@ -221,8 +243,10 @@ def test_commutator_bound_dominates_sampled_sup(kind, seed):
     # with its first segment's base, where only rounding is left
     rng = np.random.default_rng(seed)
     path = _multi_segment_path(kind, rng)
-    elements = [random_unitary(rng, 4), np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex),
-                np.eye(4, dtype=complex), path.segments[0].base]
+    dim = path.dim
+    half = np.diag(np.arange(dim) < dim // 2).astype(complex)
+    elements = [random_unitary(rng, dim), half, np.eye(dim, dtype=complex),
+                path.segments[0].base]
     sampled = [_commutator_oracle(path, [x], 257) for x in elements]
     for x, sup in zip(elements, sampled):
         assert path.commutator_bound([x]) >= sup
@@ -294,18 +318,16 @@ def _library_path(kind, rng):
     if kind == "group":
         action, a, b = group_instance(rng, 3)
         return group_state_transport(action, a, b, [(1,), (-1,)], 0.3).path
+    if kind == "tower":
+        return _tower_path(rng)
     path = concat_paths(geodesic_pair(xi, mid), geodesic_pair(mid, eta))
-    if kind == "adjoint":
-        return path.adjoint()
-    if kind == "left":
-        return path.left_multiplied(random_unitary(rng, 4))
     if kind == "right":
         return path.right_multiplied(random_unitary(rng, 4))
     return path.rescaled(-0.5, 2.0)
 
 
-LIBRARY_KINDS = ("geodesic", "colinear", "commutant", "repaired", "arcs", "adjoint",
-                 "left", "right", "rescaled", "group", "decoded")
+LIBRARY_KINDS = ("geodesic", "colinear", "commutant", "repaired", "arcs", "tower",
+                 "right", "rescaled", "group", "decoded")
 
 
 @settings(max_examples=60, deadline=None)

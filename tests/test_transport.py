@@ -32,6 +32,11 @@ from state_transport.transport import (
 )
 
 
+def _units(alg):
+    """Every matrix unit of every block, a linear basis of the algebra."""
+    return [blk.unit(i, j) for blk in alg.blocks for i in range(blk.n) for j in range(blk.n)]
+
+
 def _theta(xi, eta):
     return float(np.arccos(np.clip(inner(eta, xi).real, -1.0, 1.0)))
 
@@ -75,7 +80,7 @@ def test_geodesic_lower_bound_matches(rng):
     xi = random_state(rng, 4)
     eta = random_state(rng, 4)
     p = geodesic_pair(xi, eta)
-    phi = geodesic_lower_bound(p, xi, eta, samples=16)
+    phi = geodesic_lower_bound(p, xi, eta)
     assert phi <= p.length + 1e-6
     assert phi == pytest.approx(_theta(xi, eta), abs=1e-6)
 
@@ -95,7 +100,7 @@ def test_geodesic_lower_bound_rejects_forged_length(rng):
     eta = random_state(rng, 4)
     forged = UnitaryPath.constant(4, base=geodesic_pair(xi, eta).end())
     with pytest.raises(CertificateError) as info:
-        geodesic_lower_bound(forged, xi, eta, samples=16)
+        geodesic_lower_bound(forged, xi, eta)
     assert isinstance(info.value, StateTransportError)
 
 
@@ -221,7 +226,7 @@ def test_excise_product_state(rng):
     e = excise(xi, alg)
     assert op_norm(e @ e - e) < 1e-10
     assert np.linalg.norm(e @ xi - xi) < 1e-10
-    assert excision_error(e, xi, alg.spanning_elements()) < 1e-10
+    assert excision_error(e, xi, _units(alg)) < 1e-10
 
 
 def test_multi_transport_blocks(rng):
@@ -235,7 +240,7 @@ def test_multi_transport_blocks(rng):
     eta2 = np.zeros(8, dtype=complex)
     eta2[4:] = np.kron(np.eye(2), random_unitary(rng, 2)) @ xi2[4:]
     res = multi_transport(alg, [(xi1, eta1), (xi2, eta2)],
-                          alg.spanning_elements(), 0.1)
+                          _units(alg), 0.1)
     assert max(res.terminal_errors) < 1e-10
     assert res.commutator_sup < 1e-9
 
@@ -260,7 +265,7 @@ def test_multi_transport_commutator_sup_is_a_certified_bound(shapes, noise, seed
         eta[offset:offset + n * r] = moved / np.linalg.norm(moved)
         pairs.append((xi, eta))
         offset += n * r
-    family = alg.spanning_elements()
+    family = _units(alg)
     res = multi_transport(alg, pairs, family, 0.1)
     dense = max(op_norm(u @ x - x @ u)
                 for u in res.path.at_times(res.path.sample_times(257)) for x in family)
