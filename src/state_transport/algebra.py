@@ -1,4 +1,6 @@
-"""Matrix units and block algebras embedded in an ambient full matrix algebra."""
+"""Matrix units and block algebras embedded in an ambient full matrix algebra,
+and the tensor splits that bound commutators between a level M_s (x) 1_q
+and its commutant 1_s (x) M_q."""
 
 from __future__ import annotations
 
@@ -7,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import dagger
+from .linalg import dagger, op_norm
 
 
 @dataclass
@@ -118,3 +120,51 @@ def direct_sum_algebra(sizes: list[int], multiplicities: list[int] | None = None
         blocks.append(full_matrix_units(n, r, ambient_dim=ambient, offset=offset))
         offset += n * r
     return BlockAlgebra(ambient_dim=ambient, blocks=blocks)
+
+
+@dataclass(frozen=True)
+class TensorSplit:
+    """An element of M_s (x) M_q split as F (x) 1_q + r (its level part) or
+    as 1_s (x) F + r (its commutant part), kept as the two norms that bound
+    its commutators: ``factor`` >= ||F|| and ``rest`` = ||r||_F."""
+
+    factor: float
+    rest: float
+
+
+def _level_part(x: np.ndarray, s: int) -> tuple[np.ndarray, float]:
+    """A = Tr_q x / q and ||x - A (x) 1_q||_F: A (x) 1_q is the
+    trace-preserving conditional expectation E(x) onto M_s (x) 1_q."""
+    q = len(x) // s
+    a = np.einsum("iaja->ij", x.reshape(s, q, s, q)) / q
+    return a, float(np.linalg.norm(x - np.kron(a, np.eye(q))))
+
+
+def level_split(x: np.ndarray, s: int) -> TensorSplit:
+    """x = A (x) 1_q + b with A = Tr_q x / q, so ``rest`` is ||x - E(x)||_F,
+    the distance of x from the level M_s (x) 1_q; ||A|| is an SVD of the
+    s x s factor."""
+    a, rest = _level_part(x, s)
+    return TensorSplit(op_norm(a), rest)
+
+
+def commutant_split(u: np.ndarray, s: int) -> TensorSplit:
+    """u = 1_s (x) C + e with C = Tr_s u / s, the part of u in the commutant
+    1_s (x) M_q of the level M_s (x) 1_q; ||C|| is an SVD of the q x q
+    factor."""
+    q = len(u) // s
+    c = np.einsum("iaib->ab", u.reshape(s, q, s, q)) / s
+    return TensorSplit(op_norm(c), float(np.linalg.norm(u - np.kron(np.eye(s), c))))
+
+
+def commutator_bound(u: TensorSplit, x: TensorSplit, dim: int) -> float:
+    """Certified upper bound on ||[u, x]|| for u = 1_s (x) C + e and
+    x = A (x) 1_q + b split at the same level of M_dim.
+
+    [1 (x) C, A (x) 1] = 0 leaves [1 (x) C, b] + [e, A (x) 1] + [e, b], each
+    at most twice the product of its factors' norms, and ||.|| <= ||.||_F:
+    2 (||C|| + ||e||_F) ||b||_F + 2 ||e||_F ||A||.  The allowance, dim 2^-52
+    (||A|| + ||b||_F) for each of the two dense products that form [u, x],
+    covers their rounding and that of the norms that form the bound."""
+    return (2.0 * (u.factor + u.rest) * x.rest + 2.0 * u.rest * x.factor
+            + 2.0 * dim * np.finfo(float).eps * (x.factor + x.rest))

@@ -13,10 +13,17 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .algebra import MatrixUnits
+from .algebra import (
+    MatrixUnits,
+    TensorSplit,
+    _level_part,
+    commutant_split,
+    commutator_bound,
+    level_split,
+)
 from .errors import AssemblyError, HypothesisError, ParameterError, RoundFailureError
 from .linalg import check_state, dagger, norm_at_most, op_norm
-from .path import PathSegment, UnitaryPath
+from .path import CommutantLevel, PathSegment, UnitaryPath
 from .transport import commutant_transport, invert_alignment_bound
 
 
@@ -70,54 +77,6 @@ def _shift_and_clock(m: int) -> list[np.ndarray]:
 def build_tower(branchings: list[int], ambient_dim: int) -> AlgebraTower:
     """Tower of tensor-power embeddings with the given branching sequence."""
     return AlgebraTower(ambient_dim, np.cumprod(branchings).tolist())
-
-
-@dataclass(frozen=True)
-class TensorSplit:
-    """An element of M_s (x) M_q split as F (x) 1_q + r (its level part) or
-    as 1_s (x) F + r (its commutant part), kept as the two norms that bound
-    its commutators: ``factor`` >= ||F|| and ``rest`` = ||r||_F."""
-
-    factor: float
-    rest: float
-
-
-def _level_part(x: np.ndarray, s: int) -> tuple[np.ndarray, float]:
-    """A = Tr_q x / q and ||x - A (x) 1_q||_F: A (x) 1_q is the
-    trace-preserving conditional expectation E(x) onto M_s (x) 1_q."""
-    q = len(x) // s
-    a = np.einsum("iaja->ij", x.reshape(s, q, s, q)) / q
-    return a, float(np.linalg.norm(x - np.kron(a, np.eye(q))))
-
-
-def level_split(x: np.ndarray, s: int) -> TensorSplit:
-    """x = A (x) 1_q + b with A = Tr_q x / q, so ``rest`` is ||x - E(x)||_F,
-    the distance of x from the level M_s (x) 1_q; ||A|| is an SVD of the
-    s x s factor."""
-    a, rest = _level_part(x, s)
-    return TensorSplit(op_norm(a), rest)
-
-
-def commutant_split(u: np.ndarray, s: int) -> TensorSplit:
-    """u = 1_s (x) C + e with C = Tr_s u / s, the part of u in the commutant
-    1_s (x) M_q of the level M_s (x) 1_q; ||C|| is an SVD of the q x q
-    factor."""
-    q = len(u) // s
-    c = np.einsum("iaib->ab", u.reshape(s, q, s, q)) / s
-    return TensorSplit(op_norm(c), float(np.linalg.norm(u - np.kron(np.eye(s), c))))
-
-
-def commutator_bound(u: TensorSplit, x: TensorSplit, dim: int) -> float:
-    """Certified upper bound on ||[u, x]|| for u = 1_s (x) C + e and
-    x = A (x) 1_q + b split at the same level of M_dim.
-
-    [1 (x) C, A (x) 1] = 0 leaves [1 (x) C, b] + [e, A (x) 1] + [e, b], each
-    at most twice the product of its factors' norms, and ||.|| <= ||.||_F:
-    2 (||C|| + ||e||_F) ||b||_F + 2 ||e||_F ||A||.  The allowance, dim 2^-52
-    (||A|| + ||b||_F) for each of the two dense products that form [u, x],
-    covers their rounding and that of the norms that form the bound."""
-    return (2.0 * (u.factor + u.rest) * x.rest + 2.0 * u.rest * x.factor
-            + 2.0 * dim * np.finfo(float).eps * (x.factor + x.rest))
 
 
 def drift_bound(drift: float, defect: float, dim: int) -> float:
@@ -214,6 +173,10 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     adds to ``path`` the segment P e^{-i (t - k) h} = e^{-i (t - k) P h P^*} P
     on [k, k + 1], eigenpairs (-w, P v) and base P, where (w, v) are the
     round segment's eigenpairs and P is the odd product before the round.
+    Every such base and generator is a product of round unitaries and round
+    generators, all in the commutant of level 1, so ``path`` carries that
+    level and the limit ``ad_odd_bound`` = 4 eps / 3 as its
+    ``CommutantLevel``.
     """
     xi = check_state(omega1)
     eta = check_state(omega2)
@@ -316,7 +279,11 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
 
     final = _final_measurements(tower, xi, eta, p_odd, p_even, fixed_set, level1,
                                 schedule)
-    path = UnitaryPath(segments).rescaled(0.0, 1.0) if segments else UnitaryPath.constant(dim)
+    if segments:
+        level = CommutantLevel(tower.sizes[0], final["ad_odd_bound"])
+        path = UnitaryPath(segments, level).rescaled(0.0, 1.0)
+    else:
+        path = UnitaryPath.constant(dim)
     return IntertwineResult(
         odd_product=p_odd,
         even_product=p_even,
@@ -407,5 +374,8 @@ def assembled_commutation_sup(path: UnitaryPath, fixed_set: list[np.ndarray],
                               samples: int | None = None) -> float:
     """Certified sup over every t of || Ad v(t)(x) - x || for x in the fixed
     set, which is ||[v(t), x]|| for unitary v(t): ``path.commutator_bound``.
+    On the path ``back_and_forth`` builds, that reads each segment's base
+    and generator from their tensor splits at level 1, and takes the dense
+    Duhamel term only for a pair whose split bound reaches 4 eps / 3.
     ``samples`` is accepted for older callers and ignored."""
     return path.commutator_bound(fixed_set)

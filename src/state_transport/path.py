@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import commutant_split, level_split
+from .algebra import commutator_bound as split_commutator_bound
 from .errors import CertificateError, DimensionError, PathError
 from .linalg import dagger, norm_at_most, op_norm
 
@@ -58,19 +60,36 @@ class PathSegment:
         return self.at(self.t1)
 
 
+@dataclass(frozen=True)
+class CommutantLevel:
+    """A path built in the commutant 1_s (x) M_{dim/s} of the level
+    M_s (x) 1 of size ``size``: its commutators with a fixed set are read
+    from the tensor splits at that level, and densely only for a pair
+    whose split bound reaches ``limit``, the bound its caller checks.  The
+    splits measure how far each base and generator lies from the
+    commutant, so the bound is certified for any path."""
+
+    size: int
+    limit: float
+
+
 class UnitaryPath:
     """A rectifiable path in the unitary group, as constant-speed segments.
 
     The certified length is the sum of duration * generator-norm over the
     segments; for constant-speed geodesic pieces this equals the rectifiable
-    length and dominates every sampled chord sum.
+    length and dominates every sampled chord sum.  ``commutant``, when
+    given, names the level whose commutant holds every segment's base and
+    generator; only ``rescaled`` keeps it.
     """
 
-    def __init__(self, segments: list[PathSegment]):
+    def __init__(self, segments: list[PathSegment],
+                 commutant: CommutantLevel | None = None):
         if not segments:
             raise PathError("a path needs at least one segment")
         self.segments = segments
         self.dim = segments[0].base.shape[0]
+        self.commutant = commutant
 
     @classmethod
     def constant(cls, dim: int, base: np.ndarray | None = None) -> "UnitaryPath":
@@ -123,19 +142,43 @@ class UnitaryPath:
         v (e^{i tau w} - 1) v^* B of norm at most tau ||w||, by two products
         of sums over at most dim terms, and each of those and of the products
         that form either side errs by about dim 2^-52 times the norms of its
-        factors, where ||w|| = ||h||_F bounds ||h|| and the added term."""
+        factors, where ||w|| = ||h||_F bounds ||h|| and the added term.
+
+        With a ``commutant`` level s, B and h are split once per segment
+        (``commutant_split``) and x once (``level_split``), and the two
+        commutators are ``algebra.commutator_bound`` of the splits.  The
+        splits B = 1_s (x) C + e are exact for the computed C, since e is
+        measured as B - 1 (x) C, so only rounding is left: that of the norms,
+        which ``commutator_bound`` covers, and that of forming h, one product
+        of sums over at most dim terms, about dim 2^-52 ||w|| in norm, which
+        the allowance's dt ||w|| part covers as it covers ``at``'s added term.
+        A pair whose split bound reaches the level's ``limit`` takes the
+        dense norms instead, so every pass or fail against that limit is the
+        dense bound's, and no dense norm is taken for a pair below it."""
         if len(elements) == 0:
             return 0.0
         rounding = self.dim * np.finfo(float).eps
         sizes = [np.linalg.norm(x) for x in elements]
+        level = self.commutant
+        x_splits = ([level_split(x, level.size) for x in elements] if level
+                    else [None] * len(elements))
         worst = 0.0
         for seg in self.segments:
             h = seg.generator
             b, dt = seg.base, seg.duration
             allowance = rounding * (1.0 + dt * np.linalg.norm(seg.w))
-            for x, size in zip(elements, sizes):
-                worst = max(worst, op_norm(b @ x - x @ b)
-                            + dt * op_norm(h @ x - x @ h) + allowance * size)
+            if level is not None:
+                b_split = commutant_split(b, level.size)
+                h_split = commutant_split(h, level.size)
+            for x, size, x_split in zip(elements, sizes, x_splits):
+                if level is not None:
+                    pair = (split_commutator_bound(b_split, x_split, self.dim)
+                            + dt * split_commutator_bound(h_split, x_split, self.dim)
+                            + allowance * size)
+                if level is None or pair >= level.limit:
+                    pair = (op_norm(b @ x - x @ b) + dt * op_norm(h @ x - x @ h)
+                            + allowance * size)
+                worst = max(worst, pair)
         return float(worst)
 
     def start(self) -> np.ndarray:
@@ -167,7 +210,8 @@ class UnitaryPath:
             raise PathError("degenerate parameter interval")
         scale = (t1 - t0) / span
         return UnitaryPath([PathSegment(t0 + (s.t0 - lo) * scale, t0 + (s.t1 - lo) * scale,
-                                        s.w / scale, s.v, s.base) for s in self.segments])
+                                        s.w / scale, s.v, s.base) for s in self.segments],
+                           self.commutant)
 
 
 def concat_paths(first: UnitaryPath, second: UnitaryPath) -> UnitaryPath:

@@ -252,9 +252,11 @@ def commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
     align = align_unitary(VectorFamily(r, mu.corner_families(xi)),
                           VectorFamily(r, mu.corner_families(eta)), delta)
     lam, q = _unitary_eig(align.unitary)
-    path = UnitaryPath([PathSegment(0.0, 1.0, np.tile(np.angle(lam), n), mu.lift_columns(q),
-                                    np.eye(mu.ambient_dim, dtype=complex))])
-    end = path.end()
+    w, v = np.tile(np.angle(lam), n), mu.lift_columns(q)
+    one = np.eye(mu.ambient_dim, dtype=complex)
+    path = UnitaryPath([PathSegment(0.0, 1.0, w, v, one)])
+    # u(1) as ``PathSegment.at`` forms it, less its product by the base 1.
+    end = one + (v * (np.exp(1j * w) - 1.0)) @ dagger(v)
     moved = end @ xi
     terminal = float(np.linalg.norm(moved - eta))
     repair_length = 0.0

@@ -100,10 +100,10 @@ def test_tower_op_decomposes_no_ambient_matrix(monkeypatch):
 
 
 def test_tower_op_evaluates_each_round_once(monkeypatch):
-    # Each round's commutant transport evaluates its path's endpoint once
-    # for its terminal error, and u_n reuses it; the assembled path is
-    # built in the round loop, so the only other evaluation away from t0 is
-    # its endpoint check: rounds + 1 calls per op.
+    # Each round's commutant transport forms its endpoint from the segment's
+    # eigenpairs, without the product by its identity base, and u_n reuses
+    # it; the assembled path is built in the round loop, so the only
+    # evaluation away from t0 is its endpoint check: one call per op.
     workload = workloads.WORKLOADS["tower-256"]
     segment_at = state_transport.PathSegment.at
     moved = []
@@ -118,4 +118,29 @@ def test_tower_op_evaluates_each_round_once(monkeypatch):
     rec = workloads.run_op(state_transport, workload, x)
     assert not rec.failed, rec.failure_types()
     assert x["rounds"] == 3
-    assert len(moved) == x["rounds"] + 1
+    assert len(moved) == 1
+
+
+def test_tower_op_takes_no_ambient_svd(monkeypatch):
+    # Every SVD of the op, those numpy.linalg.norm(x, 2) takes for op_norm
+    # included, is counted: the rounds, the final Ad sups and the assembled
+    # path's bound read tensor splits at level 1, whose SVDs are of the
+    # factors, so no ambient x ambient matrix is decomposed, in the tiny
+    # pool or at full size.
+    workload = workloads.WORKLOADS["tower-256"]
+    inner = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
+    svd = inner.svd
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(inner, "svd", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for x in workload.inputs(1, True) + workload.inputs(1, False)[:1]:
+        shapes.clear()
+        rec = workloads.run_op(state_transport, workload, x)
+        assert not rec.failed, rec.failure_types()
+        assert shapes, "no SVD seen: the count does not reach op_norm"
+        assert (x["ambient"], x["ambient"]) not in shapes

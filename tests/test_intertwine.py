@@ -23,6 +23,7 @@ from state_transport.intertwine import (
     make_schedule,
 )
 from state_transport.linalg import dagger, expm_skew, op_norm
+from state_transport.path import UnitaryPath
 from state_transport.suites import intertwine_instance, random_state, random_unitary
 
 
@@ -206,6 +207,44 @@ def test_assembled_commutation_sup_dominates_sampled_ad_form(rng):
     assert assembled_commutation_sup(path, fixed) == path.commutator_bound(fixed)
 
 
+def test_path_bound_takes_the_dense_terms_where_the_split_bound_reaches_the_limit(
+        rng, monkeypatch):
+    # Where a pair's split bound reaches 4 eps / 3 the path bound takes that
+    # pair's dense Duhamel term, which a path without the level record takes
+    # for every pair; so each reported sup is the dense one, and so is every
+    # pass or fail.  Off level 1 every pair falls back and fails; the tail at
+    # c = 0.02 falls back and passes; on level 1 with eps = 1e-14 the limit
+    # is below the rounding allowance, so every pair falls back and fails.
+    tower, xi, eta = _twisted_instance(rng)
+    schedule = make_schedule(tower, 0.1, 3)
+    low, high = tower.level_generators(1), tower.level_generators(3)
+    tail = [sum(0.02 ** (k - 1) * tower.level_generators(k)[0]
+                for k in range(1, tower.depth + 1))]
+    calls = _count_dense_norms(monkeypatch, 16, "state_transport.path")
+    for fixed, sched, passes in ((high, schedule, False), (tail, schedule, True),
+                                 (low, replace(schedule, eps=1e-14), False)):
+        path = assemble_path(back_and_forth(tower, xi, eta, fixed, sched))
+        limit = 4 * sched.eps / 3
+        assert path.commutant.limit == limit
+        dense = UnitaryPath(path.segments).commutator_bound(fixed)
+        calls.clear()
+        sup = assembled_commutation_sup(path, fixed)
+        assert len(calls) == 2 * len(path.segments) * len(fixed)
+        assert sup == dense
+        assert (sup <= limit) == (dense <= limit) == passes
+
+    # mixed: the level-1 pairs stay on their splits, below the limit, and
+    # only the level-3 pairs take the dense norms, which dominate
+    path = assemble_path(back_and_forth(tower, xi, eta, low + high, schedule))
+    calls.clear()
+    sup = assembled_commutation_sup(path, low + high)
+    assert len(calls) == 2 * len(path.segments) * len(high)
+    assert sup == UnitaryPath(path.segments).commutator_bound(high)
+    calls.clear()
+    assert assembled_commutation_sup(path, low) < 1e-12
+    assert calls == []
+
+
 def _companion_oracle(tower, result):
     """Per round, the dense companion norms ||[w^* u_n w, x]|| for the
     generators x of levels 2 + n % 2 .. n, with w^* the opposite-parity
@@ -273,7 +312,7 @@ def test_fixed_set_outside_level_one_is_measured_every_round(rng):
         assert log["commutation"] >= max(op_norm(u_n @ x - x @ u_n) for x in fixed)
 
 
-def _count_dense_norms(monkeypatch, dim):
+def _count_dense_norms(monkeypatch, dim, module="state_transport.intertwine"):
     calls = []
 
     def counted(x):
@@ -281,7 +320,7 @@ def _count_dense_norms(monkeypatch, dim):
             calls.append(1)
         return op_norm(x)
 
-    monkeypatch.setattr("state_transport.intertwine.op_norm", counted)
+    monkeypatch.setattr(f"{module}.op_norm", counted)
     return calls
 
 

@@ -13,6 +13,7 @@ from state_transport.group import group_state_transport
 from state_transport.intertwine import assemble_path, back_and_forth, make_schedule
 from state_transport.linalg import dagger, op_norm
 from state_transport.path import (
+    CommutantLevel,
     PathSegment,
     UnitaryPath,
     concat_paths,
@@ -253,15 +254,39 @@ def test_commutator_bound_dominates_sampled_sup(kind, seed):
     assert path.commutator_bound(elements) >= max(sampled)
 
 
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_commutator_bound_dominates_sampled_sup_on_tower_path(seed):
+def _geometric_tail(tower, c):
+    """sum_k c^{k-1} shift_k over the tower's levels: the level-1 shift with
+    a geometric tail off level 1."""
+    return [sum(c ** (k - 1) * tower.level_generators(k)[0]
+                for k in range(1, tower.depth + 1))]
+
+
+TOWER_FIXED_SETS = {
+    "level 1": lambda tower: tower.level_generators(1),
+    "level 2": lambda tower: tower.level_generators(2),
+    "level 3": lambda tower: tower.level_generators(3),
+    "tail 0.02": lambda tower: _geometric_tail(tower, 0.02),
+    "tail 0.1": lambda tower: _geometric_tail(tower, 0.1),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(sorted(TOWER_FIXED_SETS)), ambient=st.sampled_from([16, 64]),
+       rounds=st.integers(1, 3), twist=st.sampled_from([0.0, 1e-9, 1e-7]),
+       seed=st.integers(0, 2**32 - 1))
+def test_commutator_bound_dominates_sampled_sup_on_tower_path(name, ambient, rounds,
+                                                              twist, seed):
+    # the tower path carries level 1 and the limit 4 eps / 3, so its bound
+    # reads the level-1 splits, and the dense terms for a pair whose split
+    # bound reaches the limit (levels 2 and 3, and the tails at 16 dims)
     rng = np.random.default_rng(seed)
-    tower, xi, eta = intertwine_instance(rng, ambient=16, levels=4,
-                                         commutant_level=3, twist=1e-7)
-    result = back_and_forth(tower, xi, eta, [], make_schedule(tower, 0.1, 3))
+    tower, xi, eta = intertwine_instance(rng, ambient=ambient,
+                                         levels=ambient.bit_length() - 1,
+                                         commutant_level=3, twist=twist)
+    result = back_and_forth(tower, xi, eta, [], make_schedule(tower, 0.1, rounds))
     path = assemble_path(result)
-    fixed = tower.level_generators(2)
+    assert path.commutant == CommutantLevel(2, 4 * 0.1 / 3)
+    fixed = TOWER_FIXED_SETS[name](tower)
     assert path.commutator_bound(fixed) >= _commutator_oracle(path, fixed, 257)
 
 

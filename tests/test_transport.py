@@ -166,6 +166,20 @@ def test_commutant_transport_exact_repair(rng):
     assert res.terminal_error < 1e-12
 
 
+@pytest.mark.parametrize("n, r, conjugate", [(2, 4, False), (4, 8, False), (3, 3, True),
+                                           (2, 128, False)])
+def test_commutant_endpoint_is_the_path_end_bit_for_bit(rng, n, r, conjugate):
+    # the endpoint is formed without the product by the segment's identity
+    # base, which is exact, so it is the path's own end() bit for bit
+    mu, xi, eta = commutant_instance(rng, n, r, 0.1, stats_noise=1e-9)
+    if conjugate:
+        c = random_unitary(rng, n * r)
+        mu, xi, eta = conjugated_units(mu, c), c @ xi, c @ eta
+    for exact in (False, True):
+        res = commutant_transport(mu, xi, eta, 0.1, exact=exact)
+        assert np.array_equal(res.end, res.path.end())
+
+
 @pytest.mark.parametrize("n, r", [(2, 4), (4, 2), (3, 3)])
 def test_commutant_generator_identical_for_kron_units(rng, n, r):
     mu, xi, eta = commutant_instance(rng, n, r, 0.1, stats_noise=1e-9)
