@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .gram import VectorFamily
-from .linalg import UNITARY_TOL, check_state, check_unitary, dagger, op_norm
+from .linalg import UNITARY_TOL, check_state, check_unitary, dagger, norm_at_most, op_norm
 from .path import PathSegment, UnitaryPath, concat_paths
 
 FLIP_TOL = 1e-10
@@ -171,11 +171,11 @@ def _joint_eigenbasis(generators: list[np.ndarray]) -> tuple[np.ndarray, np.ndar
     for k, u in enumerate(generators):
         t = dagger(q) @ u @ q
         diag = np.diag(t)
-        off = op_norm(t - np.diag(diag))
-        if off > UNITARY_TOL:
+        off = t - np.diag(diag)
+        if not norm_at_most(off, UNITARY_TOL):
             raise NonCommutingGeneratorsError(
-                f"generator {k} is {off:.3e} off-diagonal in the joint eigenbasis; "
-                "the generators do not commute"
+                f"generator {k} is {op_norm(off):.3e} off-diagonal in the joint "
+                "eigenbasis; the generators do not commute"
             )
         angles[k] = np.angle(diag)
     return q, angles

@@ -17,7 +17,6 @@ from .algebra import (
     MatrixUnits,
     TensorSplit,
     _level_part,
-    commutant_split,
     commutator_bound,
     level_split,
 )
@@ -136,16 +135,28 @@ def make_schedule(tower: AlgebraTower, eps: float, rounds: int) -> Schedule:
 @dataclass
 class IntertwineResult:
     """The products of the odd and even rounds, the round logs and final
-    measurements, each round's commutant transport path as built (it ends
-    at u_n^*), and ``path``, a based path on [0, 1] to the odd product."""
+    measurements, and ``path``, a based path on [0, 1] to the odd product.
+
+    The rounds run on factors at the tower's first level s = ``level``:
+    each product is 1_s (x) its factor, ``odd_factor`` or ``even_factor``,
+    and round n's unitary is u_n = 1_{s_n} (x) ``corners[n - 1]``, the
+    adjoint c_n^* of the round transport's corner unitary."""
 
     odd_product: np.ndarray
     even_product: np.ndarray
+    odd_factor: np.ndarray
+    even_factor: np.ndarray
+    level: int
+    corners: list[np.ndarray]
     logs: list[dict]
-    round_paths: list[UnitaryPath]
     final: dict
     schedule: Schedule
     path: UnitaryPath
+
+
+def _lift(factor: np.ndarray, s: int) -> np.ndarray:
+    """1_s (x) factor: the ambient matrix of a commutant factor at level s."""
+    return np.kron(np.eye(s), factor)
 
 
 def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
@@ -169,18 +180,27 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     dense norm.  A level's generators are built on first use, and the final
     intertwining gap applies the last level's as s x s factors.
 
-    u_n is the adjoint of the round path's endpoint, so odd round n = 2k + 1
-    adds to ``path`` the segment P e^{-i (t - k) h} = e^{-i (t - k) P h P^*} P
-    on [k, k + 1], eigenpairs (-w, P v) and base P, where (w, v) are the
-    round segment's eigenpairs and P is the odd product before the round.
-    Every such base and generator is a product of round unitaries and round
-    generators, all in the commutant of level 1, so ``path`` carries that
+    Round n's transport ends at 1_{s_n} (x) c_n for its corner unitary c_n,
+    so u_n = 1_{s_n} (x) c_n^* lies in the commutant 1_s (x) M_{D/s} of the
+    first level s, and so do the products.  The loop keeps u_n, the products
+    and the tracked vectors as factors there, of size D / s: each split of
+    them at a level is exact, and each Frobenius norm is sqrt(s) times the
+    factor's.  Ambient matrices are formed only as 1_s (x) factor: the
+    products, the path segments, and the dense norms a bound falls back to.
+
+    Odd round n = 2k + 1 adds to ``path`` the segment
+    P e^{-i (t - k) h} = e^{-i (t - k) P h P^*} P on [k, k + 1], eigenpairs
+    (-w, P v) and base P, where (w, v) are the round segment's eigenpairs
+    and P is the odd product before the round.  Every such base and
+    generator lies in the commutant of level 1, so ``path`` carries that
     level and the limit ``ad_odd_bound`` = 4 eps / 3 as its
     ``CommutantLevel``.
     """
     xi = check_state(omega1)
     eta = check_state(omega2)
     dim = tower.ambient_dim
+    # The factor level: every round unitary lies in the commutant of level 1.
+    s = tower.sizes[0] if tower.sizes else 1
     level1: list[TensorSplit] = []
     if schedule.rounds:
         start_gap = _stats_gap(tower.level_block(1), xi, eta)
@@ -189,59 +209,70 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
                 f"starting statistics gap {start_gap:.3e} >= {schedule.deltas[0]:.3e}",
                 measured_gap=start_gap,
             )
-        level1 = [level_split(x, tower.sizes[0]) for x in fixed_set]
+        level1 = [level_split(x, s) for x in fixed_set]
     generators = cache(tower.level_generators)
-    one = np.eye(dim)
-    p_odd = np.eye(dim, dtype=complex)
-    p_even = np.eye(dim, dtype=complex)
-    round_paths: list[UnitaryPath] = []
+    one = np.eye(dim // s)
+    p_odd = np.eye(dim // s, dtype=complex)
+    p_even = np.eye(dim // s, dtype=complex)
+    # A vector as its s rows of length D / s, on which 1_s (x) P acts as
+    # rows @ P^T.
+    xi_rows, eta_rows = xi.reshape(s, -1), eta.reshape(s, -1)
+    corners: list[np.ndarray] = []
     segments: list[PathSegment] = []
     logs: list[dict] = []
 
     for n in range(1, schedule.rounds + 1):
         blk = tower.level_block(n)
+        m = blk.n // s
         odd_side = n % 2 == 1
         if odd_side:
-            y = dagger(p_odd) @ eta
-            s = dagger(p_even) @ xi
+            y = eta_rows @ p_odd.conj()
+            t = xi_rows @ p_even.conj()
         else:
-            y = dagger(p_even) @ xi
-            s = dagger(p_odd) @ eta
+            y = xi_rows @ p_even.conj()
+            t = eta_rows @ p_odd.conj()
         # The round is admissible below the schedule's delta, which the
         # clamp in make_schedule can set under commutant_transport's own.
         delta = schedule.deltas[n - 1]
         try:
-            res = commutant_transport(blk, y, s, schedule.inner_tols[n - 1])
+            res = commutant_transport(blk, y.reshape(-1), t.reshape(-1),
+                                      schedule.inner_tols[n - 1])
         except HypothesisError as exc:
             raise _round_failure(n, exc.measured_gap, delta) from exc
         if res.measured_gap >= delta:
             raise _round_failure(n, res.measured_gap, delta)
-        u_n = dagger(res.end)
-        round_paths.append(res.path)
+        # u_n = 1_{s_n} (x) c_n^* = 1_s (x) u, with c_n^* formed from the
+        # corner eigenpairs as the transport's end is.
+        angles, q = res.corner_w, res.corner_v
+        corner = np.eye(len(q)) + (q * (np.exp(-1j * angles) - 1.0)) @ dagger(q)
+        corners.append(corner)
+        u = _lift(corner, m)
         if odd_side:
-            # Without repair the round path is one segment based at 1.
-            seg = res.path.segments[0]
             k = float(len(segments))
-            segments.append(PathSegment(k, k + 1.0, -seg.w, p_odd @ seg.v, p_odd))
-            p_odd = p_odd @ u_n
+            segments.append(PathSegment(k, k + 1.0, -np.tile(angles, blk.n),
+                                        _lift(p_odd @ _lift(q, m), s),
+                                        _lift(p_odd, s)))
+            p_odd = p_odd @ u
         else:
-            p_even = p_even @ u_n
+            p_even = p_even @ u
 
         # u_n commutes with levels <= n, and w = u_{n-1}^* u_{n-3}^* ... fixes
         # levels <= 1 + n % 2, so only the fixed set and the companions w x w^*
         # of levels above can fail: ||[u_n, w x w^*]|| = ||[w^* u_n w, x]||.
         budget = schedule.budget(n)
-        drift = float(np.linalg.norm(u_n - one))
+        drift = float(np.sqrt(s) * np.linalg.norm(u - one))
         comms, distances = [], []
         measured = 0
         if fixed_set:
-            u_split = commutant_split(u_n, blk.n)
+            # u_n = 1_{s_n} (x) corner exactly: its split at level n has no rest.
+            u_split = TensorSplit(op_norm(corner), 0.0)
         for x, x1 in zip(fixed_set, level1):
             # ||E_n x|| <= ||x|| <= ||A_1|| + ||x - E_1 x||_F at every level.
             distance = _level_part(x, blk.n)[1]
             comm = commutator_bound(u_split, TensorSplit(x1.factor + x1.rest, distance),
                                     dim)
             if comm >= budget:
+                u_n = _lift(u, s)
                 comm = op_norm(u_n @ x - x @ u_n)
                 measured += 1
             comms.append(comm)
@@ -250,14 +281,14 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         companion_measured = 0
         if open_levels:
             p = p_even if odd_side else p_odd  # w^*
-            defect = float(np.linalg.norm(dagger(p) @ p - one))
+            defect = float(np.sqrt(s) * np.linalg.norm(dagger(p) @ p - one))
             # The companions are shifts and clocks, so ||x|| = 1.
             bound = drift_bound(drift, defect, dim)
             if bound < budget:
                 comms.append(bound)
             else:
                 companions = [x for lev in open_levels for x in generators(lev)]
-                v = p @ u_n @ dagger(p)
+                v = _lift(p @ u @ dagger(p), s)
                 comms.extend(op_norm(v @ x - x @ v) for x in companions)
                 companion_measured = len(companions)
         comm = max(comms, default=0.0)
@@ -277,18 +308,21 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
             "within_budget": bool(comm < budget),
         })
 
-    final = _final_measurements(tower, xi, eta, p_odd, p_even, fixed_set, level1,
-                                schedule)
+    final = _final_measurements(tower, xi_rows, eta_rows, p_odd, p_even, s, fixed_set,
+                                level1, schedule)
     if segments:
-        level = CommutantLevel(tower.sizes[0], final["ad_odd_bound"])
+        level = CommutantLevel(s, final["ad_odd_bound"])
         path = UnitaryPath(segments, level).rescaled(0.0, 1.0)
     else:
         path = UnitaryPath.constant(dim)
     return IntertwineResult(
-        odd_product=p_odd,
-        even_product=p_even,
+        odd_product=_lift(p_odd, s),
+        even_product=_lift(p_even, s),
+        odd_factor=p_odd,
+        even_factor=p_even,
+        level=s,
+        corners=corners,
         logs=logs,
-        round_paths=round_paths,
         final=final,
         schedule=schedule,
         path=path,
@@ -309,23 +343,25 @@ def _stats_gap(blk, xi: np.ndarray, eta: np.ndarray) -> float:
     )))
 
 
-def _final_measurements(tower, xi, eta, p_odd, p_even, fixed_set, level1,
+def _final_measurements(tower, xi_rows, eta_rows, p_odd, p_even, s, fixed_set, level1,
                         schedule) -> dict:
+    """The Ad sups and the intertwining gap of the products 1_s (x) P,
+    given as their factors P and the states as their s rows."""
     eps = schedule.eps
     limits = {"odd": 4 * eps / 3, "even": 2 * eps / 3, "combined": 2 * eps}
     m = schedule.rounds
     if m:
         products = {"odd": p_odd, "even": p_even, "combined": p_odd @ dagger(p_even)}
-        sups = {key: _ad_sup(tower, w, fixed_set, level1, limits[key])
+        sups = {key: _ad_sup(w, s, fixed_set, level1, limits[key])
                 for key, w in products.items()}
         # The last level's generators g (x) 1_q act on a vector as g on its
-        # reshape to (s, q), so the gap needs no D x D matrix.
-        s = tower.sizes[m - 1]
-        even_xi = (dagger(p_even) @ xi).reshape(s, -1)
-        odd_eta = (dagger(p_odd) @ eta).reshape(s, -1)
+        # reshape to (s_m, q), so the gap needs no D x D matrix.
+        s_m = tower.sizes[m - 1]
+        even_xi = (xi_rows @ p_even.conj()).reshape(s_m, -1)
+        odd_eta = (eta_rows @ p_odd.conj()).reshape(s_m, -1)
         intertwine_gap = max(
             abs(np.vdot(even_xi, g @ even_xi) - np.vdot(odd_eta, g @ odd_eta))
-            for g in _shift_and_clock(s)
+            for g in _shift_and_clock(s_m)
         )
         final_delta = schedule.deltas[-1]
     else:
@@ -342,21 +378,20 @@ def _final_measurements(tower, xi, eta, p_odd, p_even, fixed_set, level1,
     return final
 
 
-def _ad_sup(tower, w, fixed_set, level1, limit) -> float:
-    """max ||w x w^* - x|| over the fixed set, for a product w of round
-    unitaries: each lies in the commutant of level 1, and
-    ||w x w^* - x|| = ||[w, x] w^*|| <= ||w|| ||[w, x]||, with
-    ||w|| <= ||C|| + ||e||_F.  The dense norm where that bound reaches the
-    limit."""
+def _ad_sup(w, s, fixed_set, level1, limit) -> float:
+    """max ||W x W^* - x|| over the fixed set, for a product W = 1_s (x) w
+    of round unitaries, given as its factor w: ||W x W^* - x|| =
+    ||[W, x] W^*|| <= ||w|| ||[W, x]||, and W's split at level s is exact.
+    The dense norm where that bound reaches the limit."""
     if not fixed_set:
         return 0.0
-    w_split = commutant_split(w, tower.sizes[0])
-    w_norm = w_split.factor + w_split.rest
+    w_split = TensorSplit(op_norm(w), 0.0)
     worst = 0.0
     for x, x1 in zip(fixed_set, level1):
-        ad = w_norm * commutator_bound(w_split, x1, tower.ambient_dim)
+        ad = w_split.factor * commutator_bound(w_split, x1, len(x))
         if ad >= limit:
-            ad = op_norm(w @ x @ dagger(w) - x)
+            dense = _lift(w, s)
+            ad = op_norm(dense @ x @ dagger(dense) - x)
         worst = max(worst, ad)
     return worst
 

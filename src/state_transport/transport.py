@@ -209,10 +209,16 @@ def invert_alignment_bound(n: int, dim: int, target: float) -> float:
 
 @dataclass
 class TransportResult:
-    """A transport path together with its measured certificates."""
+    """A transport path together with its measured certificates.
+
+    ``corner_w`` and ``corner_v`` are the corner eigenpairs (angle lam, q)
+    of a commutant transport's lift segment: with the units' isometry V,
+    the segment ends at 1 + V (1_n (x) (c - 1)) V^* for the corner unitary
+    c = q diag(e^{i corner_w}) q^*."""
 
     path: UnitaryPath
-    end: np.ndarray  # u(1), as evaluated for the terminal error
+    corner_w: np.ndarray
+    corner_v: np.ndarray
     terminal_error: float
     bound: float
     delta: float = 0.0
@@ -249,26 +255,29 @@ def commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
         )
 
     # Gram gaps of the corner families are exactly the e_ij statistics gaps.
-    align = align_unitary(VectorFamily(r, mu.corner_families(xi)),
+    families = mu.corner_families(xi)
+    align = align_unitary(VectorFamily(r, families),
                           VectorFamily(r, mu.corner_families(eta)), delta)
     lam, q = _unitary_eig(align.unitary)
-    w, v = np.tile(np.angle(lam), n), mu.lift_columns(q)
-    one = np.eye(mu.ambient_dim, dtype=complex)
-    path = UnitaryPath([PathSegment(0.0, 1.0, w, v, one)])
-    # u(1) as ``PathSegment.at`` forms it, less its product by the base 1.
-    end = one + (v * (np.exp(1j * w) - 1.0)) @ dagger(v)
-    moved = end @ xi
+    angles = np.angle(lam)
+    path = UnitaryPath([PathSegment(0.0, 1.0, np.tile(angles, n), mu.lift_columns(q),
+                                    np.eye(mu.ambient_dim, dtype=complex))])
+    # u(1) = 1 + V (1_n (x) (c - 1)) V^* moves the corner families X of xi
+    # to X c^T and fixes the complement of V V^*, so u(1) xi needs no
+    # ambient matrix.
+    turn = (q * (np.exp(1j * angles) - 1.0)) @ dagger(q)
+    moved = xi + mu.isometry @ (families @ turn.T).reshape(-1)
     terminal = float(np.linalg.norm(moved - eta))
     repair_length = 0.0
     if exact and terminal > 1e-13:
         repair = geodesic_pair(moved / np.linalg.norm(moved), eta)
         repair_length = repair.length
         path = concat_paths(path, repair)
-        end = path.end()
-        terminal = float(np.linalg.norm(end @ xi - eta))
+        terminal = float(np.linalg.norm(path.end() @ xi - eta))
     return TransportResult(
         path=path,
-        end=end,
+        corner_w=angles,
+        corner_v=q,
         terminal_error=terminal,
         bound=eps,
         delta=delta,

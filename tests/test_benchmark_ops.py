@@ -14,6 +14,7 @@ import pytest
 
 import state_transport
 import state_transport.serialize  # noqa: F401  (the ops call st.serialize)
+from state_transport.algebra import commutant_split
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -144,3 +145,29 @@ def test_tower_op_takes_no_ambient_svd(monkeypatch):
         assert not rec.failed, rec.failure_types()
         assert shapes, "no SVD seen: the count does not reach op_norm"
         assert (x["ambient"], x["ambient"]) not in shapes
+
+
+def test_tower_products_are_their_level_one_factors(monkeypatch):
+    # The rounds run on factors at level 1: each product the tower op
+    # returns is 1_{s_1} (x) its factor, formed by kron alone, so its split
+    # at level 1 has no rest, in the tiny pool and at full size.
+    workload = workloads.WORKLOADS["tower-256"]
+    back_and_forth = state_transport.back_and_forth
+    results = []
+
+    def kept(*args):
+        results.append(back_and_forth(*args))
+        return results[-1]
+
+    monkeypatch.setattr(state_transport, "back_and_forth", kept)
+    for x in workload.inputs(1, True) + workload.inputs(1, False)[:1]:
+        results.clear()
+        rec = workloads.run_op(state_transport, workload, x)
+        assert not rec.failed, rec.failure_types()
+        (res,) = results
+        s = res.level
+        assert s == 2 == res.path.commutant.size
+        for product, factor in ((res.odd_product, res.odd_factor),
+                                (res.even_product, res.even_factor)):
+            assert np.array_equal(product, np.kron(np.eye(s), factor))
+            assert commutant_split(product, s).rest == 0.0

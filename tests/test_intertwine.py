@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from state_transport.algebra import commutant_split, commutator_bound, level_split
 from state_transport.errors import (
     AssemblyError,
     HypothesisError,
@@ -16,15 +17,13 @@ from state_transport.intertwine import (
     assembled_commutation_sup,
     back_and_forth,
     build_tower,
-    commutant_split,
-    commutator_bound,
     drift_bound,
-    level_split,
     make_schedule,
 )
 from state_transport.linalg import dagger, expm_skew, op_norm
 from state_transport.path import UnitaryPath
 from state_transport.suites import intertwine_instance, random_state, random_unitary
+from state_transport.transport import commutant_transport
 
 
 def _small_instance(rng, ambient=16, levels=4, comm_level=3):
@@ -245,18 +244,31 @@ def test_path_bound_takes_the_dense_terms_where_the_split_bound_reaches_the_limi
     assert calls == []
 
 
+def _round_factors(tower, result):
+    """Per round, the factor 1_{s_n / s} (x) c_n^* of u_n at the first level
+    s, formed from the round's corner as the library forms it."""
+    q = tower.ambient_dim // result.level
+    return [np.kron(np.eye(q // len(c)), c) for c in result.corners]
+
+
+def _round_unitaries(tower, result):
+    """Per round, u_n = 1_s (x) its factor, bit for bit the round's u_n."""
+    return [np.kron(np.eye(result.level), u) for u in _round_factors(tower, result)]
+
+
 def _companion_oracle(tower, result):
     """Per round, the dense companion norms ||[w^* u_n w, x]|| for the
     generators x of levels 2 + n % 2 .. n, with w^* the opposite-parity
-    product, each taken as the library takes it on a fallback."""
-    dim = tower.ambient_dim
-    products = {1: np.eye(dim, dtype=complex), 0: np.eye(dim, dtype=complex)}
+    product, each taken as the library takes it on a fallback: the factor
+    p u_n p^* at the first level s, lifted to 1_s (x) p u_n p^*."""
+    s = result.level
+    q = tower.ambient_dim // s
+    products = {1: np.eye(q, dtype=complex), 0: np.eye(q, dtype=complex)}
     oracle = []
-    for n, path in enumerate(result.round_paths, start=1):
-        u_n = dagger(path.end())  # bit for bit the round's u_n
-        products[n % 2] = products[n % 2] @ u_n
+    for n, u in enumerate(_round_factors(tower, result), start=1):
+        products[n % 2] = products[n % 2] @ u
         p = products[1 - n % 2]
-        v = p @ u_n @ dagger(p)
+        v = np.kron(np.eye(s), p @ u @ dagger(p))
         companions = [x for lev in range(2 + n % 2, n + 1)
                       for x in tower.level_generators(lev)]
         oracle.append(max((op_norm(v @ x - x @ v) for x in companions), default=0.0))
@@ -307,8 +319,7 @@ def test_fixed_set_outside_level_one_is_measured_every_round(rng):
     tower, xi, eta = _twisted_instance(rng)
     fixed = tower.level_generators(3)
     result = back_and_forth(tower, xi, eta, fixed, make_schedule(tower, 0.1, 3))
-    for log, path in zip(result.logs, result.round_paths):
-        u_n = dagger(path.end())  # bit for bit the round's u_n
+    for log, u_n in zip(result.logs, _round_unitaries(tower, result)):
         assert log["commutation"] >= max(op_norm(u_n @ x - x @ u_n) for x in fixed)
 
 
@@ -348,9 +359,8 @@ def test_rounds_measure_fixed_set_and_open_companions_only(rng, monkeypatch, rou
     assert [log["fixed_measured"] for log in result.logs] == fallbacks
     companions = sum(log["companion_measured"] for log in result.logs)
     assert len(calls) == companions + sum(fallbacks) + 3 * len(fixed)
-    for log, path, dense in zip(result.logs, result.round_paths,
-                                _companion_oracle(tower, result)):
-        u_n = dagger(path.end())  # bit for bit the round's u_n
+    for log, u_n, dense in zip(result.logs, _round_unitaries(tower, result),
+                               _companion_oracle(tower, result)):
         assert log["commutation"] >= max(op_norm(u_n @ x - x @ u_n) for x in fixed)
         assert log["commutation"] >= dense
 
@@ -363,7 +373,7 @@ def test_unmeasured_commutators_vanish(rng):
     rounds = 3
     result = back_and_forth(tower, xi, eta, tower.level_generators(1),
                             make_schedule(tower, 0.1, rounds))
-    us = [dagger(p.end()) for p in result.round_paths]
+    us = _round_unitaries(tower, result)
     for n in range(1, rounds + 1):
         w = np.eye(16, dtype=complex)
         for k in range(n - 1, 0, -2):
@@ -490,3 +500,70 @@ def test_intertwine_gap_matches_dense_level_generators(rng, rounds):
     dense = max(abs(np.vdot(even_xi, x @ even_xi) - np.vdot(odd_eta, x @ odd_eta))
                 for x in tower.level_generators(rounds))
     assert abs(result.final["intertwine_gap"] - dense) <= 1e-15
+
+
+def _branching_instance(rng, ambient, branching, twist):
+    """A tower of equal branchings whose levels stop below the ambient, and
+    two states conjugate by a unitary in the commutant of its last level,
+    twisted by exp(i twist h) with ||h|| = 1."""
+    depth = round(np.log(ambient) / np.log(branching)) - 1
+    tower = build_tower([branching] * depth, ambient)
+    blk = tower.level_block(depth)
+    v = np.kron(np.eye(blk.n), random_unitary(rng, blk.multiplicity))
+    if twist:
+        v = v @ expm_skew(_hermitian(rng, ambient), twist)
+    xi = random_state(rng, ambient)
+    return tower, xi, dagger(v) @ xi
+
+
+def _dense_rounds(tower, xi, eta, schedule):
+    """The round loop on ambient matrices, the oracle of the factor loop: per
+    round u_n, the adjoint of its transport path's end, and the string
+    w^* = the opposite-parity product before it; then the two products."""
+    dim = tower.ambient_dim
+    products = {1: np.eye(dim, dtype=complex), 0: np.eye(dim, dtype=complex)}
+    rounds = []
+    for n in range(1, schedule.rounds + 1):
+        side, other = products[n % 2], products[1 - n % 2]
+        y, t = (eta, xi) if n % 2 else (xi, eta)
+        res = commutant_transport(tower.level_block(n), dagger(side) @ y,
+                                  dagger(other) @ t, schedule.inner_tols[n - 1])
+        u_n = dagger(res.path.end())
+        rounds.append((u_n, other))
+        products[n % 2] = side @ u_n
+    return rounds, products[1], products[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(ambient=st.sampled_from([16, 64]), branching=st.sampled_from([2, 4]),
+       rounds=st.integers(1, 3), twist=st.sampled_from([0.0, 1e-9, 1e-7]),
+       level=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_factor_loop_matches_the_dense_loop(ambient, branching, rounds, twist, level,
+                                            seed):
+    # The loop on level-1 factors against the loop on ambient matrices: the
+    # products agree, and every round's commutation and every final Ad sup
+    # is at least the dense norm it certifies.  A certified bound dominates
+    # with no tolerance; a dense norm the loop fell back to is the oracle's
+    # own up to the products' rounding, 1e-12.
+    tower, xi, eta = _branching_instance(np.random.default_rng(seed), ambient,
+                                         branching, twist)
+    rounds, level = min(rounds, tower.depth), min(level, tower.depth)
+    fixed = tower.level_generators(level)
+    schedule = make_schedule(tower, 0.1, rounds)
+    result = back_and_forth(tower, xi, eta, fixed, schedule)
+    dense, p_odd, p_even = _dense_rounds(tower, xi, eta, schedule)
+    assert op_norm(result.odd_product - p_odd) <= 1e-12
+    assert op_norm(result.even_product - p_even) <= 1e-12
+
+    for n, (log, (u_n, p)) in enumerate(zip(result.logs, dense), start=1):
+        fell_back = log["fixed_measured"] or log["companion_measured"]
+        floor = log["commutation"] + (1e-12 if fell_back else 0.0)
+        assert floor >= max(op_norm(u_n @ x - x @ u_n) for x in fixed)
+        v = p @ u_n @ dagger(p)
+        for x in [x for lev in range(2 + n % 2, n + 1) for x in tower.level_generators(lev)]:
+            assert floor >= op_norm(v @ x - x @ v)
+
+    tol = 0.0 if level == 1 else 1e-12
+    for key, w in (("odd", p_odd), ("even", p_even), ("combined", p_odd @ dagger(p_even))):
+        ad = max(op_norm(w @ x @ dagger(w) - x) for x in fixed)
+        assert result.final[f"ad_{key}_sup"] + tol >= ad

@@ -166,18 +166,45 @@ def test_commutant_transport_exact_repair(rng):
     assert res.terminal_error < 1e-12
 
 
-@pytest.mark.parametrize("n, r, conjugate", [(2, 4, False), (4, 8, False), (3, 3, True),
-                                           (2, 128, False)])
-def test_commutant_endpoint_is_the_path_end_bit_for_bit(rng, n, r, conjugate):
-    # the endpoint is formed without the product by the segment's identity
-    # base, which is exact, so it is the path's own end() bit for bit
-    mu, xi, eta = commutant_instance(rng, n, r, 0.1, stats_noise=1e-9)
-    if conjugate:
+def _in_window(rng, mu, xi, eta, offset, pad):
+    """The instance on the coordinate window at ``offset`` of a larger space,
+    both states with one common component outside the window."""
+    outside = random_state(rng, offset + pad)
+
+    def place(v):
+        full = np.concatenate([outside[:offset], v, outside[offset:]])
+        return full / np.linalg.norm(full)
+
+    dim = mu.ambient_dim + offset + pad
+    return full_matrix_units(mu.n, mu.multiplicity, dim, offset), place(xi), place(eta)
+
+
+@pytest.mark.parametrize("n, r, units", [(2, 4, "identity"), (4, 8, "identity"),
+                                         (2, 128, "identity"), (3, 3, "offset"),
+                                         (2, 5, "offset"), (3, 3, "conjugated")])
+def test_commutant_corner_reproduces_the_path_end(rng, n, r, units):
+    # The transport returns its lift segment's corner eigenpairs (w, q): the
+    # lift 1 + V (1_n (x) (c - 1)) V^* of c = q diag(e^{i w}) q^* is that
+    # segment's end, where the exact repair leg starts, and the terminal
+    # error measured from the corner families is that of path.end().  The
+    # statistics noise leaves a residual the repair geodesic can turn.
+    mu, xi, eta = commutant_instance(rng, n, r, 0.1, stats_noise=1e-7)
+    if units == "offset":
+        mu, xi, eta = _in_window(rng, mu, xi, eta, offset=3, pad=4)
+    elif units == "conjugated":
         c = random_unitary(rng, n * r)
         mu, xi, eta = conjugated_units(mu, c), c @ xi, c @ eta
     for exact in (False, True):
         res = commutant_transport(mu, xi, eta, 0.1, exact=exact)
-        assert np.array_equal(res.end, res.path.end())
+        q = res.corner_v
+        turn = (q * (np.exp(1j * res.corner_w) - 1.0)) @ dagger(q)
+        lift = np.eye(mu.ambient_dim) + mu.lift_columns(turn) @ dagger(mu.isometry)
+        assert len(res.path.segments) == 1 + exact
+        leg = res.path.segments[1].base if exact else res.path.end()
+        assert op_norm(lift - leg) <= 1e-14
+        end = res.path.end()
+        assert abs(res.terminal_error - np.linalg.norm(end @ xi - eta)) <= 1e-15
+        assert res.terminal_error < (1e-12 if exact else 1e-6)
 
 
 @pytest.mark.parametrize("n, r", [(2, 4), (4, 2), (3, 3)])
