@@ -134,10 +134,14 @@ class TensorSplit:
 
 def _level_part(x: np.ndarray, s: int) -> tuple[np.ndarray, float]:
     """A = Tr_q x / q and ||x - A (x) 1_q||_F: A (x) 1_q is the
-    trace-preserving conditional expectation E(x) onto M_s (x) 1_q."""
+    trace-preserving conditional expectation E(x) onto M_s (x) 1_q, which
+    touches only the diagonals of x's q x q blocks, so A is subtracted there."""
     q = len(x) // s
     a = np.einsum("iaja->ij", x.reshape(s, q, s, q)) / q
-    return a, float(np.linalg.norm(x - np.kron(a, np.eye(q))))
+    rest = x.astype(np.result_type(a, float)).reshape(s, q, s, q)
+    diagonal = np.arange(q)
+    rest[:, diagonal, :, diagonal] -= a
+    return a, float(np.linalg.norm(rest))
 
 
 def level_split(x: np.ndarray, s: int) -> TensorSplit:

@@ -118,12 +118,14 @@ def greedy_pivot_select(fam: VectorFamily, m: int) -> list[int]:
 
 @dataclass
 class AlignmentResult:
-    """Unitary aligning two families, with its certified residual bound."""
+    """Unitary aligning two families, with its certified residual bound and
+    ``gap``, the Gram gap its gate measured below delta."""
 
     unitary: np.ndarray
     residuals: np.ndarray
     bound: float
     full_rank: bool
+    gap: float
     pivots: list[int] = field(default_factory=list)
 
     @property
@@ -186,5 +188,6 @@ def align_unitary(src: VectorFamily, dst: VectorFamily, delta: float) -> Alignme
         residuals=np.linalg.norm(src.vectors @ u.T - dst.vectors, axis=1),
         bound=alignment_bound(n, dim, delta),
         full_rank=full_rank,
+        gap=gap,
         pivots=pivots,
     )

@@ -21,9 +21,10 @@ from .algebra import (
     level_split,
 )
 from .errors import AssemblyError, HypothesisError, ParameterError, RoundFailureError
-from .linalg import check_state, dagger, norm_at_most, op_norm
+from .gram import VectorFamily, align_unitary
+from .linalg import _unitary_eig, check_operators, check_state, dagger, norm_at_most, op_norm
 from .path import CommutantLevel, PathSegment, UnitaryPath
-from .transport import commutant_transport, invert_alignment_bound
+from .transport import invert_alignment_bound
 
 
 @dataclass
@@ -98,9 +99,10 @@ def drift_bound(drift: float, defect: float, dim: int) -> float:
 class Schedule:
     """Per-round inner tolerances and admissibility thresholds.
 
-    Round n has commutation budget 2^{-n+1} * eps; the transport tolerance
-    is a quarter of that, and delta_n is the certified admissibility
-    threshold of the round's alignment at that tolerance.
+    Round n has commutation budget 2^{-n+1} * eps; its inner (terminal)
+    tolerance is a quarter of that, and delta_n is the certified
+    admissibility threshold of the round's corner alignment at that
+    tolerance, clamped to at most half of delta_{n-1}.
     """
 
     eps: float
@@ -118,11 +120,9 @@ def make_schedule(tower: AlgebraTower, eps: float, rounds: int) -> Schedule:
     inner_tols = []
     deltas = []
     for n in range(1, rounds + 1):
-        blk = tower.level_block(n)
+        s_n = tower.sizes[n - 1]
         inner = 2.0 ** (-n + 1) * eps / 4.0
-        delta = invert_alignment_bound(
-            blk.n, blk.multiplicity, inner / np.sqrt(blk.n)
-        )
+        delta = invert_alignment_bound(s_n, tower.ambient_dim // s_n, inner / np.sqrt(s_n))
         if deltas:
             # Tightening delta only strengthens admissibility; clamp so the
             # thresholds are strictly decreasing.
@@ -140,7 +140,7 @@ class IntertwineResult:
     The rounds run on factors at the tower's first level s = ``level``:
     each product is 1_s (x) its factor, ``odd_factor`` or ``even_factor``,
     and round n's unitary is u_n = 1_{s_n} (x) ``corners[n - 1]``, the
-    adjoint c_n^* of the round transport's corner unitary."""
+    adjoint c_n^* of the unitary c_n of the round's corner alignment."""
 
     odd_product: np.ndarray
     even_product: np.ndarray
@@ -162,12 +162,20 @@ def _lift(factor: np.ndarray, s: int) -> np.ndarray:
 def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
                    fixed_set: list[np.ndarray],
                    schedule: Schedule) -> IntertwineResult:
-    """Alternate commutant transports between the two vector states.
+    """Alternate corner alignments between the two vector states.
 
-    Round n transports the lagging side's tracked vector toward the other
-    inside the commutant of level n, alternating sides.  Tracked vectors:
-    conjugating a vector state omega by Ad(w) is evaluating on w^* vector.
-    Logs record the measured admissibility gap, terminal error, and the
+    Round n aligns the lagging side's tracked vector with the other inside
+    the commutant of level n, alternating sides; conjugating a vector state
+    omega by Ad(w) is evaluating on w^* vector.  The level-n corner families
+    of a vector are its reshape to (s_n, D / s_n), and ``align_unitary`` of
+    the two at the schedule's delta_n moves the lagging families X to
+    X c_n^T, so u_n = 1_{s_n} (x) c_n^*.  Its Gram gate, the statistics gap
+    on the units of M_{s_n}, is the round's only admissibility test: round
+    1's is the start check and raises ``HypothesisError``, a later round's
+    ``RoundFailureError``.  Mis-sized states or fixed elements raise
+    ``DimensionError``; a schedule with more rounds than levels, or without
+    one delta and inner tolerance per round, ``ParameterError``.
+    Logs record the gap, the terminal error ||X c_n^T - Y||_F, and the
     commutation error of u_n over the fixed set and the open companions.
     A fixed element's commutation is ``commutator_bound`` at level n when
     that is below the round budget, and the dense norm otherwise; the logs
@@ -180,36 +188,32 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     dense norm.  A level's generators are built on first use, and the final
     intertwining gap applies the last level's as s x s factors.
 
-    Round n's transport ends at 1_{s_n} (x) c_n for its corner unitary c_n,
-    so u_n = 1_{s_n} (x) c_n^* lies in the commutant 1_s (x) M_{D/s} of the
-    first level s, and so do the products.  The loop keeps u_n, the products
-    and the tracked vectors as factors there, of size D / s: each split of
-    them at a level is exact, and each Frobenius norm is sqrt(s) times the
-    factor's.  Ambient matrices are formed only as 1_s (x) factor: the
-    products, the path segments, and the dense norms a bound falls back to.
+    u_n lies in the commutant 1_s (x) M_{D/s} of the first level s, and so
+    do the products.  The loop keeps u_n, the products and the tracked
+    vectors as factors there, of size D / s: each split of them at a level
+    is exact, and each Frobenius norm is sqrt(s) times the factor's.
+    Ambient matrices are formed only as 1_s (x) factor: the products, the
+    path segments, and the dense norms a bound falls back to.
 
     Odd round n = 2k + 1 adds to ``path`` the segment
     P e^{-i (t - k) h} = e^{-i (t - k) P h P^*} P on [k, k + 1], eigenpairs
-    (-w, P v) and base P, where (w, v) are the round segment's eigenpairs
-    and P is the odd product before the round.  Every such base and
-    generator lies in the commutant of level 1, so ``path`` carries that
+    (-tile(angle lam, s_n), P (1_{s_n} (x) q)) and base P, for the Schur pair
+    (lam, q) of c_n and the odd product P before the round.  Every such base
+    and generator lies in the commutant of level 1, so ``path`` carries that
     level and the limit ``ad_odd_bound`` = 4 eps / 3 as its
     ``CommutantLevel``.
     """
-    xi = check_state(omega1)
-    eta = check_state(omega2)
     dim = tower.ambient_dim
+    xi = check_state(omega1, dim=dim)
+    eta = check_state(omega2, dim=dim)
+    check_operators(fixed_set, dim)
+    if schedule.rounds > tower.depth:
+        raise ParameterError(f"{schedule.rounds} rounds on a tower of {tower.depth} levels")
+    if not len(schedule.deltas) == len(schedule.inner_tols) == schedule.rounds:
+        raise ParameterError("a schedule needs one delta and one inner tolerance per round")
     # The factor level: every round unitary lies in the commutant of level 1.
     s = tower.sizes[0] if tower.sizes else 1
-    level1: list[TensorSplit] = []
-    if schedule.rounds:
-        start_gap = _stats_gap(tower.level_block(1), xi, eta)
-        if start_gap >= schedule.deltas[0]:
-            raise HypothesisError(
-                f"starting statistics gap {start_gap:.3e} >= {schedule.deltas[0]:.3e}",
-                measured_gap=start_gap,
-            )
-        level1 = [level_split(x, s) for x in fixed_set]
+    level1 = [level_split(x, s) for x in fixed_set] if schedule.rounds else []
     generators = cache(tower.level_generators)
     one = np.eye(dim // s)
     p_odd = np.eye(dim // s, dtype=complex)
@@ -222,34 +226,38 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     logs: list[dict] = []
 
     for n in range(1, schedule.rounds + 1):
-        blk = tower.level_block(n)
-        m = blk.n // s
+        s_n = tower.sizes[n - 1]
+        m = s_n // s
         odd_side = n % 2 == 1
-        if odd_side:
-            y = eta_rows @ p_odd.conj()
-            t = xi_rows @ p_even.conj()
-        else:
-            y = xi_rows @ p_even.conj()
-            t = eta_rows @ p_odd.conj()
-        # The round is admissible below the schedule's delta, which the
-        # clamp in make_schedule can set under commutant_transport's own.
+        # The level-n corner families of the tracked vectors; y is the side
+        # that moves.
+        odd_eta = (eta_rows @ p_odd.conj()).reshape(s_n, -1)
+        even_xi = (xi_rows @ p_even.conj()).reshape(s_n, -1)
+        y, t = (odd_eta, even_xi) if odd_side else (even_xi, odd_eta)
         delta = schedule.deltas[n - 1]
         try:
-            res = commutant_transport(blk, y.reshape(-1), t.reshape(-1),
-                                      schedule.inner_tols[n - 1])
+            align = align_unitary(VectorFamily(dim // s_n, y), VectorFamily(dim // s_n, t),
+                                  delta)
         except HypothesisError as exc:
-            raise _round_failure(n, exc.measured_gap, delta) from exc
-        if res.measured_gap >= delta:
-            raise _round_failure(n, res.measured_gap, delta)
+            gap = exc.measured_gap
+            if n == 1:
+                raise HypothesisError(f"starting statistics gap {gap:.3e} >= {delta:.3e}",
+                                      measured_gap=gap) from exc
+            raise RoundFailureError(f"round {n} admissibility failed with gap {gap:.3e} "
+                                    f">= delta {delta:.3e}", round_index=n,
+                                    measured_gap=gap) from exc
+        lam, q = _unitary_eig(align.unitary)
+        angles = np.angle(lam)
+        turn = (q * (np.exp(1j * angles) - 1.0)) @ dagger(q)
+        terminal = float(np.linalg.norm(y + y @ turn.T - t))
         # u_n = 1_{s_n} (x) c_n^* = 1_s (x) u, with c_n^* formed from the
-        # corner eigenpairs as the transport's end is.
-        angles, q = res.corner_w, res.corner_v
+        # Schur pair as c_n's own turn is.
         corner = np.eye(len(q)) + (q * (np.exp(-1j * angles) - 1.0)) @ dagger(q)
         corners.append(corner)
         u = _lift(corner, m)
         if odd_side:
             k = float(len(segments))
-            segments.append(PathSegment(k, k + 1.0, -np.tile(angles, blk.n),
+            segments.append(PathSegment(k, k + 1.0, -np.tile(angles, s_n),
                                         _lift(p_odd @ _lift(q, m), s),
                                         _lift(p_odd, s)))
             p_odd = p_odd @ u
@@ -268,7 +276,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
             u_split = TensorSplit(op_norm(corner), 0.0)
         for x, x1 in zip(fixed_set, level1):
             # ||E_n x|| <= ||x|| <= ||A_1|| + ||x - E_1 x||_F at every level.
-            distance = _level_part(x, blk.n)[1]
+            distance = _level_part(x, s_n)[1]
             comm = commutator_bound(u_split, TensorSplit(x1.factor + x1.rest, distance),
                                     dim)
             if comm >= budget:
@@ -295,10 +303,10 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         logs.append({
             "round": n,
             "side": "odd" if odd_side else "even",
-            "gap": res.measured_gap,
+            "gap": align.gap,
             "delta": delta,
             "inner_tol": schedule.inner_tols[n - 1],
-            "terminal": res.terminal_error,
+            "terminal": terminal,
             "commutation": comm,
             "fixed_distance": max(distances, default=0.0),
             "fixed_measured": measured,
@@ -327,20 +335,6 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         schedule=schedule,
         path=path,
     )
-
-
-def _round_failure(n: int, gap: float, delta: float) -> RoundFailureError:
-    return RoundFailureError(
-        f"round {n} admissibility failed with gap {gap:.3e} >= delta {delta:.3e}",
-        round_index=n,
-        measured_gap=gap,
-    )
-
-
-def _stats_gap(blk, xi: np.ndarray, eta: np.ndarray) -> float:
-    return float(np.max(np.abs(
-        blk.coefficients_of_state(xi) - blk.coefficients_of_state(eta)
-    )))
 
 
 def _final_measurements(tower, xi_rows, eta_rows, p_odd, p_even, s, fixed_set, level1,
@@ -380,15 +374,18 @@ def _final_measurements(tower, xi_rows, eta_rows, p_odd, p_even, s, fixed_set, l
 
 def _ad_sup(w, s, fixed_set, level1, limit) -> float:
     """max ||W x W^* - x|| over the fixed set, for a product W = 1_s (x) w
-    of round unitaries, given as its factor w: ||W x W^* - x|| =
-    ||[W, x] W^*|| <= ||w|| ||[W, x]||, and W's split at level s is exact.
-    The dense norm where that bound reaches the limit."""
+    of round unitaries, given as its factor w: W x W^* - x = [W, x] W^* +
+    x (W W^* - 1) for the computed w, unitary only to rounding, is at most
+    ||w|| ||[W, x]|| + ||x|| ||w w^* - 1||_F, and W's split at level s is
+    exact.  The dense norm where that bound reaches the limit."""
     if not fixed_set:
         return 0.0
     w_split = TensorSplit(op_norm(w), 0.0)
+    defect = float(np.linalg.norm(w @ dagger(w) - np.eye(len(w))))
     worst = 0.0
     for x, x1 in zip(fixed_set, level1):
-        ad = w_split.factor * commutator_bound(w_split, x1, len(x))
+        ad = (w_split.factor * commutator_bound(w_split, x1, len(x))
+              + (x1.factor + x1.rest) * defect)
         if ad >= limit:
             dense = _lift(w, s)
             ad = op_norm(dense @ x @ dagger(dense) - x)

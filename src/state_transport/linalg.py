@@ -87,8 +87,18 @@ def check_isometry(v: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     return v
 
 
-def check_state(xi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def check_operators(xs, dim: int) -> None:
+    """Raise ``DimensionError`` unless every x in xs is dim x dim."""
+    for x in xs:
+        if np.shape(x) != (dim, dim):
+            raise DimensionError(f"expected {dim} x {dim} operators, got shape {np.shape(x)}")
+
+
+def check_state(xi: np.ndarray, tol: float = 1e-12, dim: int | None = None) -> np.ndarray:
+    """xi as a flat unit vector, of length ``dim`` when that is given."""
     xi = np.ascontiguousarray(xi, dtype=complex).reshape(-1)
+    if dim is not None and xi.size != dim:
+        raise DimensionError(f"state of length {xi.size} in dimension {dim}")
     if abs(np.linalg.norm(xi) - 1.0) > tol:
         raise NotNormalizedError("state vector is not normalized")
     return xi

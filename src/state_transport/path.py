@@ -10,7 +10,7 @@ import numpy as np
 from .algebra import commutant_split, level_split
 from .algebra import commutator_bound as split_commutator_bound
 from .errors import CertificateError, DimensionError, PathError
-from .linalg import dagger, norm_at_most, op_norm
+from .linalg import check_operators, dagger, norm_at_most, op_norm
 
 JOINT_TOL = 1e-10
 
@@ -154,7 +154,9 @@ class UnitaryPath:
         the allowance's dt ||w|| part covers as it covers ``at``'s added term.
         A pair whose split bound reaches the level's ``limit`` takes the
         dense norms instead, so every pass or fail against that limit is the
-        dense bound's, and no dense norm is taken for a pair below it."""
+        dense bound's, and no dense norm is taken for a pair below it.  An
+        element that is not dim x dim raises ``DimensionError``."""
+        check_operators(elements, self.dim)
         if len(elements) == 0:
             return 0.0
         rounding = self.dim * np.finfo(float).eps

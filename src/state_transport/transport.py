@@ -209,16 +209,10 @@ def invert_alignment_bound(n: int, dim: int, target: float) -> float:
 
 @dataclass
 class TransportResult:
-    """A transport path together with its measured certificates.
-
-    ``corner_w`` and ``corner_v`` are the corner eigenpairs (angle lam, q)
-    of a commutant transport's lift segment: with the units' isometry V,
-    the segment ends at 1 + V (1_n (x) (c - 1)) V^* for the corner unitary
-    c = q diag(e^{i corner_w}) q^*."""
+    """A transport path together with its measured certificates:
+    ``measured_gap`` is the Gram gap of the alignment that admitted it."""
 
     path: UnitaryPath
-    corner_w: np.ndarray
-    corner_v: np.ndarray
     terminal_error: float
     bound: float
     delta: float = 0.0
@@ -235,26 +229,17 @@ def commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
     (lam, q): the segment holds w = tile(angle lam, n) and
     v = V (1_n (x) q) (``lift_columns``), so it has norm <= pi and
     commutes with every e_ij exactly.  The admissibility threshold delta
-    is derived from the alignment bound at tolerance eps / sqrt(n).  With ``exact`` a short
+    is derived from the alignment bound at tolerance eps / sqrt(n), and the
+    alignment's gate is the only admissibility test: the Gram gaps of the
+    corner families are the e_ij statistics gaps, so a gap at or above
+    delta raises ``HypothesisError`` carrying it.  With ``exact`` a short
     geodesic repair segment is appended so that u(1) xi = eta exactly, at
     the cost of a commutator contribution of the order of the residual.
     """
-    xi = check_state(xi)
-    eta = check_state(eta)
-    n = mu.n
-    r = mu.corner_basis().shape[1]
-
+    xi = check_state(xi, dim=mu.ambient_dim)
+    eta = check_state(eta, dim=mu.ambient_dim)
+    n, r = mu.n, mu.multiplicity
     delta = invert_alignment_bound(n, r, eps / np.sqrt(n))
-    stats_gap = float(
-        np.max(np.abs(mu.coefficients_of_state(xi) - mu.coefficients_of_state(eta)))
-    )
-    if stats_gap >= delta:
-        raise HypothesisError(
-            f"matrix-unit statistics gap {stats_gap:.3e} >= delta {delta:.3e}",
-            measured_gap=stats_gap,
-        )
-
-    # Gram gaps of the corner families are exactly the e_ij statistics gaps.
     families = mu.corner_families(xi)
     align = align_unitary(VectorFamily(r, families),
                           VectorFamily(r, mu.corner_families(eta)), delta)
@@ -276,12 +261,10 @@ def commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
         terminal = float(np.linalg.norm(path.end() @ xi - eta))
     return TransportResult(
         path=path,
-        corner_w=angles,
-        corner_v=q,
         terminal_error=terminal,
         bound=eps,
         delta=delta,
-        measured_gap=stats_gap,
+        measured_gap=align.gap,
         extras={
             "corner_rank": r,
             "alignment_residual": align.max_residual,
@@ -341,8 +324,8 @@ def multi_transport(alg: BlockAlgebra, pairs: list[tuple[np.ndarray, np.ndarray]
     per_block = []
     block_paths = []
     for xi, eta in pairs:
-        xi = check_state(xi)
-        eta = check_state(eta)
+        xi = check_state(xi, dim=alg.ambient_dim)
+        eta = check_state(eta, dim=alg.ambient_dim)
         b = _supporting_block(alg, xi)
         if b is None or _supporting_block(alg, eta) != b:
             raise DisjointnessError("pair is not supported in a single block")

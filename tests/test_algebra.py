@@ -4,6 +4,7 @@ import pytest
 from state_transport.algebra import (
     BlockAlgebra,
     MatrixUnits,
+    _level_part,
     conjugated_units,
     direct_sum_algebra,
     full_matrix_units,
@@ -166,3 +167,18 @@ def test_block_algebra_dimension_mismatch():
         BlockAlgebra(ambient_dim=5, blocks=[full_matrix_units(2, 2)])
 
 
+
+
+@pytest.mark.parametrize("dim, s", [(16, 2), (256, 2), (256, 8), (64, 64), (64, 1)])
+def test_level_part_distance_is_the_kron_difference_bit_for_bit(rng, dim, s):
+    # _level_part subtracts A from the diagonal of each q x q block instead
+    # of forming A (x) 1_q; the entries it leaves are x's own, so the
+    # distance is the dense difference's norm exactly, for complex, real
+    # and on-level x.
+    q = dim // s
+    on_level = np.kron(rng.standard_normal((s, s)), np.eye(q)) + 0j
+    for x in (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)),
+              rng.standard_normal((dim, dim)), on_level):
+        a, distance = _level_part(x, s)
+        assert np.array_equal(a, np.einsum("iaja->ij", x.reshape(s, q, s, q)) / q)
+        assert distance == np.linalg.norm(x - np.kron(a, np.eye(q)))

@@ -101,10 +101,10 @@ def test_tower_op_decomposes_no_ambient_matrix(monkeypatch):
 
 
 def test_tower_op_evaluates_each_round_once(monkeypatch):
-    # Each round's commutant transport forms its endpoint from the segment's
-    # eigenpairs, without the product by its identity base, and u_n reuses
-    # it; the assembled path is built in the round loop, so the only
-    # evaluation away from t0 is its endpoint check: one call per op.
+    # A round forms u_n from its corner alignment's Schur pair and builds
+    # no path of its own; the assembled path is built in the round loop, so
+    # the only evaluation away from t0 is its endpoint check: one call per
+    # op.
     workload = workloads.WORKLOADS["tower-256"]
     segment_at = state_transport.PathSegment.at
     moved = []
@@ -171,3 +171,33 @@ def test_tower_products_are_their_level_one_factors(monkeypatch):
                                 (res.even_product, res.even_factor)):
             assert np.array_equal(product, np.kron(np.eye(s), factor))
             assert commutant_split(product, s).rest == 0.0
+
+
+def test_tower_round_is_one_corner_alignment():
+    # A tower round is the alignment of its level's corner families: the
+    # op calls align_unitary once per round, and no commutant_transport,
+    # lift_columns or coefficients_of_state, in the tiny pool and at full
+    # size.  Calls are counted by code object, however the function is
+    # reached.
+    workload = workloads.WORKLOADS["tower-256"]
+    counted = {f.__code__: f.__name__ for f in (
+        state_transport.gram.align_unitary,
+        state_transport.transport.commutant_transport,
+        state_transport.MatrixUnits.lift_columns,
+        state_transport.MatrixUnits.coefficients_of_state,
+    )}
+    for x in workload.inputs(1, True) + workload.inputs(1, False)[:1]:
+        calls = dict.fromkeys(counted.values(), 0)
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in counted:
+                calls[counted[frame.f_code]] += 1
+
+        sys.setprofile(profile)
+        try:
+            rec = workloads.run_op(state_transport, workload, x)
+        finally:
+            sys.setprofile(None)
+        assert not rec.failed, rec.failure_types()
+        assert calls == {"align_unitary": x["rounds"], "commutant_transport": 0,
+                         "lift_columns": 0, "coefficients_of_state": 0}

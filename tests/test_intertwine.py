@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from state_transport.algebra import commutant_split, commutator_bound, level_split
 from state_transport.errors import (
     AssemblyError,
+    DimensionError,
     HypothesisError,
+    ParameterError,
     RoundFailureError,
 )
 from state_transport.intertwine import (
@@ -149,7 +151,7 @@ def test_back_and_forth_round_failure_reports_round(rng):
 
 def test_rounds_log_the_schedule_delta(rng):
     # at ambient 64 the clamp in make_schedule binds in rounds 5 and 6, so
-    # the schedule's delta is below the one commutant_transport derives
+    # the schedule's delta is below the alignment bound's own threshold
     tower, xi, eta = intertwine_instance(rng, ambient=64, levels=6,
                                          commutant_level=6, twist=1e-9)
     sched = make_schedule(tower, 0.1, 6)
@@ -168,6 +170,52 @@ def test_round_checked_against_schedule_delta(rng):
         back_and_forth(tower, xi, eta, [], sched)
     assert info.value.round_index == 2
     assert info.value.measured_gap == gap
+
+
+def test_back_and_forth_rejects_wrong_length_states(rng):
+    tower, xi, eta = _small_instance(rng)
+    sched = make_schedule(tower, 0.1, 2)
+    short = random_state(rng, 8)
+    for omega1, omega2 in ((short, eta), (xi, short)):
+        with pytest.raises(DimensionError):
+            back_and_forth(tower, omega1, omega2, [], sched)
+
+
+def test_back_and_forth_rejects_wrong_size_fixed_elements(rng):
+    # an 8 x 8 element on a 16-dim tower has no commutator with the rounds
+    tower, xi, eta = _small_instance(rng)
+    sched = make_schedule(tower, 0.1, 2)
+    for fixed in ([np.eye(8)], tower.level_generators(1) + [np.eye(16)[:, :8]]):
+        with pytest.raises(DimensionError):
+            back_and_forth(tower, xi, eta, fixed, sched)
+
+
+def test_back_and_forth_rejects_a_schedule_for_a_deeper_tower(rng):
+    tower, xi, eta = _small_instance(rng)
+    deeper = make_schedule(build_tower([2] * 6, 64), 0.1, 5)
+    with pytest.raises(ParameterError, match="5 rounds on a tower of 4 levels"):
+        back_and_forth(tower, xi, eta, [], deeper)
+
+
+@pytest.mark.parametrize("field", ["deltas", "inner_tols"])
+def test_back_and_forth_rejects_a_schedule_with_missing_rounds(rng, field):
+    tower, xi, eta = _small_instance(rng)
+    sched = make_schedule(tower, 0.1, 3)
+    for values in (getattr(sched, field)[:2], getattr(sched, field) + [1e-9]):
+        with pytest.raises(ParameterError, match="per round"):
+            back_and_forth(tower, xi, eta, [], replace(sched, **{field: values}))
+
+
+def test_path_bound_rejects_wrong_size_elements(rng):
+    # on the tower's split path and on the same segments without the level
+    # record, an element that is not 16 x 16 returns no bound
+    tower, xi, eta = _small_instance(rng)
+    result = back_and_forth(tower, xi, eta, [], make_schedule(tower, 0.1, 3))
+    path = assemble_path(result)
+    for p in (path, UnitaryPath(path.segments)):
+        for bad in (np.eye(8), np.eye(16)[:8], np.eye(32)):
+            with pytest.raises(DimensionError):
+                assembled_commutation_sup(p, tower.level_generators(1) + [bad])
 
 
 def test_assemble_path_endpoint(rng):
@@ -489,6 +537,22 @@ def test_final_ad_sups_dominate_dense_values(rng, level):
             assert result.final[f"ad_{key}_sup"] < 1e-12
 
 
+def test_final_ad_sups_cover_the_products_unitarity_defect():
+    # The computed products are unitary only to rounding, and on this
+    # instance ||W x W^* - x|| of the odd product is all defect, 8.0e-15,
+    # above the rounding allowance 2 * 16 * 2^-52 = 7.1e-15 of the split
+    # bound alone: each Ad sup adds ||x|| ||w w^* - 1||_F.
+    tower, xi, eta = _branching_instance(np.random.default_rng(255), 16, 2, 1e-9)
+    fixed = tower.level_generators(1)
+    result = back_and_forth(tower, xi, eta, fixed, make_schedule(tower, 0.1, 1))
+    p_odd, p_even = result.odd_product, result.even_product
+    for key, w in (("odd", p_odd), ("even", p_even),
+                   ("combined", p_odd @ dagger(p_even))):
+        dense = max(op_norm(w @ x @ dagger(w) - x) for x in fixed)
+        assert result.final[f"ad_{key}_sup"] >= dense
+    assert max(op_norm(p_odd @ x @ dagger(p_odd) - x) for x in fixed) > 7.2e-15
+
+
 @pytest.mark.parametrize("rounds", [1, 2, 3])
 def test_intertwine_gap_matches_dense_level_generators(rng, rounds):
     # The gap applies the last level's shift and clock to the reshaped
@@ -518,8 +582,9 @@ def _branching_instance(rng, ambient, branching, twist):
 
 def _dense_rounds(tower, xi, eta, schedule):
     """The round loop on ambient matrices, the oracle of the factor loop: per
-    round u_n, the adjoint of its transport path's end, and the string
-    w^* = the opposite-parity product before it; then the two products."""
+    round u_n, the adjoint of the end of the level's commutant transport
+    path, and the string w^* = the opposite-parity product before it; then
+    the two products."""
     dim = tower.ambient_dim
     products = {1: np.eye(dim, dtype=complex), 0: np.eye(dim, dtype=complex)}
     rounds = []

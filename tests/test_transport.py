@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from state_transport.algebra import conjugated_units, direct_sum_algebra, full_matrix_units
 from state_transport.errors import (
     CertificateError,
+    DimensionError,
     DisjointnessError,
     HypothesisError,
     StateTransportError,
 )
-from state_transport.gram import alignment_bound
+from state_transport.gram import VectorFamily, align_unitary, alignment_bound
 from state_transport.linalg import dagger, inner, op_norm
 from state_transport.path import UnitaryPath
 from state_transport.suites import (
@@ -182,11 +183,11 @@ def _in_window(rng, mu, xi, eta, offset, pad):
 @pytest.mark.parametrize("n, r, units", [(2, 4, "identity"), (4, 8, "identity"),
                                          (2, 128, "identity"), (3, 3, "offset"),
                                          (2, 5, "offset"), (3, 3, "conjugated")])
-def test_commutant_corner_reproduces_the_path_end(rng, n, r, units):
-    # The transport returns its lift segment's corner eigenpairs (w, q): the
-    # lift 1 + V (1_n (x) (c - 1)) V^* of c = q diag(e^{i w}) q^* is that
-    # segment's end, where the exact repair leg starts, and the terminal
-    # error measured from the corner families is that of path.end().  The
+def test_commutant_gate_is_the_alignment_gate(rng, n, r, units):
+    # The transport's only admissibility test is its alignment's Gram gate:
+    # measured_gap is align_unitary's gap on the same corner families, and a
+    # delta at or below it raises HypothesisError carrying it.  The terminal
+    # error, read from the corner families, is that of path.end().  The
     # statistics noise leaves a residual the repair geodesic can turn.
     mu, xi, eta = commutant_instance(rng, n, r, 0.1, stats_noise=1e-7)
     if units == "offset":
@@ -194,17 +195,26 @@ def test_commutant_corner_reproduces_the_path_end(rng, n, r, units):
     elif units == "conjugated":
         c = random_unitary(rng, n * r)
         mu, xi, eta = conjugated_units(mu, c), c @ xi, c @ eta
+    src = VectorFamily(r, mu.corner_families(xi))
+    dst = VectorFamily(r, mu.corner_families(eta))
     for exact in (False, True):
         res = commutant_transport(mu, xi, eta, 0.1, exact=exact)
-        q = res.corner_v
-        turn = (q * (np.exp(1j * res.corner_w) - 1.0)) @ dagger(q)
-        lift = np.eye(mu.ambient_dim) + mu.lift_columns(turn) @ dagger(mu.isometry)
+        assert res.measured_gap == align_unitary(src, dst, res.delta).gap
+        assert 0.0 < res.measured_gap < res.delta
         assert len(res.path.segments) == 1 + exact
-        leg = res.path.segments[1].base if exact else res.path.end()
-        assert op_norm(lift - leg) <= 1e-14
         end = res.path.end()
         assert abs(res.terminal_error - np.linalg.norm(end @ xi - eta)) <= 1e-15
         assert res.terminal_error < (1e-12 if exact else 1e-6)
+    gap = res.measured_gap
+    with pytest.raises(HypothesisError) as info:
+        align_unitary(src, dst, gap)
+    assert info.value.measured_gap == gap
+    # Full rank (r >= n) the derived delta is (eps / n)^2, here gap / 4.
+    eps = n * np.sqrt(gap) / 2
+    assert invert_alignment_bound(n, r, eps / np.sqrt(n)) <= gap
+    with pytest.raises(HypothesisError) as info:
+        commutant_transport(mu, xi, eta, eps)
+    assert info.value.measured_gap == gap
 
 
 @pytest.mark.parametrize("n, r", [(2, 4), (4, 2), (3, 3)])
@@ -257,6 +267,18 @@ def test_commutant_transport_rejects_large_gap(rng):
     eta = np.array([0, 0, 1.0, 0], dtype=complex)  # different block stats
     with pytest.raises(HypothesisError):
         commutant_transport(mu, xi, eta, 0.01)
+
+
+def test_commutant_transport_rejects_wrong_length_states(rng):
+    mu, xi, eta = commutant_instance(rng, 2, 3, 0.1)
+    short = random_state(rng, 5)
+    for a, b in ((short, eta), (xi, short), (np.append(xi, 0.0), eta)):
+        with pytest.raises(DimensionError):
+            commutant_transport(mu, a, b, 0.1)
+    # multi_transport checks each pair before it looks for the pair's block
+    alg = direct_sum_algebra([2, 2], [3, 1])
+    with pytest.raises(DimensionError):
+        multi_transport(alg, [(short, short)], [], 0.1)
 
 
 def test_excise_product_state(rng):
