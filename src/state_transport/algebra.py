@@ -1,5 +1,5 @@
 """Matrix units and block algebras embedded in an ambient full matrix algebra,
-and the tensor splits that bound commutators between a level M_s (x) 1_q
+and the tensor split that bounds commutators between a level M_s (x) 1_q
 and its commutant 1_s (x) M_q."""
 
 from __future__ import annotations
@@ -63,10 +63,6 @@ class MatrixUnits:
         x = self.corner_families(xi)
         return x.conj() @ x.T
 
-    def corner_basis(self) -> np.ndarray:
-        """Orthonormal basis V_0 (ambient x r, as columns) of the range of e_11."""
-        return self.isometry[:, :self.multiplicity]
-
     def corner_families(self, xi: np.ndarray) -> np.ndarray:
         """The n x r rows X = reshape(V^* xi): row j is V_0^* e_1j xi, the
         coordinates of e_1j xi in the corner."""
@@ -124,9 +120,9 @@ def direct_sum_algebra(sizes: list[int], multiplicities: list[int] | None = None
 
 @dataclass(frozen=True)
 class TensorSplit:
-    """An element of M_s (x) M_q split as F (x) 1_q + r (its level part) or
-    as 1_s (x) F + r (its commutant part), kept as the two norms that bound
-    its commutators: ``factor`` >= ||F|| and ``rest`` = ||r||_F."""
+    """An element of M_s (x) M_q split as F (x) 1_q + r, its level part and
+    the rest, kept as the two norms that bound its commutators with the
+    commutant: ``factor`` >= ||F|| and ``rest`` = ||r||_F."""
 
     factor: float
     rest: float
@@ -152,23 +148,12 @@ def level_split(x: np.ndarray, s: int) -> TensorSplit:
     return TensorSplit(op_norm(a), rest)
 
 
-def commutant_split(u: np.ndarray, s: int) -> TensorSplit:
-    """u = 1_s (x) C + e with C = Tr_s u / s, the part of u in the commutant
-    1_s (x) M_q of the level M_s (x) 1_q; ||C|| is an SVD of the q x q
-    factor."""
-    q = len(u) // s
-    c = np.einsum("iaib->ab", u.reshape(s, q, s, q)) / s
-    return TensorSplit(op_norm(c), float(np.linalg.norm(u - np.kron(np.eye(s), c))))
+def commutator_bound(c: float, x: TensorSplit, dim: int) -> float:
+    """Certified upper bound on ||[1_s (x) C, x]|| for c >= ||C|| and
+    x = A (x) 1_q + b split at the same level s of M_dim.
 
-
-def commutator_bound(u: TensorSplit, x: TensorSplit, dim: int) -> float:
-    """Certified upper bound on ||[u, x]|| for u = 1_s (x) C + e and
-    x = A (x) 1_q + b split at the same level of M_dim.
-
-    [1 (x) C, A (x) 1] = 0 leaves [1 (x) C, b] + [e, A (x) 1] + [e, b], each
-    at most twice the product of its factors' norms, and ||.|| <= ||.||_F:
-    2 (||C|| + ||e||_F) ||b||_F + 2 ||e||_F ||A||.  The allowance, dim 2^-52
-    (||A|| + ||b||_F) for each of the two dense products that form [u, x],
-    covers their rounding and that of the norms that form the bound."""
-    return (2.0 * (u.factor + u.rest) * x.rest + 2.0 * u.rest * x.factor
-            + 2.0 * dim * np.finfo(float).eps * (x.factor + x.rest))
+    [1 (x) C, A (x) 1] = 0 leaves [1 (x) C, b], at most 2 ||C|| ||b||, and
+    ||.|| <= ||.||_F: 2 c ||b||_F.  The allowance, dim 2^-52 (||A|| + ||b||_F)
+    for each of the two dense products that form [1 (x) C, x], covers their
+    rounding and that of the norms that form the bound."""
+    return 2.0 * c * x.rest + 2.0 * dim * np.finfo(float).eps * (x.factor + x.rest)

@@ -254,7 +254,7 @@ def _run_intertwine(config):
         build_tower(branchings, ambient)
         return {"rounds": 0}, {}, None
     tower, xi, eta = intertwine_instance(
-        rng, ambient=ambient, levels=len(branchings),
+        rng, ambient=ambient, branchings=branchings,
         commutant_level=min(6, len(branchings)), twist=0.0,
     )
     schedule = make_schedule(tower, eps, rounds)

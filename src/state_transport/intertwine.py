@@ -9,21 +9,15 @@ while nearly fixing the prescribed finite set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
-from .algebra import (
-    MatrixUnits,
-    TensorSplit,
-    _level_part,
-    commutator_bound,
-    level_split,
-)
+from .algebra import TensorSplit, _level_part, commutator_bound, level_split
 from .errors import AssemblyError, HypothesisError, ParameterError, RoundFailureError
 from .gram import VectorFamily, align_unitary
 from .linalg import _unitary_eig, check_operators, check_state, dagger, norm_at_most, op_norm
-from .path import CommutantLevel, PathSegment, UnitaryPath
+from .path import PathSegment, UnitaryPath
 from .transport import invert_alignment_bound
 
 
@@ -49,15 +43,6 @@ class AlgebraTower:
     @property
     def depth(self) -> int:
         return len(self.sizes)
-
-    @cached_property
-    def _identity(self) -> np.ndarray:
-        # Every level acts on the whole ambient space, so all share one isometry.
-        return np.eye(self.ambient_dim, dtype=complex)
-
-    def level_block(self, n: int) -> MatrixUnits:
-        """The single block M_{s_n} (x) 1 of level n (1-based)."""
-        return MatrixUnits(self.sizes[n - 1], self._identity)
 
     def level_generators(self, n: int) -> list[np.ndarray]:
         """Clock and shift generators of level n, embedded in the ambient as
@@ -142,8 +127,6 @@ class IntertwineResult:
     and round n's unitary is u_n = 1_{s_n} (x) ``corners[n - 1]``, the
     adjoint c_n^* of the unitary c_n of the round's corner alignment."""
 
-    odd_product: np.ndarray
-    even_product: np.ndarray
     odd_factor: np.ndarray
     even_factor: np.ndarray
     level: int
@@ -151,12 +134,71 @@ class IntertwineResult:
     logs: list[dict]
     final: dict
     schedule: Schedule
-    path: UnitaryPath
+    path: TowerPath
+
+    @property
+    def odd_product(self) -> np.ndarray:
+        return _lift(self.odd_factor, self.level)
+
+    @property
+    def even_product(self) -> np.ndarray:
+        return _lift(self.even_factor, self.level)
 
 
 def _lift(factor: np.ndarray, s: int) -> np.ndarray:
     """1_s (x) factor: the ambient matrix of a commutant factor at level s."""
     return np.kron(np.eye(s), factor)
+
+
+class TowerPath(UnitaryPath):
+    """The path 1_s (x) f(t) in the commutant of the level M_s (x) 1, for a
+    path ``factor`` f of size D / s.  Its segments are the lifts of f's, so
+    its length, transforms and encoding are those of the ambient path;
+    ``at`` and ``end`` lift f's value."""
+
+    def __init__(self, factor: UnitaryPath, level: int, limit: float):
+        super().__init__([PathSegment(f.t0, f.t1, np.tile(f.w, level), _lift(f.v, level),
+                                      _lift(f.base, level)) for f in factor.segments])
+        self.factor = factor
+        self.level = level
+        self.limit = limit
+
+    def at(self, t: float) -> np.ndarray:
+        return _lift(self.factor.at(t), self.level)
+
+    def end(self) -> np.ndarray:
+        return _lift(self.factor.end(), self.level)
+
+    def commutator_bound(self, elements: list[np.ndarray]) -> float:
+        """``UnitaryPath.commutator_bound`` from the tensor splits at level s.
+
+        Each segment's base and generator is exactly 1_s (x) its factor F,
+        so the two commutators of a pair are ``algebra.commutator_bound`` of
+        c = ||F|| and the element's ``level_split``, taken once per element.
+        Only rounding is left: that of the norms, which ``commutator_bound``
+        covers, and that of forming F's generator, one product of sums over
+        at most D / s terms, which the segment's ``allowance`` covers as it
+        covers ``at``'s added term.  A pair whose split bound reaches
+        ``limit`` takes the dense terms instead, so every pass or fail
+        against that limit is the dense bound's, and no dense norm is taken
+        for a pair below it.  An element that is not D x D raises
+        ``DimensionError``."""
+        check_operators(elements, self.dim)
+        if len(elements) == 0:
+            return 0.0
+        splits = [level_split(x, self.level) for x in elements]
+        sizes = [np.linalg.norm(x) for x in elements]
+        worst = 0.0
+        for f, seg in zip(self.factor.segments, self.segments):
+            c_base, c_generator = op_norm(f.base), op_norm(f.generator)
+            dt, allowance = seg.duration, seg.allowance
+            pairs = [commutator_bound(c_base, split, self.dim)
+                     + dt * commutator_bound(c_generator, split, self.dim)
+                     + allowance * size for split, size in zip(splits, sizes)]
+            dense = [x for x, pair in zip(elements, pairs) if pair >= self.limit]
+            below = [pair for pair in pairs if pair < self.limit]
+            worst = max(worst, UnitaryPath([seg]).commutator_bound(dense), *below)
+        return float(worst)
 
 
 def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
@@ -195,13 +237,12 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     Ambient matrices are formed only as 1_s (x) factor: the products, the
     path segments, and the dense norms a bound falls back to.
 
-    Odd round n = 2k + 1 adds to ``path`` the segment
+    Odd round n = 2k + 1 adds to the factor path the segment
     P e^{-i (t - k) h} = e^{-i (t - k) P h P^*} P on [k, k + 1], eigenpairs
-    (-tile(angle lam, s_n), P (1_{s_n} (x) q)) and base P, for the Schur pair
-    (lam, q) of c_n and the odd product P before the round.  Every such base
-    and generator lies in the commutant of level 1, so ``path`` carries that
-    level and the limit ``ad_odd_bound`` = 4 eps / 3 as its
-    ``CommutantLevel``.
+    (-tile(angle lam, m), P (1_m (x) q)) and base P, for the Schur pair
+    (lam, q) of c_n, m = s_n / s and the odd product's factor P before the
+    round.  ``path`` is the ``TowerPath`` 1_s (x) that factor path, with the
+    limit ``ad_odd_bound`` = 4 eps / 3.
     """
     dim = tower.ambient_dim
     xi = check_state(omega1, dim=dim)
@@ -257,9 +298,8 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         u = _lift(corner, m)
         if odd_side:
             k = float(len(segments))
-            segments.append(PathSegment(k, k + 1.0, -np.tile(angles, s_n),
-                                        _lift(p_odd @ _lift(q, m), s),
-                                        _lift(p_odd, s)))
+            segments.append(PathSegment(k, k + 1.0, -np.tile(angles, m),
+                                        p_odd @ _lift(q, m), p_odd))
             p_odd = p_odd @ u
         else:
             p_even = p_even @ u
@@ -272,13 +312,12 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         comms, distances = [], []
         measured = 0
         if fixed_set:
-            # u_n = 1_{s_n} (x) corner exactly: its split at level n has no rest.
-            u_split = TensorSplit(op_norm(corner), 0.0)
+            # u_n = 1_{s_n} (x) corner exactly.
+            c = op_norm(corner)
         for x, x1 in zip(fixed_set, level1):
             # ||E_n x|| <= ||x|| <= ||A_1|| + ||x - E_1 x||_F at every level.
             distance = _level_part(x, s_n)[1]
-            comm = commutator_bound(u_split, TensorSplit(x1.factor + x1.rest, distance),
-                                    dim)
+            comm = commutator_bound(c, TensorSplit(x1.factor + x1.rest, distance), dim)
             if comm >= budget:
                 u_n = _lift(u, s)
                 comm = op_norm(u_n @ x - x @ u_n)
@@ -318,14 +357,9 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
 
     final = _final_measurements(tower, xi_rows, eta_rows, p_odd, p_even, s, fixed_set,
                                 level1, schedule)
-    if segments:
-        level = CommutantLevel(s, final["ad_odd_bound"])
-        path = UnitaryPath(segments, level).rescaled(0.0, 1.0)
-    else:
-        path = UnitaryPath.constant(dim)
+    factor = (UnitaryPath(segments).rescaled(0.0, 1.0) if segments
+              else UnitaryPath.constant(dim // s))
     return IntertwineResult(
-        odd_product=_lift(p_odd, s),
-        even_product=_lift(p_even, s),
         odd_factor=p_odd,
         even_factor=p_even,
         level=s,
@@ -333,7 +367,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         logs=logs,
         final=final,
         schedule=schedule,
-        path=path,
+        path=TowerPath(factor, s, final["ad_odd_bound"]),
     )
 
 
@@ -376,16 +410,15 @@ def _ad_sup(w, s, fixed_set, level1, limit) -> float:
     """max ||W x W^* - x|| over the fixed set, for a product W = 1_s (x) w
     of round unitaries, given as its factor w: W x W^* - x = [W, x] W^* +
     x (W W^* - 1) for the computed w, unitary only to rounding, is at most
-    ||w|| ||[W, x]|| + ||x|| ||w w^* - 1||_F, and W's split at level s is
-    exact.  The dense norm where that bound reaches the limit."""
+    ||w|| ||[W, x]|| + ||x|| ||w w^* - 1||_F, with ||[W, x]|| from x's split
+    at level s.  The dense norm where that bound reaches the limit."""
     if not fixed_set:
         return 0.0
-    w_split = TensorSplit(op_norm(w), 0.0)
+    c = op_norm(w)
     defect = float(np.linalg.norm(w @ dagger(w) - np.eye(len(w))))
     worst = 0.0
     for x, x1 in zip(fixed_set, level1):
-        ad = (w_split.factor * commutator_bound(w_split, x1, len(x))
-              + (x1.factor + x1.rest) * defect)
+        ad = c * commutator_bound(c, x1, len(x)) + (x1.factor + x1.rest) * defect
         if ad >= limit:
             dense = _lift(w, s)
             ad = op_norm(dense @ x @ dagger(dense) - x)
@@ -406,8 +439,8 @@ def assembled_commutation_sup(path: UnitaryPath, fixed_set: list[np.ndarray],
                               samples: int | None = None) -> float:
     """Certified sup over every t of || Ad v(t)(x) - x || for x in the fixed
     set, which is ||[v(t), x]|| for unitary v(t): ``path.commutator_bound``.
-    On the path ``back_and_forth`` builds, that reads each segment's base
-    and generator from their tensor splits at level 1, and takes the dense
+    On the ``TowerPath`` of ``back_and_forth``, that reads each element's
+    split at level 1 and each segment's factors, and takes the dense
     Duhamel term only for a pair whose split bound reaches 4 eps / 3.
     ``samples`` is accepted for older callers and ignored."""
     return path.commutator_bound(fixed_set)

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import commutant_split, level_split
-from .algebra import commutator_bound as split_commutator_bound
 from .errors import CertificateError, DimensionError, PathError
 from .linalg import check_operators, dagger, norm_at_most, op_norm
 
@@ -48,6 +46,13 @@ class PathSegment:
         """The dense generator h = v diag(w) v^*."""
         return (self.v * self.w) @ dagger(self.v)
 
+    @property
+    def allowance(self) -> float:
+        """dim 2^-52 (1 + dt ||w||): the rounding allowance of
+        ``UnitaryPath.commutator_bound`` per unit of ||x||_F."""
+        rounding = len(self.base) * np.finfo(float).eps
+        return rounding * (1.0 + self.duration * np.linalg.norm(self.w))
+
     def at(self, t: float) -> np.ndarray:
         """u(t); at t0 a copy of the base."""
         if t == self.t0:
@@ -60,36 +65,19 @@ class PathSegment:
         return self.at(self.t1)
 
 
-@dataclass(frozen=True)
-class CommutantLevel:
-    """A path built in the commutant 1_s (x) M_{dim/s} of the level
-    M_s (x) 1 of size ``size``: its commutators with a fixed set are read
-    from the tensor splits at that level, and densely only for a pair
-    whose split bound reaches ``limit``, the bound its caller checks.  The
-    splits measure how far each base and generator lies from the
-    commutant, so the bound is certified for any path."""
-
-    size: int
-    limit: float
-
-
 class UnitaryPath:
     """A rectifiable path in the unitary group, as constant-speed segments.
 
     The certified length is the sum of duration * generator-norm over the
     segments; for constant-speed geodesic pieces this equals the rectifiable
-    length and dominates every sampled chord sum.  ``commutant``, when
-    given, names the level whose commutant holds every segment's base and
-    generator; only ``rescaled`` keeps it.
+    length and dominates every sampled chord sum.
     """
 
-    def __init__(self, segments: list[PathSegment],
-                 commutant: CommutantLevel | None = None):
+    def __init__(self, segments: list[PathSegment]):
         if not segments:
             raise PathError("a path needs at least one segment")
         self.segments = segments
         self.dim = segments[0].base.shape[0]
-        self.commutant = commutant
 
     @classmethod
     def constant(cls, dim: int, base: np.ndarray | None = None) -> "UnitaryPath":
@@ -143,43 +131,18 @@ class UnitaryPath:
         of sums over at most dim terms, and each of those and of the products
         that form either side errs by about dim 2^-52 times the norms of its
         factors, where ||w|| = ||h||_F bounds ||h|| and the added term.
-
-        With a ``commutant`` level s, B and h are split once per segment
-        (``commutant_split``) and x once (``level_split``), and the two
-        commutators are ``algebra.commutator_bound`` of the splits.  The
-        splits B = 1_s (x) C + e are exact for the computed C, since e is
-        measured as B - 1 (x) C, so only rounding is left: that of the norms,
-        which ``commutator_bound`` covers, and that of forming h, one product
-        of sums over at most dim terms, about dim 2^-52 ||w|| in norm, which
-        the allowance's dt ||w|| part covers as it covers ``at``'s added term.
-        A pair whose split bound reaches the level's ``limit`` takes the
-        dense norms instead, so every pass or fail against that limit is the
-        dense bound's, and no dense norm is taken for a pair below it.  An
-        element that is not dim x dim raises ``DimensionError``."""
+        An element that is not dim x dim raises ``DimensionError``."""
         check_operators(elements, self.dim)
         if len(elements) == 0:
             return 0.0
-        rounding = self.dim * np.finfo(float).eps
         sizes = [np.linalg.norm(x) for x in elements]
-        level = self.commutant
-        x_splits = ([level_split(x, level.size) for x in elements] if level
-                    else [None] * len(elements))
         worst = 0.0
         for seg in self.segments:
             h = seg.generator
-            b, dt = seg.base, seg.duration
-            allowance = rounding * (1.0 + dt * np.linalg.norm(seg.w))
-            if level is not None:
-                b_split = commutant_split(b, level.size)
-                h_split = commutant_split(h, level.size)
-            for x, size, x_split in zip(elements, sizes, x_splits):
-                if level is not None:
-                    pair = (split_commutator_bound(b_split, x_split, self.dim)
-                            + dt * split_commutator_bound(h_split, x_split, self.dim)
-                            + allowance * size)
-                if level is None or pair >= level.limit:
-                    pair = (op_norm(b @ x - x @ b) + dt * op_norm(h @ x - x @ h)
-                            + allowance * size)
+            b, dt, allowance = seg.base, seg.duration, seg.allowance
+            for x, size in zip(elements, sizes):
+                pair = (op_norm(b @ x - x @ b) + dt * op_norm(h @ x - x @ h)
+                        + allowance * size)
                 worst = max(worst, pair)
         return float(worst)
 
@@ -212,8 +175,7 @@ class UnitaryPath:
             raise PathError("degenerate parameter interval")
         scale = (t1 - t0) / span
         return UnitaryPath([PathSegment(t0 + (s.t0 - lo) * scale, t0 + (s.t1 - lo) * scale,
-                                        s.w / scale, s.v, s.base) for s in self.segments],
-                           self.commutant)
+                                        s.w / scale, s.v, s.base) for s in self.segments])
 
 
 def concat_paths(first: UnitaryPath, second: UnitaryPath) -> UnitaryPath:

@@ -381,15 +381,14 @@ def suite_group(seed: int, instances: int) -> dict:
     }
 
 
-def intertwine_instance(rng, ambient: int = 256, levels: int = 8,
+def intertwine_instance(rng, ambient: int = 256, branchings=(2,) * 8,
                         commutant_level: int = 6, twist: float = 0.0):
     """Tower pair: the second state is the first conjugated by a unitary in
     the commutant of the given level, so deep statistics agree exactly."""
-    tower = build_tower([2] * levels, ambient)
+    tower = build_tower(branchings, ambient)
     xi = random_state(rng, ambient)
-    blk = tower.level_block(commutant_level)
-    w = random_unitary(rng, blk.multiplicity)
-    v = np.kron(np.eye(blk.n), w)
+    size = tower.sizes[commutant_level - 1]
+    v = np.kron(np.eye(size), random_unitary(rng, ambient // size))
     if twist > 0:
         h = rng.standard_normal((ambient, ambient)) \
             + 1j * rng.standard_normal((ambient, ambient))

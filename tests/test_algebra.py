@@ -61,8 +61,7 @@ def _check_against_oracle(mu, units, rng, tol):
                       for i in range(n)])
     # The oracle sums over the whole ambient space, in another order.
     assert np.max(np.abs(mu.coefficients_of_state(xi) - stats)) <= max(tol, 1e-15)
-    corner = mu.corner_basis()
-    assert corner.shape == (ambient, r)
+    corner = mu.isometry[:, :r]  # V_0, an orthonormal basis of the range of e_11
     assert close(corner @ dagger(corner), units[0, 0])
     fams = mu.corner_families(xi)
     for j in range(n):

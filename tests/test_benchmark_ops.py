@@ -14,7 +14,6 @@ import pytest
 
 import state_transport
 import state_transport.serialize  # noqa: F401  (the ops call st.serialize)
-from state_transport.algebra import commutant_split
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -147,10 +146,39 @@ def test_tower_op_takes_no_ambient_svd(monkeypatch):
         assert (x["ambient"], x["ambient"]) not in shapes
 
 
+def test_tower_op_evaluates_no_ambient_segment(monkeypatch):
+    # The assembled path is 1_{s_1} (x) its factor path: its bound reads the
+    # factor segments' generators and its endpoint check lifts the factor
+    # path's end, so no ambient x ambient segment is evaluated or has its
+    # dense generator formed, in the tiny pool and at full size.
+    workload = workloads.WORKLOADS["tower-256"]
+    segment = state_transport.PathSegment
+    at, generator = segment.at, segment.generator
+    calls = []
+
+    def counted_at(seg, t):
+        calls.append(("at", len(seg.base)))
+        return at(seg, t)
+
+    def counted_generator(seg):
+        calls.append(("generator", len(seg.base)))
+        return generator.fget(seg)
+
+    monkeypatch.setattr(segment, "at", counted_at)
+    monkeypatch.setattr(segment, "generator", property(counted_generator))
+    for x in workload.inputs(1, True) + workload.inputs(1, False)[:1]:
+        calls.clear()
+        rec = workloads.run_op(state_transport, workload, x)
+        assert not rec.failed, rec.failure_types()
+        assert {name for name, _ in calls} == {"at", "generator"}, \
+            "no segment seen: the count does not reach the path"
+        assert [call for call in calls if call[1] == x["ambient"]] == []
+
+
 def test_tower_products_are_their_level_one_factors(monkeypatch):
     # The rounds run on factors at level 1: each product the tower op
-    # returns is 1_{s_1} (x) its factor, formed by kron alone, so its split
-    # at level 1 has no rest, in the tiny pool and at full size.
+    # returns is 1_{s_1} (x) its factor, formed by kron alone, in the tiny
+    # pool and at full size.
     workload = workloads.WORKLOADS["tower-256"]
     back_and_forth = state_transport.back_and_forth
     results = []
@@ -166,11 +194,10 @@ def test_tower_products_are_their_level_one_factors(monkeypatch):
         assert not rec.failed, rec.failure_types()
         (res,) = results
         s = res.level
-        assert s == 2 == res.path.commutant.size
+        assert s == 2 == res.path.level
         for product, factor in ((res.odd_product, res.odd_factor),
                                 (res.even_product, res.even_factor)):
             assert np.array_equal(product, np.kron(np.eye(s), factor))
-            assert commutant_split(product, s).rest == 0.0
 
 
 def test_tower_round_is_one_corner_alignment():

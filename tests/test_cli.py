@@ -261,6 +261,26 @@ def test_run_intertwine(tmp_path):
     assert csv.read_bytes() == csv_b.read_bytes()
 
 
+@pytest.mark.parametrize("branchings, ambient", [([3, 3], 9), ([4, 4], 16), ([3, 2], 12)])
+def test_run_intertwine_builds_the_configured_branchings(tmp_path, monkeypatch,
+                                                         branchings, ambient):
+    # the tower is built from the branchings themselves, not as a binary
+    # tower with as many levels
+    back_and_forth = state_transport.cli.back_and_forth
+    towers = []
+
+    def kept(tower, *args):
+        towers.append(tower)
+        return back_and_forth(tower, *args)
+
+    monkeypatch.setattr(state_transport.cli, "back_and_forth", kept)
+    code, out, _ = _run_intertwine_config(tmp_path, "tower", branchings=branchings,
+                                          ambient=ambient, rounds=2)
+    assert code == EXIT_PASS
+    assert json.loads(out.read_text())["pass"] is True
+    assert [tower.sizes for tower in towers] == [np.cumprod(branchings).tolist()]
+
+
 def test_run_intertwine_zero_rounds(tmp_path):
     code, out, _ = _run_intertwine_config(
         tmp_path, "zero", branchings=[2] * 4, ambient=16, rounds=0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from state_transport.algebra import commutant_split, commutator_bound, level_split
+from state_transport.algebra import commutator_bound, full_matrix_units, level_split
 from state_transport.errors import (
     AssemblyError,
     DimensionError,
@@ -32,9 +32,8 @@ def _small_instance(rng, ambient=16, levels=4, comm_level=3):
     """Two states conjugate by a unitary commuting with the given level."""
     tower = build_tower([2] * levels, ambient)
     xi = random_state(rng, ambient)
-    blk = tower.level_block(comm_level)
-    w = random_unitary(rng, blk.multiplicity)
-    v = np.kron(np.eye(blk.n), w)
+    size = tower.sizes[comm_level - 1]
+    v = np.kron(np.eye(size), random_unitary(rng, ambient // size))
     eta = dagger(v) @ xi
     return tower, xi, eta
 
@@ -42,9 +41,7 @@ def _small_instance(rng, ambient=16, levels=4, comm_level=3):
 def test_build_tower_levels():
     tower = build_tower([2, 3], 12)
     assert tower.depth == 2
-    assert tower.level_block(1).n == 2
-    assert tower.level_block(2).n == 6
-    assert tower.level_block(2).multiplicity == 2
+    assert tower.sizes == [2, 6]
 
 
 def test_build_tower_rejects_bad_dimensions():
@@ -57,8 +54,6 @@ def test_build_tower_rejects_bad_dimensions():
 def test_tower_is_its_level_sizes():
     tower = build_tower([2, 3, 2], 24)
     assert tower == AlgebraTower(24, [2, 6, 12])
-    assert [tower.level_block(n).n for n in (1, 2, 3)] == [2, 6, 12]
-    assert tower.level_block(1).isometry is tower.level_block(3).isometry
     with pytest.raises(ValueError, match="level size 6 is not a multiple of 4"):
         AlgebraTower(24, [4, 6])  # the levels would not nest
     with pytest.raises(ValueError, match="branchings must be >= 2"):
@@ -137,8 +132,7 @@ def test_back_and_forth_round_failure_reports_round(rng):
     # round one pass and round two fail its admissibility check
     tower = build_tower([2] * 3, 8)
     xi = random_state(rng, 8)
-    blk1 = tower.level_block(1)
-    w = random_unitary(rng, blk1.multiplicity)
+    w = random_unitary(rng, 4)
     pert = random_state(rng, 8)
     bumped = xi + 1e-4 * pert
     bumped = bumped / np.linalg.norm(bumped)
@@ -152,7 +146,7 @@ def test_back_and_forth_round_failure_reports_round(rng):
 def test_rounds_log_the_schedule_delta(rng):
     # at ambient 64 the clamp in make_schedule binds in rounds 5 and 6, so
     # the schedule's delta is below the alignment bound's own threshold
-    tower, xi, eta = intertwine_instance(rng, ambient=64, levels=6,
+    tower, xi, eta = intertwine_instance(rng, ambient=64, branchings=[2] * 6,
                                          commutant_level=6, twist=1e-9)
     sched = make_schedule(tower, 0.1, 6)
     result = back_and_forth(tower, xi, eta, tower.level_generators(1), sched)
@@ -160,7 +154,7 @@ def test_rounds_log_the_schedule_delta(rng):
 
 
 def test_round_checked_against_schedule_delta(rng):
-    tower, xi, eta = intertwine_instance(rng, ambient=64, levels=6,
+    tower, xi, eta = intertwine_instance(rng, ambient=64, branchings=[2] * 6,
                                          commutant_level=6, twist=1e-9)
     sched = make_schedule(tower, 0.1, 3)
     gap = back_and_forth(tower, xi, eta, [], sched).logs[1]["gap"]
@@ -207,8 +201,8 @@ def test_back_and_forth_rejects_a_schedule_with_missing_rounds(rng, field):
 
 
 def test_path_bound_rejects_wrong_size_elements(rng):
-    # on the tower's split path and on the same segments without the level
-    # record, an element that is not 16 x 16 returns no bound
+    # on the tower path and on a plain path of the same segments, an element
+    # that is not 16 x 16 returns no bound
     tower, xi, eta = _small_instance(rng)
     result = back_and_forth(tower, xi, eta, [], make_schedule(tower, 0.1, 3))
     path = assemble_path(result)
@@ -234,7 +228,7 @@ def test_assemble_path_rejects_forged_odd_product(rng):
     tower, xi, eta = _small_instance(rng)
     sched = make_schedule(tower, 0.1, 1)
     result = back_and_forth(tower, xi, eta, [], sched)
-    forged = replace(result, odd_product=random_unitary(rng, 16) @ result.odd_product)
+    forged = replace(result, odd_factor=random_unitary(rng, 8) @ result.odd_factor)
     with pytest.raises(AssemblyError):
         assemble_path(forged)
 
@@ -257,8 +251,9 @@ def test_assembled_commutation_sup_dominates_sampled_ad_form(rng):
 def test_path_bound_takes_the_dense_terms_where_the_split_bound_reaches_the_limit(
         rng, monkeypatch):
     # Where a pair's split bound reaches 4 eps / 3 the path bound takes that
-    # pair's dense Duhamel term, which a path without the level record takes
-    # for every pair; so each reported sup is the dense one, and so is every
+    # pair's dense Duhamel term, which a plain UnitaryPath of the same
+    # segments takes for every pair, in path.py; so each reported sup is the
+    # dense one, and so is every
     # pass or fail.  Off level 1 every pair falls back and fails; the tail at
     # c = 0.02 falls back and passes; on level 1 with eps = 1e-14 the limit
     # is below the rounding allowance, so every pair falls back and fails.
@@ -272,7 +267,7 @@ def test_path_bound_takes_the_dense_terms_where_the_split_bound_reaches_the_limi
                                  (low, replace(schedule, eps=1e-14), False)):
         path = assemble_path(back_and_forth(tower, xi, eta, fixed, sched))
         limit = 4 * sched.eps / 3
-        assert path.commutant.limit == limit
+        assert (path.level, path.limit) == (2, limit)
         dense = UnitaryPath(path.segments).commutator_bound(fixed)
         calls.clear()
         sup = assembled_commutation_sup(path, fixed)
@@ -328,7 +323,7 @@ def test_round_commutations_match_rebuilt_companions(rng):
     # levels 2 + n % 2 .. n, w = u_{n-1}^* u_{n-3}^* ..., as
     # ||[w^* u_n w, x]||; the twist keeps rounds after the first from being
     # the identity, and the drift bound certifies every round
-    tower, xi, eta = intertwine_instance(rng, ambient=16, levels=4,
+    tower, xi, eta = intertwine_instance(rng, ambient=16, branchings=[2] * 4,
                                          commutant_level=3, twist=1e-5)
     fixed = tower.level_generators(1)
     result = back_and_forth(tower, xi, eta, fixed, make_schedule(tower, 0.1, 3))
@@ -344,7 +339,7 @@ def test_companions_take_the_dense_norm_where_the_drift_bound_reaches_the_budget
     # tolerances stay): the drift bound now reaches them, so each round with
     # companions falls back to their dense norms and logs them; round 3's
     # are far below its drift bound and pass where the bound would not
-    tower, xi, eta = intertwine_instance(rng, ambient=16, levels=4,
+    tower, xi, eta = intertwine_instance(rng, ambient=16, branchings=[2] * 4,
                                          commutant_level=3, twist=1e-5)
     schedule = replace(make_schedule(tower, 0.1, 3), eps=1e-9)
     result = back_and_forth(tower, xi, eta, [], schedule)
@@ -358,7 +353,7 @@ def test_companions_take_the_dense_norm_where_the_drift_bound_reaches_the_budget
 
 
 def _twisted_instance(rng):
-    return intertwine_instance(rng, ambient=16, levels=4, commutant_level=3,
+    return intertwine_instance(rng, ambient=16, branchings=[2] * 4, commutant_level=3,
                                twist=1e-5)
 
 
@@ -391,7 +386,7 @@ def test_rounds_measure_fixed_set_and_open_companions_only(rng, monkeypatch, rou
     # first is 1e-9 from the identity; a level-3 fixed set takes the dense
     # norm in rounds 1 and 2, where it is far from the level, and in the
     # three final Ad sups
-    tower, xi, eta = intertwine_instance(rng, ambient=64, levels=6,
+    tower, xi, eta = intertwine_instance(rng, ambient=64, branchings=[2] * 6,
                                          commutant_level=6, twist=1e-9)
     calls = _count_dense_norms(monkeypatch, 64)
     schedule = make_schedule(tower, 0.1, rounds)
@@ -437,8 +432,8 @@ def test_unmeasured_commutators_vanish(rng):
 def test_level_generators_are_embedded_level_elements():
     tower = build_tower([2] * 8, 256)
     for n in range(1, tower.depth + 1):
-        blk = tower.level_block(n)
-        m = blk.n
+        m = tower.sizes[n - 1]
+        blk = full_matrix_units(m, 256 // m)
         shift = np.zeros((m, m), dtype=complex)
         shift[np.arange(m), (np.arange(m) + 1) % m] = 1.0
         clock = np.diag(np.exp(2j * np.pi * np.arange(m) / m))
@@ -465,25 +460,23 @@ small_or_zero = st.one_of(st.just(0.0), st.floats(1e-12, 1e-2))
 
 @settings(max_examples=200, deadline=None)
 @given(dim=st.sampled_from([8, 16, 32]), level=st.integers(1, 4),
-       delta=small_or_zero, delta_x=small_or_zero, near_pi=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_commutator_bound_dominates_dense_norm(dim, level, delta, delta_x, near_pi,
-                                               seed):
-    # u = (1_s (x) W) exp(i delta K) and x = X (x) 1_q + delta' Y: the bound
-    # is at least the dense commutator and, times ||u||'s bound, the dense
-    # Ad form, with no tolerance
+       delta_x=small_or_zero, near_pi=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_commutator_bound_dominates_dense_norm(dim, level, delta_x, near_pi, seed):
+    # u = 1_s (x) W exactly and x = X (x) 1_q + delta' Y: the bound from
+    # c = ||W|| is at least the dense commutator and, times c, the dense Ad
+    # form, with no tolerance
     s = 2 ** min(level, dim.bit_length() - 2)
     q = dim // s
     rng = np.random.default_rng(seed)
     w = _unitary_near_minus_one(rng, q) if near_pi else random_unitary(rng, q)
-    u = np.kron(np.eye(s), w) @ expm_skew(_hermitian(rng, dim), delta)
+    u = np.kron(np.eye(s), w)
     a = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
     y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     x = np.kron(a, np.eye(q)) + delta_x * y
-    u_split = commutant_split(u, s)
-    bound = commutator_bound(u_split, level_split(x, s), dim)
+    c = op_norm(w)
+    bound = commutator_bound(c, level_split(x, s), dim)
     assert bound >= op_norm(u @ x - x @ u)
-    assert (u_split.factor + u_split.rest) * bound >= op_norm(u @ x @ dagger(u) - x)
+    assert c * bound >= op_norm(u @ x @ dagger(u) - x)
 
 
 @settings(max_examples=200, deadline=None)
@@ -572,8 +565,8 @@ def _branching_instance(rng, ambient, branching, twist):
     twisted by exp(i twist h) with ||h|| = 1."""
     depth = round(np.log(ambient) / np.log(branching)) - 1
     tower = build_tower([branching] * depth, ambient)
-    blk = tower.level_block(depth)
-    v = np.kron(np.eye(blk.n), random_unitary(rng, blk.multiplicity))
+    size = tower.sizes[depth - 1]
+    v = np.kron(np.eye(size), random_unitary(rng, ambient // size))
     if twist:
         v = v @ expm_skew(_hermitian(rng, ambient), twist)
     xi = random_state(rng, ambient)
@@ -591,7 +584,8 @@ def _dense_rounds(tower, xi, eta, schedule):
     for n in range(1, schedule.rounds + 1):
         side, other = products[n % 2], products[1 - n % 2]
         y, t = (eta, xi) if n % 2 else (xi, eta)
-        res = commutant_transport(tower.level_block(n), dagger(side) @ y,
+        s_n = tower.sizes[n - 1]
+        res = commutant_transport(full_matrix_units(s_n, dim // s_n), dagger(side) @ y,
                                   dagger(other) @ t, schedule.inner_tols[n - 1])
         u_n = dagger(res.path.end())
         rounds.append((u_n, other))

@@ -13,7 +13,6 @@ from state_transport.group import group_state_transport
 from state_transport.intertwine import assemble_path, back_and_forth, make_schedule
 from state_transport.linalg import dagger, op_norm
 from state_transport.path import (
-    CommutantLevel,
     PathSegment,
     UnitaryPath,
     concat_paths,
@@ -147,7 +146,7 @@ def test_length_is_generator_norm_without_eigh(rng):
 def _tower_path(rng):
     """The assembled path of a 16-dimensional tower: two odd rounds, the
     second based at the first's unitary."""
-    tower, xi, eta = intertwine_instance(rng, ambient=16, levels=4,
+    tower, xi, eta = intertwine_instance(rng, ambient=16, branchings=[2] * 4,
                                          commutant_level=3, twist=1e-7)
     return assemble_path(back_and_forth(tower, xi, eta, [], make_schedule(tower, 0.1, 3)))
 
@@ -276,16 +275,17 @@ TOWER_FIXED_SETS = {
        seed=st.integers(0, 2**32 - 1))
 def test_commutator_bound_dominates_sampled_sup_on_tower_path(name, ambient, rounds,
                                                               twist, seed):
-    # the tower path carries level 1 and the limit 4 eps / 3, so its bound
-    # reads the level-1 splits, and the dense terms for a pair whose split
-    # bound reaches the limit (levels 2 and 3, and the tails at 16 dims)
+    # the tower path is 1_2 (x) its factor path with the limit 4 eps / 3, so
+    # its bound reads the level-1 splits, and the dense terms for a pair
+    # whose split bound reaches the limit (levels 2 and 3, and the tails at
+    # 16 dims)
     rng = np.random.default_rng(seed)
     tower, xi, eta = intertwine_instance(rng, ambient=ambient,
-                                         levels=ambient.bit_length() - 1,
+                                         branchings=[2] * (ambient.bit_length() - 1),
                                          commutant_level=3, twist=twist)
     result = back_and_forth(tower, xi, eta, [], make_schedule(tower, 0.1, rounds))
     path = assemble_path(result)
-    assert path.commutant == CommutantLevel(2, 4 * 0.1 / 3)
+    assert (path.level, path.limit) == (2, 4 * 0.1 / 3)
     fixed = TOWER_FIXED_SETS[name](tower)
     assert path.commutator_bound(fixed) >= _commutator_oracle(path, fixed, 257)
 
