@@ -26,7 +26,6 @@ from .circle import (
 from .errors import (
     ArcOutsideBlockError,
     AssemblyError,
-    BranchCutError,
     CertificateError,
     DegenerateWindowError,
     DetourFailureError,

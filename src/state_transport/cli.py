@@ -250,14 +250,14 @@ def _run_intertwine(config):
     ambient = int(config.get("ambient", 256))
     eps = float(config.get("eps", 0.1))
     rounds = int(config.get("rounds", 6))
+    # Too many rounds raise here, before the instance reads level ``rounds``.
+    schedule = make_schedule(build_tower(branchings, ambient), eps, rounds)
     if rounds == 0:
-        build_tower(branchings, ambient)
         return {"rounds": 0}, {}, None
+    # The states agree exactly on every level a round aligns.
     tower, xi, eta = intertwine_instance(
-        rng, ambient=ambient, branchings=branchings,
-        commutant_level=min(6, len(branchings)), twist=0.0,
+        rng, ambient=ambient, branchings=branchings, commutant_level=rounds, twist=0.0,
     )
-    schedule = make_schedule(tower, eps, rounds)
     fixed = tower.level_generators(1)
     result = back_and_forth(tower, xi, eta, fixed, schedule)
     path = assemble_path(result)

@@ -35,10 +35,6 @@ class SingularMatrixError(StateTransportError):
     """Matrix is rank deficient beyond the allowed tolerance."""
 
 
-class BranchCutError(StateTransportError):
-    """Unitary has spectrum touching -1; principal logarithm undefined."""
-
-
 class DimensionError(StateTransportError):
     """Ambient dimension too small for the requested construction."""
 

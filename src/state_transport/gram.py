@@ -13,7 +13,7 @@ from .errors import (
     NotPSDError,
     ParameterError,
 )
-from .linalg import dagger, psd_sqrt
+from .linalg import _unitary_eig, dagger, psd_sqrt
 
 NORMALIZED_FAMILY_TOL = 1e-12
 # Singular values of the aligned src rows below this fraction of the largest
@@ -118,10 +118,13 @@ def greedy_pivot_select(fam: VectorFamily, m: int) -> list[int]:
 
 @dataclass
 class AlignmentResult:
-    """Unitary aligning two families, with its certified residual bound and
-    ``gap``, the Gram gap its gate measured below delta."""
+    """Unitary U = 1 + V diag(e^{i angles} - 1) V^* aligning two families,
+    held as its rotation's eigenpairs, V = ``vectors`` with at most 2k
+    orthonormal columns; its certified residual bound, and ``gap``, the
+    Gram gap its gate measured below delta."""
 
-    unitary: np.ndarray
+    angles: np.ndarray
+    vectors: np.ndarray
     residuals: np.ndarray
     bound: float
     full_rank: bool
@@ -131,6 +134,20 @@ class AlignmentResult:
     @property
     def max_residual(self) -> float:
         return float(np.max(self.residuals)) if self.residuals.size else 0.0
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """The dense U, built on demand."""
+        eye = np.eye(len(self.vectors))
+        return eye + self.turn(eye).T
+
+    def turn(self, rows: np.ndarray) -> np.ndarray:
+        """rows (U - 1)^T: U - 1 applied to each row, through V alone."""
+        return _turn(rows, self.angles, self.vectors)
+
+
+def _turn(rows: np.ndarray, angles: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    return ((rows @ vectors.conj()) * (np.exp(1j * angles) - 1.0)) @ vectors.T
 
 
 def alignment_bound(n: int, dim: int, delta: float) -> float:
@@ -159,6 +176,11 @@ def align_unitary(src: VectorFamily, dst: VectorFamily, delta: float) -> Alignme
     with P = F F^*: it maps F_x onto F_y, so every chosen src row onto the
     completion, and is the minimal rotation between the complements.  The
     remaining residuals obey ``alignment_bound``.
+
+    That M is the identity off span(F_x, F_y), which M and M^* keep; so with
+    Q from one reduced QR of [F_x, F_y], polar(M) = 1 + Q (polar(C) - 1) Q^*
+    for C = Q^* M Q, at most 2k x 2k, whose Schur pairs (lam, z) give
+    ``angles`` = angle lam and ``vectors`` = Q z.
     """
     if src.dim != dst.dim or src.size != dst.size:
         raise ParameterError("families must share dimension and size")
@@ -179,13 +201,18 @@ def align_unitary(src: VectorFamily, dst: VectorFamily, delta: float) -> Alignme
     k = int(np.sum(s > SRC_RANK_RTOL * s[0])) if s.size else 0
     fx = bh[:k].T  # = (A_k^* Omega_x)^T
     fy = (dagger(a[:, :k]) @ ay @ byh).T
-    eye = np.eye(dim)
-    m = fy @ dagger(fx) + (eye - fy @ dagger(fy)) @ (eye - fx @ dagger(fx))
-    um, _, vmh = np.linalg.svd(m)
-    u = um @ vmh
+    q, rq = np.linalg.qr(np.hstack([fx, fy]))
+    gx, gy = rq[:, :k], rq[:, k:]  # = Q^* F_x, Q^* F_y
+    eye = np.eye(q.shape[1])
+    c = gy @ dagger(gx) + (eye - gy @ dagger(gy)) @ (eye - gx @ dagger(gx))
+    uc, _, vch = np.linalg.svd(c)
+    lam, z = _unitary_eig(uc @ vch)
+    angles, vectors = np.angle(lam), q @ z
+    moved = src.vectors + _turn(src.vectors, angles, vectors)
     return AlignmentResult(
-        unitary=u,
-        residuals=np.linalg.norm(src.vectors @ u.T - dst.vectors, axis=1),
+        angles=angles,
+        vectors=vectors,
+        residuals=np.linalg.norm(moved - dst.vectors, axis=1),
         bound=alignment_bound(n, dim, delta),
         full_rank=full_rank,
         gap=gap,

@@ -16,7 +16,7 @@ import numpy as np
 from .algebra import TensorSplit, _level_part, commutator_bound, level_split
 from .errors import AssemblyError, HypothesisError, ParameterError, RoundFailureError
 from .gram import VectorFamily, align_unitary
-from .linalg import _unitary_eig, check_operators, check_state, dagger, norm_at_most, op_norm
+from .linalg import check_operators, check_state, dagger, norm_at_most, op_norm
 from .path import PathSegment, UnitaryPath
 from .transport import invert_alignment_bound
 
@@ -217,8 +217,9 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     ``RoundFailureError``.  Mis-sized states or fixed elements raise
     ``DimensionError``; a schedule with more rounds than levels, or without
     one delta and inner tolerance per round, ``ParameterError``.
-    Logs record the gap, the terminal error ||X c_n^T - Y||_F, and the
-    commutation error of u_n over the fixed set and the open companions.
+    Logs record the gap, the terminal error ||X c_n^T - Y||_F (the 2-norm
+    of the alignment's residuals), and the commutation error of u_n over
+    the fixed set and the open companions.
     A fixed element's commutation is ``commutator_bound`` at level n when
     that is below the round budget, and the dense norm otherwise; the logs
     also record the largest distance ||x - E_n x||_F of the fixed set from
@@ -239,10 +240,11 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
 
     Odd round n = 2k + 1 adds to the factor path the segment
     P e^{-i (t - k) h} = e^{-i (t - k) P h P^*} P on [k, k + 1], eigenpairs
-    (-tile(angle lam, m), P (1_m (x) q)) and base P, for the Schur pair
-    (lam, q) of c_n, m = s_n / s and the odd product's factor P before the
-    round.  ``path`` is the ``TowerPath`` 1_s (x) that factor path, with the
-    limit ``ad_odd_bound`` = 4 eps / 3.
+    (-tile(angles, m), P (1_m (x) q)) and base P, for the eigenpairs
+    (angles, q) the alignment holds c_n as, q with at most
+    min(D / s_n, 2 s_n) columns, m = s_n / s and the odd product's factor P
+    before the round.  ``path`` is the ``TowerPath`` 1_s (x) that factor
+    path, with the limit ``ad_odd_bound`` = 4 eps / 3.
     """
     dim = tower.ambient_dim
     xi = check_state(omega1, dim=dim)
@@ -287,12 +289,10 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
             raise RoundFailureError(f"round {n} admissibility failed with gap {gap:.3e} "
                                     f">= delta {delta:.3e}", round_index=n,
                                     measured_gap=gap) from exc
-        lam, q = _unitary_eig(align.unitary)
-        angles = np.angle(lam)
-        turn = (q * (np.exp(1j * angles) - 1.0)) @ dagger(q)
-        terminal = float(np.linalg.norm(y + y @ turn.T - t))
+        angles, q = align.angles, align.vectors
+        terminal = float(np.linalg.norm(align.residuals))
         # u_n = 1_{s_n} (x) c_n^* = 1_s (x) u, with c_n^* formed from the
-        # Schur pair as c_n's own turn is.
+        # eigenpairs as c_n's own residuals are.
         corner = np.eye(len(q)) + (q * (np.exp(-1j * angles) - 1.0)) @ dagger(q)
         corners.append(corner)
         u = _lift(corner, m)
@@ -428,9 +428,10 @@ def _ad_sup(w, s, fixed_set, level1, limit) -> float:
 
 def assemble_path(result: IntertwineResult) -> UnitaryPath:
     """The based path through the odd-round unitaries that ``back_and_forth``
-    built, checked to end at the odd product."""
+    built, checked to end at the odd product: its factor path ends at the
+    odd factor, since ||1_s (x) A|| = ||A||."""
     path = result.path
-    if not norm_at_most(path.end() - result.odd_product, 1e-8):
+    if not norm_at_most(path.factor.end() - result.odd_factor, 1e-8):
         raise AssemblyError("assembled path does not end at the odd product")
     return path
 

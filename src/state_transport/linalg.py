@@ -11,7 +11,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    BranchCutError,
     DimensionError,
     NotFiniteError,
     NotHermitianError,
@@ -22,7 +21,6 @@ from .errors import (
 
 HERMITIAN_RTOL = 1e-12
 UNITARY_TOL = 1e-10
-LOG_BRANCH_MARGIN = 1e-6
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> complex:
@@ -155,17 +153,4 @@ def _unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``unitary_eig`` for a library-built or already checked unitary."""
     t, q = scipy.linalg.schur(u, output="complex")
     return np.diag(t), q
-
-
-def logm_unitary(u: np.ndarray) -> np.ndarray:
-    """Principal logarithm: Hermitian h with exp(i h) = u, spectrum in (-pi, pi).
-
-    Rejects unitaries whose spectrum comes within an angular margin of -1.
-    """
-    lam, q = unitary_eig(u)
-    angles = np.angle(lam)
-    if np.any(np.pi - np.abs(angles) < LOG_BRANCH_MARGIN):
-        raise BranchCutError("spectrum touches -1; principal branch undefined")
-    h = (q * angles) @ dagger(q)
-    return (h + dagger(h)) / 2
 

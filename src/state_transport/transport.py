@@ -14,14 +14,7 @@ import numpy as np
 from .algebra import BlockAlgebra, MatrixUnits
 from .errors import CertificateError, DisjointnessError, HypothesisError, ParameterError
 from .gram import VectorFamily, align_unitary, alignment_bound
-from .linalg import (
-    _unitary_eig,
-    check_state,
-    check_unitary,
-    dagger,
-    inner,
-    op_norm,
-)
+from .linalg import check_state, check_unitary, dagger, inner, op_norm
 from .path import PathSegment, UnitaryPath, concat_paths, merge_orthogonal_paths
 
 COLINEAR_TOL = 1e-9
@@ -91,8 +84,8 @@ def geodesic_lower_bound(path: UnitaryPath, xi: np.ndarray, eta: np.ndarray,
     within r of Re<xi, eta>.  By Bhatia-Davis the spectra of two unitaries
     are within their operator-norm distance in the optimal matching
     distance, so along a path from 1 every eigenvalue of u(1) travels at
-    least its angle, and phi <= ``path.length`` is checked.  One Schur form
-    of u(1); ``samples`` is accepted for older callers and ignored.
+    least its angle, and phi <= ``path.length`` is checked.  One eigenvalue
+    solve of u(1); ``samples`` is accepted for older callers and ignored.
     """
     xi = check_state(xi)
     eta = check_state(eta)
@@ -102,8 +95,7 @@ def geodesic_lower_bound(path: UnitaryPath, xi: np.ndarray, eta: np.ndarray,
         raise HypothesisError("path endpoint does not transport xi to eta",
                               measured_gap=residual)
     theta = geodesic_angle(xi, eta)
-    lam, _ = _unitary_eig(u1)
-    angles = np.abs(np.angle(lam))
+    angles = np.abs(np.angle(np.linalg.eigvals(u1)))
     candidates = angles[np.cos(angles) <= np.cos(theta) + residual + 1e-13]
     if candidates.size == 0:  # numerical safety; the mean-value bound forbids this
         candidates = np.array([theta])
@@ -120,13 +112,13 @@ def spectrum_match(u: np.ndarray, v: np.ndarray, lam: complex) -> complex:
     |lam - mu| <= ||u - v||."""
     u = check_unitary(u)
     v = check_unitary(v)
-    spec_u, _ = _unitary_eig(u)
+    spec_u = np.linalg.eigvals(u)
     if np.min(np.abs(spec_u - lam)) > 1e-8:
         raise HypothesisError(
             "lambda is not in the spectrum of u",
             measured_gap=float(np.min(np.abs(spec_u - lam))),
         )
-    spec_v, _ = _unitary_eig(v)
+    spec_v = np.linalg.eigvals(v)
     mu = complex(spec_v[np.argmin(np.abs(spec_v - lam))])
     gap = abs(lam - mu)
     if gap > op_norm(u - v) + 1e-8:
@@ -225,16 +217,17 @@ def commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
     """Path in the commutant of the matrix units moving xi close to eta.
 
     The generator is the lift sum_i e_i1 h e_1i of the corner generator
-    h = q diag(angle lam) q^* of the alignment unitary's Schur pair
-    (lam, q): the segment holds w = tile(angle lam, n) and
-    v = V (1_n (x) q) (``lift_columns``), so it has norm <= pi and
-    commutes with every e_ij exactly.  The admissibility threshold delta
-    is derived from the alignment bound at tolerance eps / sqrt(n), and the
-    alignment's gate is the only admissibility test: the Gram gaps of the
-    corner families are the e_ij statistics gaps, so a gap at or above
-    delta raises ``HypothesisError`` carrying it.  With ``exact`` a short
-    geodesic repair segment is appended so that u(1) xi = eta exactly, at
-    the cost of a commutator contribution of the order of the residual.
+    h = q diag(angles) q^* of the corner alignment's rotation, held as its
+    eigenpairs, q with at most min(r, 2 n) columns: the segment holds
+    w = tile(angles, n) and v = V (1_n (x) q) (``lift_columns``), so it has
+    norm <= pi and commutes with every e_ij exactly.  The admissibility
+    threshold delta is derived from the alignment bound at tolerance
+    eps / sqrt(n), and the alignment's gate is the only admissibility test:
+    the Gram gaps of the corner families are the e_ij statistics gaps, so a
+    gap at or above delta raises ``HypothesisError`` carrying it.  With
+    ``exact`` a short geodesic repair segment is appended so that
+    u(1) xi = eta exactly, at the cost of a commutator contribution of the
+    order of the residual.
     """
     xi = check_state(xi, dim=mu.ambient_dim)
     eta = check_state(eta, dim=mu.ambient_dim)
@@ -243,15 +236,13 @@ def commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
     families = mu.corner_families(xi)
     align = align_unitary(VectorFamily(r, families),
                           VectorFamily(r, mu.corner_families(eta)), delta)
-    lam, q = _unitary_eig(align.unitary)
-    angles = np.angle(lam)
-    path = UnitaryPath([PathSegment(0.0, 1.0, np.tile(angles, n), mu.lift_columns(q),
+    path = UnitaryPath([PathSegment(0.0, 1.0, np.tile(align.angles, n),
+                                    mu.lift_columns(align.vectors),
                                     np.eye(mu.ambient_dim, dtype=complex))])
     # u(1) = 1 + V (1_n (x) (c - 1)) V^* moves the corner families X of xi
     # to X c^T and fixes the complement of V V^*, so u(1) xi needs no
     # ambient matrix.
-    turn = (q * (np.exp(1j * angles) - 1.0)) @ dagger(q)
-    moved = xi + mu.isometry @ (families @ turn.T).reshape(-1)
+    moved = xi + mu.isometry @ align.turn(families).reshape(-1)
     terminal = float(np.linalg.norm(moved - eta))
     repair_length = 0.0
     if exact and terminal > 1e-13:

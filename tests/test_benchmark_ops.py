@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import state_transport
 import state_transport.serialize  # noqa: F401  (the ops call st.serialize)
@@ -228,3 +229,43 @@ def test_tower_round_is_one_corner_alignment():
         assert not rec.failed, rec.failure_types()
         assert calls == {"align_unitary": x["rounds"], "commutant_transport": 0,
                          "lift_columns": 0, "coefficients_of_state": 0}
+
+
+def test_tower_alignment_decomposes_at_most_its_frames_span(monkeypatch):
+    # align_unitary compresses its rotation to the span of its two frames,
+    # at most 2k x 2k with k <= min(s_n, D / s_n), so on the full-size op
+    # no square SVD or Schur form taken while it runs exceeds 16 x 16.
+    # Entries and exits of align_unitary are tracked by code object,
+    # however it is reached.
+    workload = workloads.WORKLOADS["tower-256"]
+    code = state_transport.gram.align_unitary.__code__
+    inner = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
+    depth = [0]
+    shapes = []
+
+    def counting(f):
+        def counted(a, *args, **kwargs):
+            if depth[0] and a.shape[0] == a.shape[1]:
+                shapes.append(a.shape[0])
+            return f(a, *args, **kwargs)
+        return counted
+
+    svd = counting(inner.svd)
+    monkeypatch.setattr(inner, "svd", svd)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(scipy.linalg, "schur", counting(scipy.linalg.schur))
+
+    def profile(frame, event, arg):
+        if frame.f_code is code:
+            depth[0] += {"call": 1, "return": -1}.get(event, 0)
+
+    x = workload.inputs(1, False)[0]
+    sys.setprofile(profile)
+    try:
+        rec = workloads.run_op(state_transport, workload, x)
+    finally:
+        sys.setprofile(None)
+    assert not rec.failed, rec.failure_types()
+    assert depth[0] == 0
+    assert shapes, "no decomposition seen: the count does not reach align_unitary"
+    assert max(shapes) <= 16

@@ -247,10 +247,22 @@ def _run_intertwine_config(tmp_path, name, **config):
     return code, out, csv
 
 
-def test_run_intertwine(tmp_path):
+def test_run_intertwine(tmp_path, monkeypatch):
+    # The states agree on level 3, not on the ambient level 4, where they
+    # would be equal up to a phase and every round trivial.
+    back_and_forth = state_transport.cli.back_and_forth
+    states = []
+
+    def kept(tower, xi, eta, *args):
+        states.append((xi, eta))
+        return back_and_forth(tower, xi, eta, *args)
+
+    monkeypatch.setattr(state_transport.cli, "back_and_forth", kept)
     config = {"branchings": [2] * 4, "ambient": 16, "rounds": 3, "seed": 5}
     code, out, csv = _run_intertwine_config(tmp_path, "a", **config)
     assert code == EXIT_PASS
+    (xi, eta), = states
+    assert abs(np.vdot(xi, eta)) < 0.99
     assert json.loads(out.read_text())["pass"] is True
     lines = csv.read_text().strip().split("\n")
     assert lines[0] == "round,side,gap,terminal,commutation,budget"
@@ -289,7 +301,9 @@ def test_run_intertwine_zero_rounds(tmp_path):
 
 
 def test_run_intertwine_bad_tower_is_usage_error(tmp_path):
-    for rounds in (0, 3):
+    # a level that does not divide the ambient, or more rounds than levels
+    for branchings, ambient, rounds in (([2, 2, 2], 12, 0), ([2, 2, 2], 12, 3),
+                                        ([2] * 4, 16, 5)):
         code, _, _ = _run_intertwine_config(
-            tmp_path, f"bad{rounds}", branchings=[2, 2, 2], ambient=12, rounds=rounds)
+            tmp_path, f"bad{rounds}", branchings=branchings, ambient=ambient, rounds=rounds)
         assert code == EXIT_USAGE

@@ -265,6 +265,12 @@ def test_align_unitary_matches_staged_oracle(pair):
     delta = 2 * float(np.max(np.abs(gram_matrix(src) - gram_matrix(dst)))) + 1e-14
     res = align_unitary(src, dst, delta)
     u_oracle, residuals_oracle = _staged_align(src, dst)
+    # The rotation is held as at most 2k <= 2 min(n, dim) orthonormal
+    # eigenvectors, and the dense unitary built from them is the oracle's.
+    v = res.vectors
+    assert res.angles.shape == (v.shape[1],) and len(v) == src.dim
+    assert v.shape[1] <= 2 * min(src.size, src.dim)
+    assert np.linalg.norm(dagger(v) @ v - np.eye(v.shape[1])) <= 1e-12
     assert op_norm(res.unitary - u_oracle) <= 1e-10
     assert np.max(np.abs(res.residuals - residuals_oracle)) <= 1e-12
     assert np.all(res.residuals <= res.bound)

@@ -15,6 +15,7 @@ from state_transport.errors import (
 )
 from state_transport.intertwine import (
     AlgebraTower,
+    _ad_sup,
     assemble_path,
     assembled_commutation_sup,
     back_and_forth,
@@ -222,6 +223,18 @@ def test_assemble_path_endpoint(rng):
     assert op_norm(path.end() - result.odd_product) < 1e-8
     sup = assembled_commutation_sup(path, fixed, samples=9)
     assert sup <= 4 * 0.1 / 3 + 1e-6
+
+
+def test_assemble_path_lifts_nothing(rng, monkeypatch):
+    # ||1_s (x) A|| = ||A||, so the endpoint check compares the factor
+    # path's end with the odd factor and lifts neither to the ambient.
+    tower, xi, eta = _small_instance(rng)
+    result = back_and_forth(tower, xi, eta, [], make_schedule(tower, 0.1, 3))
+    lifts = []
+    monkeypatch.setattr("state_transport.intertwine._lift",
+                        lambda factor, s: lifts.append(s) or np.kron(np.eye(s), factor))
+    assert assemble_path(result) is result.path
+    assert lifts == []
 
 
 def test_assemble_path_rejects_forged_odd_product(rng):
@@ -531,10 +544,9 @@ def test_final_ad_sups_dominate_dense_values(rng, level):
 
 
 def test_final_ad_sups_cover_the_products_unitarity_defect():
-    # The computed products are unitary only to rounding, and on this
-    # instance ||W x W^* - x|| of the odd product is all defect, 8.0e-15,
-    # above the rounding allowance 2 * 16 * 2^-52 = 7.1e-15 of the split
-    # bound alone: each Ad sup adds ||x|| ||w w^* - 1||_F.
+    # The computed products are unitary only to rounding, so each Ad sup
+    # adds ||x|| ||w w^* - 1||_F to the split bound, whose own rounding
+    # allowance is 2 * 16 * 2^-52 = 7.1e-15 here.
     tower, xi, eta = _branching_instance(np.random.default_rng(255), 16, 2, 1e-9)
     fixed = tower.level_generators(1)
     result = back_and_forth(tower, xi, eta, fixed, make_schedule(tower, 0.1, 1))
@@ -543,7 +555,16 @@ def test_final_ad_sups_cover_the_products_unitarity_defect():
                    ("combined", p_odd @ dagger(p_even))):
         dense = max(op_norm(w @ x @ dagger(w) - x) for x in fixed)
         assert result.final[f"ad_{key}_sup"] >= dense
-    assert max(op_norm(p_odd @ x @ dagger(p_odd) - x) for x in fixed) > 7.2e-15
+    # A factor off unitarity by the relative scale 1e-14, whatever the
+    # rounding: ||W x W^* - x|| = ((1 + 1e-14)^2 - 1) ||x||, all defect and
+    # above that allowance, and the sup still covers it.
+    s = result.level
+    w = (1.0 + 1e-14) * result.odd_factor
+    lifted = np.kron(np.eye(s), w)
+    dense = max(op_norm(lifted @ x @ dagger(lifted) - x) for x in fixed)
+    assert dense > 7.2e-15
+    level1 = [level_split(x, s) for x in fixed]
+    assert _ad_sup(w, s, fixed, level1, np.inf) >= dense
 
 
 @pytest.mark.parametrize("rounds", [1, 2, 3])

@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from state_transport.errors import (
-    BranchCutError,
     DimensionError,
     NotFiniteError,
     NotHermitianError,
@@ -23,7 +22,6 @@ from state_transport.linalg import (
     dagger,
     expm_skew,
     inner,
-    logm_unitary,
     op_norm,
     psd_sqrt,
     unitary_eig,
@@ -76,19 +74,6 @@ def test_unitary_eig_reconstructs(rng, make_unitary):
     lam, q = unitary_eig(u)
     assert np.allclose(np.abs(lam), 1.0)
     assert op_norm((q * lam) @ dagger(q) - u) < 1e-10
-
-
-def test_logm_unitary_roundtrip(rng):
-    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    h = (h + dagger(h)) / 2
-    h = h / op_norm(h) * 2.0  # spectrum well inside (-pi, pi)
-    u = expm_skew(h)
-    assert op_norm(logm_unitary(u) - h) < 1e-10
-
-
-def test_logm_unitary_branch_cut():
-    with pytest.raises(BranchCutError):
-        logm_unitary(np.diag([-1.0 + 0j, 1.0]))
 
 
 def test_public_primitives_reject_invalid_input_with_typed_errors(rng):
