@@ -9,7 +9,7 @@ while nearly fixing the prescribed finite set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -150,55 +150,79 @@ def _lift(factor: np.ndarray, s: int) -> np.ndarray:
     return np.kron(np.eye(s), factor)
 
 
+def _defect(m: np.ndarray) -> float:
+    """||m^* m - 1||_F, which bounds the defect ||m^* m - 1|| of m from an
+    isometry."""
+    return float(np.linalg.norm(dagger(m) @ m - np.eye(m.shape[1])))
+
+
+def _eigenpair_defect(q: np.ndarray) -> float:
+    """d = 4 e (1 + e) with e = ``_defect(q)``: for every diagonal D with
+    |D_ii + 1| = 1, M = 1 + q D q^* has M^* M - 1 = q D^* (q^* q - 1) D q^*,
+    of norm at most ||q||^2 ||D||^2 e <= 4 e (1 + e)."""
+    e = _defect(q)
+    return 4.0 * e * (1.0 + e)
+
+
+def _norm_bound(defect: float, dim: int) -> float:
+    """Certified ||M|| <= sqrt((1 + d) / (1 - g)) for a dim x dim M that is
+    unitary up to d >= ||M^* M - 1||, so that no unitary the tower builds is
+    decomposed to learn that ||M|| ~ 1: ||M||^2 = ||M^* M|| <= 1 + d +
+    g ||M||^2.  The allowance g = 16 dim 2^-52 covers rounding, each product
+    erring by about dim 2^-52 times the norms of its factors: up to
+    8 dim 2^-52 in ||M||^2 for the two products that form M from eigenpairs
+    (norms up to 2), 4 dim 2^-52 for the one that measures d (through e for
+    eigenpairs) and 2 dim 2^-52 for the SVD the rule replaces."""
+    return float(np.sqrt((1.0 + defect) / (1.0 - 16.0 * dim * np.finfo(float).eps)))
+
+
 class TowerPath(UnitaryPath):
     """The path 1_s (x) f(t) in the commutant of the level M_s (x) 1, for a
-    path ``factor`` f of size D / s.  Its segments are the lifts of f's, so
-    its length, transforms and encoding are those of the ambient path;
-    ``at`` and ``end`` lift f's value."""
+    path ``factor`` f of size D / s, held as f alone until ``segments``, the
+    lifts of f's segments, is first read: by evaluation, the length, the
+    transforms, the encoding or the dense fallback, which all see the
+    ambient path."""
 
     def __init__(self, factor: UnitaryPath, level: int, limit: float):
-        super().__init__([PathSegment(f.t0, f.t1, np.tile(f.w, level), _lift(f.v, level),
-                                      _lift(f.base, level)) for f in factor.segments])
-        self.factor = factor
-        self.level = level
-        self.limit = limit
+        self.factor, self.level, self.limit = factor, level, limit
+        self.dim = factor.dim * level
 
-    def at(self, t: float) -> np.ndarray:
-        return _lift(self.factor.at(t), self.level)
+    @cached_property
+    def segments(self) -> list[PathSegment]:
+        return [PathSegment(f.t0, f.t1, np.tile(f.w, self.level), _lift(f.v, self.level),
+                            _lift(f.base, self.level)) for f in self.factor.segments]
 
-    def end(self) -> np.ndarray:
-        return _lift(self.factor.end(), self.level)
+    @property
+    def _sup_norm(self) -> float:
+        """sup_t ||f(t)|| <= max_k ||B_k|| sqrt(1 + 4 e_k (1 + e_k)), since on
+        segment k f(t) = (1 + v D v^*) B_k with |D_ii + 1| = 1 for every t,
+        e_k = ``_defect(v)``, and ||B_k|| is ``_norm_bound`` of B_k's defect."""
+        return max(_norm_bound(_defect(f.base), len(f.base))
+                   * np.sqrt(1.0 + _eigenpair_defect(f.v)) for f in self.factor.segments)
 
     def commutator_bound(self, elements: list[np.ndarray]) -> float:
-        """``UnitaryPath.commutator_bound`` from the tensor splits at level s.
+        """Certified sup over every t of ||[1_s (x) f(t), x]|| for the
+        elements x, each split as x = A (x) 1 + b at level s.
 
-        Each segment's base and generator is exactly 1_s (x) its factor F,
-        so the two commutators of a pair are ``algebra.commutator_bound`` of
-        c = ||F|| and the element's ``level_split``, taken once per element.
-        Only rounding is left: that of the norms, which ``commutator_bound``
-        covers, and that of forming F's generator, one product of sums over
-        at most D / s terms, which the segment's ``allowance`` covers as it
-        covers ``at``'s added term.  A pair whose split bound reaches
-        ``limit`` takes the dense terms instead, so every pass or fail
-        against that limit is the dense bound's, and no dense norm is taken
-        for a pair below it.  An element that is not D x D raises
-        ``DimensionError``."""
+        [1_s (x) f(t), A (x) 1] = 0 exactly, so ||[u(t), x]|| <= 2 ||f(t)||
+        ||b|| <= 2 ``_sup_norm`` ||x - E_s x||_F, one norm per path, plus
+        the path's rounding allowance ||x||_F max_k dim 2^-52
+        (1 + dt ||tile(w, s)||), bit for bit the largest lifted segment
+        ``allowance``.  An element whose bound reaches ``limit`` takes the
+        dense Duhamel bound of ``UnitaryPath`` over the lifted segments, so
+        every pass or fail against that limit is the dense bound's; a call
+        with every element below it forms no generator and lifts nothing.
+        An element that is not D x D raises ``DimensionError``."""
         check_operators(elements, self.dim)
-        if len(elements) == 0:
-            return 0.0
-        splits = [level_split(x, self.level) for x in elements]
-        sizes = [np.linalg.norm(x) for x in elements]
-        worst = 0.0
-        for f, seg in zip(self.factor.segments, self.segments):
-            c_base, c_generator = op_norm(f.base), op_norm(f.generator)
-            dt, allowance = seg.duration, seg.allowance
-            pairs = [commutator_bound(c_base, split, self.dim)
-                     + dt * commutator_bound(c_generator, split, self.dim)
-                     + allowance * size for split, size in zip(splits, sizes)]
-            dense = [x for x, pair in zip(elements, pairs) if pair >= self.limit]
-            below = [pair for pair in pairs if pair < self.limit]
-            worst = max(worst, UnitaryPath([seg]).commutator_bound(dense), *below)
-        return float(worst)
+        norm, s = self._sup_norm, self.level
+        allowance = max(1.0 + f.duration * np.linalg.norm(np.tile(f.w, s))
+                        for f in self.factor.segments) * self.dim * np.finfo(float).eps
+        pairs = [2.0 * norm * _level_part(x, s)[1] + allowance * np.linalg.norm(x)
+                 for x in elements]
+        dense = [x for x, pair in zip(elements, pairs) if pair >= self.limit]
+        below = max((pair for pair in pairs if pair < self.limit), default=0.0)
+        return float(max(below, UnitaryPath(self.segments).commutator_bound(dense)
+                         if dense else 0.0))
 
 
 def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
@@ -220,8 +244,10 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     Logs record the gap, the terminal error ||X c_n^T - Y||_F (the 2-norm
     of the alignment's residuals), and the commutation error of u_n over
     the fixed set and the open companions.
-    A fixed element's commutation is ``commutator_bound`` at level n when
-    that is below the round budget, and the dense norm otherwise; the logs
+    A fixed element's commutation is ``commutator_bound`` at level n, with
+    ||c_n^*|| from ``_norm_bound`` of the defect 4 e (1 + e) of its
+    eigenpairs (no SVD of the corner), when that is below the round budget,
+    and the dense norm otherwise; the logs
     also record the largest distance ||x - E_n x||_F of the fixed set from
     level n and how many fixed elements took the dense norm.  The open
     companions' commutation is ``drift_bound`` of the drift ||u_n - 1||_F
@@ -236,7 +262,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     vectors as factors there, of size D / s: each split of them at a level
     is exact, and each Frobenius norm is sqrt(s) times the factor's.
     Ambient matrices are formed only as 1_s (x) factor: the products, the
-    path segments, and the dense norms a bound falls back to.
+    path segments when read, and the dense norms a bound falls back to.
 
     Odd round n = 2k + 1 adds to the factor path the segment
     P e^{-i (t - k) h} = e^{-i (t - k) P h P^*} P on [k, k + 1], eigenpairs
@@ -258,7 +284,6 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     s = tower.sizes[0] if tower.sizes else 1
     level1 = [level_split(x, s) for x in fixed_set] if schedule.rounds else []
     generators = cache(tower.level_generators)
-    one = np.eye(dim // s)
     p_odd = np.eye(dim // s, dtype=complex)
     p_even = np.eye(dim // s, dtype=complex)
     # A vector as its s rows of length D / s, on which 1_s (x) P acts as
@@ -308,12 +333,11 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         # levels <= 1 + n % 2, so only the fixed set and the companions w x w^*
         # of levels above can fail: ||[u_n, w x w^*]|| = ||[w^* u_n w, x]||.
         budget = schedule.budget(n)
-        drift = float(np.sqrt(s) * np.linalg.norm(u - one))
+        drift = float(np.sqrt(s) * np.linalg.norm(u - np.eye(len(u))))
         comms, distances = [], []
         measured = 0
-        if fixed_set:
-            # u_n = 1_{s_n} (x) corner exactly.
-            c = op_norm(corner)
+        # u_n = 1_{s_n} (x) corner exactly, the corner built from eigenpairs.
+        c = _norm_bound(_eigenpair_defect(q), len(q))
         for x, x1 in zip(fixed_set, level1):
             # ||E_n x|| <= ||x|| <= ||A_1|| + ||x - E_1 x||_F at every level.
             distance = _level_part(x, s_n)[1]
@@ -328,9 +352,8 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         companion_measured = 0
         if open_levels:
             p = p_even if odd_side else p_odd  # w^*
-            defect = float(np.sqrt(s) * np.linalg.norm(dagger(p) @ p - one))
             # The companions are shifts and clocks, so ||x|| = 1.
-            bound = drift_bound(drift, defect, dim)
+            bound = drift_bound(drift, np.sqrt(s) * _defect(p), dim)
             if bound < budget:
                 comms.append(bound)
             else:
@@ -410,12 +433,14 @@ def _ad_sup(w, s, fixed_set, level1, limit) -> float:
     """max ||W x W^* - x|| over the fixed set, for a product W = 1_s (x) w
     of round unitaries, given as its factor w: W x W^* - x = [W, x] W^* +
     x (W W^* - 1) for the computed w, unitary only to rounding, is at most
-    ||w|| ||[W, x]|| + ||x|| ||w w^* - 1||_F, with ||[W, x]|| from x's split
-    at level s.  The dense norm where that bound reaches the limit."""
+    ||w|| ||[W, x]|| + ||x|| d, with ||[W, x]|| from x's split at level s,
+    d = ||w w^* - 1||_F and ||w|| from ``_norm_bound`` of that same d, so
+    no SVD of w is taken.  The dense norm where that bound reaches the
+    limit."""
     if not fixed_set:
         return 0.0
-    c = op_norm(w)
-    defect = float(np.linalg.norm(w @ dagger(w) - np.eye(len(w))))
+    defect = _defect(dagger(w))
+    c = _norm_bound(defect, len(w))
     worst = 0.0
     for x, x1 in zip(fixed_set, level1):
         ad = c * commutator_bound(c, x1, len(x)) + (x1.factor + x1.rest) * defect
@@ -440,8 +465,9 @@ def assembled_commutation_sup(path: UnitaryPath, fixed_set: list[np.ndarray],
                               samples: int | None = None) -> float:
     """Certified sup over every t of || Ad v(t)(x) - x || for x in the fixed
     set, which is ||[v(t), x]|| for unitary v(t): ``path.commutator_bound``.
-    On the ``TowerPath`` of ``back_and_forth``, that reads each element's
-    split at level 1 and each segment's factors, and takes the dense
-    Duhamel term only for a pair whose split bound reaches 4 eps / 3.
+    On the ``TowerPath`` of ``back_and_forth``, that is 2 sup_t ||f(t)||
+    ||x - E_1 x||_F plus the path's rounding allowance, from each element's
+    distance from level 1 and one norm of the factor path, and the dense
+    Duhamel bound only for an element whose bound reaches 4 eps / 3.
     ``samples`` is accepted for older callers and ignored."""
     return path.commutator_bound(fixed_set)

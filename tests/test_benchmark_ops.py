@@ -147,11 +147,46 @@ def test_tower_op_takes_no_ambient_svd(monkeypatch):
         assert (x["ambient"], x["ambient"]) not in shapes
 
 
+def test_tower_op_takes_no_norm_of_a_built_unitary(monkeypatch):
+    # Every matrix the tower op certifies is 1_{s_1} (x) a factor whose norm
+    # the defect rule bounds in closed form, and its path bound reads one
+    # norm of the factor path: the op calls intertwine.op_norm not once,
+    # takes no SVD of a matrix whose smaller side exceeds 16, and lifts no
+    # factor to the ambient, in the tiny pool and at full size.
+    workload = workloads.WORKLOADS["tower-256"]
+    intertwine = state_transport.intertwine
+    inner = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
+    svd, lift, op_norm = inner.svd, intertwine._lift, intertwine.op_norm
+    norms, sides, lifted = [], [], []
+
+    def counted_svd(a, *args, **kwargs):
+        sides.append(min(a.shape))
+        return svd(a, *args, **kwargs)
+
+    def counted_lift(factor, s):
+        lifted.append(s * len(factor))
+        return lift(factor, s)
+
+    monkeypatch.setattr(inner, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(intertwine, "op_norm", lambda a: norms.append(a.shape) or op_norm(a))
+    monkeypatch.setattr(intertwine, "_lift", counted_lift)
+    for x in workload.inputs(1, True) + workload.inputs(1, False)[:1]:
+        for counts in (norms, sides, lifted):
+            counts.clear()
+        rec = workloads.run_op(state_transport, workload, x)
+        assert not rec.failed, rec.failure_types()
+        assert sides and lifted, "the counts do not reach the op"
+        assert norms == []
+        assert max(sides) <= 16
+        assert x["ambient"] not in lifted
+
+
 def test_tower_op_evaluates_no_ambient_segment(monkeypatch):
-    # The assembled path is 1_{s_1} (x) its factor path: its bound reads the
-    # factor segments' generators and its endpoint check lifts the factor
-    # path's end, so no ambient x ambient segment is evaluated or has its
-    # dense generator formed, in the tiny pool and at full size.
+    # The assembled path is 1_{s_1} (x) its factor path: its bound reads one
+    # norm of the factor path and its endpoint check evaluates the factor
+    # path's end, so no ambient x ambient segment is evaluated and no
+    # generator is formed at all, in the tiny pool and at full size.
     workload = workloads.WORKLOADS["tower-256"]
     segment = state_transport.PathSegment
     at, generator = segment.at, segment.generator
@@ -171,8 +206,8 @@ def test_tower_op_evaluates_no_ambient_segment(monkeypatch):
         calls.clear()
         rec = workloads.run_op(state_transport, workload, x)
         assert not rec.failed, rec.failure_types()
-        assert {name for name, _ in calls} == {"at", "generator"}, \
-            "no segment seen: the count does not reach the path"
+        assert {name for name, _ in calls} == {"at"}, \
+            "no segment seen, or a generator formed"
         assert [call for call in calls if call[1] == x["ambient"]] == []
 
 

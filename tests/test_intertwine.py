@@ -16,6 +16,9 @@ from state_transport.errors import (
 from state_transport.intertwine import (
     AlgebraTower,
     _ad_sup,
+    _defect,
+    _eigenpair_defect,
+    _norm_bound,
     assemble_path,
     assembled_commutation_sup,
     back_and_forth,
@@ -512,6 +515,78 @@ def test_drift_bound_dominates_dense_companion_norm(dim, level, twist, seed):
     v = p @ u @ dagger(p)
     for x in tower.level_generators(min(level, tower.depth)):
         assert bound >= op_norm(v @ x - x @ v)
+
+
+def _signed_permutation(rng, n):
+    """A permutation matrix times phases in {1, i, -1, -i}: unitary with
+    every entry exact, so its defect rounds to 0.0."""
+    m = np.zeros((n, n), dtype=complex)
+    m[np.arange(n), rng.permutation(n)] = 1j ** rng.integers(0, 4, n)
+    return m
+
+
+def _built_unitary(kind, rng, n, count):
+    """An n x n unitary of the given kind, unitary only to rounding."""
+    if kind == "exact":
+        return _signed_permutation(rng, n)
+    if kind == "product":
+        m = random_unitary(rng, n)
+        for _ in range(count - 1):
+            m = m @ random_unitary(rng, n)
+        return m
+    if kind == "near pi":
+        return _unitary_near_minus_one(rng, n)
+    return (1.0 + (-1) ** count * 1e-14) * random_unitary(rng, n)  # scaled
+
+
+def _eigenpair_unitary(rng, n, count, spread, phase):
+    """1 + q D q^* with D = diag(e^{i theta} - 1) for an n x k q, k <= n:
+    orthonormal columns plus a perturbation of Frobenius norm ``spread``."""
+    k = max(1, count * n // 6)
+    g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    q = random_unitary(rng, n)[:, :k] + spread * g / np.linalg.norm(g)
+    theta = {"near pi": np.pi + rng.uniform(-1e-6, 1e-6, k),
+             "near 0": rng.uniform(-1e-11, 1e-11, k),
+             "any": rng.uniform(-np.pi, np.pi, k)}[phase]
+    return q, np.eye(n) + (q * (np.exp(1j * theta) - 1.0)) @ dagger(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["exact", "product", "near pi", "scaled", "eigenpairs",
+                             "tower path"]),
+       n=st.integers(1, 128), count=st.integers(1, 6),
+       spread=st.sampled_from([0.0, 1e-16, 1e-13, 1e-10]),
+       phase=st.sampled_from(["near pi", "near 0", "any"]), seed=st.integers(0, 2**32 - 1))
+def test_norm_rule_dominates_the_svd(kind, n, count, spread, phase, seed):
+    # ||M|| <= sqrt((1 + d) / (1 - g)), with d = ||M^* M - 1||_F, or
+    # 4 e (1 + e) with e = ||q^* q - 1||_F for M = 1 + q D q^*, is at least
+    # the SVD's ||M|| with no tolerance.  On a tower path, so is the path's
+    # norm at least ||f(t)|| at 33 times in each factor segment, and the
+    # rule at least the norm of each factor base and corner.
+    rng = np.random.default_rng(seed)
+    if kind == "tower path":
+        # ambient 16 or 64, 1-3 rounds, twists 0 to 1e-7
+        ambient = 16 if count <= 3 else 64
+        tower, xi, eta = intertwine_instance(rng, ambient=ambient,
+                                             branchings=[2] * (ambient.bit_length() - 1),
+                                             commutant_level=3, twist=spread * 1e3)
+        result = back_and_forth(tower, xi, eta, [], make_schedule(tower, 0.1, 1 + count % 3))
+        path = result.path
+        norm = path._sup_norm
+        for f in path.factor.segments:
+            assert max(op_norm(f.at(f.t0 + tau * f.duration))
+                       for tau in np.linspace(0.0, 1.0, 33)) <= norm
+        for m in [f.base for f in path.factor.segments] + result.corners:
+            assert _norm_bound(_defect(m), len(m)) >= op_norm(m)
+        return
+    if kind == "eigenpairs":
+        q, m = _eigenpair_unitary(rng, n, count, spread, phase)
+        assert _norm_bound(_eigenpair_defect(q), n) >= op_norm(m)
+    else:
+        m = _built_unitary(kind, rng, n, count)
+        if kind == "exact":
+            assert _defect(m) == 0.0
+    assert _norm_bound(_defect(m), n) >= op_norm(m)
 
 
 def test_round_logs_fixed_distance_and_fallbacks(rng):
