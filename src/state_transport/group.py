@@ -36,7 +36,8 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .gram import VectorFamily
-from .linalg import UNITARY_TOL, check_state, check_unitary, dagger, norm_at_most, op_norm
+from .linalg import (UNITARY_TOL, _check_tolerance, check_state, check_unitary, dagger,
+                     norm_at_most, op_norm)
 from .path import PathSegment, UnitaryPath, concat_paths
 
 FLIP_TOL = 1e-10
@@ -348,7 +349,9 @@ def group_state_transport(action: GroupAction, xi: np.ndarray, eta: np.ndarray,
     (Z^d only) take a detour through an intermediate vector with the same
     correlation data and an orbit orthogonal to both, doubling the bounds.
     ``commutator_sup`` is certified; ``t_samples`` is accepted and ignored.
+    A tolerance that is not finite and > 0 raises ``ParameterError``.
     """
+    _check_tolerance(eps)
     xi = check_state(xi)
     eta = check_state(eta)
     folner = folner_set(action, gens, eps / 2)

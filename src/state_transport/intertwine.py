@@ -13,10 +13,11 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .algebra import TensorSplit, _level_part, commutator_bound, level_split
+from .algebra import _level_part, commutator_bound, level_distances
 from .errors import AssemblyError, HypothesisError, ParameterError, RoundFailureError
 from .gram import VectorFamily, align_unitary
-from .linalg import check_operators, check_state, dagger, norm_at_most, op_norm
+from .linalg import (_check_tolerance, check_operators, check_state, dagger, norm_at_most,
+                     op_norm)
 from .path import PathSegment, UnitaryPath
 from .transport import invert_alignment_bound
 
@@ -100,10 +101,12 @@ class Schedule:
 
 
 def make_schedule(tower: AlgebraTower, eps: float, rounds: int) -> Schedule:
+    _check_tolerance(eps)
+    if rounds < 0:
+        raise ParameterError(f"rounds must be >= 0, got {rounds}")
     if rounds > tower.depth:
         raise ParameterError("more rounds than tower levels")
-    inner_tols = []
-    deltas = []
+    inner_tols, deltas = [], []
     for n in range(1, rounds + 1):
         s_n = tower.sizes[n - 1]
         inner = 2.0 ** (-n + 1) * eps / 4.0
@@ -181,10 +184,11 @@ class TowerPath(UnitaryPath):
     path ``factor`` f of size D / s, held as f alone until ``segments``, the
     lifts of f's segments, is first read: by evaluation, the length, the
     transforms, the encoding or the dense fallback, which all see the
-    ambient path."""
+    ambient path.  ``norm`` >= sup_t ||f(t)|| is certified by the caller;
+    ``back_and_forth`` measures it in its rounds."""
 
-    def __init__(self, factor: UnitaryPath, level: int, limit: float):
-        self.factor, self.level, self.limit = factor, level, limit
+    def __init__(self, factor: UnitaryPath, level: int, limit: float, norm: float):
+        self.factor, self.level, self.limit, self.norm = factor, level, limit, norm
         self.dim = factor.dim * level
 
     @cached_property
@@ -192,33 +196,23 @@ class TowerPath(UnitaryPath):
         return [PathSegment(f.t0, f.t1, np.tile(f.w, self.level), _lift(f.v, self.level),
                             _lift(f.base, self.level)) for f in self.factor.segments]
 
-    @property
-    def _sup_norm(self) -> float:
-        """sup_t ||f(t)|| <= max_k ||B_k|| sqrt(1 + 4 e_k (1 + e_k)), since on
-        segment k f(t) = (1 + v D v^*) B_k with |D_ii + 1| = 1 for every t,
-        e_k = ``_defect(v)``, and ||B_k|| is ``_norm_bound`` of B_k's defect."""
-        return max(_norm_bound(_defect(f.base), len(f.base))
-                   * np.sqrt(1.0 + _eigenpair_defect(f.v)) for f in self.factor.segments)
-
     def commutator_bound(self, elements: list[np.ndarray]) -> float:
         """Certified sup over every t of ||[1_s (x) f(t), x]|| for the
         elements x, each split as x = A (x) 1 + b at level s.
 
         [1_s (x) f(t), A (x) 1] = 0 exactly, so ||[u(t), x]|| <= 2 ||f(t)||
-        ||b|| <= 2 ``_sup_norm`` ||x - E_s x||_F, one norm per path, plus
-        the path's rounding allowance ||x||_F max_k dim 2^-52
-        (1 + dt ||tile(w, s)||), bit for bit the largest lifted segment
-        ``allowance``.  An element whose bound reaches ``limit`` takes the
+        ||b|| <= 2 ``norm`` ||x - E_s x||_F, plus the path's rounding
+        allowance ||x||_F max_k dim 2^-52 (1 + dt ||tile(w, s)||), bit for
+        bit the largest lifted segment ``allowance``.  An element whose bound reaches ``limit`` takes the
         dense Duhamel bound of ``UnitaryPath`` over the lifted segments, so
         every pass or fail against that limit is the dense bound's; a call
         with every element below it forms no generator and lifts nothing.
         An element that is not D x D raises ``DimensionError``."""
         check_operators(elements, self.dim)
-        norm, s = self._sup_norm, self.level
-        allowance = max(1.0 + f.duration * np.linalg.norm(np.tile(f.w, s))
+        allowance = max(1.0 + f.duration * np.linalg.norm(np.tile(f.w, self.level))
                         for f in self.factor.segments) * self.dim * np.finfo(float).eps
-        pairs = [2.0 * norm * _level_part(x, s)[1] + allowance * np.linalg.norm(x)
-                 for x in elements]
+        pairs = [2.0 * self.norm * _level_part(x, self.level)[1]
+                 + allowance * np.linalg.norm(x) for x in elements]
         dense = [x for x, pair in zip(elements, pairs) if pair >= self.limit]
         below = max((pair for pair in pairs if pair < self.limit), default=0.0)
         return float(max(below, UnitaryPath(self.segments).commutator_bound(dense)
@@ -244,12 +238,14 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     Logs record the gap, the terminal error ||X c_n^T - Y||_F (the 2-norm
     of the alignment's residuals), and the commutation error of u_n over
     the fixed set and the open companions.
-    A fixed element's commutation is ``commutator_bound`` at level n, with
-    ||c_n^*|| from ``_norm_bound`` of the defect 4 e (1 + e) of its
-    eigenpairs (no SVD of the corner), when that is below the round budget,
-    and the dense norm otherwise; the logs
-    also record the largest distance ||x - E_n x||_F of the fixed set from
-    level n and how many fixed elements took the dense norm.  The open
+    Each fixed element's ``level_distances`` table is measured once, before
+    the rounds, and read by every round and every final Ad sup.  A fixed
+    element's commutation is ``commutator_bound`` of its distance from
+    level n and its table's norm, with ||c_n^*|| from ``_norm_bound`` of the
+    defect 4 e (1 + e) of its eigenpairs (no SVD of the corner), when that
+    is below the round budget, and the dense norm otherwise; the logs also
+    record the largest distance ||x - E_n x||_F of the fixed set from level
+    n and how many fixed elements took the dense norm.  The open
     companions' commutation is ``drift_bound`` of the drift ||u_n - 1||_F
     and of d = ||p^* p - 1||_F, measured once per round for the string
     p = w^*, when that is below the round budget, and their dense norms
@@ -270,7 +266,13 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     (angles, q) the alignment holds c_n as, q with at most
     min(D / s_n, 2 s_n) columns, m = s_n / s and the odd product's factor P
     before the round.  ``path`` is the ``TowerPath`` 1_s (x) that factor
-    path, with the limit ``ad_odd_bound`` = 4 eps / 3.
+    path, with the limit ``ad_odd_bound`` = 4 eps / 3 and the norm
+    max_k ||P_k|| sqrt(1 + 4 e_k (1 + e_k)) >= sup_t ||f(t)||: on segment k,
+    f(t) = (1 + v D v^*) P_k with |D_ii + 1| = 1, e_k = ``_defect(v)``, and
+    ||P_k|| is ``_norm_bound`` of the defect ||P_k^* P_k - 1||_F that round
+    n - 1 measured for its companions, P_k being the odd product it left;
+    0.0 for round 1's identity, and the constant path's ``_norm_bound(0.0)``
+    with no rounds.
     """
     dim = tower.ambient_dim
     xi = check_state(omega1, dim=dim)
@@ -282,16 +284,21 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         raise ParameterError("a schedule needs one delta and one inner tolerance per round")
     # The factor level: every round unitary lies in the commutant of level 1.
     s = tower.sizes[0] if tower.sizes else 1
-    level1 = [level_split(x, s) for x in fixed_set] if schedule.rounds else []
+    sizes = tower.sizes[:schedule.rounds]
+    tables = [level_distances(x, sizes) for x in fixed_set] if sizes else []
     generators = cache(tower.level_generators)
-    p_odd = np.eye(dim // s, dtype=complex)
-    p_even = np.eye(dim // s, dtype=complex)
+    p_odd = p_even = np.eye(dim // s, dtype=complex)
     # A vector as its s rows of length D / s, on which 1_s (x) P acts as
     # rows @ P^T.
     xi_rows, eta_rows = xi.reshape(s, -1), eta.reshape(s, -1)
     corners: list[np.ndarray] = []
     segments: list[PathSegment] = []
     logs: list[dict] = []
+    # A bound on sup_t ||f(t)|| of the factor path, and the defect of the odd
+    # product the next odd segment starts from: the identity's before round
+    # 1, then the one each even round measures for its companions.
+    path_norm = _norm_bound(0.0, dim // s)
+    p_defect = 0.0
 
     for n in range(1, schedule.rounds + 1):
         s_n = tower.sizes[n - 1]
@@ -323,8 +330,10 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         u = _lift(corner, m)
         if odd_side:
             k = float(len(segments))
-            segments.append(PathSegment(k, k + 1.0, -np.tile(angles, m),
-                                        p_odd @ _lift(q, m), p_odd))
+            v = p_odd @ _lift(q, m)
+            segments.append(PathSegment(k, k + 1.0, -np.tile(angles, m), v, p_odd))
+            path_norm = max(path_norm, _norm_bound(p_defect, len(v))
+                            * np.sqrt(1.0 + _eigenpair_defect(v)))
             p_odd = p_odd @ u
         else:
             p_even = p_even @ u
@@ -334,26 +343,23 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         # of levels above can fail: ||[u_n, w x w^*]|| = ||[w^* u_n w, x]||.
         budget = schedule.budget(n)
         drift = float(np.sqrt(s) * np.linalg.norm(u - np.eye(len(u))))
-        comms, distances = [], []
-        measured = 0
+        comms, measured = [], 0
         # u_n = 1_{s_n} (x) corner exactly, the corner built from eigenpairs.
         c = _norm_bound(_eigenpair_defect(q), len(q))
-        for x, x1 in zip(fixed_set, level1):
-            # ||E_n x|| <= ||x|| <= ||A_1|| + ||x - E_1 x||_F at every level.
-            distance = _level_part(x, s_n)[1]
-            comm = commutator_bound(c, TensorSplit(x1.factor + x1.rest, distance), dim)
+        for x, (distances, norm) in zip(fixed_set, tables):
+            comm = commutator_bound(c, distances[n - 1], norm, dim)
             if comm >= budget:
                 u_n = _lift(u, s)
                 comm = op_norm(u_n @ x - x @ u_n)
                 measured += 1
             comms.append(comm)
-            distances.append(distance)
         open_levels = range(2 + n % 2, n + 1)
         companion_measured = 0
         if open_levels:
             p = p_even if odd_side else p_odd  # w^*
             # The companions are shifts and clocks, so ||x|| = 1.
-            bound = drift_bound(drift, np.sqrt(s) * _defect(p), dim)
+            p_defect = _defect(p)
+            bound = drift_bound(drift, np.sqrt(s) * p_defect, dim)
             if bound < budget:
                 comms.append(bound)
             else:
@@ -370,7 +376,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
             "inner_tol": schedule.inner_tols[n - 1],
             "terminal": terminal,
             "commutation": comm,
-            "fixed_distance": max(distances, default=0.0),
+            "fixed_distance": max((d[n - 1] for d, _ in tables), default=0.0),
             "fixed_measured": measured,
             "drift": drift,
             "companion_measured": companion_measured,
@@ -379,7 +385,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         })
 
     final = _final_measurements(tower, xi_rows, eta_rows, p_odd, p_even, s, fixed_set,
-                                level1, schedule)
+                                tables, schedule)
     factor = (UnitaryPath(segments).rescaled(0.0, 1.0) if segments
               else UnitaryPath.constant(dim // s))
     return IntertwineResult(
@@ -390,20 +396,22 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         logs=logs,
         final=final,
         schedule=schedule,
-        path=TowerPath(factor, s, final["ad_odd_bound"]),
+        path=TowerPath(factor, s, final["ad_odd_bound"], path_norm),
     )
 
 
-def _final_measurements(tower, xi_rows, eta_rows, p_odd, p_even, s, fixed_set, level1,
+def _final_measurements(tower, xi_rows, eta_rows, p_odd, p_even, s, fixed_set, tables,
                         schedule) -> dict:
     """The Ad sups and the intertwining gap of the products 1_s (x) P,
     given as their factors P and the states as their s rows."""
     eps = schedule.eps
     limits = {"odd": 4 * eps / 3, "even": 2 * eps / 3, "combined": 2 * eps}
     m = schedule.rounds
+    # No rounds: both products are the identity, which Ad leaves exact.
+    sups, intertwine_gap, final_delta = dict.fromkeys(limits, 0.0), 0.0, 0.0
     if m:
         products = {"odd": p_odd, "even": p_even, "combined": p_odd @ dagger(p_even)}
-        sups = {key: _ad_sup(w, s, fixed_set, level1, limits[key])
+        sups = {key: _ad_sup(w, s, fixed_set, tables, limits[key])
                 for key, w in products.items()}
         # The last level's generators g (x) 1_q act on a vector as g on its
         # reshape to (s_m, q), so the gap needs no D x D matrix.
@@ -415,35 +423,27 @@ def _final_measurements(tower, xi_rows, eta_rows, p_odd, p_even, s, fixed_set, l
             for g in _shift_and_clock(s_m)
         )
         final_delta = schedule.deltas[-1]
-    else:
-        # No rounds: both products are the identity, which Ad leaves exact.
-        sups = dict.fromkeys(limits, 0.0)
-        intertwine_gap = 0.0
-        final_delta = 0.0
-    final = {}
-    for key, limit in limits.items():
-        final[f"ad_{key}_sup"] = sups[key]
-        final[f"ad_{key}_bound"] = limit
-    final["intertwine_gap"] = float(intertwine_gap)
-    final["intertwine_bound"] = final_delta
-    return final
+    final = {f"ad_{key}_{name}": value for key, limit in limits.items()
+             for name, value in (("sup", sups[key]), ("bound", limit))}
+    return final | {"intertwine_gap": float(intertwine_gap), "intertwine_bound": final_delta}
 
 
-def _ad_sup(w, s, fixed_set, level1, limit) -> float:
+def _ad_sup(w, s, fixed_set, tables, limit) -> float:
     """max ||W x W^* - x|| over the fixed set, for a product W = 1_s (x) w
     of round unitaries, given as its factor w: W x W^* - x = [W, x] W^* +
     x (W W^* - 1) for the computed w, unitary only to rounding, is at most
-    ||w|| ||[W, x]|| + ||x|| d, with ||[W, x]|| from x's split at level s,
-    d = ||w w^* - 1||_F and ||w|| from ``_norm_bound`` of that same d, so
-    no SVD of w is taken.  The dense norm where that bound reaches the
-    limit."""
+    ||w|| ||[W, x]|| + ||x|| d, with ||[W, x]|| from x's distance from
+    level s and ||x|| <= norm, both read from x's ``level_distances``
+    table, d = ||w w^* - 1||_F and ||w|| from ``_norm_bound`` of that same
+    d, so no SVD of w is taken.  The dense norm where that bound reaches
+    the limit."""
     if not fixed_set:
         return 0.0
     defect = _defect(dagger(w))
     c = _norm_bound(defect, len(w))
     worst = 0.0
-    for x, x1 in zip(fixed_set, level1):
-        ad = c * commutator_bound(c, x1, len(x)) + (x1.factor + x1.rest) * defect
+    for x, (distances, norm) in zip(fixed_set, tables):
+        ad = c * commutator_bound(c, distances[0], norm, len(x)) + norm * defect
         if ad >= limit:
             dense = _lift(w, s)
             ad = op_norm(dense @ x @ dagger(dense) - x)
@@ -465,9 +465,10 @@ def assembled_commutation_sup(path: UnitaryPath, fixed_set: list[np.ndarray],
                               samples: int | None = None) -> float:
     """Certified sup over every t of || Ad v(t)(x) - x || for x in the fixed
     set, which is ||[v(t), x]|| for unitary v(t): ``path.commutator_bound``.
-    On the ``TowerPath`` of ``back_and_forth``, that is 2 sup_t ||f(t)||
+    On the ``TowerPath`` of ``back_and_forth``, that is 2 ``norm``
     ||x - E_1 x||_F plus the path's rounding allowance, from each element's
-    distance from level 1 and one norm of the factor path, and the dense
-    Duhamel bound only for an element whose bound reaches 4 eps / 3.
+    distance from level 1 and the factor path's norm from the rounds, and
+    the dense Duhamel bound only for an element whose bound reaches
+    4 eps / 3.
     ``samples`` is accepted for older callers and ignored."""
     return path.commutator_bound(fixed_set)

@@ -17,6 +17,7 @@ from .errors import (
     NotNormalizedError,
     NotPSDError,
     NotUnitaryError,
+    ParameterError,
 )
 
 HERMITIAN_RTOL = 1e-12
@@ -90,6 +91,12 @@ def check_operators(xs, dim: int) -> None:
     for x in xs:
         if np.shape(x) != (dim, dim):
             raise DimensionError(f"expected {dim} x {dim} operators, got shape {np.shape(x)}")
+
+
+def _check_tolerance(eps: float) -> None:
+    """Raise ``ParameterError`` unless the tolerance eps is finite and > 0."""
+    if not (np.isfinite(eps) and eps > 0):
+        raise ParameterError(f"tolerance must be finite and > 0, got {eps}")
 
 
 def check_state(xi: np.ndarray, tol: float = 1e-12, dim: int | None = None) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 from .algebra import BlockAlgebra, MatrixUnits
 from .errors import CertificateError, DisjointnessError, HypothesisError, ParameterError
 from .gram import VectorFamily, align_unitary, alignment_bound
-from .linalg import check_state, check_unitary, dagger, inner, op_norm
+from .linalg import _check_tolerance, check_state, check_unitary, dagger, inner, op_norm
 from .path import PathSegment, UnitaryPath, concat_paths, merge_orthogonal_paths
 
 COLINEAR_TOL = 1e-9
@@ -227,8 +227,10 @@ def commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
     gap at or above delta raises ``HypothesisError`` carrying it.  With
     ``exact`` a short geodesic repair segment is appended so that
     u(1) xi = eta exactly, at the cost of a commutator contribution of the
-    order of the residual.
+    order of the residual.  A tolerance that is not finite and > 0 raises
+    ``ParameterError``.
     """
+    _check_tolerance(eps)
     xi = check_state(xi, dim=mu.ambient_dim)
     eta = check_state(eta, dim=mu.ambient_dim)
     n, r = mu.n, mu.multiplicity

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from state_transport.algebra import (
     BlockAlgebra,
@@ -8,8 +10,10 @@ from state_transport.algebra import (
     conjugated_units,
     direct_sum_algebra,
     full_matrix_units,
+    level_distances,
 )
 from state_transport.errors import DimensionError
+from state_transport.intertwine import AlgebraTower
 from state_transport.linalg import dagger, op_norm
 from state_transport.suites import random_state, random_unitary
 
@@ -181,3 +185,39 @@ def test_level_part_distance_is_the_kron_difference_bit_for_bit(rng, dim, s):
         a, distance = _level_part(x, s)
         assert np.array_equal(a, np.einsum("iaja->ij", x.reshape(s, q, s, q)) / q)
         assert distance == np.linalg.norm(x - np.kron(a, np.eye(q)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(branchings=st.lists(st.integers(2, 4), min_size=1, max_size=4),
+       above=st.integers(1, 4), kind=st.sampled_from(["level", "tail", "dense", "zero"]),
+       level=st.integers(1, 4), c=st.floats(1e-3, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_level_distances_match_the_direct_pass_at_every_level(branchings, above, kind,
+                                                              level, c, seed):
+    # The table's distances, one pass over x and then Pythagoras over the
+    # small factors, agree with the direct pass at each level, for elements
+    # in a level, geometric tails sum_k c^{k-1} shift_k, dense elements and
+    # 0; its norm is at least ||x||, up to the rounding of the SVDs on each
+    # side, dim 2^-52 relatively: for x in level 1, ||A_1|| and ||x|| are the
+    # same singular value, which the two SVDs can round 1 ulp apart.
+    sizes = np.cumprod(branchings).tolist()
+    dim = sizes[-1] * above
+    assume(dim <= 256)
+    tower = AlgebraTower(dim, sizes)
+    rng = np.random.default_rng(seed)
+    if kind == "level":
+        s = sizes[min(level, len(sizes)) - 1]
+        a = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+        x = np.kron(a, np.eye(dim // s))
+    elif kind == "tail":
+        x = sum(c ** (k - 1) * tower.level_generators(k)[0]
+                for k in range(1, len(sizes) + 1))
+    elif kind == "dense":
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    else:
+        x = np.zeros((dim, dim), dtype=complex)
+    distances, norm = level_distances(x, sizes)
+    assert len(distances) == len(sizes)
+    for s, d in zip(sizes, distances):
+        direct = _level_part(x, s)[1]
+        assert abs(d - direct) <= 1e-12 * (np.linalg.norm(x) + direct)
+    assert (1.0 + dim * np.finfo(float).eps) * norm >= op_norm(x)

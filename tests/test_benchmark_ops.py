@@ -304,3 +304,50 @@ def test_tower_alignment_decomposes_at_most_its_frames_span(monkeypatch):
     assert depth[0] == 0
     assert shapes, "no decomposition seen: the count does not reach align_unitary"
     assert max(shapes) <= 16
+
+
+def test_tower_op_measures_each_level_distance_once(monkeypatch):
+    # back_and_forth reads every fixed element's distances from one table,
+    # made by one pass over the D x D element and passes over its small
+    # factors; the path bound takes one pass per element and reads its norm
+    # from the rounds, so it calls no _defect and lifts nothing, in the tiny
+    # pool and at full size.
+    workload = workloads.WORKLOADS["tower-256"]
+    intertwine, algebra = state_transport.intertwine, state_transport.algebra
+    back_and_forth = state_transport.back_and_forth
+    bound = intertwine.TowerPath.commutator_bound
+    level_part, defect, lift = algebra._level_part, intertwine._defect, intertwine._lift
+    phase, calls, sizes = [None], [], {}
+
+    def within(name, f):
+        def run(*args):
+            phase[0] = name
+            sizes[name] = len(args[-1] if name == "path" else args[3])
+            try:
+                return f(*args)
+            finally:
+                phase[0] = None
+        return run
+
+    def counting(name, f):
+        def counted(a, *args):
+            calls.append((phase[0], name, len(a)))
+            return f(a, *args)
+        return counted
+
+    monkeypatch.setattr(state_transport, "back_and_forth", within("rounds", back_and_forth))
+    monkeypatch.setattr(intertwine.TowerPath, "commutator_bound", within("path", bound))
+    for module in (algebra, intertwine):
+        monkeypatch.setattr(module, "_level_part", counting("_level_part", level_part))
+    monkeypatch.setattr(intertwine, "_defect", counting("_defect", defect))
+    monkeypatch.setattr(intertwine, "_lift", counting("_lift", lift))
+    for x in workload.inputs(1, True) + workload.inputs(1, False)[:1]:
+        calls.clear()
+        rec = workloads.run_op(state_transport, workload, x)
+        assert not rec.failed, rec.failure_types()
+        dim = x["ambient"]
+        ambient = [where for where, name, n in calls if name == "_level_part" and n == dim]
+        assert 0 < ambient.count("rounds") <= sizes["rounds"]
+        assert ambient.count("path") == sizes["path"] > 0
+        assert [name for where, name, _ in calls if where == "path"] == \
+            ["_level_part"] * sizes["path"]

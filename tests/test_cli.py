@@ -307,3 +307,37 @@ def test_run_intertwine_bad_tower_is_usage_error(tmp_path):
         code, _, _ = _run_intertwine_config(
             tmp_path, f"bad{rounds}", branchings=branchings, ambient=ambient, rounds=rounds)
         assert code == EXIT_USAGE
+
+
+def _commutant_config(rng, eps):
+    config, _, _ = _commutant_case(rng)
+    return {"command": "commutant", **config, "eps": eps}
+
+
+def _group_config(rng, eps):
+    u = np.diag(np.exp(2j * np.pi * np.arange(4) / 4))
+    z = np.zeros((4, 4))
+    x = random_state(rng, 4)
+    action = finite_cyclic_action(4, np.block([[u, z], [z, u]]))
+    return {"command": "group", "action": encode_group_action(action),
+            "xi": encode_vector(np.concatenate([x, np.zeros(4)])),
+            "eta": encode_vector(np.concatenate([np.zeros(4), 1j * x])),
+            "gens": [1], "eps": eps}
+
+
+def _intertwine_config(rng, eps):
+    return {"command": "intertwine", "branchings": [2] * 4, "ambient": 16, "rounds": 3,
+            "eps": eps}
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, float("nan"), float("inf")])
+@pytest.mark.parametrize("config", [_commutant_config, _group_config, _intertwine_config])
+def test_run_bad_tolerance_is_usage_error(tmp_path, rng, capsys, config, eps):
+    # a tolerance that is not finite and > 0 is a bad config: exit 2 and no
+    # report, not a violated hypothesis or a NaN in the report
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "report.json"
+    cfg.write_text(json.dumps(config(rng, eps)))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert "finite and > 0" in capsys.readouterr().err

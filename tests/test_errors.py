@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from state_transport.algebra import direct_sum_algebra
+from state_transport.algebra import direct_sum_algebra, full_matrix_units
 from state_transport.circle import SpectralModel, circle_partition
 from state_transport.errors import ParameterError, StateTransportError
 from state_transport.gram import (
@@ -11,9 +11,14 @@ from state_transport.gram import (
     gram_complete,
     greedy_pivot_select,
 )
+from state_transport.group import finite_cyclic_action, group_state_transport
 from state_transport.intertwine import AlgebraTower, build_tower, make_schedule
 from state_transport.suites import run_suite
-from state_transport.transport import multi_transport, projection_transport
+from state_transport.transport import (
+    commutant_transport,
+    multi_transport,
+    projection_transport,
+)
 
 _XI = np.array([1.0, 0.0], dtype=complex)
 
@@ -44,6 +49,8 @@ SITES = {
     "AlgebraTower ambient": (lambda: AlgebraTower(12, [2, 8]), "does not divide"),
     "make_schedule rounds": (lambda: make_schedule(build_tower([2], 4), 0.1, 2),
                              "more rounds"),
+    "make_schedule negative rounds": (lambda: make_schedule(build_tower([2], 4), 0.1, -1),
+                                      "rounds must be >= 0"),
     "run_suite name": (lambda: run_suite("bogus", 0, 1), "unknown suite"),
     "projection_transport projection": (
         lambda: projection_transport(2 * np.eye(2), _XI, _XI), "not a projection"),
@@ -59,3 +66,25 @@ def test_malformed_arguments_raise_parameter_error(site):
         call()
     assert isinstance(info.value, StateTransportError)
     assert isinstance(info.value, ValueError)
+
+
+_STATE = np.full(4, 0.5, dtype=complex)
+
+# Each public entry point that takes a tolerance eps, called with valid
+# arguments otherwise.
+TOLERANCE_SITES = {
+    "make_schedule": lambda eps: make_schedule(build_tower([2], 4), eps, 1),
+    "commutant_transport": lambda eps: commutant_transport(full_matrix_units(2, 2), _STATE,
+                                                           _STATE, eps),
+    "group_state_transport": lambda eps: group_state_transport(
+        finite_cyclic_action(4, np.diag(1j ** np.arange(4))), _STATE,
+        np.array([1, 0, 0, 0], dtype=complex), [1], eps),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, float("nan"), float("inf")])
+@pytest.mark.parametrize("site", sorted(TOLERANCE_SITES))
+def test_bad_tolerance_raises_parameter_error(site, eps):
+    # no division by eps, and no gate compared against a NaN threshold
+    with pytest.raises(ParameterError, match="finite and > 0"):
+        TOLERANCE_SITES[site](eps)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from state_transport.algebra import commutator_bound, full_matrix_units, level_split
+from state_transport.algebra import commutator_bound, full_matrix_units, level_distances
 from state_transport.errors import (
     AssemblyError,
     DimensionError,
@@ -479,8 +479,9 @@ small_or_zero = st.one_of(st.just(0.0), st.floats(1e-12, 1e-2))
        delta_x=small_or_zero, near_pi=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_commutator_bound_dominates_dense_norm(dim, level, delta_x, near_pi, seed):
     # u = 1_s (x) W exactly and x = X (x) 1_q + delta' Y: the bound from
-    # c = ||W|| is at least the dense commutator and, times c, the dense Ad
-    # form, with no tolerance
+    # c = ||W|| and x's level-distance table over the levels 2 | 4 | ... | s
+    # is at least the dense commutator and, times c, the dense Ad form, with
+    # no tolerance
     s = 2 ** min(level, dim.bit_length() - 2)
     q = dim // s
     rng = np.random.default_rng(seed)
@@ -490,7 +491,8 @@ def test_commutator_bound_dominates_dense_norm(dim, level, delta_x, near_pi, see
     y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     x = np.kron(a, np.eye(q)) + delta_x * y
     c = op_norm(w)
-    bound = commutator_bound(c, level_split(x, s), dim)
+    distances, norm = level_distances(x, [2**k for k in range(1, s.bit_length())])
+    bound = commutator_bound(c, distances[-1], norm, dim)
     assert bound >= op_norm(u @ x - x @ u)
     assert c * bound >= op_norm(u @ x @ dagger(u) - x)
 
@@ -572,7 +574,7 @@ def test_norm_rule_dominates_the_svd(kind, n, count, spread, phase, seed):
                                              commutant_level=3, twist=spread * 1e3)
         result = back_and_forth(tower, xi, eta, [], make_schedule(tower, 0.1, 1 + count % 3))
         path = result.path
-        norm = path._sup_norm
+        norm = path.norm
         for f in path.factor.segments:
             assert max(op_norm(f.at(f.t0 + tau * f.duration))
                        for tau in np.linspace(0.0, 1.0, 33)) <= norm
@@ -587,6 +589,27 @@ def test_norm_rule_dominates_the_svd(kind, n, count, spread, phase, seed):
         if kind == "exact":
             assert _defect(m) == 0.0
     assert _norm_bound(_defect(m), n) >= op_norm(m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ambient=st.sampled_from([16, 64]), rounds=st.integers(0, 4),
+       twist=st.sampled_from([0.0, 1e-9, 1e-7]), seed=st.integers(0, 2**32 - 1))
+def test_tower_path_norm_is_the_segment_formula_bit_for_bit(ambient, rounds, twist, seed):
+    # The rounds measure the path's norm from the defects they already take:
+    # it equals, bit for bit, the formula recomputed over the factor
+    # segments, max_k _norm_bound(_defect(B_k)) sqrt(1 + _eigenpair_defect(v_k)),
+    # with the constant path's identity base and no columns for 0 rounds.
+    rng = np.random.default_rng(seed)
+    tower, xi, eta = intertwine_instance(rng, ambient=ambient,
+                                         branchings=[2] * (ambient.bit_length() - 1),
+                                         commutant_level=max(3, rounds), twist=twist)
+    result = back_and_forth(tower, xi, eta, tower.level_generators(1),
+                            make_schedule(tower, 0.1, rounds))
+    path = result.path
+    assert len(path.factor.segments) == max(1, (rounds + 1) // 2)
+    assert path.norm == max(_norm_bound(_defect(f.base), len(f.base))
+                            * np.sqrt(1.0 + _eigenpair_defect(f.v))
+                            for f in path.factor.segments)
 
 
 def test_round_logs_fixed_distance_and_fallbacks(rng):
@@ -638,8 +661,8 @@ def test_final_ad_sups_cover_the_products_unitarity_defect():
     lifted = np.kron(np.eye(s), w)
     dense = max(op_norm(lifted @ x @ dagger(lifted) - x) for x in fixed)
     assert dense > 7.2e-15
-    level1 = [level_split(x, s) for x in fixed]
-    assert _ad_sup(w, s, fixed, level1, np.inf) >= dense
+    tables = [level_distances(x, [s]) for x in fixed]
+    assert _ad_sup(w, s, fixed, tables, np.inf) >= dense
 
 
 @pytest.mark.parametrize("rounds", [1, 2, 3])
