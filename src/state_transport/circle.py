@@ -99,7 +99,10 @@ def _window_masses(angles: np.ndarray, masses: np.ndarray, centres: np.ndarray,
     """Mass in the arc (t - half, t + half] for every centre t, one row per
     row of ``masses``.  The last column of ``add.accumulate`` adds a window's
     atoms in index order, as ``np.sum`` of the masked masses does below
-    eight terms, so the sums equal a per-centre ``np.sum`` bit for bit."""
+    eight terms, so the sums equal a per-centre ``np.sum`` bit for bit.
+    With no atom every mass is 0.0."""
+    if angles.size == 0:
+        return np.zeros(masses.shape[:-1] + centres.shape)
     window = _in_arc(angles, ((centres - half) % 1.0)[:, None],
                      ((centres + half) % 1.0)[:, None])
     return np.add.accumulate(np.where(window, masses[..., None, :], 0.0), axis=-1)[..., -1]
@@ -144,7 +147,11 @@ def circle_partition(model: SpectralModel, xi: np.ndarray, eta: np.ndarray,
     taking the feasible point of least combined margin mass, ties to the
     smallest angle.  Spectral masses are exact, so feasibility of every
     window follows from the mass-pigeonhole count whenever the margin
-    hypothesis holds.
+    hypothesis holds.  A window's margin masses are summed over the atoms
+    within gamma + 1e-12 of it, every atom when that neighbourhood covers
+    the circle: no other atom lies in any margin of its grid, each would
+    add exactly 0.0 in index order, so the masses and cuts are those of a
+    sum over every atom, bit for bit.
     """
     xi = check_state(xi)
     eta = check_state(eta)
@@ -153,6 +160,9 @@ def circle_partition(model: SpectralModel, xi: np.ndarray, eta: np.ndarray,
     gamma = eps * eps_prime / 4.0
     masses = np.stack([model.point_masses(xi), model.point_masses(eta)])
     angles = model.eigenangles
+    lifted = np.sort(np.concatenate([angles - 1.0, angles, angles + 1.0]))
+    gap_mids = (lifted[:-1] + lifted[1:]) / 2
+    reach = gamma + 1e-12
 
     def best_cut(lo: float, hi: float) -> float:
         # Grid of pitch gamma/4, capped, plus midpoints of adjacent atom
@@ -162,11 +172,11 @@ def circle_partition(model: SpectralModel, xi: np.ndarray, eta: np.ndarray,
         grid = np.arange(lo + pitch, hi + 1e-15, pitch)
         if grid.size == 0 or grid[-1] < hi - 1e-15:
             grid = np.append(grid, hi)
-        lifted = np.sort(np.concatenate([angles - 1.0, angles, angles + 1.0]))
-        mids = (lifted[:-1] + lifted[1:]) / 2
-        mids = mids[(mids > lo) & (mids <= hi)]
+        mids = gap_mids[(gap_mids > lo) & (gap_mids <= hi)]
         grid = np.sort(np.concatenate([grid, mids]), kind="stable")
-        sx, se = _window_masses(angles, masses, grid, gamma / 2)
+        near = (slice(None) if hi - lo + 2 * reach >= 1.0
+                else _in_arc(angles, (lo - reach) % 1.0, (hi + reach) % 1.0))
+        sx, se = _window_masses(angles[near], masses[:, near], grid, gamma / 2)
         feasible = (sx < eps_prime) & (se < eps_prime)
         if not feasible.any():
             raise InfeasiblePartitionError(

@@ -34,9 +34,10 @@ def dagger(x: np.ndarray) -> np.ndarray:
 
 
 def op_norm(x: np.ndarray) -> float:
-    """Largest singular value."""
+    """Largest singular value; 0.0 without an SVD when x is all zeros, as
+    it is for an empty x."""
     x = np.asarray(x, dtype=complex)
-    if x.size == 0:
+    if not x.any():
         return 0.0
     return float(np.linalg.norm(x, 2))
 

@@ -351,3 +351,74 @@ def test_tower_op_measures_each_level_distance_once(monkeypatch):
         assert ambient.count("path") == sizes["path"] > 0
         assert [name for where, name, _ in calls if where == "path"] == \
             ["_level_part"] * sizes["path"]
+
+
+def test_integer_action_takes_no_schur_form_of_its_generator_size(monkeypatch):
+    # The joint eigenbasis is one eigh of a Hermitian part and Schur forms
+    # of the coupled runs of columns only, so on the full-size spectral-mid
+    # pool integer_action decomposes no matrix of its generator's size by
+    # a Schur form.
+    workload = workloads.WORKLOADS["spectral-mid"]
+    integer_action, schur = state_transport.integer_action, scipy.linalg.schur
+    inside, dims, shapes = [False], [], []
+
+    def counted_schur(a, *args, **kwargs):
+        if inside[0]:
+            shapes.append(a.shape[0])
+        return schur(a, *args, **kwargs)
+
+    def counted_action(generators):
+        inside[0] = True
+        dims.append(len(generators[0]))
+        try:
+            return integer_action(generators)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
+    monkeypatch.setattr(state_transport, "integer_action", counted_action)
+    inputs = workload.inputs(1, False)
+    for x in inputs:
+        rec = workloads.run_op(state_transport, workload, x)
+        assert not rec.failed, rec.failure_types()
+    assert len(dims) == len(inputs)
+    assert not set(shapes) & set(dims)
+
+
+def test_op_norm_takes_no_svd_of_a_zero_matrix(monkeypatch):
+    # A spectral-mid op takes operator norms of exact zeros: the z-block
+    # defect of arc_transport and the identity-base term of the group leg's
+    # commutator bound.  op_norm returns 0.0 for those without an SVD, so
+    # the SVDs taken inside op_norm are exactly its calls on nonzero
+    # matrices.  Calls and their SVDs are matched by code object, however
+    # op_norm is reached.
+    workload = workloads.WORKLOADS["spectral-mid"]
+    code = state_transport.linalg.op_norm.__code__
+    inner = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
+    svd = inner.svd
+    depth, calls, svds = [0], [], [0]
+
+    def counted(a, *args, **kwargs):
+        svds[0] += depth[0] > 0
+        return svd(a, *args, **kwargs)
+
+    def profile(frame, event, arg):
+        if frame.f_code is code:
+            if event == "call":
+                depth[0] += 1
+                calls.append(bool(np.any(frame.f_locals["x"])))
+            elif event == "return":
+                depth[0] -= 1
+
+    monkeypatch.setattr(inner, "svd", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    x = workload.inputs(1, False)[0]
+    sys.setprofile(profile)
+    try:
+        rec = workloads.run_op(state_transport, workload, x)
+    finally:
+        sys.setprofile(None)
+    assert not rec.failed, rec.failure_types()
+    saved = calls.count(False)
+    assert saved > 0 and calls.count(True) > 0
+    assert svds[0] == calls.count(True)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import state_transport.circle as circle_module
 from state_transport.algebra import conjugated_units, full_matrix_units
 from state_transport.circle import (
     ANGLE_CLUSTER_TOL,
@@ -407,6 +408,60 @@ def test_cut_search_matches_oracle_on_workload_shapes(rng):
         eps_prime = eps**5 / (4 * k**2)
         got = circle_partition(model, xi, eta, eps, eps_prime).points
         assert np.array_equal(got, _partition_oracle(model, xi, eta, eps, eps_prime))
+
+
+def _record_window_atoms(monkeypatch):
+    """Patch ``_window_masses`` to record the atom angles of every call."""
+    calls = []
+
+    def recorded(angles, masses, centres, half):
+        calls.append(np.array(angles))
+        return _window_masses(angles, masses, centres, half)
+
+    monkeypatch.setattr(circle_module, "_window_masses", recorded)
+    return calls
+
+
+def _check_against_oracle(angles, eps, eps_prime, seed):
+    model = _atom_model(np.asarray(angles, dtype=float))
+    rng = np.random.default_rng(seed)
+    xi = random_state(rng, len(angles))
+    eta = random_state(rng, len(angles))
+    got = circle_partition(model, xi, eta, eps, eps_prime).points
+    assert np.array_equal(got, _partition_oracle(model, xi, eta, eps, eps_prime))
+
+
+def test_window_masses_of_no_atom_are_zero():
+    centres = np.linspace(0.0, 1.0, 7)
+    got = _window_masses(np.empty(0), np.empty((2, 0)), centres, 0.01)
+    assert got.shape == (2, 7) and not got.any()
+
+
+def test_cut_search_window_with_no_atom_near_it(monkeypatch):
+    # Every atom lies in (0.45, 0.55), so the first window (0, eps/2] and
+    # its gamma-neighbourhood hold none: the search passes no atom there.
+    calls = _record_window_atoms(monkeypatch)
+    _check_against_oracle([0.45, 0.47, 0.5, 0.53, 0.55], 0.3, 0.05, 0)
+    assert calls[0].size == 0
+    assert any(c.size for c in calls)
+
+
+def test_cut_search_window_wrapping_through_zero(monkeypatch):
+    # Atoms on both sides of angle 0, within gamma = 0.00375 of it: the
+    # first window (0, 0.15] widened by gamma wraps through 0, so it takes
+    # the atoms at 0.998 and 0.002 and no farther one.
+    calls = _record_window_atoms(monkeypatch)
+    _check_against_oracle([0.002, 0.3, 0.6, 0.8, 0.998], 0.3, 0.05, 1)
+    assert np.array_equal(calls[0], [0.002, 0.998])
+
+
+def test_cut_search_neighbourhood_spanning_the_circle(monkeypatch):
+    # At eps = 1.5 the first window (0, 0.75] widened by gamma = 0.1875 on
+    # each side covers the circle, so every atom is passed.
+    calls = _record_window_atoms(monkeypatch)
+    angles = np.sort(np.random.default_rng(2).uniform(0, 1, 12))
+    _check_against_oracle(angles, 1.5, 0.5, 2)
+    assert len(calls) == 1 and np.array_equal(calls[0], angles)
 
 
 def test_arc_outside_block_is_a_typed_error(rng):

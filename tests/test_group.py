@@ -21,11 +21,13 @@ from state_transport.group import (
     EXP_SERIES_CONSTANT,
     FLIP_TOL,
     OVERLAP_TOL,
+    _TILT,
     GroupAction,
     _correlations,
     _difference_set,
     _find_detour,
     _graph_factors,
+    _joint_eigenbasis,
     _orbit,
     average_conjugates,
     finite_cyclic_action,
@@ -34,7 +36,7 @@ from state_transport.group import (
     group_state_transport,
     integer_action,
 )
-from state_transport.linalg import dagger, op_norm
+from state_transport.linalg import UNITARY_TOL, dagger, op_norm
 from state_transport.suites import group_instance, random_state, random_unitary
 
 
@@ -417,6 +419,60 @@ def test_noncommuting_generators_rejected(rng):
         integer_action([random_unitary(rng, 3), random_unitary(rng, 3)])
     with pytest.raises(DimensionError):
         integer_action([random_unitary(rng, 3), random_unitary(rng, 4)])
+
+
+def _adversarial_family(kind, rng, dim, d):
+    """d commuting unitaries of size dim whose spectra defeat a naive
+    joint eigenbasis: conjugate pairs, high multiplicity, clusters within
+    1e-9 (also about -1), pairs the tilt of ``_joint_eigenbasis`` cannot
+    tell apart (one generator), permutations, or one unitary with its
+    powers."""
+    v = random_unitary(rng, dim)
+    if kind == "real_orthogonal":
+        o, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        gens = []
+        for _ in range(d):
+            r = np.diag(rng.choice([-1.0, 1.0], dim))
+            for j in range(0, dim - 1, 2):
+                c = rng.uniform(0, 2 * np.pi)
+                r[j:j + 2, j:j + 2] = [[np.cos(c), -np.sin(c)], [np.sin(c), np.cos(c)]]
+            gens.append(o @ r @ o.T)
+        return gens
+    if kind == "roots_of_unity":
+        n = int(rng.integers(2, 7))
+        return [(v * np.exp(2j * np.pi * rng.integers(0, n, dim) / n)) @ dagger(v)
+                for _ in range(d)]
+    if kind in ("clusters", "clusters_at_minus_one"):
+        gens = []
+        for _ in range(d):
+            centres = (np.full(2, np.pi) if kind == "clusters_at_minus_one"
+                       else rng.uniform(0, 2 * np.pi, 3))
+            a = centres[rng.integers(0, centres.size, dim)] + rng.uniform(-1e-9, 1e-9, dim)
+            gens.append((v * np.exp(1j * a)) @ dagger(v))
+        return gens
+    if kind == "tilt_mirrors":
+        # Pairs lambda, conj(rho)^2 conj(lambda): one eigenvalue of the
+        # Hermitian part of rho u, so eigh alone may mix them.
+        half = rng.uniform(0, 2 * np.pi, (dim + 1) // 2)
+        lam = np.concatenate([np.exp(1j * half), np.conj(_TILT) ** 2 * np.exp(-1j * half)])
+        return [(v * lam[:dim]) @ dagger(v)]
+    if kind == "permutations":
+        p = np.eye(dim)[rng.permutation(dim)]
+        return [np.linalg.matrix_power(p, int(rng.integers(1, 6))) for _ in range(d)]
+    return [v, v @ v, dagger(v)][:d]
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["real_orthogonal", "roots_of_unity", "clusters",
+                             "clusters_at_minus_one", "tilt_mirrors", "permutations",
+                             "powers"]),
+       dim=st.integers(1, 128), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_joint_eigenbasis_on_adversarial_commuting_families(kind, dim, d, seed):
+    gens = _adversarial_family(kind, np.random.default_rng(seed), dim, d)
+    q, angles = _joint_eigenbasis(gens)
+    assert np.linalg.norm(dagger(q) @ q - np.eye(dim), 2) <= 1e-12
+    for u, a in zip(gens, angles):
+        assert np.linalg.norm(dagger(q) @ u @ q - np.diag(np.exp(1j * a)), 2) <= UNITARY_TOL
 
 
 def _cyclic_two_copies(rng, d=4):
