@@ -21,7 +21,7 @@ from .errors import (
     ParameterError,
 )
 from .linalg import _unitary_eig, check_state, check_unitary, dagger, op_norm
-from .path import PathSegment, UnitaryPath, merge_orthogonal_paths
+from .path import UnitaryPath, concat_paths, joined_segment
 from .transport import commutant_transport
 
 ANGLE_CLUSTER_TOL = 1e-9
@@ -271,10 +271,16 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
     """Transport xi toward eta arc by arc inside the spectral compressions
     of z, commuting with the matrix-unit block throughout.
 
-    Low-mass arcs (min mass <= eps^{3/2}) are skipped.  The summed path
-    obeys ||[u(t), z]|| < 3 pi eps, commutes with the block units, and has
-    terminal error < 2 sqrt(3) eps on admissible instances.  Both sups are
-    certified bounds over every t; ``t_samples`` is accepted and ignored.
+    Low-mass arcs (min mass <= eps^{3/2}) are skipped.  Each other arc takes
+    ``commutant_transport`` of its normalised components in the block
+    compressed to it (``_compress_units``), with the exact repair.  The arcs
+    act on mutually orthogonal column blocks of z's eigenbasis, so their
+    generators, lifted by the arc bases, sum to one segment from the
+    identity; arcs that took a repair add one second segment (``_arc_path``).
+    The summed path obeys ||[u(t), z]|| < 3 pi eps, commutes with the block
+    units, and has terminal error < 2 sqrt(3) eps on admissible instances.
+    Both sups are certified bounds over every t; ``t_samples`` is accepted
+    and ignored.
     """
     xi = check_state(xi)
     eta = check_state(eta)
@@ -296,7 +302,10 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
     skip_level = eps**1.5
 
     rows = []
-    lifted = []
+    # Per transported arc, its generators over unit time lifted by its basis:
+    # the transport's, and the repair's when one was appended.
+    generators = ([], [])
+    repairs = ([], [])
     transported = []
     worst_stats_gap = 0.0
     for idx, (a, b) in enumerate(partition.arcs()):
@@ -320,15 +329,14 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
         res = commutant_transport(sub_block, src / np.sqrt(m_xi), dst / np.sqrt(m_eta),
                                   eps, exact=True)
         worst_stats_gap = max(worst_stats_gap, res.measured_gap)
-        lifted.append(_lift_path(res.path, basis))
+        for seg, (ws, vs) in zip(res.path.segments, (generators, repairs)):
+            ws.append(seg.w * seg.duration)
+            vs.append(basis @ seg.v)
         transported.append((a, b))
         rows.append(ArcRow(idx, m_xi, m_eta, skipped=False,
                            terminal_contribution=abs(np.sqrt(m_xi) - np.sqrt(m_eta))))
 
-    if lifted:
-        path = merge_orthogonal_paths([p.rescaled(0.0, 1.0) for p in lifted])
-    else:
-        path = UnitaryPath.constant(model.dim)
+    path = _arc_path(model.dim, generators, repairs)
 
     return ArcTransportResult(
         path=path,
@@ -368,22 +376,36 @@ def _z_commutator_bound(model: SpectralModel, path: UnitaryPath,
     return float(structural + 2 * model.reconstruction_defect() + allowance)
 
 
+def _arc_path(dim: int, generators: tuple[list, list],
+              repairs: tuple[list, list]) -> UnitaryPath:
+    """The arc transports as one path: every arc basis is a column block of
+    the one eigenbasis of z, so the arcs' generators act on mutually
+    orthogonal subspaces and their sum is one segment from the identity
+    (``joined_segment``: the angles concatenated, the lifted columns side
+    by side, checked orthonormal).  The repairs, when an arc took one, sum
+    to a second segment, run after the first (``concat_paths``).  With no
+    arc transported, the constant path."""
+    if not generators[0]:
+        return UnitaryPath.constant(dim)
+    eye = np.eye(dim, dtype=complex)
+    path = UnitaryPath([joined_segment(0.0, 1.0, *generators, eye)])
+    if repairs[0]:
+        path = concat_paths(path, UnitaryPath([joined_segment(0.0, 1.0, *repairs, eye)]))
+    return path
+
+
 def _compress_units(block: MatrixUnits, basis: np.ndarray) -> MatrixUnits:
-    """The units basis^* e_ij basis on a reducing subspace (columns of
-    ``basis``).  W = basis^* V has W^* W = 1_n (x) p for the r x r corner
-    Gram p, a projection of rank r' <= r; with P the r' eigenvectors of p
-    of eigenvalue 1, W (1_n (x) P) is an isometry for the same units."""
-    w = (dagger(basis) @ block.isometry).reshape(basis.shape[1], block.n, -1)
+    """The units basis^* e_ij basis on a reducing subspace (the m columns of
+    ``basis``).  W = basis^* V has W^* W = 1_n (x) p, where p = C^* C for
+    the m x r corner C = basis^* V_0 is a projection of rank r' <= min(m, r).
+    C C^* is m x m, the arc's size rather than the block's multiplicity, with
+    the same eigenvalues 1: for its r' orthonormal eigenvectors U of
+    eigenvalue lam > 1/2, P = C^* U lam^{-1/2} are orthonormal eigenvectors
+    of p for 1, and W (1_n (x) P) is an isometry for the same units."""
+    m = basis.shape[1]
+    w = (dagger(basis) @ block.isometry).reshape(m, block.n, -1)
     corner = w[:, 0, :]
-    vals, vecs = np.linalg.eigh(dagger(corner) @ corner)
-    return MatrixUnits(block.n, (w @ vecs[:, vals > 0.5]).reshape(basis.shape[1], -1))
-
-
-def _lift_path(path: UnitaryPath, basis: np.ndarray) -> UnitaryPath:
-    """Extend a path on a subspace (columns V of ``basis``) by the identity:
-    eigenpairs (w, V v), base 1 + V (B - 1) V^*."""
-    ambient, r = basis.shape
-    return UnitaryPath([PathSegment(
-        s.t0, s.t1, s.w, basis @ s.v,
-        np.eye(ambient, dtype=complex) + basis @ (s.base - np.eye(r)) @ dagger(basis),
-    ) for s in path.segments])
+    vals, vecs = np.linalg.eigh(corner @ dagger(corner))
+    keep = vals > 0.5
+    p = dagger(corner) @ (vecs[:, keep] / np.sqrt(vals[keep]))
+    return MatrixUnits(block.n, (w @ p).reshape(m, -1))

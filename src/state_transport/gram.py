@@ -164,6 +164,22 @@ def alignment_bound(n: int, dim: int, delta: float) -> float:
     return m * eps + (m + 1) ** 2 * delta
 
 
+def alignment_gate(src: VectorFamily, dst: VectorFamily, delta: float) -> float:
+    """The Gram gap max |<xi_i, xi_j> - <eta_i, eta_j>| of two families of
+    one size and dimension, each of total weight at most 1, when it is
+    below delta; ``HypothesisError`` carrying it otherwise."""
+    if src.dim != dst.dim or src.size != dst.size:
+        raise ParameterError("families must share dimension and size")
+    src.require_normalized()
+    dst.require_normalized()
+    gap = float(np.max(np.abs(gram_matrix(src) - gram_matrix(dst)))) if src.size else 0.0
+    if gap >= delta:
+        raise HypothesisError(
+            f"Gram gap {gap:.3e} is not below delta={delta:.3e}", measured_gap=gap
+        )
+    return gap
+
+
 def align_unitary(src: VectorFamily, dst: VectorFamily, delta: float) -> AlignmentResult:
     """Unitary U with U xi_i close to eta_i, given Gram matrices within delta.
 
@@ -182,17 +198,8 @@ def align_unitary(src: VectorFamily, dst: VectorFamily, delta: float) -> Alignme
     for C = Q^* M Q, at most 2k x 2k, whose Schur pairs (lam, z) give
     ``angles`` = angle lam and ``vectors`` = Q z.
     """
-    if src.dim != dst.dim or src.size != dst.size:
-        raise ParameterError("families must share dimension and size")
-    src.require_normalized()
-    dst.require_normalized()
+    gap = alignment_gate(src, dst, delta)
     n, dim = src.size, src.dim
-    gap = float(np.max(np.abs(gram_matrix(src) - gram_matrix(dst)))) if n else 0.0
-    if gap >= delta:
-        raise HypothesisError(
-            f"Gram gap {gap:.3e} is not below delta={delta:.3e}", measured_gap=gap
-        )
-
     full_rank = dim >= n
     pivots = [] if full_rank else greedy_pivot_select(src, dim)
     rows = slice(None) if full_rank else pivots

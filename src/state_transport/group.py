@@ -37,8 +37,8 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .gram import VectorFamily
-from .linalg import (UNITARY_TOL, _check_tolerance, check_state, check_unitary, dagger,
-                     norm_at_most, op_norm)
+from .linalg import (UNITARY_TOL, _check_tolerance, check_operators, check_state,
+                     check_unitary, dagger, norm_at_most, op_norm)
 from .path import PathSegment, UnitaryPath, concat_paths
 
 FLIP_TOL = 1e-10
@@ -155,8 +155,10 @@ def finite_cyclic_action(n: int, u: np.ndarray) -> GroupAction:
 
 
 def integer_action(generators: list[np.ndarray]) -> GroupAction:
-    """Z^d acting through commuting generator unitaries."""
-    return GroupAction(kind="Zd", dim=generators[0].shape[0], generators=list(generators))
+    """Z^d acting through commuting generator unitaries; no generator raises
+    ``UnsupportedGroupError``, as the constructor does."""
+    dim = len(generators[0]) if len(generators) else 0
+    return GroupAction(kind="Zd", dim=dim, generators=list(generators))
 
 
 def _joint_eigenbasis(generators: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -228,7 +230,9 @@ class FolnerSet:
 
 def folner_set(action: GroupAction, gens: list, eps: float) -> FolnerSet:
     """Near-invariant finite subset: the whole group when finite, a centered
-    box for Z^d with exactly counted translation defect below eps."""
+    box for Z^d with exactly counted translation defect below eps.  A
+    tolerance that is not finite and > 0 raises ``ParameterError``."""
+    _check_tolerance(eps)
     if action.kind == "finite":
         return FolnerSet(elements=list(range(action.table.shape[0])), defect=0.0)
     d = action.rank
@@ -253,11 +257,23 @@ def average_conjugates(h: np.ndarray, folner: FolnerSet,
     """Mean of rep(g)^* h rep(g) over the Folner set; contracts norms and
     nearly commutes with every generator, within 2 * defect * ||h||.
 
-    For Z^d this is one Hadamard product in the joint eigenbasis, at cost
-    O(|F| dim^2 + dim^3); a finite group sums its |F| conjugates."""
-    norm_h = op_norm(h)
-    if norm_h > 1.0 + 1e-10:
-        raise HypothesisError("need ||h|| <= 1", measured_gap=norm_h - 1.0)
+    h must be dim x dim (``DimensionError``) with ||h|| <= 1 + 1e-10, or
+    ``HypothesisError`` carrying the excess.  The norm gate is
+    ``norm_at_most``, so a diagonal h, or one whose Frobenius norm is small
+    enough, passes without an SVD; ``op_norm`` measures only a failing
+    excess.  For Z^d the mean is one Hadamard product in the joint
+    eigenbasis, at cost O(|F| dim^2 + dim^3); a finite group sums its |F|
+    conjugates."""
+    check_operators([h], action.dim)
+    if not norm_at_most(h, 1.0 + 1e-10):
+        raise HypothesisError("need ||h|| <= 1", measured_gap=op_norm(h) - 1.0)
+    return _average_conjugates(h, folner, action)
+
+
+def _average_conjugates(h: np.ndarray, folner: FolnerSet,
+                        action: GroupAction) -> np.ndarray:
+    """``average_conjugates`` without its gate, for an h the caller has
+    already certified."""
     if action.kind == "Zd":
         # In the eigenbasis rep(g)^* h rep(g) is conj(phi_g)_a H_ab (phi_g)_b,
         # so the mean is the Hadamard product of H with the kernel
@@ -290,7 +306,7 @@ def flip_projection(xis: VectorFamily, zetas: VectorFamily) -> np.ndarray:
     xs, zs = xis.vectors, zetas.vectors
     b, v, cut = _graph_factors(xs, zs)
     residual = float(np.max(np.linalg.norm(zs - (xs @ b.conj()) @ v.T, axis=1)))
-    return _graph_projection(b, v, cut, _max_row_norm(xs), residual)
+    return _graph_projection(b, v, cut, _max_row_norm(xs), residual)[0]
 
 
 def _max_row_norm(xs: np.ndarray) -> float:
@@ -315,7 +331,7 @@ def _graph_factors(xs: np.ndarray,
 
 
 def _graph_projection(b: np.ndarray, v: np.ndarray, cut: float, scale: float,
-                      residual: float = 0.0) -> np.ndarray:
+                      residual: float = 0.0) -> tuple[np.ndarray, float]:
     """e = (B B^* + V V^* - W - W^*) / 2 with W = V B^*: the projection onto
     the graph {x - W x : x in span(B)} of -W (Halmos, "Two subspaces").
     It kills every x + W x and fixes every x - W x.
@@ -334,6 +350,15 @@ def _graph_projection(b: np.ndarray, v: np.ndarray, cut: float, scale: float,
                                    + k r / 2.
     Each bound must meet the threshold of the relation it bounds: ``FLIP_TOL``
     for the Gram gap, ``OVERLAP_TOL`` for the other two.
+
+    Returns e and a certified bound on ||e||: ||e|| = ||B - V||^2 / 2 <= k / 2,
+    plus rounding.  Each of B B^*, V V^* and V B^* sums c terms per entry, c
+    the number of columns of B, so it errs by about c 2^-52 times the
+    Frobenius norms of its factors, each at most sqrt(c (1 + nu)); with the
+    sums, the halving and the symmetrisation, e errs by less than
+    2 (c + 2)^2 (1 + nu) 2^-52.  The c x c Grams behind nu and mu sum dim
+    terms per entry, so k / 2 may read low by less than
+    2 (c + 2) dim (1 + nu) 2^-52.
     """
     # Frobenius norms: upper bounds on nu and mu without an SVD.
     nu = float(np.linalg.norm(dagger(v) @ v - np.eye(v.shape[1])))
@@ -351,7 +376,9 @@ def _graph_projection(b: np.ndarray, v: np.ndarray, cut: float, scale: float,
         raise FlipInconsistencyError(f"projection may fail to kill sums: {worst:.3e}")
     w = v @ dagger(b)
     e = (b @ dagger(b) + v @ dagger(v) - w - dagger(w)) / 2
-    return (e + dagger(e)) / 2
+    dim, c = b.shape
+    rounding = 2.0 * (c + 2) * (c + 2 + dim) * (1.0 + nu) * np.finfo(float).eps
+    return (e + dagger(e)) / 2, k / 2 + rounding
 
 
 def _left_basis(columns: np.ndarray, full: bool = True) -> tuple[np.ndarray, int, float]:
@@ -390,8 +417,8 @@ def group_state_transport(action: GroupAction, xi: np.ndarray, eta: np.ndarray,
     A tolerance that is not finite and > 0 raises ``ParameterError``.
     """
     _check_tolerance(eps)
-    xi = check_state(xi)
-    eta = check_state(eta)
+    xi = check_state(xi, dim=action.dim)
+    eta = check_state(eta, dim=action.dim)
     folner = folner_set(action, gens, eps / 2)
     diffs = _difference_set(action, folner)
     eps_prime = eps / (2 * EXP_SERIES_CONSTANT)
@@ -452,7 +479,11 @@ def _correlations(action: GroupAction, diffs: DifferenceSet, x: np.ndarray,
 def _orthogonal_leg(action, folner, diffs, xi, eta,
                     delta) -> tuple[UnitaryPath, dict]:
     """e^{i pi t hbar} with hbar the Folner average of the flip between the
-    xi-orbit and its matched family zeta_g = W x_g (``_graph_factors``)."""
+    xi-orbit and its matched family zeta_g = W x_g (``_graph_factors``).
+    ``_graph_projection`` certifies ||flip|| <= 1 + nu / 2 + mu plus
+    rounding, so the flip is averaged without ``average_conjugates``' SVD
+    gate when that bound is at most 1 + 1e-10, and through the gate
+    otherwise."""
     corr_gap = float(np.max(np.abs(_correlations(action, diffs, xi, xi)
                                    - _correlations(action, diffs, eta, eta))))
     corr_gap += 6 * action.rep_defect
@@ -463,8 +494,9 @@ def _orthogonal_leg(action, folner, diffs, xi, eta,
         )
     orbit_xi = _orbit(action, folner.elements, xi)
     b, v, cut = _graph_factors(orbit_xi, _orbit(action, folner.elements, eta))
-    hbar = average_conjugates(_graph_projection(b, v, cut, _max_row_norm(orbit_xi)),
-                              folner, action)
+    flip, flip_norm = _graph_projection(b, v, cut, _max_row_norm(orbit_xi))
+    average = _average_conjugates if flip_norm <= 1.0 + 1e-10 else average_conjugates
+    hbar = average(flip, folner, action)
     w, q = np.linalg.eigh(np.pi * hbar)
     path = UnitaryPath([PathSegment(0.0, 1.0, w, q, np.eye(action.dim, dtype=complex))])
     return path, {

@@ -35,17 +35,28 @@ def dagger(x: np.ndarray) -> np.ndarray:
 
 def op_norm(x: np.ndarray) -> float:
     """Largest singular value; 0.0 without an SVD when x is all zeros, as
-    it is for an empty x."""
+    it is for an empty x.  The singular values alone, as
+    ``np.linalg.norm(x, 2)`` takes them, bit for bit, without its wrapper."""
     x = np.asarray(x, dtype=complex)
     if not x.any():
         return 0.0
-    return float(np.linalg.norm(x, 2))
+    return float(np.linalg.svd(x, compute_uv=False)[0])
 
 
 def norm_at_most(x: np.ndarray, tol: float) -> bool:
-    """``op_norm(x) <= tol``, without the SVD when the Frobenius norm, which
-    bounds the operator norm from above, already decides it."""
-    return bool(np.linalg.norm(x) <= tol) or op_norm(x) <= tol
+    """``op_norm(x) <= tol``, without the SVD when a cheap upper bound on the
+    operator norm already decides it: the Frobenius norm, or the Schur test
+    sqrt(||x||_1 ||x||_inf), the largest column sum times the largest row
+    sum of |x|, which is exact for a diagonal x.  The SVD decides only what
+    neither bound accepts; like it, each bound is exact up to rounding of
+    the order of dim 2^-52 of the norm."""
+    x = np.asarray(x)
+    if np.linalg.norm(x) <= tol:
+        return True
+    a = np.abs(x)
+    if np.sqrt(np.max(a.sum(axis=0)) * np.max(a.sum(axis=1))) <= tol:
+        return True
+    return op_norm(x) <= tol
 
 
 def check_square(x: np.ndarray) -> np.ndarray:
@@ -74,13 +85,17 @@ def check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
 
 def check_isometry(v: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     """Validate that v has orthonormal columns, at most as many as rows,
-    and return v: ||v^* v - 1|| = max |s_i^2 - 1| over the singular
-    values, so one SVD decides it."""
+    and return v: ||v^* v - 1|| <= tol.  The Frobenius norm of v^* v - 1,
+    one product, bounds it from above and accepts first; otherwise
+    ||v^* v - 1|| = max |s_i^2 - 1| over the singular values, so one SVD
+    decides what the Frobenius norm cannot."""
     v = np.ascontiguousarray(v, dtype=complex)
     if v.ndim != 2 or v.shape[1] > v.shape[0]:
         raise DimensionError(f"expected at most as many columns as rows, got {v.shape}")
     if not np.all(np.isfinite(v.view(float))):
         raise NotFiniteError("matrix has non-finite entries")
+    if np.linalg.norm(dagger(v) @ v - np.eye(v.shape[1])) <= tol:
+        return v
     s = np.linalg.svd(v, compute_uv=False)
     if s.size and np.max(np.abs((s - 1.0) * (s + 1.0))) > tol:
         raise NotUnitaryError("matrix is not unitary within tolerance")

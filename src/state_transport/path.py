@@ -195,12 +195,12 @@ def merge_orthogonal_paths(paths: list[UnitaryPath]) -> UnitaryPath:
     Each path must deviate from the identity only inside its own invariant
     subspace, so generators and bases of distinct paths commute; the merged
     generator is the sum, held as the covering segments' w concatenated and
-    their v side by side, and the base is the product.  Columns with w = 0
-    add nothing to u(t) and are dropped, so full-rank factors of generators
-    on disjoint subspaces merge too.  The kept columns of each merged
-    segment must be orthonormal: ||V^* V - 1||_F <= ``JOINT_TOL``, or
-    ``CertificateError``.  All paths must be parameterized on the same
-    interval.
+    their v side by side (``joined_segment``), and the base is the product.
+    Columns with w = 0 add nothing to u(t) and are dropped, so full-rank
+    factors of generators on disjoint subspaces merge too.  The kept columns
+    of each merged segment must be orthonormal: ||V^* V - 1||_F <=
+    ``JOINT_TOL``, or ``CertificateError``.  All paths must be
+    parameterized on the same interval.
     """
     if not paths:
         raise PathError("nothing to merge")
@@ -218,16 +218,27 @@ def merge_orthogonal_paths(paths: list[UnitaryPath]) -> UnitaryPath:
         base = np.eye(dim, dtype=complex)
         for seg in covering:
             base = base @ seg.at(a)
-        w = np.concatenate([s.w for s in covering])
-        keep = w != 0.0
-        v = np.hstack([s.v for s in covering])[:, keep]
-        if np.linalg.norm(dagger(v) @ v - np.eye(v.shape[1])) > JOINT_TOL:
-            raise CertificateError("merged paths have overlapping generator columns")
-        segs.append(PathSegment(a, b, w[keep], v, base))
+        segs.append(joined_segment(a, b, [s.w for s in covering],
+                                   [s.v for s in covering], base))
     merged = UnitaryPath(segs)
     if abs(merged.t_start - lo) >= 1e-12 or abs(merged.t_end - hi) >= 1e-12:
         raise CertificateError("merged path does not cover the common interval")
     return merged
+
+
+def joined_segment(t0: float, t1: float, ws: list[np.ndarray], vs: list[np.ndarray],
+                   base: np.ndarray) -> PathSegment:
+    """One segment on [t0, t1] from ``base`` whose generator is the sum of
+    the generators v_k diag(w_k) v_k^* on mutually orthogonal subspaces:
+    the w_k concatenated and the v_k side by side.  Columns with w = 0 add
+    nothing to u(t) and are dropped; the kept columns must be orthonormal,
+    ||V^* V - 1||_F <= ``JOINT_TOL``, or ``CertificateError``."""
+    w = np.concatenate(ws)
+    keep = w != 0.0
+    v = np.hstack(vs)[:, keep]
+    if np.linalg.norm(dagger(v) @ v - np.eye(v.shape[1])) > JOINT_TOL:
+        raise CertificateError("merged paths have overlapping generator columns")
+    return PathSegment(t0, t1, w[keep], v, base)
 
 
 def _segment_covering(path: UnitaryPath, a: float, b: float) -> PathSegment:

@@ -13,7 +13,8 @@ import numpy as np
 
 from .algebra import BlockAlgebra, MatrixUnits
 from .errors import CertificateError, DisjointnessError, HypothesisError, ParameterError
-from .gram import VectorFamily, align_unitary, alignment_bound
+from .gram import (AlignmentResult, VectorFamily, _turn, align_unitary, alignment_bound,
+                   alignment_gate)
 from .linalg import _check_tolerance, check_state, check_unitary, dagger, inner, op_norm
 from .path import PathSegment, UnitaryPath, concat_paths, merge_orthogonal_paths
 
@@ -216,15 +217,26 @@ def commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
                         eps: float, exact: bool = False) -> TransportResult:
     """Path in the commutant of the matrix units moving xi close to eta.
 
-    The generator is the lift sum_i e_i1 h e_1i of the corner generator
-    h = q diag(angles) q^* of the corner alignment's rotation, held as its
-    eigenpairs, q with at most min(r, 2 n) columns: the segment holds
-    w = tile(angles, n) and v = V (1_n (x) q) (``lift_columns``), so it has
-    norm <= pi and commutes with every e_ij exactly.  The admissibility
-    threshold delta is derived from the alignment bound at tolerance
-    eps / sqrt(n), and the alignment's gate is the only admissibility test:
-    the Gram gaps of the corner families are the e_ij statistics gaps, so a
-    gap at or above delta raises ``HypothesisError`` carrying it.  With
+    The generator is the lift sum_i e_i1 h e_1i of a corner generator
+    h = q diag(angles) q^* that turns the corner families of xi toward those
+    of eta, held as its eigenpairs: the segment holds w = tile(angles, n)
+    and v = V (1_n (x) q) (``lift_columns``), so it has norm <= pi and
+    commutes with every e_ij exactly.  The corner rotation is chosen by the
+    block's shape (n units of multiplicity r):
+
+    - n = 1: the commutant is the whole block, and the rotation is
+      ``geodesic_pair`` of the normalised corner vectors, the shortest path
+      between them; a zero corner on either side gives no rotation.
+    - r = 1: the commutant is the scalars, and the rotation is the one
+      phase theta = arg <x, y> = arg sum_j conj(x_j) y_j, which minimises
+      ||e^{i theta} x - y|| over every phase, the alignment's included.
+    - otherwise ``align_unitary``, with q at most min(r, 2 n) columns.
+
+    The admissibility threshold delta is derived from the alignment bound
+    at tolerance eps / sqrt(n), and the alignment's Gram gate
+    (``alignment_gate``) is the only admissibility test in every shape:
+    the Gram gaps of the corner families are the e_ij statistics gaps, so
+    a gap at or above delta raises ``HypothesisError`` carrying it.  With
     ``exact`` a short geodesic repair segment is appended so that
     u(1) xi = eta exactly, at the cost of a commutator contribution of the
     order of the residual.  A tolerance that is not finite and > 0 raises
@@ -235,16 +247,19 @@ def commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
     eta = check_state(eta, dim=mu.ambient_dim)
     n, r = mu.n, mu.multiplicity
     delta = invert_alignment_bound(n, r, eps / np.sqrt(n))
-    families = mu.corner_families(xi)
-    align = align_unitary(VectorFamily(r, families),
-                          VectorFamily(r, mu.corner_families(eta)), delta)
+    src = VectorFamily(r, mu.corner_families(xi))
+    dst = VectorFamily(r, mu.corner_families(eta))
+    if n == 1 or r == 1:
+        align = _closed_form_alignment(src, dst, delta)
+    else:
+        align = align_unitary(src, dst, delta)
     path = UnitaryPath([PathSegment(0.0, 1.0, np.tile(align.angles, n),
                                     mu.lift_columns(align.vectors),
                                     np.eye(mu.ambient_dim, dtype=complex))])
     # u(1) = 1 + V (1_n (x) (c - 1)) V^* moves the corner families X of xi
     # to X c^T and fixes the complement of V V^*, so u(1) xi needs no
     # ambient matrix.
-    moved = xi + mu.isometry @ align.turn(families).reshape(-1)
+    moved = xi + mu.isometry @ align.turn(src.vectors).reshape(-1)
     terminal = float(np.linalg.norm(moved - eta))
     repair_length = 0.0
     if exact and terminal > 1e-13:
@@ -265,6 +280,38 @@ def commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
             "repair_length": repair_length,
         },
     )
+
+
+def _closed_form_alignment(src: VectorFamily, dst: VectorFamily,
+                           delta: float) -> AlignmentResult:
+    """The corner rotation of ``commutant_transport`` for a family of one
+    vector (n = 1) or families in C^1 (r = 1), behind the alignment's gate.
+
+    For r = 1 it is the phase theta = arg sum_j conj(x_j) y_j on C^1.  For
+    n = 1 it is the geodesic from x / ||x|| to y / ||y||, which maps the one
+    vector onto y's direction exactly as the alignment does, along the
+    shortest path; with x or y zero it is the identity, whose residual, the
+    other corner's norm, is sqrt(gap) < sqrt(delta)."""
+    gap = alignment_gate(src, dst, delta)
+    n, r = src.size, src.dim
+    x, y = src.vectors, dst.vectors
+    if r == 1:
+        angles, vectors = np.array([np.angle(np.vdot(x, y))]), np.ones((1, 1), dtype=complex)
+    elif x.any() and y.any():
+        seg = geodesic_pair(_direction(x[0]), _direction(y[0])).segments[0]
+        angles, vectors = seg.w, seg.v
+    else:
+        angles, vectors = np.zeros(0), np.zeros((r, 0), dtype=complex)
+    return AlignmentResult(angles=angles, vectors=vectors,
+                           residuals=np.linalg.norm(x + _turn(x, angles, vectors) - y, axis=1),
+                           bound=alignment_bound(n, r, delta), full_rank=r >= n, gap=gap)
+
+
+def _direction(x: np.ndarray) -> np.ndarray:
+    """x / ||x|| for a nonzero x, scaled by its largest entry first so that
+    no square underflows."""
+    x = x / np.max(np.abs(x))
+    return x / np.linalg.norm(x)
 
 
 def excise(xi: np.ndarray, alg: BlockAlgebra) -> np.ndarray:

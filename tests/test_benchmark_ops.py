@@ -422,3 +422,118 @@ def test_op_norm_takes_no_svd_of_a_zero_matrix(monkeypatch):
     saved = calls.count(False)
     assert saved > 0 and calls.count(True) > 0
     assert svds[0] == calls.count(True)
+
+
+def _run_spectral_mid_pool():
+    """Every op of the full-size spectral-mid seed-1 pool, none failing."""
+    workload = workloads.WORKLOADS["spectral-mid"]
+    for x in workload.inputs(1, False):
+        rec = workloads.run_op(state_transport, workload, x)
+        assert not rec.failed, rec.failure_types()
+
+
+def _flagged(monkeypatch, module, name, record=None):
+    """Replace module.name by a wrapper that holds flag[0] True while it runs
+    and passes each call's arguments to ``record``."""
+    original, flag = getattr(module, name), [False]
+
+    def wrapper(*args, **kwargs):
+        if record is not None:
+            record(*args)
+        flag[0] = True
+        try:
+            return original(*args, **kwargs)
+        finally:
+            flag[0] = False
+
+    monkeypatch.setattr(module, name, wrapper)
+    return flag
+
+
+def test_arc_stage_aligns_only_blocks_without_a_closed_form(monkeypatch):
+    # A block of one unit (n = 1) or of multiplicity one (r = 1) takes a
+    # closed-form transport, so align_unitary runs once for each arc block
+    # with n >= 2 and r >= 2 and for no other.
+    blocks, aligned = [], []
+    _flagged(monkeypatch, state_transport.circle, "commutant_transport",
+             lambda mu, *args: blocks.append((mu.n, mu.multiplicity)))
+    _flagged(monkeypatch, state_transport.transport, "align_unitary",
+             lambda src, dst, delta: aligned.append((src.size, src.dim)))
+    _run_spectral_mid_pool()
+    assert {n for n, _ in blocks} >= {1, 2} and {r for _, r in blocks} >= {1, 2}
+    assert aligned == [(n, r) for n, r in blocks if n >= 2 and r >= 2]
+    assert 0 < len(aligned) < len(blocks)
+
+
+def test_compress_units_takes_no_eigh_wider_than_its_arc(monkeypatch):
+    # The corner Gram is taken m x m, m the arc dimension, not r x r for
+    # the block multiplicity r (32 to 64 here).
+    arcs, sizes = [], []
+    inside = _flagged(monkeypatch, state_transport.circle, "_compress_units",
+                      lambda block, basis: arcs.append(basis.shape[1]))
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        if inside[0]:
+            sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    _run_spectral_mid_pool()
+    assert len(sizes) == len(arcs) > 0
+    assert all(size <= arc for size, arc in zip(sizes, arcs))
+
+
+def test_arc_path_is_one_segment_built_once(monkeypatch):
+    # The arcs' transports are summed into one segment from the identity:
+    # arc_transport builds no other segment of the ambient size, as a lift
+    # of each arc's path did, and the path it returns has one segment.
+    code = state_transport.path.PathSegment.__init__.__code__
+    original = state_transport.arc_transport
+    running, built, segments = [], [], []
+
+    def arc_transport(block, model, *args, **kwargs):
+        running.append(model.dim)
+        built.append(0)
+        try:
+            res = original(block, model, *args, **kwargs)
+        finally:
+            running.pop()
+        segments.append(len(res.path.segments))
+        return res
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code and running:
+            built[-1] += len(frame.f_locals["base"]) == running[-1]
+
+    monkeypatch.setattr(state_transport, "arc_transport", arc_transport)
+    sys.setprofile(profile)
+    try:
+        _run_spectral_mid_pool()
+    finally:
+        sys.setprofile(None)
+    assert len(segments) == 6
+    assert segments == built == [1] * 6
+
+
+def test_orthogonal_leg_takes_no_svd_of_the_flip_size(monkeypatch):
+    # _graph_projection certifies the flip's norm from its factors' Gram
+    # numbers, so the leg averages it without the dim x dim SVD of
+    # average_conjugates' gate; the SVDs it does take are of the orbit
+    # factors, dim x |F| at most.
+    dims, shapes = [], []
+    inside = _flagged(monkeypatch, state_transport.group, "_orthogonal_leg",
+                      lambda action, *args: dims.append(action.dim))
+    inner = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
+    svd = inner.svd
+
+    def counted(a, *args, **kwargs):
+        if inside[0]:
+            shapes.append((dims[-1], np.shape(a)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(inner, "svd", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    _run_spectral_mid_pool()
+    assert len(dims) == 6 and shapes
+    assert all(shape != (dim, dim) for dim, shape in shapes)

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import state_transport.circle as circle_module
-from state_transport.algebra import conjugated_units, full_matrix_units
+from state_transport.algebra import MatrixUnits, conjugated_units, full_matrix_units
 from state_transport.circle import (
     ANGLE_CLUSTER_TOL,
     SpectralModel,
@@ -252,6 +252,43 @@ def test_z_commutator_sup_is_a_certified_bound(k, eps, atoms, ends, swap, phase,
     dense = max(op_norm(u @ z - z @ u)
                 for u in res.path.at_times(res.path.sample_times(257)))
     assert dense <= res.z_commutator_sup < res.z_commutator_bound
+
+
+def _partial_block_circle(xi, eta):
+    """z with the angle 0.1 on coordinates 0 and 1 and 0.6 on coordinate 2,
+    and the block M_1 (x) 1_2 on coordinates 0 and 2: the arc about 0.1 is
+    two-dimensional and compresses the block to its first coordinate."""
+    z = np.diag(np.exp(2j * np.pi * np.array([0.1, 0.1, 0.6])))
+    block = MatrixUnits(1, np.eye(3, dtype=complex)[:, [0, 2]])
+    unit = [np.asarray(v, dtype=complex) / np.linalg.norm(v) for v in (xi, eta)]
+    return block, SpectralModel.from_unitary(z), *unit
+
+
+def _dense_z_commutator(res, model):
+    return max(op_norm(u @ model.z - model.z @ u)
+               for u in res.path.at_times(res.path.sample_times(257)))
+
+
+@pytest.mark.parametrize("xi, eta", [
+    pytest.param([0.6, 0.3, 0.74], [0.6j, 0.3 * np.exp(0.5j), -0.74], id="phase"),
+    pytest.param([0.0, 0.6, 0.74], [0.1, 0.35**0.5 * np.exp(0.5j), -0.74],
+                 id="zero corner"),
+])
+def test_arc_repairs_run_as_one_second_segment(xi, eta):
+    # The arc about 0.1 holds a coordinate outside the block, where the two
+    # states differ, so its transport appends a repair; the arc about 0.6
+    # is one phase.  The arc path is the sum of the arcs' transports as one
+    # segment from the identity, then the repair as a second.  With a zero
+    # source corner (the target's has weight 1/36 < delta = 0.09) the
+    # arc's transport takes no rotation and the repair does all.
+    block, model, xi, eta = _partial_block_circle(xi, eta)
+    res = arc_transport(block, model, xi, eta, [], 0.3)
+    assert sum(not row.skipped for row in res.rows) == 2
+    first_segment, repair = res.path.segments
+    assert np.array_equal(first_segment.base, np.eye(3))
+    assert repair.v.shape[1] == 2 and np.allclose(repair.v[2], 0.0)
+    assert res.terminal_error < 1e-13
+    assert _dense_z_commutator(res, model) <= res.z_commutator_sup < res.z_commutator_bound
 
 
 @pytest.mark.parametrize("n, r, keep", [(2, 3, 3), (2, 3, 1), (3, 2, 1), (2, 4, 2)])

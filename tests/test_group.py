@@ -14,6 +14,8 @@ from state_transport.errors import (
     HypothesisError,
     NonCommutingGeneratorsError,
     NotUnitaryError,
+    ParameterError,
+    StateTransportError,
     UnsupportedGroupError,
 )
 from state_transport.gram import VectorFamily
@@ -97,6 +99,34 @@ def test_folner_defect_matches_set_count(rng, eps, gens):
 def test_unsupported_group():
     with pytest.raises(UnsupportedGroupError):
         GroupAction(kind="free", dim=2)
+
+
+_STATE, _SHORT = np.eye(4, dtype=complex)[0], np.eye(3, dtype=complex)[0]
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda a, f: integer_action([]), UnsupportedGroupError,
+                 id="integer_action of no generator"),
+    pytest.param(lambda a, f: folner_set(a, [(1,)], 0.0), ParameterError, id="folner eps 0"),
+    pytest.param(lambda a, f: folner_set(a, [(1,)], -1.0), ParameterError, id="folner eps -1"),
+    pytest.param(lambda a, f: folner_set(a, [(1,)], float("nan")), ParameterError,
+                 id="folner eps nan"),
+    pytest.param(lambda a, f: group_state_transport(a, _SHORT, _STATE, [(1,)], 0.1),
+                 DimensionError, id="transport of a short xi"),
+    pytest.param(lambda a, f: group_state_transport(a, _STATE, _SHORT, [(1,)], 0.1),
+                 DimensionError, id="transport to a short eta"),
+    pytest.param(lambda a, f: average_conjugates(np.eye(3) / 2, f, a), DimensionError,
+                 id="average of a 3 x 3 h"),
+    pytest.param(lambda a, f: average_conjugates(np.eye(4, 3) / 2, f, a), DimensionError,
+                 id="average of a 4 x 3 h"),
+])
+def test_group_entry_points_raise_typed_errors(call, error):
+    # Each raised IndexError, ZeroDivisionError or numpy's ValueError before
+    # the boundary checks; each typed error is a StateTransportError.
+    action = integer_action([np.diag(np.exp(2j * np.pi * np.arange(4) / 4))])
+    with pytest.raises(error) as info:
+        call(action, folner_set(action, [(1,)], 0.5))
+    assert isinstance(info.value, StateTransportError)
 
 
 def test_average_conjugates_commuting_h(rng):

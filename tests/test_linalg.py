@@ -16,12 +16,14 @@ from state_transport.linalg import (
     _expm_skew,
     _unitary_eig,
     check_hermitian,
+    check_isometry,
     check_square,
     check_state,
     check_unitary,
     dagger,
     expm_skew,
     inner,
+    norm_at_most,
     op_norm,
     psd_sqrt,
     unitary_eig,
@@ -124,3 +126,64 @@ def test_check_unitary_matches_two_product_oracle(dim, log_tol, log_size, seed):
             check_unitary(u, tol)
     else:
         assert np.array_equal(check_unitary(u, tol), u)
+
+
+def _with_singular_values(rng, rows, s):
+    """A rows x len(s) matrix with singular values s, off the natural axes."""
+    a = random_unitary(rng, rows)[:, :len(s)]
+    return (a * s) @ dagger(random_unitary(rng, len(s)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 12), data=st.data(), log_tol=st.floats(-10.0, -2.0),
+       side=st.sampled_from([-1.0, 1.0]), skew=st.sampled_from([-1e-3, 1e-3]),
+       spread=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_check_isometry_decides_as_the_svd_near_the_boundary(rows, data, log_tol, side,
+                                                             skew, spread, seed):
+    # One singular value with s^2 = 1 + side tol (1 + skew), the others with
+    # |s^2 - 1| at most spread tol: ||v^* v - 1|| = max |s^2 - 1| sits within
+    # 1e-3 of tol, and with spread 0 the Frobenius norm of v^* v - 1 does too.
+    rng = np.random.default_rng(seed)
+    cols = data.draw(st.integers(1, rows))
+    tol = 10.0**log_tol
+    offsets = spread * tol * rng.uniform(-1.0, 1.0, cols)
+    offsets[0] = side * tol * (1.0 + skew)
+    v = _with_singular_values(rng, rows, np.sqrt(1.0 + offsets))
+    defect = float(np.max(np.abs(np.linalg.svd(v, compute_uv=False) ** 2 - 1.0)))
+    cheap = np.linalg.norm(dagger(v) @ v - np.eye(cols)) <= tol
+    try:
+        check_isometry(v, tol)
+        accepted = True
+    except NotUnitaryError:
+        accepted = False
+    if cheap:
+        assert accepted and defect <= tol
+    if abs(defect - tol) > 1e-12 * tol:
+        assert accepted == (defect <= tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(1, 12), diagonal=st.booleans(), log_tol=st.floats(-6.0, 3.0),
+       side=st.sampled_from([-1e-10, 1e-10]), spread=st.sampled_from([0.0, 0.5, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_norm_at_most_decides_as_the_svd_near_the_boundary(dim, diagonal, log_tol, side,
+                                                           spread, seed):
+    # ||x|| = tol (1 + side), a diagonal or a dense x; the other singular
+    # values, or moduli, are at most spread times the largest, so the
+    # Frobenius norm or the Schur test can accept, or neither can.
+    rng = np.random.default_rng(seed)
+    tol = 10.0**log_tol
+    s = tol * (1.0 + side) * np.append(1.0, spread * rng.uniform(0.0, 1.0, dim - 1))
+    if diagonal:
+        x = np.diag(s * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, dim)))
+    else:
+        x = _with_singular_values(rng, dim, s)
+    norm = op_norm(x)
+    a = np.abs(x)
+    cheap = (np.linalg.norm(x) <= tol
+             or np.sqrt(np.max(a.sum(axis=0)) * np.max(a.sum(axis=1))) <= tol)
+    accepted = norm_at_most(x, tol)
+    if cheap:
+        assert accepted and norm <= tol
+    if abs(norm - tol) > 1e-12 * tol:
+        assert accepted == (norm <= tol)

@@ -14,13 +14,14 @@ from state_transport.errors import (
 )
 from state_transport.gram import VectorFamily, align_unitary, alignment_bound
 from state_transport.linalg import dagger, inner, op_norm
-from state_transport.path import UnitaryPath
+from state_transport.path import PathSegment, UnitaryPath
 from state_transport.suites import (
     commutant_instance,
     random_state,
     random_unitary,
 )
 from state_transport.transport import (
+    COLINEAR_TOL,
     commutant_transport,
     excise,
     excision_error,
@@ -259,6 +260,88 @@ def test_invert_alignment_bound_closed_form(n, dim):
         assert alignment_bound(n, dim, delta) <= target
         oracle = _bisect_alignment_bound(n, dim, target)
         assert abs(delta - oracle) <= 1e-12 * oracle
+
+
+def _aligned_path(mu, xi, eta, delta):
+    """The lifted alignment path, as commutant_transport builds it for blocks
+    with n >= 2 and r >= 2, and the alignment."""
+    r = mu.multiplicity
+    align = align_unitary(VectorFamily(r, mu.corner_families(xi)),
+                          VectorFamily(r, mu.corner_families(eta)), delta)
+    seg = PathSegment(0.0, 1.0, np.tile(align.angles, mu.n), mu.lift_columns(align.vectors),
+                      np.eye(mu.ambient_dim, dtype=complex))
+    return UnitaryPath([seg]), align
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_unit=st.booleans(), size=st.integers(1, 10), pad=st.integers(0, 3),
+       rotate=st.booleans(), noise=st.sampled_from([0.0, 1e-9, 1e-5, 1e-2, 0.3]),
+       log_eps=st.floats(-3.0, 0.0), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_transports_match_the_alignment(one_unit, size, pad, rotate, noise,
+                                                    log_eps, seed):
+    # Blocks of one unit (n = 1) or multiplicity one (r = 1) take a closed
+    # form instead of align_unitary.  The gate is the alignment's, the
+    # terminal error no larger than the aligned path's, the path commutes
+    # with every unit, and for n = 1 it is no longer.  With pad > 0 the
+    # block does not cover the space, and both states have a part outside.
+    rng = np.random.default_rng(seed)
+    n, r = (1, size) if one_unit else (size, 1)
+    ambient = n * r + pad
+    mu = full_matrix_units(n, r, ambient, offset=pad // 2)
+    if rotate:
+        mu = conjugated_units(mu, random_unitary(rng, ambient))
+    xi = random_state(rng, ambient)
+    v = mu.isometry
+    turn = v @ np.kron(np.eye(n), random_unitary(rng, r) - np.eye(r)) @ dagger(v)
+    eta = xi + turn @ xi + noise * random_state(rng, ambient)
+    eta = eta / np.linalg.norm(eta)
+    eps = 10.0**log_eps
+    delta = invert_alignment_bound(n, r, eps / np.sqrt(n))
+    try:
+        aligned, align = _aligned_path(mu, xi, eta, delta)
+    except HypothesisError as exc:
+        with pytest.raises(HypothesisError) as info:
+            commutant_transport(mu, xi, eta, eps)
+        assert info.value.measured_gap == exc.measured_gap
+        return
+    res = commutant_transport(mu, xi, eta, eps)
+    assert res.measured_gap == align.gap
+    assert len(res.path.segments) == 1
+    outside = xi - eta - v @ (dagger(v) @ (xi - eta))
+    limit = np.hypot(np.linalg.norm(outside), np.sqrt(n) * align.bound)
+    assert res.terminal_error <= np.linalg.norm(aligned.end() @ xi - eta) + 1e-12
+    assert res.terminal_error <= limit + 1e-12
+    units = [mu.unit(i, j) for i in range(n) for j in range(n)]
+    assert res.path.commutator_bound(units) <= 1e-9
+    if n == 1:
+        assert res.path.length <= aligned.length + 1e-12
+    exact = commutant_transport(mu, xi, eta, eps, exact=True)
+    assert exact.measured_gap == align.gap
+    # Below COLINEAR_TOL the repair geodesic turns a phase alone, so it
+    # leaves such a residual about in place.
+    left = 1.01 * res.terminal_error if res.terminal_error < COLINEAR_TOL else 0.0
+    assert exact.terminal_error <= max(1e-13, left)
+
+
+@pytest.mark.parametrize("zero_side", ["source", "target"])
+def test_zero_corner_gives_the_constant_path(zero_side):
+    # M_1 (x) 1_2 on the first two coordinates.  One state has no corner,
+    # the other a corner of weight 1e-6 < delta = eps^2: the gate admits
+    # the pair, and the transport takes no rotation; the repair then moves
+    # the whole way.
+    mu = full_matrix_units(1, 2, 4)
+    xi = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
+    eta = np.array([1e-3, 0.0, 0.0, 1.0], dtype=complex)
+    eta = eta / np.linalg.norm(eta)
+    if zero_side == "target":
+        xi, eta = eta, xi
+    res = commutant_transport(mu, xi, eta, 0.1)
+    assert res.measured_gap == pytest.approx(1e-6 / (1 + 1e-6), rel=1e-12)
+    assert res.path.segments[0].w.size == 0 and res.path.length == 0.0
+    assert res.terminal_error == np.linalg.norm(xi - eta)
+    repaired = commutant_transport(mu, xi, eta, 0.1, exact=True)
+    assert len(repaired.path.segments) == 2
+    assert repaired.terminal_error < 1e-13
 
 
 def test_commutant_transport_rejects_large_gap(rng):
