@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ParameterError
 from .linalg import dagger, op_norm
 
 
@@ -106,9 +106,16 @@ class BlockAlgebra:
 
 
 def direct_sum_algebra(sizes: list[int], multiplicities: list[int] | None = None) -> BlockAlgebra:
-    """Block algebra (+)_b M_{n_b} (x) 1_{r_b} on consecutive coordinate windows."""
+    """Block algebra (+)_b M_{n_b} (x) 1_{r_b} on consecutive coordinate windows.
+    A size or multiplicity below 1, or one multiplicity per size missing,
+    raises ``ParameterError``."""
     if multiplicities is None:
         multiplicities = [1] * len(sizes)
+    if len(multiplicities) != len(sizes) or not all(
+            k >= 1 for k in (*sizes, *multiplicities)):
+        raise ParameterError(
+            f"block sizes {sizes} and multiplicities {multiplicities} must be >= 1, "
+            "one multiplicity per size")
     ambient = sum(n * r for n, r in zip(sizes, multiplicities))
     blocks = []
     offset = 0

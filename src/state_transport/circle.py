@@ -31,10 +31,10 @@ ANGLE_CLUSTER_TOL = 1e-9
 class SpectralModel:
     """A unitary with finite spectrum, resolved into eigenangle clusters.
 
-    ``eigenbasis`` holds the Schur eigenvectors of z as columns, sorted by
-    angle, and ``labels[j]`` is the cluster of column j; cluster k has the
-    angle ``eigenangles[k]`` in [0, 1).  Its spectral projection is
-    Q_k Q_k^* for the columns Q_k with label k, so
+    ``eigenbasis`` holds the eigenvectors of z (``_unitary_eig``) as
+    columns, sorted by angle, and ``labels[j]`` is the cluster of column j;
+    cluster k has the angle ``eigenangles[k]`` in [0, 1).  Its spectral
+    projection is Q_k Q_k^* for the columns Q_k with label k, so
     z = Q diag(exp(2 pi i eigenangles[labels])) Q^* within 1e-10 and the
     spectral compression of an arc is spanned by a slice of the columns.
     """

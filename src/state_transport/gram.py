@@ -155,8 +155,11 @@ def alignment_bound(n: int, dim: int, delta: float) -> float:
 
     Full-rank case: sqrt(n * delta) via the square-root modulus of the
     completion step.  Rank-deficient case (dim < n): m * eps + (m+1)^2 * delta
-    with m = dim pivots and eps = sqrt(m * delta).
+    with m = dim pivots and eps = sqrt(m * delta).  A delta that is NaN or
+    negative raises ``ParameterError``.
     """
+    if not delta >= 0:
+        raise ParameterError(f"Gram gap delta must be >= 0, got {delta}")
     if dim >= n:
         return float(np.sqrt(n * delta))
     m = dim
@@ -195,7 +198,7 @@ def align_unitary(src: VectorFamily, dst: VectorFamily, delta: float) -> Alignme
 
     That M is the identity off span(F_x, F_y), which M and M^* keep; so with
     Q from one reduced QR of [F_x, F_y], polar(M) = 1 + Q (polar(C) - 1) Q^*
-    for C = Q^* M Q, at most 2k x 2k, whose Schur pairs (lam, z) give
+    for C = Q^* M Q, at most 2k x 2k, whose eigenpairs (lam, z) give
     ``angles`` = angle lam and ``vectors`` = Q z.
     """
     gap = alignment_gate(src, dst, delta)

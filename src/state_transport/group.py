@@ -20,13 +20,11 @@ quantities of its factors, plus a row residual for a given family.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DetourFailureError,
@@ -37,8 +35,8 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .gram import VectorFamily
-from .linalg import (UNITARY_TOL, _check_tolerance, check_operators, check_state,
-                     check_unitary, dagger, norm_at_most, op_norm)
+from .linalg import (UNITARY_TOL, _check_tolerance, _normal_eigenbasis, check_operators,
+                     check_state, check_unitary, dagger, norm_at_most, op_norm)
 from .path import PathSegment, UnitaryPath, concat_paths
 
 FLIP_TOL = 1e-10
@@ -47,9 +45,6 @@ FLIP_TOL = 1e-10
 OVERLAP_TOL = 1e-8
 # Growth constant of the exponential-series estimate for the terminal error.
 EXP_SERIES_CONSTANT = float(np.e**np.pi - 1 + np.pi * np.e**np.pi)
-# The generic unit rho of ``_joint_eigenbasis``: Re(rho lambda) tells apart
-# the two halves of every conjugate pair lambda, conj(lambda) off the axis.
-_TILT = cmath.exp(1j * (math.sqrt(5.0) - 1.0))
 
 
 @dataclass
@@ -164,38 +159,16 @@ def integer_action(generators: list[np.ndarray]) -> GroupAction:
 def _joint_eigenbasis(generators: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Unitary Q and angles (d, dim) with Q^* u_k Q = diag(exp(i angles[k])).
 
-    N = sum_k c_k u_k is normal for commuting u_k, and its eigenspaces are
-    joint eigenspaces unless two joint eigenvalue tuples satisfy a linear
-    relation with the weights c_k (transcendental, so no algebraic
-    eigenvalues do).  Q starts as the ``eigh`` basis of the Hermitian part of
-    rho N for the fixed generic unit rho = ``_TILT``: its eigenspaces are sums
-    of N's, and the tilt keeps the conjugate pairs of a real generator's
-    spectrum, which the Hermitian part of N itself would merge, apart.
-    ``eigh`` mixes only columns of near-equal eigenvalues, which it keeps
-    adjacent, so in T = Q^* N Q every entry |T_ab| above
-    ``UNITARY_TOL / (4 dim)`` lies inside a run of adjacent columns
-    (``_coupled_runs``), and each run of two or more is replaced by the
-    complex Schur basis of its block of T: no dense Schur form is taken
-    unless the coupling spans the whole matrix, as it does for generators
-    that do not commute.  Then every u_k is diagonal in Q; the one gate is
-    that every Q^* u_k Q is off-diagonal by at most ``UNITARY_TOL``, and
-    ``NonCommutingGeneratorsError`` is raised when one is not.
+    Q is the ``_normal_eigenbasis`` of the generators: for commuting u_k
+    every Q^* u_k Q is diagonal, and no Schur form is taken but of the few
+    columns of a cluster that its skew stage leaves coupled, or of coupling
+    that spans the whole matrix, as for generators that do not commute.
+    The one gate is that every Q^* u_k Q is off-diagonal by at most
+    ``UNITARY_TOL``, and ``NonCommutingGeneratorsError`` is raised when one
+    is not.
     """
-    d = len(generators)
-    dim = generators[0].shape[0]
-    weights = np.exp(1j * np.sqrt(2.0) * np.arange(d)) / np.sqrt(1.0 + np.arange(d))
-    tilted = _TILT * sum(c * u for c, u in zip(weights, generators))
-    _, q = np.linalg.eigh((tilted + dagger(tilted)) / 2)
-    ts = [dagger(q) @ u @ q for u in generators]
-    t = sum(c * a for c, a in zip(weights, ts))
-    # Each run's block of T is untouched by the rotations of the runs before.
-    for lo, hi in _coupled_runs(t, UNITARY_TOL / (4 * dim)):
-        _, z = scipy.linalg.schur(t[lo:hi, lo:hi], output="complex")
-        q[:, lo:hi] = q[:, lo:hi] @ z
-        for a in ts:
-            a[lo:hi] = dagger(z) @ a[lo:hi]
-            a[:, lo:hi] = a[:, lo:hi] @ z
-    angles = np.empty((d, dim))
+    q, ts = _normal_eigenbasis(generators)
+    angles = np.empty((len(ts), q.shape[0]))
     for k, a in enumerate(ts):
         diag = np.diag(a)
         off = a - np.diag(diag)
@@ -206,20 +179,6 @@ def _joint_eigenbasis(generators: list[np.ndarray]) -> tuple[np.ndarray, np.ndar
             )
         angles[k] = np.angle(diag)
     return q, angles
-
-
-def _coupled_runs(t: np.ndarray, tol: float) -> list[tuple[int, int]]:
-    """The maximal runs [lo, hi) of two or more adjacent columns that hold
-    every off-diagonal entry |t_ab| > ``tol``: a run ends at column e when no
-    such entry couples a column <= e with one beyond it."""
-    coupled = np.abs(t) > tol
-    a, b = np.nonzero(np.triu(coupled | coupled.T, 1))
-    index = np.arange(len(t))
-    reach = index.copy()
-    np.maximum.at(reach, a, b)
-    ends = np.flatnonzero(np.maximum.accumulate(reach) == index) + 1
-    starts = np.append(0, ends[:-1])
-    return [(int(lo), int(hi)) for lo, hi in zip(starts, ends) if hi - lo > 1]
 
 
 @dataclass

@@ -7,8 +7,12 @@ convention throughout the library is linear in the first argument:
 
 from __future__ import annotations
 
+import cmath
+import importlib.util
+import math
+import sys
+
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
@@ -22,6 +26,31 @@ from .errors import (
 
 HERMITIAN_RTOL = 1e-12
 UNITARY_TOL = 1e-10
+# The generic unit rho of ``_normal_eigenbasis``: Re(rho lambda) tells apart
+# the two halves of every conjugate pair lambda, conj(lambda) off the axis.
+_TILT = cmath.exp(1j * (math.sqrt(5.0) - 1.0))
+
+
+def _lazy_module(name: str):
+    """The module ``name`` as ``import`` would give it, but executed only at
+    its first attribute lookup (the ``importlib.util.LazyLoader`` recipe);
+    a module already in ``sys.modules`` is returned as it is."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    setattr(sys.modules[parent], child, module)
+    return module
+
+
+# Executed only when an eigenvalue cluster needs a Schur form
+# (``_normal_eigenbasis``); ``schur`` is looked up at call time, so a patched
+# or traced ``scipy.linalg.schur`` is the one called.
+_scipy_linalg = _lazy_module("scipy.linalg")
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> complex:
@@ -116,11 +145,14 @@ def _check_tolerance(eps: float) -> None:
 
 
 def check_state(xi: np.ndarray, tol: float = 1e-12, dim: int | None = None) -> np.ndarray:
-    """xi as a flat unit vector, of length ``dim`` when that is given."""
+    """xi as a flat unit vector, of length ``dim`` when that is given; a NaN
+    or infinite entry raises ``NotFiniteError``."""
     xi = np.ascontiguousarray(xi, dtype=complex).reshape(-1)
     if dim is not None and xi.size != dim:
         raise DimensionError(f"state of length {xi.size} in dimension {dim}")
-    if abs(np.linalg.norm(xi) - 1.0) > tol:
+    if not abs(np.linalg.norm(xi) - 1.0) <= tol:
+        if not np.all(np.isfinite(xi.view(float))):
+            raise NotFiniteError("state vector has non-finite entries")
         raise NotNormalizedError("state vector is not normalized")
     return xi
 
@@ -164,16 +196,91 @@ def _expm_skew(h: np.ndarray, t: float = 1.0) -> np.ndarray:
 
 
 def unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition of a unitary via complex Schur form.
+    """Spectral decomposition of a unitary, by ``_normal_eigenbasis``.
 
-    Returns (eigenvalues on the unit circle, unitary of eigenvectors).
-    A unitary is normal, so its Schur form is diagonal.
+    Returns (eigenvalues, unitary of eigenvectors as columns).  For u
+    unitary up to rounding, Q diag(eigenvalues) Q^* is u within
+    ``UNITARY_TOL / 4`` plus rounding.
     """
     return _unitary_eig(check_unitary(u))
 
 
 def _unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``unitary_eig`` for a library-built or already checked unitary."""
-    t, q = scipy.linalg.schur(u, output="complex")
+    """``unitary_eig`` for a library-built or already checked unitary: the
+    diagonal of T = Q^* u Q and the basis Q of ``_normal_eigenbasis``."""
+    q, (t,) = _normal_eigenbasis([u])
     return np.diag(t), q
 
+
+def _normal_eigenbasis(ns: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Unitary Q and the T_k = Q^* N_k Q for commuting normal N_k: Q
+    diagonalises N = sum_k c_k N_k (``_combine``), and with it every N_k
+    unless two joint eigenvalue tuples satisfy a linear relation with the
+    weights c_k (transcendental, so no algebraic eigenvalues do).  Diagonal
+    N_k give the identity.
+
+    Q starts as the ``eigh`` basis of the Hermitian part of rho N for the
+    fixed generic unit rho = ``_TILT``: its eigenspaces are sums of N's, and
+    the tilt keeps the conjugate pairs of a real matrix's spectrum, which
+    the Hermitian part of N itself would merge, apart.  ``eigh`` mixes only
+    columns of near-equal eigenvalues, which it keeps adjacent, so in
+    T = Q^* N Q every off-diagonal entry above ``UNITARY_TOL / (4 dim)``
+    lies inside a run of adjacent columns (``_coupled_runs``); with no such
+    entry, the common case, Q is done, and T is off-diagonal by at most
+    ``UNITARY_TOL / 4`` in Frobenius norm.  Each run is rotated by the
+    ``eigh`` basis of the Hermitian matrix (rho B - (rho B)^*) / 2i of its
+    block B, which tells apart the eigenvalues mirrored about the tilt,
+    equal in Re(rho lambda) but not in Im(rho lambda).  Only a run that this
+    leaves coupled takes the complex Schur basis of its block: a cluster
+    that no unitary diagonalises within the tolerance, as for a matrix
+    normal only up to the tolerance, or for generators that do not commute.
+    """
+    dim = ns[0].shape[0]
+    # Every nonzero entry on the diagonal: the N_k are diagonal already.
+    if all(np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)) for a in ns):
+        return np.eye(dim, dtype=complex), [np.asarray(a, dtype=complex) for a in ns]
+    tilted = _TILT * _combine(ns)
+    _, q = np.linalg.eigh((tilted + dagger(tilted)) / 2)
+    ts = [dagger(q) @ a @ q for a in ns]
+    t = _combine(ts)
+    tol = UNITARY_TOL / (4 * dim)
+    # Each run's block of T is untouched by the rotations of the runs before.
+    for lo, hi in _coupled_runs(t, tol):
+        block = _TILT * t[lo:hi, lo:hi]
+        _, z = np.linalg.eigh((block - dagger(block)) / 2j)
+        block = dagger(z) @ block @ z
+        for i, j in _coupled_runs(block, tol):
+            _, s = _scipy_linalg.schur(block[i:j, i:j], output="complex")
+            z[:, i:j] = z[:, i:j] @ s
+        q[:, lo:hi] = q[:, lo:hi] @ z
+        for a in ts:
+            a[lo:hi] = dagger(z) @ a[lo:hi]
+            a[:, lo:hi] = a[:, lo:hi] @ z
+    return q, ts
+
+
+def _combine(ms: list[np.ndarray]) -> np.ndarray:
+    """N = sum_k c_k M_k with the fixed generic weights
+    c_k = exp(i sqrt(2) k) / sqrt(1 + k); M_0 itself when it is alone."""
+    if len(ms) == 1:
+        return ms[0]
+    k = np.arange(len(ms))
+    return sum(c * m for c, m in zip(np.exp(1j * np.sqrt(2.0) * k) / np.sqrt(1.0 + k), ms))
+
+
+def _coupled_runs(t: np.ndarray, tol: float) -> list[tuple[int, int]]:
+    """The maximal runs [lo, hi) of two or more adjacent columns that hold
+    every off-diagonal entry |t_ab| > ``tol``: a run ends at column e when no
+    such entry couples a column <= e with one beyond it.  With no such entry
+    there is no run, and nothing else is computed."""
+    coupled = np.abs(t) > tol
+    np.fill_diagonal(coupled, False)
+    a, b = np.nonzero(coupled)
+    if not a.size:
+        return []
+    index = np.arange(len(t))
+    reach = index.copy()
+    np.maximum.at(reach, np.minimum(a, b), np.maximum(a, b))
+    ends = np.flatnonzero(np.maximum.accumulate(reach) == index) + 1
+    starts = np.append(0, ends[:-1])
+    return [(int(lo), int(hi)) for lo, hi in zip(starts, ends) if hi - lo > 1]

@@ -168,11 +168,14 @@ class UnitaryPath:
                             for s in self.segments])
 
     def rescaled(self, t0: float = 0.0, t1: float = 1.0) -> "UnitaryPath":
-        """Reparameterize onto [t0, t1]; the certified length is unchanged."""
+        """Reparameterize onto [t0, t1]; the certified length is unchanged.
+        An interval that is not finite with t0 < t1 raises ``PathError``."""
         lo, hi = self.t_start, self.t_end
         span = hi - lo
         if span <= 0:
             raise PathError("degenerate parameter interval")
+        if not -np.inf < t0 < t1 < np.inf:
+            raise PathError(f"cannot rescale onto [{t0}, {t1}]")
         scale = (t1 - t0) / span
         return UnitaryPath([PathSegment(t0 + (s.t0 - lo) * scale, t0 + (s.t1 - lo) * scale,
                                         s.w / scale, s.v, s.base) for s in self.segments])

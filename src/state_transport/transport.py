@@ -52,7 +52,7 @@ def geodesic_pair(xi: np.ndarray, eta: np.ndarray) -> UnitaryPath:
     scalar rotation w = (arg a,), v = xi.
     """
     xi = check_state(xi)
-    eta = check_state(eta)
+    eta = check_state(eta, dim=xi.size)
     dim = xi.size
     a = inner(eta, xi)
     rest = eta - a * xi

@@ -218,14 +218,59 @@ def test_run_group_finite_action(tmp_path, rng, forged, code, error):
         assert report["violated_hypothesis"].startswith(error)
 
 
-def test_import_does_not_load_scipy_optimize():
-    src = os.path.dirname(os.path.dirname(state_transport.__file__))
+_SRC = os.path.dirname(os.path.dirname(state_transport.__file__))
+_PERFBENCH = os.path.join(os.path.dirname(_SRC), "perfbench")
+# scipy.linalg's package body imports its Schur module, so that module is in
+# sys.modules once scipy.linalg has executed, and only then.
+_EXECUTED = "'scipy.linalg._decomp_schur' in sys.modules"
+
+
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter that imports
+    this checkout's state_transport and perfbench's modules."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        [_SRC, _PERFBENCH] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_does_not_load_scipy_optimize():
     code = "import sys, state_transport; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert _fresh_python(code).strip() == "False"
+
+
+def test_import_registers_scipy_linalg_without_executing_it():
+    code = f"import sys, state_transport; print('scipy.linalg' in sys.modules, {_EXECUTED})"
+    assert _fresh_python(code).split() == ["True", "False"]
+
+
+def test_one_tiny_op_of_each_workload_leaves_scipy_linalg_unexecuted():
+    code = f"""
+import sys, state_transport, state_transport.serialize, workloads
+for name, workload in sorted(workloads.WORKLOADS.items()):
+    rec = workloads.run_op(state_transport, workload, workload.inputs(1, True)[0])
+    print(name, rec.failed, {_EXECUTED})
+"""
+    assert _fresh_python(code).split() == [
+        "small-certs", "False", "False", "spectral-mid", "False", "False",
+        "tower-256", "False", "False"]
+
+
+def test_perfbench_tracer_installs_over_the_lazy_scipy_linalg():
+    # The tracer reads sys.modules["scipy.linalg"] and wraps its schur, which
+    # executes the module; the library looks schur up at call time, so it
+    # reaches the wrapper, and uninstall restores the original.
+    code = """
+import sys, state_transport, state_transport.serialize
+from tracer import Tracer
+lazy = state_transport.linalg._scipy_linalg
+tracer = Tracer().install()
+traced = lazy.schur
+tracer.uninstall()
+print(lazy is sys.modules["scipy.linalg"], traced is not lazy.schur,
+      traced.__wrapped__ is lazy.schur)
+"""
+    assert _fresh_python(code).split() == ["True", "True", "True"]
 
 
 def test_no_subcommand_is_usage_error(capsys):

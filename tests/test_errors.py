@@ -1,13 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from state_transport.algebra import direct_sum_algebra, full_matrix_units
 from state_transport.circle import SpectralModel, circle_partition
-from state_transport.errors import ParameterError, StateTransportError
+from state_transport.errors import (
+    DimensionError,
+    NotFiniteError,
+    ParameterError,
+    PathError,
+    StateTransportError,
+)
 from state_transport.gram import (
     GramTarget,
     VectorFamily,
     align_unitary,
+    alignment_bound,
     gram_complete,
     greedy_pivot_select,
 )
@@ -16,6 +25,7 @@ from state_transport.intertwine import AlgebraTower, build_tower, make_schedule
 from state_transport.suites import run_suite
 from state_transport.transport import (
     commutant_transport,
+    geodesic_pair,
     multi_transport,
     projection_transport,
 )
@@ -88,3 +98,37 @@ def test_bad_tolerance_raises_parameter_error(site, eps):
     # no division by eps, and no gate compared against a NaN threshold
     with pytest.raises(ParameterError, match="finite and > 0"):
         TOLERANCE_SITES[site](eps)
+
+
+_ETA = np.array([0.0, 1.0], dtype=complex)
+_NAN = np.array([np.nan, 1.0], dtype=complex)
+
+# Public entry points that returned a NaN or a wrong value, or raised a bare
+# numpy or Python exception, on these arguments.
+BOUNDARY_SITES = {
+    "geodesic_pair NaN source": (lambda: geodesic_pair(_NAN, _ETA), NotFiniteError),
+    "geodesic_pair NaN target": (lambda: geodesic_pair(_XI, _NAN), NotFiniteError),
+    "geodesic_pair sizes": (lambda: geodesic_pair(_XI, np.eye(3)[0]), DimensionError),
+    "direct_sum_algebra zero size": (lambda: direct_sum_algebra([0]), ParameterError),
+    "direct_sum_algebra zero multiplicity": (lambda: direct_sum_algebra([2], [0]),
+                                             ParameterError),
+    "direct_sum_algebra multiplicities": (lambda: direct_sum_algebra([2, 2], [1]),
+                                          ParameterError),
+    "alignment_bound negative delta": (lambda: alignment_bound(3, 2, -1e-3), ParameterError),
+    "alignment_bound NaN delta": (lambda: alignment_bound(2, 3, float("nan")), ParameterError),
+    "rescaled empty interval": (lambda: geodesic_pair(_XI, _ETA).rescaled(1.0, 1.0),
+                                PathError),
+    "rescaled reversed interval": (lambda: geodesic_pair(_XI, _ETA).rescaled(1.0, 0.0),
+                                   PathError),
+    "rescaled infinite interval": (lambda: geodesic_pair(_XI, _ETA).rescaled(0.0, np.inf),
+                                   PathError),
+}
+
+
+@pytest.mark.parametrize("site", sorted(BOUNDARY_SITES))
+def test_public_boundary_raises_typed_errors(site):
+    call, error = BOUNDARY_SITES[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()

@@ -1,10 +1,11 @@
 import itertools
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from state_transport.errors import (
@@ -23,7 +24,6 @@ from state_transport.group import (
     EXP_SERIES_CONSTANT,
     FLIP_TOL,
     OVERLAP_TOL,
-    _TILT,
     GroupAction,
     _correlations,
     _difference_set,
@@ -38,7 +38,9 @@ from state_transport.group import (
     group_state_transport,
     integer_action,
 )
-from state_transport.linalg import UNITARY_TOL, dagger, op_norm
+from state_transport import linalg
+from state_transport.linalg import (_TILT, UNITARY_TOL, _normal_eigenbasis, check_unitary,
+                                    dagger, op_norm)
 from state_transport.suites import group_instance, random_state, random_unitary
 
 
@@ -503,6 +505,50 @@ def test_joint_eigenbasis_on_adversarial_commuting_families(kind, dim, d, seed):
     assert np.linalg.norm(dagger(q) @ q - np.eye(dim), 2) <= 1e-12
     for u, a in zip(gens, angles):
         assert np.linalg.norm(dagger(q) @ u @ q - np.diag(np.exp(1j * a)), 2) <= UNITARY_TOL
+
+
+def _defective_cluster(rng, dim):
+    """A unitary to within 1e-10 with a double eigenvalue whose block holds a
+    nilpotent part of 3e-11 to 4e-11, above the coupling tolerance of every
+    dim: no unitary diagonalises that block, so it stays coupled after the
+    skew stage and takes a Schur form."""
+    d = np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
+    d[1] = d[0]
+    t = np.diag(d)
+    t[0, 1] = rng.uniform(3e-11, 4e-11) * d[0]
+    v = random_unitary(rng, dim)
+    return v @ t @ dagger(v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["real_orthogonal", "roots_of_unity", "clusters",
+                             "clusters_at_minus_one", "tilt_mirrors", "permutations",
+                             "powers", "defective_cluster"]),
+       dim=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_normal_eigenbasis_diagonalises_adversarial_unitaries(kind, dim, seed):
+    # One unitary of each adversarial family ("powers" is then a random
+    # unitary): Q is unitary and diagonalises it to UNITARY_TOL.  The pairs
+    # mirrored about the tilt are told apart by the skew stage without a
+    # Schur form; a cluster that stays coupled after it takes one.
+    rng = np.random.default_rng(seed)
+    if kind == "defective_cluster":
+        assume(dim >= 2)
+        us = [check_unitary(_defective_cluster(rng, dim))]
+    else:
+        us = _adversarial_family(kind, rng, dim, 1)
+    with mock.patch.object(linalg, "_coupled_runs", wraps=linalg._coupled_runs) as runs, \
+            mock.patch.object(linalg._scipy_linalg, "schur",
+                              wraps=linalg._scipy_linalg.schur) as schur:
+        q, ts = _normal_eigenbasis(us)
+    assert np.linalg.norm(dagger(q) @ q - np.eye(dim), 2) <= 1e-12
+    for u, t in zip(us, ts):
+        assert np.linalg.norm(t - dagger(q) @ u @ q) <= 1e-12
+        assert np.linalg.norm(t - np.diag(np.diag(t)), 2) <= UNITARY_TOL
+    # _coupled_runs is called again, on a run's block, only by the skew stage.
+    if kind == "tilt_mirrors" and dim >= 2:
+        assert runs.call_count > 1 and not schur.called
+    if kind == "defective_cluster":
+        assert [len(c.args[0]) for c in schur.call_args_list] == [2]
 
 
 def _cyclic_two_copies(rng, d=4):
