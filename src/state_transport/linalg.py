@@ -224,16 +224,22 @@ def _normal_eigenbasis(ns: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarra
     the tilt keeps the conjugate pairs of a real matrix's spectrum, which
     the Hermitian part of N itself would merge, apart.  ``eigh`` mixes only
     columns of near-equal eigenvalues, which it keeps adjacent, so in
-    T = Q^* N Q every off-diagonal entry above ``UNITARY_TOL / (4 dim)``
-    lies inside a run of adjacent columns (``_coupled_runs``); with no such
-    entry, the common case, Q is done, and T is off-diagonal by at most
-    ``UNITARY_TOL / 4`` in Frobenius norm.  Each run is rotated by the
-    ``eigh`` basis of the Hermitian matrix (rho B - (rho B)^*) / 2i of its
-    block B, which tells apart the eigenvalues mirrored about the tilt,
-    equal in Re(rho lambda) but not in Im(rho lambda).  Only a run that this
-    leaves coupled takes the complex Schur basis of its block: a cluster
-    that no unitary diagonalises within the tolerance, as for a matrix
-    normal only up to the tolerance, or for generators that do not commute.
+    T = Q^* N Q every off-diagonal entry above the rounding level
+    4 dim eps |N| lies inside a run of adjacent columns (``_coupled_runs``);
+    with no such entry Q is done.  A pair of eigenvalues 1e-9 apart whose
+    difference is nearly orthogonal to the tilt makes such a run: ``eigh``
+    mixes its two columns and leaves an entry of some 1e-14, which T^k
+    carries k-fold into the diagonal that the orbit correlations read.
+    Each run is rotated by the ``eigh`` basis of the Hermitian matrix
+    (rho B - (rho B)^*) / 2i of its block B, which tells apart the
+    eigenvalues mirrored about the tilt, equal in Re(rho lambda) but not in
+    Im(rho lambda), unless the first basis leaves less coupling.  Only a
+    part of a run that this leaves coupled above
+    ``UNITARY_TOL / (4 dim)`` takes the complex Schur basis of its block: a
+    cluster that no unitary diagonalises within the tolerance, as for a
+    matrix normal only up to the tolerance, or for generators that do not
+    commute.  T is off-diagonal by at most ``UNITARY_TOL / 4`` in Frobenius
+    norm.
     """
     dim = ns[0].shape[0]
     # Every nonzero entry on the diagonal: the N_k are diagonal already.
@@ -243,20 +249,35 @@ def _normal_eigenbasis(ns: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarra
     _, q = np.linalg.eigh((tilted + dagger(tilted)) / 2)
     ts = [dagger(q) @ a @ q for a in ns]
     t = _combine(ts)
+    rounding = 4 * dim * np.finfo(float).eps * np.max(np.abs(np.diagonal(t)))
     tol = UNITARY_TOL / (4 * dim)
     # Each run's block of T is untouched by the rotations of the runs before.
-    for lo, hi in _coupled_runs(t, tol):
+    for lo, hi in _coupled_runs(t, rounding):
         block = _TILT * t[lo:hi, lo:hi]
         _, z = np.linalg.eigh((block - dagger(block)) / 2j)
-        block = dagger(z) @ block @ z
-        for i, j in _coupled_runs(block, tol):
-            _, s = _scipy_linalg.schur(block[i:j, i:j], output="complex")
+        rotated = dagger(z) @ block @ z
+        # A run can hold a pair that the first eigh told apart but whose
+        # Im(rho lambda) agree, which the skew basis mixes: the first basis
+        # stays when it leaves less coupling (``_coupling``).
+        if _coupling(block, tol) < _coupling(rotated, tol):
+            z, rotated = np.eye(hi - lo, dtype=complex), block
+        for i, j in _coupled_runs(rotated, tol):
+            _, s = _scipy_linalg.schur(rotated[i:j, i:j], output="complex")
             z[:, i:j] = z[:, i:j] @ s
         q[:, lo:hi] = q[:, lo:hi] @ z
         for a in ts:
             a[lo:hi] = dagger(z) @ a[lo:hi]
             a[:, lo:hi] = a[:, lo:hi] @ z
     return q, ts
+
+
+def _coupling(b: np.ndarray, tol: float) -> tuple[int, float]:
+    """The off-diagonal coupling of b, in order: the number of entries above
+    ``tol``, which a Schur form then takes, and the largest of the others,
+    which stays in T."""
+    off = np.abs(b - np.diag(np.diagonal(b)))
+    above = off > tol
+    return int(np.count_nonzero(above)), float(np.max(off, where=~above, initial=0.0))
 
 
 def _combine(ms: list[np.ndarray]) -> np.ndarray:
