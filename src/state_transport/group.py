@@ -159,15 +159,16 @@ def integer_action(generators: list[np.ndarray]) -> GroupAction:
 def _joint_eigenbasis(generators: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Unitary Q and angles (d, dim) with Q^* u_k Q = diag(exp(i angles[k])).
 
-    Q is the ``_normal_eigenbasis`` of the generators: for commuting u_k
-    every Q^* u_k Q is diagonal, and no Schur form is taken but of the few
-    columns of a cluster that its skew stage leaves coupled, or of coupling
-    that spans the whole matrix, as for generators that do not commute.
-    The one gate is that every Q^* u_k Q is off-diagonal by at most
-    ``UNITARY_TOL``, and ``NonCommutingGeneratorsError`` is raised when one
-    is not.
+    Q is the ``_normal_eigenbasis`` of the generators, whose runs start at
+    the rounding level 4 dim eps d of N = sum_k c_k u_k: rep(g) raises the
+    T_k to powers, which carry an off-diagonal entry k-fold into the orbit
+    correlations, so a pair 1e-9 apart that one ``eigh`` leaves mixed by
+    some 1e-14 is rotated apart.  The one gate is that every Q^* u_k Q is
+    off-diagonal by at most ``UNITARY_TOL``, and
+    ``NonCommutingGeneratorsError`` is raised when one is not.
     """
-    q, ts = _normal_eigenbasis(generators)
+    dim = len(generators[0])
+    q, ts = _normal_eigenbasis(generators, 4 * dim * np.finfo(float).eps * len(generators))
     angles = np.empty((len(ts), q.shape[0]))
     for k, a in enumerate(ts):
         diag = np.diag(a)

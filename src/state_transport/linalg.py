@@ -47,9 +47,9 @@ def _lazy_module(name: str):
     return module
 
 
-# Executed only when an eigenvalue cluster needs a Schur form
-# (``_normal_eigenbasis``); ``schur`` is looked up at call time, so a patched
-# or traced ``scipy.linalg.schur`` is the one called.
+# The library calls nothing in scipy.linalg, so it never executes the module;
+# it stays registered for the tools that read ``sys.modules["scipy.linalg"]``,
+# such as perfbench's tracer, which wraps its ``schur``.
 _scipy_linalg = _lazy_module("scipy.linalg")
 
 
@@ -200,19 +200,23 @@ def unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (eigenvalues, unitary of eigenvectors as columns).  For u
     unitary up to rounding, Q diag(eigenvalues) Q^* is u within
-    ``UNITARY_TOL / 4`` plus rounding.
+    ``UNITARY_TOL / 4`` plus rounding; for a u that ``check_unitary``
+    accepts but that is normal only within its tolerance, within u's
+    departure from normality, at most about ``UNITARY_TOL``.
     """
     return _unitary_eig(check_unitary(u))
 
 
 def _unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``unitary_eig`` for a library-built or already checked unitary: the
-    diagonal of T = Q^* u Q and the basis Q of ``_normal_eigenbasis``."""
-    q, (t,) = _normal_eigenbasis([u])
+    diagonal of T = Q^* u Q and the basis Q of ``_normal_eigenbasis``, whose
+    runs hold the entries of T above ``UNITARY_TOL / (4 dim)``."""
+    q, (t,) = _normal_eigenbasis([u], UNITARY_TOL / (4 * max(len(u), 1)))
     return np.diag(t), q
 
 
-def _normal_eigenbasis(ns: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+def _normal_eigenbasis(ns: list[np.ndarray],
+                       tol: float) -> tuple[np.ndarray, list[np.ndarray]]:
     """Unitary Q and the T_k = Q^* N_k Q for commuting normal N_k: Q
     diagonalises N = sum_k c_k N_k (``_combine``), and with it every N_k
     unless two joint eigenvalue tuples satisfy a linear relation with the
@@ -224,22 +228,20 @@ def _normal_eigenbasis(ns: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarra
     the tilt keeps the conjugate pairs of a real matrix's spectrum, which
     the Hermitian part of N itself would merge, apart.  ``eigh`` mixes only
     columns of near-equal eigenvalues, which it keeps adjacent, so in
-    T = Q^* N Q every off-diagonal entry above the rounding level
-    4 dim eps |N| lies inside a run of adjacent columns (``_coupled_runs``);
-    with no such entry Q is done.  A pair of eigenvalues 1e-9 apart whose
-    difference is nearly orthogonal to the tilt makes such a run: ``eigh``
-    mixes its two columns and leaves an entry of some 1e-14, which T^k
-    carries k-fold into the diagonal that the orbit correlations read.
-    Each run is rotated by the ``eigh`` basis of the Hermitian matrix
+    T = Q^* N Q every off-diagonal entry above ``tol`` lies inside a run of
+    adjacent columns (``_coupled_runs``); with no such entry Q is done, and
+    T is off-diagonal by at most dim tol in Frobenius norm.  Each run is
+    rotated by the ``eigh`` basis of the Hermitian matrix
     (rho B - (rho B)^*) / 2i of its block B, which tells apart the
     eigenvalues mirrored about the tilt, equal in Re(rho lambda) but not in
-    Im(rho lambda), unless the first basis leaves less coupling.  Only a
-    part of a run that this leaves coupled above
-    ``UNITARY_TOL / (4 dim)`` takes the complex Schur basis of its block: a
-    cluster that no unitary diagonalises within the tolerance, as for a
-    matrix normal only up to the tolerance, or for generators that do not
-    commute.  T is off-diagonal by at most ``UNITARY_TOL / 4`` in Frobenius
-    norm.
+    Im(rho lambda), unless the first basis leaves a smaller off-diagonal
+    entry: a run can also hold a pair that the first ``eigh`` told apart but
+    whose Im(rho lambda) agree, which the skew basis mixes.  For normal N a
+    run is then diagonal up to rounding.  No unitary removes the
+    off-diagonal part of a block that is normal only within a tolerance,
+    such as a double eigenvalue with a nilpotent part: T keeps it, up to the
+    input's departure from normality, and for generators that do not
+    commute it stays of their commutator's order.
     """
     dim = ns[0].shape[0]
     # Every nonzero entry on the diagonal: the N_k are diagonal already.
@@ -249,21 +251,12 @@ def _normal_eigenbasis(ns: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarra
     _, q = np.linalg.eigh((tilted + dagger(tilted)) / 2)
     ts = [dagger(q) @ a @ q for a in ns]
     t = _combine(ts)
-    rounding = 4 * dim * np.finfo(float).eps * np.max(np.abs(np.diagonal(t)))
-    tol = UNITARY_TOL / (4 * dim)
     # Each run's block of T is untouched by the rotations of the runs before.
-    for lo, hi in _coupled_runs(t, rounding):
+    for lo, hi in _coupled_runs(t, tol):
         block = _TILT * t[lo:hi, lo:hi]
         _, z = np.linalg.eigh((block - dagger(block)) / 2j)
-        rotated = dagger(z) @ block @ z
-        # A run can hold a pair that the first eigh told apart but whose
-        # Im(rho lambda) agree, which the skew basis mixes: the first basis
-        # stays when it leaves less coupling (``_coupling``).
-        if _coupling(block, tol) < _coupling(rotated, tol):
-            z, rotated = np.eye(hi - lo, dtype=complex), block
-        for i, j in _coupled_runs(rotated, tol):
-            _, s = _scipy_linalg.schur(rotated[i:j, i:j], output="complex")
-            z[:, i:j] = z[:, i:j] @ s
+        if _largest_off_diagonal(dagger(z) @ block @ z) > _largest_off_diagonal(block):
+            continue
         q[:, lo:hi] = q[:, lo:hi] @ z
         for a in ts:
             a[lo:hi] = dagger(z) @ a[lo:hi]
@@ -271,13 +264,8 @@ def _normal_eigenbasis(ns: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarra
     return q, ts
 
 
-def _coupling(b: np.ndarray, tol: float) -> tuple[int, float]:
-    """The off-diagonal coupling of b, in order: the number of entries above
-    ``tol``, which a Schur form then takes, and the largest of the others,
-    which stays in T."""
-    off = np.abs(b - np.diag(np.diagonal(b)))
-    above = off > tol
-    return int(np.count_nonzero(above)), float(np.max(off, where=~above, initial=0.0))
+def _largest_off_diagonal(b: np.ndarray) -> float:
+    return float(np.max(np.abs(b - np.diag(np.diagonal(b)))))
 
 
 def _combine(ms: list[np.ndarray]) -> np.ndarray:

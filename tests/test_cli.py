@@ -257,9 +257,9 @@ for name, workload in sorted(workloads.WORKLOADS.items()):
 
 
 def test_perfbench_tracer_installs_over_the_lazy_scipy_linalg():
-    # The tracer reads sys.modules["scipy.linalg"] and wraps its schur, which
-    # executes the module; the library looks schur up at call time, so it
-    # reaches the wrapper, and uninstall restores the original.
+    # The tracer reads sys.modules["scipy.linalg"], which the library keeps
+    # registered, and wraps its schur, which executes the module; uninstall
+    # restores the original.
     code = """
 import sys, state_transport, state_transport.serialize
 from tracer import Tracer
