@@ -153,18 +153,65 @@ def _lift(factor: np.ndarray, s: int) -> np.ndarray:
     return np.kron(np.eye(s), factor)
 
 
+def _times_blocks(p: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """p (1_m (x) b) for an R x m r matrix p and an r x k block b, as one
+    product of p's rows cut into pieces of length r: each entry is a sum
+    of r products, not m r, and no m r x m k matrix is formed."""
+    return (p.reshape(-1, len(b)) @ b).reshape(len(p), -1)
+
+
 def _defect(m: np.ndarray) -> float:
     """||m^* m - 1||_F, which bounds the defect ||m^* m - 1|| of m from an
     isometry."""
     return float(np.linalg.norm(dagger(m) @ m - np.eye(m.shape[1])))
 
 
-def _eigenpair_defect(q: np.ndarray) -> float:
-    """d = 4 e (1 + e) with e = ``_defect(q)``: for every diagonal D with
-    |D_ii + 1| = 1, M = 1 + q D q^* has M^* M - 1 = q D^* (q^* q - 1) D q^*,
-    of norm at most ||q||^2 ||D||^2 e <= 4 e (1 + e)."""
-    e = _defect(q)
-    return 4.0 * e * (1.0 + e)
+def _gram_defect(q: np.ndarray) -> float:
+    """Certified e >= ||q^* q - 1||_F for an n x k q: ``_defect(q)`` plus the
+    rounding of the product q^* q that measures it, n 2^-52 ||q||^2 <=
+    n 2^-52 (1 + e) in norm and so sqrt(k) times that in Frobenius norm,
+    solved for e."""
+    a = np.sqrt(q.shape[1]) * len(q) * np.finfo(float).eps
+    return (_defect(q) + a) / (1.0 - a)
+
+
+def _rounded(defect: float, rho: float, cols: int) -> float:
+    """Certified ||G^* G - 1||_F for a computed G = M + E with ||E|| <= rho,
+    given defect >= ||M^* M - 1||_F for M with ``cols`` columns:
+    G^* G - 1 = (M^* M - 1) + M^* E + E^* M + E^* E, where the last three
+    have rank at most ``cols`` and norm at most rho (2 ||M|| + rho), and
+    ||M||^2 = ||M^* M|| <= 1 + defect."""
+    return defect + np.sqrt(cols) * rho * (2.0 * np.sqrt(1.0 + defect) + rho)
+
+
+def _corner_defect(e: float, shape: tuple[int, int]) -> float:
+    """Certified ||C^* C - 1||_F for the computed C = 1 + (q D) q^* of an
+    r x k q with e >= ||q^* q - 1||_F, for every diagonal D with
+    |D_ii + 1| = 1.  Exactly, M = 1 + q D q^* has
+    M^* M - 1 = q D^* (q^* q - 1) D q^*, of Frobenius norm at most
+    ||q||^2 ||D||^2 e <= 4 e (1 + e).  C errs from M by rho =
+    2 (2 k + 1) 2^-52 (1 + e), ``_rounded``: k 2^-52 ||q D|| ||q|| <=
+    2 k 2^-52 (1 + e) for the product, at most that again for the scaling
+    q D, whose entries each err by 2^-52 of their size, and
+    2^-52 ||C|| / 2 <= 2 2^-52 (1 + e) for the sum, which rounds only the
+    diagonal."""
+    r, k = shape
+    rho = 2.0 * (2 * k + 1) * np.finfo(float).eps * (1.0 + e)
+    return _rounded(4.0 * e * (1.0 + e), rho, r)
+
+
+def _product_defect(d_p: float, d_b: float, m: int, inner: int, cols: int) -> float:
+    """Certified ||G^* G - 1||_F for the computed G = P (1_m (x) b) of
+    ``_times_blocks``, from d_p >= ||P^* P - 1||_F and d_b >= ||b^* b - 1||_F
+    for the block b of ``inner`` rows, G having ``cols`` columns.
+    Exactly, with B = 1_m (x) b, (P B)^* (P B) - 1 = B^* (P^* P - 1) B +
+    (B^* B - 1), where ||B||^2 = ||b||^2 <= 1 + d_b and
+    ||B^* B - 1||_F = sqrt(m) ||b^* b - 1||_F: (1 + d_b) d_p + sqrt(m) d_b.
+    Each entry of G is a sum of ``inner`` products, so G errs by
+    rho = inner 2^-52 ||P|| ||b|| <= inner 2^-52 sqrt((1 + d_p)(1 + d_b)),
+    ``_rounded``."""
+    rho = inner * np.finfo(float).eps * np.sqrt((1.0 + d_p) * (1.0 + d_b))
+    return _rounded((1.0 + d_b) * d_p + np.sqrt(m) * d_b, rho, cols)
 
 
 def _norm_bound(defect: float, dim: int) -> float:
@@ -185,7 +232,7 @@ class TowerPath(UnitaryPath):
     lifts of f's segments, is first read: by evaluation, the length, the
     transforms, the encoding or the dense fallback, which all see the
     ambient path.  ``norm`` >= sup_t ||f(t)|| is certified by the caller;
-    ``back_and_forth`` measures it in its rounds."""
+    ``back_and_forth`` chains it from its rounds' defects."""
 
     def __init__(self, factor: UnitaryPath, level: int, limit: float, norm: float):
         self.factor, self.level, self.limit, self.norm = factor, level, limit, norm
@@ -203,10 +250,11 @@ class TowerPath(UnitaryPath):
         [1_s (x) f(t), A (x) 1] = 0 exactly, so ||[u(t), x]|| <= 2 ||f(t)||
         ||b|| <= 2 ``norm`` ||x - E_s x||_F, plus the path's rounding
         allowance ||x||_F max_k dim 2^-52 (1 + dt ||tile(w, s)||), bit for
-        bit the largest lifted segment ``allowance``.  An element whose bound reaches ``limit`` takes the
-        dense Duhamel bound of ``UnitaryPath`` over the lifted segments, so
-        every pass or fail against that limit is the dense bound's; a call
-        with every element below it forms no generator and lifts nothing.
+        bit the largest lifted segment ``allowance``.  An element whose
+        bound reaches ``limit`` takes the dense Duhamel bound of
+        ``UnitaryPath`` over the lifted segments, so every pass or fail
+        against that limit is the dense bound's; a call with every element
+        below it forms no generator and lifts nothing.
         An element that is not D x D raises ``DimensionError``."""
         check_operators(elements, self.dim)
         allowance = max(1.0 + f.duration * np.linalg.norm(np.tile(f.w, self.level))
@@ -236,43 +284,56 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     ``DimensionError``; a schedule with more rounds than levels, or without
     one delta and inner tolerance per round, ``ParameterError``.
     Logs record the gap, the terminal error ||X c_n^T - Y||_F (the 2-norm
-    of the alignment's residuals), and the commutation error of u_n over
-    the fixed set and the open companions.
+    of the alignment's residuals), the commutation error of u_n over the
+    fixed set and the open companions, and ``defect``, the chained defect
+    below of the round's product factor.
     Each fixed element's ``level_distances`` table is measured once, before
     the rounds, and read by every round and every final Ad sup.  A fixed
     element's commutation is ``commutator_bound`` of its distance from
     level n and its table's norm, with ||c_n^*|| from ``_norm_bound`` of the
-    defect 4 e (1 + e) of its eigenpairs (no SVD of the corner), when that
-    is below the round budget, and the dense norm otherwise; the logs also
-    record the largest distance ||x - E_n x||_F of the fixed set from level
-    n and how many fixed elements took the dense norm.  The open
-    companions' commutation is ``drift_bound`` of the drift ||u_n - 1||_F
-    and of d = ||p^* p - 1||_F, measured once per round for the string
-    p = w^*, when that is below the round budget, and their dense norms
-    otherwise; the logs record the drift and how many companions took the
-    dense norm.  A level's generators are built on first use, and the final
-    intertwining gap applies the last level's as s x s factors.
+    corner's defect (no SVD of the corner), when that is below the round
+    budget, and the dense norm otherwise; the logs also record the largest
+    distance ||x - E_n x||_F of the fixed set from level n and how many
+    fixed elements took the dense norm.  The open companions' commutation
+    is ``drift_bound`` of the drift ||u_n - 1||_F and of the chained defect
+    of the string p = w^*, when that is below the round budget, and their
+    dense norms otherwise; the logs record the drift and how many
+    companions took the dense norm.  A level's generators are built on
+    first use, and the final intertwining gap applies the last level's as
+    s x s factors.
 
     u_n lies in the commutant 1_s (x) M_{D/s} of the first level s, and so
-    do the products.  The loop keeps u_n, the products and the tracked
-    vectors as factors there, of size D / s: each split of them at a level
-    is exact, and each Frobenius norm is sqrt(s) times the factor's.
-    Ambient matrices are formed only as 1_s (x) factor: the products, the
-    path segments when read, and the dense norms a bound falls back to.
+    do the products; u_n = 1_s (x) U_n with U_n = 1_m (x) c_n^*, m = s_n / s.
+    Each side's product is held as the factor P of its first round's level,
+    1_{s_n} (x) P: it starts as that round's corner itself, and each later
+    round multiplies it by blocks, P (1 (x) c_n^*) by ``_times_blocks``, a
+    product whose inner dimension is the corner's D / s_n, so no round forms
+    U_n or a product of size D / s.  The tracked vectors are reshaped to the
+    factor's rows.  Ambient matrices are formed only as 1_s (x) factor, in
+    the dense norms a bound falls back to.
+
+    No product is measured.  Each defect d(G) >= ||G^* G - 1||_F of a
+    computed G, at size D / s, is chained from its factors' defects: a
+    round's corner has ``_corner_defect`` of its eigenvector matrix q's
+    ``_gram_defect`` e, the one product the round takes to learn a defect
+    (q has at most min(D / s_n, 2 s_n) columns), and a block product
+    ``_product_defect``, d(P U) <= ||U||^2 d(P) + d(U) plus its rounding.
+    The rounds read the string's defect from that chain, the final Ad sups
+    the defects of the products and of the combined product
+    P_odd P_even^*, which is formed only where an Ad sup falls back to the
+    dense norm, and the path its segments' defects.
 
     Odd round n = 2k + 1 adds to the factor path the segment
     P e^{-i (t - k) h} = e^{-i (t - k) P h P^*} P on [k, k + 1], eigenpairs
     (-tile(angles, m), P (1_m (x) q)) and base P, for the eigenpairs
-    (angles, q) the alignment holds c_n as, q with at most
-    min(D / s_n, 2 s_n) columns, m = s_n / s and the odd product's factor P
-    before the round.  ``path`` is the ``TowerPath`` 1_s (x) that factor
-    path, with the limit ``ad_odd_bound`` = 4 eps / 3 and the norm
-    max_k ||P_k|| sqrt(1 + 4 e_k (1 + e_k)) >= sup_t ||f(t)||: on segment k,
-    f(t) = (1 + v D v^*) P_k with |D_ii + 1| = 1, e_k = ``_defect(v)``, and
-    ||P_k|| is ``_norm_bound`` of the defect ||P_k^* P_k - 1||_F that round
-    n - 1 measured for its companions, P_k being the odd product it left;
-    0.0 for round 1's identity, and the constant path's ``_norm_bound(0.0)``
-    with no rounds.
+    (angles, q) the alignment holds c_n as and the odd product's factor P
+    before the round: the identity in round 1, where m = 1 and the
+    eigenvectors are q itself.  ``path`` is the ``TowerPath`` 1_s (x) that
+    factor path, with the limit ``ad_odd_bound`` = 4 eps / 3 and the norm
+    max_k ||P_k|| sqrt(1 + 4 e_k (1 + e_k)) >= sup_t ||f(t)||: on segment
+    k, f(t) = (1 + v D v^*) P_k with |D_ii + 1| = 1, e_k is the chained
+    defect of v = P_k (1_m (x) q) and ||P_k|| is ``_norm_bound`` of P_k's;
+    the constant path's ``_norm_bound(0.0)`` with no rounds.
     """
     dim = tower.ambient_dim
     xi = check_state(omega1, dim=dim)
@@ -284,31 +345,30 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         raise ParameterError("a schedule needs one delta and one inner tolerance per round")
     # The factor level: every round unitary lies in the commutant of level 1.
     s = tower.sizes[0] if tower.sizes else 1
+    size = dim // s
     sizes = tower.sizes[:schedule.rounds]
     tables = [level_distances(x, sizes) for x in fixed_set] if sizes else []
     generators = cache(tower.level_generators)
-    p_odd = p_even = np.eye(dim // s, dtype=complex)
-    # A vector as its s rows of length D / s, on which 1_s (x) P acts as
-    # rows @ P^T.
-    xi_rows, eta_rows = xi.reshape(s, -1), eta.reshape(s, -1)
+    # Per side, 1 odd and 0 even: the vector it moves, its product factor
+    # (None for the identity) and the chained defect of that product at size
+    # D / s, where 1_r (x) P has sqrt(r) times the defect of P.
+    tracked = {1: eta, 0: xi}
+    products: dict[int, np.ndarray | None] = {1: None, 0: None}
+    defects = {1: 0.0, 0: 0.0}
     corners: list[np.ndarray] = []
     segments: list[PathSegment] = []
     logs: list[dict] = []
-    # A bound on sup_t ||f(t)|| of the factor path, and the defect of the odd
-    # product the next odd segment starts from: the identity's before round
-    # 1, then the one each even round measures for its companions.
-    path_norm = _norm_bound(0.0, dim // s)
-    p_defect = 0.0
+    # A bound on sup_t ||f(t)|| of the factor path: the identity's before
+    # round 1.
+    path_norm = _norm_bound(0.0, size)
 
     for n in range(1, schedule.rounds + 1):
         s_n = tower.sizes[n - 1]
         m = s_n // s
-        odd_side = n % 2 == 1
+        side = n % 2
         # The level-n corner families of the tracked vectors; y is the side
         # that moves.
-        odd_eta = (eta_rows @ p_odd.conj()).reshape(s_n, -1)
-        even_xi = (xi_rows @ p_even.conj()).reshape(s_n, -1)
-        y, t = (odd_eta, even_xi) if odd_side else (even_xi, odd_eta)
+        y, t = (_moved(tracked[k], products[k], s_n) for k in (side, 1 - side))
         delta = schedule.deltas[n - 1]
         try:
             align = align_unitary(VectorFamily(dim // s_n, y), VectorFamily(dim // s_n, t),
@@ -323,54 +383,63 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
                                     measured_gap=gap) from exc
         angles, q = align.angles, align.vectors
         terminal = float(np.linalg.norm(align.residuals))
-        # u_n = 1_{s_n} (x) c_n^* = 1_s (x) u, with c_n^* formed from the
-        # eigenpairs as c_n's own residuals are.
+        # u_n = 1_{s_n} (x) c_n^*, with c_n^* formed from the eigenpairs as
+        # c_n's own residuals are.
         corner = np.eye(len(q)) + (q * (np.exp(-1j * angles) - 1.0)) @ dagger(q)
         corners.append(corner)
-        u = _lift(corner, m)
-        if odd_side:
+        e = _gram_defect(q)
+        corner_defect = _corner_defect(e, q.shape)
+        p, p_defect = products[side], defects[side]
+        v_defect = None
+        if side:
             k = float(len(segments))
-            v = p_odd @ _lift(q, m)
-            segments.append(PathSegment(k, k + 1.0, -np.tile(angles, m), v, p_odd))
-            path_norm = max(path_norm, _norm_bound(p_defect, len(v))
-                            * np.sqrt(1.0 + _eigenpair_defect(v)))
-            p_odd = p_odd @ u
+            if p is None:  # round 1, where m = 1
+                v, v_defect, base = q, e, np.eye(size, dtype=complex)
+            else:
+                v = _times_blocks(p, q)
+                v_defect = _product_defect(p_defect, e, m, len(q), v.shape[1])
+                base = p
+            segments.append(PathSegment(k, k + 1.0, -np.tile(angles, m), v, base))
+            path_norm = max(path_norm, _norm_bound(p_defect, size)
+                            * np.sqrt(1.0 + 4.0 * v_defect * (1.0 + v_defect)))
+        if p is None:
+            products[side], defects[side] = corner, np.sqrt(m) * corner_defect
         else:
-            p_even = p_even @ u
+            products[side] = _times_blocks(p, corner)
+            defects[side] = _product_defect(p_defect, corner_defect, m, len(corner), size)
 
         # u_n commutes with levels <= n, and w = u_{n-1}^* u_{n-3}^* ... fixes
         # levels <= 1 + n % 2, so only the fixed set and the companions w x w^*
         # of levels above can fail: ||[u_n, w x w^*]|| = ||[w^* u_n w, x]||.
         budget = schedule.budget(n)
-        drift = float(np.sqrt(s) * np.linalg.norm(u - np.eye(len(u))))
+        drift = float(np.sqrt(s_n) * np.linalg.norm(corner - np.eye(len(corner))))
         comms, measured = [], 0
-        # u_n = 1_{s_n} (x) corner exactly, the corner built from eigenpairs.
-        c = _norm_bound(_eigenpair_defect(q), len(q))
+        c = _norm_bound(corner_defect, len(q))
         for x, (distances, norm) in zip(fixed_set, tables):
             comm = commutator_bound(c, distances[n - 1], norm, dim)
             if comm >= budget:
-                u_n = _lift(u, s)
+                u_n = _lift(corner, s_n)
                 comm = op_norm(u_n @ x - x @ u_n)
                 measured += 1
             comms.append(comm)
         open_levels = range(2 + n % 2, n + 1)
         companion_measured = 0
         if open_levels:
-            p = p_even if odd_side else p_odd  # w^*
-            # The companions are shifts and clocks, so ||x|| = 1.
-            p_defect = _defect(p)
-            bound = drift_bound(drift, np.sqrt(s) * p_defect, dim)
+            # w^*, the other side's product, which the rounds so far have
+            # started.
+            bound = drift_bound(drift, np.sqrt(s) * defects[1 - side], dim)
             if bound < budget:
                 comms.append(bound)
             else:
+                p = _full_factor(products[1 - side], size)
                 companions = [x for lev in open_levels for x in generators(lev)]
-                v = _lift(p @ u @ dagger(p), s)
+                v = _lift(_times_blocks(p, corner) @ dagger(p), s)
                 comms.extend(op_norm(v @ x - x @ v) for x in companions)
                 companion_measured = len(companions)
         comm = max(comms, default=0.0)
         logs.append({
             "round": n,
-            "side": "odd" if odd_side else "even",
+            "side": "odd" if side else "even",
             "gap": align.gap,
             "delta": delta,
             "inner_tol": schedule.inner_tols[n - 1],
@@ -380,17 +449,20 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
             "fixed_measured": measured,
             "drift": drift,
             "companion_measured": companion_measured,
+            "eigenvector_defect": e,
+            "segment_defect": v_defect,
+            "defect": defects[side],
             "budget": budget,
             "within_budget": bool(comm < budget),
         })
 
-    final = _final_measurements(tower, xi_rows, eta_rows, p_odd, p_even, s, fixed_set,
-                                tables, schedule)
+    final = _final_measurements(tower, xi, eta, products, defects, s, fixed_set, tables,
+                                schedule)
     factor = (UnitaryPath(segments).rescaled(0.0, 1.0) if segments
-              else UnitaryPath.constant(dim // s))
+              else UnitaryPath.constant(size))
     return IntertwineResult(
-        odd_factor=p_odd,
-        even_factor=p_even,
+        odd_factor=_full_factor(products[1], size),
+        even_factor=_full_factor(products[0], size),
         level=s,
         corners=corners,
         logs=logs,
@@ -400,53 +472,83 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     )
 
 
-def _final_measurements(tower, xi_rows, eta_rows, p_odd, p_even, s, fixed_set, tables,
+def _moved(vector: np.ndarray, factor: np.ndarray | None, rows: int) -> np.ndarray:
+    """(1 (x) P)^* vector for a product factor P (None for the identity),
+    reshaped to ``rows`` rows: 1 (x) P^* acts on the vector's rows of
+    length len(P) as rows @ conj(P)."""
+    if factor is not None:
+        vector = vector.reshape(-1, len(factor)) @ factor.conj()
+    return vector.reshape(rows, -1)
+
+
+def _full_factor(factor: np.ndarray | None, size: int) -> np.ndarray:
+    """1_r (x) P at size ``size`` for a product factor P of size size / r,
+    and the identity for None."""
+    if factor is None:
+        return np.eye(size, dtype=complex)
+    return factor if len(factor) == size else _lift(factor, size // len(factor))
+
+
+def _final_measurements(tower, xi, eta, products, defects, s, fixed_set, tables,
                         schedule) -> dict:
-    """The Ad sups and the intertwining gap of the products 1_s (x) P,
-    given as their factors P and the states as their s rows."""
+    """The Ad sups and the intertwining gap of the products 1_s (x) P, given
+    per side as their factors P and chained defects at size D / s."""
     eps = schedule.eps
     limits = {"odd": 4 * eps / 3, "even": 2 * eps / 3, "combined": 2 * eps}
     m = schedule.rounds
+    size = tower.ambient_dim // s
     # No rounds: both products are the identity, which Ad leaves exact.
     sups, intertwine_gap, final_delta = dict.fromkeys(limits, 0.0), 0.0, 0.0
+    chained = dict.fromkeys(limits, 0.0)
     if m:
-        products = {"odd": p_odd, "even": p_even, "combined": p_odd @ dagger(p_even)}
-        sups = {key: _ad_sup(w, s, fixed_set, tables, limits[key])
-                for key, w in products.items()}
+        odd, even = products[1], products[0]
+        factors = {"odd": (defects[1], lambda: _full_factor(odd, size)),
+                   "even": (defects[0], lambda: _full_factor(even, size))}
+        # P_odd P_even^*, a product by blocks formed only on a fallback; after
+        # one round, P_odd itself.
+        factors["combined"] = factors["odd"] if even is None else (
+            _product_defect(defects[1], defects[0], 1, len(even), size),
+            lambda: _times_blocks(odd, dagger(even)))
+        sups = {key: _ad_sup(defect, s, fixed_set, tables, limits[key], dense)
+                for key, (defect, dense) in factors.items()}
+        chained = {key: defect for key, (defect, _) in factors.items()}
         # The last level's generators g (x) 1_q act on a vector as g on its
         # reshape to (s_m, q), so the gap needs no D x D matrix.
         s_m = tower.sizes[m - 1]
-        even_xi = (xi_rows @ p_even.conj()).reshape(s_m, -1)
-        odd_eta = (eta_rows @ p_odd.conj()).reshape(s_m, -1)
+        even_xi = _moved(xi, even, s_m)
+        odd_eta = _moved(eta, odd, s_m)
         intertwine_gap = max(
             abs(np.vdot(even_xi, g @ even_xi) - np.vdot(odd_eta, g @ odd_eta))
             for g in _shift_and_clock(s_m)
         )
         final_delta = schedule.deltas[-1]
     final = {f"ad_{key}_{name}": value for key, limit in limits.items()
-             for name, value in (("sup", sups[key]), ("bound", limit))}
+             for name, value in (("sup", sups[key]), ("bound", limit),
+                                 ("defect", chained[key]))}
     return final | {"intertwine_gap": float(intertwine_gap), "intertwine_bound": final_delta}
 
 
-def _ad_sup(w, s, fixed_set, tables, limit) -> float:
+def _ad_sup(defect, s, fixed_set, tables, limit, dense) -> float:
     """max ||W x W^* - x|| over the fixed set, for a product W = 1_s (x) w
-    of round unitaries, given as its factor w: W x W^* - x = [W, x] W^* +
-    x (W W^* - 1) for the computed w, unitary only to rounding, is at most
-    ||w|| ||[W, x]|| + ||x|| d, with ||[W, x]|| from x's distance from
-    level s and ||x|| <= norm, both read from x's ``level_distances``
-    table, d = ||w w^* - 1||_F and ||w|| from ``_norm_bound`` of that same
-    d, so no SVD of w is taken.  The dense norm where that bound reaches
-    the limit."""
+    of round unitaries with ``defect`` >= ||w w^* - 1||_F, the chained
+    defect of its factor w (for square w the same as ||w^* w - 1||_F):
+    W x W^* - x = [W, x] W^* + x (W W^* - 1) for the computed w, unitary
+    only to rounding, is at most ||w|| ||[W, x]|| + ||x|| defect, with
+    ||[W, x]|| from x's distance from level s and ||x|| <= norm, both read
+    from x's ``level_distances`` table, and ||w|| from ``_norm_bound`` of
+    the defect, so w is neither measured nor decomposed.  Only where that
+    bound reaches the limit is w formed, as ``dense()``, and the dense norm
+    taken."""
     if not fixed_set:
         return 0.0
-    defect = _defect(dagger(w))
-    c = _norm_bound(defect, len(w))
-    worst = 0.0
+    c = _norm_bound(defect, len(fixed_set[0]) // s)
+    worst, lifted = 0.0, None
     for x, (distances, norm) in zip(fixed_set, tables):
         ad = c * commutator_bound(c, distances[0], norm, len(x)) + norm * defect
         if ad >= limit:
-            dense = _lift(w, s)
-            ad = op_norm(dense @ x @ dagger(dense) - x)
+            if lifted is None:
+                lifted = _lift(dense(), s)
+            ad = op_norm(lifted @ x @ dagger(lifted) - x)
         worst = max(worst, ad)
     return worst
 

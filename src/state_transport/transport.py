@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import BlockAlgebra, MatrixUnits
-from .errors import CertificateError, DisjointnessError, HypothesisError, ParameterError
+from .errors import (CertificateError, DimensionError, DisjointnessError, HypothesisError,
+                     ParameterError)
 from .gram import (AlignmentResult, VectorFamily, _turn, align_unitary, alignment_bound,
                    alignment_gate)
 from .linalg import _check_tolerance, check_state, check_unitary, dagger, inner, op_norm
@@ -108,21 +109,41 @@ def geodesic_lower_bound(path: UnitaryPath, xi: np.ndarray, eta: np.ndarray,
     return phi
 
 
+# The last pair ``spectrum_match`` validated: each input's shape, dtype and
+# bytes, both spectra and ||u - v||.
+_spectrum_pair: tuple | None = None
+
+
 def spectrum_match(u: np.ndarray, v: np.ndarray, lam: complex) -> complex:
     """Eigenvalue of v nearest to lam in Spec(u); satisfies
-    |lam - mu| <= ||u - v||."""
-    u = check_unitary(u)
-    v = check_unitary(v)
-    spec_u = np.linalg.eigvals(u)
+    |lam - mu| <= ||u - v||.  Unitaries of different sizes raise
+    ``DimensionError``.
+
+    The spectra and ||u - v|| are solved once per pair: a call with the
+    same u and v as the last validated call, equal in shape, dtype and
+    every byte, reads them again, so a loop over Spec(u) takes two
+    eigenvalue solves, and a u or v edited in place is solved anew.  The
+    membership of lam and the perturbation certificate are checked on
+    every call."""
+    global _spectrum_pair
+    key = tuple((a.shape, a.dtype.str, a.tobytes()) for a in map(np.asarray, (u, v)))
+    pair = _spectrum_pair
+    if pair is None or pair[0] != key:
+        u = check_unitary(u)
+        v = check_unitary(v)
+        if u.shape != v.shape:
+            raise DimensionError(f"unitaries of shapes {u.shape} and {v.shape}")
+        pair = _spectrum_pair = (key, np.linalg.eigvals(u), np.linalg.eigvals(v),
+                                 op_norm(u - v))
+    _, spec_u, spec_v, distance = pair
     if np.min(np.abs(spec_u - lam)) > 1e-8:
         raise HypothesisError(
             "lambda is not in the spectrum of u",
             measured_gap=float(np.min(np.abs(spec_u - lam))),
         )
-    spec_v = np.linalg.eigvals(v)
     mu = complex(spec_v[np.argmin(np.abs(spec_v - lam))])
     gap = abs(lam - mu)
-    if gap > op_norm(u - v) + 1e-8:
+    if gap > distance + 1e-8:
         raise CertificateError("spectrum perturbation bound violated")
     return mu
 

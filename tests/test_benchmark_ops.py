@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import state_transport
 import state_transport.serialize  # noqa: F401  (the ops call st.serialize)
@@ -211,6 +210,51 @@ def test_tower_op_evaluates_no_ambient_segment(monkeypatch):
         assert [call for call in calls if call[1] == x["ambient"]] == []
 
 
+def test_tower_rounds_measure_no_factor_and_lift_no_corner(monkeypatch):
+    # The rounds multiply the products by blocks and chain their defects,
+    # so on the full-size seed-1 op back_and_forth measures no defect of a
+    # D / s_1-column matrix (a product, a segment's eigenvectors or a
+    # combined product) and lifts no corner: each round measures only its
+    # eigenvectors q, and the one lift is of the even product's factor,
+    # held at level 2, to the returned level-1 factor.
+    workload = workloads.WORKLOADS["tower-256"]
+    intertwine = state_transport.intertwine
+    back_and_forth = state_transport.back_and_forth
+    defect, lift = intertwine._defect, intertwine._lift
+    inside, results, defects, lifts = [False], [], [], []
+
+    def kept(*args):
+        inside[0] = True
+        try:
+            results.append(back_and_forth(*args))
+        finally:
+            inside[0] = False
+        return results[-1]
+
+    def counted_defect(a):
+        if inside[0]:
+            defects.append(a.shape)
+        return defect(a)
+
+    def counted_lift(a, s):
+        if inside[0]:
+            lifts.append((a, s))
+        return lift(a, s)
+
+    monkeypatch.setattr(state_transport, "back_and_forth", kept)
+    monkeypatch.setattr(intertwine, "_defect", counted_defect)
+    monkeypatch.setattr(intertwine, "_lift", counted_lift)
+    x = workload.inputs(1, False)[0]
+    rec = workloads.run_op(state_transport, workload, x)
+    assert not rec.failed, rec.failure_types()
+    (res,) = results
+    size = x["ambient"] // res.level
+    assert len(defects) == x["rounds"] == 6
+    assert all(cols < size for _, cols in defects)
+    assert [(a.shape, s) for a, s in lifts] == [((size // 2, size // 2), 2)]
+    assert not any(a is c for a, _ in lifts for c in res.corners)
+
+
 def test_tower_products_are_their_level_one_factors(monkeypatch):
     # The rounds run on factors at level 1: each product the tower op
     # returns is 1_{s_1} (x) its factor, formed by kron alone, in the tiny
@@ -269,26 +313,27 @@ def test_tower_round_is_one_corner_alignment():
 def test_tower_alignment_decomposes_at_most_its_frames_span(monkeypatch):
     # align_unitary compresses its rotation to the span of its two frames,
     # at most 2k x 2k with k <= min(s_n, D / s_n), so on the full-size op
-    # no square SVD or Schur form taken while it runs exceeds 16 x 16.
+    # no square SVD and no eigh taken while it runs exceeds 16 x 16: the
+    # eigenpairs of the compressed rotation come from one eigh of its size.
     # Entries and exits of align_unitary are tracked by code object,
     # however it is reached.
     workload = workloads.WORKLOADS["tower-256"]
     code = state_transport.gram.align_unitary.__code__
     inner = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
     depth = [0]
-    shapes = []
+    shapes = {"svd": [], "eigh": []}
 
-    def counting(f):
+    def counting(name, f):
         def counted(a, *args, **kwargs):
             if depth[0] and a.shape[0] == a.shape[1]:
-                shapes.append(a.shape[0])
+                shapes[name].append(a.shape[0])
             return f(a, *args, **kwargs)
         return counted
 
-    svd = counting(inner.svd)
+    svd = counting("svd", inner.svd)
     monkeypatch.setattr(inner, "svd", svd)
     monkeypatch.setattr(np.linalg, "svd", svd)
-    monkeypatch.setattr(scipy.linalg, "schur", counting(scipy.linalg.schur))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
 
     def profile(frame, event, arg):
         if frame.f_code is code:
@@ -302,8 +347,9 @@ def test_tower_alignment_decomposes_at_most_its_frames_span(monkeypatch):
         sys.setprofile(None)
     assert not rec.failed, rec.failure_types()
     assert depth[0] == 0
-    assert shapes, "no decomposition seen: the count does not reach align_unitary"
-    assert max(shapes) <= 16
+    assert shapes["svd"] and shapes["eigh"], \
+        "no decomposition seen: the count does not reach align_unitary"
+    assert max(shapes["svd"] + shapes["eigh"]) <= 16
 
 
 def test_tower_op_measures_each_level_distance_once(monkeypatch):
@@ -353,36 +399,39 @@ def test_tower_op_measures_each_level_distance_once(monkeypatch):
             ["_level_part"] * sizes["path"]
 
 
-def test_integer_action_takes_no_schur_form_of_its_generator_size(monkeypatch):
-    # The joint eigenbasis is one eigh of a Hermitian part and Schur forms
-    # of the coupled runs of columns only, so on the full-size spectral-mid
-    # pool integer_action decomposes no matrix of its generator's size by
-    # a Schur form.
+def test_integer_action_takes_one_eigh_of_its_generator_size(monkeypatch):
+    # The joint eigenbasis is one eigh of a Hermitian part of the
+    # generators' size and one eigh per coupled run of columns, so on the
+    # full-size spectral-mid pool integer_action takes exactly one eigh of
+    # its generators' size and every other of at most 4 columns, the widest
+    # run on this pool.
     workload = workloads.WORKLOADS["spectral-mid"]
-    integer_action, schur = state_transport.integer_action, scipy.linalg.schur
-    inside, dims, shapes = [False], [], []
+    integer_action, eigh = state_transport.integer_action, np.linalg.eigh
+    inside, sizes = [False], []
 
-    def counted_schur(a, *args, **kwargs):
+    def counted_eigh(a, *args, **kwargs):
         if inside[0]:
-            shapes.append(a.shape[0])
-        return schur(a, *args, **kwargs)
+            sizes[-1][1].append(a.shape[0])
+        return eigh(a, *args, **kwargs)
 
     def counted_action(generators):
         inside[0] = True
-        dims.append(len(generators[0]))
+        sizes.append((len(generators[0]), []))
         try:
             return integer_action(generators)
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(state_transport, "integer_action", counted_action)
     inputs = workload.inputs(1, False)
     for x in inputs:
         rec = workloads.run_op(state_transport, workload, x)
         assert not rec.failed, rec.failure_types()
-    assert len(dims) == len(inputs)
-    assert not set(shapes) & set(dims)
+    assert len(sizes) == len(inputs)
+    for dim, eighs in sizes:
+        assert eighs.count(dim) == 1
+        assert all(size <= 4 for size in eighs if size != dim)
 
 
 def test_op_norm_takes_no_svd_of_a_zero_matrix(monkeypatch):

@@ -16,9 +16,12 @@ from state_transport.errors import (
 from state_transport.intertwine import (
     AlgebraTower,
     _ad_sup,
+    _corner_defect,
     _defect,
-    _eigenpair_defect,
+    _full_factor,
+    _gram_defect,
     _norm_bound,
+    _times_blocks,
     assemble_path,
     assembled_commutation_sup,
     back_and_forth,
@@ -318,19 +321,25 @@ def _round_unitaries(tower, result):
 def _companion_oracle(tower, result):
     """Per round, the dense companion norms ||[w^* u_n w, x]|| for the
     generators x of levels 2 + n % 2 .. n, with w^* the opposite-parity
-    product, each taken as the library takes it on a fallback: the factor
-    p u_n p^* at the first level s, lifted to 1_s (x) p u_n p^*."""
+    product, each taken as the library takes it on a fallback: each product
+    starts as its first corner and takes each later one by blocks, and the
+    factor p (1 (x) c_n^*) p^* at the first level s, with p at size D / s,
+    is lifted to 1_s (x) p (1 (x) c_n^*) p^*."""
     s = result.level
-    q = tower.ambient_dim // s
-    products = {1: np.eye(q, dtype=complex), 0: np.eye(q, dtype=complex)}
+    size = tower.ambient_dim // s
+    products = {1: None, 0: None}
     oracle = []
-    for n, u in enumerate(_round_factors(tower, result), start=1):
-        products[n % 2] = products[n % 2] @ u
-        p = products[1 - n % 2]
-        v = np.kron(np.eye(s), p @ u @ dagger(p))
+    for n, c in enumerate(result.corners, start=1):
+        p = products[n % 2]
+        products[n % 2] = c if p is None else _times_blocks(p, c)
         companions = [x for lev in range(2 + n % 2, n + 1)
                       for x in tower.level_generators(lev)]
-        oracle.append(max((op_norm(v @ x - x @ v) for x in companions), default=0.0))
+        if not companions:
+            oracle.append(0.0)
+            continue
+        p = _full_factor(products[1 - n % 2], size)
+        v = np.kron(np.eye(s), _times_blocks(p, c) @ dagger(p))
+        oracle.append(max(op_norm(v @ x - x @ v) for x in companions))
     return oracle
 
 
@@ -583,7 +592,7 @@ def test_norm_rule_dominates_the_svd(kind, n, count, spread, phase, seed):
         return
     if kind == "eigenpairs":
         q, m = _eigenpair_unitary(rng, n, count, spread, phase)
-        assert _norm_bound(_eigenpair_defect(q), n) >= op_norm(m)
+        assert _norm_bound(_corner_defect(_gram_defect(q), q.shape), n) >= op_norm(m)
     else:
         m = _built_unitary(kind, rng, n, count)
         if kind == "exact":
@@ -591,14 +600,31 @@ def test_norm_rule_dominates_the_svd(kind, n, count, spread, phase, seed):
     assert _norm_bound(_defect(m), n) >= op_norm(m)
 
 
+def _chain_cap(tower, logs, n, side):
+    """A cap on the chained defects of round n's side product and segment:
+    each round j <= n of that side adds sqrt(m_j) 4 e_j (1 + e_j) for its
+    eigenvectors' defect e_j, lifted m_j = s_j / s_1 times, plus at most
+    14 F^{3/2} 2^-52 of rounding at factor size F: sqrt(m_j) times the
+    corner's sqrt(r) (2 k + 1) 4 2^-52 <= 12 F^{3/2} 2^-52 (m_j r = F,
+    k <= r) and the block product's 2 sqrt(F) r 2^-52.  The factor 1.001
+    covers the products of two defects, each below 1e-9 here."""
+    size = tower.ambient_dim // tower.sizes[0]
+    rounding = 14.0 * size**1.5 * np.finfo(float).eps
+    return 1.001 * sum(np.sqrt(tower.sizes[j - 1] // tower.sizes[0]) * 4.0
+                       * log["eigenvector_defect"] * (1.0 + log["eigenvector_defect"])
+                       + rounding for j, log in enumerate(logs[:n], start=1)
+                       if j % 2 == side)
+
+
 @settings(max_examples=30, deadline=None)
-@given(ambient=st.sampled_from([16, 64]), rounds=st.integers(0, 4),
+@given(ambient=st.sampled_from([16, 64, 256]), rounds=st.integers(0, 4),
        twist=st.sampled_from([0.0, 1e-9, 1e-7]), seed=st.integers(0, 2**32 - 1))
-def test_tower_path_norm_is_the_segment_formula_bit_for_bit(ambient, rounds, twist, seed):
-    # The rounds measure the path's norm from the defects they already take:
-    # it equals, bit for bit, the formula recomputed over the factor
-    # segments, max_k _norm_bound(_defect(B_k)) sqrt(1 + _eigenpair_defect(v_k)),
-    # with the constant path's identity base and no columns for 0 rounds.
+def test_tower_path_norm_dominates_the_segment_formula(ambient, rounds, twist, seed):
+    # The rounds chain the path's norm from the defects of the corners'
+    # eigenvectors: it is at least the formula over the measured factor
+    # segments, max_k _norm_bound(_defect(B_k)) sqrt(1 + 4 e_k (1 + e_k))
+    # with e_k = _defect(v_k), and at most that formula with each defect
+    # raised by the chain's cap, ``_chain_cap``.
     rng = np.random.default_rng(seed)
     tower, xi, eta = intertwine_instance(rng, ambient=ambient,
                                          branchings=[2] * (ambient.bit_length() - 1),
@@ -606,10 +632,58 @@ def test_tower_path_norm_is_the_segment_formula_bit_for_bit(ambient, rounds, twi
     result = back_and_forth(tower, xi, eta, tower.level_generators(1),
                             make_schedule(tower, 0.1, rounds))
     path = result.path
-    assert len(path.factor.segments) == max(1, (rounds + 1) // 2)
-    assert path.norm == max(_norm_bound(_defect(f.base), len(f.base))
-                            * np.sqrt(1.0 + _eigenpair_defect(f.v))
-                            for f in path.factor.segments)
+    segments = path.factor.segments
+    assert len(segments) == max(1, (rounds + 1) // 2)
+
+    def formula(base_defects, v_defects):
+        return max(_norm_bound(b, len(f.base)) * np.sqrt(1.0 + 4.0 * e * (1.0 + e))
+                   for f, b, e in zip(segments, base_defects, v_defects))
+
+    measured_bases = [_defect(f.base) for f in segments]
+    measured_vs = [_defect(f.v) for f in segments]
+    assert formula(measured_bases, measured_vs) <= path.norm
+    if rounds:
+        caps = [(_chain_cap(tower, result.logs, max(n - 2, 0), 1),
+                 _chain_cap(tower, result.logs, n, 1))
+                for n in range(1, rounds + 1, 2)]
+        assert path.norm <= formula([b + cap for b, (cap, _) in zip(measured_bases, caps)],
+                                    [e + cap for e, (_, cap) in zip(measured_vs, caps)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(ambient=st.sampled_from([16, 64, 256]), rounds=st.integers(1, 6),
+       twist=st.sampled_from([0.0, 1e-11, 1e-9, 1e-6]), seed=st.integers(0, 2**32 - 1))
+def test_chained_defects_dominate_the_measured_products(ambient, rounds, twist, seed):
+    # No product of the rounds is measured: each defect is chained from its
+    # factors'.  With no tolerance, it is at least the measured
+    # ||G^* G - 1||_F of every product G the rounds compute: both factors
+    # after each round, each odd segment's eigenvectors v = P (1 (x) q), and
+    # the combined product P_odd P_even^*, both ways round for the square
+    # products.  A twist can fail a deep round's admissibility, which ends
+    # the check there.
+    rng = np.random.default_rng(seed)
+    depth = ambient.bit_length() - 1
+    rounds = min(rounds, depth)
+    tower, xi, eta = intertwine_instance(rng, ambient=ambient, branchings=[2] * depth,
+                                         commutant_level=max(3, rounds), twist=twist)
+    fixed = tower.level_generators(1)
+    for n in range(1, rounds + 1):
+        try:
+            result = back_and_forth(tower, xi, eta, fixed, make_schedule(tower, 0.1, n))
+        except RoundFailureError:
+            assert twist == 1e-6
+            break
+        p_odd, p_even = result.odd_factor, result.even_factor
+        for key, w in (("odd", p_odd), ("even", p_even),
+                       ("combined", p_odd @ dagger(p_even))):
+            chained = result.final[f"ad_{key}_defect"]
+            assert chained >= _defect(w) and chained >= _defect(dagger(w))
+        log = result.logs[-1]
+        assert log["defect"] == result.final[f"ad_{log['side']}_defect"]
+        if n % 2:
+            assert log["segment_defect"] >= _defect(result.path.factor.segments[-1].v)
+        else:
+            assert log["segment_defect"] is None
 
 
 def test_round_logs_fixed_distance_and_fallbacks(rng):
@@ -643,8 +717,9 @@ def test_final_ad_sups_dominate_dense_values(rng, level):
 
 def test_final_ad_sups_cover_the_products_unitarity_defect():
     # The computed products are unitary only to rounding, so each Ad sup
-    # adds ||x|| ||w w^* - 1||_F to the split bound, whose own rounding
-    # allowance is 2 * 16 * 2^-52 = 7.1e-15 here.
+    # adds ||x|| d to the split bound, with d >= ||w w^* - 1||_F the chained
+    # defect of the product; the split bound's own rounding allowance is
+    # 2 * 16 * 2^-52 = 7.1e-15 here.
     tower, xi, eta = _branching_instance(np.random.default_rng(255), 16, 2, 1e-9)
     fixed = tower.level_generators(1)
     result = back_and_forth(tower, xi, eta, fixed, make_schedule(tower, 0.1, 1))
@@ -655,14 +730,15 @@ def test_final_ad_sups_cover_the_products_unitarity_defect():
         assert result.final[f"ad_{key}_sup"] >= dense
     # A factor off unitarity by the relative scale 1e-14, whatever the
     # rounding: ||W x W^* - x|| = ((1 + 1e-14)^2 - 1) ||x||, all defect and
-    # above that allowance, and the sup still covers it.
+    # above that allowance.  No chain knows this w, so the sup takes its
+    # measured ||w w^* - 1||_F, and still covers it.
     s = result.level
     w = (1.0 + 1e-14) * result.odd_factor
     lifted = np.kron(np.eye(s), w)
     dense = max(op_norm(lifted @ x @ dagger(lifted) - x) for x in fixed)
     assert dense > 7.2e-15
     tables = [level_distances(x, [s]) for x in fixed]
-    assert _ad_sup(w, s, fixed, tables, np.inf) >= dense
+    assert _ad_sup(_defect(dagger(w)), s, fixed, tables, np.inf, lambda: w) >= dense
 
 
 @pytest.mark.parametrize("rounds", [1, 2, 3])

@@ -10,6 +10,7 @@ from state_transport.errors import (
     DimensionError,
     DisjointnessError,
     HypothesisError,
+    NotFiniteError,
     StateTransportError,
 )
 from state_transport.gram import VectorFamily, align_unitary, alignment_bound
@@ -119,6 +120,55 @@ def test_spectrum_match_rejects_foreign_point(rng):
     u = np.eye(3, dtype=complex)
     with pytest.raises(HypothesisError):
         spectrum_match(u, u, -1.0 + 0j)
+
+
+def _counted_eigvals(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+    return calls
+
+
+def test_spectrum_match_solves_each_pair_once(rng, monkeypatch):
+    # A loop over Spec(u) with one pair (u, v) takes the two spectra once;
+    # each call still checks lam and its certificate, with the answers of
+    # a pair solved anew.
+    u, v = random_unitary(rng, 6), random_unitary(rng, 6)
+    calls = _counted_eigvals(monkeypatch)
+    lams = np.linalg.eigvals(u)
+    calls.clear()
+    mus = [spectrum_match(u, v, complex(lam)) for lam in lams]
+    assert calls == [(6, 6), (6, 6)]
+    spec_v = np.linalg.eigvals(v)
+    for lam, mu in zip(lams, mus):
+        assert mu == spec_v[np.argmin(np.abs(spec_v - lam))]
+        assert abs(lam - mu) <= op_norm(u - v) + 1e-8
+    with pytest.raises(HypothesisError):
+        spectrum_match(u, v, -lams[0])
+
+
+def test_spectrum_match_solves_a_pair_edited_in_place_anew(rng, monkeypatch):
+    # The pair is matched by its bytes, so an in-place edit of u between two
+    # calls is validated and solved again: the old spectrum would still hold
+    # lam, the new one does not.
+    u, v = random_unitary(rng, 4), random_unitary(rng, 4)
+    lam = complex(np.linalg.eigvals(u)[0])
+    calls = _counted_eigvals(monkeypatch)
+    spectrum_match(u, v, lam)
+    u *= -1.0
+    with pytest.raises(HypothesisError):
+        spectrum_match(u, v, lam)
+    assert len(calls) == 4
+    u[0, 0] = np.nan
+    with pytest.raises(NotFiniteError):
+        spectrum_match(u, v, lam)
+
+
+def test_spectrum_match_rejects_mismatched_sizes(rng):
+    u, v = random_unitary(rng, 3), random_unitary(rng, 4)
+    for a, b in ((u, v), (v, u)):
+        with pytest.raises(DimensionError):
+            spectrum_match(a, b, complex(np.linalg.eigvals(a)[0]))
 
 
 def test_projection_transport_properties(rng):
