@@ -22,7 +22,7 @@ from .errors import (
 )
 from .linalg import _unitary_eig, check_state, check_unitary, dagger, op_norm
 from .path import UnitaryPath, concat_paths, joined_segment
-from .transport import commutant_transport
+from .transport import _commutant_transport
 
 ANGLE_CLUSTER_TOL = 1e-9
 
@@ -151,10 +151,18 @@ def circle_partition(model: SpectralModel, xi: np.ndarray, eta: np.ndarray,
     within gamma + 1e-12 of it, every atom when that neighbourhood covers
     the circle: no other atom lies in any margin of its grid, each would
     add exactly 0.0 in index order, so the masses and cuts are those of a
-    sum over every atom, bit for bit.
+    sum over every atom, bit for bit.  States of another length than the
+    model's raise ``DimensionError``.
     """
-    xi = check_state(xi)
-    eta = check_state(eta)
+    xi = check_state(xi, dim=model.dim)
+    eta = check_state(eta, dim=model.dim)
+    return _circle_partition(model, xi, eta, eps, eps_prime)
+
+
+def _circle_partition(model: SpectralModel, xi: np.ndarray, eta: np.ndarray,
+                      eps: float, eps_prime: float) -> CirclePartition:
+    """``circle_partition`` for states the caller has already validated;
+    eps and eps_prime are checked here."""
     if not (0 < eps < 2.0) or not (0 < eps_prime < 1.0):
         raise ParameterError("need 0 < eps < 2 and 0 < eps_prime < 1")
     gamma = eps * eps_prime / 4.0
@@ -280,12 +288,14 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
     The summed path obeys ||[u(t), z]|| < 3 pi eps, commutes with the block
     units, and has terminal error < 2 sqrt(3) eps on admissible instances.
     Both sups are certified bounds over every t; ``t_samples`` is accepted
-    and ignored.
+    and ignored.  The states and eps are validated once, the states here
+    and eps by the partition, so the per-arc transports take the
+    normalised arc components without checking them again.
     """
-    xi = check_state(xi)
-    eta = check_state(eta)
     if block.ambient_dim != model.dim:
         raise DimensionError("block and spectral model dimensions differ")
+    xi = check_state(xi, dim=model.dim)
+    eta = check_state(eta, dim=model.dim)
     z_block_defect = max(
         op_norm(block.unit(i, j) @ model.z - model.z @ block.unit(i, j))
         for i in range(block.n) for j in range(block.n)
@@ -298,7 +308,7 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
     k = block.n
     delta_prime = eps**2 / k**2
     eps_prime = eps**3 * delta_prime / 4.0
-    partition = circle_partition(model, xi, eta, eps, eps_prime)
+    partition = _circle_partition(model, xi, eta, eps, eps_prime)
     skip_level = eps**1.5
 
     rows = []
@@ -326,8 +336,8 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
                 "subspace misses the matrix-unit block",
                 arc_index=idx,
             )
-        res = commutant_transport(sub_block, src / np.sqrt(m_xi), dst / np.sqrt(m_eta),
-                                  eps, exact=True)
+        res = _commutant_transport(sub_block, src / np.sqrt(m_xi), dst / np.sqrt(m_eta),
+                                   eps, exact=True)
         worst_stats_gap = max(worst_stats_gap, res.measured_gap)
         for seg, (ws, vs) in zip(res.path.segments, (generators, repairs)):
             ws.append(seg.w * seg.duration)
@@ -342,7 +352,7 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
         path=path,
         partition=partition,
         rows=rows,
-        terminal_error=float(np.linalg.norm(path.end() @ xi - eta)),
+        terminal_error=float(np.linalg.norm(path.apply(path.t_end, xi) - eta)),
         z_commutator_sup=_z_commutator_bound(model, path, transported),
         family_commutator_sup=path.commutator_bound(family),
         terminal_bound=2 * np.sqrt(3.0) * eps,

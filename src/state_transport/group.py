@@ -59,6 +59,10 @@ class GroupAction:
     unitaries and elements are integer tuples; they share one unitary
     eigenbasis Q, u_k = Q diag(exp(i angles[k])) Q^*, so
     rep(g) = Q diag(phases(g)) Q^* with phases exp(i sum_k g_k angles[k]).
+    ``eigenbasis_defect`` is e = ||Q^* Q - 1||_F, measured once here (0.0
+    for a finite action): the library works in the coordinates Q^* x and
+    pays e in its allowances rather than forming rep(g), which stays as a
+    dense map built on demand.
     """
 
     kind: str  # "finite" or "Zd"
@@ -69,6 +73,7 @@ class GroupAction:
     eigenbasis: np.ndarray | None = field(default=None, init=False, repr=False)
     angles: np.ndarray | None = field(default=None, init=False, repr=False)
     rep_defect: float = field(default=0.0, init=False)
+    eigenbasis_defect: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         if self.kind == "finite":
@@ -83,6 +88,8 @@ class GroupAction:
             if any(u.shape[0] != self.dim for u in self.generators):
                 raise DimensionError(f"Zd generators must all be {self.dim} x {self.dim}")
             self.eigenbasis, self.angles = _joint_eigenbasis(self.generators)
+            q = self.eigenbasis
+            self.eigenbasis_defect = float(np.linalg.norm(dagger(q) @ q - np.eye(self.dim)))
         else:
             raise UnsupportedGroupError(f"unknown group kind {self.kind!r}")
 
@@ -225,9 +232,22 @@ def average_conjugates(h: np.ndarray, folner: FolnerSet,
     eigenbasis, at cost O(|F| dim^2 + dim^3); a finite group sums its |F|
     conjugates."""
     check_operators([h], action.dim)
+    _check_contraction(h)
+    return _average_conjugates(h, folner, action)
+
+
+def _check_contraction(h: np.ndarray) -> None:
+    """The norm gate of ``average_conjugates``: ``HypothesisError`` carrying
+    the excess unless ||h|| <= 1 + 1e-10."""
     if not norm_at_most(h, 1.0 + 1e-10):
         raise HypothesisError("need ||h|| <= 1", measured_gap=op_norm(h) - 1.0)
-    return _average_conjugates(h, folner, action)
+
+
+def _folner_kernel(phi: np.ndarray) -> np.ndarray:
+    """K = mean_g conj(phi_g) phi_g^T over the phase rows phi_g of a Folner
+    set: in the eigenbasis rep(g)^* h rep(g) is conj(phi_g)_a H_ab
+    (phi_g)_b, so the mean of the conjugates of h is K o H."""
+    return (dagger(phi) @ phi) / len(phi)
 
 
 def _average_conjugates(h: np.ndarray, folner: FolnerSet,
@@ -235,12 +255,8 @@ def _average_conjugates(h: np.ndarray, folner: FolnerSet,
     """``average_conjugates`` without its gate, for an h the caller has
     already certified."""
     if action.kind == "Zd":
-        # In the eigenbasis rep(g)^* h rep(g) is conj(phi_g)_a H_ab (phi_g)_b,
-        # so the mean is the Hadamard product of H with the kernel
-        # K = mean_g conj(phi_g) phi_g^T.
         q = action.eigenbasis
-        phi = action.phases(folner.elements)
-        kernel = (dagger(phi) @ phi) / len(folner.elements)
+        kernel = _folner_kernel(action.phases(folner.elements))
         acc = q @ (kernel * (dagger(q) @ h @ q)) @ dagger(q)
     else:
         acc = np.zeros((action.dim, action.dim), dtype=complex)
@@ -257,7 +273,7 @@ def flip_projection(xis: VectorFamily, zetas: VectorFamily) -> np.ndarray:
     Requires equal Gram matrices and mutually orthogonal spans; then
     z_g = W x_g for the isometry W = V B^* of ``_graph_factors``, and the
     projection is the one onto the graph of -W.  The families are checked
-    through the row residuals r_g = z_g - W x_g alone: ``_graph_projection``
+    through the row residuals r_g = z_g - W x_g alone: ``_flip_gates``
     accepts only when the Gram gap, cross products and killed sums they
     bound stay within ``FLIP_TOL``, ``OVERLAP_TOL`` and ``OVERLAP_TOL``.
     """
@@ -266,7 +282,8 @@ def flip_projection(xis: VectorFamily, zetas: VectorFamily) -> np.ndarray:
     xs, zs = xis.vectors, zetas.vectors
     b, v, cut = _graph_factors(xs, zs)
     residual = float(np.max(np.linalg.norm(zs - (xs @ b.conj()) @ v.T, axis=1)))
-    return _graph_projection(b, v, cut, _max_row_norm(xs), residual)[0]
+    _flip_gates(b, v, cut, _max_row_norm(xs), residual)
+    return _graph_projection(b, v)
 
 
 def _max_row_norm(xs: np.ndarray) -> float:
@@ -290,11 +307,21 @@ def _graph_factors(xs: np.ndarray,
     return b, a @ vh, cut
 
 
-def _graph_projection(b: np.ndarray, v: np.ndarray, cut: float, scale: float,
-                      residual: float = 0.0) -> tuple[np.ndarray, float]:
+def _graph_projection(b: np.ndarray, v: np.ndarray) -> np.ndarray:
     """e = (B B^* + V V^* - W - W^*) / 2 with W = V B^*: the projection onto
     the graph {x - W x : x in span(B)} of -W (Halmos, "Two subspaces").
-    It kills every x + W x and fixes every x - W x.
+    It kills every x + W x and fixes every x - W x; ``_flip_gates``
+    certifies it.  The same matrix is (B - V)(B - V)^* / 2, one product,
+    which is how a Z^d leg forms it."""
+    w = v @ dagger(b)
+    e = (b @ dagger(b) + v @ dagger(v) - w - dagger(w)) / 2
+    return (e + dagger(e)) / 2
+
+
+def _flip_gates(b: np.ndarray, v: np.ndarray, cut: float, scale: float,
+                residual: float = 0.0, defect: float = 0.0) -> float:
+    """Certify the flip e = (B - V)(B - V)^* / 2 of ``_graph_projection``
+    and return a bound on ||e||, or raise ``FlipInconsistencyError``.
 
     Certified for rows z_g = W x_g + r_g with ||x_g|| <= s = ``scale``,
     x_g within ``cut`` of span(B) and ||r_g|| <= r = ``residual`` from the
@@ -304,20 +331,29 @@ def _graph_projection(b: np.ndarray, v: np.ndarray, cut: float, scale: float,
     ||V|| <= sqrt(1 + nu).  Then
       |<x_g, x_h> - <z_g, z_h>| <= nu s^2 + cut^2 + 2 sqrt(1 + nu) s r + r^2,
       |<x_g, z_h>|              <= mu s^2 + sqrt(1 + nu) cut s + s r,
-    and, as e = (B - V)(B - V)^* / 2 with ||B - V||^2 <= k = 2 + nu + 2 mu,
+    and, as ||B - V||^2 <= k = 2 + nu + 2 mu,
     (B - V)^* (B + V) = 1 - V^* V + B^* V - V^* B and (B - V)^* c_g = -V^* c_g,
       ||e (x_g + z_g)||         <= sqrt(k) ((nu + 2 mu) s + sqrt(1 + nu) cut) / 2
                                    + k r / 2.
     Each bound must meet the threshold of the relation it bounds: ``FLIP_TOL``
     for the Gram gap, ``OVERLAP_TOL`` for the other two.
 
-    Returns e and a certified bound on ||e||: ||e|| = ||B - V||^2 / 2 <= k / 2,
-    plus rounding.  Each of B B^*, V V^* and V B^* sums c terms per entry, c
-    the number of columns of B, so it errs by about c 2^-52 times the
-    Frobenius norms of its factors, each at most sqrt(c (1 + nu)); with the
-    sums, the halving and the symmetrisation, e errs by less than
-    2 (c + 2)^2 (1 + nu) 2^-52.  The c x c Grams behind nu and mu sum dim
-    terms per entry, so k / 2 may read low by less than
+    With a ``defect`` e > 0 the rows are coordinates: the families certified
+    are Q x_g and Q z_g, and the flip Q e Q^*, for a basis Q with
+    ||Q^* Q - 1|| <= e.  Then <Q x, Q y> = <x, y> + <G x, y> with
+    ||G|| <= e and ||Q|| <= sqrt(1 + e), and with ||z_g|| <= t =
+    sqrt(1 + nu) s + r the three bounds grow by e (s^2 + t^2), by e s t,
+    and to sqrt(1 + e) (bound + k e (s + t) / 2).  At e = 0 they are the
+    bounds above, bit for bit.
+
+    The bound returned is ||e|| = ||B - V||^2 / 2 <= k / 2, plus rounding.
+    Each of B B^*, V V^* and V B^* sums c terms per entry, c the number of
+    columns of B, so it errs by about c 2^-52 times the Frobenius norms of
+    its factors, each at most sqrt(c (1 + nu)); with the sums, the halving
+    and the symmetrisation, e errs by less than 2 (c + 2)^2 (1 + nu) 2^-52,
+    and the one product (B - V)(B - V)^*, whose factor has Frobenius norm
+    at most sqrt(c k), by less again.  The c x c Grams behind nu and mu sum
+    dim terms per entry, so k / 2 may read low by less than
     2 (c + 2) dim (1 + nu) 2^-52.
     """
     # Frobenius norms: upper bounds on nu and mu without an SVD.
@@ -325,20 +361,21 @@ def _graph_projection(b: np.ndarray, v: np.ndarray, cut: float, scale: float,
     mu = float(np.linalg.norm(dagger(b) @ v))
     lift = math.sqrt(1.0 + nu)
     k = 2.0 + nu + 2.0 * mu
-    gram_gap = nu * scale**2 + cut**2 + 2 * lift * scale * residual + residual**2
+    reach = lift * scale + residual
+    gram_gap = (nu * scale**2 + cut**2 + 2 * lift * scale * residual + residual**2
+                + defect * (scale**2 + reach**2))
     if gram_gap > FLIP_TOL:
         raise FlipInconsistencyError(f"Gram matrices may differ by {gram_gap:.3e}")
-    cross = mu * scale**2 + lift * cut * scale + scale * residual
+    cross = mu * scale**2 + lift * cut * scale + scale * residual + defect * scale * reach
     if cross > OVERLAP_TOL:
         raise FlipInconsistencyError(f"spans may overlap, cross product {cross:.3e}")
     worst = math.sqrt(k) * ((nu + 2 * mu) * scale + lift * cut) / 2 + k * residual / 2
+    worst = math.sqrt(1.0 + defect) * (worst + k * defect * (scale + reach) / 2)
     if worst > OVERLAP_TOL:
         raise FlipInconsistencyError(f"projection may fail to kill sums: {worst:.3e}")
-    w = v @ dagger(b)
-    e = (b @ dagger(b) + v @ dagger(v) - w - dagger(w)) / 2
     dim, c = b.shape
     rounding = 2.0 * (c + 2) * (c + 2 + dim) * (1.0 + nu) * np.finfo(float).eps
-    return (e + dagger(e)) / 2, k / 2 + rounding
+    return k / 2 + rounding
 
 
 def _left_basis(columns: np.ndarray, full: bool = True) -> tuple[np.ndarray, int, float]:
@@ -370,11 +407,17 @@ def group_state_transport(action: GroupAction, xi: np.ndarray, eta: np.ndarray,
                           t_samples: int = 16) -> GroupTransportResult:
     """Path nearly commuting with the group action and moving xi to eta.
 
-    Orthogonal-orbit case: one leg e^{i pi t hbar}.  Overlapping orbits
-    (Z^d only) take a detour through an intermediate vector with the same
-    correlation data and an orbit orthogonal to both, doubling the bounds.
-    ``commutator_sup`` is certified; ``t_samples`` is accepted and ignored.
-    A tolerance that is not finite and > 0 raises ``ParameterError``.
+    Orthogonal-orbit case: one leg e^{i pi t hbar} (``_orthogonal_leg``).
+    Overlapping orbits (Z^d only) take a detour through an intermediate
+    vector with the same correlation data and an orbit orthogonal to both,
+    doubling the bounds.  ``commutator_sup`` is certified: for a finite
+    action it is the dense ``UnitaryPath.commutator_bound`` of the given
+    reps; a Z^d leg reads it in the joint eigenbasis (``_commutator_sup``),
+    one SVD per +- pair of generators, and never forms rep(g).  The
+    terminal, flip and leg errors apply the path to their vector
+    (``UnitaryPath.apply``) and form no path end.  ``t_samples`` is
+    accepted and ignored.  A tolerance that is not finite and > 0 raises
+    ``ParameterError``.
     """
     _check_tolerance(eps)
     xi = check_state(xi, dim=action.dim)
@@ -386,28 +429,101 @@ def group_state_transport(action: GroupAction, xi: np.ndarray, eta: np.ndarray,
     cross = (float(np.max(np.abs(_correlations(action, diffs, xi, eta))))
              + 3 * action.rep_defect)
     if cross <= OVERLAP_TOL:
-        path, extras = _orthogonal_leg(action, folner, diffs, xi, eta, delta)
+        path, z, extras = _orthogonal_leg(action, folner, diffs, xi, eta, delta)
         extras["flip_bound"] = eps_prime * EXP_SERIES_CONSTANT
-        legs = 1
+        legs = [(path, z)]
     else:
         mid = _find_detour(action, diffs, xi, eta, delta)
-        leg1, _ = _orthogonal_leg(action, folner, diffs, xi, mid, delta)
-        leg2, _ = _orthogonal_leg(action, folner, diffs, mid, eta, delta)
+        leg1, z1, _ = _orthogonal_leg(action, folner, diffs, xi, mid, delta)
+        leg2, z2, _ = _orthogonal_leg(action, folner, diffs, mid, eta, delta)
         path = concat_paths(leg1, leg2)
-        extras = {"leg_errors": [float(np.linalg.norm(leg1.end() @ xi - mid)),
-                                 float(np.linalg.norm(leg2.end() @ mid - eta))]}
-        legs = 2
+        extras = {"leg_errors": [float(np.linalg.norm(leg1.apply(1.0, xi) - mid)),
+                                 float(np.linalg.norm(leg2.apply(1.0, mid) - eta))]}
+        legs = [(leg1, z1), (leg2, z2)]
+    if action.kind == "Zd":
+        sup = _commutator_sup(action, legs, gens)
+    else:
+        sup = path.commutator_bound([action.rep(g) for g in gens])
     return GroupTransportResult(
         path=path,
-        terminal_error=float(np.linalg.norm(path.end() @ xi - eta)),
-        terminal_bound=legs * (eps_prime * EXP_SERIES_CONSTANT + 2 * eps_prime),
-        commutator_sup=path.commutator_bound([action.rep(g) for g in gens]),
-        commutator_bound=legs * np.pi * eps,
+        terminal_error=float(np.linalg.norm(path.apply(path.t_end, xi) - eta)),
+        terminal_bound=len(legs) * (eps_prime * EXP_SERIES_CONSTANT + 2 * eps_prime),
+        commutator_sup=sup,
+        commutator_bound=len(legs) * np.pi * eps,
         eps_prime=eps_prime,
         folner=folner,
-        legs=legs,
+        legs=len(legs),
         extras=extras,
     )
+
+
+def _commutator_sup(action: GroupAction, legs: list, gens: list) -> float:
+    """Certified sup over every t of ||[u(t), rep(g)]|| for g in ``gens``,
+    on the path of one Z^d leg or of a detour's two, read in the joint
+    eigenbasis Q; 0.0 with no element.  ``legs`` holds each leg's one-segment
+    path (w, v = Q z) from the identity and its z; a detour's second leg
+    runs from B = u_1(1), as ``concat_paths`` bases it.
+
+    With D = diag(phi_g), rep(g) = Q D Q^*, and for M = z f z^*,
+    Q^* Q = 1 + G, ||G|| <= e = ``eigenbasis_defect``:
+      [Q M Q^*, Q D Q^*] = Q ([M, D] + M G D - D G M) Q^*,
+    and [M, D] = M o Delta_g with (Delta_g)_ab = phi_g,b - phi_g,a.  So
+    ||[Q M Q^*, rep(g)]|| <= (1 + e) (||M o Delta_g|| + 2 e ||f||), as
+    ||Q||^2 <= 1 + e.  The Duhamel bound of ``UnitaryPath.commutator_bound``,
+    ||[B, x]|| + dt ||[h, x]|| on a segment exp(i tau h) B, then reads
+      (1 + e) (||M_B o Delta_g|| + 2 e ||f_B|| + ||H o Delta_g|| + 2 e ||w||)
+    with H = z diag(w) z^* (dt = 1) and, for a second leg, M_B =
+    z_1 (e^{i w_1} - 1) z_1^* and ||f_B|| <= min(2, ||w_1||) (the first term
+    is absent from the identity).
+
+    g and -g share one SVD: phi_{-g} = conj(phi_g), so
+    H o Delta_{-g} = -conj(D) (H o Delta_g) conj(D), of the same norm.
+
+    Allowance, per segment of allowance a = dim 2^-52 (1 + dt ||w||)
+    (``PathSegment.allowance``), plus the first leg's for a base:
+    a (sqrt(dim) (1 + e) + 16).  The first term is the dense route's own
+    allowance a ||x||_F, as ||Q D Q^*||_F <= ||Q|| ||Q||_F <= sqrt(dim) (1 + e).
+    The second covers the rounding between this route and the dense one,
+    each product or SVD summing dim terms per entry and erring by about
+    dim 2^-52 times the norms of its factors: H or M_B, the Hadamard
+    product with |Delta| <= 2 and its SVD here (4 units of dim 2^-52 ||w||);
+    v = Q z, h = v diag(w) v^*, rep(g), the products h x and x h and their
+    SVD there (12 units), and the phases' |phi| = 1 to 2^-52.  So the bound
+    dominates the dense ``UnitaryPath.commutator_bound`` of the same path
+    and the reps, and costs one dim x dim SVD per leg and +- pair (two for
+    a second leg) and no rep(g).
+    """
+    reps, seen = [], set()
+    for g in gens:
+        key = tuple(np.reshape(g, -1).tolist())
+        if key not in seen and tuple(-k for k in key) not in seen:
+            seen.add(key)
+            reps.append(key)
+    if not reps:
+        return 0.0
+    e, dim = action.eigenbasis_defect, action.dim
+    phi = action.phases(reps)
+    deltas = phi[:, None, :] - phi[:, :, None]
+    size = math.sqrt(dim) * (1.0 + e) + 16.0
+    worst, parts = 0.0, []
+    for k, (path, z) in enumerate(legs):
+        seg = path.segments[0]
+        # Each part: a matrix M, a bound on ||f||, and an allowance.
+        parts.append(((z * seg.w) @ dagger(z), seg.speed, seg.allowance))
+        turn, allowance = sum(p[1] for p in parts), sum(p[2] for p in parts)
+        for delta in deltas:
+            norm = sum(op_norm(m * delta) for m, _, _ in parts)
+            worst = max(worst, (1.0 + e) * (norm + 2 * e * turn) + allowance * size)
+        # A second leg runs from u_1(1) = 1 + Q M_B Q^*: its base term.
+        parts = ([((z * (np.exp(1j * seg.w) - 1.0)) @ dagger(z), min(2.0, seg.speed),
+                   seg.allowance)] if k + 1 < len(legs) else [])
+    return float(worst)
+
+
+def _coordinates(action: GroupAction, v: np.ndarray) -> np.ndarray:
+    """Q^* v in the joint eigenbasis of a Z^d action, as conj(v^* Q), with
+    no copy of Q."""
+    return (v.conj() @ action.eigenbasis).conj()
 
 
 def _orbit(action: GroupAction, elements: list, v: np.ndarray) -> np.ndarray:
@@ -415,7 +531,7 @@ def _orbit(action: GroupAction, elements: list, v: np.ndarray) -> np.ndarray:
     if action.kind == "finite":
         return np.array([action.rep(g) @ v for g in elements])
     q = action.eigenbasis
-    return (action.phases(elements) * (dagger(q) @ v)) @ q.T
+    return (action.phases(elements) * _coordinates(action, v)) @ q.T
 
 
 def _correlations(action: GroupAction, diffs: DifferenceSet, x: np.ndarray,
@@ -432,18 +548,31 @@ def _correlations(action: GroupAction, diffs: DifferenceSet, x: np.ndarray,
     """
     if diffs.phases is None:
         return _orbit(action, diffs.elements, x) @ y.conj()
-    q = action.eigenbasis
-    return diffs.phases @ ((dagger(q) @ x) * (dagger(q) @ y).conj())
+    return diffs.phases @ (_coordinates(action, x) * _coordinates(action, y).conj())
 
 
 def _orthogonal_leg(action, folner, diffs, xi, eta,
-                    delta) -> tuple[UnitaryPath, dict]:
+                    delta) -> tuple[UnitaryPath, np.ndarray, dict]:
     """e^{i pi t hbar} with hbar the Folner average of the flip between the
-    xi-orbit and its matched family zeta_g = W x_g (``_graph_factors``).
-    ``_graph_projection`` certifies ||flip|| <= 1 + nu / 2 + mu plus
-    rounding, so the flip is averaged without ``average_conjugates``' SVD
-    gate when that bound is at most 1 + 1e-10, and through the gate
-    otherwise."""
+    xi-orbit and its matched family zeta_g = W x_g (``_graph_factors``),
+    the eigenvectors z of pi hbar in the action's coordinates, and the
+    leg's extras.
+
+    A finite action takes the dense route: orbit rows rep(g) xi, the flip
+    of ``_graph_projection`` and the mean of its conjugates.  A Z^d leg
+    works in the coordinates Q^* x from its orbits to its segment:
+    - the orbit rows are phi_g o Q^* xi, with no product by Q, and
+      ``_graph_factors`` and ``_flip_gates`` run on them, V projected once
+      more off span(B) and the gates with the allowance for Q's defect
+      ``eigenbasis_defect``;
+    - the flip is E = (B - V)(B - V)^* / 2, one product, and its Folner
+      average K o E (``_folner_kernel``), one Hadamard product;
+    - eigh(pi K o E) = (w, z), and the segment is (w, Q z).
+    ``_flip_gates`` certifies ||flip|| <= 1 + nu / 2 + mu plus rounding,
+    so the flip is averaged without a dim x dim SVD when that bound is at
+    most 1 + 1e-10, and after ``average_conjugates``' norm gate otherwise.
+    The flip error ||u(1) xi - W xi|| applies the path to xi
+    (``UnitaryPath.apply``) and forms no path end."""
     corr_gap = float(np.max(np.abs(_correlations(action, diffs, xi, xi)
                                    - _correlations(action, diffs, eta, eta))))
     corr_gap += 6 * action.rep_defect
@@ -452,37 +581,70 @@ def _orthogonal_leg(action, folner, diffs, xi, eta,
             f"orbit correlation gap {corr_gap:.3e} >= delta {delta:.3e}",
             measured_gap=corr_gap,
         )
-    orbit_xi = _orbit(action, folner.elements, xi)
-    b, v, cut = _graph_factors(orbit_xi, _orbit(action, folner.elements, eta))
-    flip, flip_norm = _graph_projection(b, v, cut, _max_row_norm(orbit_xi))
-    average = _average_conjugates if flip_norm <= 1.0 + 1e-10 else average_conjugates
-    hbar = average(flip, folner, action)
-    w, q = np.linalg.eigh(np.pi * hbar)
-    path = UnitaryPath([PathSegment(0.0, 1.0, w, q, np.eye(action.dim, dtype=complex))])
-    return path, {
+    zd = action.kind == "Zd"
+    if zd:
+        q, phi = action.eigenbasis, diffs.folner_phases
+        cxi = _coordinates(action, xi)
+        orbit_xi, orbit_eta = phi * cxi, phi * _coordinates(action, eta)
+    else:
+        cxi = xi
+        orbit_xi = _orbit(action, folner.elements, xi)
+        orbit_eta = _orbit(action, folner.elements, eta)
+    b, v, cut = _graph_factors(orbit_xi, orbit_eta)
+    if zd:
+        # Both orbits' coordinates fill the same eigenvalue clusters, so the
+        # products behind V mix span(B) into it at rounding level, which the
+        # polar factor scales by the inverse of its factor's least singular
+        # value; one projection off span(B) takes it out and leaves
+        # V^* V - 1 unchanged to second order.
+        v = v - b @ (dagger(b) @ v)
+    flip_norm = _flip_gates(b, v, cut, _max_row_norm(orbit_xi),
+                            defect=action.eigenbasis_defect)
+    if zd:
+        d = b - v
+        flip = d @ dagger(d) / 2
+        if flip_norm > 1.0 + 1e-10:
+            _check_contraction(flip)
+        hbar = _folner_kernel(phi) * flip
+        hbar = (hbar + dagger(hbar)) / 2
+    else:
+        average = _average_conjugates if flip_norm <= 1.0 + 1e-10 else average_conjugates
+        hbar = average(_graph_projection(b, v), folner, action)
+    w, z = np.linalg.eigh(np.pi * hbar)
+    path = UnitaryPath([PathSegment(0.0, 1.0, w, q @ z if zd else z,
+                                    np.eye(action.dim, dtype=complex))])
+    matched = v @ (dagger(b) @ cxi)
+    return path, z, {
         "delta": delta,
         "correlation_gap": corr_gap,
-        "flip_error": float(np.linalg.norm(path.end() @ xi - v @ (dagger(b) @ xi))),
+        "flip_error": float(np.linalg.norm(path.apply(1.0, xi)
+                                           - (q @ matched if zd else matched))),
     }
 
 
 @dataclass
 class DifferenceSet:
-    """F^{-1} F, and for Z^d the rows phi_k of its elements' eigenvalues."""
+    """F^{-1} F, and for Z^d the rows phi_k of its elements' eigenvalues and
+    those rows at the elements of F, in F's order."""
 
     elements: list
     phases: np.ndarray | None = None
+    folner_phases: np.ndarray | None = None
 
 
 def _difference_set(action: GroupAction, folner: FolnerSet) -> DifferenceSet:
     """F^{-1} F: the whole group for a finite action, where F is the group;
     for the centred box F of ``folner_set`` (Z^d) the centred box of twice
-    the half-width, in sorted order, with its phase table."""
+    the half-width, in sorted order, with its phase table; F is the
+    centred box of the half-width inside it, so its rows are read off."""
     if action.kind == "finite":
         return DifferenceSet(list(folner.elements))
     half = int(np.max(np.abs(folner.elements)))
     elements = list(itertools.product(range(-2 * half, 2 * half + 1), repeat=action.rank))
-    return DifferenceSet(elements, action.phases(elements))
+    phases = action.phases(elements)
+    rows = np.ravel_multi_index((np.asarray(folner.elements) + 2 * half).T,
+                                (4 * half + 1,) * action.rank)
+    return DifferenceSet(elements, phases, phases[rows])
 
 
 def _find_detour(action: GroupAction, diffs: DifferenceSet, xi: np.ndarray,
@@ -508,7 +670,7 @@ def _find_detour(action: GroupAction, diffs: DifferenceSet, xi: np.ndarray,
     tol = delta / (4 * reach)
     floor = delta / (4 * action.dim)
     q, angles = action.eigenbasis, action.angles
-    a_all, b_all = dagger(q) @ xi, dagger(q) @ eta
+    a_all, b_all = _coordinates(action, xi), _coordinates(action, eta)
     coords = np.zeros(action.dim, dtype=complex)
     free = np.ones(action.dim, dtype=bool)
     for j in range(action.dim):

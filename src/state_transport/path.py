@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateError, DimensionError, PathError
+from .errors import CertificateError, DimensionError, NotFiniteError, PathError
 from .linalg import check_operators, dagger, norm_at_most, op_norm
 
 JOINT_TOL = 1e-10
@@ -64,6 +64,16 @@ class PathSegment:
     def end(self) -> np.ndarray:
         return self.at(self.t1)
 
+    def apply(self, t: float, x: np.ndarray) -> np.ndarray:
+        """u(t) x for a vector x, as base x + v (e^{i (t - t0) w} - 1) v^* base x:
+        one product by the base and two by v, O(dim^2 + dim r), where
+        ``at(t) @ x`` forms u(t) first at O(dim^2 r)."""
+        y = self.base @ x
+        if t == self.t0:
+            return y
+        turn = np.exp(1j * (t - self.t0) * self.w) - 1.0
+        return y + self.v @ (turn * (dagger(self.v) @ y))
+
 
 class UnitaryPath:
     """A rectifiable path in the unitary group, as constant-speed segments.
@@ -113,6 +123,16 @@ class UnitaryPath:
         k, t = self._locate(t)
         return self.segments[k].at(t)
 
+    def apply(self, t: float, x: np.ndarray) -> np.ndarray:
+        """u(t) x for a vector x of length dim, through the evaluating
+        segment's (w, v, base) (``PathSegment.apply``), with no dim x dim
+        matrix formed; t is located as by ``at``.  Any other shape of x
+        raises ``DimensionError``."""
+        if np.shape(x) != (self.dim,):
+            raise DimensionError(f"vector of shape {np.shape(x)} in dimension {self.dim}")
+        k, t = self._locate(t)
+        return self.segments[k].apply(t, x)
+
     def at_times(self, ts: Iterable[float]) -> Iterator[np.ndarray]:
         """``at(t)`` for each t in ts, in order, one sample alive at a time."""
         return map(self.at, ts)
@@ -131,11 +151,15 @@ class UnitaryPath:
         of sums over at most dim terms, and each of those and of the products
         that form either side errs by about dim 2^-52 times the norms of its
         factors, where ||w|| = ||h||_F bounds ||h|| and the added term.
-        An element that is not dim x dim raises ``DimensionError``."""
+        An element that is not dim x dim raises ``DimensionError``, and one
+        with a NaN or infinite entry, whose Frobenius norm ``sizes`` reads
+        as not finite, ``NotFiniteError``."""
         check_operators(elements, self.dim)
         if len(elements) == 0:
             return 0.0
         sizes = [np.linalg.norm(x) for x in elements]
+        if not np.isfinite(sizes).all():
+            raise NotFiniteError("an element has non-finite entries")
         worst = 0.0
         for seg in self.segments:
             h = seg.generator
@@ -183,7 +207,10 @@ class UnitaryPath:
 
 def concat_paths(first: UnitaryPath, second: UnitaryPath) -> UnitaryPath:
     """Run ``first`` on its interval, then ``second`` (rebased to start at
-    first's endpoint) immediately after; result parameterized on [0, 1]."""
+    first's endpoint) immediately after; result parameterized on [0, 1].
+    Paths of different sizes raise ``DimensionError``."""
+    if first.dim != second.dim:
+        raise DimensionError(f"paths of sizes {first.dim} and {second.dim}")
     a = first.rescaled(0.0, 0.5)
     b = second.rescaled(0.0, 0.5)
     if not b.is_based(1e-8):

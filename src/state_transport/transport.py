@@ -19,6 +19,8 @@ from .gram import (AlignmentResult, VectorFamily, _turn, align_unitary, alignmen
 from .linalg import _check_tolerance, check_state, check_unitary, dagger, inner, op_norm
 from .path import PathSegment, UnitaryPath, concat_paths, merge_orthogonal_paths
 
+# Below this distance from colinear, ``projection_transport`` turns a
+# component by a phase alone (``_geodesic``).
 COLINEAR_TOL = 1e-9
 
 
@@ -48,20 +50,31 @@ def geodesic_pair(xi: np.ndarray, eta: np.ndarray) -> UnitaryPath:
     The segment holds h as w = (-theta, theta), exactly, and v = Q E, where
     E holds the eigenvectors of R for -theta and theta: with alpha = Im a
     and c = s + |alpha|, they are (-i b, c) and (c, -i b) when alpha >= 0,
-    (c, i b) and (i b, c) when alpha < 0, each over hypot(c, b).  When eta
-    is a phase multiple of xi (b below ``COLINEAR_TOL``) the path is the
-    scalar rotation w = (arg a,), v = xi.
+    (c, i b) and (i b, c) when alpha < 0, each over hypot(c, b).  This
+    holds for every b > 0, however small: rest / b is a unit vector
+    orthogonal to xi to rounding, so u(1) xi = eta to rounding.  Only at
+    b = 0 exactly, where rest / b is undefined and eta is a phase multiple
+    of xi, the path is the scalar rotation w = (arg a,), v = xi.
     """
     xi = check_state(xi)
     eta = check_state(eta, dim=xi.size)
+    return _geodesic(xi, eta, 0.0)
+
+
+def _geodesic(xi: np.ndarray, eta: np.ndarray, cut: float) -> UnitaryPath:
+    """``geodesic_pair`` of validated states, with the scalar rotation for
+    every b <= ``cut`` rather than for b = 0 alone."""
     dim = xi.size
     a = inner(eta, xi)
-    rest = eta - a * xi
+    # Project off xi as <., xi> xi / ||xi||^2, exact for an xi normalised
+    # only to rounding: eta = xi then leaves rest = 0 and b = 0 exactly.
     # Orthogonalise twice: when eta is nearly colinear with xi, rest is
     # small and one pass leaves a relative overlap with xi of order eps / b.
-    rest = rest - inner(rest, xi) * xi
+    mass = inner(xi, xi).real
+    rest = eta - (a / mass) * xi
+    rest = rest - (inner(rest, xi) / mass) * xi
     b = float(np.linalg.norm(rest))
-    if b < COLINEAR_TOL:
+    if b <= cut:
         w, v = np.array([np.angle(a)]), xi[:, None]
     else:
         s = float(np.hypot(a.imag, b))
@@ -88,9 +101,10 @@ def geodesic_lower_bound(path: UnitaryPath, xi: np.ndarray, eta: np.ndarray,
     distance, so along a path from 1 every eigenvalue of u(1) travels at
     least its angle, and phi <= ``path.length`` is checked.  One eigenvalue
     solve of u(1); ``samples`` is accepted for older callers and ignored.
+    States of another length than the path's raise ``DimensionError``.
     """
-    xi = check_state(xi)
-    eta = check_state(eta)
+    xi = check_state(xi, dim=path.dim)
+    eta = check_state(eta, dim=path.dim)
     u1 = path.end()
     residual = float(np.linalg.norm(u1 @ xi - eta))
     if residual > tol:
@@ -154,10 +168,18 @@ def projection_transport(e: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> Unit
 
     Requires equal e-masses <e xi, xi> = <e eta, eta>.  The phase is the
     angular bisector of the two component overlaps, which puts both
-    component rotations at angle <= pi/2.
+    component rotations at angle <= pi/2.  States of another length than
+    e's raise ``DimensionError``.
+
+    Each component turns along its geodesic, which must stay in the
+    component's range.  A pair within b < ``COLINEAR_TOL`` of colinear
+    turns by a phase alone: its rest direction (eta - a xi) / b carries
+    rounding of relative size 2^-52 / b off that range, which the rank-2
+    segment would turn by the whole angle arg a, so a colinear pair, such
+    as the components of a rank-one e, would leave it.
     """
-    xi = check_state(xi)
-    eta = check_state(eta)
+    xi = check_state(xi, dim=len(e))
+    eta = check_state(eta, dim=len(e))
     if op_norm(e @ e - e) > 1e-10 or op_norm(e - dagger(e)) > 1e-10:
         raise ParameterError("e is not a projection within tolerance")
     mass_xi = inner(e @ xi, xi).real
@@ -180,7 +202,7 @@ def projection_transport(e: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> Unit
         ns = np.linalg.norm(src)
         if ns < 1e-9:
             continue
-        paths.append(geodesic_pair(src / ns, mu * dst / np.linalg.norm(dst)))
+        paths.append(_geodesic(src / ns, mu * dst / np.linalg.norm(dst), COLINEAR_TOL))
     if not paths:
         return UnitaryPath.constant(dim)
     return merge_orthogonal_paths(paths)
@@ -266,6 +288,13 @@ def commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
     _check_tolerance(eps)
     xi = check_state(xi, dim=mu.ambient_dim)
     eta = check_state(eta, dim=mu.ambient_dim)
+    return _commutant_transport(mu, xi, eta, eps, exact)
+
+
+def _commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
+                         eps: float, exact: bool) -> TransportResult:
+    """``commutant_transport`` without its checks, for states and a
+    tolerance the caller has already validated."""
     n, r = mu.n, mu.multiplicity
     delta = invert_alignment_bound(n, r, eps / np.sqrt(n))
     src = VectorFamily(r, mu.corner_families(xi))
@@ -284,10 +313,10 @@ def commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
     terminal = float(np.linalg.norm(moved - eta))
     repair_length = 0.0
     if exact and terminal > 1e-13:
-        repair = geodesic_pair(moved / np.linalg.norm(moved), eta)
+        repair = _geodesic(moved / np.linalg.norm(moved), eta, 0.0)
         repair_length = repair.length
         path = concat_paths(path, repair)
-        terminal = float(np.linalg.norm(path.end() @ xi - eta))
+        terminal = float(np.linalg.norm(path.apply(path.t_end, xi) - eta))
     return TransportResult(
         path=path,
         terminal_error=terminal,
@@ -319,7 +348,7 @@ def _closed_form_alignment(src: VectorFamily, dst: VectorFamily,
     if r == 1:
         angles, vectors = np.array([np.angle(np.vdot(x, y))]), np.ones((1, 1), dtype=complex)
     elif x.any() and y.any():
-        seg = geodesic_pair(_direction(x[0]), _direction(y[0])).segments[0]
+        seg = _geodesic(_direction(x[0]), _direction(y[0]), 0.0).segments[0]
         angles, vectors = seg.w, seg.v
     else:
         angles, vectors = np.zeros(0), np.zeros((r, 0), dtype=complex)
@@ -340,9 +369,10 @@ def excise(xi: np.ndarray, alg: BlockAlgebra) -> np.ndarray:
 
     Per block, e restricts to the support projection of the state's block
     density; in a full matrix block containing xi this is the rank-one
-    projection onto xi and the excision error vanishes.
+    projection onto xi and the excision error vanishes.  A state of another
+    length than the algebra's raises ``DimensionError``.
     """
-    xi = check_state(xi)
+    xi = check_state(xi, dim=alg.ambient_dim)
     e = np.zeros((alg.ambient_dim, alg.ambient_dim), dtype=complex)
     for blk in alg.blocks:
         density = blk.coefficients_of_state(xi).conj()  # = Xi Xi^H per block

@@ -436,8 +436,7 @@ def test_integer_action_takes_one_eigh_of_its_generator_size(monkeypatch):
 
 def test_op_norm_takes_no_svd_of_a_zero_matrix(monkeypatch):
     # A spectral-mid op takes operator norms of exact zeros: the z-block
-    # defect of arc_transport and the identity-base term of the group leg's
-    # commutator bound.  op_norm returns 0.0 for those without an SVD, so
+    # defect of arc_transport.  op_norm returns 0.0 for those without an SVD, so
     # the SVDs taken inside op_norm are exactly its calls on nonzero
     # matrices.  Calls and their SVDs are matched by code object, however
     # op_norm is reached.
@@ -504,7 +503,7 @@ def test_arc_stage_aligns_only_blocks_without_a_closed_form(monkeypatch):
     # closed-form transport, so align_unitary runs once for each arc block
     # with n >= 2 and r >= 2 and for no other.
     blocks, aligned = [], []
-    _flagged(monkeypatch, state_transport.circle, "commutant_transport",
+    _flagged(monkeypatch, state_transport.circle, "_commutant_transport",
              lambda mu, *args: blocks.append((mu.n, mu.multiplicity)))
     _flagged(monkeypatch, state_transport.transport, "align_unitary",
              lambda src, dst, delta: aligned.append((src.size, src.dim)))
@@ -566,7 +565,7 @@ def test_arc_path_is_one_segment_built_once(monkeypatch):
 
 
 def test_orthogonal_leg_takes_no_svd_of_the_flip_size(monkeypatch):
-    # _graph_projection certifies the flip's norm from its factors' Gram
+    # _flip_gates certifies the flip's norm from its factors' Gram
     # numbers, so the leg averages it without the dim x dim SVD of
     # average_conjugates' gate; the SVDs it does take are of the orbit
     # factors, dim x |F| at most.
@@ -586,3 +585,47 @@ def test_orthogonal_leg_takes_no_svd_of_the_flip_size(monkeypatch):
     _run_spectral_mid_pool()
     assert len(dims) == 6 and shapes
     assert all(shape != (dim, dim) for dim, shape in shapes)
+
+
+def test_group_leg_forms_no_dense_rep_and_one_svd_per_pair(monkeypatch):
+    # A Z^d leg works in the joint eigenbasis from its orbits to its
+    # certificate: group_state_transport builds no rep(g), takes one
+    # dim x dim eigh per leg and one dim x dim SVD per leg and +- pair of
+    # generators (the op passes (1,) and (-1,)), and, like arc_transport,
+    # evaluates no segment: its errors apply the path to vectors.
+    calls = []
+    group = _flagged(monkeypatch, state_transport, "group_state_transport",
+                     lambda action, *args: calls.append((action.dim, [], [], [])))
+    arcs = _flagged(monkeypatch, state_transport, "arc_transport")
+    rep, segment_at = state_transport.GroupAction.rep, state_transport.PathSegment.at
+    inner = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
+    svd, eigh, evaluated = inner.svd, np.linalg.eigh, []
+
+    def counted(record, f):
+        def wrapper(a, *args, **kwargs):
+            if group[0] and np.shape(a) == (calls[-1][0],) * 2:
+                calls[-1][record].append(np.shape(a))
+            return f(a, *args, **kwargs)
+        return wrapper
+
+    def counted_rep(action, g):
+        if group[0]:
+            calls[-1][1].append(g)
+        return rep(action, g)
+
+    def counted_at(seg, t):
+        if group[0] or arcs[0]:
+            evaluated.append(t)
+        return segment_at(seg, t)
+
+    monkeypatch.setattr(state_transport.GroupAction, "rep", counted_rep)
+    monkeypatch.setattr(state_transport.PathSegment, "at", counted_at)
+    monkeypatch.setattr(inner, "svd", counted(2, svd))
+    monkeypatch.setattr(np.linalg, "svd", counted(2, svd))
+    monkeypatch.setattr(np.linalg, "eigh", counted(3, eigh))
+    _run_spectral_mid_pool()
+    assert len(calls) == 6
+    for dim, reps, svds, eighs in calls:
+        assert reps == []
+        assert len(svds) == 1 and len(eighs) == 1
+    assert evaluated == []

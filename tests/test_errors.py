@@ -22,9 +22,12 @@ from state_transport.gram import (
 )
 from state_transport.group import finite_cyclic_action, group_state_transport
 from state_transport.intertwine import AlgebraTower, build_tower, make_schedule
+from state_transport.path import concat_paths
 from state_transport.suites import run_suite
 from state_transport.transport import (
     commutant_transport,
+    excise,
+    geodesic_lower_bound,
     geodesic_pair,
     multi_transport,
     projection_transport,
@@ -102,6 +105,13 @@ def test_bad_tolerance_raises_parameter_error(site, eps):
 
 _ETA = np.array([0.0, 1.0], dtype=complex)
 _NAN = np.array([np.nan, 1.0], dtype=complex)
+_LONG = np.array([1.0, 0.0, 0.0], dtype=complex)
+
+
+def _circle_state_size():
+    model = SpectralModel.from_unitary(np.diag(np.exp(2j * np.pi * np.array([0.1, 0.6]))))
+    circle_partition(model, _LONG, _XI, 0.1, 0.1)
+
 
 # Public entry points that returned a NaN or a wrong value, or raised a bare
 # numpy or Python exception, on these arguments.
@@ -122,6 +132,19 @@ BOUNDARY_SITES = {
                                    PathError),
     "rescaled infinite interval": (lambda: geodesic_pair(_XI, _ETA).rescaled(0.0, np.inf),
                                    PathError),
+    "circle_partition state size": (_circle_state_size, DimensionError),
+    "projection_transport state size": (
+        lambda: projection_transport(np.diag([1.0, 0.0]), _LONG, _XI), DimensionError),
+    "geodesic_lower_bound state size": (
+        lambda: geodesic_lower_bound(geodesic_pair(_XI, _ETA), _LONG, _ETA), DimensionError),
+    "excise state size": (lambda: excise(_LONG, direct_sum_algebra([2])), DimensionError),
+    "concat_paths sizes": (
+        lambda: concat_paths(geodesic_pair(_XI, _ETA), geodesic_pair(_LONG, np.roll(_LONG, 1))),
+        DimensionError),
+    "commutator_bound NaN element": (
+        lambda: geodesic_pair(_XI, _ETA).commutator_bound([np.diag(_NAN)]), NotFiniteError),
+    "apply vector length": (lambda: geodesic_pair(_XI, _ETA).apply(0.5, _LONG),
+                            DimensionError),
 }
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from state_transport.suites import random_state
 from state_transport.transport import (
-    COLINEAR_TOL,
     geodesic_angle,
     geodesic_lower_bound,
     geodesic_pair,
@@ -87,15 +86,32 @@ def test_nearly_colinear_phase_regression(seed):
     seed=st.integers(0, 2**32 - 1),
     dim=st.integers(2, 16),
     phase=phases,
-    s=st.one_of(st.floats(1.01 * COLINEAR_TOL, 10 * COLINEAR_TOL), st.floats(1e-8, 1.0)),
+    s=st.one_of(st.floats(1e-15, 1e-8), st.floats(1e-8, 1.0)),
 )
 def test_geodesic_length_is_the_angle_bit_for_bit(seed, dim, phase, s):
-    # b just above the colinear cut, nearly antipodal pairs (phase near pi)
-    # and generic ones: the segment holds w = (-theta, theta) exactly.
+    # b down to 1e-15, nearly antipodal pairs (phase near pi) and generic
+    # ones: every b > 0 takes the rank-2 segment, which holds
+    # w = (-theta, theta) exactly.
     xi, eta, _ = degenerate_pair(seed, dim, phase, s)
     path = geodesic_pair(xi, eta)
     assert path.segments[0].w.size == 2
     assert path.length == geodesic_angle(xi, eta)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 11),
+    phase=st.floats(-np.pi, np.pi),
+    log_b=st.floats(-17.0, -6.0),
+)
+def test_nearly_colinear_geodesic_reaches_the_target(seed, dim, phase, log_b):
+    # However small b > 0 is, the rank-2 segment turns xi onto eta to
+    # rounding; a phase rotation alone would leave an error of b.
+    xi, eta, _ = degenerate_pair(seed, dim, phase, 10.0**log_b)
+    path = geodesic_pair(xi, eta)
+    assert np.linalg.norm(path.end() @ xi - eta) <= 1e-14
+    assert np.linalg.norm(path.apply(1.0, xi) - eta) <= 1e-14
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

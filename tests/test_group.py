@@ -718,3 +718,56 @@ def test_flip_projection_is_never_looser_than_the_dense_checks(n, half, rank, lo
     assert np.max(np.abs(xs @ dagger(xs) - zs @ dagger(zs))) <= FLIP_TOL
     assert np.max(np.abs(xs @ dagger(zs))) <= OVERLAP_TOL
     assert np.max(np.linalg.norm((xs + zs) @ e.T, axis=1)) <= OVERLAP_TOL
+
+
+def _copies_instance(rng, d, copy_dim, copies, detour):
+    """Z^d acting identically on ``copies`` orthogonal copies of C^copy_dim
+    through generators with one random eigenbasis.  One leg: the target is
+    the source moved to the second copy by a unitary commuting with the
+    generators.  Detour: the target is a phase of the source, so the orbits
+    overlap."""
+    q = random_unitary(rng, copy_dim)
+    gens = [np.kron(np.eye(copies), (q * np.exp(1j * rng.uniform(-np.pi, np.pi, copy_dim)))
+                    @ dagger(q)) for _ in range(d)]
+    x = random_state(rng, copy_dim)
+    pad = np.zeros((copies - 1) * copy_dim)
+    xi = np.concatenate([x, pad])
+    if detour:
+        eta = np.exp(0.4j) * xi
+    else:
+        m = (q * np.exp(1j * rng.uniform(0, 2 * np.pi, copy_dim))) @ dagger(q)
+        eta = np.concatenate([np.zeros(copy_dim), m @ x, pad[copy_dim:]])
+    return integer_action(gens), xi, eta
+
+
+@settings(max_examples=20, deadline=None)
+@given(detour=st.booleans(), d=st.sampled_from([1, 2]), copy_dim=st.integers(4, 12),
+       paired=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_eigenbasis_commutator_sup_dominates_the_dense_bound(detour, d, copy_dim, paired,
+                                                             seed):
+    # The Z^d leg reads its sup in the joint eigenbasis, one SVD per +-
+    # pair; it is never below the dense Duhamel bound of the same path and
+    # reps.  The terminal, flip and leg errors apply the path to a vector,
+    # which agrees with the dense path end applied to it.
+    rng = np.random.default_rng(seed)
+    eps = 0.3 if d == 2 else 0.2
+    action, xi, eta = _copies_instance(rng, d, copy_dim, 3 if detour else 2, detour)
+    unit = [tuple(int(k == j) for k in range(d)) for j in range(d)]
+    gens = unit + [tuple(-k for k in g) for g in unit] if paired else unit
+    res = group_state_transport(action, xi, eta, gens, eps)
+    assert res.legs == (2 if detour else 1)
+    dense = res.path.commutator_bound([action.rep(g) for g in gens])
+    assert dense <= res.commutator_sup < res.commutator_bound
+    end = res.path.end()
+    assert np.linalg.norm(res.path.apply(res.path.t_end, xi) - end @ xi) <= 1e-14
+    assert abs(res.terminal_error - np.linalg.norm(end @ xi - eta)) <= 1e-14
+    if detour:
+        folner = folner_set(action, gens, eps / 2)
+        delta = (eps / (2 * EXP_SERIES_CONSTANT)) ** 2 / len(folner.elements)
+        mid = _find_detour(action, _difference_set(action, folner), xi, eta, delta)
+        half = res.path.at(0.5)
+        legs = [np.linalg.norm(half @ xi - mid),
+                np.linalg.norm(end @ (dagger(half) @ mid) - eta)]
+        assert np.allclose(res.extras["leg_errors"], legs, rtol=0.0, atol=1e-14)
+    else:
+        assert res.extras["flip_error"] <= res.extras["flip_bound"]

@@ -22,7 +22,6 @@ from state_transport.suites import (
     random_unitary,
 )
 from state_transport.transport import (
-    COLINEAR_TOL,
     commutant_transport,
     excise,
     excision_error,
@@ -367,10 +366,7 @@ def test_closed_form_transports_match_the_alignment(one_unit, size, pad, rotate,
         assert res.path.length <= aligned.length + 1e-12
     exact = commutant_transport(mu, xi, eta, eps, exact=True)
     assert exact.measured_gap == align.gap
-    # Below COLINEAR_TOL the repair geodesic turns a phase alone, so it
-    # leaves such a residual about in place.
-    left = 1.01 * res.terminal_error if res.terminal_error < COLINEAR_TOL else 0.0
-    assert exact.terminal_error <= max(1e-13, left)
+    assert exact.terminal_error <= 1e-13
 
 
 @pytest.mark.parametrize("zero_side", ["source", "target"])
