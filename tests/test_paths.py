@@ -370,3 +370,18 @@ def test_segments_are_their_generators_exponentials(kind, seed, fractions):
             u = seg.at(t)
             assert op_norm(dagger(u) @ u - one) <= 1e-12
             assert op_norm(u - scipy.linalg.expm(1j * (t - seg.t0) * h) @ seg.base) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(LIBRARY_KINDS), seed=st.integers(0, 2**32 - 1),
+       fractions=st.lists(st.floats(-0.25, 1.25), min_size=1, max_size=4))
+def test_apply_is_the_evaluated_path_times_the_vector(kind, seed, fractions):
+    # u(t) x through the segment's (w, v, base) is at(t) @ x, at the ends,
+    # at the segment joins and outside the interval, where both clamp t.
+    rng = np.random.default_rng(seed)
+    path = _library_path(kind, rng)
+    x = random_state(rng, path.dim)
+    lo, hi = path.t_start, path.t_end
+    times = [lo + f * (hi - lo) for f in fractions] + [s.t1 for s in path.segments] + [lo]
+    for t in times:
+        assert np.linalg.norm(path.apply(t, x) - path.at(t) @ x) <= 1e-14
