@@ -20,9 +20,10 @@ from .errors import (
     InfeasiblePartitionError,
     ParameterError,
 )
+from .gram import NORMALIZED_FAMILY_TOL, VectorFamily, alignment_gate
 from .linalg import _unitary_eig, check_state, check_unitary, dagger, op_norm
 from .path import UnitaryPath, concat_paths, joined_segment
-from .transport import _commutant_transport
+from .transport import _corner_rotations, _geodesic, invert_alignment_bound
 
 ANGLE_CLUSTER_TOL = 1e-9
 
@@ -162,7 +163,12 @@ def circle_partition(model: SpectralModel, xi: np.ndarray, eta: np.ndarray,
 def _circle_partition(model: SpectralModel, xi: np.ndarray, eta: np.ndarray,
                       eps: float, eps_prime: float) -> CirclePartition:
     """``circle_partition`` for states the caller has already validated;
-    eps and eps_prime are checked here."""
+    eps and eps_prime are checked here.  A grid point with no atom within
+    gamma/2 + 1e-12 has the margin masses 0.0, the least there are, so a
+    window whose first grid point is such a point cuts there without any
+    mass computed, and a window's masses are summed only at the grid
+    points within that reach of an atom; the cuts are those of the full
+    scan, bit for bit."""
     if not (0 < eps < 2.0) or not (0 < eps_prime < 1.0):
         raise ParameterError("need 0 < eps < 2 and 0 < eps_prime < 1")
     gamma = eps * eps_prime / 4.0
@@ -171,20 +177,30 @@ def _circle_partition(model: SpectralModel, xi: np.ndarray, eta: np.ndarray,
     lifted = np.sort(np.concatenate([angles - 1.0, angles, angles + 1.0]))
     gap_mids = (lifted[:-1] + lifted[1:]) / 2
     reach = gamma + 1e-12
+    clear = gamma / 2 + 1e-12
 
     def best_cut(lo: float, hi: float) -> float:
         # Grid of pitch gamma/4, capped, plus midpoints of adjacent atom
         # gaps inside the window: with finite spectrum, any point farther
-        # than gamma/2 from every atom has margin mass exactly zero.
+        # than gamma/2 from every atom has margin mass exactly zero.  Such a
+        # point has the least masses there are, so when the first grid
+        # point is one it wins, and only the points within gamma/2 + 1e-12
+        # of an atom need their masses summed.
         pitch = max(gamma / 4, (hi - lo) / 256)
+        mids = gap_mids[(gap_mids > lo) & (gap_mids <= hi)]
+        first = min([lo + pitch if lo + pitch < hi + 1e-15 else hi, *mids[:1]])
+        if not np.any(np.abs((first - angles + 0.5) % 1.0 - 0.5) <= clear):
+            return float(first)
         grid = np.arange(lo + pitch, hi + 1e-15, pitch)
         if grid.size == 0 or grid[-1] < hi - 1e-15:
             grid = np.append(grid, hi)
-        mids = gap_mids[(gap_mids > lo) & (gap_mids <= hi)]
         grid = np.sort(np.concatenate([grid, mids]), kind="stable")
         near = (slice(None) if hi - lo + 2 * reach >= 1.0
                 else _in_arc(angles, (lo - reach) % 1.0, (hi + reach) % 1.0))
-        sx, se = _window_masses(angles[near], masses[:, near], grid, gamma / 2)
+        hit = np.any(np.abs((grid[:, None] - angles[near] + 0.5) % 1.0 - 0.5) <= clear,
+                     axis=1)
+        sx, se = np.zeros((2, grid.size))
+        sx[hit], se[hit] = _window_masses(angles[near], masses[:, near], grid[hit], gamma / 2)
         feasible = (sx < eps_prime) & (se < eps_prime)
         if not feasible.any():
             raise InfeasiblePartitionError(
@@ -279,27 +295,26 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
     """Transport xi toward eta arc by arc inside the spectral compressions
     of z, commuting with the matrix-unit block throughout.
 
-    Low-mass arcs (min mass <= eps^{3/2}) are skipped.  Each other arc takes
-    ``commutant_transport`` of its normalised components in the block
-    compressed to it (``_compress_units``), with the exact repair.  The arcs
-    act on mutually orthogonal column blocks of z's eigenbasis, so their
-    generators, lifted by the arc bases, sum to one segment from the
-    identity; arcs that took a repair add one second segment (``_arc_path``).
-    The summed path obeys ||[u(t), z]|| < 3 pi eps, commutes with the block
-    units, and has terminal error < 2 sqrt(3) eps on admissible instances.
-    Both sups are certified bounds over every t; ``t_samples`` is accepted
-    and ignored.  The states and eps are validated once, the states here
-    and eps by the partition, so the per-arc transports take the
-    normalised arc components without checking them again.
+    Low-mass arcs (min mass <= eps^{3/2}) are skipped.  Each other arc
+    takes ``commutant_transport`` of its normalised components in the block
+    compressed to it, with the exact repair.  The arcs are column blocks
+    of z's one eigenbasis Q, so every arc is computed at once in the sorted
+    coordinates Q^* xi, Q^* eta and Q^* V (``_transport_arcs``), and their
+    generators, lifted by Q, sum to one segment from the identity; arcs
+    that took a repair add one second segment (``_arc_path``).  The summed
+    path obeys ||[u(t), z]|| < 3 pi eps, commutes with the block units,
+    and has terminal error < 2 sqrt(3) eps on admissible instances.  Both
+    sups are certified bounds over every t; ``t_samples`` is accepted and
+    ignored.  The states and eps are validated once, the states here and
+    eps by the partition.  The first failing arc, in arc order, raises:
+    ``ArcOutsideBlockError`` for an arc whose subspace misses the block,
+    ``HypothesisError`` with its family weight or Gram gap otherwise.
     """
     if block.ambient_dim != model.dim:
         raise DimensionError("block and spectral model dimensions differ")
     xi = check_state(xi, dim=model.dim)
     eta = check_state(eta, dim=model.dim)
-    z_block_defect = max(
-        op_norm(block.unit(i, j) @ model.z - model.z @ block.unit(i, j))
-        for i in range(block.n) for j in range(block.n)
-    )
+    z_block_defect = _z_block_defect(block, model.z)
     if z_block_defect > 1e-9:
         raise HypothesisError(
             "block does not commute with the distinguished unitary",
@@ -311,49 +326,33 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
     partition = _circle_partition(model, xi, eta, eps, eps_prime)
     skip_level = eps**1.5
 
-    rows = []
-    # Per transported arc, its generators over unit time lifted by its basis:
-    # the transport's, and the repair's when one was appended.
-    generators = ([], [])
-    repairs = ([], [])
-    transported = []
-    worst_stats_gap = 0.0
-    for idx, (a, b) in enumerate(partition.arcs()):
-        basis = model.arc_basis(a, b)
-        src = dagger(basis) @ xi
-        dst = dagger(basis) @ eta
-        m_xi = float(np.vdot(src, src).real)
-        m_eta = float(np.vdot(dst, dst).real)
-        if min(m_xi, m_eta) <= skip_level:
-            rows.append(ArcRow(idx, m_xi, m_eta,
-                               skipped=True,
-                               terminal_contribution=float(np.sqrt(m_xi + m_eta))))
-            continue
-        sub_block = _compress_units(block, basis)
-        if sub_block.multiplicity == 0:
-            raise ArcOutsideBlockError(
-                f"arc {idx} ({a:.6f}, {b:.6f}] carries mass but its spectral "
-                "subspace misses the matrix-unit block",
-                arc_index=idx,
-            )
-        res = _commutant_transport(sub_block, src / np.sqrt(m_xi), dst / np.sqrt(m_eta),
-                                   eps, exact=True)
-        worst_stats_gap = max(worst_stats_gap, res.measured_gap)
-        for seg, (ws, vs) in zip(res.path.segments, (generators, repairs)):
-            ws.append(seg.w * seg.duration)
-            vs.append(basis @ seg.v)
-        transported.append((a, b))
-        rows.append(ArcRow(idx, m_xi, m_eta, skipped=False,
-                           terminal_contribution=abs(np.sqrt(m_xi) - np.sqrt(m_eta))))
-
-    path = _arc_path(model.dim, generators, repairs)
+    qh = dagger(model.eigenbasis)
+    coords = np.stack([qh @ xi, qh @ eta])
+    arcs = partition.arcs()
+    starts, ends = np.array(arcs).T
+    inside = _in_arc(model.eigenangles, starts[:, None], ends[:, None])
+    member = inside[:, model.labels]
+    masses = member @ (np.abs(coords.T) ** 2)
+    skipped = np.min(masses, axis=1) <= skip_level
+    roots = np.sqrt(masses)
+    rows = [ArcRow(idx, float(m_xi), float(m_eta), skipped=bool(skip),
+                   terminal_contribution=float(np.sqrt(m_xi + m_eta) if skip
+                                               else abs(r_xi - r_eta)))
+            for idx, ((m_xi, m_eta), (r_xi, r_eta), skip)
+            in enumerate(zip(masses, roots, skipped))]
+    moving = np.flatnonzero(~skipped)
+    turn, repair, stats_gap = _transport_arcs(
+        (qh @ block.isometry).reshape(model.dim, block.n, -1), coords,
+        member[moving], roots[moving], moving, arcs, eps)
+    path = _arc_path(model, turn, repair)
 
     return ArcTransportResult(
         path=path,
         partition=partition,
         rows=rows,
         terminal_error=float(np.linalg.norm(path.apply(path.t_end, xi) - eta)),
-        z_commutator_sup=_z_commutator_bound(model, path, transported),
+        z_commutator_sup=_z_commutator_bound(model, path, starts[moving],
+                                             inside[moving]),
         family_commutator_sup=path.commutator_bound(family),
         terminal_bound=2 * np.sqrt(3.0) * eps,
         z_commutator_bound=3 * np.pi * eps,
@@ -361,61 +360,183 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
             "eps_prime": eps_prime,
             "delta_prime": delta_prime,
             "skip_level": skip_level,
-            "stats_gap": worst_stats_gap,
+            "stats_gap": stats_gap,
         },
     )
 
 
-def _z_commutator_bound(model: SpectralModel, path: UnitaryPath,
-                        arcs: list[tuple[float, float]]) -> float:
+def _z_block_defect(block: MatrixUnits, z: np.ndarray) -> float:
+    """max over i, j of ||[e_ij, z]||, each commutator formed from z V and
+    V^* z as V_i (V^* z)_j - (z V)_i V_j^*: one product of inner dimension
+    2 r per pair, with no dim x dim unit.  A block that commutes with z
+    structurally, as in the benchmark, gives exact zeros, whose norm takes
+    no SVD (``op_norm``)."""
+    n, dim = block.n, block.ambient_dim
+    v = block._blocks()
+    zv = (z @ block.isometry).reshape(dim, n, -1)
+    vz = (dagger(block.isometry) @ z).reshape(n, -1, dim)
+    left = np.concatenate([v, -zv], axis=2).transpose(1, 0, 2)
+    right = np.concatenate([vz, v.conj().transpose(1, 2, 0)], axis=1)
+    return max(op_norm(a @ b) for a in left for b in right)
+
+
+def _transport_arcs(w: np.ndarray, coords: np.ndarray, member: np.ndarray,
+                    roots: np.ndarray, index: np.ndarray, arcs: list, eps: float):
+    """The transports of the arcs that carry mass, all at once in the sorted
+    eigen-coordinates: ``member`` marks each arc's columns of Q, ``w`` is
+    Q^* V as (dim, n, r), ``coords`` the rows Q^* xi and Q^* eta, ``roots``
+    the square roots of the arcs' masses and ``index`` their arc indices.
+
+    Each arc's columns, in Q's order, are gathered into rows zero-padded to
+    the widest arc, where the block compresses to units of multiplicity r'
+    (``_compress``) and the normalised components give the corner families
+    X and Y (``_gates`` checks them).  The corner rotations
+    (``_corner_rotations``) lift to the arc's generator columns
+    S (1_n (x) q), and u(1) moves x to x + S vec(X (U - 1)^T); an arc left
+    more than 1e-13 from y takes the geodesic repair from there, a second
+    stack.
+
+    Returns the summed generator (w, v) in the sorted coordinates with its
+    zero angles dropped, the repairs' likewise or None, and the largest
+    Gram gap; (None, None, 0.0) with no arc."""
+    if not index.size:
+        return None, None, 0.0
+    arc, col = np.nonzero(member)
+    sizes = member.sum(axis=1)
+    pos = np.arange(col.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    shape = (index.size, int(sizes.max()))
+    units = np.zeros(shape + w.shape[1:], dtype=complex)
+    units[arc, pos] = w[col]
+    x, y = np.zeros((2,) + shape, dtype=complex)
+    x[arc, pos], y[arc, pos] = coords[:, col]
+    x, y = x / roots[:, :1], y / roots[:, 1:]
+    units, ranks = _compress(units)
+    fx = np.einsum("am,amjs->ajs", x, units.conj())
+    fy = np.einsum("am,amjs->ajs", y, units.conj())
+    gap, deltas = _gates(fx, fy, ranks, index, arcs, eps)
+
+    angles, vectors = _corner_rotations(fx, fy, ranks, deltas)
+    turn = ((fx @ vectors.conj()) * (np.exp(1j * angles) - 1.0)[:, None]) @ vectors.mT
+    moved = x + np.einsum("amjs,ajs->am", units, turn)
+    lifted = (units @ vectors[:, None]).reshape(shape + (-1,))
+    repairs = np.linalg.norm(moved - y, axis=1) > 1e-13
+    repair = None
+    if repairs.any():
+        rep_w, rep_v = np.zeros((index.size, 2)), np.zeros(shape + (2,), dtype=complex)
+        ends = moved[repairs]
+        rep_w[repairs], rep_v[repairs] = _geodesic(
+            ends / np.linalg.norm(ends, axis=1)[:, None], y[repairs])
+        repair = _scatter(rep_w, rep_v, arc, pos, col, len(w))
+    return _scatter(np.tile(angles, w.shape[1]), lifted, arc, pos, col, len(w)), repair, gap
+
+
+def _compress(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The units Q_a^* e_ij Q_a on each arc's reducing subspace, for a stack
+    of W_a = Q_a^* V as (arcs, m, n, r), rows zero-padded to the widest arc.
+
+    W_a^* W_a = 1_n (x) p_a, where p_a = C_a^* C_a for the m x r corner
+    C_a = W_a[:, 0] is a projection of rank r'_a <= min(m, r).  C_a C_a^* is
+    m x m, the arc's size rather than the block's multiplicity, with the
+    same eigenvalues 1, and one stacked ``eigh`` takes them all; a padded
+    row is zero and gives the eigenvalue 0, never kept.  For the r'_a
+    orthonormal eigenvectors U of eigenvalue lam > 1/2, P = C^* U lam^{-1/2}
+    are orthonormal eigenvectors of p_a for 1, and W_a (1_n (x) P) is an
+    isometry for the same units.  Returns those isometries as
+    (arcs, m, n, r'), r' the largest r'_a, zero beyond each arc's r'_a
+    columns, and the r'_a."""
+    corner = w[:, :, 0]
+    vals, vecs = np.linalg.eigh(corner @ corner.conj().mT)
+    ranks = np.sum(vals > 0.5, axis=1)
+    top = int(ranks.max())
+    vals, vecs = vals[:, ::-1][:, :top], vecs[:, :, ::-1][:, :, :top]
+    scale = np.where(np.arange(top) < ranks[:, None], 1.0 / np.sqrt(np.maximum(vals, 0.5)), 0.0)
+    return w @ (corner.conj().mT @ (vecs * scale[:, None]))[:, None], ranks
+
+
+def _gates(fx: np.ndarray, fy: np.ndarray, ranks: np.ndarray, index: np.ndarray,
+           arcs: list, eps: float) -> tuple[float, dict]:
+    """The gates of ``commutant_transport`` over a stack of arcs' corner
+    families (arcs, n, r'), zero beyond each arc's r': the family weights,
+    and the Gram gaps against delta = ``invert_alignment_bound(n, r',
+    eps / sqrt(n))``, taken once per distinct r'.  An arc that fails one,
+    or whose r' is 0, is checked alone, first in arc order: r' = 0 raises
+    ``ArcOutsideBlockError``, and ``alignment_gate`` raises the
+    ``HypothesisError`` that ``commutant_transport`` would.  Returns the
+    largest gap and the delta of each r'."""
+    n = fx.shape[1]
+    deltas = {r: invert_alignment_bound(n, r, eps / np.sqrt(n)) for r in set(ranks.tolist())}
+    grams = fx @ fx.conj().mT, fy @ fy.conj().mT
+    gx, gy = ((g + g.conj().mT) / 2 for g in grams)
+    gaps = np.max(np.abs(gx - gy), axis=(1, 2))
+    weight = np.sum(np.abs(np.stack([fx, fy])) ** 2, axis=(2, 3))
+    failing = ((ranks == 0) | np.any(weight > 1.0 + NORMALIZED_FAMILY_TOL, axis=0)
+               | (gaps >= np.array([deltas[r] for r in ranks.tolist()])))
+    for t in np.flatnonzero(failing):
+        r = ranks[t]
+        if r == 0:
+            a, b = arcs[index[t]]
+            raise ArcOutsideBlockError(
+                f"arc {index[t]} ({a:.6f}, {b:.6f}] carries mass but its spectral "
+                "subspace misses the matrix-unit block",
+                arc_index=int(index[t]),
+            )
+        alignment_gate(VectorFamily(r, fx[t, :, :r]), VectorFamily(r, fy[t, :, :r]),
+                       deltas[r])
+    return float(np.max(gaps)), deltas
+
+
+def _scatter(angles: np.ndarray, vectors: np.ndarray, arc: np.ndarray, pos: np.ndarray,
+             col: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-arc generators, angles (arcs, p) and vectors (arcs, m, p) in the
+    padded arc rows, as one generator in the sorted coordinates: row
+    ``pos`` of arc ``arc`` is row ``col``, and each arc keeps its own p
+    columns.  Zero angles, padding included, are dropped."""
+    out = np.zeros((dim,) + angles.shape, dtype=complex)
+    out[col, arc] = vectors[arc, pos]
+    keep = angles != 0.0
+    return angles[keep], out[:, keep]
+
+
+def _z_commutator_bound(model: SpectralModel, path: UnitaryPath, starts: np.ndarray,
+                        inside: np.ndarray) -> float:
     """Certified sup over t of ||[u(t), z]|| for the path merged over the
-    transported ``arcs``, with no path evaluation.  u(t) preserves each
-    arc's columns Q_k of Q and fixes the rest; with z = Q Λ Q^* + R, each
-    block [u_k, Λ_k - λ] has norm <= 2 ||Λ_k - λ|| <= 2 sin(π s) for λ the
+    transported arcs, which start at ``starts`` and hold the eigenangles
+    ``inside``, with no path evaluation.  u(t) preserves each arc's columns
+    Q_k of Q and fixes the rest; with z = Q Λ Q^* + R, each block
+    [u_k, Λ_k - λ] has norm <= 2 ||Λ_k - λ|| <= 2 sin(π s) for λ the
     midpoint of the chord between the arc's extreme eigenvalues, s turns
     apart (s <= 1/2; λ = 0 gives 2 beyond).  Hence the largest 2 sin(π s),
     plus 2 ||R|| and the rounding allowance of
-    ``UnitaryPath.commutator_bound``; 0.0 with no arc."""
-    if not arcs:
+    ``UnitaryPath.commutator_bound``; 0.0 with no arc.  Every arc's spread
+    is taken in one broadcast, and ||R|| is bounded by the least of its
+    Frobenius norm and the Schur test sqrt(||R||_1 ||R||_inf), exact for a
+    diagonal R, with no SVD."""
+    if not starts.size:
         return 0.0
-    angles = model.eigenangles
-    spread = max(np.ptp((angles[_in_arc(angles, a, b)] - a) % 1.0) for a, b in arcs)
-    structural = 2 * np.sin(np.pi * min(spread, 0.5))
+    turned = (model.eigenangles - starts[:, None]) % 1.0
+    spread = np.max(np.where(inside, turned, -np.inf), axis=1) - np.min(
+        np.where(inside, turned, np.inf), axis=1)
+    structural = 2 * np.sin(np.pi * min(float(np.max(spread)), 0.5))
     turn = max(s.duration * np.linalg.norm(s.w) for s in path.segments)
     allowance = model.dim * np.finfo(float).eps * np.linalg.norm(model.z) * (1.0 + turn)
-    return float(structural + 2 * model.reconstruction_defect() + allowance)
+    rest = np.abs(model.z - model._spectral_sum(np.exp(2j * np.pi * model.eigenangles)))
+    defect = min(np.sqrt(np.sum(rest**2)),
+                 np.sqrt(np.max(rest.sum(axis=0)) * np.max(rest.sum(axis=1))))
+    return float(structural + 2 * defect + allowance)
 
 
-def _arc_path(dim: int, generators: tuple[list, list],
-              repairs: tuple[list, list]) -> UnitaryPath:
-    """The arc transports as one path: every arc basis is a column block of
-    the one eigenbasis of z, so the arcs' generators act on mutually
-    orthogonal subspaces and their sum is one segment from the identity
-    (``joined_segment``: the angles concatenated, the lifted columns side
-    by side, checked orthonormal).  The repairs, when an arc took one, sum
-    to a second segment, run after the first (``concat_paths``).  With no
-    arc transported, the constant path."""
-    if not generators[0]:
-        return UnitaryPath.constant(dim)
-    eye = np.eye(dim, dtype=complex)
-    path = UnitaryPath([joined_segment(0.0, 1.0, *generators, eye)])
-    if repairs[0]:
-        path = concat_paths(path, UnitaryPath([joined_segment(0.0, 1.0, *repairs, eye)]))
+def _arc_path(model: SpectralModel, turn, repair) -> UnitaryPath:
+    """The arc transports as one path: the summed generator (w, v), v in
+    the sorted coordinates of ``_transport_arcs``, lifted by Q once, is
+    one segment from the identity (``joined_segment``, which checks the
+    lifted columns orthonormal).  The repairs, when an arc took one, are a
+    second segment, run after the first (``concat_paths``).  With no arc
+    transported, the constant path."""
+    if turn is None:
+        return UnitaryPath.constant(model.dim)
+    q, eye = model.eigenbasis, np.eye(model.dim, dtype=complex)
+    path = UnitaryPath([joined_segment(0.0, 1.0, [turn[0]], [q @ turn[1]], eye)])
+    if repair is not None:
+        path = concat_paths(path, UnitaryPath(
+            [joined_segment(0.0, 1.0, [repair[0]], [q @ repair[1]], eye)]))
     return path
-
-
-def _compress_units(block: MatrixUnits, basis: np.ndarray) -> MatrixUnits:
-    """The units basis^* e_ij basis on a reducing subspace (the m columns of
-    ``basis``).  W = basis^* V has W^* W = 1_n (x) p, where p = C^* C for
-    the m x r corner C = basis^* V_0 is a projection of rank r' <= min(m, r).
-    C C^* is m x m, the arc's size rather than the block's multiplicity, with
-    the same eigenvalues 1: for its r' orthonormal eigenvectors U of
-    eigenvalue lam > 1/2, P = C^* U lam^{-1/2} are orthonormal eigenvectors
-    of p for 1, and W (1_n (x) P) is an isometry for the same units."""
-    m = basis.shape[1]
-    w = (dagger(basis) @ block.isometry).reshape(m, block.n, -1)
-    corner = w[:, 0, :]
-    vals, vecs = np.linalg.eigh(corner @ dagger(corner))
-    keep = vals > 0.5
-    p = dagger(corner) @ (vecs[:, keep] / np.sqrt(vals[keep]))
-    return MatrixUnits(block.n, (w @ p).reshape(m, -1))

@@ -13,7 +13,7 @@ from .errors import (
     NotPSDError,
     ParameterError,
 )
-from .linalg import _unitary_eig, dagger, psd_sqrt
+from .linalg import _unitary_eigs, dagger, psd_sqrt
 
 NORMALIZED_FAMILY_TOL = 1e-12
 # Singular values of the aligned src rows below this fraction of the largest
@@ -199,25 +199,15 @@ def align_unitary(src: VectorFamily, dst: VectorFamily, delta: float) -> Alignme
     That M is the identity off span(F_x, F_y), which M and M^* keep; so with
     Q from one reduced QR of [F_x, F_y], polar(M) = 1 + Q (polar(C) - 1) Q^*
     for C = Q^* M Q, at most 2k x 2k, whose eigenpairs (lam, z) give
-    ``angles`` = angle lam and ``vectors`` = Q z.
+    ``angles`` = angle lam and ``vectors`` = Q z: ``_polar_alignment``, on a
+    stack of one.
     """
     gap = alignment_gate(src, dst, delta)
     n, dim = src.size, src.dim
     full_rank = dim >= n
     pivots = [] if full_rank else greedy_pivot_select(src, dim)
     rows = slice(None) if full_rank else pivots
-    a, s, bh = np.linalg.svd(src.vectors[rows], full_matrices=False)
-    ay, _, byh = np.linalg.svd(dst.vectors[rows], full_matrices=False)
-    k = int(np.sum(s > SRC_RANK_RTOL * s[0])) if s.size else 0
-    fx = bh[:k].T  # = (A_k^* Omega_x)^T
-    fy = (dagger(a[:, :k]) @ ay @ byh).T
-    q, rq = np.linalg.qr(np.hstack([fx, fy]))
-    gx, gy = rq[:, :k], rq[:, k:]  # = Q^* F_x, Q^* F_y
-    eye = np.eye(q.shape[1])
-    c = gy @ dagger(gx) + (eye - gy @ dagger(gy)) @ (eye - gx @ dagger(gx))
-    uc, _, vch = np.linalg.svd(c)
-    lam, z = _unitary_eig(uc @ vch)
-    angles, vectors = np.angle(lam), q @ z
+    angles, vectors, _ = _polar_alignment(src.vectors[rows], dst.vectors[rows])
     moved = src.vectors + _turn(src.vectors, angles, vectors)
     return AlignmentResult(
         angles=angles,
@@ -228,3 +218,26 @@ def align_unitary(src: VectorFamily, dst: VectorFamily, delta: float) -> Alignme
         gap=gap,
         pivots=pivots,
     )
+
+
+def _polar_alignment(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rotation of ``align_unitary`` for aligned src rows x and dst rows
+    y of shape (..., rows, dim), broadcasting over the leading axes: its
+    angles, shape (..., p), and vectors, shape (..., dim, p), with p <= 2k
+    for k the largest numerical rank of the src rows in the stack; and a
+    mask of the items whose own rank falls short of k, whose rotation this
+    is not.  A single item, with no leading axis, is never short."""
+    a, s, bh = np.linalg.svd(x, full_matrices=False)
+    ay, _, byh = np.linalg.svd(y, full_matrices=False)
+    ranks = np.sum(s > SRC_RANK_RTOL * s[..., :1], axis=-1)
+    k = int(ranks.max())
+    fx = bh[..., :k, :].mT  # = (A_k^* Omega_x)^T
+    fy = (a[..., :k].conj().mT @ ay @ byh).mT
+    q, rq = np.linalg.qr(np.concatenate([fx, fy], axis=-1))
+    gx, gy = rq[..., :k], rq[..., k:]  # = Q^* F_x, Q^* F_y
+    eye = np.eye(q.shape[-1])
+    c = (gy @ gx.conj().mT
+         + (eye - gy @ gy.conj().mT) @ (eye - gx @ gx.conj().mT))
+    uc, _, vch = np.linalg.svd(c)
+    lam, z = _unitary_eigs(uc @ vch)
+    return np.angle(lam), q @ z, ranks < k

@@ -413,7 +413,7 @@ def group_state_transport(action: GroupAction, xi: np.ndarray, eta: np.ndarray,
     doubling the bounds.  ``commutator_sup`` is certified: for a finite
     action it is the dense ``UnitaryPath.commutator_bound`` of the given
     reps; a Z^d leg reads it in the joint eigenbasis (``_commutator_sup``),
-    one SVD per +- pair of generators, and never forms rep(g).  The
+    one ``eigvalsh`` per +- pair of generators, and never forms rep(g).  The
     terminal, flip and leg errors apply the path to their vector
     (``UnitaryPath.apply``) and form no path end.  ``t_samples`` is
     accepted and ignored.  A tolerance that is not finite and > 0 raises
@@ -476,22 +476,30 @@ def _commutator_sup(action: GroupAction, legs: list, gens: list) -> float:
     z_1 (e^{i w_1} - 1) z_1^* and ||f_B|| <= min(2, ||w_1||) (the first term
     is absent from the identity).
 
-    g and -g share one SVD: phi_{-g} = conj(phi_g), so
+    g and -g share one norm: phi_{-g} = conj(phi_g), so
     H o Delta_{-g} = -conj(D) (H o Delta_g) conj(D), of the same norm.
+    For a Hermitian H it is read by ``eigvalsh``: with |phi| = 1,
+    H o Delta_g = (H o (1 - phi_g phi_g^*)) D, and K = H o (1 - phi_g phi_g^*)
+    = H - D H D^* is Hermitian, so ||H o Delta_g|| = ||K||, the largest
+    |eigenvalue| of K.  The base term M_B is not Hermitian and keeps its SVD.
 
     Allowance, per segment of allowance a = dim 2^-52 (1 + dt ||w||)
     (``PathSegment.allowance``), plus the first leg's for a base:
     a (sqrt(dim) (1 + e) + 16).  The first term is the dense route's own
     allowance a ||x||_F, as ||Q D Q^*||_F <= ||Q|| ||Q||_F <= sqrt(dim) (1 + e).
     The second covers the rounding between this route and the dense one,
-    each product or SVD summing dim terms per entry and erring by about
-    dim 2^-52 times the norms of its factors: H or M_B, the Hadamard
-    product with |Delta| <= 2 and its SVD here (4 units of dim 2^-52 ||w||);
-    v = Q z, h = v diag(w) v^*, rep(g), the products h x and x h and their
-    SVD there (12 units), and the phases' |phi| = 1 to 2^-52.  So the bound
-    dominates the dense ``UnitaryPath.commutator_bound`` of the same path
-    and the reps, and costs one dim x dim SVD per leg and +- pair (two for
-    a second leg) and no rep(g).
+    each product or decomposition summing dim terms per entry and erring
+    by about dim 2^-52 times the norms of its factors: H or M_B, the
+    Hadamard product with |Delta| <= 2 or |1 - phi_a conj(phi_b)| <= 2, and
+    its SVD or ``eigvalsh`` here (4 units of dim 2^-52 ||w||), where
+    ``eigvalsh`` reads K's lower triangle, a Hermitian matrix within H's
+    own rounding of K, and is backward stable as the SVD is; v = Q z,
+    h = v diag(w) v^*, rep(g), the products h x and x h and their SVD there
+    (12 units), and the phases' |phi| = 1 to 2^-52, which is all that
+    ||K D|| = ||K|| needs.  So the bound dominates the dense
+    ``UnitaryPath.commutator_bound`` of the same path and the reps, and
+    costs one dim x dim ``eigvalsh`` per leg and +- pair, one SVD more for a
+    second leg's base, and no rep(g).
     """
     reps, seen = [], set()
     for g in gens:
@@ -503,20 +511,23 @@ def _commutator_sup(action: GroupAction, legs: list, gens: list) -> float:
         return 0.0
     e, dim = action.eigenbasis_defect, action.dim
     phi = action.phases(reps)
-    deltas = phi[:, None, :] - phi[:, :, None]
     size = math.sqrt(dim) * (1.0 + e) + 16.0
-    worst, parts = 0.0, []
-    for k, (path, z) in enumerate(legs):
+    worst, base = 0.0, None
+    for path, z in legs:
         seg = path.segments[0]
-        # Each part: a matrix M, a bound on ||f||, and an allowance.
-        parts.append(((z * seg.w) @ dagger(z), seg.speed, seg.allowance))
-        turn, allowance = sum(p[1] for p in parts), sum(p[2] for p in parts)
-        for delta in deltas:
-            norm = sum(op_norm(m * delta) for m, _, _ in parts)
+        h = (z * seg.w) @ dagger(z)
+        turn, allowance = seg.speed, seg.allowance
+        if base is not None:
+            turn, allowance = turn + base[1], allowance + base[2]
+        for phases in phi:
+            flip = 1.0 - phases[:, None] * phases.conj()
+            norm = float(np.max(np.abs(np.linalg.eigvalsh(h * flip)), initial=0.0))
+            if base is not None:
+                norm += op_norm(base[0] * (phases - phases[:, None]))
             worst = max(worst, (1.0 + e) * (norm + 2 * e * turn) + allowance * size)
         # A second leg runs from u_1(1) = 1 + Q M_B Q^*: its base term.
-        parts = ([((z * (np.exp(1j * seg.w) - 1.0)) @ dagger(z), min(2.0, seg.speed),
-                   seg.allowance)] if k + 1 < len(legs) else [])
+        base = ((z * (np.exp(1j * seg.w) - 1.0)) @ dagger(z), min(2.0, seg.speed),
+                seg.allowance)
     return float(worst)
 
 

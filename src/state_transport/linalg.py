@@ -215,6 +215,24 @@ def _unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.diag(t), q
 
 
+def _unitary_eigs(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_unitary_eig`` of each unitary in a stack of shape (..., p, p), or
+    of one p x p unitary: the first basis of ``_normal_eigenbasis`` for all
+    of them at once, and ``_unitary_eig`` itself for each that the first
+    basis leaves coupled above its tolerance, or that is diagonal already."""
+    tilted = _TILT * us
+    _, q = np.linalg.eigh((tilted + tilted.conj().mT) / 2)
+    t = q.conj().mT @ us @ q
+    lam = np.diagonal(t, axis1=-2, axis2=-1).copy()
+    tol = UNITARY_TOL / (4 * max(us.shape[-1], 1))
+    eye = np.eye(us.shape[-1], dtype=bool)
+    coupled = np.any((np.abs(t) > tol) & ~eye, axis=(-2, -1))
+    diagonal = ~np.any(us * ~eye, axis=(-2, -1))
+    for i in map(tuple, np.argwhere(coupled | diagonal)):
+        lam[i], q[i] = _unitary_eig(us[i])
+    return lam, q
+
+
 def _normal_eigenbasis(ns: list[np.ndarray],
                        tol: float) -> tuple[np.ndarray, list[np.ndarray]]:
     """Unitary Q and the T_k = Q^* N_k Q for commuting normal N_k: Q

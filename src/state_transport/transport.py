@@ -14,22 +14,39 @@ import numpy as np
 from .algebra import BlockAlgebra, MatrixUnits
 from .errors import (CertificateError, DimensionError, DisjointnessError, HypothesisError,
                      ParameterError)
-from .gram import (AlignmentResult, VectorFamily, _turn, align_unitary, alignment_bound,
-                   alignment_gate)
+from .gram import (AlignmentResult, VectorFamily, _polar_alignment, _turn, align_unitary,
+                   alignment_bound, alignment_gate)
 from .linalg import _check_tolerance, check_state, check_unitary, dagger, inner, op_norm
 from .path import PathSegment, UnitaryPath, concat_paths, merge_orthogonal_paths
 
-# Below this distance from colinear, ``projection_transport`` turns a
-# component by a phase alone (``_geodesic``).
-COLINEAR_TOL = 1e-9
+_TINY = np.finfo(float).smallest_subnormal
 
 
 def geodesic_angle(xi: np.ndarray, eta: np.ndarray) -> float:
     """The angle arccos Re<xi, eta> between two unit vectors, evaluated as
-    atan2(||eta - Re<eta, xi> xi||, Re<eta, xi>), which stays accurate near
-    0 and pi, where arccos of the cosine loses about 1e-8."""
-    c = inner(eta, xi).real
-    return float(np.arctan2(np.linalg.norm(eta - c * xi), c))
+    atan2(s, Re a) with a = <eta, xi> and s = hypot(Im a, b) =
+    ||eta - Re(a) xi||, b the norm of the rest of eta off xi
+    (``_split``), which stays accurate near 0 and pi, where arccos of the
+    cosine loses about 1e-8."""
+    a, _, b = _split(xi, eta)
+    return float(np.arctan2(np.hypot(a.imag, b), a.real))
+
+
+def _split(xi: np.ndarray, eta: np.ndarray, project=None):
+    """a = <eta, xi>, the rest of eta off xi and its norm b, over the last
+    axis; ``project``, when given, maps the rest into the subspace a path
+    must stay in before b is taken."""
+    a = np.vecdot(xi, eta)
+    # Project off xi as <., xi> xi / ||xi||^2, exact for an xi normalised
+    # only to rounding: eta = xi then leaves rest = 0 and b = 0 exactly.
+    # Orthogonalise twice: when eta is nearly colinear with xi, rest is
+    # small and one pass leaves a relative overlap with xi of order eps / b.
+    mass = np.vecdot(xi, xi).real
+    rest = eta - (a / mass)[..., None] * xi
+    rest = rest - (np.vecdot(xi, rest) / mass)[..., None] * xi
+    if project is not None:
+        rest = project(rest)
+    return a, rest, np.sqrt(np.vecdot(rest, rest).real)
 
 
 def geodesic_pair(xi: np.ndarray, eta: np.ndarray) -> UnitaryPath:
@@ -47,46 +64,57 @@ def geodesic_pair(xi: np.ndarray, eta: np.ndarray) -> UnitaryPath:
     cos(theta) + i sin(theta) R / theta = [[a, -b], [b, conj(a)]], whose
     first column is (a, b): hence u(1) xi = eta exactly up to rounding,
     ||h|| = theta is the length, and h vanishes on span{xi, eta}^perp.
-    The segment holds h as w = (-theta, theta), exactly, and v = Q E, where
-    E holds the eigenvectors of R for -theta and theta: with alpha = Im a
-    and c = s + |alpha|, they are (-i b, c) and (c, -i b) when alpha >= 0,
-    (c, i b) and (i b, c) when alpha < 0, each over hypot(c, b).  This
+    The segment holds h as its eigenpairs (``_geodesic``), w = +-(-theta,
+    theta) exactly, so the length is ``geodesic_angle`` bit for bit.  This
     holds for every b > 0, however small: rest / b is a unit vector
-    orthogonal to xi to rounding, so u(1) xi = eta to rounding.  Only at
-    b = 0 exactly, where rest / b is undefined and eta is a phase multiple
-    of xi, the path is the scalar rotation w = (arg a,), v = xi.
+    orthogonal to xi to rounding, so u(1) xi = eta to rounding.  Only at b = 0 exactly, where rest / b is undefined and eta
+    is a phase multiple of xi, the path is the scalar rotation
+    w = (arg a,), v a phase multiple of xi.
     """
     xi = check_state(xi)
     eta = check_state(eta, dim=xi.size)
-    return _geodesic(xi, eta, 0.0)
+    return _geodesic_path(xi, eta)
 
 
-def _geodesic(xi: np.ndarray, eta: np.ndarray, cut: float) -> UnitaryPath:
-    """``geodesic_pair`` of validated states, with the scalar rotation for
-    every b <= ``cut`` rather than for b = 0 alone."""
-    dim = xi.size
-    a = inner(eta, xi)
-    # Project off xi as <., xi> xi / ||xi||^2, exact for an xi normalised
-    # only to rounding: eta = xi then leaves rest = 0 and b = 0 exactly.
-    # Orthogonalise twice: when eta is nearly colinear with xi, rest is
-    # small and one pass leaves a relative overlap with xi of order eps / b.
-    mass = inner(xi, xi).real
-    rest = eta - (a / mass) * xi
-    rest = rest - (inner(rest, xi) / mass) * xi
-    b = float(np.linalg.norm(rest))
-    if b <= cut:
-        w, v = np.array([np.angle(a)]), xi[:, None]
-    else:
-        s = float(np.hypot(a.imag, b))
-        theta = geodesic_angle(xi, eta)
-        c = s + abs(a.imag)
-        if a.imag >= 0:
-            e = np.array([[-1j * b, c], [c, -1j * b]])
-        else:
-            e = np.array([[c, 1j * b], [1j * b, c]])
-        w = np.array([-theta, theta])
-        v = np.column_stack([xi, rest / b]) @ (e / np.hypot(c, b))
-    return UnitaryPath([PathSegment(0.0, 1.0, w, v, np.eye(dim, dtype=complex))])
+def _geodesic_path(xi: np.ndarray, eta: np.ndarray, project=None) -> UnitaryPath:
+    """``geodesic_pair`` of two validated states as a one-segment path: the
+    eigenpairs of ``_geodesic``, the phase turn alone at b = 0."""
+    w, v = _geodesic(xi, eta, project)
+    if w[0] == 0.0:
+        w, v = w[1:], v[:, 1:]
+    return UnitaryPath([PathSegment(0.0, 1.0, w, v, np.eye(xi.size, dtype=complex))])
+
+
+def _geodesic(xi: np.ndarray, eta: np.ndarray, project=None) -> tuple[np.ndarray, np.ndarray]:
+    """The generator of ``geodesic_pair`` as eigenpairs, w of shape (..., 2)
+    and v of shape (..., dim, 2), for stacks of validated states in the
+    last axis, broadcasting over the leading axes.
+
+    v = [xi, rest / b] E with E = [[p, q], [q, p]] / hypot(c, b) and
+    c = s + |Im a|, the eigenvectors of R free of cancellation, and
+    w = sigma (-theta, theta) for sigma the sign of Im a: sigma = 1 takes
+    (p, q) = (-i b, c), and sigma = -1 takes (p, q) = (b, -i c), the same
+    eigenvectors times -i.  At b = 0 exactly E swaps or turns the columns,
+    so the second is xi up to a phase, with the angle
+    sigma atan2(|Im a|, Re a) = arg a, and the first is 0, with the angle
+    0, and adds nothing; a real a has c = 0 there and takes the least
+    positive c instead.  ``project`` is ``_split``'s."""
+    a, rest, b = _split(xi, eta, project)
+    s = np.hypot(a.imag, b)
+    sigma = np.copysign(1.0, a.imag)
+    theta = sigma * np.arctan2(s, a.real)
+    c = np.maximum(s + np.abs(a.imag), _TINY)
+    h = np.hypot(c, b)
+    p = ((1 - 1j) - sigma * (1 + 1j)) / 2 * (b / h)
+    q = ((1 - 1j) + sigma * (1 + 1j)) / 2 * (c / h)
+    unit = rest / (b + (b == 0.0))[..., None]
+    v = np.empty(xi.shape + (2,), dtype=complex)
+    v[..., 0] = p[..., None] * xi + q[..., None] * unit
+    v[..., 1] = q[..., None] * xi + p[..., None] * unit
+    w = np.empty(b.shape + (2,))
+    w[..., 0] = -theta * np.sign(b)
+    w[..., 1] = theta
+    return w, v
 
 
 def geodesic_lower_bound(path: UnitaryPath, xi: np.ndarray, eta: np.ndarray,
@@ -171,12 +199,13 @@ def projection_transport(e: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> Unit
     component rotations at angle <= pi/2.  States of another length than
     e's raise ``DimensionError``.
 
-    Each component turns along its geodesic, which must stay in the
-    component's range.  A pair within b < ``COLINEAR_TOL`` of colinear
-    turns by a phase alone: its rest direction (eta - a xi) / b carries
-    rounding of relative size 2^-52 / b off that range, which the rank-2
-    segment would turn by the whole angle arg a, so a colinear pair, such
-    as the components of a rank-one e, would leave it.
+    Each component turns along its geodesic, whose rest direction is
+    projected into the component's range (``_geodesic``'s ``project``):
+    unprojected, (eta - a xi) / b carries rounding of relative size
+    2^-52 / b off that range, which the rank-2 segment turns by the whole
+    angle, so a nearly colinear pair would leave it.  A component of rank
+    one holds no direction orthogonal to its vector, so its rest projects
+    to 0 and the pair takes the phase turn at b = 0 exactly.
     """
     xi = check_state(xi, dim=len(e))
     eta = check_state(eta, dim=len(e))
@@ -196,13 +225,16 @@ def projection_transport(e: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> Unit
     a = np.vdot(eeta, exi)  # <e xi, e eta>
     b = np.vdot(oeta, oxi)
     mu = _bisector_phase(a, b)
+    k = round(float(np.trace(e).real))
 
     paths = []
-    for src, dst in ((exi, eeta), (oxi, oeta)):
+    for src, dst, project, rank in ((exi, eeta, lambda r: e @ r, k),
+                                    (oxi, oeta, lambda r: r - e @ r, dim - k)):
         ns = np.linalg.norm(src)
         if ns < 1e-9:
             continue
-        paths.append(_geodesic(src / ns, mu * dst / np.linalg.norm(dst), COLINEAR_TOL))
+        paths.append(_geodesic_path(src / ns, mu * dst / np.linalg.norm(dst),
+                                    project if rank > 1 else np.zeros_like))
     if not paths:
         return UnitaryPath.constant(dim)
     return merge_orthogonal_paths(paths)
@@ -313,7 +345,7 @@ def _commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
     terminal = float(np.linalg.norm(moved - eta))
     repair_length = 0.0
     if exact and terminal > 1e-13:
-        repair = _geodesic(moved / np.linalg.norm(moved), eta, 0.0)
+        repair = _geodesic_path(moved / np.linalg.norm(moved), eta)
         repair_length = repair.length
         path = concat_paths(path, repair)
         terminal = float(np.linalg.norm(path.apply(path.t_end, xi) - eta))
@@ -348,7 +380,7 @@ def _closed_form_alignment(src: VectorFamily, dst: VectorFamily,
     if r == 1:
         angles, vectors = np.array([np.angle(np.vdot(x, y))]), np.ones((1, 1), dtype=complex)
     elif x.any() and y.any():
-        seg = _geodesic(_direction(x[0]), _direction(y[0]), 0.0).segments[0]
+        seg = _geodesic_path(_direction(x[0]), _direction(y[0])).segments[0]
         angles, vectors = seg.w, seg.v
     else:
         angles, vectors = np.zeros(0), np.zeros((r, 0), dtype=complex)
@@ -358,10 +390,54 @@ def _closed_form_alignment(src: VectorFamily, dst: VectorFamily,
 
 
 def _direction(x: np.ndarray) -> np.ndarray:
-    """x / ||x|| for a nonzero x, scaled by its largest entry first so that
-    no square underflows."""
-    x = x / np.max(np.abs(x))
-    return x / np.linalg.norm(x)
+    """x / ||x|| over the last axis for a nonzero x, scaled by its largest
+    entry first so that no square underflows."""
+    x = x / np.max(np.abs(x), axis=-1, keepdims=True)
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def _corner_rotations(fx: np.ndarray, fy: np.ndarray, ranks: np.ndarray,
+                      deltas: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The corner rotations of ``commutant_transport`` for a stack of
+    corner families X, Y of shape (stack, n, r), each item of multiplicity
+    ``ranks`` <= r and zero in the columns beyond, whose gates have passed
+    at the ``deltas`` of each multiplicity.  Returns the angles (stack, p)
+    and vectors (stack, r, p) of every item's rotation, zero-padded to the
+    widest p; a zero angle adds nothing.  The shapes keep the order of the
+    closed forms: r' = 1 is one stacked phase, n = 1 one stacked geodesic
+    (a zero corner the identity), and the rest take ``_polar_alignment``,
+    one stack per r', except the items whose rank falls short, or with
+    r' < n, which take ``align_unitary`` alone."""
+    stack, n, r = fx.shape
+    pieces = []
+    phase = np.flatnonzero(ranks == 1)
+    if phase.size:
+        pieces.append((phase, np.angle(np.vecdot(fx[phase, :, 0], fy[phase, :, 0]))[:, None],
+                       np.ones((phase.size, 1, 1), dtype=complex)))
+    if n == 1:
+        x, y = fx[:, 0], fy[:, 0]
+        turned = np.flatnonzero((ranks > 1) & x.any(axis=1) & y.any(axis=1))
+        if turned.size:
+            pieces.append((turned, *_geodesic(_direction(x[turned]), _direction(y[turned]))))
+    else:
+        for rank in sorted(set(ranks[ranks > 1].tolist())):
+            items = np.flatnonzero(ranks == rank)
+            alone = items
+            if rank >= n:
+                angles, vectors, short = _polar_alignment(fx[items, :, :rank],
+                                                          fy[items, :, :rank])
+                pieces.append((items[~short], angles[~short], vectors[~short]))
+                alone = items[short]
+            for t in alone:
+                res = align_unitary(VectorFamily(rank, fx[t, :, :rank]),
+                                    VectorFamily(rank, fy[t, :, :rank]), deltas[rank])
+                pieces.append(([t], res.angles[None], res.vectors[None]))
+    width = max((angles.shape[1] for _, angles, _ in pieces), default=0)
+    angles, vectors = np.zeros((stack, width)), np.zeros((stack, r, width), dtype=complex)
+    for items, a, v in pieces:
+        angles[items, :a.shape[1]] = a
+        vectors[items, :v.shape[1], :a.shape[1]] = v
+    return angles, vectors
 
 
 def excise(xi: np.ndarray, alg: BlockAlgebra) -> np.ndarray:

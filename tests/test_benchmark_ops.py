@@ -500,36 +500,72 @@ def _flagged(monkeypatch, module, name, record=None):
 
 def test_arc_stage_aligns_only_blocks_without_a_closed_form(monkeypatch):
     # A block of one unit (n = 1) or of multiplicity one (r = 1) takes a
-    # closed-form transport, so align_unitary runs once for each arc block
-    # with n >= 2 and r >= 2 and for no other.
+    # closed-form rotation, so the stacked alignment core, with
+    # align_unitary for the items it leaves, aligns each arc block with
+    # n >= 2 and r >= 2 once and no other.
     blocks, aligned = [], []
-    _flagged(monkeypatch, state_transport.circle, "_commutant_transport",
-             lambda mu, *args: blocks.append((mu.n, mu.multiplicity)))
+    _flagged(monkeypatch, state_transport.circle, "_corner_rotations",
+             lambda fx, fy, ranks, deltas: blocks.extend((fx.shape[1], int(r)) for r in ranks))
     _flagged(monkeypatch, state_transport.transport, "align_unitary",
              lambda src, dst, delta: aligned.append((src.size, src.dim)))
+    core = state_transport.transport._polar_alignment
+
+    def stacked(x, y):
+        angles, vectors, short = core(x, y)
+        aligned.extend([x.shape[-2:]] * int(np.sum(~short)))
+        return angles, vectors, short
+
+    monkeypatch.setattr(state_transport.transport, "_polar_alignment", stacked)
     _run_spectral_mid_pool()
     assert {n for n, _ in blocks} >= {1, 2} and {r for _, r in blocks} >= {1, 2}
-    assert aligned == [(n, r) for n, r in blocks if n >= 2 and r >= 2]
+    assert sorted(aligned) == sorted((n, r) for n, r in blocks if n >= 2 and r >= 2)
     assert 0 < len(aligned) < len(blocks)
 
 
 def test_compress_units_takes_no_eigh_wider_than_its_arc(monkeypatch):
-    # The corner Gram is taken m x m, m the arc dimension, not r x r for
-    # the block multiplicity r (32 to 64 here).
-    arcs, sizes = [], []
-    inside = _flagged(monkeypatch, state_transport.circle, "_compress_units",
-                      lambda block, basis: arcs.append(basis.shape[1]))
+    # The corner Grams of every arc are taken in one stacked eigh, m x m
+    # for m the widest arc, not r x r for the block multiplicity r (32 to
+    # 64 here).
+    stacks, shapes = [], []
+    inside = _flagged(monkeypatch, state_transport.circle, "_compress",
+                      lambda w: stacks.append(w.shape))
     eigh = np.linalg.eigh
 
     def counted(a, *args, **kwargs):
         if inside[0]:
-            sizes.append(a.shape[0])
+            shapes.append(a.shape)
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     _run_spectral_mid_pool()
-    assert len(sizes) == len(arcs) > 0
-    assert all(size <= arc for size, arc in zip(sizes, arcs))
+    assert len(stacks) == 6
+    assert shapes == [(arcs, m, m) for arcs, m, _, _ in stacks]
+    assert all(m < r for _, m, _, r in stacks)
+
+
+def test_arc_stage_builds_no_units_and_no_transport_per_arc():
+    # The arcs are compressed and transported as stacks: arc_transport
+    # constructs no MatrixUnits, as a per-arc compression did, and calls
+    # no _commutant_transport.  Calls are counted by code object while
+    # arc_transport runs.
+    counted = {state_transport.MatrixUnits.__init__.__code__: "units",
+               state_transport.transport._commutant_transport.__code__: "transport"}
+    outer = state_transport.circle.arc_transport.__code__
+    depth, calls = [0], dict.fromkeys(counted.values(), 0)
+
+    def profile(frame, event, arg):
+        if frame.f_code is outer:
+            depth[0] += {"call": 1, "return": -1}.get(event, 0)
+        elif event == "call" and depth[0] and frame.f_code in counted:
+            calls[counted[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        _run_spectral_mid_pool()
+    finally:
+        sys.setprofile(None)
+    assert depth[0] == 0
+    assert calls == {"units": 0, "transport": 0}
 
 
 def test_arc_path_is_one_segment_built_once(monkeypatch):
@@ -587,19 +623,20 @@ def test_orthogonal_leg_takes_no_svd_of_the_flip_size(monkeypatch):
     assert all(shape != (dim, dim) for dim, shape in shapes)
 
 
-def test_group_leg_forms_no_dense_rep_and_one_svd_per_pair(monkeypatch):
+def test_group_leg_forms_no_dense_rep_and_one_eigvalsh_per_pair(monkeypatch):
     # A Z^d leg works in the joint eigenbasis from its orbits to its
     # certificate: group_state_transport builds no rep(g), takes one
-    # dim x dim eigh per leg and one dim x dim SVD per leg and +- pair of
-    # generators (the op passes (1,) and (-1,)), and, like arc_transport,
-    # evaluates no segment: its errors apply the path to vectors.
+    # dim x dim eigh per leg, one dim x dim eigvalsh per leg and +- pair of
+    # generators (the op passes (1,) and (-1,)) and no dim x dim SVD, and,
+    # like arc_transport, evaluates no segment: its errors apply the path
+    # to vectors.
     calls = []
     group = _flagged(monkeypatch, state_transport, "group_state_transport",
-                     lambda action, *args: calls.append((action.dim, [], [], [])))
+                     lambda action, *args: calls.append((action.dim, [], [], [], [])))
     arcs = _flagged(monkeypatch, state_transport, "arc_transport")
     rep, segment_at = state_transport.GroupAction.rep, state_transport.PathSegment.at
     inner = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
-    svd, eigh, evaluated = inner.svd, np.linalg.eigh, []
+    svd, eigh, eigvalsh, evaluated = inner.svd, np.linalg.eigh, np.linalg.eigvalsh, []
 
     def counted(record, f):
         def wrapper(a, *args, **kwargs):
@@ -623,9 +660,10 @@ def test_group_leg_forms_no_dense_rep_and_one_svd_per_pair(monkeypatch):
     monkeypatch.setattr(inner, "svd", counted(2, svd))
     monkeypatch.setattr(np.linalg, "svd", counted(2, svd))
     monkeypatch.setattr(np.linalg, "eigh", counted(3, eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(4, eigvalsh))
     _run_spectral_mid_pool()
     assert len(calls) == 6
-    for dim, reps, svds, eighs in calls:
+    for dim, reps, svds, eighs, eigvalshs in calls:
         assert reps == []
-        assert len(svds) == 1 and len(eighs) == 1
+        assert svds == [] and len(eighs) == 1 and len(eigvalshs) == 1
     assert evaluated == []

@@ -8,9 +8,10 @@ from state_transport.algebra import MatrixUnits, conjugated_units, full_matrix_u
 from state_transport.circle import (
     ANGLE_CLUSTER_TOL,
     SpectralModel,
-    _compress_units,
+    _compress,
     _in_arc,
     _window_masses,
+    _z_commutator_bound,
     arc_transport,
     circle_partition,
     evaluate_window,
@@ -19,10 +20,13 @@ from state_transport.circle import (
 from state_transport.errors import (
     ArcOutsideBlockError,
     DegenerateWindowError,
+    HypothesisError,
     InfeasiblePartitionError,
     StateTransportError,
 )
 from state_transport.linalg import _unitary_eig, check_unitary, dagger, op_norm
+from state_transport.path import UnitaryPath, concat_paths, joined_segment
+from state_transport.transport import _commutant_transport
 from state_transport.suites import circle_instance, random_state, random_unitary
 
 
@@ -295,7 +299,8 @@ def test_arc_repairs_run_as_one_second_segment(xi, eta):
 def test_compress_units_on_reducing_subspace(rng, n, r, keep):
     # Units u (E_ij (x) 1_r) u^* on the window 1..n r of an ambient space two
     # wider; the subspace V (1_n (x) B) + span{u e_0} reduces every e_ij,
-    # and its corner has rank keep <= r.
+    # and its corner has rank keep <= r.  It is compressed in a stack with
+    # a wider arc of full rank r, so its rows are zero-padded.
     ambient = n * r + 2
     u = random_unitary(rng, ambient)
     block = conjugated_units(full_matrix_units(n, r, ambient, offset=1), u)
@@ -303,16 +308,128 @@ def test_compress_units_on_reducing_subspace(rng, n, r, keep):
     inside = (block.isometry.reshape(ambient, n, r) @ b).reshape(ambient, -1)
     basis = np.hstack([inside, u[:, :1]])
     basis = basis @ random_unitary(rng, basis.shape[1])  # off the natural axes
-    sub = _compress_units(block, basis)
-    assert sub.n == n
-    assert sub.multiplicity == keep
-    assert sub.ambient_dim == n * keep + 1
-    v = sub.isometry
-    assert op_norm(dagger(v) @ v - np.eye(v.shape[1])) < 1e-12
-    for i in range(n):
-        for j in range(n):
-            dense = dagger(basis) @ block.unit(i, j) @ basis
-            assert op_norm(sub.unit(i, j) - dense) < 1e-12
+    wide = u[:, 1:n * r + 2] @ random_unitary(rng, n * r + 1)
+    m = wide.shape[1]
+    stack = np.zeros((2, m, n, r), dtype=complex)
+    for a, cols in enumerate((basis, wide)):
+        stack[a, :cols.shape[1]] = (dagger(cols) @ block.isometry).reshape(-1, n, r)
+    units, ranks = _compress(stack)
+    assert ranks.tolist() == [keep, r]
+    assert units.shape == (2, m, n, r)
+    for a, cols in enumerate((basis, wide)):
+        v = units[a, :cols.shape[1], :, :ranks[a]].reshape(cols.shape[1], -1)
+        assert not units[a, cols.shape[1]:].any() and not units[a, :, :, ranks[a]:].any()
+        assert op_norm(dagger(v) @ v - np.eye(v.shape[1])) < 1e-12
+        sub = MatrixUnits(n, v)
+        for i in range(n):
+            for j in range(n):
+                dense = dagger(cols) @ block.unit(i, j) @ cols
+                assert op_norm(sub.unit(i, j) - dense) < 1e-12
+
+
+def _compress_units(block, basis):
+    """The per-arc compression the stacked ``_compress`` replaced: the units
+    basis^* e_ij basis from one eigh of the arc's m x m corner Gram."""
+    m = basis.shape[1]
+    w = (dagger(basis) @ block.isometry).reshape(m, block.n, -1)
+    corner = w[:, 0, :]
+    vals, vecs = np.linalg.eigh(corner @ dagger(corner))
+    keep = vals > 0.5
+    p = dagger(corner) @ (vecs[:, keep] / np.sqrt(vals[keep]))
+    return MatrixUnits(block.n, (w @ p).reshape(m, -1))
+
+
+def _arc_loop_oracle(block, model, xi, eta, eps):
+    """``arc_transport`` as the loop over the arcs that the stacked arc stage
+    replaced: each arc carrying mass is compressed alone and transported by
+    ``_commutant_transport`` with the repair, and the lifted generators sum
+    to one segment, the repairs to a second.  Returns the skip flags and
+    masses, the path, the largest Gram gap and the transported arcs."""
+    k = block.n
+    partition = circle_partition(model, xi, eta, eps, eps**5 / (4 * k * k))
+    rows, generators, repairs, transported, gap = [], ([], []), ([], []), [], 0.0
+    for idx, (a, b) in enumerate(partition.arcs()):
+        basis = model.arc_basis(a, b)
+        src, dst = dagger(basis) @ xi, dagger(basis) @ eta
+        m_xi, m_eta = np.vdot(src, src).real, np.vdot(dst, dst).real
+        skipped = min(m_xi, m_eta) <= eps**1.5
+        rows.append((skipped, m_xi, m_eta))
+        if skipped:
+            continue
+        sub = _compress_units(block, basis)
+        if sub.multiplicity == 0:
+            raise ArcOutsideBlockError("arc outside the block", arc_index=idx)
+        res = _commutant_transport(sub, src / np.sqrt(m_xi), dst / np.sqrt(m_eta), eps,
+                                   exact=True)
+        gap = max(gap, res.measured_gap)
+        for seg, (ws, vs) in zip(res.path.segments, (generators, repairs)):
+            ws.append(seg.w * seg.duration)
+            vs.append(basis @ seg.v)
+        transported.append(idx)
+    eye = np.eye(model.dim, dtype=complex)
+    path = UnitaryPath.constant(model.dim)
+    if generators[0]:
+        path = UnitaryPath([joined_segment(0.0, 1.0, *generators, eye)])
+    if repairs[0]:
+        path = concat_paths(path, UnitaryPath([joined_segment(0.0, 1.0, *repairs, eye)]))
+    return rows, path, gap, transported, partition
+
+
+def _stage_instance(rng, k, atoms, pad, gap, conjugate):
+    """A block M_k (x) 1_atoms on the first k atoms coordinates, z with the
+    same random eigenangles on each of the k copies and ``pad`` more
+    angles on coordinates outside the block; with ``conjugate`` the copies
+    are turned by 1_k (x) W, which commutes with the block.  No angle lies
+    in a random window of length ``gap``, so the arcs inside it carry no
+    mass and are skipped.  The target turns each atom by a phase, as the
+    workload does, plus a small random part that moves the Gram gaps."""
+    angles = (rng.uniform(0.0, 1.0 - gap, atoms + pad) + rng.uniform()) % 1.0
+    lift = np.kron(np.eye(k), random_unitary(rng, atoms) if conjugate else np.eye(atoms))
+    lift = np.block([[lift, np.zeros((k * atoms, pad))],
+                     [np.zeros((pad, k * atoms)), np.eye(pad)]])
+    diag = np.concatenate([np.tile(angles[:atoms], k), angles[atoms:]])
+    z = lift @ np.diag(np.exp(2j * np.pi * diag)) @ dagger(lift)
+    xi = random_state(rng, diag.size)
+    phases = np.exp(2j * np.pi * np.concatenate([np.tile(rng.uniform(0, 1, atoms), k),
+                                                 rng.uniform(0, 1, pad)]))
+    eta = phases * xi + 0.02 * random_state(rng, diag.size)
+    return (MatrixUnits(k, lift[:, :k * atoms]), SpectralModel.from_unitary(z),
+            lift @ xi, lift @ eta / np.linalg.norm(eta))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([1, 2, 3]), atoms=st.integers(2, 12), pad=st.integers(0, 2),
+       gap=st.sampled_from([0.0, 0.3, 0.6]), conjugate=st.booleans(),
+       eps=st.floats(0.08, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_arc_stage_matches_the_per_arc_loop(k, atoms, pad, gap, conjugate, eps, seed):
+    # The stacked arc stage against the per-arc loop it replaced: the same
+    # rows, the same error and arc, the same terminal error, path end and
+    # Gram gap to rounding, and the same sups.
+    block, model, xi, eta = _stage_instance(np.random.default_rng(seed), k, atoms, pad,
+                                            gap, conjugate)
+    try:
+        rows, path, gap, transported, partition = _arc_loop_oracle(block, model, xi, eta,
+                                                                   eps)
+    except (ArcOutsideBlockError, HypothesisError, InfeasiblePartitionError) as exc:
+        with pytest.raises(type(exc)) as info:
+            arc_transport(block, model, xi, eta, [model.z], eps)
+        assert getattr(info.value, "arc_index", None) == getattr(exc, "arc_index", None)
+        if isinstance(exc, HypothesisError):
+            assert abs(info.value.measured_gap - exc.measured_gap) < 1e-15
+        return
+    res = arc_transport(block, model, xi, eta, [model.z], eps)
+    assert [row.skipped for row in res.rows] == [skip for skip, _, _ in rows]
+    for row, (_, m_xi, m_eta) in zip(res.rows, rows):
+        assert abs(row.mass_xi - m_xi) < 1e-15 and abs(row.mass_eta - m_eta) < 1e-15
+    assert abs(res.terminal_error - np.linalg.norm(path.apply(1.0, xi) - eta)) < 1e-13
+    assert np.linalg.norm(res.path.end() - path.end()) < 1e-12
+    assert abs(res.extras["stats_gap"] - gap) < 1e-15
+    starts = np.array([a for a, _ in partition.arcs()])[transported]
+    inside = _in_arc(model.eigenangles, starts[:, None],
+                     np.array([b for _, b in partition.arcs()])[transported][:, None])
+    assert res.z_commutator_sup == pytest.approx(
+        _z_commutator_bound(model, path, starts, inside), rel=1e-15, abs=0.0)
+    assert abs(res.family_commutator_sup - path.commutator_bound([model.z])) < 1e-12
 
 
 def _in_arc_oracle(angles, a, b):
@@ -476,11 +593,25 @@ def test_window_masses_of_no_atom_are_zero():
 
 def test_cut_search_window_with_no_atom_near_it(monkeypatch):
     # Every atom lies in (0.45, 0.55), so the first window (0, eps/2] and
-    # its gamma-neighbourhood hold none: the search passes no atom there.
-    calls = _record_window_atoms(monkeypatch)
-    _check_against_oracle([0.45, 0.47, 0.5, 0.53, 0.55], 0.3, 0.05, 0)
-    assert calls[0].size == 0
-    assert any(c.size for c in calls)
+    # its gamma-neighbourhood hold none: its first grid point has margin
+    # masses 0.0 and wins with no mass computed, so no centre of the first
+    # window is passed.  With one more atom on that first grid point,
+    # gamma / 4 = 0.0009375, masses are computed in the first window, and
+    # only at the centres within gamma/2 + 1e-12 of it.
+    centres = []
+
+    def recorded(angles, masses, grid, half):
+        centres.append(np.array(grid))
+        return _window_masses(angles, masses, grid, half)
+
+    monkeypatch.setattr(circle_module, "_window_masses", recorded)
+    atoms = [0.45, 0.47, 0.5, 0.53, 0.55]
+    _check_against_oracle(atoms, 0.3, 0.05, 0)
+    assert all(np.all(c > 0.15) for c in centres)
+    centres.clear()
+    _check_against_oracle([0.0009375] + atoms, 0.3, 0.05, 0)
+    gamma = 0.3 * 0.05 / 4
+    assert centres[0].size and np.all(np.abs(centres[0] - 0.0009375) <= gamma / 2 + 1e-12)
 
 
 def test_cut_search_window_wrapping_through_zero(monkeypatch):

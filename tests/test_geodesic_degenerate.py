@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from state_transport.suites import random_state
 from state_transport.transport import (
+    _geodesic,
     geodesic_angle,
     geodesic_lower_bound,
     geodesic_pair,
@@ -138,3 +139,23 @@ def test_lower_bound_is_the_angle_for_either_phase_sign(seed, dim, alpha, s):
     assert phi <= path.length + 1e-6
     assert abs(phi - geodesic_angle(xi, eta)) <= 1e-6
 
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 12),
+    phases=st.lists(phases, min_size=1, max_size=6),
+    log_bs=st.lists(st.one_of(st.none(), st.floats(-17.0, 0.0)), min_size=6, max_size=6),
+)
+def test_stacked_geodesic_matches_the_single_call(seed, dim, phases, log_bs):
+    # A stack of pairs, b from 0 exactly (colinear rows) to 1: every row
+    # takes the eigenpairs it takes alone.
+    pairs = [degenerate_pair(seed + k, dim, phase, 0.0 if log_b is None else 10.0**log_b)
+             for k, (phase, log_b) in enumerate(zip(phases, log_bs))]
+    xs, ys = (np.array(vs) for vs in zip(*[(xi, eta) for xi, eta, _ in pairs]))
+    w, v = _geodesic(xs, ys)
+    for k, (xi, eta, _) in enumerate(pairs):
+        w1, v1 = _geodesic(xi, eta)
+        assert np.max(np.abs(w[k] - w1)) <= 1e-15
+        assert np.max(np.abs(v[k] - v1)) <= 1e-15

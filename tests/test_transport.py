@@ -22,6 +22,8 @@ from state_transport.suites import (
     random_unitary,
 )
 from state_transport.transport import (
+    _closed_form_alignment,
+    _corner_rotations,
     commutant_transport,
     excise,
     excision_error,
@@ -473,3 +475,74 @@ def test_multi_transport_rejects_shared_block(rng):
     eta = np.kron(np.eye(2), random_unitary(rng, 2)) @ xi
     with pytest.raises(DisjointnessError):
         multi_transport(alg, [(xi, eta), (xi, eta)], [], 0.1)
+
+
+_phases = st.one_of(st.floats(-1e-3, 1e-3), st.floats(np.pi - 1e-3, np.pi),
+                    st.floats(-np.pi, -np.pi + 1e-3), st.floats(-np.pi, np.pi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.sampled_from([1, 3, 7]),
+       log_b=st.one_of(st.just(None), st.floats(-17.0, -5.0)), phase=_phases)
+def test_projection_transport_of_nearly_colinear_components(seed, rank, log_b, phase):
+    # dim 8: the e-component of eta is e^{i phase} times that of xi turned
+    # by b within e's range, b = 0 or log-uniform up to 1e-5; the other
+    # component is turned by a random unitary.  Each rest direction is
+    # projected into its component's range, so the two geodesics never
+    # overlap and the path commutes with e.
+    rng = np.random.default_rng(seed)
+    dim = 8
+    q = random_unitary(rng, dim)
+    e = q[:, :rank] @ dagger(q[:, :rank])
+    c = random_state(rng, dim)
+    inside = c[:rank] / np.linalg.norm(c[:rank])
+    turn = np.zeros(rank, dtype=complex)
+    b = 0.0 if log_b is None or rank == 1 else 10.0**log_b
+    if rank > 1:
+        turn = random_state(rng, rank)
+        turn = turn - np.vdot(inside, turn) * inside
+        turn = turn / np.linalg.norm(turn)
+    moved = np.exp(1j * phase) * (np.sqrt(1.0 - b * b) * inside + b * turn)
+    xi = q @ c
+    eta = q @ np.concatenate([moved * np.linalg.norm(c[:rank]),
+                              random_unitary(rng, dim - rank) @ c[rank:]])
+    path = projection_transport(e, xi, eta)
+    assert path.length <= np.pi / 2 + 1e-8
+    assert abs(abs(np.vdot(eta, path.apply(1.0, xi))) - 1.0) <= 1e-14
+    for t in (0.5, 1.0):
+        u = path.at(t)
+        assert op_norm(u @ e - e @ u) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), r=st.integers(1, 5), stack=st.integers(1, 5),
+       kind=st.sampled_from(["generic", "short", "cluster", "zero"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_corner_rotations_match_each_family_alone(n, r, stack, kind, seed):
+    # The stacked rotations of the arc stage against commutant_transport's
+    # rotation of each family alone: the closed form for n = 1 or r = 1,
+    # align_unitary otherwise.  Item 0 is rank short (two equal rows),
+    # turned by a clustered unitary (two equal eigenvalues), or zero.
+    rng = np.random.default_rng(seed)
+    fx = rng.standard_normal((stack, n, r)) + 1j * rng.standard_normal((stack, n, r))
+    turns = np.array([random_unitary(rng, r) for _ in range(stack)])
+    if kind == "short" and n > 1:
+        fx[0, 1] = fx[0, 0]
+    if kind == "cluster":
+        w = random_unitary(rng, r)
+        angles = rng.uniform(-np.pi, np.pi, r)
+        angles[:2] = angles[0]
+        turns[0] = (w * np.exp(1j * angles)) @ dagger(w)
+    fx /= np.linalg.norm(fx, axis=(1, 2), keepdims=True) * 1.01
+    if kind == "zero":
+        fx[0] = 0.0
+    fy = fx @ turns.mT
+    delta = invert_alignment_bound(n, r, 0.1)
+    angles, vectors = _corner_rotations(fx, fy, np.full(stack, r), {r: delta})
+    for t in range(stack):
+        src, dst = VectorFamily(r, fx[t]), VectorFamily(r, fy[t])
+        alone = (_closed_form_alignment(src, dst, delta) if n == 1 or r == 1
+                 else align_unitary(src, dst, delta))
+        v = vectors[t]
+        stacked = np.eye(r) + (v * (np.exp(1j * angles[t]) - 1.0)) @ dagger(v)
+        assert np.max(np.abs(stacked - alone.unitary)) <= 1e-12
