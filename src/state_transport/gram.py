@@ -13,7 +13,7 @@ from .errors import (
     NotPSDError,
     ParameterError,
 )
-from .linalg import _unitary_eigs, dagger, psd_sqrt
+from .linalg import _adjoint, _transpose, _unitary_eigs, dagger, psd_sqrt
 
 NORMALIZED_FAMILY_TOL = 1e-12
 # Singular values of the aligned src rows below this fraction of the largest
@@ -203,21 +203,28 @@ def align_unitary(src: VectorFamily, dst: VectorFamily, delta: float) -> Alignme
     stack of one.
     """
     gap = alignment_gate(src, dst, delta)
-    n, dim = src.size, src.dim
-    full_rank = dim >= n
-    pivots = [] if full_rank else greedy_pivot_select(src, dim)
-    rows = slice(None) if full_rank else pivots
-    angles, vectors, _ = _polar_alignment(src.vectors[rows], dst.vectors[rows])
+    angles, vectors, pivots = _alignment_rotation(src.vectors, dst.vectors)
     moved = src.vectors + _turn(src.vectors, angles, vectors)
     return AlignmentResult(
         angles=angles,
         vectors=vectors,
         residuals=np.linalg.norm(moved - dst.vectors, axis=1),
-        bound=alignment_bound(n, dim, delta),
-        full_rank=full_rank,
+        bound=alignment_bound(src.size, src.dim, delta),
+        full_rank=src.dim >= src.size,
         gap=gap,
         pivots=pivots,
     )
+
+
+def _alignment_rotation(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The rotation of ``align_unitary`` for families x, y of shape
+    (n, dim) whose gate has passed: its angles and vectors, and the
+    aligned rows' pivots, none when dim >= n."""
+    n, dim = x.shape
+    pivots = [] if dim >= n else greedy_pivot_select(VectorFamily(dim, x), dim)
+    rows = slice(None) if dim >= n else pivots
+    angles, vectors, _ = _polar_alignment(x[rows], y[rows])
+    return angles, vectors, pivots
 
 
 def _polar_alignment(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -231,13 +238,12 @@ def _polar_alignment(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     ay, _, byh = np.linalg.svd(y, full_matrices=False)
     ranks = np.sum(s > SRC_RANK_RTOL * s[..., :1], axis=-1)
     k = int(ranks.max())
-    fx = bh[..., :k, :].mT  # = (A_k^* Omega_x)^T
-    fy = (a[..., :k].conj().mT @ ay @ byh).mT
+    fx = _transpose(bh[..., :k, :])  # = (A_k^* Omega_x)^T
+    fy = _transpose(_adjoint(a[..., :k]) @ ay @ byh)
     q, rq = np.linalg.qr(np.concatenate([fx, fy], axis=-1))
     gx, gy = rq[..., :k], rq[..., k:]  # = Q^* F_x, Q^* F_y
     eye = np.eye(q.shape[-1])
-    c = (gy @ gx.conj().mT
-         + (eye - gy @ gy.conj().mT) @ (eye - gx @ gx.conj().mT))
+    c = gy @ _adjoint(gx) + (eye - gy @ _adjoint(gy)) @ (eye - gx @ _adjoint(gx))
     uc, _, vch = np.linalg.svd(c)
     lam, z = _unitary_eigs(uc @ vch)
     return np.angle(lam), q @ z, ranks < k

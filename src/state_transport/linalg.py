@@ -62,6 +62,26 @@ def dagger(x: np.ndarray) -> np.ndarray:
     return x.conj().T
 
 
+def _transpose(x: np.ndarray) -> np.ndarray:
+    """x with its last two axes swapped, for a stack of matrices (NumPy 1.x
+    has no ``ndarray.mT``)."""
+    return x.swapaxes(-1, -2)
+
+
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    """``dagger`` of each matrix in a stack, over the last two axes."""
+    return x.conj().swapaxes(-1, -2)
+
+
+def _matmul_vecdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+# sum_j conj(x_j) y_j over the last axis, broadcasting over the others:
+# ``np.vecdot`` where NumPy has it (2.0 on), else the same sums by matmul.
+_vecdot = getattr(np, "vecdot", _matmul_vecdot)
+
+
 def op_norm(x: np.ndarray) -> float:
     """Largest singular value; 0.0 without an SVD when x is all zeros, as
     it is for an empty x.  The singular values alone, as
@@ -73,19 +93,24 @@ def op_norm(x: np.ndarray) -> float:
 
 
 def norm_at_most(x: np.ndarray, tol: float) -> bool:
-    """``op_norm(x) <= tol``, without the SVD when a cheap upper bound on the
-    operator norm already decides it: the Frobenius norm, or the Schur test
-    sqrt(||x||_1 ||x||_inf), the largest column sum times the largest row
-    sum of |x|, which is exact for a diagonal x.  The SVD decides only what
-    neither bound accepts; like it, each bound is exact up to rounding of
-    the order of dim 2^-52 of the norm."""
+    """``op_norm(x) <= tol``, without the SVD when the Frobenius norm, or
+    else ``_norm_upper``, already accepts; the SVD decides only what the
+    cheap bound cannot."""
     x = np.asarray(x)
-    if np.linalg.norm(x) <= tol:
-        return True
+    return bool(np.linalg.norm(x) <= tol or _norm_upper(x) <= tol or op_norm(x) <= tol)
+
+
+def _norm_upper(x: np.ndarray) -> float:
+    """A certified upper bound on the operator norm of x with no SVD: the
+    least of the Frobenius norm and the Schur test sqrt(||x||_1 ||x||_inf),
+    the largest column sum times the largest row sum of |x|, which is exact
+    for a diagonal x.  Like the SVD, each bound is exact up to rounding of
+    the order of dim 2^-52 of the norm; 0.0 for an empty x."""
+    x = np.asarray(x)
+    if not x.size:
+        return 0.0
     a = np.abs(x)
-    if np.sqrt(np.max(a.sum(axis=0)) * np.max(a.sum(axis=1))) <= tol:
-        return True
-    return op_norm(x) <= tol
+    return float(min(np.linalg.norm(x), np.sqrt(np.max(a.sum(axis=0)) * np.max(a.sum(axis=1)))))
 
 
 def check_square(x: np.ndarray) -> np.ndarray:
@@ -217,20 +242,24 @@ def _unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _unitary_eigs(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_unitary_eig`` of each unitary in a stack of shape (..., p, p), or
-    of one p x p unitary: the first basis of ``_normal_eigenbasis`` for all
-    of them at once, and ``_unitary_eig`` itself for each that the first
-    basis leaves coupled above its tolerance, or that is diagonal already."""
-    tilted = _TILT * us
-    _, q = np.linalg.eigh((tilted + tilted.conj().mT) / 2)
-    t = q.conj().mT @ us @ q
-    lam = np.diagonal(t, axis1=-2, axis2=-1).copy()
+    of one p x p unitary, which is ``_unitary_eig`` itself.  For a stack:
+    the first basis of ``_normal_eigenbasis`` (``_tilted_basis``) for all
+    of them at once; its run rotations (``_rotate_runs``) for each item
+    that the first basis leaves coupled, and its identity for each that is
+    diagonal already."""
+    if us.ndim == 2:
+        return _unitary_eig(us)
     tol = UNITARY_TOL / (4 * max(us.shape[-1], 1))
-    eye = np.eye(us.shape[-1], dtype=bool)
-    coupled = np.any((np.abs(t) > tol) & ~eye, axis=(-2, -1))
-    diagonal = ~np.any(us * ~eye, axis=(-2, -1))
-    for i in map(tuple, np.argwhere(coupled | diagonal)):
-        lam[i], q[i] = _unitary_eig(us[i])
-    return lam, q
+    diagonal = ~_coupled(us, 0.0).any(axis=(-2, -1))
+    q = _tilted_basis(us)
+    t = _adjoint(q) @ us @ q
+    coupled = _coupled(t, tol).any(axis=(-2, -1)) & ~diagonal
+    if coupled.any():
+        for i in map(tuple, np.argwhere(coupled)):
+            q[i], (t[i],) = _rotate_runs(q[i], [t[i]], tol)
+    if diagonal.any():
+        q[diagonal], t[diagonal] = np.eye(us.shape[-1]), us[diagonal]
+    return np.diagonal(t, axis1=-2, axis2=-1).copy(), q
 
 
 def _normal_eigenbasis(ns: list[np.ndarray],
@@ -242,32 +271,45 @@ def _normal_eigenbasis(ns: list[np.ndarray],
     N_k give the identity.
 
     Q starts as the ``eigh`` basis of the Hermitian part of rho N for the
-    fixed generic unit rho = ``_TILT``: its eigenspaces are sums of N's, and
-    the tilt keeps the conjugate pairs of a real matrix's spectrum, which
-    the Hermitian part of N itself would merge, apart.  ``eigh`` mixes only
-    columns of near-equal eigenvalues, which it keeps adjacent, so in
-    T = Q^* N Q every off-diagonal entry above ``tol`` lies inside a run of
-    adjacent columns (``_coupled_runs``); with no such entry Q is done, and
-    T is off-diagonal by at most dim tol in Frobenius norm.  Each run is
-    rotated by the ``eigh`` basis of the Hermitian matrix
-    (rho B - (rho B)^*) / 2i of its block B, which tells apart the
-    eigenvalues mirrored about the tilt, equal in Re(rho lambda) but not in
-    Im(rho lambda), unless the first basis leaves a smaller off-diagonal
-    entry: a run can also hold a pair that the first ``eigh`` told apart but
-    whose Im(rho lambda) agree, which the skew basis mixes.  For normal N a
-    run is then diagonal up to rounding.  No unitary removes the
-    off-diagonal part of a block that is normal only within a tolerance,
-    such as a double eigenvalue with a nilpotent part: T keeps it, up to the
-    input's departure from normality, and for generators that do not
-    commute it stays of their commutator's order.
+    fixed generic unit rho = ``_TILT`` (``_tilted_basis``): its eigenspaces
+    are sums of N's, and the tilt keeps the conjugate pairs of a real
+    matrix's spectrum, which the Hermitian part of N itself would merge,
+    apart.  ``eigh`` mixes only columns of near-equal eigenvalues, which it
+    keeps adjacent, so in T = Q^* N Q every off-diagonal entry above ``tol``
+    lies inside a run of adjacent columns (``_coupled_runs``); with no such
+    entry Q is done, and T is off-diagonal by at most dim tol in Frobenius
+    norm.  Each run is then rotated (``_rotate_runs``).
     """
     dim = ns[0].shape[0]
     # Every nonzero entry on the diagonal: the N_k are diagonal already.
     if all(np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)) for a in ns):
         return np.eye(dim, dtype=complex), [np.asarray(a, dtype=complex) for a in ns]
-    tilted = _TILT * _combine(ns)
-    _, q = np.linalg.eigh((tilted + dagger(tilted)) / 2)
-    ts = [dagger(q) @ a @ q for a in ns]
+    q = _tilted_basis(_combine(ns))
+    return _rotate_runs(q, [dagger(q) @ a @ q for a in ns], tol)
+
+
+def _tilted_basis(n: np.ndarray) -> np.ndarray:
+    """The first basis of ``_normal_eigenbasis`` for N = n, over any
+    leading axes: the ``eigh`` basis of the Hermitian part of ``_TILT`` n."""
+    tilted = _TILT * n
+    return np.linalg.eigh((tilted + _adjoint(tilted)) / 2)[1]
+
+
+def _rotate_runs(q: np.ndarray, ts: list[np.ndarray],
+                 tol: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Q and the T_k = Q^* N_k Q of ``_normal_eigenbasis`` after its run
+    rotations, in place.  Each run of T = ``_combine`` (T_k) is rotated by
+    the ``eigh`` basis of the Hermitian matrix (rho B - (rho B)^*) / 2i of
+    its block B, which tells apart the eigenvalues mirrored about the tilt,
+    equal in Re(rho lambda) but not in Im(rho lambda), unless the first
+    basis leaves a smaller off-diagonal entry: a run can also hold a pair
+    that the first ``eigh`` told apart but whose Im(rho lambda) agree, which
+    the skew basis mixes.  For normal N a run is then diagonal up to
+    rounding.  No unitary removes the off-diagonal part of a block that is
+    normal only within a tolerance, such as a double eigenvalue with a
+    nilpotent part: T keeps it, up to the input's departure from normality,
+    and for generators that do not commute it stays of their commutator's
+    order."""
     t = _combine(ts)
     # Each run's block of T is untouched by the rotations of the runs before.
     for lo, hi in _coupled_runs(t, tol):
@@ -300,9 +342,7 @@ def _coupled_runs(t: np.ndarray, tol: float) -> list[tuple[int, int]]:
     every off-diagonal entry |t_ab| > ``tol``: a run ends at column e when no
     such entry couples a column <= e with one beyond it.  With no such entry
     there is no run, and nothing else is computed."""
-    coupled = np.abs(t) > tol
-    np.fill_diagonal(coupled, False)
-    a, b = np.nonzero(coupled)
+    a, b = np.nonzero(_coupled(t, tol))
     if not a.size:
         return []
     index = np.arange(len(t))
@@ -311,3 +351,8 @@ def _coupled_runs(t: np.ndarray, tol: float) -> list[tuple[int, int]]:
     ends = np.flatnonzero(np.maximum.accumulate(reach) == index) + 1
     starts = np.append(0, ends[:-1])
     return [(int(lo), int(hi)) for lo, hi in zip(starts, ends) if hi - lo > 1]
+
+
+def _coupled(t: np.ndarray, tol: float) -> np.ndarray:
+    """The off-diagonal entries |t_ab| > ``tol`` of each matrix in a stack."""
+    return (np.abs(t) > tol) & ~np.eye(t.shape[-1], dtype=bool)

@@ -14,9 +14,9 @@ import numpy as np
 from .algebra import BlockAlgebra, MatrixUnits
 from .errors import (CertificateError, DimensionError, DisjointnessError, HypothesisError,
                      ParameterError)
-from .gram import (AlignmentResult, VectorFamily, _polar_alignment, _turn, align_unitary,
-                   alignment_bound, alignment_gate)
-from .linalg import _check_tolerance, check_state, check_unitary, dagger, inner, op_norm
+from .gram import (VectorFamily, _alignment_rotation, _polar_alignment, _turn, alignment_bound,
+                   alignment_gate)
+from .linalg import _check_tolerance, _vecdot, check_state, check_unitary, dagger, inner, op_norm
 from .path import PathSegment, UnitaryPath, concat_paths, merge_orthogonal_paths
 
 _TINY = np.finfo(float).smallest_subnormal
@@ -36,17 +36,17 @@ def _split(xi: np.ndarray, eta: np.ndarray, project=None):
     """a = <eta, xi>, the rest of eta off xi and its norm b, over the last
     axis; ``project``, when given, maps the rest into the subspace a path
     must stay in before b is taken."""
-    a = np.vecdot(xi, eta)
+    a = _vecdot(xi, eta)
     # Project off xi as <., xi> xi / ||xi||^2, exact for an xi normalised
     # only to rounding: eta = xi then leaves rest = 0 and b = 0 exactly.
     # Orthogonalise twice: when eta is nearly colinear with xi, rest is
     # small and one pass leaves a relative overlap with xi of order eps / b.
-    mass = np.vecdot(xi, xi).real
+    mass = _vecdot(xi, xi).real
     rest = eta - (a / mass)[..., None] * xi
-    rest = rest - (np.vecdot(xi, rest) / mass)[..., None] * xi
+    rest = rest - (_vecdot(xi, rest) / mass)[..., None] * xi
     if project is not None:
         rest = project(rest)
-    return a, rest, np.sqrt(np.vecdot(rest, rest).real)
+    return a, rest, np.sqrt(_vecdot(rest, rest).real)
 
 
 def geodesic_pair(xi: np.ndarray, eta: np.ndarray) -> UnitaryPath:
@@ -326,22 +326,23 @@ def commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
 def _commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
                          eps: float, exact: bool) -> TransportResult:
     """``commutant_transport`` without its checks, for states and a
-    tolerance the caller has already validated."""
+    tolerance the caller has already validated: the gate, then the corner
+    rotation of ``_corner_rotations`` on a stack of one, with its zero
+    angles dropped."""
     n, r = mu.n, mu.multiplicity
     delta = invert_alignment_bound(n, r, eps / np.sqrt(n))
-    src = VectorFamily(r, mu.corner_families(xi))
-    dst = VectorFamily(r, mu.corner_families(eta))
-    if n == 1 or r == 1:
-        align = _closed_form_alignment(src, dst, delta)
-    else:
-        align = align_unitary(src, dst, delta)
-    path = UnitaryPath([PathSegment(0.0, 1.0, np.tile(align.angles, n),
-                                    mu.lift_columns(align.vectors),
+    x, y = mu.corner_families(xi), mu.corner_families(eta)
+    gap = alignment_gate(VectorFamily(r, x), VectorFamily(r, y), delta)
+    angles, vectors = _corner_rotations(x[None], y[None], np.array([r]))
+    keep = angles[0] != 0.0
+    angles, vectors = angles[0, keep], vectors[0][:, keep]
+    path = UnitaryPath([PathSegment(0.0, 1.0, np.tile(angles, n), mu.lift_columns(vectors),
                                     np.eye(mu.ambient_dim, dtype=complex))])
     # u(1) = 1 + V (1_n (x) (c - 1)) V^* moves the corner families X of xi
     # to X c^T and fixes the complement of V V^*, so u(1) xi needs no
     # ambient matrix.
-    moved = xi + mu.isometry @ align.turn(src.vectors).reshape(-1)
+    turned = _turn(x, angles, vectors)
+    moved = xi + mu.isometry @ turned.reshape(-1)
     terminal = float(np.linalg.norm(moved - eta))
     repair_length = 0.0
     if exact and terminal > 1e-13:
@@ -354,39 +355,14 @@ def _commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
         terminal_error=terminal,
         bound=eps,
         delta=delta,
-        measured_gap=align.gap,
+        measured_gap=gap,
         extras={
             "corner_rank": r,
-            "alignment_residual": align.max_residual,
-            "alignment_full_rank": align.full_rank,
+            "alignment_residual": float(np.max(np.linalg.norm(x + turned - y, axis=1))),
+            "alignment_full_rank": r >= n,
             "repair_length": repair_length,
         },
     )
-
-
-def _closed_form_alignment(src: VectorFamily, dst: VectorFamily,
-                           delta: float) -> AlignmentResult:
-    """The corner rotation of ``commutant_transport`` for a family of one
-    vector (n = 1) or families in C^1 (r = 1), behind the alignment's gate.
-
-    For r = 1 it is the phase theta = arg sum_j conj(x_j) y_j on C^1.  For
-    n = 1 it is the geodesic from x / ||x|| to y / ||y||, which maps the one
-    vector onto y's direction exactly as the alignment does, along the
-    shortest path; with x or y zero it is the identity, whose residual, the
-    other corner's norm, is sqrt(gap) < sqrt(delta)."""
-    gap = alignment_gate(src, dst, delta)
-    n, r = src.size, src.dim
-    x, y = src.vectors, dst.vectors
-    if r == 1:
-        angles, vectors = np.array([np.angle(np.vdot(x, y))]), np.ones((1, 1), dtype=complex)
-    elif x.any() and y.any():
-        seg = _geodesic_path(_direction(x[0]), _direction(y[0])).segments[0]
-        angles, vectors = seg.w, seg.v
-    else:
-        angles, vectors = np.zeros(0), np.zeros((r, 0), dtype=complex)
-    return AlignmentResult(angles=angles, vectors=vectors,
-                           residuals=np.linalg.norm(x + _turn(x, angles, vectors) - y, axis=1),
-                           bound=alignment_bound(n, r, delta), full_rank=r >= n, gap=gap)
 
 
 def _direction(x: np.ndarray) -> np.ndarray:
@@ -396,23 +372,24 @@ def _direction(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
-def _corner_rotations(fx: np.ndarray, fy: np.ndarray, ranks: np.ndarray,
-                      deltas: dict) -> tuple[np.ndarray, np.ndarray]:
+def _corner_rotations(fx: np.ndarray, fy: np.ndarray,
+                      ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The corner rotations of ``commutant_transport`` for a stack of
     corner families X, Y of shape (stack, n, r), each item of multiplicity
-    ``ranks`` <= r and zero in the columns beyond, whose gates have passed
-    at the ``deltas`` of each multiplicity.  Returns the angles (stack, p)
-    and vectors (stack, r, p) of every item's rotation, zero-padded to the
-    widest p; a zero angle adds nothing.  The shapes keep the order of the
-    closed forms: r' = 1 is one stacked phase, n = 1 one stacked geodesic
-    (a zero corner the identity), and the rest take ``_polar_alignment``,
-    one stack per r', except the items whose rank falls short, or with
-    r' < n, which take ``align_unitary`` alone."""
+    ``ranks`` <= r and zero in the columns beyond, whose gates have passed.
+    Returns the angles (stack, p) and vectors (stack, r, p) of every item's
+    rotation, zero-padded to the widest p; a zero angle adds nothing.  The
+    rotation is chosen by the item's shape, as ``commutant_transport``
+    describes, in this order: r' = 1 is one stacked phase, n = 1 one stacked
+    geodesic (a zero corner the identity), and the rest take
+    ``_polar_alignment``, one stack per r', except the items whose rank
+    falls short, with r' < n, or alone in their stack, which take
+    ``_alignment_rotation`` alone."""
     stack, n, r = fx.shape
     pieces = []
     phase = np.flatnonzero(ranks == 1)
     if phase.size:
-        pieces.append((phase, np.angle(np.vecdot(fx[phase, :, 0], fy[phase, :, 0]))[:, None],
+        pieces.append((phase, np.angle(_vecdot(fx[phase, :, 0], fy[phase, :, 0]))[:, None],
                        np.ones((phase.size, 1, 1), dtype=complex)))
     if n == 1:
         x, y = fx[:, 0], fy[:, 0]
@@ -423,15 +400,16 @@ def _corner_rotations(fx: np.ndarray, fy: np.ndarray, ranks: np.ndarray,
         for rank in sorted(set(ranks[ranks > 1].tolist())):
             items = np.flatnonzero(ranks == rank)
             alone = items
-            if rank >= n:
+            if rank >= n and items.size > 1:
                 angles, vectors, short = _polar_alignment(fx[items, :, :rank],
                                                           fy[items, :, :rank])
                 pieces.append((items[~short], angles[~short], vectors[~short]))
                 alone = items[short]
             for t in alone:
-                res = align_unitary(VectorFamily(rank, fx[t, :, :rank]),
-                                    VectorFamily(rank, fy[t, :, :rank]), deltas[rank])
-                pieces.append(([t], res.angles[None], res.vectors[None]))
+                angles, vectors, _ = _alignment_rotation(fx[t, :, :rank], fy[t, :, :rank])
+                pieces.append(([t], angles[None], vectors[None]))
+    if len(pieces) == 1 and len(pieces[0][0]) == stack and pieces[0][2].shape[1] == r:
+        return pieces[0][1:]  # one shape holds the whole stack, unpadded
     width = max((angles.shape[1] for _, angles, _ in pieces), default=0)
     angles, vectors = np.zeros((stack, width)), np.zeros((stack, r, width), dtype=complex)
     for items, a, v in pieces:

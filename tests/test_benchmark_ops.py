@@ -501,13 +501,13 @@ def _flagged(monkeypatch, module, name, record=None):
 def test_arc_stage_aligns_only_blocks_without_a_closed_form(monkeypatch):
     # A block of one unit (n = 1) or of multiplicity one (r = 1) takes a
     # closed-form rotation, so the stacked alignment core, with
-    # align_unitary for the items it leaves, aligns each arc block with
-    # n >= 2 and r >= 2 once and no other.
+    # _alignment_rotation for the items it leaves, aligns each arc block
+    # with n >= 2 and r >= 2 once and no other.
     blocks, aligned = [], []
     _flagged(monkeypatch, state_transport.circle, "_corner_rotations",
-             lambda fx, fy, ranks, deltas: blocks.extend((fx.shape[1], int(r)) for r in ranks))
-    _flagged(monkeypatch, state_transport.transport, "align_unitary",
-             lambda src, dst, delta: aligned.append((src.size, src.dim)))
+             lambda fx, fy, ranks: blocks.extend((fx.shape[1], int(r)) for r in ranks))
+    _flagged(monkeypatch, state_transport.transport, "_alignment_rotation",
+             lambda x, y: aligned.append(x.shape))
     core = state_transport.transport._polar_alignment
 
     def stacked(x, y):

@@ -9,6 +9,7 @@ from state_transport.circle import (
     ANGLE_CLUSTER_TOL,
     SpectralModel,
     _compress,
+    _gates,
     _in_arc,
     _window_masses,
     _z_commutator_bound,
@@ -24,6 +25,7 @@ from state_transport.errors import (
     InfeasiblePartitionError,
     StateTransportError,
 )
+from state_transport.gram import NORMALIZED_FAMILY_TOL, VectorFamily, alignment_gate
 from state_transport.linalg import _unitary_eig, check_unitary, dagger, op_norm
 from state_transport.path import UnitaryPath, concat_paths, joined_segment
 from state_transport.transport import _commutant_transport
@@ -325,6 +327,55 @@ def test_compress_units_on_reducing_subspace(rng, n, r, keep):
             for j in range(n):
                 dense = dagger(cols) @ block.unit(i, j) @ cols
                 assert op_norm(sub.unit(i, j) - dense) < 1e-12
+
+
+def _gates_alone(fx, fy, ranks, deltas):
+    """Each arc's gate alone, in arc order: the first error, or the gaps."""
+    gaps = []
+    for x, y, r in zip(fx, fy, ranks):
+        if r == 0:
+            return ArcOutsideBlockError, None
+        try:
+            gaps.append(alignment_gate(VectorFamily(r, x[:, :r]), VectorFamily(r, y[:, :r]),
+                                       deltas[r]))
+        except HypothesisError as exc:
+            return HypothesisError, exc.measured_gap
+    return None, max(gaps)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("ulps", range(-3, 4))
+@pytest.mark.parametrize("at", ["weight", "gap"])
+def test_gates_decide_each_arc_as_its_gate_alone(monkeypatch, seed, ulps, at):
+    # Three arcs of three units, zero-padded to 24 columns.  Arc 0's family
+    # weight, or arc 1's delta, sits within a few ulps of its threshold,
+    # where the stacked weight or gap and alignment_gate's on the arc alone
+    # can round apart: _gates must pass or raise as the gates alone do.
+    rng = np.random.default_rng(seed)
+    ranks = np.array([20, 17, 5])
+    fx = rng.standard_normal((3, 3, 24)) + 1j * rng.standard_normal((3, 3, 24))
+    fx *= np.arange(24) < ranks[:, None, None]
+    fx /= 1.01 * np.linalg.norm(fx, axis=(1, 2), keepdims=True)
+    fy = fx.copy()
+    fy[1, :, :17] += 1e-3 * rng.standard_normal((3, 17))
+    fy[1] /= 1.01 * np.linalg.norm(fy[1])
+    gap = alignment_gate(VectorFamily(17, fx[1, :, :17]), VectorFamily(17, fy[1, :, :17]), 1.0)
+    deltas = dict.fromkeys(ranks.tolist(), 1.0)
+    if at == "weight":
+        top = 1.0 + NORMALIZED_FAMILY_TOL
+        fx[0] *= np.sqrt(top / VectorFamily(20, fx[0, :, :20]).total_weight())
+        fx[0] *= 1.0 + ulps * 2**-53
+    else:
+        deltas[17] = gap + ulps * np.spacing(gap)
+    monkeypatch.setattr(circle_module, "invert_alignment_bound", lambda n, r, tol: deltas[r])
+    error, expected = _gates_alone(fx, fy, ranks, deltas)
+    if error is None:
+        assert _gates(fx, fy, ranks, np.arange(3), [(0.0, 0.3), (0.3, 0.6), (0.6, 1.0)],
+                      0.1) == pytest.approx(expected, rel=1e-12)
+    else:
+        with pytest.raises(error) as info:
+            _gates(fx, fy, ranks, np.arange(3), [(0.0, 0.3), (0.3, 0.6), (0.6, 1.0)], 0.1)
+        assert info.value.measured_gap == expected
 
 
 def _compress_units(block, basis):

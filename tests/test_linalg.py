@@ -13,8 +13,11 @@ from state_transport.errors import (
     StateTransportError,
 )
 from state_transport.linalg import (
+    _TILT,
     _expm_skew,
+    _matmul_vecdot,
     _unitary_eig,
+    _unitary_eigs,
     check_hermitian,
     check_isometry,
     check_square,
@@ -37,6 +40,35 @@ def test_inner_is_linear_in_first_argument(rng, make_state):
     a = 2.0 + 1.5j
     assert inner(a * x, y) == pytest.approx(a * inner(x, y))
     assert inner(x, a * y) == pytest.approx(np.conj(a) * inner(x, y))
+
+
+def test_matmul_vecdot_sums_conjugate_products(rng):
+    # The stand-in for np.vecdot on NumPy 1.x, broadcasting over leading axes.
+    x = rng.standard_normal((3, 1, 7)) + 1j * rng.standard_normal((3, 1, 7))
+    y = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
+    expected = np.sum(x.conj() * y, axis=-1)
+    assert _matmul_vecdot(x, y).shape == (3, 4)
+    assert np.max(np.abs(_matmul_vecdot(x, y) - expected)) <= 1e-14
+    assert _matmul_vecdot(x[0, 0], y[0]) == pytest.approx(np.vdot(x[0, 0], y[0]), abs=1e-14)
+
+
+def test_unitary_eigs_match_each_unitary_alone(rng):
+    # A stack of a generic unitary, a diagonal one, one with a double
+    # eigenvalue, and one whose pair mirrored about the tilt leaves the first
+    # basis coupled, so that it takes the run rotation.
+    w = random_unitary(rng, 4)
+    mirrored = np.conj(_TILT) * np.exp(1j * np.array([0.7, -0.7, 2.0, 2.9]))
+    us = np.array([random_unitary(rng, 4),
+                   np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 4))),
+                   (w * np.exp(1j * np.array([0.3, 0.3, 1.0, -2.0]))) @ dagger(w),
+                   (w * mirrored) @ dagger(w)])
+    lam, q = _unitary_eigs(us)
+    for u, lam_u, q_u in zip(us, lam, q):
+        alone, _ = _unitary_eig(u)
+        assert np.max(np.abs(lam_u - alone)) <= 1e-12
+        assert op_norm(dagger(q_u) @ q_u - np.eye(4)) <= 1e-12
+        assert op_norm((q_u * lam_u) @ dagger(q_u) - u) <= 1e-12
+    assert np.array_equal(q[1], np.eye(4)) and np.array_equal(lam[1], np.diag(us[1]))
 
 
 def test_check_hermitian_rejects_skew(rng):

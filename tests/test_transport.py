@@ -22,7 +22,6 @@ from state_transport.suites import (
     random_unitary,
 )
 from state_transport.transport import (
-    _closed_form_alignment,
     _corner_rotations,
     commutant_transport,
     excise,
@@ -519,9 +518,9 @@ def test_projection_transport_of_nearly_colinear_components(seed, rank, log_b, p
        kind=st.sampled_from(["generic", "short", "cluster", "zero"]),
        seed=st.integers(0, 2**32 - 1))
 def test_corner_rotations_match_each_family_alone(n, r, stack, kind, seed):
-    # The stacked rotations of the arc stage against commutant_transport's
-    # rotation of each family alone: the closed form for n = 1 or r = 1,
-    # align_unitary otherwise.  Item 0 is rank short (two equal rows),
+    # The stacked rotations against each family's rotation alone: the
+    # closed form for n = 1 or r = 1 (_closed_form_unitary), align_unitary
+    # otherwise.  Item 0 is rank short (two equal rows),
     # turned by a clustered unitary (two equal eigenvalues), or zero.
     rng = np.random.default_rng(seed)
     fx = rng.standard_normal((stack, n, r)) + 1j * rng.standard_normal((stack, n, r))
@@ -536,13 +535,25 @@ def test_corner_rotations_match_each_family_alone(n, r, stack, kind, seed):
     fx /= np.linalg.norm(fx, axis=(1, 2), keepdims=True) * 1.01
     if kind == "zero":
         fx[0] = 0.0
-    fy = fx @ turns.mT
+    fy = fx @ np.swapaxes(turns, 1, 2)
     delta = invert_alignment_bound(n, r, 0.1)
-    angles, vectors = _corner_rotations(fx, fy, np.full(stack, r), {r: delta})
+    angles, vectors = _corner_rotations(fx, fy, np.full(stack, r))
     for t in range(stack):
-        src, dst = VectorFamily(r, fx[t]), VectorFamily(r, fy[t])
-        alone = (_closed_form_alignment(src, dst, delta) if n == 1 or r == 1
-                 else align_unitary(src, dst, delta))
+        alone = (_closed_form_unitary(fx[t], fy[t]) if n == 1 or r == 1
+                 else align_unitary(VectorFamily(r, fx[t]), VectorFamily(r, fy[t]),
+                                    delta).unitary)
         v = vectors[t]
         stacked = np.eye(r) + (v * (np.exp(1j * angles[t]) - 1.0)) @ dagger(v)
-        assert np.max(np.abs(stacked - alone.unitary)) <= 1e-12
+        assert np.max(np.abs(stacked - alone)) <= 1e-12
+
+
+def _closed_form_unitary(x, y):
+    """The corner rotation of one family in closed form, as an r x r
+    unitary: the phase arg <x, y> for r = 1; for n = 1 the geodesic between
+    the normalised corner vectors, the identity when either is zero."""
+    r = x.shape[1]
+    if r == 1:
+        return np.exp(1j * np.angle(np.vdot(x, y))) * np.eye(1)
+    if not (x.any() and y.any()):
+        return np.eye(r)
+    return geodesic_pair(x[0] / np.linalg.norm(x[0]), y[0] / np.linalg.norm(y[0])).end()
