@@ -20,7 +20,7 @@ from .errors import (
     InfeasiblePartitionError,
     ParameterError,
 )
-from .gram import NORMALIZED_FAMILY_TOL, VectorFamily, alignment_gate
+from .gram import NORMALIZED_FAMILY_TOL, _check_gate, _gate_measures
 from .linalg import (_adjoint, _norm_upper, _transpose, _unitary_eig, check_state, check_unitary,
                      dagger, op_norm)
 from .path import UnitaryPath, concat_paths, joined_segment
@@ -461,37 +461,32 @@ def _compress(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _gates(fx: np.ndarray, fy: np.ndarray, ranks: np.ndarray, index: np.ndarray,
            arcs: list, eps: float) -> float:
     """The gates of ``commutant_transport`` over a stack of arcs' corner
-    families (arcs, n, m), zero beyond each arc's r' <= m: the family weights,
-    and the Gram gaps against delta = ``invert_alignment_bound(n, r',
-    eps / sqrt(n))``, taken once per distinct r'.  The stacked weights and
-    gaps decide only the arcs that clear both thresholds by more than
-    4 n m 2^-52, beyond the rounding by which they can differ from
-    ``alignment_gate``'s on the arc alone (entries of families of weight
-    at most 1).  Every other arc is decided alone, first in arc order: r' = 0
-    raises ``ArcOutsideBlockError``, and ``alignment_gate`` passes the arc
-    or raises the ``HypothesisError`` that ``commutant_transport`` would.
-    So every arc passes or fails as it does alone.  Returns the largest
-    gap, ``alignment_gate``'s for the arcs decided alone."""
-    _, n, width = fx.shape
-    deltas = {r: invert_alignment_bound(n, r, eps / np.sqrt(n)) for r in set(ranks.tolist())}
-    grams = fx @ _adjoint(fx), fy @ _adjoint(fy)
-    gx, gy = ((g + _adjoint(g)) / 2 for g in grams)
-    gaps = np.max(np.abs(gx - gy), axis=(1, 2))
-    weight = np.sum(np.abs(np.stack([fx, fy])) ** 2, axis=(2, 3))
-    slack = 4 * n * width * np.finfo(float).eps
-    near = ((ranks == 0) | np.any(weight > 1.0 + NORMALIZED_FAMILY_TOL - slack, axis=0)
-            | (gaps >= np.array([deltas[r] for r in ranks.tolist()]) - slack))
-    for t in np.flatnonzero(near):
-        r = ranks[t]
-        if r == 0:
+    families (arcs, n, m), zero beyond each arc's r' <= m: the family
+    weights and the Gram gaps of ``alignment_gate`` (``_gate_measures``),
+    taken once per distinct r' on the unpadded columns of its arcs, against
+    delta = ``invert_alignment_bound(n, r', eps / sqrt(n))``.  Each arc gets
+    the bits it gets alone, so it passes or fails as it does alone.  The
+    first failing arc, in arc order, raises: r' = 0
+    ``ArcOutsideBlockError``, otherwise the ``HypothesisError`` of
+    ``alignment_gate``.  Returns the largest gap."""
+    n = fx.shape[1]
+    measures = np.zeros((4, len(ranks)))
+    for r in sorted(set(ranks.tolist())):
+        items = ranks == r
+        measures[:3, items] = _gate_measures(fx[items, :, :r], fy[items, :, :r])
+        measures[3, items] = invert_alignment_bound(n, r, eps / np.sqrt(n))
+    wx, wy, gaps, deltas = measures
+    heavy = np.maximum(wx, wy) > 1.0 + NORMALIZED_FAMILY_TOL
+    failing = np.flatnonzero((ranks == 0) | heavy | (gaps >= deltas))
+    for t in failing[:1]:
+        if ranks[t] == 0:
             a, b = arcs[index[t]]
             raise ArcOutsideBlockError(
                 f"arc {index[t]} ({a:.6f}, {b:.6f}] carries mass but its spectral "
                 "subspace misses the matrix-unit block",
                 arc_index=int(index[t]),
             )
-        gaps[t] = alignment_gate(VectorFamily(r, fx[t, :, :r]), VectorFamily(r, fy[t, :, :r]),
-                                 deltas[r])
+        _check_gate(wx[t], wy[t], gaps[t], deltas[t])
     return float(np.max(gaps))
 
 

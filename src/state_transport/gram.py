@@ -13,7 +13,7 @@ from .errors import (
     NotPSDError,
     ParameterError,
 )
-from .linalg import _adjoint, _transpose, _unitary_eigs, dagger, psd_sqrt
+from .linalg import _adjoint, _transpose, _unitary_eig, _vecdot, dagger, psd_sqrt
 
 NORMALIZED_FAMILY_TOL = 1e-12
 # Singular values of the aligned src rows below this fraction of the largest
@@ -38,13 +38,21 @@ class VectorFamily:
         return self.vectors.shape[0]
 
     def total_weight(self) -> float:
-        return float(np.sum(np.abs(self.vectors) ** 2))
+        return float(_weight(self.vectors))
 
     def require_normalized(self):
-        if self.total_weight() > 1.0 + NORMALIZED_FAMILY_TOL:
-            raise HypothesisError(
-                "family weight sum exceeds 1", measured_gap=self.total_weight() - 1.0
-            )
+        _check_weight(self.total_weight())
+
+
+def _weight(x: np.ndarray) -> np.ndarray:
+    """sum |x_ij|^2 over the last two axes: the total weight of each family
+    in a stack of families held as rows."""
+    return np.sum(np.abs(x) ** 2, axis=(-2, -1))
+
+
+def _check_weight(weight: float) -> None:
+    if weight > 1.0 + NORMALIZED_FAMILY_TOL:
+        raise HypothesisError("family weight sum exceeds 1", measured_gap=float(weight) - 1.0)
 
 
 @dataclass
@@ -65,9 +73,15 @@ class GramTarget:
 
 def gram_matrix(fam: VectorFamily) -> np.ndarray:
     """Matrix of pairwise inner products, d[i, j] = <xi_i, xi_j>."""
-    x = fam.vectors
-    g = x @ dagger(x)
-    return (g + dagger(g)) / 2
+    return _gram(fam.vectors)
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    """``gram_matrix`` of each family in a stack of rows (..., n, dim),
+    symmetrised: one product per family, so an item of a stack gets the
+    bits it gets alone."""
+    g = x @ _adjoint(x)
+    return (g + _adjoint(g)) / 2
 
 
 def gram_complete(fam: VectorFamily, target: GramTarget) -> VectorFamily:
@@ -96,24 +110,32 @@ def greedy_pivot_select(fam: VectorFamily, m: int) -> list[int]:
     """Pivot indices by iterated maximal residual norm.
 
     Each step picks the vector with the largest norm after projecting out the
-    span of the already-chosen vectors; ties break to the lowest index.
+    span of the already-chosen vectors; ties break to the lowest index.  The
+    stacked selection (``_greedy_pivots``) on the family alone.
     """
     if m > fam.size:
         raise ParameterError("cannot select more pivots than family members")
-    x = fam.vectors.copy()
-    residual = x.copy()
-    chosen: list[int] = []
-    for _ in range(m):
-        norms = np.linalg.norm(residual, axis=1)
+    return _greedy_pivots(fam.vectors, m).tolist()
+
+
+def _greedy_pivots(x: np.ndarray, m: int) -> np.ndarray:
+    """``greedy_pivot_select`` of each family in a stack of rows
+    (..., n, dim): the pivots as (..., m), every family stepped at once.  A
+    chosen row of norm at most 1e-14 is not projected out."""
+    residual = x.reshape((-1,) + x.shape[-2:])
+    items = np.arange(len(residual))
+    chosen = np.zeros(residual.shape[:-1], dtype=bool)
+    pivots = np.empty((len(residual), m), dtype=np.intp)
+    for step in range(m):
+        norms = np.sqrt(_vecdot(residual, residual).real)
         norms[chosen] = -1.0
-        best = int(np.argmax(norms))  # argmax takes the first maximum
-        chosen.append(best)
-        v = residual[best]
-        nv = np.linalg.norm(v)
-        if nv > 1e-14:
-            v = v / nv
-            residual = residual - np.outer(residual @ v.conj(), v)
-    return chosen
+        best = pivots[:, step] = np.argmax(norms, axis=-1)  # the first maximum
+        chosen[items, best] = True
+        nv = norms[items, best]
+        nv[nv <= 1e-14] = np.inf
+        v = residual[items, best] / nv[:, None]
+        residual = residual - (residual @ v.conj()[:, :, None]) * v[:, None]
+    return pivots.reshape(x.shape[:-2] + (m,))
 
 
 @dataclass
@@ -170,12 +192,27 @@ def alignment_bound(n: int, dim: int, delta: float) -> float:
 def alignment_gate(src: VectorFamily, dst: VectorFamily, delta: float) -> float:
     """The Gram gap max |<xi_i, xi_j> - <eta_i, eta_j>| of two families of
     one size and dimension, each of total weight at most 1, when it is
-    below delta; ``HypothesisError`` carrying it otherwise."""
+    below delta; ``HypothesisError`` carrying the excess weight or the gap
+    otherwise.  The weights and the gap are ``_gate_measures``'s."""
     if src.dim != dst.dim or src.size != dst.size:
         raise ParameterError("families must share dimension and size")
-    src.require_normalized()
-    dst.require_normalized()
-    gap = float(np.max(np.abs(gram_matrix(src) - gram_matrix(dst)))) if src.size else 0.0
+    return _check_gate(*_gate_measures(src.vectors, dst.vectors), delta)
+
+
+def _gate_measures(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The family weights of x and y and their Gram gap, for stacks of
+    families of one shape (..., n, dim), over the leading axes; the gap of
+    empty families is 0.0.  Each item gets the bits it gets alone."""
+    return _weight(x), _weight(y), np.max(np.abs(_gram(x) - _gram(y)), axis=(-2, -1), initial=0.0)
+
+
+def _check_gate(weight_x: float, weight_y: float, gap: float, delta: float) -> float:
+    """The gate of ``alignment_gate`` on one pair's measures: the gap when
+    both weights are at most 1 and the gap is below delta, else the
+    ``HypothesisError`` of the first that is not."""
+    _check_weight(weight_x)
+    _check_weight(weight_y)
+    gap = float(gap)
     if gap >= delta:
         raise HypothesisError(
             f"Gram gap {gap:.3e} is not below delta={delta:.3e}", measured_gap=gap
@@ -199,8 +236,8 @@ def align_unitary(src: VectorFamily, dst: VectorFamily, delta: float) -> Alignme
     That M is the identity off span(F_x, F_y), which M and M^* keep; so with
     Q from one reduced QR of [F_x, F_y], polar(M) = 1 + Q (polar(C) - 1) Q^*
     for C = Q^* M Q, at most 2k x 2k, whose eigenpairs (lam, z) give
-    ``angles`` = angle lam and ``vectors`` = Q z: ``_polar_alignment``, on a
-    stack of one.
+    ``angles`` = angle lam and ``vectors`` = Q z.  The rotation is the
+    stacked core ``_alignment_rotation`` on one pair, with no leading axis.
     """
     gap = alignment_gate(src, dst, delta)
     angles, vectors, pivots = _alignment_rotation(src.vectors, dst.vectors)
@@ -212,38 +249,44 @@ def align_unitary(src: VectorFamily, dst: VectorFamily, delta: float) -> Alignme
         bound=alignment_bound(src.size, src.dim, delta),
         full_rank=src.dim >= src.size,
         gap=gap,
-        pivots=pivots,
+        pivots=[] if pivots is None else pivots.tolist(),
     )
 
 
-def _alignment_rotation(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The rotation of ``align_unitary`` for families x, y of shape
-    (n, dim) whose gate has passed: its angles and vectors, and the
-    aligned rows' pivots, none when dim >= n."""
-    n, dim = x.shape
-    pivots = [] if dim >= n else greedy_pivot_select(VectorFamily(dim, x), dim)
-    rows = slice(None) if dim >= n else pivots
-    angles, vectors, _ = _polar_alignment(x[rows], y[rows])
-    return angles, vectors, pivots
+def _alignment_rotation(x: np.ndarray, y: np.ndarray) -> tuple:
+    """The rotations of ``align_unitary`` for a stack of families x, y of
+    shape (..., n, dim) whose gates have passed: their angles (..., p) and
+    vectors (..., dim, p) from ``_polar_alignment`` of the aligned rows,
+    and those rows' pivots (..., dim) from one stacked greedy selection
+    (``_greedy_pivots``) when dim < n, None when dim >= n."""
+    n, dim = x.shape[-2:]
+    if dim >= n:
+        return *_polar_alignment(x, y), None
+    pivots = _greedy_pivots(x, dim)
+    # Each item's pivot rows: its leading indices, broadcast against pivots.
+    rows = (*np.indices(pivots.shape[:-1] + (1,), sparse=True)[:-1], pivots)
+    return *_polar_alignment(x[rows], y[rows]), pivots
 
 
-def _polar_alignment(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _polar_alignment(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rotation of ``align_unitary`` for aligned src rows x and dst rows
     y of shape (..., rows, dim), broadcasting over the leading axes: its
-    angles, shape (..., p), and vectors, shape (..., dim, p), with p <= 2k
-    for k the largest numerical rank of the src rows in the stack; and a
-    mask of the items whose own rank falls short of k, whose rotation this
-    is not.  A single item, with no leading axis, is never short."""
+    angles, shape (..., p), and vectors, shape (..., dim, p), with
+    p = min(dim, 2k) for k the largest numerical rank of the src rows in the
+    stack.  Each item's frames are zero beyond its own rank k_i, so the
+    QR and C act as the identity on the 2 (k - k_i) extra directions, whose
+    angles are 0 up to rounding: every item gets its own rotation, an item
+    of rank 0 the identity."""
     a, s, bh = np.linalg.svd(x, full_matrices=False)
     ay, _, byh = np.linalg.svd(y, full_matrices=False)
-    ranks = np.sum(s > SRC_RANK_RTOL * s[..., :1], axis=-1)
-    k = int(ranks.max())
-    fx = _transpose(bh[..., :k, :])  # = (A_k^* Omega_x)^T
-    fy = _transpose(_adjoint(a[..., :k]) @ ay @ byh)
+    own = s > SRC_RANK_RTOL * s[..., :1]
+    k = int(own.sum(axis=-1).max())
+    fx = _transpose(bh[..., :k, :]) * own[..., None, :k]  # = (A_k^* Omega_x)^T
+    fy = _transpose(_adjoint(a[..., :k]) @ ay @ byh) * own[..., None, :k]
     q, rq = np.linalg.qr(np.concatenate([fx, fy], axis=-1))
     gx, gy = rq[..., :k], rq[..., k:]  # = Q^* F_x, Q^* F_y
     eye = np.eye(q.shape[-1])
     c = gy @ _adjoint(gx) + (eye - gy @ _adjoint(gy)) @ (eye - gx @ _adjoint(gx))
     uc, _, vch = np.linalg.svd(c)
-    lam, z = _unitary_eigs(uc @ vch)
-    return np.angle(lam), q @ z, ranks < k
+    lam, z = _unitary_eig(uc @ vch)
+    return np.angle(lam), q @ z

@@ -233,83 +233,68 @@ def unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``unitary_eig`` for a library-built or already checked unitary: the
-    diagonal of T = Q^* u Q and the basis Q of ``_normal_eigenbasis``, whose
-    runs hold the entries of T above ``UNITARY_TOL / (4 dim)``."""
-    q, (t,) = _normal_eigenbasis([u], UNITARY_TOL / (4 * max(len(u), 1)))
-    return np.diag(t), q
-
-
-def _unitary_eigs(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_unitary_eig`` of each unitary in a stack of shape (..., p, p), or
-    of one p x p unitary, which is ``_unitary_eig`` itself.  For a stack:
-    the first basis of ``_normal_eigenbasis`` (``_tilted_basis``) for all
-    of them at once; its run rotations (``_rotate_runs``) for each item
-    that the first basis leaves coupled, and its identity for each that is
-    diagonal already."""
-    if us.ndim == 2:
-        return _unitary_eig(us)
-    tol = UNITARY_TOL / (4 * max(us.shape[-1], 1))
-    diagonal = ~_coupled(us, 0.0).any(axis=(-2, -1))
-    q = _tilted_basis(us)
-    t = _adjoint(q) @ us @ q
-    coupled = _coupled(t, tol).any(axis=(-2, -1)) & ~diagonal
-    if coupled.any():
-        for i in map(tuple, np.argwhere(coupled)):
-            q[i], (t[i],) = _rotate_runs(q[i], [t[i]], tol)
-    if diagonal.any():
-        q[diagonal], t[diagonal] = np.eye(us.shape[-1]), us[diagonal]
+    """``unitary_eig`` for library-built or already checked unitaries of
+    shape (..., p, p), over any leading axes: the diagonal of each
+    T = Q^* u Q and the basis Q of ``_normal_eigenbasis`` for N = u alone,
+    whose runs hold the entries of T above ``UNITARY_TOL / (4 p)``."""
+    q, (t,) = _normal_eigenbasis([u], UNITARY_TOL / (4 * max(u.shape[-1], 1)))
     return np.diagonal(t, axis1=-2, axis2=-1).copy(), q
 
 
 def _normal_eigenbasis(ns: list[np.ndarray],
                        tol: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Unitary Q and the T_k = Q^* N_k Q for commuting normal N_k: Q
-    diagonalises N = sum_k c_k N_k (``_combine``), and with it every N_k
-    unless two joint eigenvalue tuples satisfy a linear relation with the
-    weights c_k (transcendental, so no algebraic eigenvalues do).  Diagonal
-    N_k give the identity.
+    """Unitary Q and the T_k = Q^* N_k Q for commuting normal N_k of shape
+    (..., dim, dim), broadcasting over the leading axes: Q diagonalises
+    N = sum_k c_k N_k (``_combine``), and with it every N_k unless two joint
+    eigenvalue tuples satisfy a linear relation with the weights c_k
+    (transcendental, so no algebraic eigenvalues do).  Where the N_k are
+    diagonal already, Q is the identity and T_k = N_k.
 
     Q starts as the ``eigh`` basis of the Hermitian part of rho N for the
-    fixed generic unit rho = ``_TILT`` (``_tilted_basis``): its eigenspaces
-    are sums of N's, and the tilt keeps the conjugate pairs of a real
-    matrix's spectrum, which the Hermitian part of N itself would merge,
-    apart.  ``eigh`` mixes only columns of near-equal eigenvalues, which it
-    keeps adjacent, so in T = Q^* N Q every off-diagonal entry above ``tol``
-    lies inside a run of adjacent columns (``_coupled_runs``); with no such
-    entry Q is done, and T is off-diagonal by at most dim tol in Frobenius
-    norm.  Each run is then rotated (``_rotate_runs``).
+    fixed generic unit rho = ``_TILT``, one stacked ``eigh``: its
+    eigenspaces are sums of N's, and the tilt keeps the conjugate pairs of
+    a real matrix's spectrum, which the Hermitian part of N itself would
+    merge, apart.  ``eigh`` mixes only columns of near-equal eigenvalues,
+    which it keeps adjacent, so in T = Q^* N Q every off-diagonal entry
+    above ``tol`` lies inside a run of adjacent columns (``_coupled_runs``);
+    with no such entry Q is done, and T is off-diagonal by at most dim tol
+    in Frobenius norm.  Only the items left coupled have their runs rotated,
+    one at a time (``_rotate_runs``); the items diagonal already keep the
+    identity.
     """
-    dim = ns[0].shape[0]
-    # Every nonzero entry on the diagonal: the N_k are diagonal already.
-    if all(np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)) for a in ns):
-        return np.eye(dim, dtype=complex), [np.asarray(a, dtype=complex) for a in ns]
-    q = _tilted_basis(_combine(ns))
-    return _rotate_runs(q, [dagger(q) @ a @ q for a in ns], tol)
+    off = ~np.eye(ns[0].shape[-1], dtype=bool)
+    diagonal = ~np.concatenate([a[..., off] for a in ns], axis=-1).any(axis=-1)
+    count = np.count_nonzero(diagonal)
+    if count == diagonal.size:
+        eye = np.eye(len(off), dtype=complex)
+        return np.broadcast_to(eye, ns[0].shape).copy(), [np.asarray(a, dtype=complex) for a in ns]
+    tilted = _TILT * _combine(ns)
+    q = np.linalg.eigh((tilted + _adjoint(tilted)) / 2)[1]
+    ts = [_adjoint(q) @ a @ q for a in ns]
+    # The leading index of every item with an off-diagonal entry above tol.
+    for i in {hit[:-2] for hit in zip(*np.nonzero((np.abs(_combine(ts)) > tol) & off))}:
+        _rotate_runs(q[i], [a[i] for a in ts], tol)
+    if count:
+        q[diagonal] = np.eye(len(off))
+        for a, n in zip(ts, ns):
+            a[diagonal] = n[diagonal]
+    return q, ts
 
 
-def _tilted_basis(n: np.ndarray) -> np.ndarray:
-    """The first basis of ``_normal_eigenbasis`` for N = n, over any
-    leading axes: the ``eigh`` basis of the Hermitian part of ``_TILT`` n."""
-    tilted = _TILT * n
-    return np.linalg.eigh((tilted + _adjoint(tilted)) / 2)[1]
-
-
-def _rotate_runs(q: np.ndarray, ts: list[np.ndarray],
-                 tol: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Q and the T_k = Q^* N_k Q of ``_normal_eigenbasis`` after its run
-    rotations, in place.  Each run of T = ``_combine`` (T_k) is rotated by
-    the ``eigh`` basis of the Hermitian matrix (rho B - (rho B)^*) / 2i of
-    its block B, which tells apart the eigenvalues mirrored about the tilt,
-    equal in Re(rho lambda) but not in Im(rho lambda), unless the first
-    basis leaves a smaller off-diagonal entry: a run can also hold a pair
-    that the first ``eigh`` told apart but whose Im(rho lambda) agree, which
-    the skew basis mixes.  For normal N a run is then diagonal up to
-    rounding.  No unitary removes the off-diagonal part of a block that is
-    normal only within a tolerance, such as a double eigenvalue with a
-    nilpotent part: T keeps it, up to the input's departure from normality,
-    and for generators that do not commute it stays of their commutator's
-    order."""
+def _rotate_runs(q: np.ndarray, ts: list[np.ndarray], tol: float) -> None:
+    """The run rotations of ``_normal_eigenbasis`` for one item, applied in
+    place to its Q and T_k = Q^* N_k Q.  Each run of T = ``_combine`` (T_k)
+    is rotated by the ``eigh`` basis of the Hermitian matrix
+    (rho B - (rho B)^*) / 2i of its block B, which tells apart the
+    eigenvalues mirrored about the tilt, equal in Re(rho lambda) but not in
+    Im(rho lambda), unless the first basis leaves a smaller off-diagonal
+    entry: a run can also hold a pair that the first ``eigh`` told apart but
+    whose Im(rho lambda) agree, which the skew basis mixes.  For normal N a
+    run is then diagonal up to rounding.  No unitary removes the
+    off-diagonal part of a block that is normal only within a tolerance,
+    such as a double eigenvalue with a nilpotent part: T keeps it, up to the
+    input's departure from normality, and for generators that do not
+    commute it stays of their commutator's order."""
     t = _combine(ts)
     # Each run's block of T is untouched by the rotations of the runs before.
     for lo, hi in _coupled_runs(t, tol):
@@ -321,7 +306,6 @@ def _rotate_runs(q: np.ndarray, ts: list[np.ndarray],
         for a in ts:
             a[lo:hi] = dagger(z) @ a[lo:hi]
             a[:, lo:hi] = a[:, lo:hi] @ z
-    return q, ts
 
 
 def _largest_off_diagonal(b: np.ndarray) -> float:
@@ -342,7 +326,7 @@ def _coupled_runs(t: np.ndarray, tol: float) -> list[tuple[int, int]]:
     every off-diagonal entry |t_ab| > ``tol``: a run ends at column e when no
     such entry couples a column <= e with one beyond it.  With no such entry
     there is no run, and nothing else is computed."""
-    a, b = np.nonzero(_coupled(t, tol))
+    a, b = np.nonzero((np.abs(t) > tol) & ~np.eye(len(t), dtype=bool))
     if not a.size:
         return []
     index = np.arange(len(t))
@@ -351,8 +335,3 @@ def _coupled_runs(t: np.ndarray, tol: float) -> list[tuple[int, int]]:
     ends = np.flatnonzero(np.maximum.accumulate(reach) == index) + 1
     starts = np.append(0, ends[:-1])
     return [(int(lo), int(hi)) for lo, hi in zip(starts, ends) if hi - lo > 1]
-
-
-def _coupled(t: np.ndarray, tol: float) -> np.ndarray:
-    """The off-diagonal entries |t_ab| > ``tol`` of each matrix in a stack."""
-    return (np.abs(t) > tol) & ~np.eye(t.shape[-1], dtype=bool)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -111,7 +112,10 @@ class UnitaryPath:
     def _locate(self, t: float) -> tuple[int, float]:
         """The index of the segment that evaluates t, and the time it is
         evaluated at: t clamped to [t_start, t_end], on the first segment
-        whose end is not before it."""
+        whose end is not before it.  A t that is NaN or infinite raises
+        ``PathError``."""
+        if not math.isfinite(t):
+            raise PathError(f"path time must be finite, got {t}")
         if t <= self.t_start:
             return 0, self.t_start
         for k, seg in enumerate(self.segments):

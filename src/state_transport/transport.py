@@ -14,8 +14,7 @@ import numpy as np
 from .algebra import BlockAlgebra, MatrixUnits
 from .errors import (CertificateError, DimensionError, DisjointnessError, HypothesisError,
                      ParameterError)
-from .gram import (VectorFamily, _alignment_rotation, _polar_alignment, _turn, alignment_bound,
-                   alignment_gate)
+from .gram import _alignment_rotation, _check_gate, _gate_measures, _turn, alignment_bound
 from .linalg import _check_tolerance, _vecdot, check_state, check_unitary, dagger, inner, op_norm
 from .path import PathSegment, UnitaryPath, concat_paths, merge_orthogonal_paths
 
@@ -44,9 +43,16 @@ def _split(xi: np.ndarray, eta: np.ndarray, project=None):
     mass = _vecdot(xi, xi).real
     rest = eta - (a / mass)[..., None] * xi
     rest = rest - (_vecdot(xi, rest) / mass)[..., None] * xi
+    # A rest that still overlaps xi by more than 1e-12 of its norm is
+    # rounding along xi itself, as for a phase multiple on one coordinate,
+    # which no pass removes: eta is a phase multiple of xi, and b = 0.
+    b = np.sqrt(_vecdot(rest, rest).real)
+    keep = np.abs(_vecdot(xi, rest)) <= 1e-12 * b
+    rest, b = rest * keep[..., None], b * keep
     if project is not None:
         rest = project(rest)
-    return a, rest, np.sqrt(_vecdot(rest, rest).real)
+        b = np.sqrt(_vecdot(rest, rest).real)
+    return a, rest, b
 
 
 def geodesic_pair(xi: np.ndarray, eta: np.ndarray) -> UnitaryPath:
@@ -105,8 +111,8 @@ def _geodesic(xi: np.ndarray, eta: np.ndarray, project=None) -> tuple[np.ndarray
     theta = sigma * np.arctan2(s, a.real)
     c = np.maximum(s + np.abs(a.imag), _TINY)
     h = np.hypot(c, b)
-    p = ((1 - 1j) - sigma * (1 + 1j)) / 2 * (b / h)
-    q = ((1 - 1j) + sigma * (1 + 1j)) / 2 * (c / h)
+    p = ((0.5 - 0.5j) - sigma * (0.5 + 0.5j)) * (b / h)
+    q = ((0.5 - 0.5j) + sigma * (0.5 + 0.5j)) * (c / h)
     unit = rest / (b + (b == 0.0))[..., None]
     v = np.empty(xi.shape + (2,), dtype=complex)
     v[..., 0] = p[..., None] * xi + q[..., None] * unit
@@ -326,13 +332,14 @@ def commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
 def _commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
                          eps: float, exact: bool) -> TransportResult:
     """``commutant_transport`` without its checks, for states and a
-    tolerance the caller has already validated: the gate, then the corner
-    rotation of ``_corner_rotations`` on a stack of one, with its zero
-    angles dropped."""
+    tolerance the caller has already validated: the gate of
+    ``alignment_gate`` on the corner families, then the corner rotation of
+    ``_corner_rotations`` on a stack of one, with its zero angles
+    dropped."""
     n, r = mu.n, mu.multiplicity
     delta = invert_alignment_bound(n, r, eps / np.sqrt(n))
     x, y = mu.corner_families(xi), mu.corner_families(eta)
-    gap = alignment_gate(VectorFamily(r, x), VectorFamily(r, y), delta)
+    gap = _check_gate(*_gate_measures(x, y), delta)
     angles, vectors = _corner_rotations(x[None], y[None], np.array([r]))
     keep = angles[0] != 0.0
     angles, vectors = angles[0, keep], vectors[0][:, keep]
@@ -380,36 +387,30 @@ def _corner_rotations(fx: np.ndarray, fy: np.ndarray,
     Returns the angles (stack, p) and vectors (stack, r, p) of every item's
     rotation, zero-padded to the widest p; a zero angle adds nothing.  The
     rotation is chosen by the item's shape, as ``commutant_transport``
-    describes, in this order: r' = 1 is one stacked phase, n = 1 one stacked
-    geodesic (a zero corner the identity), and the rest take
-    ``_polar_alignment``, one stack per r', except the items whose rank
-    falls short, with r' < n, or alone in their stack, which take
-    ``_alignment_rotation`` alone."""
+    describes, in three stacked pieces: r' = 1 is one phase, n = 1 one
+    geodesic (a zero corner the identity), and every other item takes
+    ``_alignment_rotation`` in one stack per distinct r', on its first r'
+    columns, so no item is padded in the columns it rotates.  A stack that
+    one piece fills is returned as that piece."""
     stack, n, r = fx.shape
+    shapes = set(ranks.tolist())
     pieces = []
-    phase = np.flatnonzero(ranks == 1)
-    if phase.size:
-        pieces.append((phase, np.angle(_vecdot(fx[phase, :, 0], fy[phase, :, 0]))[:, None],
-                       np.ones((phase.size, 1, 1), dtype=complex)))
+    if 1 in shapes:
+        phase = ranks == 1
+        angles = np.angle(_vecdot(fx[phase, :, 0], fy[phase, :, 0]))[:, None]
+        pieces.append((phase, angles, np.ones(angles.shape + (1,), dtype=complex)))
     if n == 1:
         x, y = fx[:, 0], fy[:, 0]
-        turned = np.flatnonzero((ranks > 1) & x.any(axis=1) & y.any(axis=1))
-        if turned.size:
+        turned = (ranks > 1) & x.any(axis=1) & y.any(axis=1)
+        if turned.any():
             pieces.append((turned, *_geodesic(_direction(x[turned]), _direction(y[turned]))))
     else:
-        for rank in sorted(set(ranks[ranks > 1].tolist())):
-            items = np.flatnonzero(ranks == rank)
-            alone = items
-            if rank >= n and items.size > 1:
-                angles, vectors, short = _polar_alignment(fx[items, :, :rank],
-                                                          fy[items, :, :rank])
-                pieces.append((items[~short], angles[~short], vectors[~short]))
-                alone = items[short]
-            for t in alone:
-                angles, vectors, _ = _alignment_rotation(fx[t, :, :rank], fy[t, :, :rank])
-                pieces.append(([t], angles[None], vectors[None]))
-    if len(pieces) == 1 and len(pieces[0][0]) == stack and pieces[0][2].shape[1] == r:
-        return pieces[0][1:]  # one shape holds the whole stack, unpadded
+        for rank in sorted(shapes - {0, 1}):
+            items = ranks == rank
+            pieces.append((items, *_alignment_rotation(fx[items, :, :rank],
+                                                       fy[items, :, :rank])[:2]))
+    if len(pieces) == 1 and pieces[0][0].all() and pieces[0][2].shape[1] == r:
+        return pieces[0][1:]
     width = max((angles.shape[1] for _, angles, _ in pieces), default=0)
     angles, vectors = np.zeros((stack, width)), np.zeros((stack, r, width), dtype=complex)
     for items, a, v in pieces:

@@ -500,22 +500,13 @@ def _flagged(monkeypatch, module, name, record=None):
 
 def test_arc_stage_aligns_only_blocks_without_a_closed_form(monkeypatch):
     # A block of one unit (n = 1) or of multiplicity one (r = 1) takes a
-    # closed-form rotation, so the stacked alignment core, with
-    # _alignment_rotation for the items it leaves, aligns each arc block
-    # with n >= 2 and r >= 2 once and no other.
+    # closed-form rotation, so the stacked alignment core aligns each arc
+    # block with n >= 2 and r >= 2 once and no other.
     blocks, aligned = [], []
     _flagged(monkeypatch, state_transport.circle, "_corner_rotations",
              lambda fx, fy, ranks: blocks.extend((fx.shape[1], int(r)) for r in ranks))
     _flagged(monkeypatch, state_transport.transport, "_alignment_rotation",
-             lambda x, y: aligned.append(x.shape))
-    core = state_transport.transport._polar_alignment
-
-    def stacked(x, y):
-        angles, vectors, short = core(x, y)
-        aligned.extend([x.shape[-2:]] * int(np.sum(~short)))
-        return angles, vectors, short
-
-    monkeypatch.setattr(state_transport.transport, "_polar_alignment", stacked)
+             lambda x, y: aligned.extend([x.shape[-2:]] * x.shape[0]))
     _run_spectral_mid_pool()
     assert {n for n, _ in blocks} >= {1, 2} and {r for _, r in blocks} >= {1, 2}
     assert sorted(aligned) == sorted((n, r) for n, r in blocks if n >= 2 and r >= 2)

@@ -483,6 +483,25 @@ def test_arc_stage_matches_the_per_arc_loop(k, atoms, pad, gap, conjugate, eps, 
     assert abs(res.family_commutator_sup - path.commutator_bound([model.z])) < 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(atoms=st.integers(2, 6), eps=st.floats(0.1, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_arc_of_one_atom_on_one_coordinate_takes_the_phase_turn(atoms, eps, seed):
+    # One unit (k = 1) and a diagonal z whose atom j carries all the mass of
+    # xi = phase e_j, with eta a phase multiple of xi: the arc's corner rest
+    # is rounding along x itself, which counts as b = 0, so the arc turns by
+    # the phase alone and the path stays unitary.
+    rng = np.random.default_rng(seed)
+    z = np.diag(np.exp(2j * np.pi * rng.uniform(0.0, 1.0, atoms)))
+    xi = np.zeros(atoms, dtype=complex)
+    xi[rng.integers(atoms)] = np.exp(2j * np.pi * rng.uniform())
+    eta = np.exp(2j * np.pi * rng.uniform()) * xi
+    res = arc_transport(MatrixUnits(1, np.eye(atoms, dtype=complex)),
+                        SpectralModel.from_unitary(z), xi, eta, [z], eps)
+    u = res.path.end()
+    assert np.linalg.norm(dagger(u) @ u - np.eye(atoms)) <= 1e-12
+    assert res.terminal_error <= 1e-12
+
+
 def _in_arc_oracle(angles, a, b):
     span = (b - a) % 1.0
     if span == 0.0:

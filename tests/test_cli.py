@@ -10,7 +10,9 @@ import state_transport
 from state_transport.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, main
 from state_transport.group import finite_cyclic_action, integer_action
 from state_transport.circle import arc_transport
-from state_transport.serialize import encode_group_action, encode_matrix, encode_vector
+from state_transport.gram import GramTarget, VectorFamily
+from state_transport.serialize import (encode_family, encode_gram_target, encode_group_action,
+                                      encode_matrix, encode_vector)
 from state_transport.suites import (
     circle_instance,
     commutant_instance,
@@ -47,6 +49,33 @@ def test_run_geodesic_pass(tmp_path, rng):
     assert len(lines) == 34
     last = lines[-1].split(",")
     assert float(last[1]) < 1e-8  # converged to the target
+
+
+def _gram_config(rng):
+    x = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    y = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    fam = VectorFamily(5, x / (1.01 * np.linalg.norm(x)))
+    target = GramTarget(3, y @ y.conj().T / np.linalg.norm(y) ** 2)
+    return {"command": "gram", "family": encode_family(fam),
+            "target": encode_gram_target(target)}
+
+
+def test_run_gram_pass(tmp_path, rng):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "report.json"
+    cfg.write_text(json.dumps(_gram_config(rng)))
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
+    report = json.loads(out.read_text())
+    assert report["pass"] is True
+    assert report["measured"]["gram_error"] <= 1e-10
+
+
+def test_run_gram_malformed_family_is_usage_error(tmp_path, rng):
+    config = _gram_config(rng)
+    config["family"]["dim"] = 4  # the vectors have five entries
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg)]) == EXIT_USAGE == 2
 
 
 def test_run_malformed_config(tmp_path):

@@ -145,6 +145,9 @@ BOUNDARY_SITES = {
         lambda: geodesic_pair(_XI, _ETA).commutator_bound([np.diag(_NAN)]), NotFiniteError),
     "apply vector length": (lambda: geodesic_pair(_XI, _ETA).apply(0.5, _LONG),
                             DimensionError),
+    "at NaN time": (lambda: geodesic_pair(_XI, _ETA).at(float("nan")), PathError),
+    "at infinite time": (lambda: geodesic_pair(_XI, _ETA).at(-np.inf), PathError),
+    "apply NaN time": (lambda: geodesic_pair(_XI, _ETA).apply(float("nan"), _XI), PathError),
 }
 
 

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from state_transport.linalg import dagger
 from state_transport.suites import random_state
 from state_transport.transport import (
+    _corner_rotations,
     _geodesic,
     geodesic_angle,
     geodesic_lower_bound,
@@ -159,3 +161,34 @@ def test_stacked_geodesic_matches_the_single_call(seed, dim, phases, log_bs):
         w1, v1 = _geodesic(xi, eta)
         assert np.max(np.abs(w[k] - w1)) <= 1e-15
         assert np.max(np.abs(v[k] - v1)) <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(2, 8), support=st.sampled_from([1, 2]),
+       phase=st.one_of(st.floats(-np.pi, np.pi), st.sampled_from([0.0, np.pi, -np.pi])),
+       turn=st.one_of(st.floats(-np.pi, np.pi), st.sampled_from([0.0, np.pi, 1e-9])),
+       seed=st.integers(0, 2**32 - 1))
+def test_phase_multiple_on_few_coordinates_gives_a_unitary_path(dim, support, phase, turn,
+                                                                seed):
+    # xi a phase times a basis vector, or supported on two coordinates, and
+    # eta a phase multiple of it: the rest eta - a xi is rounding along xi
+    # itself, which counts as b = 0.  Both geodesic_pair and the n = 1
+    # corner rotation give orthonormal columns and a unitary end.
+    rng = np.random.default_rng(seed)
+    xi = np.zeros(dim, dtype=complex)
+    coords = rng.choice(dim, support, replace=False)
+    xi[coords] = np.exp(1j * rng.uniform(-np.pi, np.pi, support)) * rng.uniform(0.1, 1.0, support)
+    xi = np.exp(1j * phase) * xi / np.linalg.norm(xi)
+    eta = np.exp(1j * turn) * xi
+    segment = geodesic_pair(xi, eta).segments[0]
+    u = segment.at(1.0)
+    assert np.linalg.norm(dagger(segment.v) @ segment.v - np.eye(segment.v.shape[1])) <= 1e-12
+    assert np.linalg.norm(dagger(u) @ u - np.eye(dim)) <= 1e-12
+    assert np.linalg.norm(u @ xi - eta) <= 1e-12
+    angles, vectors = _corner_rotations(xi[None, None], eta[None, None], np.array([dim]))
+    keep = angles[0] != 0.0
+    v = vectors[0][:, keep]
+    u = np.eye(dim) + (v * (np.exp(1j * angles[0, keep]) - 1.0)) @ dagger(v)
+    assert np.linalg.norm(dagger(v) @ v - np.eye(v.shape[1])) <= 1e-12
+    assert np.linalg.norm(dagger(u) @ u - np.eye(dim)) <= 1e-12
+    assert np.linalg.norm(u @ xi - eta) <= 1e-12

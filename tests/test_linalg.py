@@ -17,7 +17,6 @@ from state_transport.linalg import (
     _expm_skew,
     _matmul_vecdot,
     _unitary_eig,
-    _unitary_eigs,
     check_hermitian,
     check_isometry,
     check_square,
@@ -55,14 +54,15 @@ def test_matmul_vecdot_sums_conjugate_products(rng):
 def test_unitary_eigs_match_each_unitary_alone(rng):
     # A stack of a generic unitary, a diagonal one, one with a double
     # eigenvalue, and one whose pair mirrored about the tilt leaves the first
-    # basis coupled, so that it takes the run rotation.
+    # basis coupled, so that it takes the run rotation: the stacked solver
+    # against each unitary alone.
     w = random_unitary(rng, 4)
     mirrored = np.conj(_TILT) * np.exp(1j * np.array([0.7, -0.7, 2.0, 2.9]))
     us = np.array([random_unitary(rng, 4),
                    np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 4))),
                    (w * np.exp(1j * np.array([0.3, 0.3, 1.0, -2.0]))) @ dagger(w),
                    (w * mirrored) @ dagger(w)])
-    lam, q = _unitary_eigs(us)
+    lam, q = _unitary_eig(us)
     for u, lam_u, q_u in zip(us, lam, q):
         alone, _ = _unitary_eig(u)
         assert np.max(np.abs(lam_u - alone)) <= 1e-12

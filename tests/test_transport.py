@@ -13,7 +13,7 @@ from state_transport.errors import (
     NotFiniteError,
     StateTransportError,
 )
-from state_transport.gram import VectorFamily, align_unitary, alignment_bound
+from state_transport.gram import VectorFamily, _gate_measures, align_unitary, alignment_bound
 from state_transport.linalg import dagger, inner, op_norm
 from state_transport.path import PathSegment, UnitaryPath
 from state_transport.suites import (
@@ -545,6 +545,72 @@ def test_corner_rotations_match_each_family_alone(n, r, stack, kind, seed):
         v = vectors[t]
         stacked = np.eye(r) + (v * (np.exp(1j * angles[t]) - 1.0)) @ dagger(v)
         assert np.max(np.abs(stacked - alone)) <= 1e-12
+
+
+def _shape_items(rng, n):
+    """Corner multiplicities r' and src families X (n, r') of every shape
+    the corner rotations tell apart at n units: r' = 1 (the phase); for
+    n = 1 a geodesic; for n >= 3 full rank (r' >= n), short numerical rank
+    (two equal rows) in the same r' stack, and r' < n with r' >= 2
+    (pivots); and a zero corner."""
+    if n == 1:
+        ranks = [1, int(rng.integers(2, 5)), int(rng.integers(2, 5))]
+    else:
+        wide = n + int(rng.integers(0, 2))
+        ranks = [1, wide, wide, int(rng.integers(2, n)), int(rng.integers(2, 5))]
+    xs = [rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)) for r in ranks]
+    if n > 1:
+        xs[2][1] = xs[2][0]
+    xs[-1][:] = 0.0
+    return ranks, [x / (1.01 * max(np.linalg.norm(x), 1.0)) for x in xs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 3, 4]), noise=st.sampled_from([0.0, 1e-9, 1e-6]),
+       eps=st.sampled_from([0.5, 1e-3]), seed=st.integers(0, 2**32 - 1))
+def test_every_corner_shape_in_one_stack_matches_its_transport_alone(n, noise, eps, seed):
+    # One _corner_rotations call over a stack that holds every shape, each
+    # item zero beyond its own r', against commutant_transport of the item
+    # alone: the same gate outcome and Gram gap, bit for bit, from the
+    # gates' shared measures; and for each admitted item, orthonormal
+    # vectors, a residual within alignment_bound and equal to the
+    # transport's alone, and the transport's corner rotation.
+    rng = np.random.default_rng(seed)
+    ranks, xs = _shape_items(rng, n)
+    width = max(ranks)
+    fx, fy = np.zeros((2, len(ranks), n, width), dtype=complex)
+    for t, (r, x) in enumerate(zip(ranks, xs)):
+        y = x @ random_unitary(rng, r).T + noise * rng.standard_normal((n, r))
+        fx[t, :, :r], fy[t, :, :r] = x, y / max(np.linalg.norm(y) * 1.01, 1.0)
+    ranks = np.array(ranks)
+    gaps = np.zeros(len(ranks))
+    for r in set(ranks.tolist()):
+        gaps[ranks == r] = _gate_measures(fx[ranks == r, :, :r], fy[ranks == r, :, :r])[2]
+    angles, vectors = _corner_rotations(fx, fy, ranks)
+    for t, r in enumerate(ranks.tolist()):
+        mu = full_matrix_units(n, r, n * r + 1)
+        states = []
+        for f in (fx[t, :, :r], fy[t, :, :r]):
+            state = mu.isometry @ f.reshape(-1)
+            state[-1] = np.sqrt(1.0 - np.linalg.norm(f) ** 2)
+            states.append(state)
+        delta = invert_alignment_bound(n, r, eps / np.sqrt(n))
+        try:
+            alone = commutant_transport(mu, *states, eps)
+        except HypothesisError as exc:
+            assert gaps[t] >= delta and exc.measured_gap == gaps[t]
+            continue
+        assert gaps[t] < delta and alone.measured_gap == gaps[t]
+        assert not vectors[t, r:].any()
+        keep = angles[t] != 0.0
+        v = vectors[t, :r][:, keep]
+        assert np.linalg.norm(dagger(v) @ v - np.eye(v.shape[1])) <= 1e-12
+        u = np.eye(r) + (v * (np.exp(1j * angles[t, keep]) - 1.0)) @ dagger(v)
+        residual = np.max(np.linalg.norm(fx[t, :, :r] @ u.T - fy[t, :, :r], axis=1))
+        assert residual <= alignment_bound(n, r, delta)
+        assert abs(residual - alone.extras["alignment_residual"]) <= 1e-12
+        corner = (dagger(mu.isometry) @ alone.path.end() @ mu.isometry)[:r, :r]
+        assert np.max(np.abs(u - corner)) <= 1e-12
 
 
 def _closed_form_unitary(x, y):
