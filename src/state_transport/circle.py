@@ -469,16 +469,14 @@ def _gates(fx: np.ndarray, fy: np.ndarray, ranks: np.ndarray, index: np.ndarray,
     first failing arc, in arc order, raises: r' = 0
     ``ArcOutsideBlockError``, otherwise the ``HypothesisError`` of
     ``alignment_gate``.  Returns the largest gap."""
-    n = fx.shape[1]
-    measures = np.zeros((4, len(ranks)))
+    n, f = fx.shape[1], np.stack([fx, fy])
+    weights, (gaps, deltas) = np.zeros((2, len(ranks))), np.zeros((2, len(ranks)))
     for r in sorted(set(ranks.tolist())):
         items = ranks == r
-        measures[:3, items] = _gate_measures(fx[items, :, :r], fy[items, :, :r])
-        measures[3, items] = invert_alignment_bound(n, r, eps / np.sqrt(n))
-    wx, wy, gaps, deltas = measures
-    heavy = np.maximum(wx, wy) > 1.0 + NORMALIZED_FAMILY_TOL
-    failing = np.flatnonzero((ranks == 0) | heavy | (gaps >= deltas))
-    for t in failing[:1]:
+        weights[:, items], gaps[items] = _gate_measures(f[:, items, :, :r])
+        deltas[items] = invert_alignment_bound(n, r, eps / np.sqrt(n))
+    heavy = weights.max(axis=0) > 1.0 + NORMALIZED_FAMILY_TOL
+    for t in np.flatnonzero((ranks == 0) | heavy | (gaps >= deltas))[:1]:
         if ranks[t] == 0:
             a, b = arcs[index[t]]
             raise ArcOutsideBlockError(
@@ -486,7 +484,7 @@ def _gates(fx: np.ndarray, fy: np.ndarray, ranks: np.ndarray, index: np.ndarray,
                 "subspace misses the matrix-unit block",
                 arc_index=int(index[t]),
             )
-        _check_gate(wx[t], wy[t], gaps[t], deltas[t])
+        _check_gate(*weights[:, t], gaps[t], deltas[t])
     return float(np.max(gaps))
 
 

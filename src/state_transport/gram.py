@@ -196,14 +196,17 @@ def alignment_gate(src: VectorFamily, dst: VectorFamily, delta: float) -> float:
     otherwise.  The weights and the gap are ``_gate_measures``'s."""
     if src.dim != dst.dim or src.size != dst.size:
         raise ParameterError("families must share dimension and size")
-    return _check_gate(*_gate_measures(src.vectors, dst.vectors), delta)
+    weights, gap = _gate_measures(np.stack([src.vectors, dst.vectors]))
+    return _check_gate(*weights, gap, delta)
 
 
-def _gate_measures(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The family weights of x and y and their Gram gap, for stacks of
-    families of one shape (..., n, dim), over the leading axes; the gap of
-    empty families is 0.0.  Each item gets the bits it gets alone."""
-    return _weight(x), _weight(y), np.max(np.abs(_gram(x) - _gram(y)), axis=(-2, -1), initial=0.0)
+def _gate_measures(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The family weights, shape (2, ...), and the Gram gap, shape (...),
+    of the pairs of families f = [x, y] of shape (2, ..., n, dim), over
+    the leading axes; the gap of empty families is 0.0.  Each pair gets
+    the bits it gets alone."""
+    g = _gram(f)
+    return _weight(f), np.abs(g[0] - g[1]).max(axis=(-2, -1), initial=0.0)
 
 
 def _check_gate(weight_x: float, weight_y: float, gap: float, delta: float) -> float:

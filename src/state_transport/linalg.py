@@ -263,7 +263,7 @@ def _normal_eigenbasis(ns: list[np.ndarray],
     identity.
     """
     off = ~np.eye(ns[0].shape[-1], dtype=bool)
-    diagonal = ~np.concatenate([a[..., off] for a in ns], axis=-1).any(axis=-1)
+    diagonal = ~np.any([(a != 0) & off for a in ns], axis=(0, -2, -1))
     count = np.count_nonzero(diagonal)
     if count == diagonal.size:
         eye = np.eye(len(off), dtype=complex)
@@ -271,9 +271,10 @@ def _normal_eigenbasis(ns: list[np.ndarray],
     tilted = _TILT * _combine(ns)
     q = np.linalg.eigh((tilted + _adjoint(tilted)) / 2)[1]
     ts = [_adjoint(q) @ a @ q for a in ns]
-    # The leading index of every item with an off-diagonal entry above tol.
-    for i in {hit[:-2] for hit in zip(*np.nonzero((np.abs(_combine(ts)) > tol) & off))}:
-        _rotate_runs(q[i], [a[i] for a in ts], tol)
+    coupled = (np.abs(_combine(ts)) > tol) & off
+    if coupled.any():
+        for i in map(tuple, np.argwhere(coupled.any(axis=(-2, -1)))):
+            _rotate_runs(q[i], [a[i] for a in ts], tol)
     if count:
         q[diagonal] = np.eye(len(off))
         for a, n in zip(ts, ns):

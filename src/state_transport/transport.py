@@ -339,7 +339,8 @@ def _commutant_transport(mu: MatrixUnits, xi: np.ndarray, eta: np.ndarray,
     n, r = mu.n, mu.multiplicity
     delta = invert_alignment_bound(n, r, eps / np.sqrt(n))
     x, y = mu.corner_families(xi), mu.corner_families(eta)
-    gap = _check_gate(*_gate_measures(x, y), delta)
+    weights, gap = _gate_measures(np.stack([x, y]))
+    gap = _check_gate(*weights, gap, delta)
     angles, vectors = _corner_rotations(x[None], y[None], np.array([r]))
     keep = angles[0] != 0.0
     angles, vectors = angles[0, keep], vectors[0][:, keep]

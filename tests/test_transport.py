@@ -585,7 +585,7 @@ def test_every_corner_shape_in_one_stack_matches_its_transport_alone(n, noise, e
     ranks = np.array(ranks)
     gaps = np.zeros(len(ranks))
     for r in set(ranks.tolist()):
-        gaps[ranks == r] = _gate_measures(fx[ranks == r, :, :r], fy[ranks == r, :, :r])[2]
+        gaps[ranks == r] = _gate_measures(np.stack([fx, fy])[:, ranks == r, :, :r])[1]
     angles, vectors = _corner_rotations(fx, fy, ranks)
     for t, r in enumerate(ranks.tolist()):
         mu = full_matrix_units(n, r, n * r + 1)
