@@ -38,16 +38,10 @@ class VectorFamily:
         return self.vectors.shape[0]
 
     def total_weight(self) -> float:
-        return float(_weight(self.vectors))
+        return float(np.sum(np.abs(self.vectors) ** 2))
 
     def require_normalized(self):
         _check_weight(self.total_weight())
-
-
-def _weight(x: np.ndarray) -> np.ndarray:
-    """sum |x_ij|^2 over the last two axes: the total weight of each family
-    in a stack of families held as rows."""
-    return np.sum(np.abs(x) ** 2, axis=(-2, -1))
 
 
 def _check_weight(weight: float) -> None:
@@ -201,12 +195,14 @@ def alignment_gate(src: VectorFamily, dst: VectorFamily, delta: float) -> float:
 
 
 def _gate_measures(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The family weights, shape (2, ...), and the Gram gap, shape (...),
-    of the pairs of families f = [x, y] of shape (2, ..., n, dim), over
-    the leading axes; the gap of empty families is 0.0.  Each pair gets
-    the bits it gets alone."""
+    """The family weights sum |f_ij|^2, shape (2, ...), and the Gram gap,
+    shape (...), of the pairs of families f = [x, y] of shape
+    (2, ..., n, dim), over the leading axes; the gap of empty families is
+    0.0.  Each pair gets the bits it gets alone, and the weights are
+    ``VectorFamily.total_weight``'s."""
     g = _gram(f)
-    return _weight(f), np.abs(g[0] - g[1]).max(axis=(-2, -1), initial=0.0)
+    gap = np.abs(g[0] - g[1]).max(axis=(-2, -1), initial=0.0)
+    return np.sum(np.abs(f) ** 2, axis=(-2, -1)), gap
 
 
 def _check_gate(weight_x: float, weight_y: float, gap: float, delta: float) -> float:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -114,7 +113,7 @@ class UnitaryPath:
         evaluated at: t clamped to [t_start, t_end], on the first segment
         whose end is not before it.  A t that is NaN or infinite raises
         ``PathError``."""
-        if not math.isfinite(t):
+        if not abs(t) < np.inf:
             raise PathError(f"path time must be finite, got {t}")
         if t <= self.t_start:
             return 0, self.t_start
