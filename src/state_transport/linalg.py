@@ -8,6 +8,7 @@ convention throughout the library is linear in the first argument:
 from __future__ import annotations
 
 import cmath
+import functools
 import importlib.util
 import math
 import sys
@@ -263,11 +264,10 @@ def _normal_eigenbasis(ns: list[np.ndarray],
     identity.
     """
     off = ~np.eye(ns[0].shape[-1], dtype=bool)
-    diagonal = ~np.any([(a != 0) & off for a in ns], axis=(0, -2, -1))
+    diagonal = ~(functools.reduce(np.logical_or, [a != 0 for a in ns]) & off).any(axis=(-2, -1))
     count = np.count_nonzero(diagonal)
     if count == diagonal.size:
-        eye = np.eye(len(off), dtype=complex)
-        return np.broadcast_to(eye, ns[0].shape).copy(), [np.asarray(a, dtype=complex) for a in ns]
+        return np.broadcast_to(~off, ns[0].shape) + 0j, [np.asarray(a, dtype=complex) for a in ns]
     tilted = _TILT * _combine(ns)
     q = np.linalg.eigh((tilted + _adjoint(tilted)) / 2)[1]
     ts = [_adjoint(q) @ a @ q for a in ns]
@@ -276,7 +276,7 @@ def _normal_eigenbasis(ns: list[np.ndarray],
         for i in map(tuple, np.argwhere(coupled.any(axis=(-2, -1)))):
             _rotate_runs(q[i], [a[i] for a in ts], tol)
     if count:
-        q[diagonal] = np.eye(len(off))
+        q[diagonal] = ~off
         for a, n in zip(ts, ns):
             a[diagonal] = n[diagonal]
     return q, ts
