@@ -224,11 +224,12 @@ def _expm_skew(h: np.ndarray, t: float = 1.0) -> np.ndarray:
 def unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition of a unitary, by ``_normal_eigenbasis``.
 
-    Returns (eigenvalues, unitary of eigenvectors as columns).  For u
-    unitary up to rounding, Q diag(eigenvalues) Q^* is u within
-    ``UNITARY_TOL / 4`` plus rounding; for a u that ``check_unitary``
-    accepts but that is normal only within its tolerance, within u's
-    departure from normality, at most about ``UNITARY_TOL``.
+    Returns (eigenvalues, unitary of eigenvectors as columns).  For a
+    p x p u unitary up to rounding, Q diag(eigenvalues) Q^* is u within
+    4 p^2 eps (eps the machine epsilon) plus rounding; for a u that
+    ``check_unitary`` accepts but that is normal only within its
+    tolerance, within u's departure from normality, at most about
+    ``UNITARY_TOL``.
     """
     return _unitary_eig(check_unitary(u))
 
@@ -237,8 +238,11 @@ def _unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``unitary_eig`` for library-built or already checked unitaries of
     shape (..., p, p), over any leading axes: the diagonal of each
     T = Q^* u Q and the basis Q of ``_normal_eigenbasis`` for N = u alone,
-    whose runs hold the entries of T above ``UNITARY_TOL / (4 p)``."""
-    q, (t,) = _normal_eigenbasis([u], UNITARY_TOL / (4 * max(u.shape[-1], 1)))
+    whose runs hold the entries of T above the rounding level 4 p eps.  A
+    pair whose Re(rho lambda) lie a small gap g apart leaves entries of
+    about eps / g in the first basis; a coarser level would drop them, and
+    Q diag(lambda) Q^* would miss u by as much."""
+    q, (t,) = _normal_eigenbasis([u], 4 * max(u.shape[-1], 1) * np.finfo(float).eps)
     return np.diagonal(t, axis1=-2, axis2=-1).copy(), q
 
 

@@ -452,6 +452,11 @@ def _stage_instance(rng, k, atoms, pad, gap, conjugate):
 @given(k=st.sampled_from([1, 2, 3]), atoms=st.integers(2, 12), pad=st.integers(0, 2),
        gap=st.sampled_from([0.0, 0.3, 0.6]), conjugate=st.booleans(),
        eps=st.floats(0.08, 0.5), seed=st.integers(0, 2**32 - 1))
+# Two draws whose ends missed by 1.0e-12 and 4.8e-12 while ``_unitary_eig``
+# dropped entries of T up to UNITARY_TOL / (4 p) off its diagonal.
+@example(k=3, atoms=12, pad=1, gap=0.3, conjugate=True, eps=0.25, seed=180587)
+@example(k=2, atoms=8, pad=0, gap=0.0, conjugate=True, eps=0.3012519703519336,
+         seed=1354566587)
 def test_arc_stage_matches_the_per_arc_loop(k, atoms, pad, gap, conjugate, eps, seed):
     # The stacked arc stage against the per-arc loop it replaced: the same
     # rows, the same error and arc, the same terminal error, path end and

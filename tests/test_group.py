@@ -544,7 +544,7 @@ def test_normal_eigenbasis_diagonalises_adversarial_unitaries(kind, dim, seed):
         return runs[-1]
 
     with mock.patch.object(linalg, "_coupled_runs", recorded):
-        q, ts = _normal_eigenbasis(us, UNITARY_TOL / (4 * dim))
+        q, ts = _normal_eigenbasis(us, 4 * dim * np.finfo(float).eps)
     bound = UNITARY_TOL if kind == "defective_cluster" else UNITARY_TOL / 4
     assert np.linalg.norm(dagger(q) @ q - np.eye(dim), 2) <= 1e-12
     for u, t in zip(us, ts):

@@ -71,6 +71,23 @@ def test_unitary_eigs_match_each_unitary_alone(rng):
     assert np.array_equal(q[1], np.eye(4)) and np.array_equal(lam[1], np.diag(us[1]))
 
 
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(0.3, 2.8), seed=st.integers(0, 2**32 - 1))
+def test_unitary_eig_reconstructs_a_pair_nearly_mirrored_about_the_tilt(a, seed):
+    # rho lambda_1 and rho lambda_2 nearly mirrored about the real axis: the
+    # Hermitian part of the tilted u tells them apart by a gap of about
+    # 3e-4, so the first basis mixes them by about eps / 3e-4, below any
+    # tolerance but rounding.  The run rotation still separates them, and
+    # Q diag(lambda) Q^* is u to rounding.
+    rng = np.random.default_rng(seed)
+    p = 4
+    w = random_unitary(rng, p)
+    angles = np.array([a, -a - 3e-4, *rng.uniform(-np.pi, np.pi, p - 2)])
+    u = (w * (np.conj(_TILT) * np.exp(1j * angles))) @ dagger(w)
+    lam, q = _unitary_eig(u)
+    assert np.linalg.norm((q * lam) @ dagger(q) - u) <= 8 * p * p * np.finfo(float).eps
+
 def test_check_hermitian_rejects_skew(rng):
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     with pytest.raises(NotHermitianError):
