@@ -44,7 +44,6 @@ from .errors import (
     ParameterError,
     PathError,
     RoundFailureError,
-    SingularMatrixError,
     StateTransportError,
     UnsupportedGroupError,
 )
@@ -79,7 +78,7 @@ from .intertwine import (
     build_tower,
     make_schedule,
 )
-from .path import PathSegment, UnitaryPath, concat_paths, merge_orthogonal_paths
+from .path import PathSegment, UnitaryPath, concat_paths
 from .transport import (
     MultiTransportResult,
     TransportResult,

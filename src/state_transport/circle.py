@@ -23,7 +23,7 @@ from .errors import (
 from .gram import NORMALIZED_FAMILY_TOL, _check_gate, _gate_measures
 from .linalg import (_adjoint, _norm_upper, _transpose, _unitary_eig, check_state, check_unitary,
                      dagger, op_norm)
-from .path import UnitaryPath, concat_paths, joined_segment
+from .path import UnitaryPath, summed_path
 from .transport import _corner_rotations, _geodesic, invert_alignment_bound
 
 ANGLE_CLUSTER_TOL = 1e-9
@@ -306,7 +306,7 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
     of z's one eigenbasis Q, so every arc is computed at once in the sorted
     coordinates Q^* xi, Q^* eta and Q^* V (``_transport_arcs``), and their
     generators, lifted by Q, sum to one segment from the identity; arcs
-    that took a repair add one second segment (``_arc_path``).  The summed
+    that took a repair add one second segment (``summed_path``).  The summed
     path obeys ||[u(t), z]|| < 3 pi eps, commutes with the block units,
     and has terminal error < 2 sqrt(3) eps on admissible instances.  Both
     sups are certified bounds over every t; ``t_samples`` is accepted and
@@ -349,7 +349,9 @@ def arc_transport(block: MatrixUnits, model: SpectralModel, xi: np.ndarray,
     turn, repair, stats_gap = _transport_arcs(
         (qh @ block.isometry).reshape(model.dim, block.n, -1), coords,
         member[moving], roots[moving], moving, arcs, eps)
-    path = _arc_path(model, turn, repair)
+    q = model.eigenbasis
+    path = summed_path(model.dim, [(w, q @ v) for w, v in turn],
+                       [(w, q @ v) for w, v in repair])
 
     return ArcTransportResult(
         path=path,
@@ -402,10 +404,10 @@ def _transport_arcs(w: np.ndarray, coords: np.ndarray, member: np.ndarray,
     stack.
 
     Returns the summed generator (w, v) in the sorted coordinates with its
-    zero angles dropped, the repairs' likewise or None, and the largest
-    Gram gap; (None, None, 0.0) with no arc."""
+    zero angles dropped and the repairs' likewise, each as a list of at
+    most one pair, and the largest Gram gap; ([], [], 0.0) with no arc."""
     if not index.size:
-        return None, None, 0.0
+        return [], [], 0.0
     arc, col = np.nonzero(member)
     sizes = member.sum(axis=1)
     pos = np.arange(col.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -425,14 +427,14 @@ def _transport_arcs(w: np.ndarray, coords: np.ndarray, member: np.ndarray,
     moved = x + np.einsum("amjs,ajs->am", units, turn)
     lifted = (units @ vectors[:, None]).reshape(shape + (-1,))
     repairs = np.linalg.norm(moved - y, axis=1) > 1e-13
-    repair = None
+    repair = []
     if repairs.any():
         rep_w, rep_v = np.zeros((index.size, 2)), np.zeros(shape + (2,), dtype=complex)
         ends = moved[repairs]
         rep_w[repairs], rep_v[repairs] = _geodesic(
             ends / np.linalg.norm(ends, axis=1)[:, None], y[repairs])
-        repair = _scatter(rep_w, rep_v, arc, pos, col, len(w))
-    return _scatter(np.tile(angles, w.shape[1]), lifted, arc, pos, col, len(w)), repair, gap
+        repair = [_scatter(rep_w, rep_v, arc, pos, col, len(w))]
+    return [_scatter(np.tile(angles, w.shape[1]), lifted, arc, pos, col, len(w))], repair, gap
 
 
 def _compress(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -523,19 +525,3 @@ def _z_commutator_bound(model: SpectralModel, path: UnitaryPath, starts: np.ndar
     allowance = model.dim * np.finfo(float).eps * np.linalg.norm(model.z) * (1.0 + turn)
     return float(structural + 2 * _norm_upper(model._reconstruction_residual()) + allowance)
 
-
-def _arc_path(model: SpectralModel, turn, repair) -> UnitaryPath:
-    """The arc transports as one path: the summed generator (w, v), v in
-    the sorted coordinates of ``_transport_arcs``, lifted by Q once, is
-    one segment from the identity (``joined_segment``, which checks the
-    lifted columns orthonormal).  The repairs, when an arc took one, are a
-    second segment, run after the first (``concat_paths``).  With no arc
-    transported, the constant path."""
-    if turn is None:
-        return UnitaryPath.constant(model.dim)
-    q, eye = model.eigenbasis, np.eye(model.dim, dtype=complex)
-    path = UnitaryPath([joined_segment(0.0, 1.0, [turn[0]], [q @ turn[1]], eye)])
-    if repair is not None:
-        path = concat_paths(path, UnitaryPath(
-            [joined_segment(0.0, 1.0, [repair[0]], [q @ repair[1]], eye)]))
-    return path

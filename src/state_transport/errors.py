@@ -31,10 +31,6 @@ class NotPSDError(StateTransportError):
     """Matrix has a significantly negative eigenvalue."""
 
 
-class SingularMatrixError(StateTransportError):
-    """Matrix is rank deficient beyond the allowed tolerance."""
-
-
 class DimensionError(StateTransportError):
     """Ambient dimension too small for the requested construction."""
 

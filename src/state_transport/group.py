@@ -228,12 +228,16 @@ def average_conjugates(h: np.ndarray, folner: FolnerSet,
     ``HypothesisError`` carrying the excess.  The norm gate is
     ``norm_at_most``, so a diagonal h, or one whose Frobenius norm is small
     enough, passes without an SVD; ``op_norm`` measures only a failing
-    excess.  For Z^d the mean is one Hadamard product in the joint
-    eigenbasis, at cost O(|F| dim^2 + dim^3); a finite group sums its |F|
-    conjugates."""
+    excess.  The mean is ``_folner_mean``'s: for Z^d one Hadamard product
+    of Q^* h Q in the joint eigenbasis, taken back as Q (.) Q^*, at cost
+    O(|F| dim^2 + dim^3); a finite group sums its |F| conjugates."""
     check_operators([h], action.dim)
     _check_contraction(h)
-    return _average_conjugates(h, folner, action)
+    if action.kind == "finite":
+        return _folner_mean(h, action, folner, None)
+    q = action.eigenbasis
+    mean = _folner_mean(dagger(q) @ h @ q, action, folner, action.phases(folner.elements))
+    return q @ mean @ dagger(q)
 
 
 def _check_contraction(h: np.ndarray) -> None:
@@ -243,28 +247,20 @@ def _check_contraction(h: np.ndarray) -> None:
         raise HypothesisError("need ||h|| <= 1", measured_gap=op_norm(h) - 1.0)
 
 
-def _folner_kernel(phi: np.ndarray) -> np.ndarray:
-    """K = mean_g conj(phi_g) phi_g^T over the phase rows phi_g of a Folner
-    set: in the eigenbasis rep(g)^* h rep(g) is conj(phi_g)_a H_ab
-    (phi_g)_b, so the mean of the conjugates of h is K o H."""
-    return (dagger(phi) @ phi) / len(phi)
-
-
-def _average_conjugates(h: np.ndarray, folner: FolnerSet,
-                        action: GroupAction) -> np.ndarray:
-    """``average_conjugates`` without its gate, for an h the caller has
-    already certified."""
+def _folner_mean(h: np.ndarray, action: GroupAction, folner: FolnerSet,
+                 phi: np.ndarray | None) -> np.ndarray:
+    """The Hermitian part of the mean of rep(g)^* h rep(g) over the Folner
+    set, in the action's coordinates, for an h the caller has certified.
+    For Z^d, h is in the joint eigenbasis and phi holds the set's phase
+    rows phi_g: there rep(g)^* h rep(g) is conj(phi_g)_a h_ab (phi_g)_b,
+    so the mean is K o h, K = mean_g conj(phi_g) phi_g^T, one Hadamard
+    product.  A finite group sums its |F| conjugates (phi is unused)."""
     if action.kind == "Zd":
-        q = action.eigenbasis
-        kernel = _folner_kernel(action.phases(folner.elements))
-        acc = q @ (kernel * (dagger(q) @ h @ q)) @ dagger(q)
+        mean = (dagger(phi) @ phi) / len(phi) * h
     else:
-        acc = np.zeros((action.dim, action.dim), dtype=complex)
-        for g in folner.elements:
-            u = action.rep(g)
-            acc = acc + dagger(u) @ h @ u
-        acc = acc / len(folner.elements)
-    return (acc + dagger(acc)) / 2
+        mean = sum(dagger(u) @ h @ u for u in map(action.rep, folner.elements))
+        mean = mean / len(folner.elements)
+    return (mean + dagger(mean)) / 2
 
 
 def flip_projection(xis: VectorFamily, zetas: VectorFamily) -> np.ndarray:
@@ -311,11 +307,9 @@ def _graph_projection(b: np.ndarray, v: np.ndarray) -> np.ndarray:
     """e = (B B^* + V V^* - W - W^*) / 2 with W = V B^*: the projection onto
     the graph {x - W x : x in span(B)} of -W (Halmos, "Two subspaces").
     It kills every x + W x and fixes every x - W x; ``_flip_gates``
-    certifies it.  The same matrix is (B - V)(B - V)^* / 2, one product,
-    which is how a Z^d leg forms it."""
-    w = v @ dagger(b)
-    e = (b @ dagger(b) + v @ dagger(v) - w - dagger(w)) / 2
-    return (e + dagger(e)) / 2
+    certifies it.  It is formed as (B - V)(B - V)^* / 2, one product."""
+    d = b - v
+    return d @ dagger(d) / 2
 
 
 def _flip_gates(b: np.ndarray, v: np.ndarray, cut: float, scale: float,
@@ -569,15 +563,16 @@ def _orthogonal_leg(action, folner, diffs, xi, eta,
     the eigenvectors z of pi hbar in the action's coordinates, and the
     leg's extras.
 
-    A finite action takes the dense route: orbit rows rep(g) xi, the flip
-    of ``_graph_projection`` and the mean of its conjugates.  A Z^d leg
-    works in the coordinates Q^* x from its orbits to its segment:
+    Both kinds form the flip E = (B - V)(B - V)^* / 2 of
+    ``_graph_projection`` and average it by ``_folner_mean``.  A finite
+    action takes the dense route: orbit rows rep(g) xi and the mean of the
+    flip's conjugates.  A Z^d leg works in the coordinates Q^* x from its
+    orbits to its segment:
     - the orbit rows are phi_g o Q^* xi, with no product by Q, and
       ``_graph_factors`` and ``_flip_gates`` run on them, V projected once
       more off span(B) and the gates with the allowance for Q's defect
       ``eigenbasis_defect``;
-    - the flip is E = (B - V)(B - V)^* / 2, one product, and its Folner
-      average K o E (``_folner_kernel``), one Hadamard product;
+    - the mean is K o E, one Hadamard product;
     - eigh(pi K o E) = (w, z), and the segment is (w, Q z).
     ``_flip_gates`` certifies ||flip|| <= 1 + nu / 2 + mu plus rounding,
     so the flip is averaged without a dim x dim SVD when that bound is at
@@ -611,16 +606,10 @@ def _orthogonal_leg(action, folner, diffs, xi, eta,
         v = v - b @ (dagger(b) @ v)
     flip_norm = _flip_gates(b, v, cut, _max_row_norm(orbit_xi),
                             defect=action.eigenbasis_defect)
-    if zd:
-        d = b - v
-        flip = d @ dagger(d) / 2
-        if flip_norm > 1.0 + 1e-10:
-            _check_contraction(flip)
-        hbar = _folner_kernel(phi) * flip
-        hbar = (hbar + dagger(hbar)) / 2
-    else:
-        average = _average_conjugates if flip_norm <= 1.0 + 1e-10 else average_conjugates
-        hbar = average(_graph_projection(b, v), folner, action)
+    flip = _graph_projection(b, v)
+    if flip_norm > 1.0 + 1e-10:
+        _check_contraction(flip)
+    hbar = _folner_mean(flip, action, folner, diffs.folner_phases)
     w, z = np.linalg.eigh(np.pi * hbar)
     path = UnitaryPath([PathSegment(0.0, 1.0, w, q @ z if zd else z,
                                     np.eye(action.dim, dtype=complex))])

@@ -139,14 +139,6 @@ class IntertwineResult:
     schedule: Schedule
     path: TowerPath
 
-    @property
-    def odd_product(self) -> np.ndarray:
-        return _lift(self.odd_factor, self.level)
-
-    @property
-    def even_product(self) -> np.ndarray:
-        return _lift(self.even_factor, self.level)
-
 
 def _lift(factor: np.ndarray, s: int) -> np.ndarray:
     """1_s (x) factor: the ambient matrix of a commutant factor at level s."""

@@ -183,23 +183,14 @@ def check_state(xi: np.ndarray, tol: float = 1e-12, dim: int | None = None) -> n
     return xi
 
 
-def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, unitary of eigenvectors as columns).
-    """
-    h = check_hermitian(h)
-    w, v = np.linalg.eigh((h + dagger(h)) / 2)
-    return w, v
-
-
 def psd_sqrt(x: np.ndarray) -> np.ndarray:
     """Square root of a PSD Hermitian matrix, computed spectrally.
 
     Eigenvalues in [-1e-12, 0) are clamped to zero; eigenvalues below
     -1e-8 * ||x|| are rejected.
     """
-    w, v = eig_hermitian(x)
+    x = check_hermitian(x)
+    w, v = np.linalg.eigh((x + dagger(x)) / 2)
     scale = max(abs(w[0]), abs(w[-1])) if w.size else 0.0
     if w.size and w[0] < -max(1e-8 * scale, 1e-12):
         raise NotPSDError(f"matrix has negative eigenvalue {w[0]:.3e}")
@@ -275,10 +266,11 @@ def _normal_eigenbasis(ns: list[np.ndarray],
     tilted = _TILT * _combine(ns)
     q = np.linalg.eigh((tilted + _adjoint(tilted)) / 2)[1]
     ts = [_adjoint(q) @ a @ q for a in ns]
-    coupled = (np.abs(_combine(ts)) > tol) & off
+    t = _combine(ts)
+    coupled = (np.abs(t) > tol) & off
     if coupled.any():
         for i in map(tuple, np.argwhere(coupled.any(axis=(-2, -1)))):
-            _rotate_runs(q[i], [a[i] for a in ts], tol)
+            _rotate_runs(q[i], [a[i] for a in ts], t[i], coupled[i])
     if count:
         q[diagonal] = ~off
         for a, n in zip(ts, ns):
@@ -286,10 +278,13 @@ def _normal_eigenbasis(ns: list[np.ndarray],
     return q, ts
 
 
-def _rotate_runs(q: np.ndarray, ts: list[np.ndarray], tol: float) -> None:
+def _rotate_runs(q: np.ndarray, ts: list[np.ndarray], t: np.ndarray,
+                 coupled: np.ndarray) -> None:
     """The run rotations of ``_normal_eigenbasis`` for one item, applied in
-    place to its Q and T_k = Q^* N_k Q.  Each run of T = ``_combine`` (T_k)
-    is rotated by the ``eigh`` basis of the Hermitian matrix
+    place to its Q and T_k = Q^* N_k Q, given T = ``_combine`` (T_k) and
+    the mask of its off-diagonal entries above the level, both as the
+    caller formed them.  Each run of T (``_coupled_runs``) is rotated by
+    the ``eigh`` basis of the Hermitian matrix
     (rho B - (rho B)^*) / 2i of its block B, which tells apart the
     eigenvalues mirrored about the tilt, equal in Re(rho lambda) but not in
     Im(rho lambda), unless the first basis leaves a smaller off-diagonal
@@ -300,9 +295,8 @@ def _rotate_runs(q: np.ndarray, ts: list[np.ndarray], tol: float) -> None:
     such as a double eigenvalue with a nilpotent part: T keeps it, up to the
     input's departure from normality, and for generators that do not
     commute it stays of their commutator's order."""
-    t = _combine(ts)
     # Each run's block of T is untouched by the rotations of the runs before.
-    for lo, hi in _coupled_runs(t, tol):
+    for lo, hi in _coupled_runs(*np.nonzero(coupled)):
         block = _TILT * t[lo:hi, lo:hi]
         _, z = np.linalg.eigh((block - dagger(block)) / 2j)
         if _largest_off_diagonal(dagger(z) @ block @ z) > _largest_off_diagonal(block):
@@ -326,15 +320,13 @@ def _combine(ms: list[np.ndarray]) -> np.ndarray:
     return sum(c * m for c, m in zip(np.exp(1j * np.sqrt(2.0) * k) / np.sqrt(1.0 + k), ms))
 
 
-def _coupled_runs(t: np.ndarray, tol: float) -> list[tuple[int, int]]:
+def _coupled_runs(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
     """The maximal runs [lo, hi) of two or more adjacent columns that hold
-    every off-diagonal entry |t_ab| > ``tol``: a run ends at column e when no
-    such entry couples a column <= e with one beyond it.  With no such entry
-    there is no run, and nothing else is computed."""
-    a, b = np.nonzero((np.abs(t) > tol) & ~np.eye(len(t), dtype=bool))
-    if not a.size:
-        return []
-    index = np.arange(len(t))
+    every coupled entry (a_k, b_k), off the diagonal, of which there is at
+    least one: a run ends at column e when no such entry couples a column
+    <= e with one beyond it.  The columns past the last coupled one are in
+    no run, so they are not scanned."""
+    index = np.arange(max(a.max(), b.max()) + 1)
     reach = index.copy()
     np.maximum.at(reach, np.minimum(a, b), np.maximum(a, b))
     ends = np.flatnonzero(np.maximum.accumulate(reach) == index) + 1

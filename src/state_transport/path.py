@@ -222,41 +222,19 @@ def concat_paths(first: UnitaryPath, second: UnitaryPath) -> UnitaryPath:
     return UnitaryPath(a.segments + b.segments)
 
 
-def merge_orthogonal_paths(paths: list[UnitaryPath]) -> UnitaryPath:
-    """Combine paths whose actions live on mutually orthogonal subspaces.
-
-    Each path must deviate from the identity only inside its own invariant
-    subspace, so generators and bases of distinct paths commute; the merged
-    generator is the sum, held as the covering segments' w concatenated and
-    their v side by side (``joined_segment``), and the base is the product.
-    Columns with w = 0 add nothing to u(t) and are dropped, so full-rank
-    factors of generators on disjoint subspaces merge too.  The kept columns
-    of each merged segment must be orthonormal: ||V^* V - 1||_F <=
-    ``JOINT_TOL``, or ``CertificateError``.  All paths must be
-    parameterized on the same interval.
-    """
-    if not paths:
-        raise PathError("nothing to merge")
-    if len(paths) == 1:
-        return paths[0]
-    dim = paths[0].dim
-    if any(p.dim != dim for p in paths):
-        raise DimensionError("paths act on different ambient dimensions")
-    lo = paths[0].t_start
-    hi = paths[0].t_end
-    cuts = sorted({round(t, 15) for p in paths for s in p.segments for t in (s.t0, s.t1)})
-    segs = []
-    for a, b in zip(cuts, cuts[1:]):
-        covering = [_segment_covering(p, a, b) for p in paths]
-        base = np.eye(dim, dtype=complex)
-        for seg in covering:
-            base = base @ seg.at(a)
-        segs.append(joined_segment(a, b, [s.w for s in covering],
-                                   [s.v for s in covering], base))
-    merged = UnitaryPath(segs)
-    if abs(merged.t_start - lo) >= 1e-12 or abs(merged.t_end - hi) >= 1e-12:
-        raise CertificateError("merged path does not cover the common interval")
-    return merged
+def summed_path(dim: int, turns: list, repairs: list) -> UnitaryPath:
+    """Transports on mutually orthogonal subspaces run at once, as one path
+    from the identity: the turn generators (w, v) summed into one segment
+    on [0, 1] (``joined_segment``), then, when any repairs are given, the
+    repair generators summed into a second segment run after the first
+    (``concat_paths``).  With no turns, the constant path."""
+    if not turns:
+        return UnitaryPath.constant(dim)
+    eye = np.eye(dim, dtype=complex)
+    path = UnitaryPath([joined_segment(0.0, 1.0, *zip(*turns), eye)])
+    if repairs:
+        path = concat_paths(path, UnitaryPath([joined_segment(0.0, 1.0, *zip(*repairs), eye)]))
+    return path
 
 
 def joined_segment(t0: float, t1: float, ws: list[np.ndarray], vs: list[np.ndarray],
@@ -272,11 +250,4 @@ def joined_segment(t0: float, t1: float, ws: list[np.ndarray], vs: list[np.ndarr
     if np.linalg.norm(dagger(v) @ v - np.eye(v.shape[1])) > JOINT_TOL:
         raise CertificateError("merged paths have overlapping generator columns")
     return PathSegment(t0, t1, w[keep], v, base)
-
-
-def _segment_covering(path: UnitaryPath, a: float, b: float) -> PathSegment:
-    for seg in path.segments:
-        if seg.t0 <= a + 1e-14 and b <= seg.t1 + 1e-14:
-            return seg
-    raise PathError("paths must share the parameter interval to merge")
 

@@ -16,7 +16,7 @@ from .errors import (CertificateError, DimensionError, DisjointnessError, Hypoth
                      ParameterError)
 from .gram import _alignment_rotation, _check_gate, _gate_measures, _turn, alignment_bound
 from .linalg import _check_tolerance, _vecdot, check_state, check_unitary, dagger, inner, op_norm
-from .path import PathSegment, UnitaryPath, concat_paths, merge_orthogonal_paths
+from .path import PathSegment, UnitaryPath, concat_paths, summed_path
 
 _TINY = np.finfo(float).smallest_subnormal
 
@@ -211,7 +211,8 @@ def projection_transport(e: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> Unit
     2^-52 / b off that range, which the rank-2 segment turns by the whole
     angle, so a nearly colinear pair would leave it.  A component of rank
     one holds no direction orthogonal to its vector, so its rest projects
-    to 0 and the pair takes the phase turn at b = 0 exactly.
+    to 0 and the pair takes the phase turn at b = 0 exactly.  The two
+    turns run at once, summed into one segment (``summed_path``).
     """
     xi = check_state(xi, dim=len(e))
     eta = check_state(eta, dim=len(e))
@@ -233,17 +234,15 @@ def projection_transport(e: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> Unit
     mu = _bisector_phase(a, b)
     k = round(float(np.trace(e).real))
 
-    paths = []
+    turns = []
     for src, dst, project, rank in ((exi, eeta, lambda r: e @ r, k),
                                     (oxi, oeta, lambda r: r - e @ r, dim - k)):
         ns = np.linalg.norm(src)
         if ns < 1e-9:
             continue
-        paths.append(_geodesic_path(src / ns, mu * dst / np.linalg.norm(dst),
-                                    project if rank > 1 else np.zeros_like))
-    if not paths:
-        return UnitaryPath.constant(dim)
-    return merge_orthogonal_paths(paths)
+        turns.append(_geodesic(src / ns, mu * dst / np.linalg.norm(dst),
+                               project if rank > 1 else np.zeros_like))
+    return summed_path(dim, turns, [])
 
 
 def _bisector_phase(a: complex, b: complex, tol: float = 1e-12) -> complex:
@@ -463,13 +462,16 @@ def multi_transport(alg: BlockAlgebra, pairs: list[tuple[np.ndarray, np.ndarray]
                     family: list[np.ndarray], eps: float) -> MultiTransportResult:
     """One path transporting each pair inside its own block simultaneously.
 
-    Each pair must be supported in a distinct block; the path is the
-    block-diagonal merge of per-block commutant transports with exact
-    terminal repair, so u(1) xi_i = eta_i for every i.
+    Each pair must be supported in a distinct block.  Each takes the
+    commutant transport with exact terminal repair of its block, and the
+    blocks run at once (``summed_path``): their turns summed into one
+    segment, then their repairs into a second, so u(1) xi_i = eta_i for
+    every i.  A block's turn runs on [0, 1] or, before a repair, on
+    [0, 1/2], so seg.w * seg.duration is its generator at unit time
+    exactly.
     """
     used: set[int] = set()
-    per_block = []
-    block_paths = []
+    per_block, states, turns, repairs = [], [], [], []
     for xi, eta in pairs:
         xi = check_state(xi, dim=alg.ambient_dim)
         eta = check_state(eta, dim=alg.ambient_dim)
@@ -481,18 +483,17 @@ def multi_transport(alg: BlockAlgebra, pairs: list[tuple[np.ndarray, np.ndarray]
         used.add(b)
         res = commutant_transport(alg.blocks[b], xi, eta, eps, exact=True)
         per_block.append(res)
-        block_paths.append(res.path.rescaled(0.0, 1.0))
-    if not block_paths:
+        states.append((xi, eta))
+        turn, *repair = [(seg.w * seg.duration, seg.v) for seg in res.path.segments]
+        turns.append(turn)
+        repairs += repair
+    if not per_block:
         raise ParameterError("no pairs given")
-    path = merge_orthogonal_paths(block_paths)
-    u1 = path.end()
-    terminal_errors = [
-        float(np.linalg.norm(u1 @ xi - eta)) for xi, eta in
-        [(check_state(x), check_state(y)) for x, y in pairs]
-    ]
+    path = summed_path(alg.ambient_dim, turns, repairs)
     return MultiTransportResult(
         path=path,
-        terminal_errors=terminal_errors,
+        terminal_errors=[float(np.linalg.norm(path.apply(path.t_end, xi) - eta))
+                         for xi, eta in states],
         commutator_sup=path.commutator_bound(family),
         per_block=per_block,
     )

@@ -8,7 +8,6 @@ from state_transport.errors import (
     HypothesisError,
     InvalidTargetError,
     NotPSDError,
-    SingularMatrixError,
 )
 from state_transport.gram import (
     GramTarget,
@@ -154,7 +153,7 @@ def _polar_unitary(z):
         raise DimensionError("polar factor of an empty matrix")
     u, s, vh = np.linalg.svd(z)
     if s[-1] <= 1e-10:
-        raise SingularMatrixError(f"smallest singular value {s[-1]:.3e} too small")
+        raise np.linalg.LinAlgError(f"smallest singular value {s[-1]:.3e} too small")
     return u @ vh
 
 

@@ -45,6 +45,12 @@ def _small_instance(rng, ambient=16, levels=4, comm_level=3):
     return tower, xi, eta
 
 
+def _products(result):
+    """The odd and even products, 1_s (x) each factor at the first level s."""
+    lift = np.eye(result.level)
+    return np.kron(lift, result.odd_factor), np.kron(lift, result.even_factor)
+
+
 def test_build_tower_levels():
     tower = build_tower([2, 3], 12)
     assert tower.depth == 2
@@ -102,7 +108,7 @@ def test_back_and_forth_zero_rounds(rng):
     sched = make_schedule(tower, 0.1, 0)
     result = back_and_forth(tower, xi, eta, tower.level_generators(1), sched)
     assert result.logs == []
-    assert op_norm(result.odd_product - np.eye(16)) == 0.0
+    assert op_norm(_products(result)[0] - np.eye(16)) == 0.0
     assert result.final["ad_combined_sup"] == 0.0
 
 
@@ -226,7 +232,7 @@ def test_assemble_path_endpoint(rng):
     result = back_and_forth(tower, xi, eta, fixed, sched)
     path = assemble_path(result)
     assert path.is_based()
-    assert op_norm(path.end() - result.odd_product) < 1e-8
+    assert op_norm(path.end() - _products(result)[0]) < 1e-8
     sup = assembled_commutation_sup(path, fixed, samples=9)
     assert sup <= 4 * 0.1 / 3 + 1e-6
 
@@ -706,7 +712,7 @@ def test_final_ad_sups_dominate_dense_values(rng, level):
     tower, xi, eta = _twisted_instance(rng)
     fixed = tower.level_generators(level)
     result = back_and_forth(tower, xi, eta, fixed, make_schedule(tower, 0.1, 3))
-    p_odd, p_even = result.odd_product, result.even_product
+    p_odd, p_even = _products(result)
     for key, w in (("odd", p_odd), ("even", p_even),
                    ("combined", p_odd @ dagger(p_even))):
         dense = max(op_norm(w @ x @ dagger(w) - x) for x in fixed)
@@ -723,7 +729,7 @@ def test_final_ad_sups_cover_the_products_unitarity_defect():
     tower, xi, eta = _branching_instance(np.random.default_rng(255), 16, 2, 1e-9)
     fixed = tower.level_generators(1)
     result = back_and_forth(tower, xi, eta, fixed, make_schedule(tower, 0.1, 1))
-    p_odd, p_even = result.odd_product, result.even_product
+    p_odd, p_even = _products(result)
     for key, w in (("odd", p_odd), ("even", p_even),
                    ("combined", p_odd @ dagger(p_even))):
         dense = max(op_norm(w @ x @ dagger(w) - x) for x in fixed)
@@ -747,8 +753,9 @@ def test_intertwine_gap_matches_dense_level_generators(rng, rounds):
     # vectors; the oracle applies their dense D x D kron forms.
     tower, xi, eta = _small_instance(rng)
     result = back_and_forth(tower, xi, eta, [], make_schedule(tower, 0.1, rounds))
-    even_xi = dagger(result.even_product) @ xi
-    odd_eta = dagger(result.odd_product) @ eta
+    odd, even = _products(result)
+    even_xi = dagger(even) @ xi
+    odd_eta = dagger(odd) @ eta
     dense = max(abs(np.vdot(even_xi, x @ even_xi) - np.vdot(odd_eta, x @ odd_eta))
                 for x in tower.level_generators(rounds))
     assert abs(result.final["intertwine_gap"] - dense) <= 1e-15
@@ -806,8 +813,9 @@ def test_factor_loop_matches_the_dense_loop(ambient, branching, rounds, twist, l
     schedule = make_schedule(tower, 0.1, rounds)
     result = back_and_forth(tower, xi, eta, fixed, schedule)
     dense, p_odd, p_even = _dense_rounds(tower, xi, eta, schedule)
-    assert op_norm(result.odd_product - p_odd) <= 1e-12
-    assert op_norm(result.even_product - p_even) <= 1e-12
+    odd, even = _products(result)
+    assert op_norm(odd - p_odd) <= 1e-12
+    assert op_norm(even - p_even) <= 1e-12
 
     for n, (log, (u_n, p)) in enumerate(zip(result.logs, dense), start=1):
         fell_back = log["fixed_measured"] or log["companion_measured"]

@@ -7,16 +7,19 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from state_transport.algebra import direct_sum_algebra
 from state_transport.circle import arc_transport
 from state_transport.errors import CertificateError, StateTransportError
 from state_transport.group import group_state_transport
 from state_transport.intertwine import assemble_path, back_and_forth, make_schedule
 from state_transport.linalg import dagger, op_norm
 from state_transport.path import (
+    JOINT_TOL,
     PathSegment,
     UnitaryPath,
     concat_paths,
-    merge_orthogonal_paths,
+    joined_segment,
+    summed_path,
 )
 from state_transport.serialize import decode_path, encode_path
 from state_transport.suites import (
@@ -27,7 +30,12 @@ from state_transport.suites import (
     random_state,
     random_unitary,
 )
-from state_transport.transport import commutant_transport, geodesic_pair
+from state_transport.transport import (
+    commutant_transport,
+    geodesic_pair,
+    multi_transport,
+    projection_transport,
+)
 
 
 def _segment(t0, t1, h, base):
@@ -81,19 +89,32 @@ def _complementary_generators():
 
 
 def test_merge_orthogonal_blocks(rng):
+    # Generators on orthogonal blocks sum to one segment, the rotation of
+    # their sum; repairs run after it, from its end.
     h1, h2 = _complementary_generators()
-    merged = merge_orthogonal_paths([_rotation_path(h1), _rotation_path(h2)])
+    merged = summed_path(4, [np.linalg.eigh(h1), np.linalg.eigh(h2)], [])
     for t in (0.0, 0.4, 1.0):
         expect = _rotation_path(h1 + h2).at(t)
         assert op_norm(merged.at(t) - expect) < 1e-12
     assert merged.length == pytest.approx(max(op_norm(h1), op_norm(h2)))
+    repaired = summed_path(4, [np.linalg.eigh(h1)], [np.linalg.eigh(h2)])
+    turn, repair = repaired.segments
+    assert (turn.t0, turn.t1, repair.t0, repair.t1) == (0.0, 0.5, 0.5, 1.0)
+    assert op_norm(repaired.at(0.5) - _rotation_path(h1).end()) < 1e-12
+    assert op_norm(repaired.end() - _rotation_path(h1 + h2).end()) < 1e-12
+
+
+def test_summed_path_without_turns_is_constant():
+    # Nothing to sum is no motion, not an error: the constant path.
+    path = summed_path(3, [], [])
+    assert path.length == 0.0 and np.array_equal(path.end(), np.eye(3))
 
 
 def test_merged_full_rank_rotations_round_trip():
-    # each eigh-built factor has four columns, two with w = 0; the merge
+    # each eigh-built factor has four columns, two with w = 0; the sum
     # drops those, so its v is 4 x 4 and the encoding decodes
     h1, h2 = _complementary_generators()
-    merged = merge_orthogonal_paths([_rotation_path(h1), _rotation_path(h2)])
+    merged = summed_path(4, [np.linalg.eigh(h1), np.linalg.eigh(h2)], [])
     (seg,) = merged.segments
     assert seg.v.shape == (4, 4) and np.all(seg.w != 0.0)
     (back,) = decode_path(json.loads(json.dumps(encode_path(merged)))).segments
@@ -104,8 +125,79 @@ def test_merged_full_rank_rotations_round_trip():
 
 def test_merge_rejects_overlapping_paths(rng):
     xi, eta = random_state(rng, 4), random_state(rng, 4)
-    with pytest.raises(CertificateError):
-        merge_orthogonal_paths([geodesic_pair(xi, eta), geodesic_pair(eta, xi)])
+    (a,), (b,) = geodesic_pair(xi, eta).segments, geodesic_pair(eta, xi).segments
+    overlapping = [(a.w, a.v), (b.w, b.v)]
+    for turns, repairs in ((overlapping, []), (overlapping[:1], overlapping)):
+        with pytest.raises(CertificateError):
+            summed_path(4, turns, repairs)
+
+
+def _pair(rng, dim, support, phase, turn):
+    """A state on its first ``support`` coordinates (all of them with None)
+    and e^{i phase} turn xi, a phase multiple of it for turn = 1."""
+    xi = np.zeros(dim, dtype=complex)
+    xi[:support] = random_state(rng, xi[:support].size)
+    return xi, np.exp(1j * phase) * (turn @ xi)
+
+
+def _summed_transport(kind, rng, support, phase, turned, noise):
+    """The path of a transport built by ``summed_path``, and the
+    ``multi_transport`` result for kind "multi" (None otherwise)."""
+    if kind == "projection":
+        rank = int(rng.integers(1, 4))
+        e = np.diag([1.0] * rank + [0.0] * (4 - rank)).astype(complex)
+        turn = np.eye(4)
+        if turned:
+            turn = scipy.linalg.block_diag(random_unitary(rng, rank),
+                                           random_unitary(rng, 4 - rank))
+        return projection_transport(e, *_pair(rng, 4, support, phase, turn)), None
+    if kind == "multi":
+        shapes = [(2, 2), (1, 3)]
+        alg = direct_sum_algebra(*map(list, zip(*shapes)))
+        pairs, offset = [], 0
+        for n, r in shapes:
+            turn = np.kron(np.eye(n), random_unitary(rng, r)) if turned else np.eye(n * r)
+            x, y = _pair(rng, n * r, support, phase, turn)
+            y = y + noise * random_state(rng, n * r)
+            xi, eta = np.zeros((2, alg.ambient_dim), dtype=complex)
+            xi[offset:offset + n * r], eta[offset:offset + n * r] = x, y / np.linalg.norm(y)
+            pairs.append((xi, eta))
+            offset += n * r
+        res = multi_transport(alg, pairs, [], 0.1)
+        return res.path, res
+    block, model, xi, eta = circle_instance(rng, 1 if support == 1 else 2, 8)
+    return arc_transport(block, model, xi, eta, [], 0.3).path, None
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["projection", "multi", "arcs"]),
+       seed=st.integers(0, 2**32 - 1), support=st.sampled_from([1, 2, None]),
+       phase=st.one_of(st.floats(-1e-3, 1e-3), st.floats(np.pi - 1e-3, np.pi),
+                       st.floats(-np.pi, np.pi)),
+       turned=st.booleans(), noise=st.sampled_from([0.0, 1e-7]))
+def test_summed_paths_keep_orthonormal_columns_and_a_unitary_end(kind, seed, support,
+                                                                  phase, turned, noise):
+    # Projection, block and arc transports, on draws that include phase
+    # multiples on one or two coordinates: every summed segment's columns
+    # are orthonormal to JOINT_TOL and the end is unitary.  A multi path is
+    # the blocks' turns summed into one segment and, when a block took a
+    # repair, their repairs summed into one second segment.
+    rng = np.random.default_rng(seed)
+    path, res = _summed_transport(kind, rng, support, phase, turned, noise)
+    for seg in path.segments:
+        assert np.linalg.norm(dagger(seg.v) @ seg.v - np.eye(seg.v.shape[1])) <= JOINT_TOL
+    end = path.end()
+    assert op_norm(dagger(end) @ end - np.eye(path.dim)) <= 1e-12
+    if res is None:
+        return
+    turns = [b.path.segments[0] for b in res.per_block]
+    repairs = [seg for b in res.per_block for seg in b.path.segments[1:]]
+    assert len(path.segments) == 1 + bool(repairs)
+    if repairs:
+        assert [(s.t0, s.t1) for s in path.segments] == [(0.0, 0.5), (0.5, 1.0)]
+    for seg, parts in zip(path.segments, (turns, repairs)):
+        w = np.concatenate([s.w * s.duration for s in parts])
+        assert np.array_equal(seg.w * seg.duration, w[w != 0.0])
 
 
 def test_right_multiplied(rng):
@@ -163,7 +255,7 @@ def _multi_segment_path(kind, rng):
         return concat.rescaled(-0.5, 2.0)
     if kind == "constant":
         return UnitaryPath.constant(4, random_unitary(rng, 4))
-    # merged: blocks cut at different times, so the merge has three segments
+    # merged: blocks cut at different times, joined over the three cuts
     pieces = []
     for block, cut in ((slice(0, 2), 0.3), (slice(2, 4), 0.6)):
         segs = []
@@ -174,8 +266,11 @@ def _multi_segment_path(kind, rng):
             h[block, block] = a + dagger(a)
             segs.append(_segment(t0, t1, h, base))
             base = segs[-1].end()
-        pieces.append(UnitaryPath(segs))
-    return merge_orthogonal_paths(pieces)
+        pieces.append(segs)
+    (a1, a2), (b1, b2) = pieces
+    return UnitaryPath([joined_segment(t0, t1, [a.w, b.w], [a.v, b.v], a.at(t0) @ b.at(t0))
+                        for t0, t1, a, b in ((0.0, 0.3, a1, b1), (0.3, 0.6, a2, b1),
+                                             (0.6, 1.0, a2, b2))])
 
 
 PATH_KINDS = ("concatenated", "merged", "rescaled", "tower", "constant")
@@ -304,17 +399,12 @@ def _path_failure(case):
         return UnitaryPath([])
     if case == "degenerate interval":
         return still(0.5, 0.5).rescaled()
-    if case == "unbased second path":
-        twisted = UnitaryPath.constant(3, np.diag([1.0, 1.0, -1.0]).astype(complex))
-        return concat_paths(UnitaryPath.constant(3), twisted)
-    if case == "nothing to merge":
-        return merge_orthogonal_paths([])
-    return merge_orthogonal_paths([still(0.0, 1.0), still(0.0, 2.0)])
+    twisted = UnitaryPath.constant(3, np.diag([1.0, 1.0, -1.0]).astype(complex))
+    return concat_paths(UnitaryPath.constant(3), twisted)
 
 
 @pytest.mark.parametrize("case", ["empty path", "degenerate interval",
-                                  "unbased second path", "nothing to merge",
-                                  "uncovered interval"])
+                                  "unbased second path"])
 def test_path_failures_are_typed(case):
     with pytest.raises(StateTransportError) as info:
         _path_failure(case)
