@@ -246,7 +246,6 @@ def window_function(arc: tuple[float, float], gamma: float):
     a, b = arc
     span = (b - a) % 1.0
     if span == 0.0:
-        span = 1.0
         return lambda t: 1.0
     if span < gamma:
         raise DegenerateWindowError(

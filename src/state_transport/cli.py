@@ -250,10 +250,9 @@ def _run_intertwine(config):
     ambient = int(config.get("ambient", 256))
     eps = float(config.get("eps", 0.1))
     rounds = int(config.get("rounds", 6))
-    # Too many rounds raise here, before the instance reads level ``rounds``.
+    # Rounds outside 1 <= rounds <= depth raise here, before the instance
+    # reads level ``rounds``.
     schedule = make_schedule(build_tower(branchings, ambient), eps, rounds)
-    if rounds == 0:
-        return {"rounds": 0}, {}, None
     # The states agree exactly on every level a round aligns.
     tower, xi, eta = intertwine_instance(
         rng, ambient=ambient, branchings=branchings, commutant_level=rounds, twist=0.0,

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .gram import VectorFamily
 from .linalg import (UNITARY_TOL, _check_tolerance, _normal_eigenbasis, check_operators,
-                     check_state, check_unitary, dagger, norm_at_most, op_norm)
+                     check_square, check_state, check_unitary, dagger, norm_at_most, op_norm)
 from .path import PathSegment, UnitaryPath, concat_paths
 
 FLIP_TOL = 1e-10
@@ -147,8 +147,10 @@ def _check_finite(table, reps, dim: int) -> tuple[np.ndarray, np.ndarray, float]
 
 
 def finite_cyclic_action(n: int, u: np.ndarray) -> GroupAction:
-    """Z/n acting through the powers of a unitary of order n."""
-    u = check_unitary(u)
+    """Z/n acting through the powers of a unitary of order n.  u is checked
+    square and finite here; the action checks its powers, u among them for
+    n >= 2, as unitary reps (``NotUnitaryError``)."""
+    u = check_square(u)
     table = np.array([[(a + b) % n for b in range(n)] for a in range(n)])
     reps = [np.eye(u.shape[0], dtype=complex)]
     for _ in range(n - 1):

@@ -100,12 +100,22 @@ class Schedule:
         return 2.0 ** (-n + 1) * self.eps
 
 
+def _check_rounds(rounds: int, depth: int) -> None:
+    """Raise ``ParameterError`` unless 1 <= rounds <= depth: the intertwiner
+    is built from at least one round, and each round takes a tower level."""
+    if rounds < 1:
+        raise ParameterError(f"rounds must be >= 1, got {rounds}")
+    if rounds > depth:
+        raise ParameterError(f"{rounds} rounds on a tower of {depth} levels: "
+                             "more rounds than tower levels")
+
+
 def make_schedule(tower: AlgebraTower, eps: float, rounds: int) -> Schedule:
+    """The schedule of ``rounds`` rounds at tolerance eps; a tolerance that
+    is not finite and > 0, or rounds outside 1 <= rounds <= ``tower.depth``,
+    raises ``ParameterError``."""
     _check_tolerance(eps)
-    if rounds < 0:
-        raise ParameterError(f"rounds must be >= 0, got {rounds}")
-    if rounds > tower.depth:
-        raise ParameterError("more rounds than tower levels")
+    _check_rounds(rounds, tower.depth)
     inner_tols, deltas = [], []
     for n in range(1, rounds + 1):
         s_n = tower.sizes[n - 1]
@@ -273,8 +283,9 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     on the units of M_{s_n}, is the round's only admissibility test: round
     1's is the start check and raises ``HypothesisError``, a later round's
     ``RoundFailureError``.  Mis-sized states or fixed elements raise
-    ``DimensionError``; a schedule with more rounds than levels, or without
-    one delta and inner tolerance per round, ``ParameterError``.
+    ``DimensionError``; a schedule with no rounds or more rounds than
+    levels, or without one delta and inner tolerance per round,
+    ``ParameterError``.
     Logs record the gap, the terminal error ||X c_n^T - Y||_F (the 2-norm
     of the alignment's residuals), the commutation error of u_n over the
     fixed set and the open companions, and ``defect``, the chained defect
@@ -324,22 +335,19 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     factor path, with the limit ``ad_odd_bound`` = 4 eps / 3 and the norm
     max_k ||P_k|| sqrt(1 + 4 e_k (1 + e_k)) >= sup_t ||f(t)||: on segment
     k, f(t) = (1 + v D v^*) P_k with |D_ii + 1| = 1, e_k is the chained
-    defect of v = P_k (1_m (x) q) and ||P_k|| is ``_norm_bound`` of P_k's;
-    the constant path's ``_norm_bound(0.0)`` with no rounds.
+    defect of v = P_k (1_m (x) q) and ||P_k|| is ``_norm_bound`` of P_k's.
     """
     dim = tower.ambient_dim
     xi = check_state(omega1, dim=dim)
     eta = check_state(omega2, dim=dim)
     check_operators(fixed_set, dim)
-    if schedule.rounds > tower.depth:
-        raise ParameterError(f"{schedule.rounds} rounds on a tower of {tower.depth} levels")
+    _check_rounds(schedule.rounds, tower.depth)
     if not len(schedule.deltas) == len(schedule.inner_tols) == schedule.rounds:
         raise ParameterError("a schedule needs one delta and one inner tolerance per round")
     # The factor level: every round unitary lies in the commutant of level 1.
-    s = tower.sizes[0] if tower.sizes else 1
+    s = tower.sizes[0]
     size = dim // s
-    sizes = tower.sizes[:schedule.rounds]
-    tables = [level_distances(x, sizes) for x in fixed_set] if sizes else []
+    tables = [level_distances(x, tower.sizes[:schedule.rounds]) for x in fixed_set]
     generators = cache(tower.level_generators)
     # Per side, 1 odd and 0 even: the vector it moves, its product factor
     # (None for the identity) and the chained defect of that product at size
@@ -350,9 +358,8 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     corners: list[np.ndarray] = []
     segments: list[PathSegment] = []
     logs: list[dict] = []
-    # A bound on sup_t ||f(t)|| of the factor path: the identity's before
-    # round 1.
-    path_norm = _norm_bound(0.0, size)
+    # A bound on sup_t ||f(t)|| of the factor path, raised by each odd round.
+    path_norm = 0.0
 
     for n in range(1, schedule.rounds + 1):
         s_n = tower.sizes[n - 1]
@@ -450,8 +457,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
 
     final = _final_measurements(tower, xi, eta, products, defects, s, fixed_set, tables,
                                 schedule)
-    factor = (UnitaryPath(segments).rescaled(0.0, 1.0) if segments
-              else UnitaryPath.constant(size))
+    factor = UnitaryPath(segments).rescaled(0.0, 1.0)
     return IntertwineResult(
         odd_factor=_full_factor(products[1], size),
         even_factor=_full_factor(products[0], size),
@@ -487,37 +493,31 @@ def _final_measurements(tower, xi, eta, products, defects, s, fixed_set, tables,
     per side as their factors P and chained defects at size D / s."""
     eps = schedule.eps
     limits = {"odd": 4 * eps / 3, "even": 2 * eps / 3, "combined": 2 * eps}
-    m = schedule.rounds
     size = tower.ambient_dim // s
-    # No rounds: both products are the identity, which Ad leaves exact.
-    sups, intertwine_gap, final_delta = dict.fromkeys(limits, 0.0), 0.0, 0.0
-    chained = dict.fromkeys(limits, 0.0)
-    if m:
-        odd, even = products[1], products[0]
-        factors = {"odd": (defects[1], lambda: _full_factor(odd, size)),
-                   "even": (defects[0], lambda: _full_factor(even, size))}
-        # P_odd P_even^*, a product by blocks formed only on a fallback; after
-        # one round, P_odd itself.
-        factors["combined"] = factors["odd"] if even is None else (
-            _product_defect(defects[1], defects[0], 1, len(even), size),
-            lambda: _times_blocks(odd, dagger(even)))
-        sups = {key: _ad_sup(defect, s, fixed_set, tables, limits[key], dense)
-                for key, (defect, dense) in factors.items()}
-        chained = {key: defect for key, (defect, _) in factors.items()}
-        # The last level's generators g (x) 1_q act on a vector as g on its
-        # reshape to (s_m, q), so the gap needs no D x D matrix.
-        s_m = tower.sizes[m - 1]
-        even_xi = _moved(xi, even, s_m)
-        odd_eta = _moved(eta, odd, s_m)
-        intertwine_gap = max(
-            abs(np.vdot(even_xi, g @ even_xi) - np.vdot(odd_eta, g @ odd_eta))
-            for g in _shift_and_clock(s_m)
-        )
-        final_delta = schedule.deltas[-1]
-    final = {f"ad_{key}_{name}": value for key, limit in limits.items()
-             for name, value in (("sup", sups[key]), ("bound", limit),
-                                 ("defect", chained[key]))}
-    return final | {"intertwine_gap": float(intertwine_gap), "intertwine_bound": final_delta}
+    odd, even = products[1], products[0]
+    factors = {"odd": (defects[1], lambda: _full_factor(odd, size)),
+               "even": (defects[0], lambda: _full_factor(even, size))}
+    # P_odd P_even^*, a product by blocks formed only on a fallback; after
+    # one round, P_odd itself.
+    factors["combined"] = factors["odd"] if even is None else (
+        _product_defect(defects[1], defects[0], 1, len(even), size),
+        lambda: _times_blocks(odd, dagger(even)))
+    sups = {key: _ad_sup(defect, s, fixed_set, tables, limits[key], dense)
+            for key, (defect, dense) in factors.items()}
+    # The last level's generators g (x) 1_q act on a vector as g on its
+    # reshape to (s_m, q), so the gap needs no D x D matrix.
+    s_m = tower.sizes[schedule.rounds - 1]
+    even_xi = _moved(xi, even, s_m)
+    odd_eta = _moved(eta, odd, s_m)
+    intertwine_gap = max(
+        abs(np.vdot(even_xi, g @ even_xi) - np.vdot(odd_eta, g @ odd_eta))
+        for g in _shift_and_clock(s_m)
+    )
+    final = {f"ad_{key}_{name}": value for key, (defect, _) in factors.items()
+             for name, value in (("sup", sups[key]), ("bound", limits[key]),
+                                 ("defect", defect))}
+    return final | {"intertwine_gap": float(intertwine_gap),
+                    "intertwine_bound": schedule.deltas[-1]}
 
 
 def _ad_sup(defect, s, fixed_set, tables, limit, dense) -> float:

@@ -27,6 +27,7 @@ from .errors import (
 
 HERMITIAN_RTOL = 1e-12
 UNITARY_TOL = 1e-10
+STATE_TOL = 1e-12
 # The generic unit rho of ``_normal_eigenbasis``: Re(rho lambda) tells apart
 # the two halves of every conjugate pair lambda, conj(lambda) off the axis.
 _TILT = cmath.exp(1j * (math.sqrt(5.0) - 1.0))
@@ -123,11 +124,11 @@ def check_square(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def check_hermitian(h: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
-    """Validate adjoint symmetry up to ``rtol * ||h||`` and return h."""
+def check_hermitian(h: np.ndarray) -> np.ndarray:
+    """Validate adjoint symmetry up to ``HERMITIAN_RTOL * ||h||`` and return h."""
     h = check_square(h)
     scale = op_norm(h)
-    if op_norm(h - dagger(h)) > max(rtol * scale, 1e-14):
+    if op_norm(h - dagger(h)) > max(HERMITIAN_RTOL * scale, 1e-14):
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     return h
 
@@ -170,13 +171,14 @@ def _check_tolerance(eps: float) -> None:
         raise ParameterError(f"tolerance must be finite and > 0, got {eps}")
 
 
-def check_state(xi: np.ndarray, tol: float = 1e-12, dim: int | None = None) -> np.ndarray:
-    """xi as a flat unit vector, of length ``dim`` when that is given; a NaN
-    or infinite entry raises ``NotFiniteError``."""
+def check_state(xi: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """xi as a flat unit vector, its norm within ``STATE_TOL`` of 1, of
+    length ``dim`` when that is given; a NaN or infinite entry raises
+    ``NotFiniteError``."""
     xi = np.ascontiguousarray(xi, dtype=complex).reshape(-1)
     if dim is not None and xi.size != dim:
         raise DimensionError(f"state of length {xi.size} in dimension {dim}")
-    if not abs(np.linalg.norm(xi) - 1.0) <= tol:
+    if not abs(np.linalg.norm(xi) - 1.0) <= STATE_TOL:
         if not np.all(np.isfinite(xi.view(float))):
             raise NotFiniteError("state vector has non-finite entries")
         raise NotNormalizedError("state vector is not normalized")

@@ -190,10 +190,6 @@ class UnitaryPath:
         return UnitaryPath([PathSegment(s.t0, s.t1, s.w, s.v, s.base @ c)
                             for s in self.segments])
 
-    def shifted(self, offset: float) -> "UnitaryPath":
-        return UnitaryPath([PathSegment(s.t0 + offset, s.t1 + offset, s.w, s.v, s.base)
-                            for s in self.segments])
-
     def rescaled(self, t0: float = 0.0, t1: float = 1.0) -> "UnitaryPath":
         """Reparameterize onto [t0, t1]; the certified length is unchanged.
         An interval that is not finite with t0 < t1 raises ``PathError``."""
@@ -215,10 +211,10 @@ def concat_paths(first: UnitaryPath, second: UnitaryPath) -> UnitaryPath:
     if first.dim != second.dim:
         raise DimensionError(f"paths of sizes {first.dim} and {second.dim}")
     a = first.rescaled(0.0, 0.5)
-    b = second.rescaled(0.0, 0.5)
+    b = second.rescaled(0.5, 1.0)
     if not b.is_based(1e-8):
         raise PathError("second path must be based at the identity")
-    b = b.right_multiplied(a.end()).shifted(0.5)
+    b = b.right_multiplied(a.end())
     return UnitaryPath(a.segments + b.segments)
 
 

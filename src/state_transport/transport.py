@@ -15,7 +15,8 @@ from .algebra import BlockAlgebra, MatrixUnits
 from .errors import (CertificateError, DimensionError, DisjointnessError, HypothesisError,
                      ParameterError)
 from .gram import _alignment_rotation, _check_gate, _gate_measures, _turn, alignment_bound
-from .linalg import _check_tolerance, _vecdot, check_state, check_unitary, dagger, inner, op_norm
+from .linalg import (_check_tolerance, _vecdot, check_state, check_unitary, dagger, inner,
+                     norm_at_most, op_norm)
 from .path import PathSegment, UnitaryPath, concat_paths, summed_path
 
 _TINY = np.finfo(float).smallest_subnormal
@@ -124,11 +125,12 @@ def _geodesic(xi: np.ndarray, eta: np.ndarray, project=None) -> tuple[np.ndarray
 
 
 def geodesic_lower_bound(path: UnitaryPath, xi: np.ndarray, eta: np.ndarray,
-                         samples: int | None = None, tol: float = 1e-8) -> float:
+                         samples: int | None = None) -> float:
     """Certified lower bound on the length of any path with these endpoints.
 
-    Returns the least spectral angle phi of u(1) with
-    cos phi <= Re<xi, eta> + r + 1e-13, r = ||u(1) xi - eta||: one exists,
+    A path whose end misses eta by r = ||u(1) xi - eta|| > 1e-8 raises
+    ``HypothesisError``.  Returns the least spectral angle phi of u(1) with
+    cos phi <= Re<xi, eta> + r + 1e-13: one exists,
     since Re<u(1) xi, xi> is a mean of the spectrum's real parts and lies
     within r of Re<xi, eta>.  By Bhatia-Davis the spectra of two unitaries
     are within their operator-norm distance in the optimal matching
@@ -141,7 +143,7 @@ def geodesic_lower_bound(path: UnitaryPath, xi: np.ndarray, eta: np.ndarray,
     eta = check_state(eta, dim=path.dim)
     u1 = path.end()
     residual = float(np.linalg.norm(u1 @ xi - eta))
-    if residual > tol:
+    if residual > 1e-8:
         raise HypothesisError("path endpoint does not transport xi to eta",
                               measured_gap=residual)
     theta = geodesic_angle(xi, eta)
@@ -216,7 +218,7 @@ def projection_transport(e: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> Unit
     """
     xi = check_state(xi, dim=len(e))
     eta = check_state(eta, dim=len(e))
-    if op_norm(e @ e - e) > 1e-10 or op_norm(e - dagger(e)) > 1e-10:
+    if not (norm_at_most(e @ e - e, 1e-10) and norm_at_most(e - dagger(e), 1e-10)):
         raise ParameterError("e is not a projection within tolerance")
     mass_xi = inner(e @ xi, xi).real
     mass_eta = inner(e @ eta, eta).real
@@ -245,13 +247,14 @@ def projection_transport(e: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> Unit
     return summed_path(dim, turns, [])
 
 
-def _bisector_phase(a: complex, b: complex, tol: float = 1e-12) -> complex:
-    """Phase mu with Re(conj(mu) a) >= 0 and Re(conj(mu) b) >= 0."""
-    if abs(a) < tol and abs(b) < tol:
+def _bisector_phase(a: complex, b: complex) -> complex:
+    """Phase mu with Re(conj(mu) a) >= 0 and Re(conj(mu) b) >= 0; an
+    overlap below 1e-12 in modulus has no phase and puts no constraint."""
+    if abs(a) < 1e-12 and abs(b) < 1e-12:
         return 1.0 + 0.0j
-    if abs(a) < tol:
+    if abs(a) < 1e-12:
         return b / abs(b)
-    if abs(b) < tol:
+    if abs(b) < 1e-12:
         return a / abs(a)
     half = 0.5 * np.angle(b * np.conj(a))
     return (a / abs(a)) * np.exp(1j * half)
@@ -468,8 +471,10 @@ def multi_transport(alg: BlockAlgebra, pairs: list[tuple[np.ndarray, np.ndarray]
     segment, then their repairs into a second, so u(1) xi_i = eta_i for
     every i.  A block's turn runs on [0, 1] or, before a repair, on
     [0, 1/2], so seg.w * seg.duration is its generator at unit time
-    exactly.
+    exactly.  The tolerance and each state are checked once, here, and
+    each pair goes to the checked core ``_commutant_transport``.
     """
+    _check_tolerance(eps)
     used: set[int] = set()
     per_block, states, turns, repairs = [], [], [], []
     for xi, eta in pairs:
@@ -481,7 +486,7 @@ def multi_transport(alg: BlockAlgebra, pairs: list[tuple[np.ndarray, np.ndarray]
         if b in used:
             raise DisjointnessError("two pairs share a block")
         used.add(b)
-        res = commutant_transport(alg.blocks[b], xi, eta, eps, exact=True)
+        res = _commutant_transport(alg.blocks[b], xi, eta, eps, True)
         per_block.append(res)
         states.append((xi, eta))
         turn, *repair = [(seg.w * seg.duration, seg.v) for seg in res.path.segments]
@@ -499,10 +504,12 @@ def multi_transport(alg: BlockAlgebra, pairs: list[tuple[np.ndarray, np.ndarray]
     )
 
 
-def _supporting_block(alg: BlockAlgebra, vec: np.ndarray,
-                      tol: float = 1e-8) -> int | None:
+def _supporting_block(alg: BlockAlgebra, vec: np.ndarray) -> int | None:
+    """The first block whose identity V V^* fixes vec to 1e-8,
+    ||vec - V (V^* vec)|| <= 1e-8, by two products with the isometry V;
+    None when no block does."""
     for idx, blk in enumerate(alg.blocks):
-        p = blk.block_identity()
-        if np.linalg.norm(p @ vec - vec) <= tol:
+        v = blk.isometry
+        if np.linalg.norm(vec - v @ (dagger(v) @ vec)) <= 1e-8:
             return idx
     return None

@@ -21,7 +21,8 @@ from state_transport.gram import (
     greedy_pivot_select,
 )
 from state_transport.group import finite_cyclic_action, group_state_transport
-from state_transport.intertwine import AlgebraTower, build_tower, make_schedule
+from state_transport.intertwine import (AlgebraTower, Schedule, back_and_forth, build_tower,
+                                       make_schedule)
 from state_transport.path import concat_paths
 from state_transport.suites import run_suite
 from state_transport.transport import (
@@ -63,7 +64,12 @@ SITES = {
     "make_schedule rounds": (lambda: make_schedule(build_tower([2], 4), 0.1, 2),
                              "more rounds"),
     "make_schedule negative rounds": (lambda: make_schedule(build_tower([2], 4), 0.1, -1),
-                                      "rounds must be >= 0"),
+                                      "rounds must be >= 1"),
+    "make_schedule zero rounds": (lambda: make_schedule(build_tower([2], 4), 0.1, 0),
+                                  "rounds must be >= 1"),
+    "back_and_forth zero rounds": (
+        lambda: back_and_forth(build_tower([2], 2), _XI, _XI, [], Schedule(0.1, 0, [], [])),
+        "rounds must be >= 1"),
     "run_suite name": (lambda: run_suite("bogus", 0, 1), "unknown suite"),
     "projection_transport projection": (
         lambda: projection_transport(2 * np.eye(2), _XI, _XI), "not a projection"),

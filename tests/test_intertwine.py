@@ -15,6 +15,7 @@ from state_transport.errors import (
 )
 from state_transport.intertwine import (
     AlgebraTower,
+    Schedule,
     _ad_sup,
     _corner_defect,
     _defect,
@@ -104,12 +105,13 @@ def test_make_schedule_rejects_too_many_rounds():
 
 
 def test_back_and_forth_zero_rounds(rng):
+    # The intertwiner takes at least one round: a schedule of none raises
+    # where it is made, and a hand-built one where it enters back_and_forth.
     tower, xi, eta = _small_instance(rng)
-    sched = make_schedule(tower, 0.1, 0)
-    result = back_and_forth(tower, xi, eta, tower.level_generators(1), sched)
-    assert result.logs == []
-    assert op_norm(_products(result)[0] - np.eye(16)) == 0.0
-    assert result.final["ad_combined_sup"] == 0.0
+    with pytest.raises(ParameterError, match="rounds must be >= 1"):
+        make_schedule(tower, 0.1, 0)
+    with pytest.raises(ParameterError, match="rounds must be >= 1"):
+        back_and_forth(tower, xi, eta, tower.level_generators(1), Schedule(0.1, 0, [], []))
 
 
 def test_back_and_forth_small_tower(rng):
@@ -623,7 +625,7 @@ def _chain_cap(tower, logs, n, side):
 
 
 @settings(max_examples=30, deadline=None)
-@given(ambient=st.sampled_from([16, 64, 256]), rounds=st.integers(0, 4),
+@given(ambient=st.sampled_from([16, 64, 256]), rounds=st.integers(1, 4),
        twist=st.sampled_from([0.0, 1e-9, 1e-7]), seed=st.integers(0, 2**32 - 1))
 def test_tower_path_norm_dominates_the_segment_formula(ambient, rounds, twist, seed):
     # The rounds chain the path's norm from the defects of the corners'
@@ -639,7 +641,7 @@ def test_tower_path_norm_dominates_the_segment_formula(ambient, rounds, twist, s
                             make_schedule(tower, 0.1, rounds))
     path = result.path
     segments = path.factor.segments
-    assert len(segments) == max(1, (rounds + 1) // 2)
+    assert len(segments) == (rounds + 1) // 2
 
     def formula(base_defects, v_defects):
         return max(_norm_bound(b, len(f.base)) * np.sqrt(1.0 + 4.0 * e * (1.0 + e))
@@ -648,12 +650,11 @@ def test_tower_path_norm_dominates_the_segment_formula(ambient, rounds, twist, s
     measured_bases = [_defect(f.base) for f in segments]
     measured_vs = [_defect(f.v) for f in segments]
     assert formula(measured_bases, measured_vs) <= path.norm
-    if rounds:
-        caps = [(_chain_cap(tower, result.logs, max(n - 2, 0), 1),
-                 _chain_cap(tower, result.logs, n, 1))
-                for n in range(1, rounds + 1, 2)]
-        assert path.norm <= formula([b + cap for b, (cap, _) in zip(measured_bases, caps)],
-                                    [e + cap for e, (_, cap) in zip(measured_vs, caps)])
+    caps = [(_chain_cap(tower, result.logs, max(n - 2, 0), 1),
+             _chain_cap(tower, result.logs, n, 1))
+            for n in range(1, rounds + 1, 2)]
+    assert path.norm <= formula([b + cap for b, (cap, _) in zip(measured_bases, caps)],
+                                [e + cap for e, (_, cap) in zip(measured_vs, caps)])
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from state_transport.algebra import conjugated_units, direct_sum_algebra, full_matrix_units
+from state_transport import transport
+from state_transport.algebra import (MatrixUnits, conjugated_units, direct_sum_algebra,
+                                      full_matrix_units)
 from state_transport.errors import (
     CertificateError,
     DimensionError,
@@ -23,6 +25,7 @@ from state_transport.suites import (
 )
 from state_transport.transport import (
     _corner_rotations,
+    _direction,
     commutant_transport,
     excise,
     excision_error,
@@ -476,6 +479,56 @@ def test_multi_transport_rejects_shared_block(rng):
         multi_transport(alg, [(xi, eta), (xi, eta)], [], 0.1)
 
 
+def test_multi_transport_checks_each_state_once_and_forms_no_block_identity(rng, monkeypatch):
+    # The states are checked where they enter, and each pair's block is found
+    # by products with the block's isometry, not by its dense identity.
+    alg = direct_sum_algebra([2, 2], [2, 2])
+    pairs = []
+    for lo in (0, 4):
+        xi, eta = np.zeros((2, 8), dtype=complex)
+        xi[lo:lo + 4] = random_state(rng, 4)
+        eta[lo:lo + 4] = np.kron(np.eye(2), random_unitary(rng, 2)) @ xi[lo:lo + 4]
+        pairs.append((xi, eta))
+    checked = []
+    check_state = transport.check_state
+
+    def counted(xi, *args, **kwargs):
+        checked.append(xi)
+        return check_state(xi, *args, **kwargs)
+
+    def refused(self):
+        raise AssertionError("block_identity formed")
+
+    monkeypatch.setattr(transport, "check_state", counted)
+    monkeypatch.setattr(MatrixUnits, "block_identity", refused)
+    res = multi_transport(alg, pairs, [], 0.1)
+    assert len(checked) == 2 * len(pairs)
+    assert max(res.terminal_errors) < 1e-10
+
+
+def test_projection_transport_gates_a_projection_without_an_svd(rng, monkeypatch):
+    # Gate residues ||e e - e||_F and ||e - e^*||_F below 1e-10 accept e by
+    # norm_at_most, and nothing else in the transport takes an SVD.
+    dim, k = 6, 2
+    q = random_unitary(rng, dim)
+    e = q[:, :k] @ dagger(q[:, :k])
+    assert max(np.linalg.norm(e @ e - e), np.linalg.norm(e - dagger(e))) < 1e-10
+    xi = random_state(rng, dim)
+    turn = scipy.linalg.block_diag(random_unitary(rng, k), random_unitary(rng, dim - k))
+    eta = q @ turn @ dagger(q) @ xi
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    path = projection_transport(e, xi, eta)
+    assert calls == []
+    assert abs(abs(np.vdot(eta, path.apply(1.0, xi))) - 1.0) < 1e-10
+
+
 _phases = st.one_of(st.floats(-1e-3, 1e-3), st.floats(np.pi - 1e-3, np.pi),
                     st.floats(-np.pi, -np.pi + 1e-3), st.floats(-np.pi, np.pi))
 
@@ -517,6 +570,7 @@ def test_projection_transport_of_nearly_colinear_components(seed, rank, log_b, p
 @given(n=st.integers(1, 4), r=st.integers(1, 5), stack=st.integers(1, 5),
        kind=st.sampled_from(["generic", "short", "cluster", "zero"]),
        seed=st.integers(0, 2**32 - 1))
+@example(n=1, r=2, stack=2, kind="cluster", seed=106061609)
 def test_corner_rotations_match_each_family_alone(n, r, stack, kind, seed):
     # The stacked rotations against each family's rotation alone: the
     # closed form for n = 1 or r = 1 (_closed_form_unitary), align_unitary
@@ -616,10 +670,12 @@ def test_every_corner_shape_in_one_stack_matches_its_transport_alone(n, noise, e
 def _closed_form_unitary(x, y):
     """The corner rotation of one family in closed form, as an r x r
     unitary: the phase arg <x, y> for r = 1; for n = 1 the geodesic between
-    the normalised corner vectors, the identity when either is zero."""
+    the corner vectors normalised by ``_direction``, as the stacked route
+    normalises them, so both see the same rest off x; the identity when
+    either is zero."""
     r = x.shape[1]
     if r == 1:
         return np.exp(1j * np.angle(np.vdot(x, y))) * np.eye(1)
     if not (x.any() and y.any()):
         return np.eye(r)
-    return geodesic_pair(x[0] / np.linalg.norm(x[0]), y[0] / np.linalg.norm(y[0])).end()
+    return geodesic_pair(_direction(x[0]), _direction(y[0])).end()
