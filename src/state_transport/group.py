@@ -32,11 +32,12 @@ from .errors import (
     FlipInconsistencyError,
     HypothesisError,
     NonCommutingGeneratorsError,
+    ParameterError,
     UnsupportedGroupError,
 )
 from .gram import VectorFamily
 from .linalg import (UNITARY_TOL, _check_tolerance, _normal_eigenbasis, check_operators,
-                     check_square, check_state, check_unitary, dagger, norm_at_most, op_norm)
+                     check_state, check_unitary, dagger, norm_at_most, op_norm)
 from .path import PathSegment, UnitaryPath, concat_paths
 
 FLIP_TOL = 1e-10
@@ -147,14 +148,25 @@ def _check_finite(table, reps, dim: int) -> tuple[np.ndarray, np.ndarray, float]
 
 
 def finite_cyclic_action(n: int, u: np.ndarray) -> GroupAction:
-    """Z/n acting through the powers of a unitary of order n.  u is checked
-    square and finite here; the action checks its powers, u among them for
-    n >= 2, as unitary reps (``NotUnitaryError``)."""
-    u = check_square(u)
+    """Z/n acting through the powers of a unitary of order dividing n.  An
+    n below 1 raises ``ParameterError``.  u is checked here, for every n:
+    unitary (``NotUnitaryError``), with ||u^n - 1||_F <= ``UNITARY_TOL``
+    (``UnsupportedGroupError``), the bound the action puts on
+    rep(n - 1) rep(1) - rep(0) for n >= 2; for n = 1 the table has no
+    product that reaches u.  The action then checks the powers as
+    unitary, multiplicative reps."""
+    if n < 1:
+        raise ParameterError(f"group order must be >= 1, got {n}")
+    u = check_unitary(u)
+    eye = np.eye(u.shape[0], dtype=complex)
     table = np.array([[(a + b) % n for b in range(n)] for a in range(n)])
-    reps = [np.eye(u.shape[0], dtype=complex)]
+    reps = [eye]
     for _ in range(n - 1):
         reps.append(reps[-1] @ u)
+    defect = float(np.linalg.norm(reps[-1] @ u - eye))
+    if not defect <= UNITARY_TOL:
+        raise UnsupportedGroupError(f"||u^{n} - 1||_F = {defect:.3e}: u is not of an order "
+                                    f"dividing {n}")
     return GroupAction(kind="finite", dim=u.shape[0], table=table, reps=np.array(reps))
 
 

@@ -16,8 +16,7 @@ import numpy as np
 from .algebra import _level_part, commutator_bound, level_distances
 from .errors import AssemblyError, HypothesisError, ParameterError, RoundFailureError
 from .gram import VectorFamily, align_unitary
-from .linalg import (_check_tolerance, check_operators, check_state, dagger, norm_at_most,
-                     op_norm)
+from .linalg import _check_tolerance, check_operators, check_state, dagger, op_norm
 from .path import PathSegment, UnitaryPath
 from .transport import invert_alignment_bound
 
@@ -47,10 +46,20 @@ class AlgebraTower:
 
     def level_generators(self, n: int) -> list[np.ndarray]:
         """Clock and shift generators of level n, embedded in the ambient as
-        g (x) 1_q."""
+        g (x) 1_q: each entry of g written onto the diagonal of its q x q
+        block of a zero matrix.  A level outside 1 <= n <= ``depth`` raises
+        ``ParameterError``."""
+        if not 1 <= n <= self.depth:
+            raise ParameterError(f"level {n} outside 1 .. {self.depth}, the tower's levels")
         m = self.sizes[n - 1]
-        one = np.eye(self.ambient_dim // m)
-        return [np.kron(g, one) for g in _shift_and_clock(m)]
+        q = self.ambient_dim // m
+        diagonal = np.arange(q)
+        generators = []
+        for g in _shift_and_clock(m):
+            placed = np.zeros((m, q, m, q), dtype=complex)
+            placed[:, diagonal, :, diagonal] = g
+            generators.append(placed.reshape(self.ambient_dim, self.ambient_dim))
+        return generators
 
 
 def _shift_and_clock(m: int) -> list[np.ndarray]:
@@ -133,7 +142,8 @@ def make_schedule(tower: AlgebraTower, eps: float, rounds: int) -> Schedule:
 @dataclass
 class IntertwineResult:
     """The products of the odd and even rounds, the round logs and final
-    measurements, and ``path``, a based path on [0, 1] to the odd product.
+    measurements, ``path``, a based path on [0, 1] to the odd product, and
+    ``end_gap``, a certified bound on ||path.factor.end() - odd_factor||.
 
     The rounds run on factors at the tower's first level s = ``level``:
     each product is 1_s (x) its factor, ``odd_factor`` or ``even_factor``,
@@ -148,11 +158,18 @@ class IntertwineResult:
     final: dict
     schedule: Schedule
     path: TowerPath
+    end_gap: float
 
 
 def _lift(factor: np.ndarray, s: int) -> np.ndarray:
-    """1_s (x) factor: the ambient matrix of a commutant factor at level s."""
-    return np.kron(np.eye(s), factor)
+    """1_s (x) factor: the ambient matrix of a commutant factor at level s
+    (or of an r x k block of columns), the factor written into the s
+    diagonal blocks of a zero matrix."""
+    r, k = factor.shape
+    lifted = np.zeros((s, r, s, k), dtype=np.result_type(factor, float))
+    blocks = np.arange(s)
+    lifted[blocks, :, blocks, :] = factor
+    return lifted.reshape(s * r, s * k)
 
 
 def _times_blocks(p: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -216,6 +233,28 @@ def _product_defect(d_p: float, d_b: float, m: int, inner: int, cols: int) -> fl
     return _rounded((1.0 + d_b) * d_p + np.sqrt(m) * d_b, rho, cols)
 
 
+def _end_gap(d_p: float, e: float, size: int) -> float:
+    """Certified ||f(1) - P (1_m (x) c)|| for the segment f of an odd round,
+    evaluated at its end as ``PathSegment.at`` does, and the product
+    ``_times_blocks(P, corner)`` the round takes, from d_p >= ||P^* P - 1||_F
+    for the size x size factor P before the round and e >= ||q^* q - 1||_F
+    for the corner's eigenvectors q, c = 1 + q T q^* with
+    T = diag(e^{-i angles} - 1).
+    Exactly, f(1) = P + v T v^* P with v = P (1_m (x) q), so
+    f(1) - P (1_m (x) c) = P (1 (x) q) T (1 (x) q)^* (P^* P - 1), at most
+    2 ||P|| (1 + e) d_p, with ||P|| from ``_norm_bound``.  The allowance
+    64 (size + 1) 2^-52 ||P||^3 (1 + e) covers rounding: the products that
+    form v, v^* P and the term v T v^* P err by at most size 2^-52 times the
+    norms of their factors, ||v||^2 <= 2 ||P||^2 (1 + e); the turn
+    e^{i dt w} - 1 of the rescaled segment errs by a few times
+    (2 + log2 size) 2^-52, through its time steps; and the corner errs by
+    ``_corner_defect``'s rho, and its block product by size 2^-52 ||P||
+    ||c||."""
+    norm = _norm_bound(d_p, size)
+    rounding = 64.0 * (size + 1) * np.finfo(float).eps * norm**3 * (1.0 + e)
+    return 2.0 * norm * (1.0 + e) * d_p + rounding
+
+
 def _norm_bound(defect: float, dim: int) -> float:
     """Certified ||M|| <= sqrt((1 + d) / (1 - g)) for a dim x dim M that is
     unitary up to d >= ||M^* M - 1||, so that no unitary the tower builds is
@@ -234,11 +273,23 @@ class TowerPath(UnitaryPath):
     lifts of f's segments, is first read: by evaluation, the length, the
     transforms, the encoding or the dense fallback, which all see the
     ambient path.  ``norm`` >= sup_t ||f(t)|| is certified by the caller;
-    ``back_and_forth`` chains it from its rounds' defects."""
+    ``back_and_forth`` chains it from its rounds' defects.  ``measured``
+    pairs elements with their distances ||x - E_s x||_F from the level, as
+    ``back_and_forth`` measured them for its fixed set; the path holds
+    those arrays, so their ids name them alone, and reads a distance only
+    for the same array object."""
 
-    def __init__(self, factor: UnitaryPath, level: int, limit: float, norm: float):
+    def __init__(self, factor: UnitaryPath, level: int, limit: float, norm: float,
+                 measured: list[tuple[np.ndarray, float]]):
         self.factor, self.level, self.limit, self.norm = factor, level, limit, norm
         self.dim = factor.dim * level
+        self.measured = {id(x): (x, d) for x, d in measured}
+
+    def _distance(self, x: np.ndarray) -> float:
+        """x's distance from the level: the measured one for an array of
+        ``measured``, and one ``_level_part`` pass for any other."""
+        known = self.measured.get(id(x))
+        return known[1] if known else _level_part(x, self.level)[1]
 
     @cached_property
     def segments(self) -> list[PathSegment]:
@@ -256,13 +307,15 @@ class TowerPath(UnitaryPath):
         bound reaches ``limit`` takes the dense Duhamel bound of
         ``UnitaryPath`` over the lifted segments, so every pass or fail
         against that limit is the dense bound's; a call with every element
-        below it forms no generator and lifts nothing.
+        below it forms no generator and lifts nothing.  An element of
+        ``measured`` takes its recorded distance, which ``level_distances``
+        chains within the rounding this allowance covers, and no pass.
         An element that is not D x D raises ``DimensionError``."""
         check_operators(elements, self.dim)
         allowance = max(1.0 + f.duration * np.linalg.norm(np.tile(f.w, self.level))
                         for f in self.factor.segments) * self.dim * np.finfo(float).eps
-        pairs = [2.0 * self.norm * _level_part(x, self.level)[1]
-                 + allowance * np.linalg.norm(x) for x in elements]
+        pairs = [2.0 * self.norm * self._distance(x) + allowance * np.linalg.norm(x)
+                 for x in elements]
         dense = [x for x, pair in zip(elements, pairs) if pair >= self.limit]
         below = max((pair for pair in pairs if pair < self.limit), default=0.0)
         return float(max(below, UnitaryPath(self.segments).commutator_bound(dense)
@@ -311,8 +364,9 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     1_{s_n} (x) P: it starts as that round's corner itself, and each later
     round multiplies it by blocks, P (1 (x) c_n^*) by ``_times_blocks``, a
     product whose inner dimension is the corner's D / s_n, so no round forms
-    U_n or a product of size D / s.  The tracked vectors are reshaped to the
-    factor's rows.  Ambient matrices are formed only as 1_s (x) factor, in
+    U_n or a product of size D / s.  Each side's vector, moved by its
+    product, is formed once per product, on the factor's rows, and reshaped
+    to each level's corner families.  Ambient matrices are formed only as 1_s (x) factor, in
     the dense norms a bound falls back to.
 
     No product is measured.  Each defect d(G) >= ||G^* G - 1||_F of a
@@ -336,6 +390,10 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     max_k ||P_k|| sqrt(1 + 4 e_k (1 + e_k)) >= sup_t ||f(t)||: on segment
     k, f(t) = (1 + v D v^*) P_k with |D_ii + 1| = 1, e_k is the chained
     defect of v = P_k (1_m (x) q) and ||P_k|| is ``_norm_bound`` of P_k's.
+    The path keeps the fixed set's level-1 distances from the tables, and
+    ``end_gap`` is the last odd round's ``_end_gap``, a certified bound on
+    ||f(1) - P_odd|| from that round's P_k defect and e, so no segment is
+    evaluated to learn where the path ends.
     """
     dim = tower.ambient_dim
     xi = check_state(omega1, dim=dim)
@@ -349,25 +407,28 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     size = dim // s
     tables = [level_distances(x, tower.sizes[:schedule.rounds]) for x in fixed_set]
     generators = cache(tower.level_generators)
-    # Per side, 1 odd and 0 even: the vector it moves, its product factor
-    # (None for the identity) and the chained defect of that product at size
-    # D / s, where 1_r (x) P has sqrt(r) times the defect of P.
+    # Per side, 1 odd and 0 even: the vector it moves, that vector moved by
+    # the side's product, the product's factor (None for the identity) and
+    # the chained defect of that product at size D / s, where 1_r (x) P has
+    # sqrt(r) times the defect of P.
     tracked = {1: eta, 0: xi}
+    moved = dict(tracked)
     products: dict[int, np.ndarray | None] = {1: None, 0: None}
     defects = {1: 0.0, 0: 0.0}
     corners: list[np.ndarray] = []
     segments: list[PathSegment] = []
     logs: list[dict] = []
-    # A bound on sup_t ||f(t)|| of the factor path, raised by each odd round.
-    path_norm = 0.0
+    # A bound on sup_t ||f(t)|| of the factor path, raised by each odd round,
+    # and on ||f(1) - P_odd|| at its end, set by the last.
+    path_norm = end_gap = 0.0
 
     for n in range(1, schedule.rounds + 1):
         s_n = tower.sizes[n - 1]
         m = s_n // s
         side = n % 2
-        # The level-n corner families of the tracked vectors; y is the side
+        # The level-n corner families of the moved vectors; y is the side
         # that moves.
-        y, t = (_moved(tracked[k], products[k], s_n) for k in (side, 1 - side))
+        y, t = (moved[k].reshape(s_n, -1) for k in (side, 1 - side))
         delta = schedule.deltas[n - 1]
         try:
             align = align_unitary(VectorFamily(dim // s_n, y), VectorFamily(dim // s_n, t),
@@ -401,11 +462,13 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
             segments.append(PathSegment(k, k + 1.0, -np.tile(angles, m), v, base))
             path_norm = max(path_norm, _norm_bound(p_defect, size)
                             * np.sqrt(1.0 + 4.0 * v_defect * (1.0 + v_defect)))
+            end_gap = _end_gap(p_defect, e, size)
         if p is None:
             products[side], defects[side] = corner, np.sqrt(m) * corner_defect
         else:
             products[side] = _times_blocks(p, corner)
             defects[side] = _product_defect(p_defect, corner_defect, m, len(corner), size)
+        moved[side] = _moved(tracked[side], products[side])
 
         # u_n commutes with levels <= n, and w = u_{n-1}^* u_{n-3}^* ... fixes
         # levels <= 1 + n % 2, so only the fixed set and the companions w x w^*
@@ -455,7 +518,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
             "within_budget": bool(comm < budget),
         })
 
-    final = _final_measurements(tower, xi, eta, products, defects, s, fixed_set, tables,
+    final = _final_measurements(tower, moved, products, defects, s, fixed_set, tables,
                                 schedule)
     factor = UnitaryPath(segments).rescaled(0.0, 1.0)
     return IntertwineResult(
@@ -466,17 +529,17 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
         logs=logs,
         final=final,
         schedule=schedule,
-        path=TowerPath(factor, s, final["ad_odd_bound"], path_norm),
+        path=TowerPath(factor, s, final["ad_odd_bound"], path_norm,
+                       [(x, distances[0]) for x, (distances, _) in zip(fixed_set, tables)]),
+        end_gap=end_gap,
     )
 
 
-def _moved(vector: np.ndarray, factor: np.ndarray | None, rows: int) -> np.ndarray:
-    """(1 (x) P)^* vector for a product factor P (None for the identity),
-    reshaped to ``rows`` rows: 1 (x) P^* acts on the vector's rows of
-    length len(P) as rows @ conj(P)."""
-    if factor is not None:
-        vector = vector.reshape(-1, len(factor)) @ factor.conj()
-    return vector.reshape(rows, -1)
+def _moved(vector: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """(1 (x) P)^* vector for a product factor P, flat: 1 (x) P^* acts on the
+    vector's rows of length len(P) as rows @ conj(P) = conj(conj(rows) @ P),
+    the product that conjugates the short rows rather than the factor."""
+    return (vector.reshape(-1, len(factor)).conj() @ factor).conj().reshape(-1)
 
 
 def _full_factor(factor: np.ndarray | None, size: int) -> np.ndarray:
@@ -487,10 +550,11 @@ def _full_factor(factor: np.ndarray | None, size: int) -> np.ndarray:
     return factor if len(factor) == size else _lift(factor, size // len(factor))
 
 
-def _final_measurements(tower, xi, eta, products, defects, s, fixed_set, tables,
+def _final_measurements(tower, moved, products, defects, s, fixed_set, tables,
                         schedule) -> dict:
     """The Ad sups and the intertwining gap of the products 1_s (x) P, given
-    per side as their factors P and chained defects at size D / s."""
+    per side as their factors P and chained defects at size D / s, and the
+    states moved by them, (1 (x) P_even)^* xi and (1 (x) P_odd)^* eta."""
     eps = schedule.eps
     limits = {"odd": 4 * eps / 3, "even": 2 * eps / 3, "combined": 2 * eps}
     size = tower.ambient_dim // s
@@ -507,8 +571,7 @@ def _final_measurements(tower, xi, eta, products, defects, s, fixed_set, tables,
     # The last level's generators g (x) 1_q act on a vector as g on its
     # reshape to (s_m, q), so the gap needs no D x D matrix.
     s_m = tower.sizes[schedule.rounds - 1]
-    even_xi = _moved(xi, even, s_m)
-    odd_eta = _moved(eta, odd, s_m)
+    even_xi, odd_eta = moved[0].reshape(s_m, -1), moved[1].reshape(s_m, -1)
     intertwine_gap = max(
         abs(np.vdot(even_xi, g @ even_xi) - np.vdot(odd_eta, g @ odd_eta))
         for g in _shift_and_clock(s_m)
@@ -547,12 +610,12 @@ def _ad_sup(defect, s, fixed_set, tables, limit, dense) -> float:
 
 def assemble_path(result: IntertwineResult) -> UnitaryPath:
     """The based path through the odd-round unitaries that ``back_and_forth``
-    built, checked to end at the odd product: its factor path ends at the
-    odd factor, since ||1_s (x) A|| = ||A||."""
-    path = result.path
-    if not norm_at_most(path.factor.end() - result.odd_factor, 1e-8):
-        raise AssemblyError("assembled path does not end at the odd product")
-    return path
+    built, checked to end within 1e-8 of the odd product by its certified
+    ``end_gap``, since ||1_s (x) A|| = ||A||: no segment is evaluated.  A gap
+    above 1e-8 raises ``AssemblyError``."""
+    if not result.end_gap <= 1e-8:
+        raise AssemblyError(f"assembled path ends {result.end_gap:.3e} from the odd product")
+    return result.path
 
 
 def assembled_commutation_sup(path: UnitaryPath, fixed_set: list[np.ndarray],

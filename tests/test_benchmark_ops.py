@@ -101,9 +101,9 @@ def test_tower_op_decomposes_no_ambient_matrix(monkeypatch):
 
 def test_tower_op_evaluates_each_round_once(monkeypatch):
     # A round forms u_n from its corner alignment's Schur pair and builds
-    # no path of its own; the assembled path is built in the round loop, so
-    # the only evaluation away from t0 is its endpoint check: one call per
-    # op.
+    # no path of its own; the assembled path is built in the round loop,
+    # and its endpoint check reads the rounds' certified end gap, so no
+    # segment is evaluated away from t0.
     workload = workloads.WORKLOADS["tower-256"]
     segment_at = state_transport.PathSegment.at
     moved = []
@@ -118,7 +118,7 @@ def test_tower_op_evaluates_each_round_once(monkeypatch):
     rec = workloads.run_op(state_transport, workload, x)
     assert not rec.failed, rec.failure_types()
     assert x["rounds"] == 3
-    assert len(moved) == 1
+    assert len(moved) == 0
 
 
 def test_tower_op_takes_no_ambient_svd(monkeypatch):
@@ -183,9 +183,9 @@ def test_tower_op_takes_no_norm_of_a_built_unitary(monkeypatch):
 
 def test_tower_op_evaluates_no_ambient_segment(monkeypatch):
     # The assembled path is 1_{s_1} (x) its factor path: its bound reads one
-    # norm of the factor path and its endpoint check evaluates the factor
-    # path's end, so no ambient x ambient segment is evaluated and no
-    # generator is formed at all, in the tiny pool and at full size.
+    # norm of the factor path and its endpoint check the rounds' certified
+    # end gap, so no segment is evaluated and no generator is formed at
+    # all, in the tiny pool and at full size.
     workload = workloads.WORKLOADS["tower-256"]
     segment = state_transport.PathSegment
     at, generator = segment.at, segment.generator
@@ -205,9 +205,7 @@ def test_tower_op_evaluates_no_ambient_segment(monkeypatch):
         calls.clear()
         rec = workloads.run_op(state_transport, workload, x)
         assert not rec.failed, rec.failure_types()
-        assert {name for name, _ in calls} == {"at"}, \
-            "no segment seen, or a generator formed"
-        assert [call for call in calls if call[1] == x["ambient"]] == []
+        assert calls == []
 
 
 def test_tower_rounds_measure_no_factor_and_lift_no_corner(monkeypatch):
@@ -354,9 +352,9 @@ def test_tower_alignment_decomposes_at_most_its_frames_span(monkeypatch):
 def test_tower_op_measures_each_level_distance_once(monkeypatch):
     # back_and_forth reads every fixed element's distances from one table,
     # made by one pass over the D x D element and passes over its small
-    # factors; the path bound takes one pass per element and reads its norm
-    # from the rounds, so it calls no _defect and lifts nothing, in the tiny
-    # pool and at full size.
+    # factors; the path bound reads the same fixed set's level-1 distances
+    # from those tables and its norm from the rounds, so it takes no pass,
+    # calls no _defect and lifts nothing, in the tiny pool and at full size.
     workload = workloads.WORKLOADS["tower-256"]
     intertwine, algebra = state_transport.intertwine, state_transport.algebra
     back_and_forth = state_transport.back_and_forth
@@ -393,9 +391,8 @@ def test_tower_op_measures_each_level_distance_once(monkeypatch):
         dim = x["ambient"]
         ambient = [where for where, name, n in calls if name == "_level_part" and n == dim]
         assert 0 < ambient.count("rounds") <= sizes["rounds"]
-        assert ambient.count("path") == sizes["path"] > 0
-        assert [name for where, name, _ in calls if where == "path"] == \
-            ["_level_part"] * sizes["path"]
+        assert sizes["path"] > 0
+        assert [name for where, name, _ in calls if where == "path"] == []
 
 
 def test_integer_action_takes_one_eigh_of_its_generator_size(monkeypatch):

@@ -8,9 +8,11 @@ from state_transport.circle import SpectralModel, circle_partition
 from state_transport.errors import (
     DimensionError,
     NotFiniteError,
+    NotUnitaryError,
     ParameterError,
     PathError,
     StateTransportError,
+    UnsupportedGroupError,
 )
 from state_transport.gram import (
     GramTarget,
@@ -61,6 +63,14 @@ SITES = {
     "AlgebraTower multiple": (lambda: AlgebraTower(24, [4, 6]), "not a multiple"),
     "AlgebraTower branching": (lambda: AlgebraTower(8, [2, 2]), "branchings"),
     "AlgebraTower ambient": (lambda: AlgebraTower(12, [2, 8]), "does not divide"),
+    "level_generators level 0": (lambda: build_tower([2, 2], 4).level_generators(0),
+                                 "outside 1 .. 2"),
+    "level_generators level -1": (lambda: build_tower([2, 2], 4).level_generators(-1),
+                                  "outside 1 .. 2"),
+    "level_generators above depth": (lambda: build_tower([2, 2], 4).level_generators(3),
+                                     "outside 1 .. 2"),
+    "finite_cyclic_action order": (lambda: finite_cyclic_action(0, np.eye(2)),
+                                   "order must be >= 1"),
     "make_schedule rounds": (lambda: make_schedule(build_tower([2], 4), 0.1, 2),
                              "more rounds"),
     "make_schedule negative rounds": (lambda: make_schedule(build_tower([2], 4), 0.1, -1),
@@ -154,6 +164,10 @@ BOUNDARY_SITES = {
     "at NaN time": (lambda: geodesic_pair(_XI, _ETA).at(float("nan")), PathError),
     "at infinite time": (lambda: geodesic_pair(_XI, _ETA).at(-np.inf), PathError),
     "apply NaN time": (lambda: geodesic_pair(_XI, _ETA).apply(float("nan"), _XI), PathError),
+    "finite_cyclic_action non-unitary order 1": (lambda: finite_cyclic_action(1, 2 * np.eye(2)),
+                                                 NotUnitaryError),
+    "finite_cyclic_action u != 1 at order 1": (lambda: finite_cyclic_action(1, -np.eye(2)),
+                                               UnsupportedGroupError),
 }
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from state_transport.algebra import commutator_bound, full_matrix_units, level_distances
+from state_transport.algebra import (_level_part, commutator_bound, full_matrix_units,
+                                     level_distances)
 from state_transport.errors import (
     AssemblyError,
     DimensionError,
@@ -240,8 +241,8 @@ def test_assemble_path_endpoint(rng):
 
 
 def test_assemble_path_lifts_nothing(rng, monkeypatch):
-    # ||1_s (x) A|| = ||A||, so the endpoint check compares the factor
-    # path's end with the odd factor and lifts neither to the ambient.
+    # ||1_s (x) A|| = ||A||, so the endpoint check reads the factor path's
+    # certified end gap and lifts nothing to the ambient.
     tower, xi, eta = _small_instance(rng)
     result = back_and_forth(tower, xi, eta, [], make_schedule(tower, 0.1, 3))
     lifts = []
@@ -251,13 +252,64 @@ def test_assemble_path_lifts_nothing(rng, monkeypatch):
     assert lifts == []
 
 
-def test_assemble_path_rejects_forged_odd_product(rng):
+def test_assemble_path_rejects_a_forged_end_gap(rng):
+    # assemble_path reads the end gap the rounds certify, not the path's
+    # evaluated end: a recorded gap above 1e-8, or NaN, raises.
     tower, xi, eta = _small_instance(rng)
-    sched = make_schedule(tower, 0.1, 1)
-    result = back_and_forth(tower, xi, eta, [], sched)
-    forged = replace(result, odd_factor=random_unitary(rng, 8) @ result.odd_factor)
-    with pytest.raises(AssemblyError):
-        assemble_path(forged)
+    result = back_and_forth(tower, xi, eta, [], make_schedule(tower, 0.1, 1))
+    assert 0.0 < result.end_gap <= 1e-8
+    assert assemble_path(result) is result.path
+    for gap in (1.01e-8, 1.0, np.inf, np.nan):
+        with pytest.raises(AssemblyError):
+            assemble_path(replace(result, end_gap=gap))
+
+
+@settings(max_examples=30, deadline=None)
+@given(ambient=st.sampled_from([16, 32, 64, 128]), rounds=st.integers(1, 7),
+       twist=st.sampled_from([0.0, 1e-11, 1e-9]), seed=st.integers(0, 2**32 - 1))
+def test_end_gap_dominates_the_evaluated_end(ambient, rounds, twist, seed):
+    # The rounds certify where the factor path ends, 2 ||P|| (1 + e) d_P
+    # plus rounding for the last odd round's factor P and eigenvectors q,
+    # so no segment is evaluated.  With no tolerance, that bound is at least
+    # the dense distance of the evaluated end from the odd factor, and it
+    # passes assemble_path's 1e-8.
+    rng = np.random.default_rng(seed)
+    depth = ambient.bit_length() - 1
+    rounds = min(rounds, depth)
+    tower, xi, eta = intertwine_instance(rng, ambient=ambient, branchings=[2] * depth,
+                                         commutant_level=max(3, rounds), twist=twist)
+    result = back_and_forth(tower, xi, eta, tower.level_generators(1),
+                            make_schedule(tower, 0.1, rounds))
+    assert op_norm(result.path.factor.end() - result.odd_factor) <= result.end_gap <= 1e-8
+    assert assemble_path(result) is result.path
+
+
+@pytest.mark.parametrize("rounds", [1, 3])
+def test_path_bound_reuses_the_fixed_sets_distances(rng, monkeypatch, rounds):
+    # The path keeps the level-1 distances back_and_forth measured for its
+    # fixed set, so its bound takes no _level_part pass on those arrays and
+    # equals the bound of copies of them, which are measured afresh: bit
+    # for bit for the level-1 generators, at distance 0, and for an element
+    # off level 1 where one round makes the table's level-1 pass the direct
+    # one.  A level-2 element outside the fixed set takes its own pass.
+    tower, xi, eta = _small_instance(rng)
+    fixed = tower.level_generators(1)
+    if rounds == 1:
+        fixed.append(fixed[0] + 1e-3 * tower.level_generators(2)[0])
+    path = assemble_path(back_and_forth(tower, xi, eta, fixed,
+                                        make_schedule(tower, 0.1, rounds)))
+    level_part, passes = _level_part, []
+    monkeypatch.setattr("state_transport.intertwine._level_part",
+                        lambda x, s: passes.append(x) or level_part(x, s))
+    sup = assembled_commutation_sup(path, fixed)
+    assert passes == []
+    copies = [x.copy() for x in fixed]
+    assert assembled_commutation_sup(path, copies) == sup < path.limit
+    assert len(passes) == len(copies) and all(p is c for p, c in zip(passes, copies))
+    passes.clear()
+    other = tower.level_generators(2)[0]
+    assembled_commutation_sup(path, fixed + [other])
+    assert len(passes) == 1 and passes[0] is other
 
 
 def test_assembled_commutation_sup_dominates_sampled_ad_form(rng):
