@@ -158,11 +158,41 @@ def level_distances(x: np.ndarray, sizes: list[int]) -> tuple[list[float], float
     most 6 c (log2 D - 1) 2^-52 norm, below its allowance 2 D 2^-52 norm
     for every D and of the order of the rounding that allowance already
     takes for each norm that forms the bound."""
+    a, distances = _level_chain(x, sizes)
+    return distances, op_norm(a) + distances[0]
+
+
+def _level_chain(x: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, list[float]]:
+    """A_1 and the distances d_n of ``level_distances``, by its chain."""
     a, d = _level_part(x, sizes[-1])
     distances = [d]
     for hi, lo in zip(sizes[:0:-1], sizes[-2::-1]):
         a, step = _level_part(a, lo)
         distances.insert(0, float(np.sqrt(distances[0] ** 2 + len(x) // hi * step**2)))
+    return a, distances
+
+
+def factor_level_distances(g: np.ndarray, sizes: list[int],
+                           dim: int) -> tuple[list[float], float]:
+    """``level_distances`` of x = g (x) 1_{dim / m} for an m x m factor g,
+    from g alone: no D x D pass.  m nests with the sizes, each of which
+    divides m or is a multiple of it, as every level of one tower does.
+
+    x lies in every level s_n that m divides, so d_n = 0 there.  Below m,
+    E_n x = E_n g (x) 1_{dim / m}, so d_n = sqrt(dim / m) ||g - E_n g||_F,
+    the chain of ``level_distances`` over g, and
+    norm = ||A_1|| + d_1 with A_1 the factor of E_1 g, or g itself when it
+    lies in level s_1.  The table is the dense one within the rounding
+    ``level_distances`` allows its own chain.  For g in level s_1 the
+    distances are 0.0, where the dense pass leaves at most the rounding of
+    its averages of equal entries, and the norm is ||g||."""
+    below = [s for s in sizes if s < len(g)]
+    distances = [0.0] * (len(sizes) - len(below))
+    if not below:
+        return distances, op_norm(g)
+    a, chain = _level_chain(g, below)
+    scale = np.sqrt(dim // len(g))
+    distances[:0] = [float(scale * d) for d in chain]
     return distances, op_norm(a) + distances[0]
 
 

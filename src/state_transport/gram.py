@@ -235,8 +235,10 @@ def align_unitary(src: VectorFamily, dst: VectorFamily, delta: float) -> Alignme
     That M is the identity off span(F_x, F_y), which M and M^* keep; so with
     Q from one reduced QR of [F_x, F_y], polar(M) = 1 + Q (polar(C) - 1) Q^*
     for C = Q^* M Q, at most 2k x 2k, whose eigenpairs (lam, z) give
-    ``angles`` = angle lam and ``vectors`` = Q z.  The rotation is the
-    stacked core ``_alignment_rotation`` on one pair, with no leading axis.
+    ``angles`` = angle lam and ``vectors`` = Q z; when the chosen src rows
+    fill C^dim, M = F_y F_x^* is unitary and its own eigenpairs are taken.
+    The rotation is the stacked core ``_alignment_rotation`` on one pair,
+    with no leading axis.
     """
     gap = alignment_gate(src, dst, delta)
     angles, vectors, pivots = _alignment_rotation(src.vectors, dst.vectors)
@@ -275,10 +277,17 @@ def _polar_alignment(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     stack.  Each item's frames are zero beyond its own rank k_i, so the
     QR and C act as the identity on the 2 (k - k_i) extra directions, whose
     angles are 0 up to rounding: every item gets its own rotation, an item
-    of rank 0 the identity."""
+    of rank 0 the identity.  When every item's src rows have full rank
+    k = dim, the frames are unitaries and the rotation is the eigenpairs of
+    F_y F_x^* itself, p = dim."""
     a, s, bh = np.linalg.svd(x, full_matrices=False)
     ay, _, byh = np.linalg.svd(y, full_matrices=False)
     own = s > SRC_RANK_RTOL * s[..., :1]
+    if own.shape[-1] == x.shape[-1] and own.all():
+        # Every item's frames are dim x dim unitaries, so P = 1, M = F_y F_x^*
+        # is unitary and its own polar factor: no QR, C or SVD of C.
+        lam, z = _unitary_eig(_transpose(_adjoint(a) @ ay @ byh) @ bh.conj())
+        return np.angle(lam), z
     k = int(own.sum(axis=-1).max())
     fx = _transpose(bh[..., :k, :]) * own[..., None, :k]  # = (A_k^* Omega_x)^T
     fy = _transpose(_adjoint(a[..., :k]) @ ay @ byh) * own[..., None, :k]

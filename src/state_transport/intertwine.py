@@ -8,12 +8,14 @@ while nearly fixing the prescribed finite set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+import weakref
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
 
-from .algebra import _level_part, commutator_bound, level_distances
+from .algebra import _level_part, commutator_bound, factor_level_distances, level_distances
 from .errors import AssemblyError, HypothesisError, ParameterError, RoundFailureError
 from .gram import VectorFamily, align_unitary
 from .linalg import _check_tolerance, check_operators, check_state, dagger, op_norm
@@ -25,10 +27,15 @@ from .transport import invert_alignment_bound
 class AlgebraTower:
     """Increasing full matrix blocks M_{s_1} c M_{s_2} c ... inside one
     ambient algebra, each acting as M_s (x) 1_{ambient/s}: the tower is its
-    level sizes s_1 | s_2 | ... | ambient, so the levels nest by construction."""
+    level sizes s_1 | s_2 | ... | ambient, so the levels nest by construction.
+
+    The tower records each generator it builds by id, with a weak reference
+    to it and its factor g, so that ``_level_table`` knows it at its level;
+    no record keeps an array alive, and a generator's record goes with it."""
 
     ambient_dim: int
     sizes: list[int]
+    _records: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for below, size in zip([1] + self.sizes, self.sizes):
@@ -47,19 +54,39 @@ class AlgebraTower:
     def level_generators(self, n: int) -> list[np.ndarray]:
         """Clock and shift generators of level n, embedded in the ambient as
         g (x) 1_q: each entry of g written onto the diagonal of its q x q
-        block of a zero matrix.  A level outside 1 <= n <= ``depth`` raises
-        ``ParameterError``."""
+        block of a zero matrix.  Each is read-only, and so is the array it
+        views, and recorded with its factor g.  A level outside
+        1 <= n <= ``depth`` raises ``ParameterError``."""
         if not 1 <= n <= self.depth:
             raise ParameterError(f"level {n} outside 1 .. {self.depth}, the tower's levels")
         m = self.sizes[n - 1]
         q = self.ambient_dim // m
         diagonal = np.arange(q)
-        generators = []
+        records, generators = self._records, []
         for g in _shift_and_clock(m):
             placed = np.zeros((m, q, m, q), dtype=complex)
             placed[:, diagonal, :, diagonal] = g
-            generators.append(placed.reshape(self.ambient_dim, self.ambient_dim))
+            placed.flags.writeable = g.flags.writeable = False
+            x = placed.reshape(self.ambient_dim, self.ambient_dim)
+            # No other live array has x's id, so x's death drops x's record.
+            records[id(x)] = (weakref.ref(x, lambda _, key=id(x): records.pop(key, None)), g)
+            generators.append(x)
         return generators
+
+    def __getstate__(self) -> dict:
+        # A record names an array of this process: a pickled tower has none.
+        return self.__dict__ | {"_records": {}}
+
+    def _level_table(self, x: np.ndarray, sizes: list[int]) -> tuple[list[float], float]:
+        """x's ``level_distances`` table over the nested sizes: from its
+        factor alone (``factor_level_distances``) when x is a generator this
+        tower built, still alive and still read-only, and from the dense
+        pass over x otherwise, bit for bit, as for a copy of a generator, a
+        sum or any caller's array."""
+        record = self._records.get(id(x))
+        if record is not None and record[0]() is x and not x.flags.writeable:
+            return factor_level_distances(record[1], sizes, self.ambient_dim)
+        return level_distances(x, sizes)
 
 
 def _shift_and_clock(m: int) -> list[np.ndarray]:
@@ -110,8 +137,11 @@ class Schedule:
 
 
 def _check_rounds(rounds: int, depth: int) -> None:
-    """Raise ``ParameterError`` unless 1 <= rounds <= depth: the intertwiner
-    is built from at least one round, and each round takes a tower level."""
+    """Raise ``ParameterError`` unless rounds is an integer with
+    1 <= rounds <= depth: the intertwiner is built from at least one round,
+    and each round takes a tower level."""
+    if not isinstance(rounds, numbers.Integral):
+        raise ParameterError(f"rounds must be an integer, got {rounds!r}")
     if rounds < 1:
         raise ParameterError(f"rounds must be >= 1, got {rounds}")
     if rounds > depth:
@@ -121,8 +151,8 @@ def _check_rounds(rounds: int, depth: int) -> None:
 
 def make_schedule(tower: AlgebraTower, eps: float, rounds: int) -> Schedule:
     """The schedule of ``rounds`` rounds at tolerance eps; a tolerance that
-    is not finite and > 0, or rounds outside 1 <= rounds <= ``tower.depth``,
-    raises ``ParameterError``."""
+    is not a finite real > 0, or rounds that are not an integer within
+    1 <= rounds <= ``tower.depth``, raises ``ParameterError``."""
     _check_tolerance(eps)
     _check_rounds(rounds, tower.depth)
     inner_tols, deltas = [], []
@@ -344,7 +374,10 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     fixed set and the open companions, and ``defect``, the chained defect
     below of the round's product factor.
     Each fixed element's ``level_distances`` table is measured once, before
-    the rounds, and read by every round and every final Ad sup.  A fixed
+    the rounds, and read by every round and every final Ad sup: from its
+    factor alone for a generator the tower built, while it is read-only,
+    which lies in its level by construction, and by one dense pass for any
+    other array, such as its copy.  A fixed
     element's commutation is ``commutator_bound`` of its distance from
     level n and its table's norm, with ||c_n^*|| from ``_norm_bound`` of the
     corner's defect (no SVD of the corner), when that is below the round
@@ -405,7 +438,7 @@ def back_and_forth(tower: AlgebraTower, omega1: np.ndarray, omega2: np.ndarray,
     # The factor level: every round unitary lies in the commutant of level 1.
     s = tower.sizes[0]
     size = dim // s
-    tables = [level_distances(x, tower.sizes[:schedule.rounds]) for x in fixed_set]
+    tables = [tower._level_table(x, tower.sizes[:schedule.rounds]) for x in fixed_set]
     generators = cache(tower.level_generators)
     # Per side, 1 odd and 0 even: the vector it moves, that vector moved by
     # the side's product, the product's factor (None for the identity) and

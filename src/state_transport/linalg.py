@@ -11,6 +11,7 @@ import cmath
 import functools
 import importlib.util
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -166,9 +167,10 @@ def check_operators(xs, dim: int) -> None:
 
 
 def _check_tolerance(eps: float) -> None:
-    """Raise ``ParameterError`` unless the tolerance eps is finite and > 0."""
-    if not (np.isfinite(eps) and eps > 0):
-        raise ParameterError(f"tolerance must be finite and > 0, got {eps}")
+    """Raise ``ParameterError`` unless the tolerance eps is a real number,
+    finite and > 0."""
+    if not (isinstance(eps, numbers.Real) and math.isfinite(eps) and eps > 0):
+        raise ParameterError(f"tolerance must be a real number, finite and > 0, got {eps!r}")
 
 
 def check_state(xi: np.ndarray, dim: int | None = None) -> np.ndarray:

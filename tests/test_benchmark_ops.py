@@ -6,6 +6,7 @@ benchmark run counts it as a failed op.
 """
 
 import importlib.util
+import itertools
 import sys
 from pathlib import Path
 
@@ -350,12 +351,15 @@ def test_tower_alignment_decomposes_at_most_its_frames_span(monkeypatch):
 
 
 def test_tower_op_measures_each_level_distance_once(monkeypatch):
-    # back_and_forth reads every fixed element's distances from one table,
-    # made by one pass over the D x D element and passes over its small
-    # factors; the path bound reads the same fixed set's level-1 distances
-    # from those tables and its norm from the rounds, so it takes no pass,
-    # calls no _defect and lifts nothing, in the tiny pool and at full size.
+    # back_and_forth reads every fixed element's distances from one table:
+    # a generator the tower built is known at its level, so its table comes
+    # from its factor with no D x D pass, while a copy of it takes one pass
+    # over the D x D element and passes over its small factors.  The path
+    # bound reads the same fixed set's level-1 distances from those tables
+    # and its norm from the rounds, so it takes no pass, calls no _defect
+    # and lifts nothing, in the tiny pool and at full size.
     workload = workloads.WORKLOADS["tower-256"]
+    built = state_transport.AlgebraTower.level_generators
     intertwine, algebra = state_transport.intertwine, state_transport.algebra
     back_and_forth = state_transport.back_and_forth
     bound = intertwine.TowerPath.commutator_bound
@@ -384,13 +388,18 @@ def test_tower_op_measures_each_level_distance_once(monkeypatch):
         monkeypatch.setattr(module, "_level_part", counting("_level_part", level_part))
     monkeypatch.setattr(intertwine, "_defect", counting("_defect", defect))
     monkeypatch.setattr(intertwine, "_lift", counting("_lift", lift))
-    for x in workload.inputs(1, True) + workload.inputs(1, False)[:1]:
+    for x, copied in itertools.product(
+            workload.inputs(1, True) + workload.inputs(1, False)[:1], (False, True)):
         calls.clear()
-        rec = workloads.run_op(state_transport, workload, x)
+        with monkeypatch.context() as patch:
+            if copied:  # the op's fixed set is [x.copy() for x in fixed]
+                patch.setattr(state_transport.AlgebraTower, "level_generators",
+                              lambda tower, n: [g.copy() for g in built(tower, n)])
+            rec = workloads.run_op(state_transport, workload, x)
         assert not rec.failed, rec.failure_types()
         dim = x["ambient"]
         ambient = [where for where, name, n in calls if name == "_level_part" and n == dim]
-        assert 0 < ambient.count("rounds") <= sizes["rounds"]
+        assert ambient.count("rounds") == (sizes["rounds"] if copied else 0)
         assert sizes["path"] > 0
         assert [name for where, name, _ in calls if where == "path"] == []
 

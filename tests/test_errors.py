@@ -77,6 +77,19 @@ SITES = {
                                       "rounds must be >= 1"),
     "make_schedule zero rounds": (lambda: make_schedule(build_tower([2], 4), 0.1, 0),
                                   "rounds must be >= 1"),
+    "make_schedule string tolerance": (lambda: make_schedule(build_tower([2], 4), "0.1", 1),
+                                       "real number"),
+    "make_schedule no tolerance": (lambda: make_schedule(build_tower([2], 4), None, 1),
+                                   "real number"),
+    "make_schedule complex tolerance": (lambda: make_schedule(build_tower([2], 4), 0.1j, 1),
+                                        "real number"),
+    "make_schedule fractional rounds": (lambda: make_schedule(build_tower([2], 4), 0.1, 1.5),
+                                        "must be an integer"),
+    "make_schedule string rounds": (lambda: make_schedule(build_tower([2], 4), 0.1, "1"),
+                                    "must be an integer"),
+    "back_and_forth fractional rounds": (
+        lambda: back_and_forth(build_tower([2], 2), _XI, _XI, [], Schedule(0.1, 0.5, [], [])),
+        "must be an integer"),
     "back_and_forth zero rounds": (
         lambda: back_and_forth(build_tower([2], 2), _XI, _XI, [], Schedule(0.1, 0, [], [])),
         "rounds must be >= 1"),

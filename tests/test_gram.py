@@ -10,11 +10,13 @@ from state_transport.errors import (
     NotPSDError,
 )
 from state_transport.gram import (
+    SRC_RANK_RTOL,
     GramTarget,
     VectorFamily,
     align_unitary,
     alignment_bound,
     gram_complete,
+    _alignment_rotation,
     gram_matrix,
     greedy_pivot_select,
 )
@@ -278,3 +280,86 @@ def test_align_unitary_matches_staged_oracle(pair):
         target = GramTarget(src.size, gram_matrix(src))
         completion = gram_complete(dst, target).vectors
         assert np.max(np.abs(completion - _staged_gram_complete(dst, target).vectors)) <= 1e-12
+
+
+def _general_polar_alignment(x, y):
+    """The rotation of ``_polar_alignment`` for one pair of aligned rows by
+    its general route, whatever their rank: the QR of [F_x, F_y], the
+    compressed C and the polar factor of C from its SVD."""
+    a, s, bh = np.linalg.svd(x, full_matrices=False)
+    ay, _, byh = np.linalg.svd(y, full_matrices=False)
+    k = int(np.sum(s > SRC_RANK_RTOL * s[:1]))
+    fx = bh[:k].T
+    fy = (dagger(a[:, :k]) @ ay @ byh).T
+    q, rq = np.linalg.qr(np.concatenate([fx, fy], axis=1))
+    gx, gy = rq[:, :k], rq[:, k:]
+    eye = np.eye(q.shape[1])
+    c = gy @ dagger(gx) + (eye - gy @ dagger(gy)) @ (eye - gx @ dagger(gx))
+    uc, _, vch = np.linalg.svd(c)
+    return q @ uc @ vch @ dagger(q) + np.eye(len(q)) - q @ dagger(q)
+
+
+def _rotation(angles, vectors):
+    return np.eye(len(vectors)) + (vectors * (np.exp(1j * angles) - 1.0)) @ dagger(vectors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.integers(1, 8), extra=st.integers(0, 4), stack=st.integers(1, 4),
+       short=st.sampled_from([None, "low", "zero"]),
+       noise=st.one_of(st.just(0.0), st.floats(-13.0, -7.0).map(lambda e: 10.0**e)),
+       seed=st.integers(0, 2**32 - 1))
+def test_square_frames_rotate_in_closed_form(dim, extra, stack, short, noise, seed):
+    # Square families (n = dim) and pivoted ones (n > dim, aligned on dim
+    # pivot rows) in stacks whose items all have full rank, where the frames
+    # are dim x dim unitaries and the rotation is the eigenpairs of
+    # F_y F_x^*, or that mix in an item of rank dim - 1 or 0, which sends the
+    # whole stack the general route.  Each item's rotation matches the
+    # general route's on its own aligned rows and its own rotation alone,
+    # and its residuals stay within alignment_bound.
+    rng = np.random.default_rng(seed)
+    n = dim + extra
+    x = rng.standard_normal((stack, n, dim)) + 1j * rng.standard_normal((stack, n, dim))
+    if short == "low" and dim > 1:
+        keep = random_unitary(rng, dim)[:, 1:]
+        x[0] = x[0] @ keep @ dagger(keep)
+    elif short == "zero":
+        x[0] = 0.0
+    x /= np.maximum(np.linalg.norm(x, axis=(1, 2), keepdims=True), 1e-300) * 1.01
+    y = np.stack([item @ random_unitary(rng, dim).T for item in x])
+    y += noise * rng.standard_normal(y.shape)
+    y /= np.maximum(np.linalg.norm(y, axis=(1, 2), keepdims=True) * 1.01, 1.0)
+    angles, vectors, pivots = _alignment_rotation(x, y)
+    tol = 1e-12 * dim
+    for t in range(stack):
+        stacked = _rotation(angles[t], vectors[t])
+        alone_angles, alone_vectors, alone_pivots = _alignment_rotation(x[t], y[t])
+        alone = _rotation(alone_angles, alone_vectors)
+        assert np.max(np.abs(stacked - alone)) <= tol
+        rows = slice(None) if pivots is None else pivots[t]
+        if pivots is not None:
+            assert np.array_equal(pivots[t], alone_pivots)
+        general = _general_polar_alignment(x[t][rows], y[t][rows])
+        assert np.max(np.abs(alone - general)) <= tol
+        src, dst = VectorFamily(dim, x[t]), VectorFamily(dim, y[t])
+        delta = 2 * float(np.max(np.abs(gram_matrix(src) - gram_matrix(dst)))) + 1e-14
+        res = align_unitary(src, dst, delta)
+        assert np.all(res.residuals <= res.bound)
+        assert np.max(np.abs(res.unitary - alone)) <= tol
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_square_frames_take_no_qr(rng, monkeypatch, n):
+    # Full-rank src rows that fill C^dim, square or pivoted, are rotated by
+    # the two frames' SVDs and one eigen-solve: no QR and no third SVD.
+    dim = 6
+    x = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    x /= np.linalg.norm(x) * 1.01
+    y = x @ random_unitary(rng, dim).T
+    calls = []
+    for name in ("qr", "svd"):
+        f = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, f=f, name=name, **k: calls.append(name) or f(*a, **k))
+    res = align_unitary(VectorFamily(dim, x), VectorFamily(dim, y), 1e-10)
+    assert calls == ["svd", "svd"]
+    assert res.vectors.shape == (dim, dim) and np.all(res.residuals <= res.bound)

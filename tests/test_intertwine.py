@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -282,6 +283,71 @@ def test_end_gap_dominates_the_evaluated_end(ambient, rounds, twist, seed):
                             make_schedule(tower, 0.1, rounds))
     assert op_norm(result.path.factor.end() - result.odd_factor) <= result.end_gap <= 1e-8
     assert assemble_path(result) is result.path
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.sampled_from([16, 64, 256]), data=st.data())
+def test_recorded_generator_table_matches_the_dense_table(dim, data):
+    # A generator the tower built is known at its level: its table, from
+    # its factor alone, is the dense level_distances table of the D x D
+    # array within the rounding that table's own chain carries.  A level-1
+    # generator lies in every level, so its distances are 0 exactly and its
+    # norm is the dense one bit for bit; the dense pass reaches 0 there
+    # wherever it averages equal entries exactly, as for the shift, and
+    # leaves at most rounding on the clock's complex entries.
+    tower = build_tower([2] * (dim.bit_length() - 2), dim)
+    n = data.draw(st.integers(1, tower.depth), label="level")
+    rounds = data.draw(st.integers(1, tower.depth), label="rounds")
+    sizes = tower.sizes[:rounds]
+    for kind, x in zip(("shift", "clock"), tower.level_generators(n)):
+        distances, norm = tower._level_table(x, sizes)
+        dense_distances, dense_norm = level_distances(x, sizes)
+        rounding = dim * np.finfo(float).eps * dense_norm
+        assert len(distances) == rounds
+        assert all(abs(d - e) <= rounding for d, e in zip(distances, dense_distances))
+        assert abs(norm - dense_norm) <= rounding
+        if n == 1:
+            assert distances == [0.0] * rounds and norm == dense_norm
+            if kind == "shift":
+                assert dense_distances == distances
+
+
+def test_only_a_live_read_only_generator_uses_its_record(monkeypatch):
+    # A copy, a generator made writeable again and an array at the id of a
+    # freed generator each take the dense pass; a write to a generator is
+    # refused, and a freed generator's record goes with it.
+    tower = build_tower([2] * 3, 16)
+    sizes = tower.sizes
+    dense, passes = level_distances, []
+    monkeypatch.setattr("state_transport.intertwine.level_distances",
+                        lambda x, sizes: passes.append(x) or dense(x, sizes))
+    x = tower.level_generators(2)[0]
+    assert tower._level_table(x, sizes) == tower._level_table(x, sizes) and passes == []
+    with pytest.raises(ValueError):
+        x[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        x.base[0, 0, 0, 0] = 1.0
+    copy = x.copy()
+    assert tower._level_table(copy, sizes) == dense(copy, sizes)
+    assert len(passes) == 1 and passes[0] is copy
+    x.base.flags.writeable = x.flags.writeable = True
+    x[0, 0] = 1.0
+    assert tower._level_table(x, sizes) == dense(x, sizes) and passes[-1] is x
+    passes.clear()
+    del x, copy
+    assert tower._records == {}
+    # A record whose array was freed, found at a new array's id, is not its.
+    y = tower.level_generators(1)[0]
+    stale = tower._records[id(y)]
+    z = np.array(y)
+    z.flags.writeable = False
+    del y
+    tower._records[id(z)] = stale
+    assert tower._level_table(z, sizes) == dense(z, sizes)
+    assert len(passes) == 1 and passes[0] is z
+    # A record names an array of this process, so a pickled tower has none.
+    copied = pickle.loads(pickle.dumps(tower))
+    assert copied == tower and copied._records == {}
 
 
 @pytest.mark.parametrize("rounds", [1, 3])
